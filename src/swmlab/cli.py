@@ -53,7 +53,7 @@ def cmd_simulate(args) -> int:
     instance = load_instance(args.instance)
     ctx = GainContext(instance)
     trace = expected_trace(ctx, mode=args.mode, samples=args.samples,
-                           seed=args.seed, threads=args.threads)
+                           seed=args.seed)
     results = trace.to_dict()
     results["lower_bound_half_plus_beta"] = 0.5 + trace.beta / 2
     report = _report("simulate", {
@@ -203,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["exact", "mc"], default="exact")
     p.add_argument("--samples", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", help="JSON report path (default: stdout)")
     p.add_argument("--csv", help="CSV trace path")
     p.set_defaults(func=cmd_simulate)

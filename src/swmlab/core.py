@@ -55,13 +55,9 @@ class Allocation:
 
     def __post_init__(self):
         object.__setattr__(self, "masks", tuple(int(m) for m in self.masks))
-        if not self.multiset:
-            seen = 0
-            for m in self.masks:
-                if seen & m:
-                    raise ValueError(
-                        "agents share items; build via union() for multisets")
-                seen |= m
+        if not self.multiset and _overlapping(self.masks):
+            raise ValueError(
+                "agents share items; build via union() for multisets")
 
     @property
     def m(self) -> int:
@@ -87,6 +83,15 @@ class Allocation:
         return cls(tuple(as_mask(s, n) for s in sets), multiset=multiset)
 
 
+def _overlapping(masks: Iterable[int]) -> bool:
+    seen = 0
+    for m in masks:
+        if seen & m:
+            return True
+        seen |= m
+    return False
+
+
 def welfare(instance: Instance, a: Allocation) -> float:
     """V(A) = sum of each agent's value for its assigned set."""
     if a.m != instance.m:
@@ -103,13 +108,8 @@ def union(a: Allocation, b: Allocation) -> Allocation:
     if a.m != b.m:
         raise ValueError("allocations have different agent counts")
     masks = tuple(x | y for x, y in zip(a.masks, b.masks))
-    seen, overlap = 0, False
-    for m in masks:
-        if seen & m:
-            overlap = True
-            break
-        seen |= m
-    return Allocation(masks, multiset=overlap or a.multiset or b.multiset)
+    return Allocation(masks, multiset=_overlapping(masks) or a.multiset
+                      or b.multiset)
 
 
 @dataclass(frozen=True)
@@ -124,33 +124,33 @@ class GreedyRun:
         return float(sum(self.marginals))
 
 
+def greedy_step(instance: Instance, masks: Sequence[int], j: int
+                ) -> tuple[int, float]:
+    """The agent greedy gives item j on top of the per-agent ``masks``, and
+    its marginal gain: the largest marginal, ties to the lowest agent index."""
+    best_ell, best_gain = 0, -1.0
+    for ell, oracle in enumerate(instance.oracles):
+        g = oracle.marginal_gain_mask(masks[ell], j)
+        if g > best_gain:
+            best_ell, best_gain = ell, g
+    return best_ell, best_gain
+
+
 def greedy(instance: Instance, order: Sequence[int]) -> GreedyRun:
-    """Process items in order, assigning each to the agent with the largest
-    marginal gain; ties go to the lowest agent index."""
-    n, m = instance.n, instance.m
-    masks = [0] * m
-    marginals = []
-    choices = []
+    """Process items in order, giving each to its ``greedy_step`` agent."""
+    n = instance.n
+    order = tuple(int(j) for j in order)
+    masks = [0] * instance.m
+    marginals, choices = [], []
     for j in order:
-        j = int(j)
         if j < 0 or j >= n:
             raise InvalidQueryError(f"item {j} outside ground set of size {n}")
-        best_ell, best_gain = 0, -1.0
-        for ell in range(m):
-            g = instance.oracles[ell].marginal_gain_mask(masks[ell], j)
-            if g > best_gain:
-                best_ell, best_gain = ell, g
-        masks[best_ell] |= 1 << j
-        marginals.append(best_gain)
-        choices.append(best_ell)
-    multiset = False  # repeats merge into one copy per agent, masks stay disjoint
-    seen = 0
-    for msk in masks:
-        if seen & msk:
-            multiset = True
-        seen |= msk
-    return GreedyRun(tuple(int(j) for j in order),
-                     Allocation(tuple(masks), multiset=multiset),
+        ell, g = greedy_step(instance, masks, j)
+        masks[ell] |= 1 << j
+        marginals.append(g)
+        choices.append(ell)
+    return GreedyRun(order, Allocation(tuple(masks),
+                                       multiset=_overlapping(masks)),
                      tuple(marginals), tuple(choices))
 
 
@@ -190,8 +190,6 @@ def optimal(instance: Instance, items: Optional[Iterable[int]] = None
         if v > best_value:
             best_value, best_masks = v, masks
     alloc = Allocation(tuple(best_masks))
-    opt_map = {}
-    for ell, msk in enumerate(best_masks):
-        for j in mask_items(msk):
-            opt_map[j] = ell
+    opt_map = {j: ell for ell, msk in enumerate(best_masks)
+               for j in mask_items(msk)}
     return alloc, float(best_value), opt_map

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import Allocation, GreedyRun, Instance, greedy, optimal, union, welfare
+from .core import (Allocation, Instance, greedy, greedy_step, optimal, union,
+                   welfare)
 from .errors import InvalidQueryError, SizeGuardError
 from .oracles import mask_items
 
@@ -28,7 +28,6 @@ EXACT_TRACE_MAX_N = 8      # n! enumeration cap for expected_trace
 LEMMA_MAX_N = 7            # verify_lemmas / conjecture_check cap
 SECOND_HALF_MAX_N = 6      # verify_second_half caps
 SECOND_HALF_MAX_M = 3
-SWEEP_CHUNKS = 64          # fixed chunking keeps results independent of threads
 DEFAULT_TOL = 1e-12
 IDENTITY_TOL = 1e-10
 
@@ -47,10 +46,8 @@ class GainContext:
             if opt_allocation.assigned_mask != (1 << n) - 1:
                 raise ValueError("reference allocation must assign every item")
             opt_value = welfare(instance, opt_allocation)
-            opt_map = {}
-            for ell, msk in enumerate(opt_allocation.masks):
-                for j in mask_items(msk):
-                    opt_map[j] = ell
+            opt_map = {j: ell for ell, msk in enumerate(opt_allocation.masks)
+                       for j in mask_items(msk)}
         self.opt_allocation = opt_allocation
         self.opt_value = float(opt_value)
         self.opt_map = opt_map
@@ -114,6 +111,7 @@ class TraceOne:
     welfare: float
     gains_initial: np.ndarray      # Gain(j, empty) per item
     gains_half: Optional[np.ndarray]  # Gain(j, A^G(S1)) per item, n even only
+    choices: tuple[int, ...]       # greedy's agent per position
 
 
 def trace_one(ctx: GainContext, order: Sequence[int]) -> TraceOne:
@@ -124,11 +122,12 @@ def trace_one(ctx: GainContext, order: Sequence[int]) -> TraceOne:
     in b.  Only items whose reference agent is the chosen agent can change,
     which keeps the update incremental.
     """
-    inst, n, m = ctx.instance, ctx.n, ctx.m
+    inst, n = ctx.instance, ctx.n
     order = tuple(int(j) for j in order)
     if sorted(order) != list(range(n)):
         raise ValueError("trace_one requires a permutation of the items")
-    masks = [0] * m
+    masks = [0] * ctx.m
+    choices = []
     gains = [ctx.gain_masks(j, masks) for j in range(n)]
     gains_initial = np.array(gains)
     gains_half = None
@@ -139,15 +138,11 @@ def trace_one(ctx: GainContext, order: Sequence[int]) -> TraceOne:
     gb = np.zeros(n)
     arrived = 0
     for pos, j in enumerate(order):
-        best_ell, best_gain = 0, -1.0
-        for ell in range(m):
-            g = inst.oracles[ell].marginal_gain_mask(masks[ell], j)
-            if g > best_gain:
-                best_ell, best_gain = ell, g
+        best_ell, w[pos] = greedy_step(inst, masks, j)
+        choices.append(best_ell)
         gb[pos] = gains[j]
         arrived |= 1 << j
         masks[best_ell] |= 1 << j
-        w[pos] = best_gain
         bi = ai = 0.0
         for k in ctx._agent_items[best_ell]:
             new = ctx.gain_masks(k, masks)
@@ -163,7 +158,18 @@ def trace_one(ctx: GainContext, order: Sequence[int]) -> TraceOne:
         if half is not None and pos + 1 == half:
             gains_half = np.array(gains)
     return TraceOne(order, w, av, bv, gb, float(w.sum()),
-                    gains_initial, gains_half)
+                    gains_initial, gains_half, tuple(choices))
+
+
+def _prefix_masks(m: int, order: Sequence[int], choices: Sequence[int]
+                  ) -> list[tuple[int, ...]]:
+    """Greedy's agent masks after 0, 1, .., len(order) steps of a run."""
+    masks = [0] * m
+    out = [tuple(masks)]
+    for j, ell in zip(order, choices):
+        masks[ell] |= 1 << j
+        out.append(tuple(masks))
+    return out
 
 
 @dataclass
@@ -234,111 +240,62 @@ class GainTrace:
         return "\n".join(lines) + "\n"
 
 
-def _chunk_ranges(total: int) -> list[tuple[int, int]]:
-    chunks = min(SWEEP_CHUNKS, total) or 1
-    bounds = [total * c // chunks for c in range(chunks + 1)]
-    return [(bounds[c], bounds[c + 1]) for c in range(chunks)
-            if bounds[c] < bounds[c + 1]]
-
-
-def _run_chunks(worker, total: int, threads: int):
-    """Run worker(lo, hi) over fixed chunk ranges, reducing in chunk order.
-
-    The chunking does not depend on the thread count, so results are
-    identical for any number of threads.
-    """
-    ranges = _chunk_ranges(total)
-    if threads <= 1:
-        return [worker(lo, hi) for lo, hi in ranges]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(worker, lo, hi) for lo, hi in ranges]
-        return [f.result() for f in futures]
-
-
-def _mc_order(seed: int, k: int, n: int) -> np.ndarray:
+def _mc_order(seed: int, k: int, n: int) -> tuple[int, ...]:
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
                                                        spawn_key=(k,)))
-    return rng.permutation(n)
+    return tuple(rng.permutation(n).tolist())
 
 
-def expected_trace(ctx: GainContext, mode: str = "exact",
-                   samples: int = 10_000, seed: int = 0,
-                   threads: int = 1) -> GainTrace:
-    """Average trace_one over all n! orders (exact) or seeded samples (MC)."""
-    n = ctx.n
+def _orders(n: int, mode: str, samples: int, seed: int, max_n: int):
+    """(mode name, divisor, orders) for a suite that averages over orders:
+    all n! permutations in exact mode, ``samples`` seeded ones in MC mode."""
     if mode == "exact":
-        if n > EXACT_TRACE_MAX_N:
-            raise SizeGuardError(
-                f"exact expectation enumerates n! orders; n={n} exceeds "
-                f"{EXACT_TRACE_MAX_N}")
-        total = math.factorial(n)
-
-        def worker(lo, hi):
-            sw = np.zeros(n)
-            sa = np.zeros(n)
-            sb = np.zeros(n)
-            perms = itertools.islice(itertools.permutations(range(n)), lo, hi)
-            for order in perms:
-                t = trace_one(ctx, order)
-                sw += t.w
-                sa += t.a
-                sb += t.b
-            return sw, sa, sb
-
-        parts = _run_chunks(worker, total, threads)
-        sw = sum(p[0] for p in parts)
-        sa = sum(p[1] for p in parts)
-        sb = sum(p[2] for p in parts)
-        raw_w, raw_a, raw_b = sw / total, sa / total, sb / total
-        return GainTrace(n, ctx.opt_value, "exact",
-                         raw_w / ctx.opt_value, raw_a / ctx.opt_value,
-                         raw_b / ctx.opt_value, raw_w, raw_a, raw_b)
-
+        if n > max_n:
+            raise SizeGuardError(f"exact mode enumerates n! orders; n={n} "
+                                 f"exceeds {max_n}")
+        return "exact", math.factorial(n), itertools.permutations(range(n))
     if mode in ("mc", "monte_carlo"):
         if samples < 1:
             raise ValueError("samples must be positive")
-
-        def worker(lo, hi):
-            sw = np.zeros(n)
-            sa = np.zeros(n)
-            sb = np.zeros(n)
-            sw2 = np.zeros(n)
-            sa2 = np.zeros(n)
-            sb2 = np.zeros(n)
-            swel = swel2 = 0.0
-            for k in range(lo, hi):
-                t = trace_one(ctx, _mc_order(seed, k, n))
-                sw += t.w
-                sa += t.a
-                sb += t.b
-                sw2 += t.w * t.w
-                sa2 += t.a * t.a
-                sb2 += t.b * t.b
-                swel += t.welfare
-                swel2 += t.welfare * t.welfare
-            return sw, sa, sb, sw2, sa2, sb2, swel, swel2
-
-        parts = _run_chunks(worker, samples, threads)
-        sums = [sum(p[i] for p in parts) for i in range(8)]
-        sw, sa, sb, sw2, sa2, sb2, swel, swel2 = sums
-        raw_w, raw_a, raw_b = sw / samples, sa / samples, sb / samples
-
-        def se(s, s2):
-            var = np.maximum(s2 / samples - (s / samples) ** 2, 0.0)
-            return np.sqrt(var / samples)
-
-        stderr = {
-            "w": se(sw, sw2) / ctx.opt_value,
-            "a": se(sa, sa2) / ctx.opt_value,
-            "b": se(sb, sb2) / ctx.opt_value,
-            "ratio": float(se(np.array(swel), np.array(swel2))) / ctx.opt_value,
-        }
-        return GainTrace(n, ctx.opt_value, "monte_carlo",
-                         raw_w / ctx.opt_value, raw_a / ctx.opt_value,
-                         raw_b / ctx.opt_value, raw_w, raw_a, raw_b,
-                         samples=samples, seed=seed, stderr=stderr)
-
+        return ("monte_carlo", samples,
+                (_mc_order(seed, k, n) for k in range(samples)))
     raise ValueError(f"unknown mode {mode!r}; use 'exact' or 'mc'")
+
+
+def expected_trace(ctx: GainContext, mode: str = "exact",
+                   samples: int = 10_000, seed: int = 0) -> GainTrace:
+    """Average trace_one over all n! orders (exact) or seeded samples (MC)."""
+    n, opt = ctx.n, ctx.opt_value
+    mode, total, orders = _orders(n, mode, samples, seed, EXACT_TRACE_MAX_N)
+    mc = mode == "monte_carlo"
+    sw, sa, sb, sw2, sa2, sb2 = (np.zeros(n) for _ in range(6))
+    swel = swel2 = 0.0
+    for order in orders:
+        t = trace_one(ctx, order)
+        sw += t.w
+        sa += t.a
+        sb += t.b
+        if mc:
+            sw2 += t.w * t.w
+            sa2 += t.a * t.a
+            sb2 += t.b * t.b
+            swel += t.welfare
+            swel2 += t.welfare * t.welfare
+    raw_w, raw_a, raw_b = sw / total, sa / total, sb / total
+    if not mc:
+        return GainTrace(n, opt, mode, raw_w / opt, raw_a / opt, raw_b / opt,
+                         raw_w, raw_a, raw_b)
+
+    def se(s, s2):
+        var = np.maximum(s2 / total - (s / total) ** 2, 0.0)
+        return np.sqrt(var / total)
+
+    stderr = {"w": se(sw, sw2) / opt, "a": se(sa, sa2) / opt,
+              "b": se(sb, sb2) / opt,
+              "ratio": float(se(np.array(swel), np.array(swel2))) / opt}
+    return GainTrace(n, opt, mode, raw_w / opt, raw_a / opt, raw_b / opt,
+                     raw_w, raw_a, raw_b, samples=samples, seed=seed,
+                     stderr=stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -482,13 +439,13 @@ def build_A_prime(ctx: GainContext, order: Sequence[int]
     if sorted(order) != list(range(n)):
         raise ValueError("order must be a permutation of the items")
     half, three_q = n // 2, 3 * n // 4
-    s1, s2 = order[:half], order[half:three_q]
     g_full = greedy(inst, order)
     g_23 = greedy(inst, order[half:])
-    opt_s2, _, _ = optimal(inst, items=sorted(s2))
+    opt_s2, _, _ = optimal(inst, items=sorted(order[half:three_q]))
     a_prime = union(union(g_full.allocation, g_23.allocation), opt_s2)
-    g_s1 = greedy(inst, s1)
-    margin = welfare(inst, a_prime) - welfare(inst, g_s1.allocation)
+    # greedy on S1 alone is the first n/2 steps of the full run
+    g_s1 = _prefix_masks(ctx.m, order[:half], g_full.choices)[-1]
+    margin = welfare(inst, a_prime) - welfare(inst, Allocation(g_s1))
     return a_prime, float(margin)
 
 
@@ -607,18 +564,7 @@ def verify_second_half(ctx: GainContext, tol: float = IDENTITY_TOL
         sa += t.a
         sb += t.b
         first, rest = order[:half], order[half:]
-
-        prefix = [(0,) * m]           # greedy agent masks after 0..n items
-        masks = [0] * m
-        for j in order:
-            best_ell, best_gain = 0, -1.0
-            for ell in range(m):
-                g = inst.oracles[ell].marginal_gain_mask(masks[ell], j)
-                if g > best_gain:
-                    best_ell, best_gain = ell, g
-            masks[best_ell] |= 1 << j
-            prefix.append(tuple(masks))
-
+        prefix = _prefix_masks(m, order, t.choices)
         base = prefix[half]
         g_base = ctx.gain_set_masks(first, base)
         best_code, best_red = 0, -1.0
@@ -736,33 +682,17 @@ def conjecture_check(instance: Instance, mode: str = "exact",
     move-side expectation is cross-checked against n times the expected
     last marginal, which is an exact identity under full enumeration.
     """
-    n, m = instance.n, instance.m
-    if mode == "exact":
-        if n > LEMMA_MAX_N:
-            raise SizeGuardError(f"exact mode enumerates n! orders; n={n} "
-                                 f"exceeds {LEMMA_MAX_N}")
-        total = math.factorial(n)
-        lhs_sum = rhs_sum = last_sum = 0.0
-        for order in itertools.permutations(range(n)):
-            c, mv, last = _conjecture_terms(instance, order)
-            lhs_sum += c
-            rhs_sum += mv
-            last_sum += last
-        lhs, rhs = lhs_sum / total, rhs_sum / total
-        cross = n * last_sum / total
-        return ConjectureReport(n, m, lhs, rhs, cross, "exact",
-                                counterexample=lhs > rhs + tol)
-    if mode in ("mc", "monte_carlo"):
-        lhs_sum = rhs_sum = last_sum = 0.0
-        for k in range(samples):
-            order = tuple(int(x) for x in _mc_order(seed, k, n))
-            c, mv, last = _conjecture_terms(instance, order)
-            lhs_sum += c
-            rhs_sum += mv
-            last_sum += last
-        lhs, rhs = lhs_sum / samples, rhs_sum / samples
-        cross = n * last_sum / samples
-        return ConjectureReport(n, m, lhs, rhs, cross, "monte_carlo",
-                                samples=samples, seed=seed,
-                                counterexample=lhs > rhs + tol)
-    raise ValueError(f"unknown mode {mode!r}; use 'exact' or 'mc'")
+    n = instance.n
+    mode, total, orders = _orders(n, mode, samples, seed, LEMMA_MAX_N)
+    lhs_sum = rhs_sum = last_sum = 0.0
+    for order in orders:
+        c, mv, last = _conjecture_terms(instance, order)
+        lhs_sum += c
+        rhs_sum += mv
+        last_sum += last
+    lhs, rhs = lhs_sum / total, rhs_sum / total
+    mc = mode == "monte_carlo"
+    return ConjectureReport(n, instance.m, lhs, rhs, n * last_sum / total,
+                            mode, samples=samples if mc else None,
+                            seed=seed if mc else None,
+                            counterexample=lhs > rhs + tol)

@@ -48,11 +48,13 @@ def instance_from_spec(spec: dict) -> Instance:
         raise InstanceFormatError("field 'agents' must be a non-empty list")
     oracles = []
     for idx, agent_spec in enumerate(agents):
+        if not isinstance(agent_spec, dict):
+            raise InstanceFormatError(f"agent {idx} must be a JSON object")
         try:
             oracle = oracle_from_spec(agent_spec)
         except SwmlabError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InstanceFormatError(f"agent {idx}: {exc}") from exc
         oracles.append(oracle)
     n = oracles[0].n

@@ -7,6 +7,8 @@ table for small ground sets, so repeated queries are array lookups.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -28,6 +30,14 @@ def as_mask(items: Iterable[int], n: int) -> int:
             raise InvalidQueryError(f"item {i} outside ground set of size {n}")
         mask |= 1 << i
     return mask
+
+
+def _finite(x, what: str) -> float:
+    """``x`` as a float; NaN and infinities are rejected."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"{what} must be finite, got {x!r}")
+    return x
 
 
 def mask_items(mask: int) -> tuple[int, ...]:
@@ -127,7 +137,8 @@ class CoverageOracle(ValuationOracle):
     kind = "coverage"
 
     def __init__(self, universe_weights, item_sets):
-        self.universe_weights = [float(w) for w in universe_weights]
+        self.universe_weights = [_finite(w, "universe weight")
+                                 for w in universe_weights]
         u = len(self.universe_weights)
         if any(w < 0 for w in self.universe_weights):
             raise ValueError("universe weights must be non-negative")
@@ -178,8 +189,8 @@ class BudgetedAdditiveOracle(ValuationOracle):
     kind = "budgeted_additive"
 
     def __init__(self, budget, weights):
-        self.budget = float(budget)
-        self.weights = [float(w) for w in weights]
+        self.budget = _finite(budget, "budget")
+        self.weights = [_finite(w, "weight") for w in weights]
         if self.budget < 0 or any(w < 0 for w in self.weights):
             raise ValueError("budget and weights must be non-negative")
         super().__init__(len(self.weights))
@@ -204,11 +215,12 @@ class BMatchingOracle(ValuationOracle):
     kind = "b_matching"
 
     def __init__(self, capacity, weights):
-        capacity = int(capacity)
-        if capacity < 1:
-            raise ValueError("capacity must be a positive integer")
-        self.capacity = capacity
-        self.weights = [float(w) for w in weights]
+        if isinstance(capacity, bool) or \
+                not isinstance(capacity, numbers.Integral) or capacity < 1:
+            raise ValueError(
+                f"capacity must be a positive integer, got {capacity!r}")
+        self.capacity = int(capacity)
+        self.weights = [_finite(w, "weight") for w in weights]
         if any(w < 0 for w in self.weights):
             raise ValueError("weights must be non-negative")
         super().__init__(len(self.weights))
@@ -251,7 +263,7 @@ class CutOracle(ValuationOracle):
                 f"ground size {n} exceeds {EXHAUSTIVE_MAX_N}")
         self.edges = []
         for u, v, w in edges:
-            u, v, w = int(u), int(v), float(w)
+            u, v, w = int(u), int(v), _finite(w, "edge weight")
             if w < 0:
                 raise ValueError("edge weights must be non-negative")
             for x in (u, v):
@@ -313,7 +325,7 @@ class TableOracle(ValuationOracle):
             raise SizeGuardError(f"table oracle limited to n <= 20, got {n}")
         table = np.full(1 << n, np.nan)
         for key, v in values.items():
-            table[_parse_subset_key(key, n)] = float(v)
+            table[_parse_subset_key(key, n)] = _finite(v, "table value")
         missing = np.flatnonzero(np.isnan(table))
         if missing.size:
             raise ValueError(
@@ -383,11 +395,14 @@ def oracle_from_spec(spec: dict) -> ValuationOracle:
     if kind == "cut":
         return make_cut(spec["n"], spec["edges"])
     if kind == "table":
+        table = spec["table"]
+        if not isinstance(table, dict):
+            raise TypeError("table must map subset keys to values")
         n = spec.get("n")
         if n is None:
-            n = max((len(k.split(",")) and 1 + max(int(p) for p in k.split(","))
-                     for k in spec["table"] if k), default=1)
-        return make_table(n, spec["table"])
+            n = 1 + max((int(p) for k in table if k for p in k.split(",")),
+                        default=0)
+        return make_table(n, table)
     raise ValueError(f"unknown oracle kind: {kind!r}")
 
 
@@ -414,9 +429,7 @@ class AxiomReport:
     def to_dict(self):
         return {"normalized": self.normalized, "monotone": self.monotone,
                 "submodular": self.submodular, "passed": self.passed,
-                "witnesses": {k: list(map(list, [v[0]])) + list(v[1:])
-                              if False else repr(v)
-                              for k, v in self.witnesses.items()}}
+                "witnesses": {k: repr(v) for k, v in self.witnesses.items()}}
 
 
 def check_axioms(oracle: ValuationOracle, tol: float = ABS_TOL) -> AxiomReport:

@@ -37,16 +37,20 @@ class TestSimulate:
         main(["simulate", instance_file, "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
-    def test_mc_deterministic_across_threads(self, tmp_path, instance_file):
+    def test_mc_same_seed_byte_identical(self, tmp_path, instance_file):
         paths = []
-        for threads in ("1", "2", "4"):
-            out = tmp_path / f"t{threads}.json"
+        for run in range(3):
+            out = tmp_path / f"r{run}.json"
             main(["simulate", instance_file, "--mode", "mc", "--samples",
-                  "400", "--seed", "7", "--threads", threads,
-                  "--out", str(out)])
+                  "400", "--seed", "7", "--out", str(out)])
             paths.append(out)
         blobs = [p.read_bytes() for p in paths]
         assert blobs[0] == blobs[1] == blobs[2]
+
+    def test_threads_option_is_gone(self, instance_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", instance_file, "--threads", "2"])
+        assert exc.value.code == 2
 
     def test_no_wall_clock_in_report(self, tmp_path, instance_file):
         out = tmp_path / "r.json"

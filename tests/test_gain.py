@@ -6,6 +6,7 @@ import pytest
 
 import swmlab as sl
 from swmlab.errors import SizeGuardError
+from swmlab.gain import _prefix_masks
 from swmlab.instances import random_family_instance, random_instance
 from swmlab.oracles import mask_items
 
@@ -138,6 +139,15 @@ class TestTraceOne:
                 assert t.a[pos] == pytest.approx(a_i, abs=TOL)
                 gains = new_gains
 
+    def test_choices_match_greedy_on_every_order(self):
+        inst = random_instance(5, 3, 2)    # cut, budgeted additive, coverage
+        ctx = sl.GainContext(inst)
+        for order in itertools.permutations(range(5)):
+            t = sl.trace_one(ctx, order)
+            run = sl.greedy(inst, order)
+            assert t.choices == run.choices
+            assert np.array_equal(t.w, run.marginals)
+
 
 class TestExpectedTrace:
     def test_or_indicator_ratio(self, or_indicator):
@@ -170,20 +180,11 @@ class TestExpectedTrace:
         with pytest.raises(SizeGuardError):
             sl.expected_trace(ctx, mode="exact")
 
-    def test_threads_do_not_change_exact_result(self):
-        inst = random_instance(5, 2, 8)
-        ctx = sl.GainContext(inst)
-        t1 = sl.expected_trace(ctx, threads=1)
-        t4 = sl.expected_trace(ctx, threads=4)
-        assert np.array_equal(t1.w, t4.w)
-        assert np.array_equal(t1.a, t4.a)
-        assert np.array_equal(t1.b, t4.b)
-
     def test_mc_same_seed_bit_reproducible(self):
         inst = random_instance(6, 2, 1)
         ctx = sl.GainContext(inst)
         t1 = sl.expected_trace(ctx, mode="mc", samples=300, seed=5)
-        t2 = sl.expected_trace(ctx, mode="mc", samples=300, seed=5, threads=3)
+        t2 = sl.expected_trace(ctx, mode="mc", samples=300, seed=5)
         assert np.array_equal(t1.w, t2.w)
         assert np.array_equal(t1.b, t2.b)
         assert t1.stderr["ratio"] == t2.stderr["ratio"]
@@ -264,6 +265,20 @@ class TestBuildAPrime:
         full = sl.greedy(inst, order).allocation
         for got, sub in zip(a_prime.masks, full.masks):
             assert got & sub == sub
+
+    def test_s1_masks_from_prefix_match_greedy_on_s1(self):
+        # build_A_prime reads greedy's allocation of S1 off the full run;
+        # running greedy on S1 alone stays here as the reference
+        inst = random_instance(8, 2, 3)
+        ctx = sl.GainContext(inst)
+        for k, order in enumerate(itertools.permutations(range(8))):
+            g_s1 = sl.greedy(inst, order[:4]).allocation
+            choices = sl.greedy(inst, order).choices
+            assert _prefix_masks(2, order[:4], choices)[-1] == g_s1.masks
+            if k % 97 == 0:
+                a_prime, margin = sl.build_A_prime(ctx, order)
+                assert margin == \
+                    sl.welfare(inst, a_prime) - sl.welfare(inst, g_s1)
 
     def test_rejects_bad_size(self):
         inst = random_instance(6, 2, 0)

@@ -1,0 +1,124 @@
+import json
+import math
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+import swmlab as sl
+from swmlab.cli import main
+from swmlab.errors import InstanceFormatError, SwmlabError
+from swmlab.instances import instance_from_spec
+
+NAN, INF = math.nan, math.inf
+BUDGETED = {"kind": "budgeted_additive", "budget": 1.0, "weights": [0.5, 0.7]}
+
+
+def _exits_2(spec) -> bool:
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "bad.json"
+        path.write_text(json.dumps(spec))
+        return main(["classify", str(path)]) == 2
+
+
+@pytest.mark.parametrize("entry", [7, None, "agent", [BUDGETED]])
+def test_non_object_agent_is_format_error(entry):
+    spec = {"agents": [BUDGETED, entry]}
+    with pytest.raises(InstanceFormatError, match="agent 1"):
+        instance_from_spec(spec)
+    assert _exits_2(spec)
+
+
+@pytest.mark.parametrize("bad", [NAN, INF, -INF])
+@pytest.mark.parametrize("agent", [
+    lambda x: {"kind": "budgeted_additive", "budget": 1.0, "weights": [x, 1]},
+    lambda x: {"kind": "budgeted_additive", "budget": x, "weights": [1, 1]},
+    lambda x: {"kind": "b_matching", "capacity": 1, "weights": [1, x]},
+    lambda x: {"kind": "coverage", "universe_weights": [1, x],
+               "item_sets": [[0], [1]]},
+    lambda x: {"kind": "cut", "n": 2, "edges": [[0, -1, 1], [1, -1, x]]},
+    lambda x: {"kind": "table", "n": 1, "table": {"": 0, "0": x}},
+], ids=["weight", "budget", "b_matching-weight", "universe-weight",
+        "edge-weight", "table-value"])
+def test_non_finite_numbers_rejected(agent, bad):
+    spec = {"agents": [agent(bad)]}
+    with pytest.raises(InstanceFormatError, match="finite"):
+        instance_from_spec(spec)
+    assert _exits_2(spec)
+
+
+def test_oracle_constructors_reject_nan():
+    with pytest.raises(ValueError):
+        sl.make_additive([1.0, NAN])
+    with pytest.raises(ValueError):
+        sl.make_budgeted_additive(NAN, [1.0])
+    with pytest.raises(ValueError):
+        sl.make_coverage([NAN], [[0]])
+    with pytest.raises(ValueError):
+        sl.make_cut(1, [(0, -1, NAN)])
+    with pytest.raises(ValueError):
+        sl.make_table(1, {"": 0.0, "0": NAN})
+
+
+@pytest.mark.parametrize("capacity", [1.7, 2.0, "2", True])
+def test_non_integer_capacity_rejected(capacity):
+    spec = {"agents": [{"kind": "b_matching", "capacity": capacity,
+                        "weights": [0.5, 0.7]}]}
+    with pytest.raises(InstanceFormatError, match="capacity"):
+        instance_from_spec(spec)
+    assert _exits_2(spec)
+
+
+def test_table_must_be_an_object():
+    spec = {"agents": [{"kind": "table", "table": [0, 1]}]}
+    with pytest.raises(InstanceFormatError, match="table"):
+        instance_from_spec(spec)
+
+
+@pytest.mark.parametrize("table, n", [
+    ({"": 0, "0": 1}, 1),
+    ({"": 0, "0": 1, "1": 1, "0,1": 1}, 2),
+])
+def test_table_ground_size_inferred_from_keys(table, n):
+    inst = instance_from_spec({"agents": [{"kind": "table", "table": table}]})
+    assert inst.n == n
+
+
+def test_table_without_item_keys_defaults_to_one_item():
+    with pytest.raises(InstanceFormatError, match="missing 1 subsets"):
+        instance_from_spec({"agents": [{"kind": "table", "table": {"": 0}}]})
+
+
+# Malformed-input fuzzing: field values are drawn from plausible shapes
+# (small numbers, number lists, nested lists) mixed with arbitrary JSON.
+_numbers = st.one_of(st.integers(-2, 5), st.integers(),
+                     st.floats(allow_nan=True, allow_infinity=True))
+_scalars = st.one_of(st.none(), st.booleans(), _numbers, st.text(max_size=3))
+_json = st.recursive(_scalars, lambda inner: st.one_of(
+    st.lists(inner, max_size=3),
+    st.dictionaries(st.text(max_size=3), inner, max_size=3)), max_leaves=6)
+_field = st.one_of(_numbers, st.lists(_numbers, max_size=4),
+                   st.lists(st.lists(_numbers, max_size=3), max_size=4),
+                   st.dictionaries(st.sampled_from(["", "0", "1", "0,1"]),
+                                   _numbers, max_size=4),
+                   _json)
+_agent = st.one_of(_json, st.fixed_dictionaries(
+    {"kind": st.sampled_from(["coverage", "budgeted_additive", "b_matching",
+                              "cut", "table", "sphere"])},
+    optional={f: _field for f in ("universe_weights", "item_sets", "budget",
+                                  "weights", "capacity", "n", "edges",
+                                  "table")}))
+_spec = st.one_of(_json, st.fixed_dictionaries(
+    {"agents": st.lists(_agent, max_size=3)},
+    optional={"version": _json, "n": _json, "m": _json}))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_spec)
+def test_only_swmlab_errors_escape_the_loader(spec):
+    try:
+        instance_from_spec(spec)
+    except SwmlabError:
+        assert _exits_2(spec)
