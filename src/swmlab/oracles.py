@@ -7,6 +7,7 @@ table for small ground sets, so repeated queries are array lookups.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -17,8 +18,7 @@ import numpy as np
 from .errors import AxiomViolationError, InvalidQueryError, SizeGuardError
 
 ABS_TOL = 1e-12
-EXHAUSTIVE_MAX_N = 12    # full axiom check / value-table precompute cap
-CLASSIFY_MAX_N = 10      # second-order classification cap
+EXHAUSTIVE_MAX_N = 12    # value-table precompute and exhaustive-check cap
 
 
 def as_mask(items: Iterable[int], n: int) -> int:
@@ -40,6 +40,14 @@ def _finite(x, what: str) -> float:
     return x
 
 
+def _integer(x, what: str) -> int:
+    """``x`` as an int; only integers are accepted (not bools, floats or
+    strings), so a malformed count is rejected instead of truncated."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return int(x)
+
+
 def mask_items(mask: int) -> tuple[int, ...]:
     """Inverse of as_mask: the sorted item indices set in the bitmask."""
     out = []
@@ -55,20 +63,21 @@ def mask_items(mask: int) -> tuple[int, ...]:
 class ValuationOracle:
     """Base class: a monotone, normalized, submodular set function.
 
-    Subclasses implement ``_raw_value(mask)``; queries go through
-    ``value_mask`` which serves from a precomputed table when the ground
-    set is small enough.
+    Subclasses implement ``_raw_value(mask)``, or set ``_table`` to their
+    full value table before calling ``__init__``; queries go through
+    ``value_mask`` which serves from the table when there is one.  The
+    table is precomputed when the ground set is small enough.
     """
 
     kind = "abstract"
+    _table: Optional[np.ndarray] = None
 
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("ground set must be non-empty")
         self.n = n
         self._full = (1 << n) - 1
-        self._table: Optional[np.ndarray] = None
-        if n <= EXHAUSTIVE_MAX_N:
+        if self._table is None and n <= EXHAUSTIVE_MAX_N:
             self._table = np.empty(1 << n)
             for m in range(1 << n):
                 self._table[m] = self._raw_value(m)
@@ -122,11 +131,6 @@ def gain_reduction(oracle: ValuationOracle, a: Iterable[int],
             - oracle.marginal_gain_mask(amask | smask, e))
 
 
-def _gr_mask(oracle: ValuationOracle, amask: int, smask: int, e: int) -> float:
-    return (oracle.marginal_gain_mask(amask, e)
-            - oracle.marginal_gain_mask(amask | smask, e))
-
-
 # ---------------------------------------------------------------------------
 # Concrete families
 # ---------------------------------------------------------------------------
@@ -142,7 +146,8 @@ class CoverageOracle(ValuationOracle):
         u = len(self.universe_weights)
         if any(w < 0 for w in self.universe_weights):
             raise ValueError("universe weights must be non-negative")
-        self.item_sets = [tuple(sorted(set(int(e) for e in s))) for s in item_sets]
+        self.item_sets = [tuple(sorted(set(_integer(e, "element index")
+                                           for e in s))) for s in item_sets]
         self._elem_masks = []
         for s in self.item_sets:
             em = 0
@@ -215,11 +220,10 @@ class BMatchingOracle(ValuationOracle):
     kind = "b_matching"
 
     def __init__(self, capacity, weights):
-        if isinstance(capacity, bool) or \
-                not isinstance(capacity, numbers.Integral) or capacity < 1:
+        self.capacity = _integer(capacity, "capacity")
+        if self.capacity < 1:
             raise ValueError(
                 f"capacity must be a positive integer, got {capacity!r}")
-        self.capacity = int(capacity)
         self.weights = [_finite(w, "weight") for w in weights]
         if any(w < 0 for w in self.weights):
             raise ValueError("weights must be non-negative")
@@ -256,14 +260,15 @@ class CutOracle(ValuationOracle):
     kind = "cut"
 
     def __init__(self, n, edges):
-        n = int(n)
+        n = _integer(n, "n")
         if n > EXHAUSTIVE_MAX_N:
             raise SizeGuardError(
                 f"cut construction requires exhaustive monotonicity check; "
                 f"ground size {n} exceeds {EXHAUSTIVE_MAX_N}")
         self.edges = []
         for u, v, w in edges:
-            u, v, w = int(u), int(v), _finite(w, "edge weight")
+            u, v = _integer(u, "vertex"), _integer(v, "vertex")
+            w = _finite(w, "edge weight")
             if w < 0:
                 raise ValueError("edge weights must be non-negative")
             for x in (u, v):
@@ -285,16 +290,11 @@ class CutOracle(ValuationOracle):
         return total
 
     def _check_monotone(self):
-        for m in range(1 << self.n):
-            vm = self._table[m]
-            for e in range(self.n):
-                bit = 1 << e
-                if m & bit:
-                    continue
-                if self._table[m | bit] < vm - ABS_TOL:
-                    raise AxiomViolationError(
-                        "cut construction is not monotone",
-                        witness=(mask_items(m), e))
+        mono, _ = _first_violations(self._table, self.n, self._full, ABS_TOL)
+        if mono is not None:
+            a, e = mono
+            raise AxiomViolationError("cut construction is not monotone",
+                                      witness=(mask_items(a), e))
 
     def to_spec(self):
         return {"kind": "cut", "n": self.n,
@@ -320,7 +320,7 @@ class TableOracle(ValuationOracle):
     kind = "table"
 
     def __init__(self, n, values, check=True):
-        n = int(n)
+        n = _integer(n, "n")
         if n > 20:
             raise SizeGuardError(f"table oracle limited to n <= 20, got {n}")
         table = np.full(1 << n, np.nan)
@@ -331,7 +331,7 @@ class TableOracle(ValuationOracle):
             raise ValueError(
                 f"table is missing {missing.size} subsets, "
                 f"first: {{{subset_key(mask_items(int(missing[0])))}}}")
-        self._explicit = table
+        self._table = table
         super().__init__(n)
         if check and n <= EXHAUSTIVE_MAX_N:
             report = check_axioms(self)
@@ -340,12 +340,9 @@ class TableOracle(ValuationOracle):
                     f"table violates axioms: {report.failed_axioms()}",
                     witness=report.witnesses)
 
-    def _raw_value(self, mask: int) -> float:
-        return float(self._explicit[mask])
-
     def to_spec(self):
         return {"kind": "table", "n": self.n,
-                "table": {subset_key(mask_items(m)): float(self._explicit[m])
+                "table": {subset_key(mask_items(m)): float(self._table[m])
                           for m in range(1 << self.n)}}
 
 
@@ -432,6 +429,41 @@ class AxiomReport:
                 "witnesses": {k: repr(v) for k, v in self.witnesses.items()}}
 
 
+def _first_violations(t: np.ndarray, n: int, free: int, tol: float):
+    """First violations of monotonicity and local submodularity of the set
+    function with value table ``t`` (indexed by bitmask over ``n`` items).
+
+    A runs over the subsets of ``free``, and e, f over distinct items of
+    ``free`` outside A.  Returns ``(mono, sub)``: the first ``(A, e)`` with
+    v(A + e) < v(A) - tol and the first ``(A, f, e)`` with
+    MG(A, e) < MG(A + f, e) - tol, each first in ascending (A, e, f) order
+    and None when there is no violation.  Sets are bitmasks.
+    """
+    masks = np.arange(1 << n)
+    in_free = (masks & ~free) == 0
+    mono, sub = [], []
+    for e in mask_items(free):
+        ebit = 1 << e
+        a_ok = in_free & ((masks & ebit) == 0)
+        t_e = t[masks | ebit]
+        hits = np.flatnonzero(a_ok & (t_e < t - tol))
+        if hits.size:
+            mono.append((int(hits[0]), e))
+        mg = t_e - t
+        for f in mask_items(free & ~ebit):
+            fbit = 1 << f
+            mg_f = t[masks | ebit | fbit] - t[masks | fbit]
+            hits = np.flatnonzero(a_ok & ((masks & fbit) == 0)
+                                  & (mg < mg_f - tol))
+            if hits.size:
+                sub.append((int(hits[0]), e, f))
+    mono = min(mono, default=None)
+    if not sub:
+        return mono, None
+    a, e, f = min(sub)
+    return mono, (a, f, e)
+
+
 def check_axioms(oracle: ValuationOracle, tol: float = ABS_TOL) -> AxiomReport:
     """Exhaustively verify normalization, monotonicity and submodularity.
 
@@ -448,47 +480,15 @@ def check_axioms(oracle: ValuationOracle, tol: float = ABS_TOL) -> AxiomReport:
     normalized = abs(oracle.value_mask(0)) <= tol
     if not normalized:
         witnesses["normalized"] = (oracle.value_mask(0),)
-
-    monotone = True
-    for m in range(1 << n):
-        vm = oracle.value_mask(m)
-        for e in range(n):
-            bit = 1 << e
-            if m & bit:
-                continue
-            if oracle.value_mask(m | bit) < vm - tol:
-                monotone = False
-                witnesses["monotone"] = (frozenset(mask_items(m)), e)
-                break
-        if not monotone:
-            break
-
-    # Local characterization: MG(A, e) >= MG(A + f, e) for f outside A.
-    submodular = True
-    for m in range(1 << n):
-        vm = oracle.value_mask(m)
-        for e in range(n):
-            ebit = 1 << e
-            if m & ebit:
-                continue
-            mg_a = oracle.value_mask(m | ebit) - vm
-            for f in range(n):
-                fbit = 1 << f
-                if f == e or m & fbit:
-                    continue
-                mg_af = (oracle.value_mask(m | ebit | fbit)
-                         - oracle.value_mask(m | fbit))
-                if mg_a < mg_af - tol:
-                    submodular = False
-                    witnesses["submodular"] = (frozenset(mask_items(m)),
-                                               frozenset((f,)), e)
-                    break
-            if not submodular:
-                break
-        if not submodular:
-            break
-
-    return AxiomReport(normalized, monotone, submodular, witnesses)
+    mono, sub = _first_violations(oracle._table, n, oracle._full, tol)
+    if mono is not None:
+        a, e = mono
+        witnesses["monotone"] = (frozenset(mask_items(a)), e)
+    if sub is not None:
+        a, f, e = sub
+        witnesses["submodular"] = (frozenset(mask_items(a)),
+                                   frozenset((f,)), e)
+    return AxiomReport(normalized, mono is None, sub is None, witnesses)
 
 
 @dataclass
@@ -558,45 +558,43 @@ class SecondOrderClass:
 
 def classify_second_order(oracle: ValuationOracle,
                           tol: float = ABS_TOL) -> SecondOrderClass:
-    """Classify second-order behavior by exhaustive enumeration.
+    """Classify second-order behavior from the signs of third differences.
 
-    Quantifies over A subset of B, S disjoint from B, and elements e outside
-    B and S: the definition compares the gain reduction GR(A, S, e) against
-    GR(B, S, e).  Elements inside B or S are excluded since their marginal
-    gains are degenerate there and carry no second-order information.
+    The definition compares GR(A, S, e) against GR(B, S, e) for A subset of
+    B, S disjoint from B, and e outside B and S (inside them the marginal
+    gains are degenerate and carry no second-order information).  That gap
+    telescopes into a sum of third differences
+    D(C; f, s, e) = GR(C, {s}, e) - GR(C + f, {s}, e) over items f, s and
+    sets C outside {f, s, e}, and in exact arithmetic D is symmetric in
+    f, s and e.  So the label only needs the sign of D for each triple of
+    items and each C outside it; ``tol`` is applied to each D.  Each
+    witness is one such (C, C + f, {s}, e).  Refuses ground sets above the
+    exhaustive cap.
     """
     n = oracle.n
-    if n > CLASSIFY_MAX_N:
+    if n > EXHAUSTIVE_MAX_N:
         raise SizeGuardError(
-            f"second-order classification limited to n <= {CLASSIFY_MAX_N} "
+            f"second-order classification limited to n <= {EXHAUSTIVE_MAX_N} "
             f"(got n={n})")
-    full = (1 << n) - 1
-    wit_super = None   # violates GR(A,..) >= GR(B,..)
-    wit_sub = None     # violates GR(A,..) <= GR(B,..)
-    for b in range(1 << n):
-        comp = full & ~b
-        # iterate S over non-empty subsets of the complement of B
-        s = comp
-        while s:
-            rest = comp & ~s
-            a = b
-            while True:  # submasks of b, descending, ends after 0
-                for e in mask_items(rest):
-                    d = _gr_mask(oracle, a, s, e) - _gr_mask(oracle, b, s, e)
-                    if d < -tol and wit_super is None:
-                        wit_super = (frozenset(mask_items(a)),
-                                     frozenset(mask_items(b)),
-                                     frozenset(mask_items(s)), e)
-                    elif d > tol and wit_sub is None:
-                        wit_sub = (frozenset(mask_items(a)),
-                                   frozenset(mask_items(b)),
-                                   frozenset(mask_items(s)), e)
-                if a == 0:
-                    break
-                a = (a - 1) & b
-            s = (s - 1) & comp
-        if wit_super is not None and wit_sub is not None:
+    t = oracle._table
+    masks = np.arange(1 << n)
+    wit = [None, None]   # violates GR(A,..) >= GR(B,..), resp. <=
+    for f, s, e in itertools.combinations(range(n), 3):
+        fbit, sbit, ebit = 1 << f, 1 << s, 1 << e
+        c = masks[(masks & (fbit | sbit | ebit)) == 0]
+        cf = c | fbit
+        d = (((t[c | ebit] - t[c]) - (t[c | sbit | ebit] - t[c | sbit]))
+             - ((t[cf | ebit] - t[cf]) - (t[cf | sbit | ebit] - t[cf | sbit])))
+        for k, bad in enumerate((d < -tol, d > tol)):
+            hits = np.flatnonzero(bad)
+            if wit[k] is None and hits.size:
+                a = int(c[hits[0]])
+                wit[k] = (frozenset(mask_items(a)),
+                          frozenset(mask_items(a | fbit)),
+                          frozenset((s,)), e)
+        if None not in wit:
             break
+    wit_super, wit_sub = wit
     if wit_super is None and wit_sub is None:
         label = "modular"
     elif wit_super is None:      # GR non-increasing in A always held
@@ -629,42 +627,21 @@ def check_R_submodular(oracle: ValuationOracle, s: Iterable[int],
     submodular; this checks it exhaustively.
     """
     n = oracle.n
-    if n > CLASSIFY_MAX_N:
-        raise SizeGuardError(f"check limited to n <= {CLASSIFY_MAX_N}")
+    if n > EXHAUSTIVE_MAX_N:
+        raise SizeGuardError(f"check limited to n <= {EXHAUSTIVE_MAX_N}")
     smask = as_mask(s, n)
     zmask = as_mask(z, n)
     if smask & zmask:
         raise ValueError("S and Z must be disjoint")
-    base = oracle.value_mask(smask | zmask) - oracle.value_mask(zmask)
-    domain = ((1 << n) - 1) & ~(smask | zmask)
-    bits = mask_items(domain)
-
-    rvals: dict[int, float] = {}
-    a = domain
-    while True:
-        rvals[a] = base - (oracle.value_mask(smask | zmask | a)
-                           - oracle.value_mask(zmask | a))
-        if a == 0:
-            break
-        a = (a - 1) & domain
-
+    t = oracle._table
+    masks = np.arange(1 << n)
+    base = t[smask | zmask] - t[zmask]
+    r = base - (t[masks | smask | zmask] - t[masks | zmask])
+    domain = oracle._full & ~(smask | zmask)
+    _, sub = _first_violations(r, n, domain, tol)
     sset, zset = frozenset(mask_items(smask)), frozenset(mask_items(zmask))
-    a = domain
-    while True:
-        for e in bits:
-            ebit = 1 << e
-            if a & ebit:
-                continue
-            mg_a = rvals[a | ebit] - rvals[a]
-            for f in bits:
-                fbit = 1 << f
-                if f == e or a & fbit:
-                    continue
-                mg_af = rvals[a | ebit | fbit] - rvals[a | fbit]
-                if mg_a < mg_af - tol:
-                    witness = (frozenset(mask_items(a)), frozenset((f,)), e)
-                    return RSubmodularReport(False, sset, zset, witness)
-        if a == 0:
-            break
-        a = (a - 1) & domain
-    return RSubmodularReport(True, sset, zset)
+    if sub is None:
+        return RSubmodularReport(True, sset, zset)
+    a, f, e = sub
+    witness = (frozenset(mask_items(a)), frozenset((f,)), e)
+    return RSubmodularReport(False, sset, zset, witness)

@@ -70,6 +70,24 @@ def test_non_integer_capacity_rejected(capacity):
     assert _exits_2(spec)
 
 
+@pytest.mark.parametrize("agent", [
+    {"kind": "cut", "n": 2.5, "edges": [[0, -1, 1], [1, -1, 1]]},
+    {"kind": "cut", "n": True, "edges": [[0, -1, 1]]},
+    {"kind": "cut", "n": 2, "edges": [[0, -1, 1], [1.5, -1, 1]]},
+    {"kind": "coverage", "universe_weights": [1, 1], "item_sets": [[0.7]]},
+    {"kind": "coverage", "universe_weights": [1, 1], "item_sets": [["1"]]},
+    {"kind": "table", "n": 2.5,
+     "table": {"": 0, "0": 1, "1": 1, "0,1": 1}},
+    {"kind": "table", "n": True, "table": {"": 0, "0": 1}},
+], ids=["cut-n", "cut-n-bool", "cut-vertex", "coverage-element",
+        "coverage-element-string", "table-n", "table-n-bool"])
+def test_non_integer_counts_and_indices_rejected(agent):
+    spec = {"agents": [agent]}
+    with pytest.raises(InstanceFormatError, match="must be an integer"):
+        instance_from_spec(spec)
+    assert _exits_2(spec)
+
+
 def test_table_must_be_an_object():
     spec = {"agents": [{"kind": "table", "table": [0, 1]}]}
     with pytest.raises(InstanceFormatError, match="table"):

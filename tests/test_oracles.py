@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import swmlab as sl
 from swmlab.errors import AxiomViolationError, InvalidQueryError, SizeGuardError
 from swmlab.instances import ORACLE_GENERATORS, random_family_instance
-from swmlab.oracles import TableOracle, mask_items, subset_key
+from swmlab.oracles import AxiomReport, TableOracle, mask_items, subset_key
 
 TOL = 1e-12
 
@@ -151,6 +151,13 @@ class TestConstructors:
         with pytest.raises(ValueError, match="missing"):
             sl.make_table(2, {"": 0, "0": 1, "1": 1})
 
+    def test_table_above_exhaustive_cap(self):
+        vals = {subset_key(mask_items(m)): 0.1 * m for m in range(1 << 13)}
+        o = sl.make_table(13, vals)
+        assert o.to_spec() == {"kind": "table", "n": 13, "table": vals}
+        for mask in (0, 1, 0b1010101010101, (1 << 13) - 1):
+            assert o.value_mask(mask) == vals[subset_key(mask_items(mask))]
+
     def test_tabulate_roundtrip(self):
         o = random_oracle("coverage", 4, 7)
         t = sl.tabulate(o)
@@ -259,7 +266,11 @@ class TestClassifySecondOrder:
 
     def test_refuses_large_ground_set(self):
         with pytest.raises(SizeGuardError):
-            sl.classify_second_order(sl.make_additive([1.0] * 11))
+            sl.classify_second_order(sl.make_additive([1.0] * 13))
+
+    def test_classifies_at_cap(self):
+        o = random_oracle("coverage", 12, 0)
+        assert sl.classify_second_order(o).label == "supermodular"
 
 
 class TestRSubmodular:
@@ -290,6 +301,183 @@ class TestRSubmodular:
                 rep = sl.check_R_submodular(o, mask_items(smask),
                                             mask_items(zmask))
                 assert rep.passed, rep.to_dict()
+
+    def test_runs_at_cap(self):
+        o = random_oracle("coverage", 12, 0)
+        assert sl.check_R_submodular(o, {0, 1}, {2}).passed
+
+    def test_refuses_large_ground_set(self):
+        with pytest.raises(SizeGuardError):
+            sl.check_R_submodular(sl.make_additive([1.0] * 13), {0}, {1})
+
+
+# ---------------------------------------------------------------------------
+# Exhaustive enumerators over value queries, kept as references for the
+# table-native checks at small n
+# ---------------------------------------------------------------------------
+
+def _reference_check_axioms(oracle, tol=TOL):
+    n = oracle.n
+    witnesses = {}
+    normalized = abs(oracle.value_mask(0)) <= tol
+    if not normalized:
+        witnesses["normalized"] = (oracle.value_mask(0),)
+
+    monotone = True
+    for m in range(1 << n):
+        vm = oracle.value_mask(m)
+        for e in range(n):
+            bit = 1 << e
+            if m & bit:
+                continue
+            if oracle.value_mask(m | bit) < vm - tol:
+                monotone = False
+                witnesses["monotone"] = (frozenset(mask_items(m)), e)
+                break
+        if not monotone:
+            break
+
+    submodular = True
+    for m in range(1 << n):
+        vm = oracle.value_mask(m)
+        for e in range(n):
+            ebit = 1 << e
+            if m & ebit:
+                continue
+            mg_a = oracle.value_mask(m | ebit) - vm
+            for f in range(n):
+                fbit = 1 << f
+                if f == e or m & fbit:
+                    continue
+                mg_af = (oracle.value_mask(m | ebit | fbit)
+                         - oracle.value_mask(m | fbit))
+                if mg_a < mg_af - tol:
+                    submodular = False
+                    witnesses["submodular"] = (frozenset(mask_items(m)),
+                                               frozenset((f,)), e)
+                    break
+            if not submodular:
+                break
+        if not submodular:
+            break
+    return AxiomReport(normalized, monotone, submodular, witnesses)
+
+
+def _reference_gr(oracle, amask, smask, e):
+    return (oracle.marginal_gain_mask(amask, e)
+            - oracle.marginal_gain_mask(amask | smask, e))
+
+
+def _reference_classify_label(oracle, tol=TOL):
+    """Compares GR(A, S, e) with GR(B, S, e) for every A subset of B, S
+    disjoint from B and e outside both."""
+    n = oracle.n
+    full = (1 << n) - 1
+    found_super = found_sub = False
+    for b in range(1 << n):
+        comp = full & ~b
+        s = comp
+        while s:
+            rest = comp & ~s
+            a = b
+            while True:
+                for e in mask_items(rest):
+                    d = (_reference_gr(oracle, a, s, e)
+                         - _reference_gr(oracle, b, s, e))
+                    found_super |= d < -tol
+                    found_sub |= d > tol
+                if a == 0:
+                    break
+                a = (a - 1) & b
+            s = (s - 1) & comp
+        if found_super and found_sub:
+            break
+    return {(False, False): "modular", (False, True): "supermodular",
+            (True, False): "submodular", (True, True): "none"}[
+        found_super, found_sub]
+
+
+def _reference_R_passed(oracle, smask, zmask, tol=TOL):
+    domain = ((1 << oracle.n) - 1) & ~(smask | zmask)
+    base = oracle.value_mask(smask | zmask) - oracle.value_mask(zmask)
+    r = {a: base - (oracle.value_mask(smask | zmask | a)
+                    - oracle.value_mask(zmask | a))
+         for a in range(1 << oracle.n) if not a & ~domain}
+    bits = mask_items(domain)
+    for a in r:
+        for e in bits:
+            ebit = 1 << e
+            if a & ebit:
+                continue
+            for f in bits:
+                fbit = 1 << f
+                if f == e or a & fbit:
+                    continue
+                if (r[a | ebit] - r[a]
+                        < r[a | ebit | fbit] - r[a | fbit] - tol):
+                    return False
+    return True
+
+
+def _random_int_table(n, seed):
+    """Unchecked table of small random integers; most break the axioms."""
+    rng = np.random.default_rng([n, seed])
+    vals = {subset_key(mask_items(m)): int(rng.integers(0, 4)) if m
+            else int(rng.integers(0, 2) * (seed % 4 == 0))
+            for m in range(1 << n)}
+    return TableOracle(n, vals, check=False)
+
+
+def _reference_pool(nmax):
+    """Random oracles of every family with n = 2..nmax, plus random
+    integer tables with n = 2..min(nmax, 5)."""
+    pool = [random_oracle(family, n, seed)
+            for family in sorted(ORACLE_GENERATORS)
+            for n in range(2, nmax + 1) for seed in range(3)]
+    pool += [_random_int_table(n, seed)
+             for n in range(2, min(nmax, 5) + 1) for seed in range(15)]
+    return pool
+
+
+class TestAgainstReference:
+    def test_axiom_reports_match(self):
+        pool = _reference_pool(6)
+        assert any(not sl.check_axioms(o).passed for o in pool)
+        for o in pool:
+            assert sl.check_axioms(o) == _reference_check_axioms(o), o
+
+    def test_labels_match(self):
+        labels = set()
+        for o in _reference_pool(6):
+            label = sl.classify_second_order(o).label
+            assert label == _reference_classify_label(o), o
+            labels.add(label)
+        assert labels == {"modular", "supermodular", "submodular", "none"}
+
+    def test_witnesses_replay(self):
+        for o in _reference_pool(6):
+            cls = sl.classify_second_order(o)
+            for wit, sign in ((cls.witness_supermodular, -1),
+                              (cls.witness_submodular, 1)):
+                if wit is None:
+                    continue
+                a, b, s, e = wit
+                assert a <= b and len(b - a) == 1 and len(s) == 1
+                d = sl.gain_reduction(o, a, s, e) - sl.gain_reduction(o, b, s, e)
+                assert sign * d > TOL
+
+    def test_R_verdicts_match_for_every_disjoint_pair(self):
+        verdicts = set()
+        for o in _reference_pool(4):
+            for smask in range(1 << o.n):
+                for zmask in range(1 << o.n):
+                    if smask & zmask:
+                        continue
+                    rep = sl.check_R_submodular(o, mask_items(smask),
+                                                mask_items(zmask))
+                    assert rep.passed == _reference_R_passed(o, smask, zmask)
+                    verdicts.add(rep.passed)
+        assert verdicts == {True, False}
 
 
 @given(weights=st.lists(st.floats(0, 100, allow_nan=False), min_size=1,
