@@ -65,6 +65,8 @@ def cmd_simulate(args) -> int:
     if args.csv or args.out:
         csv_path = args.csv or str(Path(args.out).with_suffix(".csv"))
         Path(csv_path).write_text(trace.to_csv())
+    if trace.states is not None:
+        print(f"states = {trace.states}", file=sys.stderr)
     print(f"ratio = {trace.ratio!r}", file=sys.stderr)
     print(f"beta = {trace.beta!r}", file=sys.stderr)
     print(f"bound 1/2 + beta/2 = {0.5 + trace.beta / 2!r}", file=sys.stderr)
@@ -144,6 +146,8 @@ def cmd_verify(args) -> int:
         results[check] = rep.to_dict()
         all_passed = all_passed and rep.passed
         print(f"{check}: {'PASS' if rep.passed else 'FAIL'}", file=sys.stderr)
+        if getattr(rep, "states", None) is not None:
+            print(f"{check}: states = {rep.states}", file=sys.stderr)
     report = _report("verify", {"instance": str(args.instance),
                                 "checks": wanted},
                      {"checks": results, "passed": all_passed})

@@ -7,8 +7,15 @@ earlier-sigma reference items.  The trace vectors w_i, a_i, b_i record, per
 arrival position, greedy's welfare increment and the Gain reduction it
 inflicts on already-arrived (b) and future (a) items; beta = sum of b_i.
 
-Everything here enumerates permutations exhaustively on small instances or
-samples them with a seeded generator, so results are reproducible.
+Exact expectations over all n! arrival orders come from one forward pass
+over the greedy states reachable from the empty allocation (``_state_pass``):
+greedy's agent masks after k arrivals fix the arrived set, every item's Gain
+and the a/b split of the next step, so each state is expanded once however
+many orders reach it.  ``expected_trace`` in exact mode, ``verify_lemmas``
+and ``verify_eq1`` read the pass.  ``verify_second_half``,
+``conjecture_check`` and Monte-Carlo mode replay greedy order by order;
+Monte-Carlo orders come from a seeded generator, so results are
+reproducible.
 """
 from __future__ import annotations
 
@@ -24,7 +31,7 @@ from .core import (Allocation, Instance, greedy, greedy_step, optimal, union,
 from .errors import InvalidQueryError, SizeGuardError
 from .oracles import mask_items
 
-EXACT_TRACE_MAX_N = 8      # n! enumeration cap for expected_trace
+EXACT_TRACE_MAX_N = 8      # exact expected_trace / verify_eq1 cap
 LEMMA_MAX_N = 7            # verify_lemmas / conjecture_check cap
 SECOND_HALF_MAX_N = 6      # verify_second_half caps
 SECOND_HALF_MAX_M = 3
@@ -172,6 +179,101 @@ def _prefix_masks(m: int, order: Sequence[int], choices: Sequence[int]
     return out
 
 
+def _arrived(masks: Sequence[int]) -> int:
+    out = 0
+    for msk in masks:
+        out |= msk
+    return out
+
+
+def _give(masks: tuple[int, ...], ell: int, j: int) -> tuple[int, ...]:
+    """``masks`` with item j added to agent ell."""
+    return masks[:ell] + (masks[ell] | 1 << j,) + masks[ell + 1:]
+
+
+@dataclass
+class _StatePass:
+    """Raw expected trace vectors and the reachable greedy states."""
+
+    w: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    layers: list     # layers[k] = {agent masks after k arrivals: probability}
+
+    @property
+    def states(self) -> int:
+        return sum(len(layer) for layer in self.layers)
+
+
+def _state_pass(ctx: GainContext, step=None) -> _StatePass:
+    """Expected w, a, b over all n! orders by one forward pass over the
+    greedy states reachable from the empty allocation.
+
+    Each layer maps the agent masks after k arrivals to the probability
+    that a uniformly random order reaches them.  Every unarrived item j
+    arrives next with probability 1/(n-k), and the transition adds q*w,
+    q*a and q*b at position k, its per-step values computed with the same
+    float operations as ``trace_one``.  ``step(k, masks, j, w, gain_j, a,
+    b)``, when given, sees every transition (state, j) once.
+    """
+    inst, n, m = ctx.instance, ctx.n, ctx.m
+    w, av, bv = [0.0] * n, [0.0] * n, [0.0] * n
+    layer = {(0,) * m: 1.0}
+    layers = [layer]
+    for k in range(n):
+        nxt: dict = {}
+        for masks, p in layer.items():
+            arrived = _arrived(masks)
+            gains = [ctx.gain_masks(i, masks) for i in range(n)]
+            q = p / (n - k)
+            for j in range(n):
+                if arrived >> j & 1:
+                    continue
+                ell, g = greedy_step(inst, masks, j)
+                new = _give(masks, ell, j)
+                now = arrived | 1 << j
+                bi = ai = 0.0
+                for i in ctx._agent_items[ell]:
+                    d = gains[i] - ctx.gain_masks(i, new)
+                    if d != 0.0:
+                        if now >> i & 1:
+                            bi += d
+                        else:
+                            ai += d
+                w[k] += q * g
+                av[k] += q * ai
+                bv[k] += q * bi
+                if step is not None:
+                    step(k, masks, j, g, gains[j], ai, bi)
+                nxt[new] = nxt.get(new, 0.0) + q
+        layer = nxt
+        layers.append(layer)
+    return _StatePass(np.array(w), np.array(av), np.array(bv), layers)
+
+
+def _prefix_reaching(inst: Instance, layers: list, masks: tuple[int, ...]
+                     ) -> tuple[int, ...]:
+    """An arrival prefix along which greedy reaches the reachable ``masks``,
+    found by stepping back one layer at a time."""
+    prefix = []
+    for depth in range(len(mask_items(_arrived(masks))), 0, -1):
+        masks, j = _step_back(inst, layers[depth - 1], masks)
+        prefix.append(j)
+    return tuple(reversed(prefix))
+
+
+def _step_back(inst: Instance, layer: dict, masks: tuple[int, ...]
+               ) -> tuple[tuple[int, ...], int]:
+    """A state in ``layer`` and an item j whose greedy step leads from that
+    state to ``masks``; one exists whenever ``masks`` is reachable."""
+    for ell, msk in enumerate(masks):
+        for j in mask_items(msk):
+            prev = masks[:ell] + (msk & ~(1 << j),) + masks[ell + 1:]
+            if prev in layer and greedy_step(inst, prev, j)[0] == ell:
+                return prev, j
+    raise ValueError(f"greedy state {masks} is not reachable")
+
+
 @dataclass
 class GainTrace:
     """Expected trace vectors, exact or Monte-Carlo.
@@ -194,6 +296,7 @@ class GainTrace:
     samples: Optional[int] = None
     seed: Optional[int] = None
     stderr: Optional[dict] = None
+    states: Optional[int] = None     # reachable greedy states, exact mode
 
     @property
     def beta(self) -> float:
@@ -264,10 +367,18 @@ def _orders(n: int, mode: str, samples: int, seed: int, max_n: int):
 
 def expected_trace(ctx: GainContext, mode: str = "exact",
                    samples: int = 10_000, seed: int = 0) -> GainTrace:
-    """Average trace_one over all n! orders (exact) or seeded samples (MC)."""
+    """Expected trace over all n! orders (exact: one forward pass over the
+    reachable greedy states) or the average of trace_one over seeded
+    samples (MC)."""
     n, opt = ctx.n, ctx.opt_value
+    if mode == "exact":
+        if n > EXACT_TRACE_MAX_N:
+            raise SizeGuardError(f"exact expected_trace is capped at "
+                                 f"n={EXACT_TRACE_MAX_N}; got n={n}")
+        sp = _state_pass(ctx)
+        return GainTrace(n, opt, mode, sp.w / opt, sp.a / opt, sp.b / opt,
+                         sp.w, sp.a, sp.b, states=sp.states)
     mode, total, orders = _orders(n, mode, samples, seed, EXACT_TRACE_MAX_N)
-    mc = mode == "monte_carlo"
     sw, sa, sb, sw2, sa2, sb2 = (np.zeros(n) for _ in range(6))
     swel = swel2 = 0.0
     for order in orders:
@@ -275,16 +386,12 @@ def expected_trace(ctx: GainContext, mode: str = "exact",
         sw += t.w
         sa += t.a
         sb += t.b
-        if mc:
-            sw2 += t.w * t.w
-            sa2 += t.a * t.a
-            sb2 += t.b * t.b
-            swel += t.welfare
-            swel2 += t.welfare * t.welfare
+        sw2 += t.w * t.w
+        sa2 += t.a * t.a
+        sb2 += t.b * t.b
+        swel += t.welfare
+        swel2 += t.welfare * t.welfare
     raw_w, raw_a, raw_b = sw / total, sa / total, sb / total
-    if not mc:
-        return GainTrace(n, opt, mode, raw_w / opt, raw_a / opt, raw_b / opt,
-                         raw_w, raw_a, raw_b)
 
     def se(s, s2):
         var = np.maximum(s2 / total - (s / total) ** 2, 0.0)
@@ -305,7 +412,17 @@ def expected_trace(ctx: GainContext, mode: str = "exact",
 @dataclass
 class LemmaReport:
     """Verdicts for the per-step bounds, the expectation bounds, and the
-    prefix identities (the latter only for even n)."""
+    prefix identities (the latter only for even n).
+
+    Per-step bounds are checked once per greedy transition (state, j), so
+    each violated transition is listed once, however many orders take it.
+    A per-step violation is ``(kind, order, i, w, bound)``: ``order`` is a
+    full arrival order whose first i items lead greedy to the state and
+    whose item i (0-based) is j, so ``trace_one(ctx, order)`` replays it:
+    its ``w[i]`` is ``w``, and ``bound`` is its ``gain_before[i]``
+    (``step_lower_bound``) or ``a[i] + b[i]`` (``step_reduction``).
+    ``states`` counts the reachable greedy states; it is not reported.
+    """
 
     n: int
     m: int
@@ -318,6 +435,7 @@ class LemmaReport:
     beta: float
     violations: list = field(default_factory=list)
     details: dict = field(default_factory=dict)
+    states: Optional[int] = None
 
     @property
     def passed(self) -> bool:
@@ -341,49 +459,41 @@ class LemmaReport:
 
 def verify_lemmas(ctx: GainContext, tol: float = DEFAULT_TOL,
                   identity_tol: float = IDENTITY_TOL) -> LemmaReport:
-    """Exhaustively check the per-permutation and expectation bounds.
+    """Check the per-order and expectation bounds over all n! orders.
 
-    Per permutation: each greedy marginal is at least the arriving item's
-    Gain, and at least the total Gain reduction the step causes.  In
-    expectation (optimum normalized to 1): ratio >= 1/2 + beta/2, and
-    w_i >= 1/n - sum_{j<i} a_j/(n-j) for every position.  For even n the
-    two half-prefix identities are checked as equalities.
+    Per order: each greedy marginal is at least the arriving item's Gain,
+    and at least the total Gain reduction the step causes; both are checked
+    on every transition of the state pass, which covers every step of
+    every order.  In expectation (optimum normalized to 1): ratio >= 1/2 +
+    beta/2, and w_i >= 1/n - sum_{j<i} a_j/(n-j) for every position.  For
+    even n the two half-prefix identities are checked as equalities; their
+    left sides are read from the states after n/2 arrivals, whose arrived
+    set is the first half and whose complement is the second half.
     """
-    n, m = ctx.n, ctx.m
+    inst, n, m = ctx.instance, ctx.n, ctx.m
     if n > LEMMA_MAX_N:
-        raise SizeGuardError(f"verify_lemmas enumerates n! orders; n={n} "
-                             f"exceeds {LEMMA_MAX_N}")
-    total = math.factorial(n)
-    sw = np.zeros(n)
-    sa = np.zeros(n)
-    sb = np.zeros(n)
-    lhs1 = lhs2 = 0.0
+        raise SizeGuardError(f"verify_lemmas is capped at n={LEMMA_MAX_N}; "
+                             f"got n={n}")
+    flagged = []          # (kind, position, state, item, w, bound)
+
+    def check(k, masks, j, w_step, gain_j, a_step, b_step):
+        if w_step < gain_j - tol:
+            flagged.append(("step_lower_bound", k, masks, j, w_step, gain_j))
+        if w_step < a_step + b_step - tol:
+            flagged.append(("step_reduction", k, masks, j, w_step,
+                            a_step + b_step))
+
+    sp = _state_pass(ctx, check)
     violations = []
-    step_lb_ok = step_red_ok = True
-    half = n // 2 if n % 2 == 0 else None
-    for order in itertools.permutations(range(n)):
-        t = trace_one(ctx, order)
-        sw += t.w
-        sa += t.a
-        sb += t.b
-        for i in range(n):
-            if t.w[i] < t.gain_before[i] - tol:
-                step_lb_ok = False
-                violations.append(("step_lower_bound", order, i,
-                                   float(t.w[i]), float(t.gain_before[i])))
-            if t.w[i] < t.a[i] + t.b[i] - tol:
-                step_red_ok = False
-                violations.append(("step_reduction", order, i,
-                                   float(t.w[i]), float(t.a[i] + t.b[i])))
-        if half is not None:
-            first = t.order[:half]
-            second = t.order[half:]
-            lhs1 += sum(t.gains_initial[j] - t.gains_half[j] for j in second)
-            lhs2 += sum(t.gains_initial[j] - t.gains_half[j] for j in first)
+    for kind, k, masks, j, w_step, bound in flagged:
+        prefix = _prefix_reaching(inst, sp.layers, masks) + (j,)
+        rest = tuple(i for i in range(n) if i not in prefix)
+        violations.append((kind, prefix + rest, k, float(w_step),
+                           float(bound)))
+    step_lb_ok = all(v[0] != "step_lower_bound" for v in flagged)
+    step_red_ok = all(v[0] != "step_reduction" for v in flagged)
     opt = ctx.opt_value
-    w = sw / (total * opt)
-    a = sa / (total * opt)
-    b = sb / (total * opt)
+    w, a, b = sp.w / opt, sp.a / opt, sp.b / opt
     ratio = float(w.sum())
     beta = float(b.sum())
     ratio_ok = ratio >= 0.5 - tol and ratio >= 0.5 + beta / 2 - tol
@@ -402,9 +512,23 @@ def verify_lemmas(ctx: GainContext, tol: float = DEFAULT_TOL,
 
     details = {"w": w, "a": a, "b": b}
     identities_ok: Optional[bool] = None
-    if half is not None:
-        lhs1 /= total * opt
-        lhs2 /= total * opt
+    if n % 2 == 0:
+        half = n // 2
+        initial = [ctx.gain_masks(j, (0,) * m) for j in range(n)]
+        lhs1 = lhs2 = 0.0
+        for masks, p in sp.layers[half].items():
+            first = _arrived(masks)
+            drop1 = drop2 = 0.0
+            for j in range(n):
+                d = initial[j] - ctx.gain_masks(j, masks)
+                if first >> j & 1:
+                    drop2 += d
+                else:
+                    drop1 += d
+            lhs1 += p * drop1
+            lhs2 += p * drop2
+        lhs1 /= opt
+        lhs2 /= opt
         rhs1 = sum(a[j - 1] * (n / 2) / (n - j) for j in range(1, half + 1))
         rhs2 = sum(a[j - 1] * (n / 2 - j) / (n - j) + b[j - 1]
                    for j in range(1, half + 1))
@@ -416,7 +540,8 @@ def verify_lemmas(ctx: GainContext, tol: float = DEFAULT_TOL,
                        identity2_lhs=lhs2, identity2_rhs=rhs2)
 
     return LemmaReport(n, m, step_lb_ok, step_red_ok, ratio_ok, position_ok,
-                       identities_ok, ratio, beta, violations, details)
+                       identities_ok, ratio, beta, violations, details,
+                       states=sp.states)
 
 
 # ---------------------------------------------------------------------------
@@ -451,11 +576,15 @@ def build_A_prime(ctx: GainContext, order: Sequence[int]
 
 @dataclass
 class Eq1Report:
+    """The eq1 bound in expectation; ``states`` (not reported) counts the
+    reachable greedy states plus the joint states of the A' chain."""
+
     n: int
     m: int
     lhs: float
     rhs: float
     passed: bool
+    states: Optional[int] = None
 
     @property
     def margin(self) -> float:
@@ -464,6 +593,51 @@ class Eq1Report:
     def to_dict(self) -> dict:
         return {"n": self.n, "m": self.m, "lhs": self.lhs, "rhs": self.rhs,
                 "margin": self.margin, "passed": self.passed}
+
+
+def _expected_A_prime_margin(ctx: GainContext, half_layer: dict
+                             ) -> tuple[float, int]:
+    """E[V(A') - V(G(S1))] over all orders (see ``build_A_prime``), and the
+    number of joint states visited.
+
+    From each state at depth n/2, which is greedy's allocation of S1, a
+    joint chain runs to depth n.  Its state is the pair (full-greedy masks,
+    masks of greedy on (S2, S3) alone) plus S2, the items that arrive
+    between depths n/2 and 3n/4.  Greedy never moves an item, so chains
+    from different half states never meet and run one at a time.  The
+    optimum on S2 is computed once per subset, over its items in sorted
+    order.
+    """
+    inst, n, m = ctx.instance, ctx.n, ctx.m
+    three_q = 3 * n // 4
+    opt_s2: dict = {}
+    margin = 0.0
+    states = 0
+    for half, p_half in half_layer.items():
+        layer = {(half, (0,) * m, 0): p_half}
+        states += 1
+        for k in range(n // 2, n):
+            nxt: dict = {}
+            for (full, g23, s2), p in layer.items():
+                arrived = _arrived(full)
+                q = p / (n - k)
+                for j in range(n):
+                    if arrived >> j & 1:
+                        continue
+                    key = (_give(full, greedy_step(inst, full, j)[0], j),
+                           _give(g23, greedy_step(inst, g23, j)[0], j),
+                           s2 | 1 << j if k < three_q else s2)
+                    nxt[key] = nxt.get(key, 0.0) + q
+            layer = nxt
+            states += len(layer)
+        g_s1 = sum(o.value_mask(msk) for o, msk in zip(inst.oracles, half))
+        for (full, g23, s2), p in layer.items():
+            if s2 not in opt_s2:
+                opt_s2[s2] = optimal(inst, items=mask_items(s2))[0].masks
+            a_prime = sum(o.value_mask(f | g | h) for o, f, g, h in
+                          zip(inst.oracles, full, g23, opt_s2[s2]))
+            margin += p * (a_prime - g_s1)
+    return margin, states
 
 
 def verify_eq1(ctx: GainContext, tol: float = IDENTITY_TOL) -> Eq1Report:
@@ -476,14 +650,13 @@ def verify_eq1(ctx: GainContext, tol: float = IDENTITY_TOL) -> Eq1Report:
     if n % 4 != 0:
         raise ValueError(f"n must be divisible by 4, got {n}")
     if n > EXACT_TRACE_MAX_N:
-        raise SizeGuardError(f"exact enumeration capped at n={EXACT_TRACE_MAX_N}")
-    total = math.factorial(n)
-    lhs_sum = 0.0
-    for order in itertools.permutations(range(n)):
-        lhs_sum += build_A_prime(ctx, order)[1]
-    lhs = lhs_sum / (total * ctx.opt_value)
-    trace = expected_trace(ctx, mode="exact")
-    a, b = trace.a, trace.b
+        raise SizeGuardError(f"verify_eq1 is capped at n={EXACT_TRACE_MAX_N}; "
+                             f"got n={n}")
+    sp = _state_pass(ctx)
+    margin, joint_states = _expected_A_prime_margin(ctx, sp.layers[n // 2])
+    opt = ctx.opt_value
+    lhs = margin / opt
+    a, b = sp.a / opt, sp.b / opt
     half, three_q = n // 2, 3 * n // 4
     rhs = 0.25
     for i in range(1, half + 1):
@@ -491,7 +664,7 @@ def verify_eq1(ctx: GainContext, tol: float = IDENTITY_TOL) -> Eq1Report:
     for i in range(half + 1, three_q + 1):
         rhs += (n / 4) / (n - i) * a[i - 1]
     return Eq1Report(n, ctx.m, float(lhs), float(rhs),
-                     bool(lhs >= rhs - tol))
+                     bool(lhs >= rhs - tol), states=sp.states + joint_states)
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,10 @@ import numpy as np
 
 from .core import Instance
 from .errors import InstanceFormatError, SwmlabError
-from .oracles import (EXHAUSTIVE_MAX_N, check_axioms, make_b_matching,
-                      make_budgeted_additive, make_coverage, make_cut,
-                      make_table, oracle_from_spec, spot_check_axioms,
-                      tabulate)
+from .oracles import (EXHAUSTIVE_MAX_N, _integer, check_axioms,
+                      make_b_matching, make_budgeted_additive, make_coverage,
+                      make_cut, make_table, oracle_from_spec,
+                      spot_check_axioms, tabulate)
 
 FORMAT_VERSION = 1
 
@@ -58,6 +58,12 @@ def instance_from_spec(spec: dict) -> Instance:
             raise InstanceFormatError(f"agent {idx}: {exc}") from exc
         oracles.append(oracle)
     n = oracles[0].n
+    for key in ("n", "m"):
+        if key in spec:
+            try:
+                _integer(spec[key], f"field {key!r}")
+            except ValueError as exc:
+                raise InstanceFormatError(str(exc)) from exc
     if "n" in spec and spec["n"] != n:
         raise InstanceFormatError(
             f"declared n={spec['n']} but agent 0 has ground size {n}")

@@ -47,6 +47,16 @@ class TestSimulate:
         blobs = [p.read_bytes() for p in paths]
         assert blobs[0] == blobs[1] == blobs[2]
 
+    def test_state_count_on_stderr_only(self, tmp_path, instance_file,
+                                        capsys):
+        out = tmp_path / "r.json"
+        assert main(["simulate", instance_file, "--out", str(out)]) == 0
+        assert "states = " in capsys.readouterr().err
+        assert "states" not in out.read_text()
+        main(["simulate", instance_file, "--mode", "mc", "--samples", "20",
+              "--out", str(out)])
+        assert "states" not in capsys.readouterr().err
+
     def test_threads_option_is_gone(self, instance_file):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", instance_file, "--threads", "2"])
@@ -118,19 +128,23 @@ class TestClassify:
 
 
 class TestVerify:
-    def test_all_checks_pass(self, tmp_path, instance_file):
+    def test_all_checks_pass(self, tmp_path, instance_file, capsys):
         out = tmp_path / "v.json"
         assert main(["verify", instance_file,
                      "--checks", "lemmas,eq1", "--out", str(out)]) == 0
         report = json.loads(out.read_text())
         assert report["results"]["passed"]
         assert set(report["results"]["checks"]) == {"lemmas", "eq1"}
+        err = capsys.readouterr().err
+        assert "lemmas: states = " in err and "eq1: states = " in err
+        assert "states" not in out.read_text()
 
-    def test_secondhalf_on_small_instance(self, tmp_path):
+    def test_secondhalf_on_small_instance(self, tmp_path, capsys):
         path = tmp_path / "i.json"
         save_instance(path, random_instance(4, 2, seed=1,
                                             families=("coverage",)))
         assert main(["verify", str(path), "--checks", "secondhalf"]) == 0
+        assert "states" not in capsys.readouterr().err
 
     def test_unknown_check_exits_2(self, instance_file):
         assert main(["verify", instance_file, "--checks", "bogus"]) == 2

@@ -12,6 +12,7 @@ from swmlab.oracles import mask_items
 
 TOL = 1e-12
 IDENTITY_TOL = 1e-10
+FAMILIES = ("coverage", "budgeted_additive", "b_matching", "cut", "table")
 
 
 def brute_gain(ctx, j, alloc_masks):
@@ -23,6 +24,22 @@ def brute_gain(ctx, j, alloc_masks):
     base = set(mask_items(alloc_masks[ell])) | (opt_items & earlier)
     oracle = ctx.instance.oracles[ell]
     return sl.value(oracle, base | {j}) - sl.value(oracle, base)
+
+
+def enumerated_trace(ctx):
+    """Raw w, a, b as the average of trace_one over all n! orders, each
+    position summed exactly: the reference for the state pass."""
+    traces = [sl.trace_one(ctx, order)
+              for order in itertools.permutations(range(ctx.n))]
+    return tuple(np.array([math.fsum(getattr(t, f)[i] for t in traces)
+                           / len(traces) for i in range(ctx.n)])
+                 for f in "wab")
+
+
+def family_or_mixed(kind, n, m, seed):
+    if kind == "mixed":
+        return random_instance(n, m, seed, families=FAMILIES)
+    return random_family_instance(kind, n, m, seed)
 
 
 class TestGain:
@@ -174,6 +191,23 @@ class TestExpectedTrace:
         assert trace.expected_welfare == \
             pytest.approx(float(trace.raw_w.sum()), abs=TOL)
 
+    @pytest.mark.parametrize("n", range(2, 8))
+    @pytest.mark.parametrize("kind", FAMILIES + ("mixed",))
+    def test_exact_matches_enumerated_average(self, kind, n):
+        ctx = sl.GainContext(family_or_mixed(kind, n, 3 if n < 7 else 2, n))
+        trace = sl.expected_trace(ctx, mode="exact")
+        for got, ref in zip((trace.raw_w, trace.raw_a, trace.raw_b),
+                            enumerated_trace(ctx)):
+            assert np.abs(got - ref).max() <= TOL
+
+    def test_exact_matches_enumerated_average_n8(self):
+        ctx = sl.GainContext(random_instance(8, 3, 0, families=FAMILIES))
+        trace = sl.expected_trace(ctx, mode="exact")
+        for got, ref in zip((trace.raw_w, trace.raw_a, trace.raw_b),
+                            enumerated_trace(ctx)):
+            assert np.abs(got - ref).max() <= TOL
+        assert 0 < trace.states < math.factorial(8)
+
     def test_exact_mode_size_guard(self):
         o = sl.make_additive([1.0] * 9)
         ctx = sl.GainContext(sl.Instance((o,)))
@@ -236,6 +270,43 @@ class TestVerifyLemmas:
         with pytest.raises(SizeGuardError):
             sl.verify_lemmas(sl.GainContext(sl.Instance((o,))))
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_prefix_identity_sums_match_enumeration(self, seed):
+        n = 6
+        ctx = sl.GainContext(random_instance(n, 3, seed, families=FAMILIES))
+        rep = sl.verify_lemmas(ctx)
+        first, second = [], []
+        for order in itertools.permutations(range(n)):
+            t = sl.trace_one(ctx, order)
+            drop = t.gains_initial - t.gains_half
+            first += [drop[j] for j in order[:n // 2]]
+            second += [drop[j] for j in order[n // 2:]]
+        scale = math.factorial(n) * ctx.opt_value
+        assert rep.details["identity1_lhs"] == \
+            pytest.approx(math.fsum(second) / scale, abs=TOL)
+        assert rep.details["identity2_lhs"] == \
+            pytest.approx(math.fsum(first) / scale, abs=TOL)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_violation_witnesses_replay(self, seed):
+        # a negative tolerance flags every transition, so every reachable
+        # (state, item) pair yields one witness of each kind
+        ctx = sl.GainContext(random_instance(5, 3, seed, families=FAMILIES))
+        rep = sl.verify_lemmas(ctx, tol=-10.0)
+        assert not rep.step_lower_bound_ok and not rep.step_reduction_ok
+        steps = [v for v in rep.violations
+                 if v[0] in ("step_lower_bound", "step_reduction")]
+        pairs = {(v[1][:v[2]], v[1][v[2]]) for v in steps}
+        assert len(steps) == 2 * len(pairs)
+        for kind, order, i, w, bound in steps:
+            assert sorted(order) == list(range(5))
+            t = sl.trace_one(ctx, order)
+            assert t.w[i] == w
+            if kind == "step_lower_bound":
+                assert t.gain_before[i] == bound
+            else:
+                assert t.a[i] + t.b[i] == bound
+
 
 class TestBuildAPrime:
     def test_single_agent_collapses(self):
@@ -296,6 +367,15 @@ class TestVerifyEq1:
     def test_single_agent(self):
         inst = random_family_instance("b_matching", 4, 1, 1)
         assert sl.verify_eq1(sl.GainContext(inst)).passed
+
+    @pytest.mark.parametrize("n,m,seed", [(4, 2, 0), (4, 3, 1), (4, 3, 2),
+                                          (8, 3, 0)])
+    def test_lhs_matches_enumerated_A_prime(self, n, m, seed):
+        ctx = sl.GainContext(random_instance(n, m, seed, families=FAMILIES))
+        margins = [sl.build_A_prime(ctx, order)[1]
+                   for order in itertools.permutations(range(n))]
+        ref = math.fsum(margins) / (len(margins) * ctx.opt_value)
+        assert sl.verify_eq1(ctx).lhs == pytest.approx(ref, abs=TOL)
 
     def test_additive_instances(self, additive_2x2):
         o1 = sl.make_additive([3.0, 2.0, 1.0, 4.0])

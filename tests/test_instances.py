@@ -88,6 +88,17 @@ def test_non_integer_counts_and_indices_rejected(agent):
     assert _exits_2(spec)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n", True), ("n", 1.0), ("m", 1.0), ("m", "1")])
+def test_non_integer_instance_counts_rejected(field, value):
+    spec = {"n": 1, "m": 1, "agents": [{"kind": "budgeted_additive",
+                                        "budget": 1.0, "weights": [0.5]}]}
+    spec[field] = value
+    with pytest.raises(InstanceFormatError, match="must be an integer"):
+        instance_from_spec(spec)
+    assert _exits_2(spec)
+
+
 def test_table_must_be_an_object():
     spec = {"agents": [{"kind": "table", "table": [0, 1]}]}
     with pytest.raises(InstanceFormatError, match="table"):
