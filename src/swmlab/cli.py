@@ -31,8 +31,10 @@ EXIT_USAGE = 2
 
 def _parse_rational(text: str) -> Fraction:
     if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
+        num, den = (int(x) for x in text.split("/", 1))
+        if den == 0:
+            raise ValueError(f"{text!r} has a zero denominator")
+        return Fraction(num, den)
     return Fraction(text)
 
 
@@ -131,6 +133,8 @@ def cmd_verify(args) -> int:
     wanted = [c.strip() for c in args.checks.split(",") if c.strip()]
     known = {"lemmas", "eq1", "secondhalf"}
     unknown = set(wanted) - known
+    if not wanted:
+        raise ValueError(f"no checks given; choose from {sorted(known)}")
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}; "
                          f"choose from {sorted(known)}")
@@ -146,8 +150,7 @@ def cmd_verify(args) -> int:
         results[check] = rep.to_dict()
         all_passed = all_passed and rep.passed
         print(f"{check}: {'PASS' if rep.passed else 'FAIL'}", file=sys.stderr)
-        if getattr(rep, "states", None) is not None:
-            print(f"{check}: states = {rep.states}", file=sys.stderr)
+        print(f"{check}: states = {rep.states}", file=sys.stderr)
     report = _report("verify", {"instance": str(args.instance),
                                 "checks": wanted},
                      {"checks": results, "passed": all_passed})
@@ -159,7 +162,9 @@ def cmd_conjecture(args) -> int:
     reports = []
     if args.instance:
         instances = [(str(args.instance), load_instance(args.instance))]
-    elif args.random:
+    elif args.random is not None:
+        if args.random < 1:
+            raise ValueError(f"--random must be at least 1, got {args.random}")
         instances = []
         for k in range(args.random):
             n = 2 + (k % max(1, args.nmax - 1))

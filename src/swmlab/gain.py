@@ -11,11 +11,11 @@ Exact expectations over all n! arrival orders come from one forward pass
 over the greedy states reachable from the empty allocation (``_state_pass``):
 greedy's agent masks after k arrivals fix the arrived set, every item's Gain
 and the a/b split of the next step, so each state is expanded once however
-many orders reach it.  ``expected_trace`` in exact mode, ``verify_lemmas``
-and ``verify_eq1`` read the pass.  ``verify_second_half``,
-``conjecture_check`` and Monte-Carlo mode replay greedy order by order;
-Monte-Carlo orders come from a seeded generator, so results are
-reproducible.
+many orders reach it.  ``expected_trace`` in exact mode, ``verify_lemmas``,
+``verify_eq1`` and ``verify_second_half`` read the pass, under its one cap
+``EXACT_TRACE_MAX_N``.  ``conjecture_check`` and Monte-Carlo mode replay
+greedy order by order; Monte-Carlo orders come from a seeded generator, so
+results are reproducible.
 """
 from __future__ import annotations
 
@@ -31,10 +31,9 @@ from .core import (Allocation, Instance, greedy, greedy_step, optimal, union,
 from .errors import InvalidQueryError, SizeGuardError
 from .oracles import mask_items
 
-EXACT_TRACE_MAX_N = 8      # exact expected_trace / verify_eq1 cap
-LEMMA_MAX_N = 7            # verify_lemmas / conjecture_check cap
-SECOND_HALF_MAX_N = 6      # verify_second_half caps
-SECOND_HALF_MAX_M = 3
+EXACT_TRACE_MAX_N = 8      # cap of every suite that reads the state pass
+CONJECTURE_MAX_N = 7       # conjecture_check enumerates n! orders
+SECOND_HALF_MAX_M = 3      # verify_second_half tries m^(n/2) assignments
 DEFAULT_TOL = 1e-12
 IDENTITY_TOL = 1e-10
 
@@ -118,7 +117,6 @@ class TraceOne:
     welfare: float
     gains_initial: np.ndarray      # Gain(j, empty) per item
     gains_half: Optional[np.ndarray]  # Gain(j, A^G(S1)) per item, n even only
-    choices: tuple[int, ...]       # greedy's agent per position
 
 
 def trace_one(ctx: GainContext, order: Sequence[int]) -> TraceOne:
@@ -134,7 +132,6 @@ def trace_one(ctx: GainContext, order: Sequence[int]) -> TraceOne:
     if sorted(order) != list(range(n)):
         raise ValueError("trace_one requires a permutation of the items")
     masks = [0] * ctx.m
-    choices = []
     gains = [ctx.gain_masks(j, masks) for j in range(n)]
     gains_initial = np.array(gains)
     gains_half = None
@@ -146,7 +143,6 @@ def trace_one(ctx: GainContext, order: Sequence[int]) -> TraceOne:
     arrived = 0
     for pos, j in enumerate(order):
         best_ell, w[pos] = greedy_step(inst, masks, j)
-        choices.append(best_ell)
         gb[pos] = gains[j]
         arrived |= 1 << j
         masks[best_ell] |= 1 << j
@@ -165,7 +161,7 @@ def trace_one(ctx: GainContext, order: Sequence[int]) -> TraceOne:
         if half is not None and pos + 1 == half:
             gains_half = np.array(gains)
     return TraceOne(order, w, av, bv, gb, float(w.sum()),
-                    gains_initial, gains_half, tuple(choices))
+                    gains_initial, gains_half)
 
 
 def _prefix_masks(m: int, order: Sequence[int], choices: Sequence[int]
@@ -217,6 +213,9 @@ def _state_pass(ctx: GainContext, step=None) -> _StatePass:
     b)``, when given, sees every transition (state, j) once.
     """
     inst, n, m = ctx.instance, ctx.n, ctx.m
+    if n > EXACT_TRACE_MAX_N:
+        raise SizeGuardError(f"the exact state pass is capped at "
+                             f"n={EXACT_TRACE_MAX_N}; got n={n}")
     w, av, bv = [0.0] * n, [0.0] * n, [0.0] * n
     layer = {(0,) * m: 1.0}
     layers = [layer]
@@ -349,13 +348,14 @@ def _mc_order(seed: int, k: int, n: int) -> tuple[int, ...]:
     return tuple(rng.permutation(n).tolist())
 
 
-def _orders(n: int, mode: str, samples: int, seed: int, max_n: int):
+def _orders(n: int, mode: str, samples: int, seed: int):
     """(mode name, divisor, orders) for a suite that averages over orders:
-    all n! permutations in exact mode, ``samples`` seeded ones in MC mode."""
+    all n! permutations in exact mode (``conjecture_check`` only), ``samples``
+    seeded ones in MC mode."""
     if mode == "exact":
-        if n > max_n:
+        if n > CONJECTURE_MAX_N:
             raise SizeGuardError(f"exact mode enumerates n! orders; n={n} "
-                                 f"exceeds {max_n}")
+                                 f"exceeds {CONJECTURE_MAX_N}")
         return "exact", math.factorial(n), itertools.permutations(range(n))
     if mode in ("mc", "monte_carlo"):
         if samples < 1:
@@ -372,13 +372,10 @@ def expected_trace(ctx: GainContext, mode: str = "exact",
     samples (MC)."""
     n, opt = ctx.n, ctx.opt_value
     if mode == "exact":
-        if n > EXACT_TRACE_MAX_N:
-            raise SizeGuardError(f"exact expected_trace is capped at "
-                                 f"n={EXACT_TRACE_MAX_N}; got n={n}")
         sp = _state_pass(ctx)
         return GainTrace(n, opt, mode, sp.w / opt, sp.a / opt, sp.b / opt,
                          sp.w, sp.a, sp.b, states=sp.states)
-    mode, total, orders = _orders(n, mode, samples, seed, EXACT_TRACE_MAX_N)
+    mode, total, orders = _orders(n, mode, samples, seed)
     sw, sa, sb, sw2, sa2, sb2 = (np.zeros(n) for _ in range(6))
     swel = swel2 = 0.0
     for order in orders:
@@ -471,9 +468,6 @@ def verify_lemmas(ctx: GainContext, tol: float = DEFAULT_TOL,
     set is the first half and whose complement is the second half.
     """
     inst, n, m = ctx.instance, ctx.n, ctx.m
-    if n > LEMMA_MAX_N:
-        raise SizeGuardError(f"verify_lemmas is capped at n={LEMMA_MAX_N}; "
-                             f"got n={n}")
     flagged = []          # (kind, position, state, item, w, bound)
 
     def check(k, masks, j, w_step, gain_j, a_step, b_step):
@@ -595,6 +589,25 @@ class Eq1Report:
                 "margin": self.margin, "passed": self.passed}
 
 
+def _forward(layer: dict, n: int, depth: int, arrived, move):
+    """Yield ``layer``, a {chain state: probability} map at ``depth``, then
+    the layer after each further arrival, down to depth n.  From a state at
+    depth k, every item not in ``arrived(state)`` arrives next with
+    probability 1/(n-k) and leads to the state ``move(k, state, j)``."""
+    yield layer
+    for k in range(depth, n):
+        nxt: dict = {}
+        for state, p in layer.items():
+            done = arrived(state)
+            q = p / (n - k)
+            for j in range(n):
+                if not done >> j & 1:
+                    key = move(k, state, j)
+                    nxt[key] = nxt.get(key, 0.0) + q
+        layer = nxt
+        yield layer
+
+
 def _expected_A_prime_margin(ctx: GainContext, half_layer: dict
                              ) -> tuple[float, int]:
     """E[V(A') - V(G(S1))] over all orders (see ``build_A_prime``), and the
@@ -610,28 +623,22 @@ def _expected_A_prime_margin(ctx: GainContext, half_layer: dict
     """
     inst, n, m = ctx.instance, ctx.n, ctx.m
     three_q = 3 * n // 4
+
+    def move(k, state, j):
+        full, g23, s2 = state
+        return (_give(full, greedy_step(inst, full, j)[0], j),
+                _give(g23, greedy_step(inst, g23, j)[0], j),
+                s2 | 1 << j if k < three_q else s2)
+
     opt_s2: dict = {}
     margin = 0.0
     states = 0
     for half, p_half in half_layer.items():
-        layer = {(half, (0,) * m, 0): p_half}
-        states += 1
-        for k in range(n // 2, n):
-            nxt: dict = {}
-            for (full, g23, s2), p in layer.items():
-                arrived = _arrived(full)
-                q = p / (n - k)
-                for j in range(n):
-                    if arrived >> j & 1:
-                        continue
-                    key = (_give(full, greedy_step(inst, full, j)[0], j),
-                           _give(g23, greedy_step(inst, g23, j)[0], j),
-                           s2 | 1 << j if k < three_q else s2)
-                    nxt[key] = nxt.get(key, 0.0) + q
-            layer = nxt
+        for layer in _forward({(half, (0,) * m, 0): p_half}, n, n // 2,
+                              lambda state: _arrived(state[0]), move):
             states += len(layer)
         g_s1 = sum(o.value_mask(msk) for o, msk in zip(inst.oracles, half))
-        for (full, g23, s2), p in layer.items():
+        for (full, g23, s2), p in layer.items():     # the depth-n layer
             if s2 not in opt_s2:
                 opt_s2[s2] = optimal(inst, items=mask_items(s2))[0].masks
             a_prime = sum(o.value_mask(f | g | h) for o, f, g, h in
@@ -649,9 +656,6 @@ def verify_eq1(ctx: GainContext, tol: float = IDENTITY_TOL) -> Eq1Report:
     n = ctx.n
     if n % 4 != 0:
         raise ValueError(f"n must be divisible by 4, got {n}")
-    if n > EXACT_TRACE_MAX_N:
-        raise SizeGuardError(f"verify_eq1 is capped at n={EXACT_TRACE_MAX_N}; "
-                             f"got n={n}")
     sp = _state_pass(ctx)
     margin, joint_states = _expected_A_prime_margin(ctx, sp.layers[n // 2])
     opt = ctx.opt_value
@@ -673,6 +677,10 @@ def verify_eq1(ctx: GainContext, tol: float = IDENTITY_TOL) -> Eq1Report:
 
 @dataclass
 class SecondHalfReport:
+    """The second-half bounds in expectation, in unnormalized units.
+    ``states`` (not reported) counts the reachable greedy states plus the
+    states of the Y chains."""
+
     n: int
     m: int
     ex_x: float
@@ -684,6 +692,7 @@ class SecondHalfReport:
     ex_y: Optional[np.ndarray] = None
     g: Optional[np.ndarray] = None
     note: str = ""
+    states: Optional[int] = None
 
     @property
     def passed(self) -> bool:
@@ -704,76 +713,65 @@ class SecondHalfReport:
 
 def verify_second_half(ctx: GainContext, tol: float = IDENTITY_TOL
                        ) -> SecondHalfReport:
-    """Exhaustively verify the second-half bounds.
+    """Verify the second-half bounds in expectation over all n! orders.
 
-    For each order, the best full assignment of the second-half items (the
-    one maximizing the Gain reduction on the first half, given greedy's
-    allocation of the first half) defines X, and its suffix restrictions
-    define Y_i.  Checks: E[X] >= sum_{j<=n/2}(a_j j/(n-j) - b_j) for any
-    oracles; the Y recursion and the slack/b inequality additionally, when
-    every agent's oracle is second-order supermodular.
+    Greedy's allocation of the first half S1 is a state at depth n/2 of the
+    state pass.  The best assignment of the second-half items, the one
+    that most reduces Gain(S1) given that allocation, is a function of the
+    state alone: the first maximizer over all m^(n/2) assignments, listed
+    with the lowest item's agent varying fastest.  Its reduction is X.  Its
+    restriction to the items arriving at positions i..n defines Y_i, which
+    depends on the half state and greedy's state after i-1 arrivals, so
+    E[Y_i] comes from a forward chain started at each half state.  Checks:
+    E[X] >= sum_{j<=n/2}(a_j j/(n-j) - b_j) for any oracles; the Y
+    recursion and the slack/b inequality additionally, when every agent's
+    oracle is second-order supermodular.
     """
     from .oracles import classify_second_order
 
     inst, n, m = ctx.instance, ctx.n, ctx.m
     if n % 2 != 0:
         raise ValueError(f"n must be even, got {n}")
-    if n > SECOND_HALF_MAX_N or m > SECOND_HALF_MAX_M:
-        raise SizeGuardError(
-            f"verify_second_half capped at n <= {SECOND_HALF_MAX_N}, "
-            f"m <= {SECOND_HALF_MAX_M} (got n={n}, m={m})")
+    if m > SECOND_HALF_MAX_M:
+        raise SizeGuardError(f"verify_second_half is capped at "
+                             f"m={SECOND_HALF_MAX_M}; got m={m}")
+    sp = _state_pass(ctx)
     half = n // 2
     supermodular = all(
         classify_second_order(o).is_second_order_supermodular
         for o in inst.oracles)
 
-    total = math.factorial(n)
-    sum_x = 0.0
-    sum_y = np.zeros(half)            # Y_i for i = n/2+1 .. n
-    sa = np.zeros(n)
-    sb = np.zeros(n)
-    for order in itertools.permutations(range(n)):
-        t = trace_one(ctx, order)
-        sa += t.a
-        sb += t.b
-        first, rest = order[:half], order[half:]
-        prefix = _prefix_masks(m, order, t.choices)
-        base = prefix[half]
+    def advance(k, masks, j):
+        return _give(masks, greedy_step(inst, masks, j)[0], j)
+
+    ex_x = 0.0
+    ex_y = np.zeros(half)             # Y_i for i = n/2+1 .. n
+    states = sp.states
+    for base, p_half in sp.layers[half].items():
+        s1 = _arrived(base)
+        first = mask_items(s1)
+        hats = [(0,) * m]
+        for j in mask_items((1 << n) - 1 & ~s1):
+            hats = [_give(hat, ell, j) for ell in range(m) for hat in hats]
+
+        def gain_with(masks, hat):
+            return ctx.gain_set_masks(first, [x | h for x, h in
+                                              zip(masks, hat)])
+
         g_base = ctx.gain_set_masks(first, base)
-        best_code, best_red = 0, -1.0
-        for code in range(m ** half):
-            c = code
-            hat = [0] * m
-            for j in rest:
-                hat[c % m] |= 1 << j
-                c //= m
-            red = g_base - ctx.gain_set_masks(
-                first, [b | h for b, h in zip(base, hat)])
-            if red > best_red:
-                best_code, best_red = code, red
-        sum_x += best_red
+        best = max(hats, key=lambda hat: g_base - gain_with(base, hat))
+        ex_x += p_half * (g_base - gain_with(base, best))
+        # Y_i = Gain(S1, A^G_{i-1}) - Gain(S1, A^G_{i-1} + best on the
+        # unarrived items), read at depths n/2 .. n-1 of the chain
+        chain = _forward({base: p_half}, n, half, _arrived, advance)
+        for y, layer in zip(range(half), chain):
+            states += len(layer)
+            for before, p in layer.items():
+                rest = ~_arrived(before)
+                ex_y[y] += p * (ctx.gain_set_masks(first, before)
+                                - gain_with(before, [h & rest for h in best]))
 
-        hat_agent = {}
-        c = best_code
-        for j in rest:
-            hat_agent[j] = c % m
-            c //= m
-        # Y_i = Gain(S1, A^G_{i-1}) - Gain(S1, A^G_{i-1} + hat suffix from i)
-        for i in range(half + 1, n + 1):
-            before = prefix[i - 1]
-            hat = [0] * m
-            for pos in range(i - 1, n):
-                j = order[pos]
-                hat[hat_agent[j]] |= 1 << j
-            y = (ctx.gain_set_masks(first, before)
-                 - ctx.gain_set_masks(first,
-                                      [b | h for b, h in zip(before, hat)]))
-            sum_y[i - half - 1] += y
-
-    ex_x = sum_x / total
-    ex_y = sum_y / total
-    a = sa / total
-    b = sb / total
+    a, b = sp.a, sp.b
     rhs = sum(a[j - 1] * j / (n - j) - b[j - 1] for j in range(1, half + 1))
     reduction_ok = ex_x >= rhs - tol
 
@@ -794,7 +792,7 @@ def verify_second_half(ctx: GainContext, tol: float = IDENTITY_TOL
         "recursion and slack checks skipped: not second-order supermodular"
     return SecondHalfReport(n, m, float(ex_x), float(rhs), bool(reduction_ok),
                             supermodular, recursion_ok, slack_ok, ex_y, g,
-                            note)
+                            note, states=states)
 
 
 # ---------------------------------------------------------------------------
@@ -856,7 +854,7 @@ def conjecture_check(instance: Instance, mode: str = "exact",
     last marginal, which is an exact identity under full enumeration.
     """
     n = instance.n
-    mode, total, orders = _orders(n, mode, samples, seed, LEMMA_MAX_N)
+    mode, total, orders = _orders(n, mode, samples, seed)
     lhs_sum = rhs_sum = last_sum = 0.0
     for order in orders:
         c, mv, last = _conjecture_terms(instance, order)

@@ -185,8 +185,8 @@ def random_instance(n: int, m: int, seed: int,
                                                "budgeted_additive",
                                                "b_matching", "cut"),
                     name: Optional[str] = None) -> Instance:
-    """Instance with one random oracle per agent, families cycling through
-    a seeded shuffle of the requested list."""
+    """Instance with one random oracle per agent, each agent's family an
+    independent uniform draw from the requested list."""
     rng = np.random.default_rng(seed)
     for fam in families:
         if fam not in ORACLE_GENERATORS:

@@ -116,6 +116,16 @@ class TestLp:
     def test_bad_n_exits_2(self):
         assert main(["lp", "--family", "beta", "--n", "6"]) == 2
 
+    def test_zero_denominator_beta_exits_2(self, capsys):
+        assert main(["lp", "--family", "beta", "--n", "8",
+                     "--beta", "1/0"]) == 2
+        assert "error: '1/0' has a zero denominator" in capsys.readouterr().err
+
+    def test_zero_denominator_lambda_exits_2(self, capsys):
+        assert main(["lp", "--family", "beta-lambda", "--n", "16",
+                     "--lambda", "1/0"]) == 2
+        assert "error: '1/0' has a zero denominator" in capsys.readouterr().err
+
 
 class TestClassify:
     def test_coverage_sample(self, tmp_path):
@@ -143,11 +153,19 @@ class TestVerify:
         path = tmp_path / "i.json"
         save_instance(path, random_instance(4, 2, seed=1,
                                             families=("coverage",)))
-        assert main(["verify", str(path), "--checks", "secondhalf"]) == 0
-        assert "states" not in capsys.readouterr().err
+        out = tmp_path / "v.json"
+        assert main(["verify", str(path), "--checks", "secondhalf",
+                     "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert err.count("states") == 1 and "secondhalf: states = " in err
+        assert "states" not in out.read_text()
 
     def test_unknown_check_exits_2(self, instance_file):
         assert main(["verify", instance_file, "--checks", "bogus"]) == 2
+
+    def test_empty_check_list_exits_2(self, instance_file, capsys):
+        assert main(["verify", instance_file, "--checks", ","]) == 2
+        assert "error: no checks given" in capsys.readouterr().err
 
 
 class TestConjecture:
@@ -168,6 +186,12 @@ class TestConjecture:
 
     def test_requires_instance_or_random(self):
         assert main(["conjecture"]) == 2
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_random_below_one_exits_2(self, count, capsys):
+        assert main(["conjecture", "--random", count]) == 2
+        assert "error: --random must be at least 1" in \
+            capsys.readouterr().err
 
 
 class TestParser:
