@@ -3,7 +3,7 @@
 Subcommands: simulate | lp | classify | verify | conjecture.  Reports are
 JSON with sorted keys, so identical inputs and seeds produce byte-identical
 files; timing goes to stderr only.  Exit codes: 0 success, 1 verification
-failure, 2 usage or size error.
+failure (for ``lp``, an LP that is not optimal), 2 usage or size error.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from .gain import GainContext, conjecture_check, expected_trace, verify_eq1, \
 from .instances import load_instance, random_instance
 from .lp import (LAMBDA_THRESHOLD, build_lp_beta, build_lp_beta_lambda,
                  build_lp_general, closed_form_beta_lambda,
-                 closed_form_general, simplex_solve)
+                 closed_form_general, simplex_solve, solve_general)
 from .oracles import classify_second_order
 
 EXIT_OK = 0
@@ -92,13 +92,25 @@ def cmd_lp(args) -> int:
         closed = closed_form_general(args.n) if args.n >= 8 else None
     if args.export_lp:
         Path(args.export_lp).write_text(model.to_text())
-    solution = simplex_solve(model)
+    if args.family == "general":
+        solution = solve_general(model)
+        print("solver = exact recursion", file=sys.stderr)
+    else:
+        solution = simplex_solve(model)
+        print(f"solver = simplex, {solution.iterations} pivots",
+              file=sys.stderr)
     results = {"model": {k: (str(v) if isinstance(v, Fraction) else v)
                          for k, v in model.metadata.items()},
                "num_vars": model.num_vars, "num_rows": model.num_rows,
                "solution": solution.to_dict()}
-    print(f"simplex optimum = {solution.objective!r}", file=sys.stderr)
-    if closed is not None:
+    if solution.structure is not None:
+        results["structure"] = solution.structure
+    optimal = solution.status == "optimal"
+    if optimal:
+        print(f"optimum = {solution.objective!r}", file=sys.stderr)
+    else:
+        print(f"LP status: {solution.status}", file=sys.stderr)
+    if closed is not None and optimal:
         closed_val = closed if isinstance(closed, float) else closed.exact
         results["closed_form"] = closed_val
         results["difference"] = solution.objective - closed_val
@@ -110,7 +122,7 @@ def cmd_lp(args) -> int:
     report = _report("lp", {"family": args.family, "n": args.n,
                             "lambda": args.lam, "beta": args.beta}, results)
     _write_report(report, args.out)
-    return EXIT_OK
+    return EXIT_OK if optimal else EXIT_VERIFY_FAILED
 
 
 def cmd_classify(args) -> int:

@@ -1,9 +1,17 @@
-"""Factor-revealing linear programs and an embedded simplex solver.
+"""Factor-revealing linear programs and their solvers.
 
 All models are of the form: minimize c.x subject to A.x >= b, x >= 0.
 Coefficients are built as exact rationals so the plain-text export can be
-fed to external solvers verbatim; the embedded solver works in floats with
-a dense two-phase tableau and Bland's anti-cycling rule.
+fed to external solvers verbatim.
+
+The general lower-bound program is solved exactly, in rationals, by a
+backward recursion over its position rows (``solve_general``, O(n) steps).
+The beta families go to ``simplex_solve``, a dense two-phase primal simplex
+in floats: largest-coefficient pricing that falls back to Bland's
+lowest-index rule on long degenerate runs, a ratio test whose ties go to
+the lowest basis index, and artificial variables only for rows that need
+one, with no stored columns.  The simplex is also the reference that tests
+hold ``solve_general`` to.
 """
 from __future__ import annotations
 
@@ -16,6 +24,10 @@ import numpy as np
 
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-9
+# after this many consecutive degenerate pivots the entering column is the
+# lowest-index improving one until a pivot moves the objective again;
+# Bland's rule cannot cycle, so neither can the simplex
+DEGENERATE_LIMIT = 50
 
 Rational = Union[int, Fraction]
 
@@ -28,6 +40,16 @@ def _to_fraction(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     return Fraction(str(x))
+
+
+def _float_matrix(rows) -> np.ndarray:
+    """Float copy of a rational matrix; zero coefficients skip the division."""
+    return np.array([[c.numerator / c.denominator if c else 0.0 for c in row]
+                     for row in rows])
+
+
+def _finite_or_none(x: float) -> Optional[float]:
+    return x if math.isfinite(x) else None
 
 
 @dataclass
@@ -85,12 +107,18 @@ class LpSolution:
     objective: float             # includes the model constant
     x: Optional[np.ndarray]
     max_violation: float
-    iterations: int
+    iterations: int              # simplex pivots; 0 for the exact solver
+    # exact primal values and the optimum's structure, from the exact solver
+    exact: Optional[list[Fraction]] = None
+    structure: Optional[dict] = None
 
     def to_dict(self) -> dict:
-        return {"status": self.status, "objective": self.objective,
+        """JSON-ready fields; a non-finite objective or violation (an
+        infeasible or unbounded LP) is written as null."""
+        return {"status": self.status,
+                "objective": _finite_or_none(self.objective),
                 "x": None if self.x is None else [float(v) for v in self.x],
-                "max_violation": self.max_violation,
+                "max_violation": _finite_or_none(self.max_violation),
                 "iterations": self.iterations}
 
 
@@ -101,6 +129,13 @@ class LpSolution:
 def _check_n(n: int):
     if n < 4 or n % 4 != 0:
         raise ValueError(f"n must be a multiple of 4 and at least 4, got {n}")
+
+
+def _check_beta(beta) -> Fraction:
+    beta = _to_fraction(beta)
+    if beta < 0:
+        raise ValueError(f"beta must be non-negative, got {beta}")
+    return beta
 
 
 def build_lp_beta(n: int, beta) -> LpModel:
@@ -114,9 +149,9 @@ def build_lp_beta(n: int, beta) -> LpModel:
       (4) beta >= sum_{i<=n/2} b_i + sum_{i>n/2} g_i
     """
     _check_n(n)
-    return _build_trace_lp(n, _to_fraction(beta), pos_hi=n, sh_lo=n // 2,
-                           metadata={"family": "beta", "n": n,
-                                     "beta": _to_fraction(beta)})
+    beta = _check_beta(beta)
+    return _build_trace_lp(n, beta, pos_hi=n, sh_lo=n // 2,
+                           metadata={"family": "beta", "n": n, "beta": beta})
 
 
 def build_lp_beta_lambda(n: int, lam, beta) -> LpModel:
@@ -124,7 +159,7 @@ def build_lp_beta_lambda(n: int, lam, beta) -> LpModel:
     for i > lam*n; its optimum is at most the full model's."""
     _check_n(n)
     lam = _to_fraction(lam)
-    beta = _to_fraction(beta)
+    beta = _check_beta(beta)
     if lam < Fraction(1, 2):
         raise ValueError(f"lambda must be at least 1/2, got {lam}")
     if lam > 1:
@@ -140,7 +175,7 @@ def build_lp_beta_lambda(n: int, lam, beta) -> LpModel:
 def _build_trace_lp(n: int, beta: Fraction, pos_hi: int, sh_lo: int,
                     metadata: dict) -> LpModel:
     """Shared builder: position rows for i <= pos_hi, second-half rows for
-    i > sh_lo."""
+    i > sh_lo.  Every coefficient is made once and shared between rows."""
     half = n // 2
 
     var_names = ([f"w_{i}" for i in range(1, n + 1)]
@@ -154,46 +189,45 @@ def _build_trace_lp(n: int, beta: Fraction, pos_hi: int, sh_lo: int,
     def b(i): return 2 * n + i - 1
     def g(i): return 3 * n + (i - half) - 1
 
-    objective = [Fraction(0)] * ncols
-    for i in range(1, n + 1):
-        objective[w(i)] = Fraction(1)
+    zero, one, minus_one = Fraction(0), Fraction(1), Fraction(-1)
+    objective = [one] * n + [zero] * (ncols - n)
 
     rows, rhs, row_names = [], [], []
 
     for i in range(1, n + 1):
-        row = [Fraction(0)] * ncols
-        row[w(i)] = Fraction(1)
-        row[a(i)] = Fraction(-1)
-        row[b(i)] = Fraction(-1)
+        row = [zero] * ncols
+        row[w(i)] = one
+        row[a(i)] = minus_one
+        row[b(i)] = minus_one
         rows.append(row)
-        rhs.append(Fraction(0))
+        rhs.append(zero)
         row_names.append(f"step_split_{i}")
 
+    # a_j/(n-j) for j = 1..pos_hi-1
+    inv = [Fraction(1, n - j) for j in range(1, pos_hi)]
     for i in range(1, pos_hi + 1):
-        row = [Fraction(0)] * ncols
-        row[w(i)] = Fraction(1)
-        for j in range(1, i):
-            row[a(j)] = Fraction(1, n - j)
+        row = [zero] * ncols
+        row[w(i)] = one
+        row[a(1):a(i)] = inv[:i - 1]
         rows.append(row)
         rhs.append(Fraction(1, n))
         row_names.append(f"position_{i}")
 
+    sh_a = [Fraction(-2, n) * Fraction(j, n - j) for j in range(1, half + 1)]
+    sh_b = [Fraction(2, n)] * half
     for i in range(sh_lo + 1, n + 1):
-        row = [Fraction(0)] * ncols
-        row[w(i)] = Fraction(1)
-        row[g(i)] = Fraction(1)
-        for j in range(1, half + 1):
-            row[a(j)] = Fraction(-2, n) * Fraction(j, n - j)
-            row[b(j)] = Fraction(2, n)
+        row = [zero] * ncols
+        row[w(i)] = one
+        row[g(i)] = one
+        row[a(1):a(half + 1)] = sh_a
+        row[b(1):b(half + 1)] = sh_b
         rows.append(row)
-        rhs.append(Fraction(0))
+        rhs.append(zero)
         row_names.append(f"second_half_{i}")
 
-    row = [Fraction(0)] * ncols
-    for i in range(1, half + 1):
-        row[b(i)] = Fraction(-1)
-    for i in range(half + 1, n + 1):
-        row[g(i)] = Fraction(-1)
+    row = [zero] * ncols
+    row[b(1):b(half + 1)] = [minus_one] * half
+    row[g(half + 1):] = [minus_one] * (n - half)
     rows.append(row)
     rhs.append(-beta)
     row_names.append("slack_budget")
@@ -208,7 +242,7 @@ def build_lp_general(n: int) -> LpModel:
            + sum_{n/2<i<=3n/4}((5/6 + (n/4)/(6(n-i))) a_i + 5/6 b_i)
     subject to a_i + b_i >= 1/n - sum_{j<i} a_j/(n-j) for i = 1..3n/4.
     The additive constant 1/24 is carried in ``constant`` and included in
-    reported objective values.
+    reported objective values.  ``solve_general`` solves it exactly.
     """
     _check_n(n)
     half, three_q = n // 2, 3 * n // 4
@@ -219,7 +253,8 @@ def build_lp_general(n: int) -> LpModel:
     def a(i): return i - 1
     def b(i): return three_q + i - 1
 
-    objective = [Fraction(0)] * ncols
+    zero, one = Fraction(0), Fraction(1)
+    objective = [zero] * ncols
     quarter = Fraction(n, 4)
     for i in range(1, half + 1):
         objective[a(i)] = 1 + Fraction(i - quarter, 6 * (n - i))
@@ -228,13 +263,14 @@ def build_lp_general(n: int) -> LpModel:
         objective[a(i)] = Fraction(5, 6) + Fraction(quarter, 6 * (n - i))
         objective[b(i)] = Fraction(5, 6)
 
+    # a_j/(n-j) for j = 1..3n/4-1
+    inv = [Fraction(1, n - j) for j in range(1, three_q)]
     rows, rhs, row_names = [], [], []
     for i in range(1, three_q + 1):
-        row = [Fraction(0)] * ncols
-        row[a(i)] = Fraction(1)
-        row[b(i)] = Fraction(1)
-        for j in range(1, i):
-            row[a(j)] = Fraction(1, n - j)
+        row = [zero] * ncols
+        row[a(1):a(i)] = inv[:i - 1]
+        row[a(i)] = one
+        row[b(i)] = one
         rows.append(row)
         rhs.append(Fraction(1, n))
         row_names.append(f"position_{i}")
@@ -245,74 +281,177 @@ def build_lp_general(n: int) -> LpModel:
 
 
 # ---------------------------------------------------------------------------
+# Exact solver for the general program
+# ---------------------------------------------------------------------------
+
+def _general_costs(model: LpModel) -> tuple[int, list[Fraction],
+                                              list[Fraction]]:
+    """n and the a and b costs of a general-family model, checked."""
+    if model.metadata.get("family") != "general_lb":
+        raise ValueError("solve_general needs a build_lp_general model, got "
+                         f"family {model.metadata.get('family')!r}")
+    n = model.metadata["n"]
+    rows = 3 * n // 4
+    if model.num_vars != 2 * rows:
+        raise ValueError(f"a general model at n={n} has {2 * rows} "
+                         f"variables, got {model.num_vars}")
+    if any(c < 0 for c in model.objective):
+        raise ValueError("solve_general needs non-negative costs")
+    return n, model.objective[:rows], model.objective[rows:]
+
+
+def _row_candidates(step: int, ca: Fraction, cb: Fraction,
+                    nxt: Fraction) -> tuple[Fraction, Fraction, Fraction]:
+    """Cost of rows i..m per unit of row i's residual r, for a_i = 0, r and
+    step r, where step = n - i and nxt = k_{i+1}."""
+    return cb + nxt, ca + nxt * (1 - Fraction(1, step)), ca * step
+
+
+def general_cost_to_go(model: LpModel) -> list[Fraction]:
+    """k_1, ..., k_{m+1} of ``solve_general``, with m = 3n/4 and k_{m+1} = 0:
+    rows i..m cost at least k_i r when row i's residual is r >= 0."""
+    n, cost_a, cost_b = _general_costs(model)
+    k = [Fraction(0)]
+    for i in range(len(cost_a), 0, -1):
+        k.append(min(_row_candidates(n - i, cost_a[i - 1], cost_b[i - 1],
+                                     k[-1])))
+    return k[::-1]
+
+
+def solve_general(model: LpModel) -> LpSolution:
+    """Exact optimum of ``build_lp_general``'s program, in O(n) rational steps.
+
+    Let r_i = 1/n - sum_{j<i} a_j/(n-j) be the residual of position row i.
+    Row i reads a_i + b_i >= r_i, and r_{i+1} = r_i - a_i/(n-i).  With every
+    cost non-negative, the least cost of rows i..m from residual r is
+    k_i max(r, 0), by induction from k_{m+1} = 0.  At r > 0 the cheapest b_i
+    is max(r - a_i, 0), so row i costs
+        c_a(i) a + c_b(i) max(r - a, 0) + k_{i+1} max(r - a/(n-i), 0),
+    a convex piecewise-linear function of a >= 0 with breaks at a = r and
+    a = (n-i) r and slope c_a(i) >= 0 past the last one.  Its minimum is at
+    one of the three candidates a = 0, r or (n-i) r, so
+        k_i = min(c_b(i) + k_{i+1}, c_a(i) + k_{i+1}(1 - 1/(n-i)),
+                  c_a(i)(n-i)),
+    and the optimum is k_1/n plus the model constant.  A forward pass from
+    r_1 = 1/n takes the first minimiser at each row and yields exact a, b.
+
+    The costs come from ``model.objective``; the rows are taken to be the
+    position rows of ``build_lp_general``, and the violation is measured
+    against the model's own rows.  Raises ValueError for another family or
+    a negative cost.  ``structure`` holds the switch point: the first row
+    whose b is positive, or None.
+    """
+    n, cost_a, cost_b = _general_costs(model)
+    k = general_cost_to_go(model)
+    a, b = [], []
+    r = Fraction(1, n)
+    for i in range(1, len(cost_a) + 1):
+        step = n - i
+        candidates = _row_candidates(step, cost_a[i - 1], cost_b[i - 1], k[i])
+        choice = candidates.index(min(candidates))
+        ai = (Fraction(0), r, step * r)[choice]
+        a.append(ai)
+        b.append(r if choice == 0 else Fraction(0))
+        r -= ai / step
+    exact = a + b
+    x = np.array([float(v) for v in exact])
+    residual = (np.array([float(v) for v in model.rhs])
+                - _float_matrix(model.rows) @ x)
+    violation = float(np.max(np.maximum(residual, 0.0), initial=0.0))
+    switch = next((i for i, v in enumerate(b, 1) if v > 0), None)
+    return LpSolution("optimal", float(k[0] / n + model.constant), x,
+                      violation, 0, exact=exact,
+                      structure={"switch_point": switch})
+
+
+# ---------------------------------------------------------------------------
 # Two-phase primal simplex
 # ---------------------------------------------------------------------------
 
-def _pivot(tab: np.ndarray, basis: list[int], r: int, c: int):
-    tab[r] /= tab[r, c]
-    col = tab[:, c].copy()
-    col[r] = 0.0
-    tab -= np.outer(col, tab[r])
+def _pivot(tab: np.ndarray, basis: np.ndarray, r: int, c: int):
+    """Make column c basic in row r.  The rank-one update touches only the
+    rows with a nonzero entry in column c (the cost row included) and the
+    columns with a nonzero entry in row r; everything else is unchanged."""
+    prow = tab[r]
+    prow /= prow[c]
+    rows = np.flatnonzero(tab[:, c])
+    rows = rows[rows != r]
+    cols = np.flatnonzero(prow)
+    tab[np.ix_(rows, cols)] -= np.outer(tab[rows, c], prow[cols])
     basis[r] = c
 
 
-def _bland_iterate(tab: np.ndarray, basis: list[int], ncols: int,
-                   max_iter: int) -> tuple[str, int]:
+def _leaving_row(tab: np.ndarray, basis: np.ndarray, c: int) -> int:
+    """Ratio test for entering column c: among rows with a positive entry,
+    the smallest rhs/entry, ties to the lowest basis index; -1 if none."""
+    col = tab[:-1, c]
+    rows = np.flatnonzero(col > PIVOT_TOL)
+    if rows.size == 0:
+        return -1
+    ratios = tab[rows, -1] / col[rows]
+    tied = rows[ratios == ratios.min()]
+    return int(tied[np.argmin(basis[tied])])
+
+
+def _iterate(tab: np.ndarray, basis: np.ndarray, ncols: int,
+             max_iter: int) -> tuple[str, int]:
     """Run simplex iterations on a tableau whose last row holds reduced
     costs (to be driven non-negative) and last column the rhs."""
-    it = 0
+    it = degenerate = 0
     while True:
         cost = tab[-1, :ncols]
-        entering = -1
-        for jx in range(ncols):
-            if cost[jx] < -PIVOT_TOL:
-                entering = jx
-                break
-        if entering < 0:
-            return "optimal", it
-        ratios = []
-        for r in range(tab.shape[0] - 1):
-            if tab[r, entering] > PIVOT_TOL:
-                ratios.append((tab[r, -1] / tab[r, entering], basis[r], r))
-        if not ratios:
+        if degenerate < DEGENERATE_LIMIT:
+            entering = int(np.argmin(cost))
+            if cost[entering] >= -PIVOT_TOL:
+                return "optimal", it
+        else:
+            improving = np.flatnonzero(cost < -PIVOT_TOL)
+            if improving.size == 0:
+                return "optimal", it
+            entering = int(improving[0])
+        r = _leaving_row(tab, basis, entering)
+        if r < 0:
             return "unbounded", it
-        ratios.sort(key=lambda t: (t[0], t[1]))   # Bland: lowest basis index
-        _pivot(tab, basis, ratios[0][2], entering)
+        step = tab[r, -1] / tab[r, entering]
+        degenerate = degenerate + 1 if step <= PIVOT_TOL else 0
+        _pivot(tab, basis, r, entering)
         it += 1
         if it > max_iter:
             raise RuntimeError("simplex iteration limit exceeded")
 
 
 def simplex_solve(model: LpModel) -> LpSolution:
-    """Two-phase dense primal simplex with Bland's rule.
+    """Two-phase dense primal simplex.
 
-    The model's >= rows get surplus variables; phase 1 drives artificial
-    variables out, phase 2 minimizes the true objective.  Reported
-    objective includes the model constant.
+    Each >= row gets a surplus variable.  A row with rhs <= 0 is negated
+    and starts with its surplus basic; each row with positive rhs gets an
+    artificial variable, which phase 1 drives out.  Artificial columns are
+    never stored: one that leaves the basis cannot re-enter, and phase 1
+    still reaches 0 on every feasible LP.  Phase 2 minimizes the true
+    objective.  The reported objective includes the model constant.
     """
     m, nv = model.num_rows, model.num_vars
-    A = np.array([[float(c) for c in row] for row in model.rows])
+    A = _float_matrix(model.rows)
     bvec = np.array([float(v) for v in model.rhs])
     cvec = np.array([float(v) for v in model.objective])
 
-    # standard form: [A | -I_surplus] x = b, then flip rows to make b >= 0
-    full = np.hstack([A, -np.eye(m)])
-    for r in range(m):
-        if bvec[r] < 0:
-            full[r] *= -1.0
-            bvec[r] *= -1.0
+    # standard form [A | -I] x = b; rows with b <= 0 flipped to -b >= 0
     ncols = nv + m
-    tab = np.zeros((m + 1, ncols + m + 1))
-    tab[:m, :ncols] = full
-    tab[:m, ncols:ncols + m] = np.eye(m)       # artificials
+    tab = np.zeros((m + 1, ncols + 1))
+    tab[:m, :nv] = A
+    tab[np.arange(m), nv + np.arange(m)] = -1.0
     tab[:m, -1] = bvec
-    basis = [ncols + r for r in range(m)]
+    flipped = np.flatnonzero(bvec <= 0)
+    tab[flipped] *= -1.0
+    # an artificial in row r has index ncols + r, above every real column
+    basis = ncols + np.arange(m)
+    basis[flipped] = nv + flipped
+    max_iter = 10000 * (m + ncols)
 
     # phase 1: minimize the artificial sum
-    tab[-1, ncols:ncols + m] = 1.0
-    for r in range(m):
-        tab[-1] -= tab[r]
-    status, it1 = _bland_iterate(tab, basis, ncols + m, 10000 * (m + ncols))
+    artificial = np.flatnonzero(bvec > 0)
+    tab[-1] = -tab[artificial].sum(axis=0)
+    status, it1 = _iterate(tab, basis, ncols, max_iter)
     if status != "optimal" or tab[-1, -1] < -FEAS_TOL:
         return LpSolution("infeasible", math.nan, None, math.nan, it1)
 
@@ -320,36 +459,29 @@ def simplex_solve(model: LpModel) -> LpSolution:
     keep = []
     for r in range(m):
         if basis[r] >= ncols:
-            pivot_col = -1
-            for jx in range(ncols):
-                if abs(tab[r, jx]) > PIVOT_TOL:
-                    pivot_col = jx
-                    break
-            if pivot_col >= 0:
-                _pivot(tab[:m + 1], basis, r, pivot_col)
+            nonzero = np.flatnonzero(np.abs(tab[r, :ncols]) > PIVOT_TOL)
+            if nonzero.size:
+                _pivot(tab, basis, r, int(nonzero[0]))
                 keep.append(r)
             # else: redundant row, drop it
         else:
             keep.append(r)
-    tab = np.vstack([tab[keep][:, list(range(ncols)) + [-1]],
-                     np.zeros(ncols + 1)])
-    basis = [basis[r] for r in keep]
+    if len(keep) < m:
+        tab = tab[keep + [m]]
+        basis = basis[keep]
 
     # phase 2: true objective
+    tab[-1] = 0.0
     tab[-1, :nv] = cvec
-    for r, bi in enumerate(basis):
-        if tab[-1, bi] != 0.0:
-            tab[-1] -= tab[-1, bi] * tab[r]
-    status, it2 = _bland_iterate(tab, basis, ncols, 10000 * (m + ncols))
+    tab[-1] -= tab[-1, basis] @ tab[:-1]
+    status, it2 = _iterate(tab, basis, ncols, max_iter)
     if status == "unbounded":
         return LpSolution("unbounded", -math.inf, None, math.nan, it1 + it2)
 
     x = np.zeros(ncols)
-    for r, bi in enumerate(basis):
-        x[bi] = tab[r, -1]
+    x[basis] = tab[:-1, -1]
     x = x[:nv]
-    rhs0 = np.array([float(v) for v in model.rhs])
-    violation = float(np.max(np.maximum(rhs0 - A @ x, 0.0), initial=0.0))
+    violation = float(np.max(np.maximum(bvec - A @ x, 0.0), initial=0.0))
     obj = float(cvec @ x) + float(model.constant)
     return LpSolution("optimal", obj, x, violation, it1 + it2)
 
@@ -374,11 +506,12 @@ def closed_form_beta_lambda(n: int, lam, beta) -> ClosedFormBound:
 
     exact = sum_{i<=lam n}(n-i)/((n-1)n) + (1-lam) n (n/2+1)/(2(n-1)n) - beta,
     clamped below at 0; asymptotic = 1/2 - (1-lam)^2/2 + (1-lam)/4 - beta.
-    Refuses lam at or below the structural threshold 9 - sqrt(68).
+    Refuses lam at or below the structural threshold 9 - sqrt(68), and a
+    negative beta.
     """
     _check_n(n)
     lam = _to_fraction(lam)
-    beta = _to_fraction(beta)
+    beta = _check_beta(beta)
     if float(lam) <= LAMBDA_THRESHOLD:
         raise ValueError(
             f"lambda = {lam} is not above the threshold 9 - sqrt(68) "

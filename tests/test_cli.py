@@ -1,9 +1,12 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
 
+from swmlab import cli
 from swmlab.cli import main
+from swmlab.lp import LpSolution
 from swmlab.instances import random_instance, save_instance
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_instances"
@@ -106,6 +109,27 @@ class TestLp:
         # the closed form overshoots the LP optimum for this family
         assert report["results"]["difference"] < -1e-3
 
+    def test_general_reports_switch_point_and_solver(self, tmp_path, capsys):
+        outs = [tmp_path / f"lp{k}.json" for k in range(2)]
+        for out in outs:
+            assert main(["lp", "--family", "general", "--n", "32",
+                         "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        results = json.loads(outs[0].read_text())["results"]
+        assert results["structure"] == {"switch_point": 23}
+        assert results["solution"]["iterations"] == 0
+        assert "solver = exact recursion" in capsys.readouterr().err
+
+    def test_beta_names_simplex_pivots(self, tmp_path, capsys):
+        out = tmp_path / "lp.json"
+        assert main(["lp", "--family", "beta", "--n", "8",
+                     "--out", str(out)]) == 0
+        results = json.loads(out.read_text())["results"]
+        assert "structure" not in results
+        pivots = results["solution"]["iterations"]
+        assert pivots > 0
+        assert f"solver = simplex, {pivots} pivots" in capsys.readouterr().err
+
     def test_export_lp_listing(self, tmp_path):
         listing = tmp_path / "model.lp"
         main(["lp", "--family", "beta", "--n", "4",
@@ -115,6 +139,41 @@ class TestLp:
 
     def test_bad_n_exits_2(self):
         assert main(["lp", "--family", "beta", "--n", "6"]) == 2
+
+    def test_negative_beta_exits_2(self, capsys):
+        assert main(["lp", "--family", "beta", "--n", "8",
+                     "--beta", "-1"]) == 2
+        assert "error: beta must be non-negative, got -1" in \
+            capsys.readouterr().err
+        assert main(["lp", "--family", "beta-lambda", "--n", "16",
+                     "--lambda", "13/16", "--beta=-1/100"]) == 2
+        assert "error: beta must be non-negative, got -1/100" in \
+            capsys.readouterr().err
+
+    @pytest.fixture
+    def not_optimal(self, monkeypatch):
+        """Make every simplex solve come back unbounded."""
+        solution = LpSolution("unbounded", -math.inf, None, math.nan, 3)
+        monkeypatch.setattr(cli, "simplex_solve", lambda model: solution)
+
+    def test_not_optimal_report_is_strict_json(self, tmp_path, not_optimal):
+        out = tmp_path / "lp.json"
+        main(["lp", "--family", "beta-lambda", "--n", "16",
+              "--lambda", "13/16", "--out", str(out)])
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+        report = json.loads(out.read_text(), parse_constant=reject)
+        solution = report["results"]["solution"]
+        assert solution["objective"] is None
+        assert solution["max_violation"] is None
+        assert "difference" not in report["results"]
+
+    def test_not_optimal_exits_1_with_status(self, tmp_path, capsys,
+                                             not_optimal):
+        assert main(["lp", "--family", "beta", "--n", "8",
+                     "--out", str(tmp_path / "lp.json")]) == 1
+        assert "LP status: unbounded" in capsys.readouterr().err
 
     def test_zero_denominator_beta_exits_2(self, capsys):
         assert main(["lp", "--family", "beta", "--n", "8",

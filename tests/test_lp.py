@@ -1,20 +1,26 @@
+import json
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import swmlab as sl
-from swmlab.lp import (LAMBDA_THRESHOLD, GENERAL_LIMIT, LpModel,
+from swmlab.lp import (DEGENERATE_LIMIT, LAMBDA_THRESHOLD, GENERAL_LIMIT,
+                       PIVOT_TOL, LpModel, LpSolution, _check_n, _leaving_row,
                        _to_fraction, build_lp_beta, build_lp_beta_lambda,
                        build_lp_general, closed_form_beta_lambda,
                        closed_form_general, combined_secondorder_bound,
-                       simplex_solve, COMBINED_BETA_STAR)
+                       general_cost_to_go, simplex_solve, solve_general,
+                       COMBINED_BETA_STAR)
 
 scipy_opt = pytest.importorskip("scipy.optimize")
 
 SOLVE_TOL = 1e-8
 FEAS_TOL = 1e-9
+KERNEL_TOL = 1e-9    # simplex_solve against reference_simplex
+EXACT_TOL = 1e-12    # solve_general against a float solver
 
 
 def scipy_optimum(model: LpModel) -> float:
@@ -26,6 +32,227 @@ def scipy_optimum(model: LpModel) -> float:
                             method="highs")
     assert res.status == 0, res.message
     return res.fun + float(model.constant)
+
+
+# ---------------------------------------------------------------------------
+# Test-only references: builders that construct every coefficient afresh,
+# and a dense two-phase simplex with Bland's rule, stored artificial columns
+# and a full-tableau update.
+# ---------------------------------------------------------------------------
+
+def reference_trace_lp(n: int, beta: Fraction, pos_hi: int, sh_lo: int,
+                       metadata: dict) -> LpModel:
+    """Shared builder: position rows for i <= pos_hi, second-half rows for
+    i > sh_lo."""
+    half = n // 2
+
+    var_names = ([f"w_{i}" for i in range(1, n + 1)]
+                 + [f"a_{i}" for i in range(1, n + 1)]
+                 + [f"b_{i}" for i in range(1, n + 1)]
+                 + [f"g_{i}" for i in range(half + 1, n + 1)])
+    ncols = len(var_names)
+
+    def w(i): return i - 1
+    def a(i): return n + i - 1
+    def b(i): return 2 * n + i - 1
+    def g(i): return 3 * n + (i - half) - 1
+
+    objective = [Fraction(0)] * ncols
+    for i in range(1, n + 1):
+        objective[w(i)] = Fraction(1)
+
+    rows, rhs, row_names = [], [], []
+
+    for i in range(1, n + 1):
+        row = [Fraction(0)] * ncols
+        row[w(i)] = Fraction(1)
+        row[a(i)] = Fraction(-1)
+        row[b(i)] = Fraction(-1)
+        rows.append(row)
+        rhs.append(Fraction(0))
+        row_names.append(f"step_split_{i}")
+
+    for i in range(1, pos_hi + 1):
+        row = [Fraction(0)] * ncols
+        row[w(i)] = Fraction(1)
+        for j in range(1, i):
+            row[a(j)] = Fraction(1, n - j)
+        rows.append(row)
+        rhs.append(Fraction(1, n))
+        row_names.append(f"position_{i}")
+
+    for i in range(sh_lo + 1, n + 1):
+        row = [Fraction(0)] * ncols
+        row[w(i)] = Fraction(1)
+        row[g(i)] = Fraction(1)
+        for j in range(1, half + 1):
+            row[a(j)] = Fraction(-2, n) * Fraction(j, n - j)
+            row[b(j)] = Fraction(2, n)
+        rows.append(row)
+        rhs.append(Fraction(0))
+        row_names.append(f"second_half_{i}")
+
+    row = [Fraction(0)] * ncols
+    for i in range(1, half + 1):
+        row[b(i)] = Fraction(-1)
+    for i in range(half + 1, n + 1):
+        row[g(i)] = Fraction(-1)
+    rows.append(row)
+    rhs.append(-beta)
+    row_names.append("slack_budget")
+
+    return LpModel(objective, rows, rhs, var_names, row_names, metadata)
+
+
+def reference_general_lp(n: int) -> LpModel:
+    """The general lower-bound program over a_i, b_i for i <= 3n/4.
+
+    Minimize sum_{i<=n/2}((1 + (i - n/4)/(6(n-i))) a_i + 5/6 b_i)
+           + sum_{n/2<i<=3n/4}((5/6 + (n/4)/(6(n-i))) a_i + 5/6 b_i)
+    subject to a_i + b_i >= 1/n - sum_{j<i} a_j/(n-j) for i = 1..3n/4.
+    The additive constant 1/24 is carried in ``constant`` and included in
+    reported objective values.
+    """
+    _check_n(n)
+    half, three_q = n // 2, 3 * n // 4
+    var_names = ([f"a_{i}" for i in range(1, three_q + 1)]
+                 + [f"b_{i}" for i in range(1, three_q + 1)])
+    ncols = len(var_names)
+
+    def a(i): return i - 1
+    def b(i): return three_q + i - 1
+
+    objective = [Fraction(0)] * ncols
+    quarter = Fraction(n, 4)
+    for i in range(1, half + 1):
+        objective[a(i)] = 1 + Fraction(i - quarter, 6 * (n - i))
+        objective[b(i)] = Fraction(5, 6)
+    for i in range(half + 1, three_q + 1):
+        objective[a(i)] = Fraction(5, 6) + Fraction(quarter, 6 * (n - i))
+        objective[b(i)] = Fraction(5, 6)
+
+    rows, rhs, row_names = [], [], []
+    for i in range(1, three_q + 1):
+        row = [Fraction(0)] * ncols
+        row[a(i)] = Fraction(1)
+        row[b(i)] = Fraction(1)
+        for j in range(1, i):
+            row[a(j)] = Fraction(1, n - j)
+        rows.append(row)
+        rhs.append(Fraction(1, n))
+        row_names.append(f"position_{i}")
+
+    return LpModel(objective, rows, rhs, var_names, row_names,
+                   {"family": "general_lb", "n": n},
+                   constant=Fraction(1, 24))
+
+
+def _reference_pivot(tab: np.ndarray, basis: list[int], r: int, c: int):
+    tab[r] /= tab[r, c]
+    col = tab[:, c].copy()
+    col[r] = 0.0
+    tab -= np.outer(col, tab[r])
+    basis[r] = c
+
+
+def _reference_bland_iterate(tab: np.ndarray, basis: list[int], ncols: int,
+                   max_iter: int) -> tuple[str, int]:
+    """Run simplex iterations on a tableau whose last row holds reduced
+    costs (to be driven non-negative) and last column the rhs."""
+    it = 0
+    while True:
+        cost = tab[-1, :ncols]
+        entering = -1
+        for jx in range(ncols):
+            if cost[jx] < -PIVOT_TOL:
+                entering = jx
+                break
+        if entering < 0:
+            return "optimal", it
+        ratios = []
+        for r in range(tab.shape[0] - 1):
+            if tab[r, entering] > PIVOT_TOL:
+                ratios.append((tab[r, -1] / tab[r, entering], basis[r], r))
+        if not ratios:
+            return "unbounded", it
+        ratios.sort(key=lambda t: (t[0], t[1]))   # Bland: lowest basis index
+        _reference_pivot(tab, basis, ratios[0][2], entering)
+        it += 1
+        if it > max_iter:
+            raise RuntimeError("simplex iteration limit exceeded")
+
+
+def reference_simplex(model: LpModel) -> LpSolution:
+    """Two-phase dense primal simplex with Bland's rule.
+
+    The model's >= rows get surplus variables; phase 1 drives artificial
+    variables out, phase 2 minimizes the true objective.  Reported
+    objective includes the model constant.
+    """
+    m, nv = model.num_rows, model.num_vars
+    A = np.array([[float(c) for c in row] for row in model.rows])
+    bvec = np.array([float(v) for v in model.rhs])
+    cvec = np.array([float(v) for v in model.objective])
+
+    # standard form: [A | -I_surplus] x = b, then flip rows to make b >= 0
+    full = np.hstack([A, -np.eye(m)])
+    for r in range(m):
+        if bvec[r] < 0:
+            full[r] *= -1.0
+            bvec[r] *= -1.0
+    ncols = nv + m
+    tab = np.zeros((m + 1, ncols + m + 1))
+    tab[:m, :ncols] = full
+    tab[:m, ncols:ncols + m] = np.eye(m)       # artificials
+    tab[:m, -1] = bvec
+    basis = [ncols + r for r in range(m)]
+
+    # phase 1: minimize the artificial sum
+    tab[-1, ncols:ncols + m] = 1.0
+    for r in range(m):
+        tab[-1] -= tab[r]
+    status, it1 = _reference_bland_iterate(tab, basis, ncols + m,
+                                           10000 * (m + ncols))
+    if status != "optimal" or tab[-1, -1] < -FEAS_TOL:
+        return LpSolution("infeasible", math.nan, None, math.nan, it1)
+
+    # drive any leftover artificial out of the basis or drop its row
+    keep = []
+    for r in range(m):
+        if basis[r] >= ncols:
+            pivot_col = -1
+            for jx in range(ncols):
+                if abs(tab[r, jx]) > PIVOT_TOL:
+                    pivot_col = jx
+                    break
+            if pivot_col >= 0:
+                _reference_pivot(tab[:m + 1], basis, r, pivot_col)
+                keep.append(r)
+            # else: redundant row, drop it
+        else:
+            keep.append(r)
+    tab = np.vstack([tab[keep][:, list(range(ncols)) + [-1]],
+                     np.zeros(ncols + 1)])
+    basis = [basis[r] for r in keep]
+
+    # phase 2: true objective
+    tab[-1, :nv] = cvec
+    for r, bi in enumerate(basis):
+        if tab[-1, bi] != 0.0:
+            tab[-1] -= tab[-1, bi] * tab[r]
+    status, it2 = _reference_bland_iterate(tab, basis, ncols,
+                                           10000 * (m + ncols))
+    if status == "unbounded":
+        return LpSolution("unbounded", -math.inf, None, math.nan, it1 + it2)
+
+    x = np.zeros(ncols)
+    for r, bi in enumerate(basis):
+        x[bi] = tab[r, -1]
+    x = x[:nv]
+    rhs0 = np.array([float(v) for v in model.rhs])
+    violation = float(np.max(np.maximum(rhs0 - A @ x, 0.0), initial=0.0))
+    obj = float(cvec @ x) + float(model.constant)
+    return LpSolution("optimal", obj, x, violation, it1 + it2)
 
 
 def rebuild_beta_rows(n, lam, beta):
@@ -319,3 +546,216 @@ class TestCombinedBound:
 
     def test_min_curve_at_zero_beta(self):
         assert min(0.5 + 0 / 2, 0.5312 - 0) == 0.5
+
+
+# ---------------------------------------------------------------------------
+# Builders against the references
+# ---------------------------------------------------------------------------
+
+BUILDER_NS = range(4, 65, 4)
+
+
+def assert_same_model(model, ref):
+    assert model.rows == ref.rows
+    assert model.objective == ref.objective
+    assert model.rhs == ref.rhs
+    assert (model.var_names, model.row_names, model.metadata, model.constant) \
+        == (ref.var_names, ref.row_names, ref.metadata, ref.constant)
+    assert model.to_text() == ref.to_text()
+
+
+class TestBuildersMatchReference:
+    @pytest.mark.parametrize("n", BUILDER_NS)
+    def test_beta(self, n):
+        beta = Fraction(1, 100)
+        ref = reference_trace_lp(n, beta, pos_hi=n, sh_lo=n // 2,
+                                 metadata={"family": "beta", "n": n,
+                                           "beta": beta})
+        assert_same_model(build_lp_beta(n, beta), ref)
+
+    @pytest.mark.parametrize("n", BUILDER_NS)
+    def test_beta_lambda(self, n):
+        for lam in (Fraction(1, 2), Fraction(13, 16), Fraction(1)):
+            if (lam * n).denominator != 1:
+                continue
+            lam_n = int(lam * n)
+            ref = reference_trace_lp(n, Fraction(0), pos_hi=lam_n,
+                                     sh_lo=lam_n,
+                                     metadata={"family": "beta_lambda",
+                                               "n": n, "lambda": lam,
+                                               "beta": Fraction(0)})
+            assert_same_model(build_lp_beta_lambda(n, lam, 0), ref)
+
+    @pytest.mark.parametrize("n", BUILDER_NS)
+    def test_general(self, n):
+        assert_same_model(build_lp_general(n), reference_general_lp(n))
+
+    def test_negative_beta_rejected(self):
+        calls = (lambda: build_lp_beta(8, -1),
+                 lambda: build_lp_beta_lambda(16, Fraction(13, 16),
+                                              Fraction(-1, 100)),
+                 lambda: closed_form_beta_lambda(16, Fraction(13, 16), -0.01))
+        for call in calls:
+            with pytest.raises(ValueError, match="beta must be non-negative"):
+                call()
+
+
+# ---------------------------------------------------------------------------
+# The simplex kernel against the reference
+# ---------------------------------------------------------------------------
+
+def random_lp(seed: int) -> LpModel:
+    """Up to 7 rows and 7 variables with integer data in [-3, 3] and many
+    zeros, so degenerate vertices are common; costs lie in [-1, 3].  About
+    40% come out optimal, 40% infeasible and 20% unbounded."""
+    rng = np.random.default_rng(seed)
+    m, nv = (int(v) for v in rng.integers(1, 8, size=2))
+
+    def ints(size, p_zero, low=-3):
+        values = rng.integers(low, 4, size=size)
+        return [Fraction(int(v)) for v in
+                np.where(rng.random(size) < p_zero, 0, values)]
+
+    rows = [ints(nv, 0.4) for _ in range(m)]
+    return LpModel(ints(nv, 0.3, low=-1), rows, ints(m, 0.4),
+                   [f"x{j}" for j in range(nv)], [f"r{i}" for i in range(m)])
+
+
+def beale_lp() -> LpModel:
+    """Beale's example: largest-coefficient pricing with lowest-index ties
+    cycles on it through degenerate pivots.  The optimum is -5/4."""
+    f = Fraction
+    return LpModel([f(-3, 4), f(20), f(-1, 2), f(6)],
+                   [[f(-1, 4), f(8), f(1), f(-9)],
+                    [f(-1, 2), f(12), f(1, 2), f(-3)],
+                    [f(0), f(0), f(-1), f(0)]],
+                   [f(0), f(0), f(-1)],
+                   ["x4", "x5", "x6", "x7"], ["r1", "r2", "r3"])
+
+
+class TestSimplexKernel:
+    @pytest.mark.parametrize("n", [4, 8, 16, 32, 64])
+    def test_families_match_reference(self, n):
+        models = [build_lp_beta(n, Fraction(1, 100)), build_lp_general(n)]
+        models += [build_lp_beta_lambda(n, lam, beta)
+                   for lam in (Fraction(3, 4), Fraction(7, 8))
+                   if (lam * n).denominator == 1
+                   for beta in (0, Fraction(1, 100))]
+        for model in models:
+            ours, ref = simplex_solve(model), reference_simplex(model)
+            assert ours.status == ref.status == "optimal"
+            assert abs(ours.objective - ref.objective) <= KERNEL_TOL
+            assert ours.max_violation <= FEAS_TOL
+
+    def test_random_lps_match_reference(self):
+        statuses = Counter()
+        for seed in range(500):
+            model = random_lp(seed)
+            ours, ref = simplex_solve(model), reference_simplex(model)
+            assert ours.status == ref.status, seed
+            if ours.status == "optimal":
+                assert abs(ours.objective - ref.objective) <= KERNEL_TOL, seed
+                assert ours.max_violation <= FEAS_TOL, seed
+                assert (ours.x >= -FEAS_TOL).all(), seed
+            statuses[ours.status] += 1
+        assert min(statuses[s] for s in
+                   ("optimal", "infeasible", "unbounded")) >= 50, statuses
+
+    def test_ratio_test_ties_go_to_lowest_basis_index(self):
+        # entering column 0: rows 0 and 1 tie at ratio 1/2, row 2 has 1
+        tab = np.array([[2.0, 1.0], [4.0, 2.0], [1.0, 1.0], [-1.0, 0.0]])
+        assert _leaving_row(tab, np.array([7, 3, 5]), 0) == 1
+        assert _leaving_row(tab, np.array([3, 7, 5]), 0) == 0
+        tab[:3, 0] = -1.0
+        assert _leaving_row(tab, np.array([3, 7, 5]), 0) == -1
+
+    def test_degenerate_cycle_falls_back_to_bland(self):
+        sol = simplex_solve(beale_lp())
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(-1.25, abs=KERNEL_TOL)
+        # the largest-coefficient rule cycled until the fallback took over
+        assert sol.iterations > DEGENERATE_LIMIT
+        assert reference_simplex(beale_lp()).objective == \
+            pytest.approx(-1.25, abs=KERNEL_TOL)
+
+    def test_non_finite_fields_serialise_as_null(self):
+        infeasible = LpModel([Fraction(1)], [[Fraction(1)], [Fraction(-1)]],
+                             [Fraction(1), Fraction(0)], ["x"], ["lo", "hi"])
+        unbounded = LpModel([Fraction(-1)], [[Fraction(1)]], [Fraction(1)],
+                            ["x"], ["c1"])
+        for model, status in ((infeasible, "infeasible"),
+                              (unbounded, "unbounded")):
+            fields = simplex_solve(model).to_dict()
+            assert fields["status"] == status
+            assert fields["objective"] is None
+            assert fields["max_violation"] is None
+            json.dumps(fields, allow_nan=False)
+
+
+# ---------------------------------------------------------------------------
+# The exact recursion for the general program
+# ---------------------------------------------------------------------------
+
+GENERAL_NS = [8, 16, 32, 64, 128, 256]
+# the first row whose b is positive at the optimum
+SWITCH_POINTS = {8: 6, 16: 12, 32: 23, 64: 45, 128: 90, 256: 180}
+
+
+class TestSolveGeneral:
+    @pytest.mark.parametrize("n", GENERAL_NS)
+    def test_matches_simplex(self, n):
+        model = build_lp_general(n)
+        exact, simplex = solve_general(model), simplex_solve(model)
+        assert exact.status == "optimal"
+        assert abs(exact.objective - simplex.objective) <= EXACT_TOL
+        assert exact.max_violation <= FEAS_TOL
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    def test_matches_scipy(self, n):
+        model = build_lp_general(n)
+        assert abs(solve_general(model).objective - scipy_optimum(model)) \
+            <= EXACT_TOL
+
+    @pytest.mark.parametrize("n", GENERAL_NS)
+    def test_exact_point_is_feasible_and_attains_cost_to_go(self, n):
+        model = build_lp_general(n)
+        sol = solve_general(model)
+        assert all(v >= 0 for v in sol.exact)
+        for row, rhs in zip(model.rows, model.rhs):
+            assert sum(c * v for c, v in zip(row, sol.exact) if c) >= rhs
+        value = sum(c * v for c, v in zip(model.objective, sol.exact)) \
+            + model.constant
+        assert value == general_cost_to_go(model)[0] / n + Fraction(1, 24)
+        assert sol.objective == float(value)
+
+    def test_switch_points(self):
+        for n, t in SWITCH_POINTS.items():
+            sol = solve_general(build_lp_general(n))
+            assert sol.structure == {"switch_point": t}
+            rows = 3 * n // 4
+            a, b = sol.exact[:rows], sol.exact[rows:]
+            # a takes the residual before t, b from t on
+            assert all(v > 0 for v in a[:t - 1]) and not any(a[t - 1:])
+            assert not any(b[:t - 1]) and all(v > 0 for v in b[t - 1:])
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 256, 1024])
+    def test_unit_b_cost_above_half_reaches_closed_form(self, n):
+        # with c_b = 1 instead of 5/6 on n/2 < i <= 3n/4, the optimum is the
+        # all-a point that closed_form_general evaluates; build_lp_general
+        # keeps 5/6 (see ROADMAP, Open item 2a)
+        model = build_lp_general(n)
+        rows = 3 * n // 4
+        for i in range(n // 2 + 1, rows + 1):
+            model.objective[rows + i - 1] = Fraction(1)
+        sol = solve_general(model)
+        assert sol.objective - closed_form_general(n) == 0.0
+        # only the last row uses b: there c_a = c_b = 1, and ties go to b
+        assert sol.structure == {"switch_point": rows}
+
+    def test_refuses_other_families_and_negative_costs(self):
+        with pytest.raises(ValueError, match="general"):
+            solve_general(build_lp_beta(8, 0))
+        model = build_lp_general(8)
+        model.objective[0] = Fraction(-1)
+        with pytest.raises(ValueError, match="non-negative"):
+            solve_general(model)
