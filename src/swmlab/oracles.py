@@ -3,7 +3,9 @@
 Item sets are handled internally as integer bitmasks over the ground set
 ``{0, .., n-1}``.  Public entry points accept any iterable of item indices.
 All oracles are immutable after construction and cache their full value
-table for small ground sets, so repeated queries are array lookups.
+table for small ground sets, so repeated queries are array lookups.  Each
+family also evaluates an int64 array of bitmasks at once (``_values``),
+which builds that table and serves the sampled check above it.
 """
 from __future__ import annotations
 
@@ -18,7 +20,9 @@ import numpy as np
 from .errors import AxiomViolationError, InvalidQueryError, SizeGuardError
 
 ABS_TOL = 1e-12
-EXHAUSTIVE_MAX_N = 12    # value-table precompute and exhaustive-check cap
+EXHAUSTIVE_MAX_N = 16    # value-table precompute and exhaustive-check cap
+SAMPLED_MAX_N = 63       # spot-check sets are int64 bitmasks
+TABLE_CHUNK = 1 << 12    # sets per vectorised call while building a table
 
 
 def as_mask(items: Iterable[int], n: int) -> int:
@@ -63,10 +67,13 @@ def mask_items(mask: int) -> tuple[int, ...]:
 class ValuationOracle:
     """Base class: a monotone, normalized, submodular set function.
 
-    Subclasses implement ``_raw_value(mask)``, or set ``_table`` to their
-    full value table before calling ``__init__``; queries go through
-    ``value_mask`` which serves from the table when there is one.  The
-    table is precomputed when the ground set is small enough.
+    Subclasses implement ``_raw_value(mask)`` for one set and
+    ``_values(masks)`` for an int64 array of sets, bit-identical to it
+    (each sums its terms in the order ``_raw_value`` does, and an absent
+    term adds 0.0), or set ``_table`` to their full value table before
+    calling ``__init__``.  Queries go through ``value_mask``, which serves
+    from the table when there is one.  The table is built with
+    ``_values`` when the ground set is small enough.
     """
 
     kind = "abstract"
@@ -79,10 +86,14 @@ class ValuationOracle:
         self._full = (1 << n) - 1
         if self._table is None and n <= EXHAUSTIVE_MAX_N:
             self._table = np.empty(1 << n)
-            for m in range(1 << n):
-                self._table[m] = self._raw_value(m)
+            for lo in range(0, 1 << n, TABLE_CHUNK):
+                hi = min(lo + TABLE_CHUNK, 1 << n)
+                self._table[lo:hi] = self._values(np.arange(lo, hi))
 
     def _raw_value(self, mask: int) -> float:
+        raise NotImplementedError
+
+    def _values(self, masks: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def value_mask(self, mask: int) -> float:
@@ -149,12 +160,14 @@ class CoverageOracle(ValuationOracle):
         self.item_sets = [tuple(sorted(set(_integer(e, "element index")
                                            for e in s))) for s in item_sets]
         self._elem_masks = []
-        for s in self.item_sets:
+        self._holders = [0] * u      # per element: the items covering it
+        for i, s in enumerate(self.item_sets):
             em = 0
             for e in s:
                 if e < 0 or e >= u:
                     raise ValueError(f"element {e} outside universe of size {u}")
                 em |= 1 << e
+                self._holders[e] |= 1 << i
             self._elem_masks.append(em)
         self._weight_cache: dict[int, float] = {0: 0.0}
         super().__init__(len(self.item_sets))
@@ -182,6 +195,12 @@ class CoverageOracle(ValuationOracle):
             i += 1
         return self._covered_weight(em)
 
+    def _values(self, masks):
+        total = np.zeros(len(masks))
+        for w, holders in zip(self.universe_weights, self._holders):
+            total += ((masks & holders) != 0) * w
+        return total
+
     def to_spec(self):
         return {"kind": "coverage",
                 "universe_weights": list(self.universe_weights),
@@ -208,6 +227,12 @@ class BudgetedAdditiveOracle(ValuationOracle):
             mask >>= 1
             i += 1
         return min(self.budget, total)
+
+    def _values(self, masks):
+        total = np.zeros(len(masks))
+        for i, w in enumerate(self.weights):
+            total += (masks >> i & 1) * w
+        return np.minimum(self.budget, total)
 
     def to_spec(self):
         return {"kind": "budgeted_additive", "budget": self.budget,
@@ -239,6 +264,15 @@ class BMatchingOracle(ValuationOracle):
             i += 1
         ws.sort(reverse=True)
         return float(sum(ws[:self.capacity]))
+
+    def _values(self, masks):
+        total = np.zeros(len(masks))
+        taken = np.zeros(len(masks), dtype=np.int64)
+        for i in sorted(range(self.n), key=lambda i: -self.weights[i]):
+            take = (masks >> i & 1) * (taken < self.capacity)
+            total += take * self.weights[i]
+            taken += take
+        return total
 
     def to_spec(self):
         return {"kind": "b_matching", "capacity": self.capacity,
@@ -289,8 +323,16 @@ class CutOracle(ValuationOracle):
                 total += w
         return total
 
+    def _values(self, masks):
+        inside = {SINK: False}
+        inside.update((i, (masks & 1 << i) != 0) for i in range(self.n))
+        total = np.zeros(len(masks))
+        for u, v, w in self.edges:
+            total += (inside[u] ^ inside[v]) * w
+        return total
+
     def _check_monotone(self):
-        mono, _ = _first_violations(self._table, self.n, self._full, ABS_TOL)
+        mono, _ = _first_violations(self._table, self.n, ABS_TOL)
         if mono is not None:
             a, e = mono
             raise AxiomViolationError("cut construction is not monotone",
@@ -306,9 +348,26 @@ def subset_key(items: Iterable[int]) -> str:
     return ",".join(str(i) for i in sorted(items))
 
 
-def _parse_subset_key(key, n) -> int:
+def _subset_keys(n: int) -> list[str]:
+    """``subset_key`` of every set over ``n`` items, indexed by bitmask."""
+    keys = [""]
+    for i in range(n):
+        keys += [f"{k},{i}" if k else str(i) for k in keys]
+    return keys
+
+
+def _parse_subset_key(key, n, bits: dict) -> int:
+    """Bitmask of a table key.  ``bits`` maps ``str(i)`` to ``1 << i`` for
+    every item, which reads a key spelled as ``subset_key`` does (in any
+    order); other keys (blank parts, item lists) are parsed in full."""
     if isinstance(key, str):
-        items = [int(p) for p in key.split(",") if p != ""]
+        try:
+            mask = 0
+            for p in key.split(","):
+                mask |= bits[p]
+            return mask
+        except KeyError:
+            items = [int(p) for p in key.split(",") if p != ""]
     else:
         items = list(key)
     return as_mask(items, n)
@@ -324,8 +383,9 @@ class TableOracle(ValuationOracle):
         if n > 20:
             raise SizeGuardError(f"table oracle limited to n <= 20, got {n}")
         table = np.full(1 << n, np.nan)
+        bits = {str(i): 1 << i for i in range(n)}
         for key, v in values.items():
-            table[_parse_subset_key(key, n)] = _finite(v, "table value")
+            table[_parse_subset_key(key, n, bits)] = _finite(v, "table value")
         missing = np.flatnonzero(np.isnan(table))
         if missing.size:
             raise ValueError(
@@ -340,10 +400,13 @@ class TableOracle(ValuationOracle):
                     f"table violates axioms: {report.failed_axioms()}",
                     witness=report.witnesses)
 
+    def _values(self, masks):
+        return self._table[masks]
+
     def to_spec(self):
         return {"kind": "table", "n": self.n,
-                "table": {subset_key(mask_items(m)): float(self._table[m])
-                          for m in range(1 << self.n)}}
+                "table": dict(zip(_subset_keys(self.n),
+                                  self._table.tolist()))}
 
 
 def make_coverage(universe_weights, item_sets) -> CoverageOracle:
@@ -375,8 +438,7 @@ def tabulate(oracle: ValuationOracle) -> TableOracle:
     """Freeze any small oracle into an explicit table oracle."""
     if oracle.n > EXHAUSTIVE_MAX_N:
         raise SizeGuardError("tabulate requires n <= %d" % EXHAUSTIVE_MAX_N)
-    vals = {subset_key(mask_items(m)): oracle.value_mask(m)
-            for m in range(1 << oracle.n)}
+    vals = dict(zip(_subset_keys(oracle.n), oracle._table.tolist()))
     return TableOracle(oracle.n, vals, check=False)
 
 
@@ -429,34 +491,51 @@ class AxiomReport:
                 "witnesses": {k: repr(v) for k, v in self.witnesses.items()}}
 
 
-def _first_violations(t: np.ndarray, n: int, free: int, tol: float):
+def _spread(x, items):
+    """Insert a zero bit at each of the distinct positions ``items`` of
+    ``x`` (an int or an int array): bit j of ``x`` moves to the j-th
+    position outside ``items``.  The map keeps the order of its inputs."""
+    for i in sorted(items):
+        x = (x >> i << (i + 1)) | (x & ((1 << i) - 1))
+    return x
+
+
+def _face(cube: np.ndarray, fixed: dict) -> np.ndarray:
+    """View of the sets that contain item i exactly when ``fixed[i]`` is 1,
+    over a value table reshaped to one axis per item (item i on axis
+    n-1-i).  In C order it lists the sets outside ``fixed`` ascending, so
+    its flat index k stands for the set ``_spread(k, fixed)`` plus the
+    fixed items that are in."""
+    idx = [slice(None)] * cube.ndim
+    for i, bit in fixed.items():
+        idx[cube.ndim - 1 - i] = bit
+    return cube[tuple(idx)]
+
+
+def _first_violations(t: np.ndarray, n: int, tol: float):
     """First violations of monotonicity and local submodularity of the set
     function with value table ``t`` (indexed by bitmask over ``n`` items).
 
-    A runs over the subsets of ``free``, and e, f over distinct items of
-    ``free`` outside A.  Returns ``(mono, sub)``: the first ``(A, e)`` with
-    v(A + e) < v(A) - tol and the first ``(A, f, e)`` with
-    MG(A, e) < MG(A + f, e) - tol, each first in ascending (A, e, f) order
-    and None when there is no violation.  Sets are bitmasks.
+    A runs over all sets, and e, f over distinct items outside A.  Returns
+    ``(mono, sub)``: the first ``(A, e)`` with v(A + e) < v(A) - tol and
+    the first ``(A, f, e)`` with MG(A, e) < MG(A + f, e) - tol, each first
+    in ascending (A, e, f) order and None when there is no violation.  Sets
+    are bitmasks.  Each pair {e, f} reads only the four views of the table
+    on the 2^(n-2) sets outside it.
     """
-    masks = np.arange(1 << n)
-    in_free = (masks & ~free) == 0
+    cube = t.reshape((2,) * n)
     mono, sub = [], []
-    for e in mask_items(free):
-        ebit = 1 << e
-        a_ok = in_free & ((masks & ebit) == 0)
-        t_e = t[masks | ebit]
-        hits = np.flatnonzero(a_ok & (t_e < t - tol))
+    for e in range(n):
+        hits = np.flatnonzero(_face(cube, {e: 1}) < _face(cube, {e: 0}) - tol)
         if hits.size:
-            mono.append((int(hits[0]), e))
-        mg = t_e - t
-        for f in mask_items(free & ~ebit):
-            fbit = 1 << f
-            mg_f = t[masks | ebit | fbit] - t[masks | fbit]
-            hits = np.flatnonzero(a_ok & ((masks & fbit) == 0)
-                                  & (mg < mg_f - tol))
+            mono.append((_spread(int(hits[0]), (e,)), e))
+    for e, f in itertools.combinations(range(n), 2):
+        t_a, t_e, t_f, t_ef = (_face(cube, {e: x, f: y})
+                               for x, y in ((0, 0), (1, 0), (0, 1), (1, 1)))
+        for x, y, t_x, t_y in ((e, f, t_e, t_f), (f, e, t_f, t_e)):
+            hits = np.flatnonzero(t_x - t_a < t_ef - t_y - tol)
             if hits.size:
-                sub.append((int(hits[0]), e, f))
+                sub.append((_spread(int(hits[0]), (e, f)), x, y))
     mono = min(mono, default=None)
     if not sub:
         return mono, None
@@ -467,9 +546,12 @@ def _first_violations(t: np.ndarray, n: int, free: int, tol: float):
 def check_axioms(oracle: ValuationOracle, tol: float = ABS_TOL) -> AxiomReport:
     """Exhaustively verify normalization, monotonicity and submodularity.
 
-    Witnesses record the first violation per axiom: ``(A, e)`` for
-    monotonicity and ``(A, S, e)`` with a negative gain reduction for
-    submodularity.  Refuses ground sets above the exhaustive cap.
+    Reads the oracle's value table, so every set and every pair of items
+    outside it is checked.  Witnesses record the first violation per axiom
+    in ascending (A, e, f) order: ``(A, e)`` for monotonicity and
+    ``(A, {f}, e)`` with a negative gain reduction for submodularity.
+    Refuses ground sets above the exhaustive cap ``EXHAUSTIVE_MAX_N``;
+    ``spot_check_axioms`` samples those.
     """
     n = oracle.n
     if n > EXHAUSTIVE_MAX_N:
@@ -480,7 +562,7 @@ def check_axioms(oracle: ValuationOracle, tol: float = ABS_TOL) -> AxiomReport:
     normalized = abs(oracle.value_mask(0)) <= tol
     if not normalized:
         witnesses["normalized"] = (oracle.value_mask(0),)
-    mono, sub = _first_violations(oracle._table, n, oracle._full, tol)
+    mono, sub = _first_violations(oracle._table, n, tol)
     if mono is not None:
         a, e = mono
         witnesses["monotone"] = (frozenset(mask_items(a)), e)
@@ -504,28 +586,39 @@ class SpotCheckReport:
 
 def spot_check_axioms(oracle: ValuationOracle, samples: int = 100_000,
                       seed: int = 0, tol: float = ABS_TOL) -> SpotCheckReport:
-    """Randomized scan for large ground sets.
+    """Randomized scan for ground sets above the exhaustive cap.
 
-    Samples ``samples`` (A, f, e) triples from a seeded generator and tests
-    the monotone and submodular inequalities.  A clean run means "no
-    violation found", never "passes".
+    Draws ``samples`` triples (A, f, e), e != f both outside A, in one
+    batch from a generator seeded with ``seed``, and tests
+    MG(A, e) >= -tol and MG(A, e) >= MG(A + f, e) - tol on all of them with
+    one vectorised evaluation per term.  The report holds the first
+    violating sample (monotonicity before submodularity within a sample).
+    A clean run means "no violation found", never "passes".  Needs
+    2 <= n <= ``SAMPLED_MAX_N``, since the sets are int64 bitmasks.
     """
-    rng = np.random.default_rng(seed)
     n = oracle.n
-    for _ in range(samples):
-        m = int(rng.integers(0, 1 << n))
-        e, f = (int(x) for x in rng.choice(n, size=2, replace=False))
-        m &= ~((1 << e) | (1 << f))
-        mg_a = oracle.marginal_gain_mask(m, e)
-        if mg_a < -tol:
-            return SpotCheckReport(samples, seed,
-                                   ("monotone", frozenset(mask_items(m)), e))
-        mg_af = oracle.marginal_gain_mask(m | (1 << f), e)
-        if mg_a < mg_af - tol:
-            return SpotCheckReport(samples, seed,
-                                   ("submodular", frozenset(mask_items(m)),
-                                    frozenset((f,)), e))
-    return SpotCheckReport(samples, seed, None)
+    if n > SAMPLED_MAX_N:
+        raise SizeGuardError(
+            f"sampled axiom check limited to n <= {SAMPLED_MAX_N} "
+            f"(int64 bitmasks); got n={n}")
+    rng = np.random.default_rng(seed)
+    e = rng.integers(0, n, size=samples)
+    f = (e + rng.integers(1, n, size=samples)) % n
+    ebit, fbit = 1 << e, 1 << f
+    a = rng.integers(0, 1 << n, size=samples) & ~(ebit | fbit)
+    values = oracle._values
+    mg = values(a | ebit) - values(a)
+    mono = mg < -tol
+    bad = np.flatnonzero(
+        mono | (mg < values(a | ebit | fbit) - values(a | fbit) - tol))
+    if not bad.size:
+        return SpotCheckReport(samples, seed, None)
+    k = bad[0]
+    aset, ek = frozenset(mask_items(int(a[k]))), int(e[k])
+    if mono[k]:
+        return SpotCheckReport(samples, seed, ("monotone", aset, ek))
+    return SpotCheckReport(samples, seed,
+                           ("submodular", aset, frozenset((int(f[k]),)), ek))
 
 
 # ---------------------------------------------------------------------------
@@ -576,21 +669,19 @@ def classify_second_order(oracle: ValuationOracle,
         raise SizeGuardError(
             f"second-order classification limited to n <= {EXHAUSTIVE_MAX_N} "
             f"(got n={n})")
-    t = oracle._table
-    masks = np.arange(1 << n)
+    cube = oracle._table.reshape((2,) * n)
     wit = [None, None]   # violates GR(A,..) >= GR(B,..), resp. <=
     for f, s, e in itertools.combinations(range(n), 3):
-        fbit, sbit, ebit = 1 << f, 1 << s, 1 << e
-        c = masks[(masks & (fbit | sbit | ebit)) == 0]
-        cf = c | fbit
-        d = (((t[c | ebit] - t[c]) - (t[c | sbit | ebit] - t[c | sbit]))
-             - ((t[cf | ebit] - t[cf]) - (t[cf | sbit | ebit] - t[cf | sbit])))
+        def t(x, y, z):     # v(C + the items among f, s, e that are in)
+            return _face(cube, {f: x, s: y, e: z})
+        d = (((t(0, 0, 1) - t(0, 0, 0)) - (t(0, 1, 1) - t(0, 1, 0)))
+             - ((t(1, 0, 1) - t(1, 0, 0)) - (t(1, 1, 1) - t(1, 1, 0))))
         for k, bad in enumerate((d < -tol, d > tol)):
             hits = np.flatnonzero(bad)
             if wit[k] is None and hits.size:
-                a = int(c[hits[0]])
+                a = _spread(int(hits[0]), (f, s, e))
                 wit[k] = (frozenset(mask_items(a)),
-                          frozenset(mask_items(a | fbit)),
+                          frozenset(mask_items(a | 1 << f)),
                           frozenset((s,)), e)
         if None not in wit:
             break
@@ -624,7 +715,7 @@ def check_R_submodular(oracle: ValuationOracle, s: Iterable[int],
 
     R(A) = (v(S+Z) - v(Z)) - (v(S+Z+A) - v(Z+A)) on subsets A of the ground
     set outside S and Z.  For second-order supermodular oracles R must be
-    submodular; this checks it exhaustively.
+    submodular; this checks it exhaustively, on R's table over those sets.
     """
     n = oracle.n
     if n > EXHAUSTIVE_MAX_N:
@@ -634,14 +725,18 @@ def check_R_submodular(oracle: ValuationOracle, s: Iterable[int],
     if smask & zmask:
         raise ValueError("S and Z must be disjoint")
     t = oracle._table
-    masks = np.arange(1 << n)
+    sz = mask_items(smask | zmask)
+    # r[x] = R(sets[x]), where bit j of x stands for the j-th item outside
+    # S and Z; both maps keep the ascending (A, e, f) witness order
+    sets = _spread(np.arange(1 << (n - len(sz))), sz)
+    domain = [i for i in range(n) if i not in sz]
     base = t[smask | zmask] - t[zmask]
-    r = base - (t[masks | smask | zmask] - t[masks | zmask])
-    domain = oracle._full & ~(smask | zmask)
-    _, sub = _first_violations(r, n, domain, tol)
+    r = base - (t[sets | smask | zmask] - t[sets | zmask])
+    _, sub = _first_violations(r, len(domain), tol)
     sset, zset = frozenset(mask_items(smask)), frozenset(mask_items(zmask))
     if sub is None:
         return RSubmodularReport(True, sset, zset)
     a, f, e = sub
-    witness = (frozenset(mask_items(a)), frozenset((f,)), e)
+    witness = (frozenset(mask_items(int(sets[a]))), frozenset((domain[f],)),
+               domain[e])
     return RSubmodularReport(False, sset, zset, witness)

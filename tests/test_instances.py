@@ -8,8 +8,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import swmlab as sl
 from swmlab.cli import main
-from swmlab.errors import InstanceFormatError, SwmlabError
+from swmlab.errors import AxiomViolationError, InstanceFormatError, SwmlabError
 from swmlab.instances import instance_from_spec
+from swmlab.oracles import TableOracle, _subset_keys, mask_items
 
 NAN, INF = math.nan, math.inf
 BUDGETED = {"kind": "budgeted_additive", "budget": 1.0, "weights": [0.5, 0.7]}
@@ -117,6 +118,36 @@ def test_table_ground_size_inferred_from_keys(table, n):
 def test_table_without_item_keys_defaults_to_one_item():
     with pytest.raises(InstanceFormatError, match="missing 1 subsets"):
         instance_from_spec({"agents": [{"kind": "table", "table": {"": 0}}]})
+
+
+@pytest.mark.parametrize("n", [14, 16])
+def test_planted_submodularity_violation_rejected_on_load(n, tmp_path, capsys):
+    """v(S) = |S|, plus 0.5 on one three-item set P: still monotone, but
+    MG(A, e) < MG(A + f, e) for every A = P - {e, f}."""
+    planted = 0b111 << (n // 2)
+    vals = {key: m.bit_count() + 0.5 * (m == planted)
+            for m, key in enumerate(_subset_keys(n))}
+    with pytest.raises(AxiomViolationError) as err:
+        sl.make_table(n, vals)
+    assert list(err.value.witness) == ["submodular"]
+    a, s, e = err.value.witness["submodular"]
+    assert a | s | {e} == set(mask_items(planted))
+    unchecked = TableOracle(n, vals, check=False)
+    assert sl.gain_reduction(unchecked, a, s, e) < -1e-12
+    path = tmp_path / "planted.json"
+    path.write_text(json.dumps({"agents": [{"kind": "table", "n": n,
+                                            "table": vals}]}))
+    assert main(["classify", str(path)]) == 2
+    assert "violates axioms: ['submodular']" in capsys.readouterr().err
+
+
+def test_sampled_check_limited_to_int64_masks(capsys):
+    def spec(n):
+        return {"agents": [{"kind": "budgeted_additive", "budget": 100.0,
+                            "weights": [1.0] * n}]}
+    assert instance_from_spec(spec(63)).n == 63
+    assert _exits_2(spec(64))
+    assert "limited to n <= 63" in capsys.readouterr().err
 
 
 # Malformed-input fuzzing: field values are drawn from plausible shapes

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 import swmlab as sl
 from swmlab.errors import AxiomViolationError, InvalidQueryError, SizeGuardError
-from swmlab.instances import ORACLE_GENERATORS, random_family_instance
-from swmlab.oracles import AxiomReport, TableOracle, mask_items, subset_key
+from swmlab.instances import (ORACLE_GENERATORS, random_coverage_oracle,
+                              random_family_instance)
+from swmlab.oracles import (AxiomReport, TableOracle, _subset_keys, mask_items,
+                            subset_key)
 
 TOL = 1e-12
 
@@ -152,11 +154,31 @@ class TestConstructors:
             sl.make_table(2, {"": 0, "0": 1, "1": 1})
 
     def test_table_above_exhaustive_cap(self):
-        vals = {subset_key(mask_items(m)): 0.1 * m for m in range(1 << 13)}
-        o = sl.make_table(13, vals)
-        assert o.to_spec() == {"kind": "table", "n": 13, "table": vals}
-        for mask in (0, 1, 0b1010101010101, (1 << 13) - 1):
+        vals = {key: 0.1 * m for m, key in enumerate(_subset_keys(17))}
+        o = sl.make_table(17, vals)
+        assert o.to_spec() == {"kind": "table", "n": 17, "table": vals}
+        for mask in (0, 1, 0b10101010101010101, (1 << 17) - 1):
             assert o.value_mask(mask) == vals[subset_key(mask_items(mask))]
+
+    def test_table_key_spellings(self):
+        canonical = sl.make_table(2, {"": 0, "0": 1, "1": 1, "0,1": 1.5})
+        for vals in ({"": 0, "0": 1, " 1": 1, "1,0": 1.5},
+                     {"": 0, "00": 1, "1,": 1, "1,,0": 1.5},
+                     {(): 0, (0,): 1, (1,): 1, (1, 0): 1.5}):
+            o = sl.make_table(2, vals)
+            assert np.array_equal(o._table, canonical._table), vals
+
+    def test_subset_keys_are_canonical(self):
+        keys = _subset_keys(10)
+        assert keys == [subset_key(mask_items(m)) for m in range(1 << 10)]
+
+    def test_cut_loads_at_cap_and_is_refused_above(self):
+        def edges(n):
+            return [(i, -1, 1.0) for i in range(n)] + [(0, 1, 0.5)]
+        o = sl.make_cut(16, edges(16))
+        assert o.value_mask((1 << 16) - 1) == 16.0
+        with pytest.raises(SizeGuardError, match="exceeds 16"):
+            sl.make_cut(17, edges(17))
 
     def test_tabulate_roundtrip(self):
         o = random_oracle("coverage", 4, 7)
@@ -214,7 +236,7 @@ class TestCheckAxioms:
         assert sl.gain_reduction(o, a, s, e) < -TOL
 
     def test_refuses_large_ground_set(self):
-        o = sl.make_additive([1.0] * 13)
+        o = sl.make_additive([1.0] * 17)
         with pytest.raises(SizeGuardError):
             sl.check_axioms(o)
 
@@ -232,6 +254,82 @@ class TestCheckAxioms:
         r1 = sl.spot_check_axioms(o, samples=500, seed=3)
         r2 = sl.spot_check_axioms(o, samples=500, seed=3)
         assert r1 == r2
+
+
+def _reference_spot_check(oracle, samples, seed, tol=TOL):
+    """The sampled check one sample at a time through ``marginal_gain_mask``,
+    on the same seeded draws as ``spot_check_axioms``."""
+    n = oracle.n
+    rng = np.random.default_rng(seed)
+    es = rng.integers(0, n, size=samples)
+    fs = (es + rng.integers(1, n, size=samples)) % n
+    sets = rng.integers(0, 1 << n, size=samples)
+    for m, e, f in zip(sets.tolist(), es.tolist(), fs.tolist()):
+        m &= ~((1 << e) | (1 << f))
+        mg_a = oracle.marginal_gain_mask(m, e)
+        if mg_a < -tol:
+            return ("monotone", frozenset(mask_items(m)), e)
+        if mg_a < oracle.marginal_gain_mask(m | (1 << f), e) - tol:
+            return ("submodular", frozenset(mask_items(m)), frozenset((f,)), e)
+    return None
+
+
+class TestSpotCheck:
+    def test_first_violation_matches_scalar_loop(self):
+        pool = [_random_int_table(n, seed) for n in range(2, 7)
+                for seed in range(8)]
+        pool += [random_oracle(family, 20 if family != "cut" else 16, 3)
+                 for family in sorted(ORACLE_GENERATORS)
+                 if family != "table"]
+        kinds = set()
+        for o in pool:
+            scan = sl.spot_check_axioms(o, samples=300, seed=5)
+            assert scan.violation == _reference_spot_check(o, 300, 5), o
+            kinds.add(scan.violation and scan.violation[0])
+        assert kinds == {"monotone", "submodular", None}
+
+
+def _with_reference(family, n, seed):
+    """A random oracle of the family and its scalar reference evaluator;
+    a table's reference is the coverage oracle it was tabulated from."""
+    if family == "table":
+        cov = random_oracle("coverage", n, seed)
+        return sl.tabulate(cov), cov._raw_value
+    o = random_oracle(family, n, seed)
+    return o, o._raw_value
+
+
+class TestValuesMatchRawValue:
+    """Each family's vectorised evaluator is bit-identical to
+    ``_raw_value``."""
+
+    @pytest.mark.parametrize("family", sorted(ORACLE_GENERATORS))
+    def test_every_set_up_to_n12(self, family):
+        for n in range(1, 13):
+            o, raw = _with_reference(family, n, n)
+            masks = np.arange(1 << n)
+            expected = np.array([raw(m) for m in range(1 << n)])
+            assert np.array_equal(o._values(masks), expected)
+            assert np.array_equal(o._table, expected)
+
+    @pytest.mark.parametrize("family,n", [
+        (family, n) for family in sorted(ORACLE_GENERATORS)
+        for n in (16, 20, 40)
+        if n <= 16 or family not in ("cut", "table")])
+    def test_random_sets_above_n12(self, family, n):
+        o, raw = _with_reference(family, n, n)
+        masks = np.random.default_rng(n).integers(0, 1 << n, size=2000)
+        expected = np.array([raw(m) for m in masks.tolist()])
+        assert np.array_equal(o._values(masks), expected)
+
+    def test_coverage_universe_beyond_int64_element_masks(self):
+        for n, masks in ((10, np.arange(1 << 10)),
+                         (40, np.random.default_rng(0).integers(
+                             0, 1 << 40, size=2000))):
+            o = random_coverage_oracle(n, np.random.default_rng(n), 70)
+            assert max(e for s in o.item_sets for e in s) >= 64
+            expected = np.array([o._raw_value(m) for m in masks.tolist()])
+            assert np.array_equal(o._values(masks), expected)
 
 
 class TestClassifySecondOrder:
@@ -266,10 +364,10 @@ class TestClassifySecondOrder:
 
     def test_refuses_large_ground_set(self):
         with pytest.raises(SizeGuardError):
-            sl.classify_second_order(sl.make_additive([1.0] * 13))
+            sl.classify_second_order(sl.make_additive([1.0] * 17))
 
     def test_classifies_at_cap(self):
-        o = random_oracle("coverage", 12, 0)
+        o = random_oracle("coverage", 16, 0)
         assert sl.classify_second_order(o).label == "supermodular"
 
 
@@ -303,12 +401,12 @@ class TestRSubmodular:
                 assert rep.passed, rep.to_dict()
 
     def test_runs_at_cap(self):
-        o = random_oracle("coverage", 12, 0)
+        o = random_oracle("coverage", 16, 0)
         assert sl.check_R_submodular(o, {0, 1}, {2}).passed
 
     def test_refuses_large_ground_set(self):
         with pytest.raises(SizeGuardError):
-            sl.check_R_submodular(sl.make_additive([1.0] * 13), {0}, {1})
+            sl.check_R_submodular(sl.make_additive([1.0] * 17), {0}, {1})
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +495,9 @@ def _reference_classify_label(oracle, tol=TOL):
         found_super, found_sub]
 
 
-def _reference_R_passed(oracle, smask, zmask, tol=TOL):
+def _reference_R_witness(oracle, smask, zmask, tol=TOL):
+    """First (A, {f}, e) in ascending (A, e, f) order at which R is not
+    submodular, or None."""
     domain = ((1 << oracle.n) - 1) & ~(smask | zmask)
     base = oracle.value_mask(smask | zmask) - oracle.value_mask(zmask)
     r = {a: base - (oracle.value_mask(smask | zmask | a)
@@ -415,8 +515,8 @@ def _reference_R_passed(oracle, smask, zmask, tol=TOL):
                     continue
                 if (r[a | ebit] - r[a]
                         < r[a | ebit | fbit] - r[a | fbit] - tol):
-                    return False
-    return True
+                    return (frozenset(mask_items(a)), frozenset((f,)), e)
+    return None
 
 
 def _random_int_table(n, seed):
@@ -475,7 +575,9 @@ class TestAgainstReference:
                         continue
                     rep = sl.check_R_submodular(o, mask_items(smask),
                                                 mask_items(zmask))
-                    assert rep.passed == _reference_R_passed(o, smask, zmask)
+                    witness = _reference_R_witness(o, smask, zmask)
+                    assert rep.passed == (witness is None)
+                    assert rep.witness == witness
                     verdicts.add(rep.passed)
         assert verdicts == {True, False}
 
