@@ -67,13 +67,15 @@ def mask_items(mask: int) -> tuple[int, ...]:
 class ValuationOracle:
     """Base class: a monotone, normalized, submodular set function.
 
-    Subclasses implement ``_raw_value(mask)`` for one set and
-    ``_values(masks)`` for an int64 array of sets, bit-identical to it
-    (each sums its terms in the order ``_raw_value`` does, and an absent
-    term adds 0.0), or set ``_table`` to their full value table before
-    calling ``__init__``.  Queries go through ``value_mask``, which serves
-    from the table when there is one.  The table is built with
-    ``_values`` when the ground set is small enough.
+    Subclasses implement ``_raw_value(mask)`` for one set, or set
+    ``_table`` to their full value table before calling ``__init__``.
+    They may override ``_values(masks)``, which evaluates an int64 array
+    of sets and by default maps ``_raw_value`` over it, with a vectorised
+    evaluator bit-identical to ``_raw_value`` (each sums its terms in the
+    order ``_raw_value`` does, and an absent term adds 0.0).  Queries go
+    through ``value_mask``, which serves from the table when there is one.
+    The table is built with ``_values`` when the ground set is small
+    enough.
     """
 
     kind = "abstract"
@@ -94,7 +96,7 @@ class ValuationOracle:
         raise NotImplementedError
 
     def _values(self, masks: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return np.array([self._raw_value(int(m)) for m in masks], dtype=float)
 
     def value_mask(self, mask: int) -> float:
         if mask & ~self._full:
@@ -356,25 +358,19 @@ def _subset_keys(n: int) -> list[str]:
     return keys
 
 
-def _parse_subset_key(key, n, bits: dict) -> int:
-    """Bitmask of a table key.  ``bits`` maps ``str(i)`` to ``1 << i`` for
-    every item, which reads a key spelled as ``subset_key`` does (in any
-    order); other keys (blank parts, item lists) are parsed in full."""
+def _parse_subset_key(key, n) -> int:
     if isinstance(key, str):
-        try:
-            mask = 0
-            for p in key.split(","):
-                mask |= bits[p]
-            return mask
-        except KeyError:
-            items = [int(p) for p in key.split(",") if p != ""]
+        items = [int(p) for p in key.split(",") if p != ""]
     else:
         items = list(key)
     return as_mask(items, n)
 
 
 class TableOracle(ValuationOracle):
-    """Exact lookup oracle from an explicit table of all 2^n subset values."""
+    """Exact lookup oracle from an explicit table of all 2^n subset values.
+
+    ``values`` maps subset keys to values, or is an array of the 2^n values
+    indexed by bitmask (copied)."""
 
     kind = "table"
 
@@ -382,10 +378,17 @@ class TableOracle(ValuationOracle):
         n = _integer(n, "n")
         if n > 20:
             raise SizeGuardError(f"table oracle limited to n <= 20, got {n}")
-        table = np.full(1 << n, np.nan)
-        bits = {str(i): 1 << i for i in range(n)}
-        for key, v in values.items():
-            table[_parse_subset_key(key, n, bits)] = _finite(v, "table value")
+        if isinstance(values, np.ndarray):
+            if values.shape != (1 << n,):
+                raise ValueError(f"table array must have shape ({1 << n},), "
+                                 f"got {values.shape}")
+            table = np.array(values, dtype=float)
+            if not np.isfinite(table).all():
+                raise ValueError("table values must be finite")
+        else:
+            table = np.full(1 << n, np.nan)
+            for key, v in values.items():
+                table[_parse_subset_key(key, n)] = _finite(v, "table value")
         missing = np.flatnonzero(np.isnan(table))
         if missing.size:
             raise ValueError(
@@ -438,8 +441,7 @@ def tabulate(oracle: ValuationOracle) -> TableOracle:
     """Freeze any small oracle into an explicit table oracle."""
     if oracle.n > EXHAUSTIVE_MAX_N:
         raise SizeGuardError("tabulate requires n <= %d" % EXHAUSTIVE_MAX_N)
-    vals = dict(zip(_subset_keys(oracle.n), oracle._table.tolist()))
-    return TableOracle(oracle.n, vals, check=False)
+    return TableOracle(oracle.n, oracle._table, check=False)
 
 
 def oracle_from_spec(spec: dict) -> ValuationOracle:

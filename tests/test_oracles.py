@@ -10,7 +10,7 @@ from swmlab.errors import AxiomViolationError, InvalidQueryError, SizeGuardError
 from swmlab.instances import (ORACLE_GENERATORS, random_coverage_oracle,
                               random_family_instance)
 from swmlab.oracles import (AxiomReport, TableOracle, _subset_keys, mask_items,
-                            subset_key)
+                            oracle_from_spec, subset_key)
 
 TOL = 1e-12
 
@@ -185,6 +185,37 @@ class TestConstructors:
         t = sl.tabulate(o)
         for mask in range(16):
             assert t.value_mask(mask) == o.value_mask(mask)
+        assert t._table is not o._table
+        back = oracle_from_spec(t.to_spec())
+        assert np.array_equal(back._table, o._table)
+
+    def test_table_from_array(self):
+        arr = np.array([0.0, 1.0, 1.0, 1.5])
+        o = sl.make_table(2, arr)
+        assert np.array_equal(o._table, arr) and o._table is not arr
+        with pytest.raises(ValueError, match="shape"):
+            sl.make_table(2, arr[:3])
+        with pytest.raises(ValueError, match="finite"):
+            sl.make_table(2, np.array([0.0, 1.0, np.nan, 1.5]))
+        with pytest.raises(AxiomViolationError):
+            sl.make_table(2, np.array([0.0, 1.0, 1.0, 3.0]))
+
+    def test_subclass_with_only_raw_value(self):
+        class Sqrt(sl.ValuationOracle):
+            kind = "sqrt"
+
+            def __init__(self, n):
+                super().__init__(n)
+
+            def _raw_value(self, mask):
+                return float(bin(mask).count("1")) ** 0.5
+
+        o = Sqrt(5)
+        assert o.value_mask(0b111) == 3 ** 0.5
+        assert sl.check_axioms(o).passed
+        masks = np.arange(1 << 5)
+        assert np.array_equal(o._values(masks),
+                              [o._raw_value(int(m)) for m in masks])
 
 
 def _independent_axiom_check(oracle, tol=TOL):
