@@ -77,6 +77,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_lp(args) -> int:
     beta = _parse_rational(args.beta)
+    if args.lam is not None and args.family != "beta-lambda":
+        raise ValueError("--lambda applies only to family beta-lambda")
+    if beta != 0 and args.family == "general":
+        raise ValueError("--beta does not apply to family general")
     closed = None
     if args.family == "beta":
         model = build_lp_beta(args.n, beta)
@@ -171,7 +175,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
-    reports = []
     if args.instance:
         instances = [(str(args.instance), load_instance(args.instance))]
     elif args.random is not None:
@@ -186,19 +189,19 @@ def cmd_conjecture(args) -> int:
             instances.append((inst.name, inst))
     else:
         raise ValueError("provide an instance path or --random COUNT")
-    min_gap = None
-    counterexample = None
+    reports, states = [], 0
     for name, inst in instances:
         rep = conjecture_check(inst, mode=args.mode, samples=args.samples,
                                seed=args.seed)
-        entry = {"instance": name, **rep.to_dict()}
-        reports.append(entry)
-        if min_gap is None or rep.gap < min_gap:
-            min_gap = rep.gap
-        if rep.counterexample and counterexample is None:
-            counterexample = entry
+        reports.append({"instance": name, **rep.to_dict()})
+        states += rep.states or 0
+    min_gap = min(entry["gap"] for entry in reports)
+    counterexample = next((entry for entry in reports
+                           if entry["counterexample"]), None)
     results = {"instances": reports, "min_gap": min_gap,
                "counterexample": counterexample}
+    if args.mode == "exact":
+        print(f"states = {states}", file=sys.stderr)
     print(f"min gap = {min_gap!r}", file=sys.stderr)
     if counterexample:
         print(f"counterexample on {counterexample['instance']}",
@@ -273,10 +276,7 @@ def main(argv=None) -> int:
     start = time.monotonic()
     try:
         code = args.func(args)
-    except SwmlabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (SwmlabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     print(f"elapsed: {time.monotonic() - start:.3f}s", file=sys.stderr)

@@ -7,20 +7,20 @@ earlier-sigma reference items.  The trace vectors w_i, a_i, b_i record, per
 arrival position, greedy's welfare increment and the Gain reduction it
 inflicts on already-arrived (b) and future (a) items; beta = sum of b_i.
 
-Exact expectations over all n! arrival orders come from one forward pass
-over the greedy states reachable from the empty allocation (``_state_pass``):
-greedy's agent masks after k arrivals fix the arrived set, every item's Gain
-and the a/b split of the next step, so each state is expanded once however
-many orders reach it.  ``expected_trace`` in exact mode, ``verify_lemmas``,
-``verify_eq1`` and ``verify_second_half`` read the pass, under its one cap
-``EXACT_TRACE_MAX_N``.  ``conjecture_check`` and Monte-Carlo mode replay
-greedy order by order; Monte-Carlo orders come from a seeded generator, so
-results are reproducible.
+Exact expectations over all n! arrival orders come from chains of greedy
+states, all run by one layer loop (``_forward``) under one cap,
+``EXACT_TRACE_MAX_N``: greedy's agent masks after k arrivals fix the arrived
+set, every item's Gain and the a/b split of the next step, so each state is
+expanded once however many orders reach it.  The chain from the empty
+allocation (``_state_pass``) serves ``expected_trace`` in exact mode,
+``verify_lemmas``, ``verify_eq1`` and ``verify_second_half``; the latter two
+and ``conjecture_check`` run further chains from chosen start states.  No
+suite enumerates orders.  Monte-Carlo mode replays greedy order by order on
+orders from a seeded generator, so its results are reproducible.
 """
 from __future__ import annotations
 
-import itertools
-import math
+from functools import lru_cache
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -29,10 +29,9 @@ import numpy as np
 from .core import (Allocation, Instance, greedy, greedy_step, optimal, union,
                    welfare)
 from .errors import InvalidQueryError, SizeGuardError
-from .oracles import mask_items
+from .oracles import classify_second_order, mask_items
 
-EXACT_TRACE_MAX_N = 8      # cap of every suite that reads the state pass
-CONJECTURE_MAX_N = 7       # conjecture_check enumerates n! orders
+EXACT_TRACE_MAX_N = 8      # cap of every exact expectation (_forward)
 SECOND_HALF_MAX_M = 3      # verify_second_half tries m^(n/2) assignments
 DEFAULT_TOL = 1e-12
 IDENTITY_TOL = 1e-10
@@ -187,6 +186,39 @@ def _give(masks: tuple[int, ...], ell: int, j: int) -> tuple[int, ...]:
     return masks[:ell] + (masks[ell] | 1 << j,) + masks[ell + 1:]
 
 
+def _advance(inst: Instance, masks: tuple[int, ...], j: int
+             ) -> tuple[int, ...]:
+    """Greedy's agent masks after item j arrives on top of ``masks``."""
+    return _give(masks, greedy_step(inst, masks, j)[0], j)
+
+
+def _forward(inst: Instance, layer: dict, depth: int, arrived=_arrived,
+             move=None):
+    """Yield ``layer``, a {chain state: probability} map at ``depth``, then
+    the layer after each further arrival, down to depth n.  From a state of
+    probability p at depth k, each item j not in ``arrived(state)`` arrives
+    next with probability q = p/(n-k), leading to ``move(k, state, j, q)``
+    (default: greedy's agent masks); one state's moves come in a row, by
+    ascending j.  Every exact expectation runs here, under the one cap."""
+    n = inst.n
+    if n > EXACT_TRACE_MAX_N:
+        raise SizeGuardError(f"exact expectations are capped at "
+                             f"n={EXACT_TRACE_MAX_N}; got n={n}")
+    move = move or (lambda k, masks, j, q: _advance(inst, masks, j))
+    yield layer
+    for k in range(depth, n):
+        nxt: dict = {}
+        for state, p in layer.items():
+            done = arrived(state)
+            q = p / (n - k)
+            for j in range(n):
+                if not done >> j & 1:
+                    key = move(k, state, j, q)
+                    nxt[key] = nxt.get(key, 0.0) + q
+        layer = nxt
+        yield layer
+
+
 @dataclass
 class _StatePass:
     """Raw expected trace vectors and the reachable greedy states."""
@@ -202,51 +234,42 @@ class _StatePass:
 
 
 def _state_pass(ctx: GainContext, step=None) -> _StatePass:
-    """Expected w, a, b over all n! orders by one forward pass over the
+    """Expected w, a, b over all n! orders by one forward chain over the
     greedy states reachable from the empty allocation.
 
-    Each layer maps the agent masks after k arrivals to the probability
-    that a uniformly random order reaches them.  Every unarrived item j
-    arrives next with probability 1/(n-k), and the transition adds q*w,
-    q*a and q*b at position k, its per-step values computed with the same
-    float operations as ``trace_one``.  ``step(k, masks, j, w, gain_j, a,
-    b)``, when given, sees every transition (state, j) once.
+    The transition by item j adds q*w, q*a and q*b at position k, its
+    per-step values computed with the same float operations as
+    ``trace_one``.  ``step(k, masks, j, w, gain_j, a, b)``, when given,
+    sees every transition (state, j) once.
     """
     inst, n, m = ctx.instance, ctx.n, ctx.m
-    if n > EXACT_TRACE_MAX_N:
-        raise SizeGuardError(f"the exact state pass is capped at "
-                             f"n={EXACT_TRACE_MAX_N}; got n={n}")
     w, av, bv = [0.0] * n, [0.0] * n, [0.0] * n
-    layer = {(0,) * m: 1.0}
-    layers = [layer]
-    for k in range(n):
-        nxt: dict = {}
-        for masks, p in layer.items():
-            arrived = _arrived(masks)
-            gains = [ctx.gain_masks(i, masks) for i in range(n)]
-            q = p / (n - k)
-            for j in range(n):
-                if arrived >> j & 1:
-                    continue
-                ell, g = greedy_step(inst, masks, j)
-                new = _give(masks, ell, j)
-                now = arrived | 1 << j
-                bi = ai = 0.0
-                for i in ctx._agent_items[ell]:
-                    d = gains[i] - ctx.gain_masks(i, new)
-                    if d != 0.0:
-                        if now >> i & 1:
-                            bi += d
-                        else:
-                            ai += d
-                w[k] += q * g
-                av[k] += q * ai
-                bv[k] += q * bi
-                if step is not None:
-                    step(k, masks, j, g, gains[j], ai, bi)
-                nxt[new] = nxt.get(new, 0.0) + q
-        layer = nxt
-        layers.append(layer)
+
+    @lru_cache(maxsize=1)      # _forward takes one state's moves in a row
+    def expand(masks):
+        return _arrived(masks), [ctx.gain_masks(i, masks) for i in range(n)]
+
+    def move(k, masks, j, q):
+        arrived, gains = expand(masks)
+        ell, g = greedy_step(inst, masks, j)
+        new = _give(masks, ell, j)
+        now = arrived | 1 << j
+        bi = ai = 0.0
+        for i in ctx._agent_items[ell]:
+            d = gains[i] - ctx.gain_masks(i, new)
+            if d != 0.0:
+                if now >> i & 1:
+                    bi += d
+                else:
+                    ai += d
+        w[k] += q * g
+        av[k] += q * ai
+        bv[k] += q * bi
+        if step is not None:
+            step(k, masks, j, g, gains[j], ai, bi)
+        return new
+
+    layers = list(_forward(inst, {(0,) * m: 1.0}, 0, move=move))
     return _StatePass(np.array(w), np.array(av), np.array(bv), layers)
 
 
@@ -348,21 +371,13 @@ def _mc_order(seed: int, k: int, n: int) -> tuple[int, ...]:
     return tuple(rng.permutation(n).tolist())
 
 
-def _orders(n: int, mode: str, samples: int, seed: int):
-    """(mode name, divisor, orders) for a suite that averages over orders:
-    all n! permutations in exact mode (``conjecture_check`` only), ``samples``
-    seeded ones in MC mode."""
-    if mode == "exact":
-        if n > CONJECTURE_MAX_N:
-            raise SizeGuardError(f"exact mode enumerates n! orders; n={n} "
-                                 f"exceeds {CONJECTURE_MAX_N}")
-        return "exact", math.factorial(n), itertools.permutations(range(n))
-    if mode in ("mc", "monte_carlo"):
-        if samples < 1:
-            raise ValueError("samples must be positive")
-        return ("monte_carlo", samples,
-                (_mc_order(seed, k, n) for k in range(samples)))
-    raise ValueError(f"unknown mode {mode!r}; use 'exact' or 'mc'")
+def _mc_orders(n: int, mode: str, samples: int, seed: int):
+    """The ``samples`` seeded orders that Monte-Carlo ``mode`` averages."""
+    if mode not in ("mc", "monte_carlo"):
+        raise ValueError(f"unknown mode {mode!r}; use 'exact' or 'mc'")
+    if samples < 1:
+        raise ValueError("samples must be positive")
+    return (_mc_order(seed, k, n) for k in range(samples))
 
 
 def expected_trace(ctx: GainContext, mode: str = "exact",
@@ -375,31 +390,27 @@ def expected_trace(ctx: GainContext, mode: str = "exact",
         sp = _state_pass(ctx)
         return GainTrace(n, opt, mode, sp.w / opt, sp.a / opt, sp.b / opt,
                          sp.w, sp.a, sp.b, states=sp.states)
-    mode, total, orders = _orders(n, mode, samples, seed)
-    sw, sa, sb, sw2, sa2, sb2 = (np.zeros(n) for _ in range(6))
+    s, s2 = np.zeros((3, n)), np.zeros((3, n))     # rows w, a, b
     swel = swel2 = 0.0
-    for order in orders:
+    for order in _mc_orders(n, mode, samples, seed):
         t = trace_one(ctx, order)
-        sw += t.w
-        sa += t.a
-        sb += t.b
-        sw2 += t.w * t.w
-        sa2 += t.a * t.a
-        sb2 += t.b * t.b
+        v = np.array((t.w, t.a, t.b))
+        s += v
+        s2 += v * v
         swel += t.welfare
         swel2 += t.welfare * t.welfare
-    raw_w, raw_a, raw_b = sw / total, sa / total, sb / total
+    raw_w, raw_a, raw_b = s / samples
 
     def se(s, s2):
-        var = np.maximum(s2 / total - (s / total) ** 2, 0.0)
-        return np.sqrt(var / total)
+        var = np.maximum(s2 / samples - (s / samples) ** 2, 0.0)
+        return np.sqrt(var / samples)
 
-    stderr = {"w": se(sw, sw2) / opt, "a": se(sa, sa2) / opt,
-              "b": se(sb, sb2) / opt,
+    err_w, err_a, err_b = se(s, s2) / opt
+    stderr = {"w": err_w, "a": err_a, "b": err_b,
               "ratio": float(se(np.array(swel), np.array(swel2))) / opt}
-    return GainTrace(n, opt, mode, raw_w / opt, raw_a / opt, raw_b / opt,
-                     raw_w, raw_a, raw_b, samples=samples, seed=seed,
-                     stderr=stderr)
+    return GainTrace(n, opt, "monte_carlo", raw_w / opt, raw_a / opt,
+                     raw_b / opt, raw_w, raw_a, raw_b, samples=samples,
+                     seed=seed, stderr=stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -589,25 +600,6 @@ class Eq1Report:
                 "margin": self.margin, "passed": self.passed}
 
 
-def _forward(layer: dict, n: int, depth: int, arrived, move):
-    """Yield ``layer``, a {chain state: probability} map at ``depth``, then
-    the layer after each further arrival, down to depth n.  From a state at
-    depth k, every item not in ``arrived(state)`` arrives next with
-    probability 1/(n-k) and leads to the state ``move(k, state, j)``."""
-    yield layer
-    for k in range(depth, n):
-        nxt: dict = {}
-        for state, p in layer.items():
-            done = arrived(state)
-            q = p / (n - k)
-            for j in range(n):
-                if not done >> j & 1:
-                    key = move(k, state, j)
-                    nxt[key] = nxt.get(key, 0.0) + q
-        layer = nxt
-        yield layer
-
-
 def _expected_A_prime_margin(ctx: GainContext, half_layer: dict
                              ) -> tuple[float, int]:
     """E[V(A') - V(G(S1))] over all orders (see ``build_A_prime``), and the
@@ -624,17 +616,16 @@ def _expected_A_prime_margin(ctx: GainContext, half_layer: dict
     inst, n, m = ctx.instance, ctx.n, ctx.m
     three_q = 3 * n // 4
 
-    def move(k, state, j):
+    def move(k, state, j, q):
         full, g23, s2 = state
-        return (_give(full, greedy_step(inst, full, j)[0], j),
-                _give(g23, greedy_step(inst, g23, j)[0], j),
+        return (_advance(inst, full, j), _advance(inst, g23, j),
                 s2 | 1 << j if k < three_q else s2)
 
     opt_s2: dict = {}
     margin = 0.0
     states = 0
     for half, p_half in half_layer.items():
-        for layer in _forward({(half, (0,) * m, 0): p_half}, n, n // 2,
+        for layer in _forward(inst, {(half, (0,) * m, 0): p_half}, n // 2,
                               lambda state: _arrived(state[0]), move):
             states += len(layer)
         g_s1 = sum(o.value_mask(msk) for o, msk in zip(inst.oracles, half))
@@ -727,8 +718,6 @@ def verify_second_half(ctx: GainContext, tol: float = IDENTITY_TOL
     recursion and the slack/b inequality additionally, when every agent's
     oracle is second-order supermodular.
     """
-    from .oracles import classify_second_order
-
     inst, n, m = ctx.instance, ctx.n, ctx.m
     if n % 2 != 0:
         raise ValueError(f"n must be even, got {n}")
@@ -740,9 +729,6 @@ def verify_second_half(ctx: GainContext, tol: float = IDENTITY_TOL
     supermodular = all(
         classify_second_order(o).is_second_order_supermodular
         for o in inst.oracles)
-
-    def advance(k, masks, j):
-        return _give(masks, greedy_step(inst, masks, j)[0], j)
 
     ex_x = 0.0
     ex_y = np.zeros(half)             # Y_i for i = n/2+1 .. n
@@ -763,7 +749,7 @@ def verify_second_half(ctx: GainContext, tol: float = IDENTITY_TOL
         ex_x += p_half * (g_base - gain_with(base, best))
         # Y_i = Gain(S1, A^G_{i-1}) - Gain(S1, A^G_{i-1} + best on the
         # unarrived items), read at depths n/2 .. n-1 of the chain
-        chain = _forward({base: p_half}, n, half, _arrived, advance)
+        chain = _forward(inst, {base: p_half}, half)
         for y, layer in zip(range(half), chain):
             states += len(layer)
             for before, p in layer.items():
@@ -810,6 +796,7 @@ class ConjectureReport:
     samples: Optional[int] = None
     seed: Optional[int] = None
     counterexample: bool = False
+    states: Optional[int] = None     # states of every chain, exact mode
 
     @property
     def gap(self) -> float:
@@ -827,43 +814,77 @@ class ConjectureReport:
                 "counterexample": self.counterexample}
 
 
+def _copy_sum(inst: Instance, final: Sequence[int], items) -> float:
+    """Sum over ``items`` of the best marginal any agent's final set offers."""
+    total = 0.0
+    for j in items:
+        total += max(o.marginal_gain_mask(msk, j)
+                     for o, msk in zip(inst.oracles, final))
+    return total
+
+
 def _conjecture_terms(inst: Instance, order) -> tuple[float, float, float]:
     """(copy-sum, move-sum, last marginal) for one order."""
-    n, m = inst.n, inst.m
     run = greedy(inst, order)
-    final = run.allocation.masks
-    copy_sum = 0.0
-    for j in order:
-        copy_sum += max(inst.oracles[ell].marginal_gain_mask(final[ell], j)
-                        for ell in range(m))
     move_sum = 0.0
-    for i in range(n):
+    for i in range(inst.n):
         moved = order[:i] + order[i + 1:] + (order[i],)
         move_sum += greedy(inst, moved).marginals[-1]
-    return copy_sum, move_sum, run.marginals[-1]
+    return (_copy_sum(inst, run.allocation.masks, order), move_sum,
+            run.marginals[-1])
+
+
+def _conjecture_chains(inst: Instance) -> tuple[float, float, float, int]:
+    """(copy side, move side, crosscheck, states) over all n! orders.
+
+    The chain from the empty allocation gives the copy side from its final
+    states and n * E[last marginal] from the states before.  Moving pi_i to
+    the end makes (prefix, last item) a uniform pair, so the move side sums
+    over items j greedy's expected marginal for j after the others arrive
+    in random order: a chain started at depth 1 with j counted as arrived.
+    """
+    n, empty = inst.n, (0,) * inst.m
+    layers = list(_forward(inst, {empty: 1.0}, 0))
+    states = sum(len(layer) for layer in layers)
+    lhs = last = 0.0
+    for final, p in layers[n].items():
+        lhs += p * _copy_sum(inst, final, range(n))
+    for masks, p in layers[n - 1].items():
+        j = ((1 << n) - 1 & ~_arrived(masks)).bit_length() - 1
+        last += p * greedy_step(inst, masks, j)[1]
+    rhs = 0.0
+    for j in range(n):
+        for layer in _forward(inst, {empty: 1.0}, 1,
+                              lambda masks, j=j: _arrived(masks) | 1 << j):
+            states += len(layer)
+        for masks, p in layer.items():     # the depth-n layer
+            rhs += p * greedy_step(inst, masks, j)[1]
+    return lhs, rhs, n * last, states
 
 
 def conjecture_check(instance: Instance, mode: str = "exact",
                      samples: int = 1000, seed: int = 0,
                      tol: float = IDENTITY_TOL) -> ConjectureReport:
     """Compare the expected total last-marginal under copy-to-end versus
-    move-to-end reorderings.
+    move-to-end reorderings, over all n! orders (exact: chains of greedy
+    states) or seeded sample orders (MC).
 
     A negative gap is reported as a counterexample, never asserted; the
     move-side expectation is cross-checked against n times the expected
-    last marginal, which is an exact identity under full enumeration.
+    last marginal, which is an exact identity over all orders.
     """
     n = instance.n
-    mode, total, orders = _orders(n, mode, samples, seed)
+    if mode == "exact":
+        lhs, rhs, crosscheck, states = _conjecture_chains(instance)
+        return ConjectureReport(n, instance.m, lhs, rhs, crosscheck, mode,
+                                counterexample=lhs > rhs + tol, states=states)
     lhs_sum = rhs_sum = last_sum = 0.0
-    for order in orders:
+    for order in _mc_orders(n, mode, samples, seed):
         c, mv, last = _conjecture_terms(instance, order)
         lhs_sum += c
         rhs_sum += mv
         last_sum += last
-    lhs, rhs = lhs_sum / total, rhs_sum / total
-    mc = mode == "monte_carlo"
-    return ConjectureReport(n, instance.m, lhs, rhs, n * last_sum / total,
-                            mode, samples=samples if mc else None,
-                            seed=seed if mc else None,
+    lhs, rhs = lhs_sum / samples, rhs_sum / samples
+    return ConjectureReport(n, instance.m, lhs, rhs, n * last_sum / samples,
+                            "monte_carlo", samples=samples, seed=seed,
                             counterexample=lhs > rhs + tol)

@@ -161,41 +161,20 @@ class CoverageOracle(ValuationOracle):
             raise ValueError("universe weights must be non-negative")
         self.item_sets = [tuple(sorted(set(_integer(e, "element index")
                                            for e in s))) for s in item_sets]
-        self._elem_masks = []
         self._holders = [0] * u      # per element: the items covering it
         for i, s in enumerate(self.item_sets):
-            em = 0
             for e in s:
                 if e < 0 or e >= u:
                     raise ValueError(f"element {e} outside universe of size {u}")
-                em |= 1 << e
                 self._holders[e] |= 1 << i
-            self._elem_masks.append(em)
-        self._weight_cache: dict[int, float] = {0: 0.0}
         super().__init__(len(self.item_sets))
 
-    def _covered_weight(self, emask: int) -> float:
-        w = self._weight_cache.get(emask)
-        if w is None:
-            w = 0.0
-            m, i = emask, 0
-            while m:
-                if m & 1:
-                    w += self.universe_weights[i]
-                m >>= 1
-                i += 1
-            self._weight_cache[emask] = w
-        return w
-
     def _raw_value(self, mask: int) -> float:
-        em, i = 0, 0
-        m = mask
-        while m:
-            if m & 1:
-                em |= self._elem_masks[i]
-            m >>= 1
-            i += 1
-        return self._covered_weight(em)
+        total = 0.0       # a plain loop: sum() compensates from Python 3.12
+        for w, holders in zip(self.universe_weights, self._holders):
+            if mask & holders:
+                total += w
+        return total
 
     def _values(self, masks):
         total = np.zeros(len(masks))

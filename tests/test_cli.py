@@ -59,6 +59,16 @@ class TestSimulate:
         main(["simulate", instance_file, "--mode", "mc", "--samples", "20",
               "--out", str(out)])
         assert "states" not in capsys.readouterr().err
+        assert main(["conjecture", instance_file, "--out", str(out)]) == 0
+        assert "states = " in capsys.readouterr().err
+        entry = json.loads(out.read_text())["results"]["instances"][0]
+        # the report keeps exactly the fields it had before states counts
+        assert set(entry) == {"instance", "n", "m", "lhs", "rhs", "gap",
+                              "crosscheck", "crosscheck_error", "mode",
+                              "samples", "seed", "counterexample"}
+        main(["conjecture", instance_file, "--mode", "mc", "--samples", "20",
+              "--out", str(out)])
+        assert "states" not in capsys.readouterr().err
 
     def test_threads_option_is_gone(self, instance_file):
         with pytest.raises(SystemExit) as exc:
@@ -100,6 +110,22 @@ class TestLp:
 
     def test_beta_lambda_requires_lambda(self):
         assert main(["lp", "--family", "beta-lambda", "--n", "8"]) == 2
+
+    @pytest.mark.parametrize("family", ["beta", "general"])
+    def test_lambda_outside_beta_lambda_exits_2(self, family, capsys):
+        assert main(["lp", "--family", family, "--n", "8",
+                     "--lambda", "3/4"]) == 2
+        assert "error: --lambda applies only to family beta-lambda" in \
+            capsys.readouterr().err
+
+    def test_nonzero_beta_for_general_exits_2(self, tmp_path, capsys):
+        assert main(["lp", "--family", "general", "--n", "8",
+                     "--beta", "1/10"]) == 2
+        assert "error: --beta does not apply to family general" in \
+            capsys.readouterr().err
+        # lp-sweep passes --beta 0 to every family
+        assert main(["lp", "--family", "general", "--n", "8", "--beta", "0",
+                     "--out", str(tmp_path / "lp.json")]) == 0
 
     def test_general_family_reports_gap(self, tmp_path):
         out = tmp_path / "lp.json"

@@ -6,7 +6,7 @@ import pytest
 
 import swmlab as sl
 from swmlab.errors import SizeGuardError
-from swmlab.gain import _prefix_masks
+from swmlab.gain import _mc_order, _prefix_masks
 from swmlab.instances import random_family_instance, random_instance
 from swmlab.oracles import mask_items
 
@@ -34,6 +34,29 @@ def enumerated_trace(ctx):
     return tuple(np.array([math.fsum(getattr(t, f)[i] for t in traces)
                            / len(traces) for i in range(ctx.n)])
                  for f in "wab")
+
+
+def order_terms(inst, order):
+    """(copy-sum, move-sum, last marginal) of one order, from greedy runs."""
+    run = sl.greedy(inst, order)
+    final = run.allocation.masks
+    copy = move = 0.0
+    for j in order:
+        copy += max(o.marginal_gain_mask(msk, j)
+                    for o, msk in zip(inst.oracles, final))
+    for i in range(len(order)):
+        moved = order[:i] + order[i + 1:] + order[i:i + 1]
+        move += sl.greedy(inst, moved).marginals[-1]
+    return copy, move, run.marginals[-1]
+
+
+def enumerated_conjecture(inst):
+    """(lhs, rhs, crosscheck) as the average of ``order_terms`` over all n!
+    orders, summed exactly: the reference for the exact mode."""
+    terms = [order_terms(inst, order)
+             for order in itertools.permutations(range(inst.n))]
+    lhs, rhs, last = (math.fsum(col) / len(terms) for col in zip(*terms))
+    return lhs, rhs, inst.n * last
 
 
 def enumerated_second_half(ctx):
@@ -524,7 +547,40 @@ class TestConjecture:
         r2 = sl.conjecture_check(inst, mode="mc", samples=50, seed=9)
         assert r1.lhs == r2.lhs and r1.rhs == r2.rhs
 
+    def test_mc_is_per_order_average(self):
+        inst = random_instance(6, 3, 4, families=FAMILIES)
+        rep = sl.conjecture_check(inst, mode="mc", samples=40, seed=2)
+        lhs = rhs = last = 0.0
+        for k in range(40):
+            c, mv, la = order_terms(inst, _mc_order(2, k, 6))
+            lhs += c
+            rhs += mv
+            last += la
+        assert (rep.lhs, rep.rhs, rep.crosscheck) == \
+            (lhs / 40, rhs / 40, 6 * last / 40)
+        assert rep.mode == "monte_carlo" and rep.states is None
+
+    @pytest.mark.parametrize("m", (1, 2, 3))
+    @pytest.mark.parametrize("n", range(2, 8))
+    @pytest.mark.parametrize("kind", FAMILIES + ("mixed",))
+    def test_exact_matches_enumerated_orders(self, kind, n, m):
+        inst = family_or_mixed(kind, n, m, 10 * n + m)
+        rep = sl.conjecture_check(inst)
+        lhs, rhs, crosscheck = enumerated_conjecture(inst)
+        assert rep.lhs == pytest.approx(lhs, abs=TOL)
+        assert rep.rhs == pytest.approx(rhs, abs=TOL)
+        assert rep.crosscheck == pytest.approx(crosscheck, abs=TOL)
+        assert 0 < rep.states
+
+    def test_n8_m3_within_cap(self):
+        inst = random_instance(8, 3, 0, families=FAMILIES)
+        rep = sl.conjecture_check(inst)
+        assert rep.crosscheck_error < TOL
+        assert rep.gap >= -IDENTITY_TOL and not rep.counterexample
+        assert 0 < rep.states < math.factorial(8)
+        assert "states" not in rep.to_dict()
+
     def test_size_guard(self):
-        o = sl.make_additive([1.0] * 8)
-        with pytest.raises(SizeGuardError):
+        o = sl.make_additive([1.0] * 9)
+        with pytest.raises(SizeGuardError, match="capped at n=8"):
             sl.conjecture_check(sl.Instance((o,)))
