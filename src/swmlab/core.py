@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .errors import InvalidQueryError, SizeGuardError
 from .oracles import ValuationOracle, as_mask, mask_items
 
@@ -134,6 +136,38 @@ def greedy_step(instance: Instance, masks: Sequence[int], j: int
         if g > best_gain:
             best_ell, best_gain = ell, g
     return best_ell, best_gain
+
+
+def marginal_gains(oracle: ValuationOracle, masks: np.ndarray, bits
+                   ) -> np.ndarray:
+    """``marginal_gain_mask`` over an int64 array of sets: MG of the item
+    with bit ``bits`` on each set, 0.0 where the set already holds it.
+    ``bits`` (one int or an array) broadcasts to the shape of ``masks``;
+    the values come from one ``value_masks`` call."""
+    up = masks | bits
+    values = oracle.value_masks(np.concatenate((up.ravel(), masks.ravel())))
+    gains = values[:up.size] - values[up.size:]
+    return np.where(up == masks, 0.0, gains.reshape(up.shape))
+
+
+def greedy_steps(instance: Instance, masks: np.ndarray, items: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``greedy_step`` on a batch: item ``items[s]`` arrives on top of the
+    agent masks ``masks[:, s]`` (int64, one row per agent).  Returns the
+    chosen agents, their marginals and the new masks.  Agents are scanned
+    in ascending order from a best of -1.0 that only a strictly larger
+    marginal replaces, so ties and NaN resolve as in ``greedy_step``."""
+    bits = np.left_shift(1, items)
+    best = np.full(len(items), -1.0)
+    chosen = np.zeros(len(items), dtype=np.int64)
+    for ell, oracle in enumerate(instance.oracles):
+        g = marginal_gains(oracle, masks[ell], bits)
+        better = g > best
+        best = np.where(better, g, best)
+        chosen[better] = ell
+    new = masks.copy()
+    new[chosen, np.arange(len(items))] |= bits
+    return chosen, best, new
 
 
 def greedy(instance: Instance, order: Sequence[int]) -> GreedyRun:

@@ -15,8 +15,11 @@ expanded once however many orders reach it.  The chain from the empty
 allocation (``_state_pass``) serves ``expected_trace`` in exact mode,
 ``verify_lemmas``, ``verify_eq1`` and ``verify_second_half``; the latter two
 and ``conjecture_check`` run further chains from chosen start states.  No
-suite enumerates orders.  Monte-Carlo mode replays greedy order by order on
-orders from a seeded generator, so its results are reproducible.
+suite enumerates orders.  Monte-Carlo mode draws each order from its own
+seeded generator, so its results are reproducible, and runs greedy on
+batches of ``MC_BATCH`` orders at once through ``core.greedy_steps``; it
+sums the per-order values in sample order, so it reports what a
+``trace_one`` loop over the same orders gives, bit for bit.
 """
 from __future__ import annotations
 
@@ -26,13 +29,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (Allocation, Instance, greedy, greedy_step, optimal, union,
-                   welfare)
+from .core import (Allocation, Instance, greedy, greedy_step, greedy_steps,
+                   marginal_gains, optimal, union, welfare)
 from .errors import InvalidQueryError, SizeGuardError
-from .oracles import classify_second_order, mask_items
+from .oracles import SAMPLED_MAX_N, classify_second_order, mask_items
 
 EXACT_TRACE_MAX_N = 8      # cap of every exact expectation (_forward)
 SECOND_HALF_MAX_M = 3      # verify_second_half tries m^(n/2) assignments
+MC_BATCH = 1024            # orders per Monte-Carlo batch; bounds its memory
 DEFAULT_TOL = 1e-12
 IDENTITY_TOL = 1e-10
 
@@ -365,26 +369,104 @@ class GainTrace:
         return "\n".join(lines) + "\n"
 
 
+def _mc_rng(seed: int, k: int) -> np.random.Generator:
+    """The generator of the k-th Monte-Carlo order of ``seed``."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed,
+                                                        spawn_key=(k,)))
+
+
 def _mc_order(seed: int, k: int, n: int) -> tuple[int, ...]:
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
-                                                       spawn_key=(k,)))
-    return tuple(rng.permutation(n).tolist())
+    return tuple(_mc_rng(seed, k).permutation(n).tolist())
 
 
-def _mc_orders(n: int, mode: str, samples: int, seed: int):
-    """The ``samples`` seeded orders that Monte-Carlo ``mode`` averages."""
+def _mc_batch(seed: int, lo: int, hi: int, n: int) -> np.ndarray:
+    """Orders lo .. hi-1 of ``seed`` as the rows of an int64 array."""
+    orders = np.empty((hi - lo, n), dtype=np.int64)
+    for row, k in enumerate(range(lo, hi)):
+        orders[row] = _mc_rng(seed, k).permutation(n)
+    return orders
+
+
+def _mc_batches(n: int, mode: str, samples: int, seed: int):
+    """The ``samples`` seeded orders that Monte-Carlo ``mode`` averages,
+    ``_mc_order(seed, k, n)`` for k = 0, 1, .., in batches of ``MC_BATCH``
+    rows."""
     if mode not in ("mc", "monte_carlo"):
         raise ValueError(f"unknown mode {mode!r}; use 'exact' or 'mc'")
     if samples < 1:
         raise ValueError("samples must be positive")
-    return (_mc_order(seed, k, n) for k in range(samples))
+    if n > SAMPLED_MAX_N:
+        raise SizeGuardError(f"Monte-Carlo mode keeps sets as int64 bitmasks, "
+                             f"so n <= {SAMPLED_MAX_N}; got n={n}")
+    return (_mc_batch(seed, lo, min(lo + MC_BATCH, samples), n)
+            for lo in range(0, samples, MC_BATCH))
+
+
+def _running_sum(total, rows):
+    """``total + rows[0] + rows[1] + ..``, added strictly in row order (a
+    cumulative sum, unlike ``np.sum``, never regroups its terms)."""
+    return np.cumsum(np.concatenate((np.asarray(total)[None], rows)),
+                     axis=0)[-1]
+
+
+def _item_gains(ctx: GainContext, masks: np.ndarray) -> np.ndarray:
+    """Gain(i, A) of every item i, one column each, for a batch of
+    allocations A with agent masks ``masks[m, S]``: a gather from each
+    item's reference agent at its mask OR ``prior[i]``."""
+    out = np.empty((masks.shape[1], ctx.n))
+    for ell, items in enumerate(ctx._agent_items):
+        if items:
+            items = list(items)
+            base = masks[ell][:, None] | np.array([ctx._prior[i]
+                                                   for i in items])
+            out[:, items] = marginal_gains(ctx.instance.oracles[ell], base,
+                                           np.left_shift(1, items))
+    return out
+
+
+def _trace_batch(ctx: GainContext, orders: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``trace_one``'s w, a and b for each row of ``orders`` (int64
+    [S, n]), as C-contiguous [S, n] arrays, by the same float operations.
+
+    After each greedy step the Gain drop d of every item whose reference
+    agent was chosen and whose d != 0 goes into b if the item has arrived
+    and into a otherwise, added in ascending item order; the other items
+    add 0.0 in their place, which changes no sum, since a sum of nonzero
+    terms that starts at 0.0 is never -0.0."""
+    n = ctx.n
+    size = len(orders)
+    masks = np.zeros((ctx.m, size), dtype=np.int64)
+    gains = _item_gains(ctx, masks)
+    ref = np.array([ctx.opt_map[i] for i in range(n)])
+    items = np.arange(n)
+    w, av, bv = np.zeros((3, size, n))
+    arrived = np.zeros(size, dtype=np.int64)
+    for pos in range(n):
+        chosen, w[:, pos], masks = greedy_steps(ctx.instance, masks,
+                                                orders[:, pos])
+        arrived |= np.left_shift(1, orders[:, pos])
+        new = _item_gains(ctx, masks)
+        d = gains - new
+        hit = (chosen[:, None] == ref) & (d != 0.0)
+        now = (arrived[:, None] >> items & 1) != 0
+        bv[:, pos] = np.cumsum(np.where(hit & now, d, 0.0), axis=1)[:, -1]
+        av[:, pos] = np.cumsum(np.where(hit & ~now, d, 0.0), axis=1)[:, -1]
+        gains = np.where(hit, new, gains)
+    return w, av, bv
 
 
 def expected_trace(ctx: GainContext, mode: str = "exact",
                    samples: int = 10_000, seed: int = 0) -> GainTrace:
     """Expected trace over all n! orders (exact: one forward pass over the
-    reachable greedy states) or the average of trace_one over seeded
-    samples (MC)."""
+    reachable greedy states) or the average of ``trace_one`` over the
+    seeded orders ``_mc_order(seed, k, n)``, k < ``samples`` (MC).
+
+    MC mode traces ``MC_BATCH`` orders at a time with the batched greedy
+    step, so its memory does not grow with ``samples``, and sums each
+    order's vectors and welfare in sample order: its values are the ones a
+    ``trace_one`` loop over the same orders gives, bit for bit.
+    """
     n, opt = ctx.n, ctx.opt_value
     if mode == "exact":
         sp = _state_pass(ctx)
@@ -392,13 +474,12 @@ def expected_trace(ctx: GainContext, mode: str = "exact",
                          sp.w, sp.a, sp.b, states=sp.states)
     s, s2 = np.zeros((3, n)), np.zeros((3, n))     # rows w, a, b
     swel = swel2 = 0.0
-    for order in _mc_orders(n, mode, samples, seed):
-        t = trace_one(ctx, order)
-        v = np.array((t.w, t.a, t.b))
-        s += v
-        s2 += v * v
-        swel += t.welfare
-        swel2 += t.welfare * t.welfare
+    for orders in _mc_batches(n, mode, samples, seed):
+        w, av, bv = _trace_batch(ctx, orders)
+        v = np.stack((w, av, bv), axis=1)
+        wel = w.sum(axis=1)        # as trace_one's float(w.sum()) per row
+        s, s2 = _running_sum(s, v), _running_sum(s2, v * v)
+        swel, swel2 = _running_sum(swel, wel), _running_sum(swel2, wel * wel)
     raw_w, raw_a, raw_b = s / samples
 
     def se(s, s2):
@@ -407,7 +488,7 @@ def expected_trace(ctx: GainContext, mode: str = "exact",
 
     err_w, err_a, err_b = se(s, s2) / opt
     stderr = {"w": err_w, "a": err_a, "b": err_b,
-              "ratio": float(se(np.array(swel), np.array(swel2))) / opt}
+              "ratio": float(se(swel, swel2)) / opt}
     return GainTrace(n, opt, "monte_carlo", raw_w / opt, raw_a / opt,
                      raw_b / opt, raw_w, raw_a, raw_b, samples=samples,
                      seed=seed, stderr=stderr)
@@ -823,15 +904,37 @@ def _copy_sum(inst: Instance, final: Sequence[int], items) -> float:
     return total
 
 
-def _conjecture_terms(inst: Instance, order) -> tuple[float, float, float]:
-    """(copy-sum, move-sum, last marginal) for one order."""
-    run = greedy(inst, order)
-    move_sum = 0.0
-    for i in range(inst.n):
-        moved = order[:i] + order[i + 1:] + (order[i],)
-        move_sum += greedy(inst, moved).marginals[-1]
-    return (_copy_sum(inst, run.allocation.masks, order), move_sum,
-            run.marginals[-1])
+def _conjecture_batch(inst: Instance, orders: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Copy-sum, move-sum and last marginal of each row of ``orders``.
+
+    Greedy runs once on all n moved orders of every row, (row, i) being
+    the row with its item at position i moved to the end; moving the last
+    item is the row itself.  The move-sum adds the moved runs' last
+    marginals in ascending i.  The copy-sum adds, in arrival order, the
+    best marginal any agent's final set offers (the first largest, as
+    ``max`` picks it).
+    """
+    size, n = orders.shape
+    idx = [[*range(i), *range(i + 1, n), i] for i in range(n)]
+    moved = orders[:, idx].reshape(size * n, n)
+    masks = np.zeros((inst.m, size * n), dtype=np.int64)
+    for pos in range(n):
+        _, last, masks = greedy_steps(inst, masks, moved[:, pos])
+    last = last.reshape(size, n)
+    move = np.zeros(size)
+    for i in range(n):
+        move += last[:, i]
+    final = masks[:, n - 1::n, None].repeat(n, axis=2)     # [m, S, n]
+    bits = np.left_shift(1, orders)
+    best = marginal_gains(inst.oracles[0], final[0], bits)
+    for o, msk in zip(inst.oracles[1:], final[1:]):
+        g = marginal_gains(o, msk, bits)
+        best = np.where(g > best, g, best)
+    copy = np.zeros(size)
+    for pos in range(n):
+        copy += best[:, pos]
+    return copy, move, last[:, n - 1]
 
 
 def _conjecture_chains(inst: Instance) -> tuple[float, float, float, int]:
@@ -879,11 +982,11 @@ def conjecture_check(instance: Instance, mode: str = "exact",
         return ConjectureReport(n, instance.m, lhs, rhs, crosscheck, mode,
                                 counterexample=lhs > rhs + tol, states=states)
     lhs_sum = rhs_sum = last_sum = 0.0
-    for order in _mc_orders(n, mode, samples, seed):
-        c, mv, last = _conjecture_terms(instance, order)
-        lhs_sum += c
-        rhs_sum += mv
-        last_sum += last
+    for orders in _mc_batches(n, mode, samples, seed):
+        c, mv, last = _conjecture_batch(instance, orders)
+        lhs_sum = float(_running_sum(lhs_sum, c))
+        rhs_sum = float(_running_sum(rhs_sum, mv))
+        last_sum = float(_running_sum(last_sum, last))
     lhs, rhs = lhs_sum / samples, rhs_sum / samples
     return ConjectureReport(n, instance.m, lhs, rhs, n * last_sum / samples,
                             "monte_carlo", samples=samples, seed=seed,

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 import swmlab as sl
+from swmlab.core import greedy_step, greedy_steps
 from swmlab.errors import InvalidQueryError, SizeGuardError
+from swmlab.oracles import ValuationOracle
 from swmlab.instances import random_instance
 
 TOL = 1e-12
@@ -99,6 +101,66 @@ class TestGreedy:
                     prefix_welfare = sl.welfare(inst,
                                                 sl.Allocation(tuple(masks)))
                     assert prefix_welfare == pytest.approx(cum, abs=TOL)
+
+
+class RawTable(ValuationOracle):
+    """A value table taken as given: NaN, negative marginals and all."""
+
+    kind = "raw"
+
+    def __init__(self, table):
+        self._table = np.asarray(table, dtype=float)
+        super().__init__(len(self._table).bit_length() - 1)
+
+
+def scalar_steps(inst, masks, items):
+    """``greedy_step`` column by column, as arrays like ``greedy_steps``."""
+    chosen, gains, new = [], [], masks.copy()
+    for s, j in enumerate(items.tolist()):
+        ell, g = greedy_step(inst, masks[:, s].tolist(), j)
+        chosen.append(ell)
+        gains.append(g)
+        new[ell, s] |= 1 << j
+    return np.array(chosen), np.array(gains), new
+
+
+class TestGreedySteps:
+    """The batched greedy step against ``greedy_step`` on random batches,
+    masks that already hold the arriving item included."""
+
+    def check(self, inst, size, seed):
+        rng = np.random.default_rng(seed)
+        masks = rng.integers(0, 1 << inst.n, size=(inst.m, size))
+        items = rng.integers(0, inst.n, size=size)
+        got = greedy_steps(inst, masks, items)
+        want = scalar_steps(inst, masks, items)
+        assert np.array_equal(got[0], want[0])
+        assert got[1].tobytes() == want[1].tobytes()
+        assert np.array_equal(got[2], want[2])
+        assert ((masks >> items & 1) != 0).any()
+
+    @pytest.mark.parametrize("m", (1, 2, 3, 4))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_instances(self, m, seed):
+        self.check(random_instance(7, m, seed), 500, seed)
+
+    def test_ties(self):
+        o = sl.make_budgeted_additive(2.0, [1.0] * 6)
+        self.check(sl.Instance((o, o, o)), 500, 0)
+
+    def test_without_value_tables(self):
+        inst = random_instance(18, 3, 0, families=("coverage",
+                                                   "budgeted_additive"))
+        assert all(o._table is None for o in inst.oracles)
+        self.check(inst, 200, 1)
+
+    def test_nan_and_gains_below_minus_one(self):
+        rng = np.random.default_rng(3)
+        oracles = []
+        for _ in range(3):
+            t = rng.choice([np.nan, -3.0, -1.0, 0.0, 0.5, 2.0], size=16)
+            oracles.append(RawTable(t))
+        self.check(sl.Instance(tuple(oracles)), 2000, 4)
 
 
 class TestOptimal:

@@ -1,12 +1,15 @@
 import itertools
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import swmlab as sl
 from swmlab.errors import SizeGuardError
-from swmlab.gain import _mc_order, _prefix_masks
+from swmlab.gain import (ConjectureReport, GainTrace, MC_BATCH, _mc_order,
+                         _prefix_masks)
 from swmlab.instances import random_family_instance, random_instance
 from swmlab.oracles import mask_items
 
@@ -48,6 +51,54 @@ def order_terms(inst, order):
         moved = order[:i] + order[i + 1:] + order[i:i + 1]
         move += sl.greedy(inst, moved).marginals[-1]
     return copy, move, run.marginals[-1]
+
+
+def per_order_trace(ctx, samples, seed):
+    """Monte-Carlo ``expected_trace`` as a loop of ``trace_one`` over the
+    seeded orders, summed order by order: the reference for the batched
+    path."""
+    n, opt = ctx.n, ctx.opt_value
+    s, s2 = np.zeros((3, n)), np.zeros((3, n))
+    swel = swel2 = 0.0
+    for k in range(samples):
+        t = sl.trace_one(ctx, _mc_order(seed, k, n))
+        v = np.array((t.w, t.a, t.b))
+        s += v
+        s2 += v * v
+        swel += t.welfare
+        swel2 += t.welfare * t.welfare
+    raw_w, raw_a, raw_b = s / samples
+
+    def se(s, s2):
+        var = np.maximum(s2 / samples - (s / samples) ** 2, 0.0)
+        return np.sqrt(var / samples)
+
+    err_w, err_a, err_b = se(s, s2) / opt
+    stderr = {"w": err_w, "a": err_a, "b": err_b,
+              "ratio": float(se(np.array(swel), np.array(swel2))) / opt}
+    return GainTrace(n, opt, "monte_carlo", raw_w / opt, raw_a / opt,
+                     raw_b / opt, raw_w, raw_a, raw_b, samples=samples,
+                     seed=seed, stderr=stderr)
+
+
+def per_order_conjecture(inst, samples, seed, tol=IDENTITY_TOL):
+    """Monte-Carlo ``conjecture_check`` as a loop of ``order_terms`` over
+    the seeded orders: the reference for the batched path."""
+    lhs_sum = rhs_sum = last_sum = 0.0
+    for k in range(samples):
+        c, mv, last = order_terms(inst, _mc_order(seed, k, inst.n))
+        lhs_sum += c
+        rhs_sum += mv
+        last_sum += last
+    lhs, rhs = lhs_sum / samples, rhs_sum / samples
+    return ConjectureReport(inst.n, inst.m, lhs, rhs,
+                            inst.n * last_sum / samples, "monte_carlo",
+                            samples=samples, seed=seed,
+                            counterexample=lhs > rhs + tol)
+
+
+def report_bytes(report):
+    return json.dumps(report.to_dict(), sort_keys=True)
 
 
 def enumerated_conjecture(inst):
@@ -584,3 +635,132 @@ class TestConjecture:
         o = sl.make_additive([1.0] * 9)
         with pytest.raises(SizeGuardError, match="capped at n=8"):
             sl.conjecture_check(sl.Instance((o,)))
+
+
+def mc_context(inst):
+    """A context whose optimum is cheap to find; above a few thousand
+    assignments greedy's allocation of the identity order is the reference
+    allocation instead (any allocation of every item defines Gain)."""
+    if inst.m ** inst.n <= 5000:
+        return sl.GainContext(inst)
+    alloc = sl.greedy(inst, range(inst.n)).allocation
+    return sl.GainContext(inst, opt_allocation=alloc)
+
+
+def equal_additive(n, m):
+    """m identical additive agents with equal weights: every step ties."""
+    return sl.Instance(tuple(sl.make_additive([1.0] * n) for _ in range(m)))
+
+
+def saturated_budgets(n, m):
+    """Budgeted agents that fill up after one item, so most marginals tie
+    at zero."""
+    return sl.Instance(tuple(sl.make_budgeted_additive(1.0, [1.0] * n)
+                             for _ in range(m)))
+
+
+class TestBatchedMonteCarlo:
+    """The batched Monte-Carlo paths report the bytes a per-order loop over
+    the same seeded orders reports."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_trace_matches_per_order_loop_each_n(self, n):
+        m = 1 + n % 4
+        kind = (FAMILIES + ("mixed",))[n % 6]
+        ctx = mc_context(family_or_mixed(kind, n, m, 100 + n))
+        got = sl.expected_trace(ctx, mode="mc", samples=300, seed=n)
+        assert report_bytes(got) == report_bytes(per_order_trace(ctx, 300, n))
+
+    @pytest.mark.parametrize("m", (1, 2, 3, 4))
+    @pytest.mark.parametrize("kind", FAMILIES + ("mixed",))
+    def test_trace_matches_per_order_loop_each_family(self, kind, m):
+        ctx = mc_context(family_or_mixed(kind, 6, m, 7 * m))
+        got = sl.expected_trace(ctx, mode="mc", samples=120, seed=m)
+        assert report_bytes(got) == report_bytes(per_order_trace(ctx, 120, m))
+
+    @pytest.mark.parametrize("samples", (1, MC_BATCH - 1, MC_BATCH,
+                                         MC_BATCH + 1, 2500))
+    def test_trace_matches_per_order_loop_across_batches(self, samples):
+        ctx = mc_context(random_instance(5, 3, 11, families=FAMILIES))
+        got = sl.expected_trace(ctx, mode="mc", samples=samples, seed=4)
+        assert report_bytes(got) == \
+            report_bytes(per_order_trace(ctx, samples, 4))
+
+    @pytest.mark.parametrize("make", (equal_additive, saturated_budgets))
+    @pytest.mark.parametrize("n,m", ((4, 2), (7, 3), (9, 4)))
+    def test_trace_ties_match_per_order_loop(self, make, n, m):
+        ctx = mc_context(make(n, m))
+        got = sl.expected_trace(ctx, mode="mc", samples=MC_BATCH + 1, seed=3)
+        assert report_bytes(got) == \
+            report_bytes(per_order_trace(ctx, MC_BATCH + 1, 3))
+
+    def test_trace_or_indicator_matches_per_order_loop(self, or_indicator):
+        ctx = sl.GainContext(or_indicator)
+        got = sl.expected_trace(ctx, mode="mc", samples=1025, seed=0)
+        assert report_bytes(got) == report_bytes(per_order_trace(ctx, 1025, 0))
+
+    @pytest.mark.parametrize("kind", ("coverage", "budgeted_additive"))
+    def test_trace_without_value_tables(self, kind):
+        inst = random_family_instance(kind, 18, 2, 5)
+        assert all(o._table is None for o in inst.oracles)
+        ctx = mc_context(inst)
+        got = sl.expected_trace(ctx, mode="mc", samples=200, seed=1)
+        assert report_bytes(got) == report_bytes(per_order_trace(ctx, 200, 1))
+
+    @pytest.mark.parametrize("n,m,kind,samples", [
+        (1, 2, "mixed", 5), (2, 1, "table", 40), (3, 4, "mixed", 300),
+        (5, 2, "cut", 1), (6, 3, "mixed", MC_BATCH + 1),
+        (8, 2, "b_matching", 150), (10, 3, "coverage", 60)])
+    def test_conjecture_matches_per_order_loop(self, n, m, kind, samples):
+        inst = family_or_mixed(kind, n, m, n * m)
+        got = sl.conjecture_check(inst, mode="mc", samples=samples, seed=n)
+        assert report_bytes(got) == \
+            report_bytes(per_order_conjecture(inst, samples, n))
+
+    @pytest.mark.parametrize("make", (equal_additive, saturated_budgets))
+    def test_conjecture_ties_match_per_order_loop(self, make):
+        inst = make(6, 3)
+        got = sl.conjecture_check(inst, mode="mc", samples=400, seed=2)
+        assert report_bytes(got) == \
+            report_bytes(per_order_conjecture(inst, 400, 2))
+
+    def test_conjecture_without_value_tables(self):
+        inst = random_family_instance("coverage", 18, 2, 6)
+        got = sl.conjecture_check(inst, mode="mc", samples=3, seed=1)
+        assert report_bytes(got) == \
+            report_bytes(per_order_conjecture(inst, 3, 1))
+
+    def test_more_items_than_int64_bits_refused(self):
+        inst = sl.Instance((sl.make_additive([1.0] * 64),))
+        ctx = sl.GainContext(inst, opt_allocation=sl.Allocation(((1 << 64)
+                                                                 - 1,)))
+        with pytest.raises(SizeGuardError, match="n <= 63"):
+            sl.expected_trace(ctx, mode="mc", samples=1)
+        with pytest.raises(SizeGuardError, match="n <= 63"):
+            sl.conjecture_check(inst, mode="mc", samples=1)
+
+    @pytest.mark.parametrize("n", (1, 5, 8, 9, 16, 17, 40))
+    def test_row_sums_equal_per_row_sums(self, n):
+        """Per-order welfare is ``W.sum(axis=1)`` on the batch, which must
+        round as ``trace_one``'s ``float(w.sum())`` does on each row."""
+        rng = np.random.default_rng(n)
+        scale = 10.0 ** rng.integers(-9, 9, (MC_BATCH, n))
+        w = rng.random((MC_BATCH, n)) * scale
+        rows = [float(np.array(row).sum()) for row in w.tolist()]
+        assert w.sum(axis=1).tolist() == rows
+
+    def test_memory_bounded_by_batch(self):
+        """The traced peak does not grow with the number of samples."""
+        ctx = sl.GainContext(random_instance(8, 3, 1, families=FAMILIES))
+
+        def peak(samples):
+            tracemalloc.start()
+            try:
+                sl.expected_trace(ctx, mode="mc", samples=samples, seed=0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(2_000), peak(20_000)
+        # one 20,000-order array of w alone would add 1.28 MB
+        assert large - small < 256 * 1024, (small, large)

@@ -9,8 +9,9 @@ import swmlab as sl
 from swmlab.errors import AxiomViolationError, InvalidQueryError, SizeGuardError
 from swmlab.instances import (ORACLE_GENERATORS, random_coverage_oracle,
                               random_family_instance)
-from swmlab.oracles import (AxiomReport, TableOracle, _subset_keys, mask_items,
-                            oracle_from_spec, subset_key)
+from swmlab.oracles import (TABLE_CHUNK, AxiomReport, TableOracle,
+                            _subset_keys, mask_items, oracle_from_spec,
+                            subset_key)
 
 TOL = 1e-12
 
@@ -318,6 +319,51 @@ class TestSpotCheck:
             assert scan.violation == _reference_spot_check(o, 300, 5), o
             kinds.add(scan.violation and scan.violation[0])
         assert kinds == {"monotone", "submodular", None}
+
+
+def _unsliced_spot_check(oracle, samples, seed, tol=TOL):
+    """The sampled check with every term evaluated on all samples at once:
+    the index and the report of its first violation, or None."""
+    n = oracle.n
+    rng = np.random.default_rng(seed)
+    e = rng.integers(0, n, size=samples)
+    f = (e + rng.integers(1, n, size=samples)) % n
+    ebit, fbit = 1 << e, 1 << f
+    a = rng.integers(0, 1 << n, size=samples) & ~(ebit | fbit)
+    values = oracle._values
+    mg = values(a | ebit) - values(a)
+    mono = mg < -tol
+    bad = np.flatnonzero(
+        mono | (mg < values(a | ebit | fbit) - values(a | fbit) - tol))
+    if not bad.size:
+        return None
+    k = int(bad[0])
+    aset, ek = frozenset(mask_items(int(a[k]))), int(e[k])
+    if mono[k]:
+        return k, ("monotone", aset, ek)
+    return k, ("submodular", aset, frozenset((int(f[k]),)), ek)
+
+
+class TestSpotCheckSlices:
+    """Evaluating the draws slice by slice reports the violation that one
+    evaluation of all of them reports."""
+
+    @pytest.mark.parametrize("bad,bump,seed,kind", (
+        (13936, 0.5, 0, "submodular"), (13722, -1.5, 2, "monotone")))
+    def test_one_bad_set_past_the_first_slice(self, bad, bump, seed, kind):
+        n = 14
+        t = np.array([bin(x).count("1") for x in range(1 << n)], float)
+        t[bad] += bump       # an additive table off at one set
+        o = TableOracle(n, t, check=False)
+        k, violation = _unsliced_spot_check(o, 30_000, seed)
+        assert k >= TABLE_CHUNK and violation[0] == kind
+        assert sl.spot_check_axioms(o, 30_000, seed).violation == violation
+
+    def test_clean_coverage_without_table(self):
+        o = random_oracle("coverage", 24, 1)
+        assert o._table is None
+        assert _unsliced_spot_check(o, 20_000, 2) is None
+        assert sl.spot_check_axioms(o, 20_000, 2).violation is None
 
 
 def _with_reference(family, n, seed):
