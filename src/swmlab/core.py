@@ -17,6 +17,7 @@ from .errors import InvalidQueryError, SizeGuardError
 from .oracles import ValuationOracle, as_mask, mask_items
 
 OPTIMAL_MAX_ASSIGNMENTS = 10 ** 7
+OPTIMAL_CHUNK = 1 << 16    # assignments ``optimal`` evaluates at once
 
 
 @dataclass(frozen=True)
@@ -142,12 +143,10 @@ def marginal_gains(oracle: ValuationOracle, masks: np.ndarray, bits
                    ) -> np.ndarray:
     """``marginal_gain_mask`` over an int64 array of sets: MG of the item
     with bit ``bits`` on each set, 0.0 where the set already holds it.
-    ``bits`` (one int or an array) broadcasts to the shape of ``masks``;
-    the values come from one ``value_masks`` call."""
+    ``masks`` and ``bits`` (one int or an array) broadcast together."""
     up = masks | bits
-    values = oracle.value_masks(np.concatenate((up.ravel(), masks.ravel())))
-    gains = values[:up.size] - values[up.size:]
-    return np.where(up == masks, 0.0, gains.reshape(up.shape))
+    gains = oracle.value_masks(up) - oracle.value_masks(masks)
+    return np.where(up == masks, 0.0, gains)
 
 
 def greedy_steps(instance: Instance, masks: np.ndarray, items: np.ndarray
@@ -156,7 +155,9 @@ def greedy_steps(instance: Instance, masks: np.ndarray, items: np.ndarray
     agent masks ``masks[:, s]`` (int64, one row per agent).  Returns the
     chosen agents, their marginals and the new masks.  Agents are scanned
     in ascending order from a best of -1.0 that only a strictly larger
-    marginal replaces, so ties and NaN resolve as in ``greedy_step``."""
+    marginal replaces, so ties and NaN resolve as in ``greedy_step``.
+    Rows of ``masks`` after the m agents' rows (tags) are carried over
+    unchanged."""
     bits = np.left_shift(1, items)
     best = np.full(len(items), -1.0)
     chosen = np.zeros(len(items), dtype=np.int64)
@@ -195,7 +196,10 @@ def optimal(instance: Instance, items: Optional[Iterable[int]] = None
 
     Enumerates agent choices in lexicographic order with the first listed
     item as the least significant digit and returns the first maximizer, so
-    opt_map is canonical.
+    opt_map is canonical.  Assignments are evaluated ``OPTIMAL_CHUNK`` at a
+    time: each one's welfare adds its agents' values in agent order, the
+    first maximizer of a chunk is its ``np.argmax``, and a later chunk
+    replaces the best so far only when strictly larger.
     """
     n, m = instance.n, instance.m
     if items is None:
@@ -214,15 +218,20 @@ def optimal(instance: Instance, items: Optional[Iterable[int]] = None
             f"{OPTIMAL_MAX_ASSIGNMENTS}")
     best_masks: Optional[list[int]] = None
     best_value = -1.0
-    for code in range(total):
-        masks = [0] * m
-        c = code
+    for lo in range(0, total, OPTIMAL_CHUNK):
+        codes = np.arange(lo, min(lo + OPTIMAL_CHUNK, total))
+        cols = np.arange(len(codes))
+        masks = np.zeros((m, len(codes)), dtype=np.int64)
+        c = codes
         for j in items:
-            masks[c % m] |= 1 << j
-            c //= m
-        v = sum(o.value_mask(msk) for o, msk in zip(instance.oracles, masks))
-        if v > best_value:
-            best_value, best_masks = v, masks
+            masks[c % m, cols] |= 1 << j
+            c = c // m
+        v = np.zeros(len(codes))
+        for o, msk in zip(instance.oracles, masks):
+            v = v + o.value_masks(msk)
+        top = int(np.argmax(v))
+        if v[top] > best_value:
+            best_value, best_masks = float(v[top]), masks[:, top].tolist()
     alloc = Allocation(tuple(best_masks))
     opt_map = {j: ell for ell, msk in enumerate(best_masks)
                for j in mask_items(msk)}

@@ -11,11 +11,27 @@ Exact expectations over all n! arrival orders come from chains of greedy
 states, all run by one layer loop (``_forward``) under one cap,
 ``EXACT_TRACE_MAX_N``: greedy's agent masks after k arrivals fix the arrived
 set, every item's Gain and the a/b split of the next step, so each state is
-expanded once however many orders reach it.  The chain from the empty
-allocation (``_state_pass``) serves ``expected_trace`` in exact mode,
-``verify_lemmas``, ``verify_eq1`` and ``verify_second_half``; the latter two
-and ``conjecture_check`` run further chains from chosen start states.  No
-suite enumerates orders.  Monte-Carlo mode draws each order from its own
+expanded once however many orders reach it.  A layer is an int64 array of
+state rows ``[r, S]`` (the m agent masks, then any tag rows a chain
+carries) with a probability vector ``[S]``, in first-occurrence order.  One
+step lists the transitions (state, unarrived item j) state-major with j
+ascending, runs ``core.greedy_steps`` once on all of them, and merges equal
+new states, compared row by row whatever the row width, in order of first
+occurrence, adding their probabilities with ``np.bincount`` in transition
+order.  Every expectation then adds its terms with ordered cumulative sums
+in that same order, so each report has the bytes a loop over the states
+and transitions, one scalar query at a time, gives.
+
+The chain from the empty allocation (``_state_pass``) runs once per
+``GainContext`` and serves ``expected_trace`` in exact mode,
+``verify_lemmas`` (its per-step bounds checked as arrays over each
+layer's transitions), ``verify_eq1`` and ``verify_second_half``.  Chains
+from chosen start states run as batches: the eq1 joint chains and the
+second half's Y chains from batches of the states after n/2 arrivals
+(``CHAIN_BATCH`` bounds a batch's widest layer), and
+``conjecture_check``'s n move-side chains together with the chain from
+the empty allocation, told apart by a tag row.  No suite enumerates
+orders.  Monte-Carlo mode draws each order from its own
 seeded generator, so its results are reproducible, and runs greedy on
 batches of ``MC_BATCH`` orders at once through ``core.greedy_steps``; it
 sums the per-order values in sample order, so it reports what a
@@ -23,7 +39,9 @@ sums the per-order values in sample order, so it reports what a
 """
 from __future__ import annotations
 
-from functools import lru_cache
+import math
+from functools import cached_property
+from itertools import islice
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -37,8 +55,11 @@ from .oracles import SAMPLED_MAX_N, classify_second_order, mask_items
 EXACT_TRACE_MAX_N = 8      # cap of every exact expectation (_forward)
 SECOND_HALF_MAX_M = 3      # verify_second_half tries m^(n/2) assignments
 MC_BATCH = 1024            # orders per Monte-Carlo batch; bounds its memory
+CHAIN_BATCH = 4096         # widest layer of one batch of chains from chosen
+                           # start states (eq1, second half); bounds memory
 DEFAULT_TOL = 1e-12
 IDENTITY_TOL = 1e-10
+_A_B = np.array([False, True])[:, None, None]   # a: future items, b: arrived
 
 
 class GainContext:
@@ -76,6 +97,13 @@ class GainContext:
             before |= 1 << j
         self._agent_items = [tuple(j for j in range(n) if opt_map[j] == ell)
                              for ell in range(m)]
+        self._ref = np.array([opt_map[j] for j in range(n)], dtype=np.int64)
+        # per reference agent with items: its items, their prior masks, bits
+        self._gain_columns = [
+            (ell, np.array(items), np.array([self._prior[i] for i in items],
+                                            dtype=np.int64),
+             np.left_shift(1, np.array(items, dtype=np.int64)))
+            for ell, items in enumerate(self._agent_items) if items]
 
     @property
     def n(self) -> int:
@@ -92,6 +120,11 @@ class GainContext:
 
     def gain_set_masks(self, items, masks: Sequence[int]) -> float:
         return sum(self.gain_masks(j, masks) for j in items)
+
+    @cached_property
+    def _pass(self) -> "_StatePass":
+        """The state pass, run once and shared by every exact suite."""
+        return _state_pass(self)
 
 
 def gain(ctx: GainContext, j: int, a: Allocation) -> float:
@@ -178,124 +211,185 @@ def _prefix_masks(m: int, order: Sequence[int], choices: Sequence[int]
     return out
 
 
-def _arrived(masks: Sequence[int]) -> int:
-    out = 0
-    for msk in masks:
-        out |= msk
-    return out
+@dataclass
+class _Layer:
+    """Chain states after k arrivals, in first-occurrence order: int64
+    rows ``states[r, S]``, whose first m rows are greedy's agent masks and
+    any further rows tags that the chain carries, and their probabilities
+    ``p[S]``."""
+
+    states: np.ndarray
+    p: np.ndarray
 
 
-def _give(masks: tuple[int, ...], ell: int, j: int) -> tuple[int, ...]:
-    """``masks`` with item j added to agent ell."""
-    return masks[:ell] + (masks[ell] | 1 << j,) + masks[ell + 1:]
+@dataclass
+class _Step:
+    """The transitions (state, unarrived item j) of one layer, state-major
+    with j ascending: source state ``src``, item ``items``, probability
+    ``q``, greedy's agent and marginal (None when the chain's ``advance``
+    does not report them), and ``inv``, the next-layer state it leads to."""
+
+    src: np.ndarray
+    items: np.ndarray
+    q: np.ndarray
+    chosen: Optional[np.ndarray]
+    marginal: Optional[np.ndarray]
+    inv: np.ndarray
 
 
-def _advance(inst: Instance, masks: tuple[int, ...], j: int
-             ) -> tuple[int, ...]:
-    """Greedy's agent masks after item j arrives on top of ``masks``."""
-    return _give(masks, greedy_step(inst, masks, j)[0], j)
+def _batches(size: int, reach: int):
+    """Slices that cut ``size`` start states into runs of consecutive ones,
+    each with at most ``CHAIN_BATCH // reach`` states (at least one), for
+    chains of which each start state reaches at most ``reach`` states at
+    the widest layer."""
+    step = max(1, CHAIN_BATCH // reach)
+    return [slice(lo, lo + step) for lo in range(0, size, step)]
 
 
-def _forward(inst: Instance, layer: dict, depth: int, arrived=_arrived,
-             move=None):
-    """Yield ``layer``, a {chain state: probability} map at ``depth``, then
-    the layer after each further arrival, down to depth n.  From a state of
-    probability p at depth k, each item j not in ``arrived(state)`` arrives
-    next with probability q = p/(n-k), leading to ``move(k, state, j, q)``
-    (default: greedy's agent masks); one state's moves come in a row, by
-    ascending j.  Every exact expectation runs here, under the one cap."""
-    n = inst.n
+def _or_rows(rows: np.ndarray) -> np.ndarray:
+    return np.bitwise_or.reduce(rows, axis=0)
+
+
+def _member(masks: np.ndarray, n: int) -> np.ndarray:
+    """[S, n] booleans: item j is in ``masks[s]``."""
+    return (masks[:, None] >> np.arange(n) & 1) != 0
+
+
+def _row_sums(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Per row, the sum of ``values[s, j]`` over the j where ``keep``,
+    added in ascending j from 0.0, as a loop over the items adds them (the
+    other items add 0.0, which changes no sum but the sign of a zero, and
+    the final + 0.0 turns a -0.0 into the loop's 0.0)."""
+    return np.where(keep, values, 0.0).cumsum(axis=1)[:, -1] + 0.0
+
+
+def _first_occurrence(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Merge the equal columns of int64 ``rows[r, T]``: returns ``inv``,
+    each column's merged index, and ``keep``, the column where each merged
+    state first occurs, so merged states are numbered in order of first
+    occurrence.  Columns are compared row by row, whatever their width."""
+    size = rows.shape[1]
+    perm = np.lexsort(rows)                  # stable: ties keep column order
+    srt = rows[:, perm]
+    start = np.ones(size, dtype=bool)
+    start[1:] = (srt[:, 1:] != srt[:, :-1]).any(axis=0)
+    heads = perm[start]                      # first column of each group
+    first = np.zeros(size, dtype=bool)
+    first[heads] = True
+    rank = first.cumsum() - 1
+    inv = np.empty(size, dtype=np.int64)
+    inv[perm] = rank[heads][start.cumsum() - 1]
+    return inv, first.nonzero()[0]
+
+
+def _forward(inst: Instance, layer: _Layer, depth: int, arrived=None,
+             advance=None):
+    """Yield ``(layer, None)`` at ``depth``, then ``(layer, step)`` after
+    each further arrival, down to depth n.  From a state of probability p
+    at depth k each item j not in ``arrived(states)`` (default: the union
+    of the agent masks) arrives next with probability q = p/(n-k).  One
+    ``advance(k, states, items) -> (chosen, marginal, new states)`` call
+    (default: ``greedy_steps``, which carries tag rows) takes every
+    transition of the layer; equal new states merge in first-occurrence
+    order, their q added in transition order.  Every exact expectation
+    runs here, under the one cap."""
+    n, m = inst.n, inst.m
     if n > EXACT_TRACE_MAX_N:
         raise SizeGuardError(f"exact expectations are capped at "
                              f"n={EXACT_TRACE_MAX_N}; got n={n}")
-    move = move or (lambda k, masks, j, q: _advance(inst, masks, j))
-    yield layer
+    bits = np.left_shift(1, np.arange(n))
+    yield layer, None
     for k in range(depth, n):
-        nxt: dict = {}
-        for state, p in layer.items():
-            done = arrived(state)
-            q = p / (n - k)
-            for j in range(n):
-                if not done >> j & 1:
-                    key = move(k, state, j, q)
-                    nxt[key] = nxt.get(key, 0.0) + q
-        layer = nxt
-        yield layer
+        rows = layer.states
+        done = _or_rows(rows[:m]) if arrived is None else arrived(rows)
+        src, items = np.nonzero((done[:, None] & bits) == 0)
+        q = (layer.p / (n - k))[src]
+        if advance is None:
+            chosen, marginal, new = greedy_steps(inst, rows[:, src], items)
+        else:
+            chosen, marginal, new = advance(k, rows[:, src], items)
+        inv, keep = _first_occurrence(new)
+        layer = _Layer(new[:, keep],
+                       np.bincount(inv, weights=q, minlength=len(keep)))
+        yield layer, _Step(src, items, q, chosen, marginal, inv)
 
 
 @dataclass
 class _StatePass:
-    """Raw expected trace vectors and the reachable greedy states."""
+    """Raw expected trace vectors, the reachable greedy states, every
+    item's Gain at the empty allocation and at each state after n//2
+    arrivals ([S, n]), and, per layer k, the per-step values of its
+    transitions for ``verify_lemmas``: ``steps[k] = (src, items, w, Gain of
+    the arriving item, a + b)``."""
 
     w: np.ndarray
     a: np.ndarray
     b: np.ndarray
-    layers: list     # layers[k] = {agent masks after k arrivals: probability}
+    layers: list     # layers[k]: the _Layer of greedy states after k arrivals
+    empty_gains: np.ndarray
+    half_gains: np.ndarray
+    steps: list
 
     @property
     def states(self) -> int:
-        return sum(len(layer) for layer in self.layers)
+        return sum(len(layer.p) for layer in self.layers)
 
 
-def _state_pass(ctx: GainContext, step=None) -> _StatePass:
+def _state_pass(ctx: GainContext) -> _StatePass:
     """Expected w, a, b over all n! orders by one forward chain over the
     greedy states reachable from the empty allocation.
 
-    The transition by item j adds q*w, q*a and q*b at position k, its
-    per-step values computed with the same float operations as
-    ``trace_one``.  ``step(k, masks, j, w, gain_j, a, b)``, when given,
-    sees every transition (state, j) once.
+    Each step reads every item's Gain at the source and at the new state
+    (computed once per merged state and gathered) and splits its drop into
+    a and b with ``_split_drops``; the transitions add q*w, q*a and q*b at
+    position k in transition order, so each sum is the one a loop over the
+    transitions gives.
     """
     inst, n, m = ctx.instance, ctx.n, ctx.m
-    w, av, bv = [0.0] * n, [0.0] * n, [0.0] * n
-
-    @lru_cache(maxsize=1)      # _forward takes one state's moves in a row
-    def expand(masks):
-        return _arrived(masks), [ctx.gain_masks(i, masks) for i in range(n)]
-
-    def move(k, masks, j, q):
-        arrived, gains = expand(masks)
-        ell, g = greedy_step(inst, masks, j)
-        new = _give(masks, ell, j)
-        now = arrived | 1 << j
-        bi = ai = 0.0
-        for i in ctx._agent_items[ell]:
-            d = gains[i] - ctx.gain_masks(i, new)
-            if d != 0.0:
-                if now >> i & 1:
-                    bi += d
-                else:
-                    ai += d
-        w[k] += q * g
-        av[k] += q * ai
-        bv[k] += q * bi
-        if step is not None:
-            step(k, masks, j, g, gains[j], ai, bi)
-        return new
-
-    layers = list(_forward(inst, {(0,) * m: 1.0}, 0, move=move))
-    return _StatePass(np.array(w), np.array(av), np.array(bv), layers)
+    chain = _forward(inst, _Layer(np.zeros((m, 1), dtype=np.int64),
+                                  np.ones(1)), 0)
+    layers = [next(chain)[0]]
+    gains = empty_gains = half_gains = _item_gains(ctx, layers[0].states)
+    totals = np.zeros((n, 3))              # rows: positions; columns w, a, b
+    steps = []
+    for k, (layer, step) in enumerate(chain):
+        new = _item_gains(ctx, layer.states)
+        before = gains[step.src]
+        ab, _ = _split_drops(ctx, before, new[step.inv], step.chosen,
+                             _member(_or_rows(layer.states), n)[step.inv])
+        q, w_step = step.q, step.marginal
+        totals[k] = _running_sum(totals[k],
+                                 (q * np.vstack((w_step, ab))).T)
+        steps.append((step.src, step.items, w_step,
+                      before[np.arange(len(q)), step.items], ab[0] + ab[1]))
+        layers.append(layer)
+        gains = new
+        if k + 1 == n // 2:
+            half_gains = new
+    w, av, bv = totals.T.copy()
+    return _StatePass(w, av, bv, layers, empty_gains, half_gains, steps)
 
 
-def _prefix_reaching(inst: Instance, layers: list, masks: tuple[int, ...]
+def _prefix_reaching(inst: Instance, seen: list, masks: tuple[int, ...]
                      ) -> tuple[int, ...]:
     """An arrival prefix along which greedy reaches the reachable ``masks``,
-    found by stepping back one layer at a time."""
+    found by stepping back one layer at a time (``seen[k]``: the set of
+    states after k arrivals)."""
     prefix = []
-    for depth in range(len(mask_items(_arrived(masks))), 0, -1):
-        masks, j = _step_back(inst, layers[depth - 1], masks)
+    for depth in range(sum(bin(msk).count("1") for msk in masks), 0, -1):
+        masks, j = _step_back(inst, seen[depth - 1], masks)
         prefix.append(j)
     return tuple(reversed(prefix))
 
 
-def _step_back(inst: Instance, layer: dict, masks: tuple[int, ...]
+def _step_back(inst: Instance, seen: set, masks: tuple[int, ...]
                ) -> tuple[tuple[int, ...], int]:
-    """A state in ``layer`` and an item j whose greedy step leads from that
+    """A state in ``seen`` and an item j whose greedy step leads from that
     state to ``masks``; one exists whenever ``masks`` is reachable."""
     for ell, msk in enumerate(masks):
         for j in mask_items(msk):
             prev = masks[:ell] + (msk & ~(1 << j),) + masks[ell + 1:]
-            if prev in layer and greedy_step(inst, prev, j)[0] == ell:
+            if prev in seen and greedy_step(inst, prev, j)[0] == ell:
                 return prev, j
     raise ValueError(f"greedy state {masks} is not reachable")
 
@@ -405,8 +499,7 @@ def _mc_batches(n: int, mode: str, samples: int, seed: int):
 def _running_sum(total, rows):
     """``total + rows[0] + rows[1] + ..``, added strictly in row order (a
     cumulative sum, unlike ``np.sum``, never regroups its terms)."""
-    return np.cumsum(np.concatenate((np.asarray(total)[None], rows)),
-                     axis=0)[-1]
+    return np.concatenate((np.asarray(total)[None], rows)).cumsum(axis=0)[-1]
 
 
 def _item_gains(ctx: GainContext, masks: np.ndarray) -> np.ndarray:
@@ -414,32 +507,38 @@ def _item_gains(ctx: GainContext, masks: np.ndarray) -> np.ndarray:
     allocations A with agent masks ``masks[m, S]``: a gather from each
     item's reference agent at its mask OR ``prior[i]``."""
     out = np.empty((masks.shape[1], ctx.n))
-    for ell, items in enumerate(ctx._agent_items):
-        if items:
-            items = list(items)
-            base = masks[ell][:, None] | np.array([ctx._prior[i]
-                                                   for i in items])
-            out[:, items] = marginal_gains(ctx.instance.oracles[ell], base,
-                                           np.left_shift(1, items))
+    for ell, items, prior, bits in ctx._gain_columns:
+        out[:, items] = marginal_gains(ctx.instance.oracles[ell],
+                                       masks[ell][:, None] | prior, bits)
     return out
+
+
+def _split_drops(ctx: GainContext, before: np.ndarray, after: np.ndarray,
+                 chosen: np.ndarray, now: np.ndarray):
+    """a and b (the rows of a [2, S] array) and the hit items of a batch of
+    greedy steps, from every item's
+    Gain ``before`` and ``after`` each step ([S, n]), the chosen agents and
+    the arrived items after it (``now``, [S, n] booleans), as ``trace_one``
+    computes them.  The Gain drop d of every item whose reference agent was
+    chosen and whose d != 0 goes into b if the item has arrived and into a
+    otherwise, added in ascending item order; the other items add 0.0 in
+    their place, which changes no sum, since a sum of nonzero terms that
+    starts at 0.0 is never -0.0."""
+    d = before - after
+    hit = (chosen[:, None] == ctx._ref) & (d != 0.0)
+    terms = np.where(hit & (now == _A_B), d, 0.0)       # [2, S, n]
+    return terms.cumsum(axis=2, out=terms)[:, :, -1], hit
 
 
 def _trace_batch(ctx: GainContext, orders: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``trace_one``'s w, a and b for each row of ``orders`` (int64
-    [S, n]), as C-contiguous [S, n] arrays, by the same float operations.
-
-    After each greedy step the Gain drop d of every item whose reference
-    agent was chosen and whose d != 0 goes into b if the item has arrived
-    and into a otherwise, added in ascending item order; the other items
-    add 0.0 in their place, which changes no sum, since a sum of nonzero
-    terms that starts at 0.0 is never -0.0."""
+    [S, n]), as C-contiguous [S, n] arrays, by the same float operations
+    (see ``_split_drops``)."""
     n = ctx.n
     size = len(orders)
     masks = np.zeros((ctx.m, size), dtype=np.int64)
     gains = _item_gains(ctx, masks)
-    ref = np.array([ctx.opt_map[i] for i in range(n)])
-    items = np.arange(n)
     w, av, bv = np.zeros((3, size, n))
     arrived = np.zeros(size, dtype=np.int64)
     for pos in range(n):
@@ -447,11 +546,8 @@ def _trace_batch(ctx: GainContext, orders: np.ndarray
                                                 orders[:, pos])
         arrived |= np.left_shift(1, orders[:, pos])
         new = _item_gains(ctx, masks)
-        d = gains - new
-        hit = (chosen[:, None] == ref) & (d != 0.0)
-        now = (arrived[:, None] >> items & 1) != 0
-        bv[:, pos] = np.cumsum(np.where(hit & now, d, 0.0), axis=1)[:, -1]
-        av[:, pos] = np.cumsum(np.where(hit & ~now, d, 0.0), axis=1)[:, -1]
+        (av[:, pos], bv[:, pos]), hit = _split_drops(ctx, gains, new, chosen,
+                                                     _member(arrived, n))
         gains = np.where(hit, new, gains)
     return w, av, bv
 
@@ -469,7 +565,7 @@ def expected_trace(ctx: GainContext, mode: str = "exact",
     """
     n, opt = ctx.n, ctx.opt_value
     if mode == "exact":
-        sp = _state_pass(ctx)
+        sp = ctx._pass
         return GainTrace(n, opt, mode, sp.w / opt, sp.a / opt, sp.b / opt,
                          sp.w, sp.a, sp.b, states=sp.states)
     s, s2 = np.zeros((3, n)), np.zeros((3, n))     # rows w, a, b
@@ -560,24 +656,27 @@ def verify_lemmas(ctx: GainContext, tol: float = DEFAULT_TOL,
     set is the first half and whose complement is the second half.
     """
     inst, n, m = ctx.instance, ctx.n, ctx.m
-    flagged = []          # (kind, position, state, item, w, bound)
-
-    def check(k, masks, j, w_step, gain_j, a_step, b_step):
-        if w_step < gain_j - tol:
-            flagged.append(("step_lower_bound", k, masks, j, w_step, gain_j))
-        if w_step < a_step + b_step - tol:
-            flagged.append(("step_reduction", k, masks, j, w_step,
-                            a_step + b_step))
-
-    sp = _state_pass(ctx, check)
+    sp = ctx._pass
     violations = []
-    for kind, k, masks, j, w_step, bound in flagged:
-        prefix = _prefix_reaching(inst, sp.layers, masks) + (j,)
-        rest = tuple(i for i in range(n) if i not in prefix)
-        violations.append((kind, prefix + rest, k, float(w_step),
-                           float(bound)))
-    step_lb_ok = all(v[0] != "step_lower_bound" for v in flagged)
-    step_red_ok = all(v[0] != "step_reduction" for v in flagged)
+    step_lb_ok = step_red_ok = True
+    seen = None
+    for k, (src, items, w_step, gain_j, reduction) in enumerate(sp.steps):
+        low = w_step < gain_j - tol
+        red = w_step < reduction - tol
+        step_lb_ok = step_lb_ok and not low.any()
+        step_red_ok = step_red_ok and not red.any()
+        for t in np.flatnonzero(low | red):
+            if seen is None:
+                seen = [set(zip(*layer.states.tolist()))
+                        for layer in sp.layers]
+            masks = tuple(sp.layers[k].states[:, src[t]].tolist())
+            prefix = _prefix_reaching(inst, seen, masks) + (int(items[t]),)
+            order = prefix + tuple(i for i in range(n) if i not in prefix)
+            for kind, hit, bound in (("step_lower_bound", low, gain_j),
+                                     ("step_reduction", red, reduction)):
+                if hit[t]:
+                    violations.append((kind, order, k, float(w_step[t]),
+                                       float(bound[t])))
     opt = ctx.opt_value
     w, a, b = sp.w / opt, sp.a / opt, sp.b / opt
     ratio = float(w.sum())
@@ -600,19 +699,11 @@ def verify_lemmas(ctx: GainContext, tol: float = DEFAULT_TOL,
     identities_ok: Optional[bool] = None
     if n % 2 == 0:
         half = n // 2
-        initial = [ctx.gain_masks(j, (0,) * m) for j in range(n)]
-        lhs1 = lhs2 = 0.0
-        for masks, p in sp.layers[half].items():
-            first = _arrived(masks)
-            drop1 = drop2 = 0.0
-            for j in range(n):
-                d = initial[j] - ctx.gain_masks(j, masks)
-                if first >> j & 1:
-                    drop2 += d
-                else:
-                    drop1 += d
-            lhs1 += p * drop1
-            lhs2 += p * drop2
+        layer = sp.layers[half]
+        drop = sp.empty_gains - sp.half_gains
+        first = _member(_or_rows(layer.states), n)
+        lhs1 = float(_running_sum(0.0, layer.p * _row_sums(drop, ~first)))
+        lhs2 = float(_running_sum(0.0, layer.p * _row_sums(drop, first)))
         lhs1 /= opt
         lhs2 /= opt
         rhs1 = sum(a[j - 1] * (n / 2) / (n - j) for j in range(1, half + 1))
@@ -681,41 +772,50 @@ class Eq1Report:
                 "margin": self.margin, "passed": self.passed}
 
 
-def _expected_A_prime_margin(ctx: GainContext, half_layer: dict
+def _expected_A_prime_margin(ctx: GainContext, half: _Layer
                              ) -> tuple[float, int]:
     """E[V(A') - V(G(S1))] over all orders (see ``build_A_prime``), and the
     number of joint states visited.
 
-    From each state at depth n/2, which is greedy's allocation of S1, a
-    joint chain runs to depth n.  Its state is the pair (full-greedy masks,
-    masks of greedy on (S2, S3) alone) plus S2, the items that arrive
-    between depths n/2 and 3n/4.  Greedy never moves an item, so chains
-    from different half states never meet and run one at a time.  The
-    optimum on S2 is computed once per subset, over its items in sorted
-    order.
+    A joint chain starts at every state after n/2 arrivals, which is
+    greedy's allocation of S1, and runs to depth n; the chains run in
+    batches of consecutive start states (``_batches``).  The joint state
+    is the row of full-greedy masks, masks of greedy on (S2, S3) alone and
+    S2, the items that arrive between depths n/2 and 3n/4.  Greedy never
+    moves an item, so the joint state fixes its half state (the full masks
+    on the items greedy on (S2, S3) has not seen), chains never meet, and
+    a batch's layer is its chains' layers one after another.  The optimum
+    on S2 is computed once per subset, over its items in sorted order.
     """
     inst, n, m = ctx.instance, ctx.n, ctx.m
     three_q = 3 * n // 4
 
-    def move(k, state, j, q):
-        full, g23, s2 = state
-        return (_advance(inst, full, j), _advance(inst, g23, j),
-                s2 | 1 << j if k < three_q else s2)
+    def advance(k, rows, items):
+        _, _, new = greedy_steps(inst, rows, items)    # full; rest carried
+        new[m:2 * m] = greedy_steps(inst, rows[m:2 * m], items)[2]
+        if k < three_q:
+            new[2 * m] |= np.left_shift(1, items)
+        return None, None, new
 
     opt_s2: dict = {}
-    margin = 0.0
-    states = 0
-    for half, p_half in half_layer.items():
-        for layer in _forward(inst, {(half, (0,) * m, 0): p_half}, n // 2,
-                              lambda state: _arrived(state[0]), move):
-            states += len(layer)
-        g_s1 = sum(o.value_mask(msk) for o, msk in zip(inst.oracles, half))
-        for (full, g23, s2), p in layer.items():     # the depth-n layer
-            if s2 not in opt_s2:
-                opt_s2[s2] = optimal(inst, items=mask_items(s2))[0].masks
-            a_prime = sum(o.value_mask(f | g | h) for o, f, g, h in
-                          zip(inst.oracles, full, g23, opt_s2[s2]))
-            margin += p * (a_prime - g_s1)
+    margin, states = 0.0, 0
+    for part in _batches(len(half.p), math.factorial(n - n // 2)):
+        p = half.p[part]
+        start = _Layer(np.vstack((half.states[:, part],
+                                  np.zeros((m + 1, len(p)), np.int64))), p)
+        for layer, _ in _forward(inst, start, n // 2, advance=advance):
+            states += len(layer.p)
+        full, g23, s2 = (layer.states[:m], layer.states[m:2 * m],
+                         layer.states[-1])
+        s1 = ~_or_rows(g23)              # at depth n every item has arrived
+        for x in set(s2.tolist()) - opt_s2.keys():
+            opt_s2[x] = optimal(inst, items=mask_items(x))[0].masks
+        h = np.array([opt_s2[x] for x in s2.tolist()], dtype=np.int64).T
+        a_prime = g_s1 = np.zeros(len(layer.p))
+        for o, f, g, hk in zip(inst.oracles, full, g23, h):
+            a_prime = a_prime + o.value_masks(f | g | hk)
+            g_s1 = g_s1 + o.value_masks(f & s1)
+        margin = _running_sum(margin, layer.p * (a_prime - g_s1))
     return margin, states
 
 
@@ -728,7 +828,7 @@ def verify_eq1(ctx: GainContext, tol: float = IDENTITY_TOL) -> Eq1Report:
     n = ctx.n
     if n % 4 != 0:
         raise ValueError(f"n must be divisible by 4, got {n}")
-    sp = _state_pass(ctx)
+    sp = ctx._pass
     margin, joint_states = _expected_A_prime_margin(ctx, sp.layers[n // 2])
     opt = ctx.opt_value
     lhs = margin / opt
@@ -794,7 +894,10 @@ def verify_second_half(ctx: GainContext, tol: float = IDENTITY_TOL
     with the lowest item's agent varying fastest.  Its reduction is X.  Its
     restriction to the items arriving at positions i..n defines Y_i, which
     depends on the half state and greedy's state after i-1 arrivals, so
-    E[Y_i] comes from a forward chain started at each half state.  Checks:
+    E[Y_i] comes from a forward chain started at each half state.  Both
+    run on batches of consecutive half states (``_batches``), each batch's
+    chains as one tagged chain, and add their terms in the order of the
+    half states, then of the chain states.  Checks:
     E[X] >= sum_{j<=n/2}(a_j j/(n-j) - b_j) for any oracles; the Y
     recursion and the slack/b inequality additionally, when every agent's
     oracle is second-order supermodular.
@@ -805,38 +908,49 @@ def verify_second_half(ctx: GainContext, tol: float = IDENTITY_TOL
     if m > SECOND_HALF_MAX_M:
         raise SizeGuardError(f"verify_second_half is capped at "
                              f"m={SECOND_HALF_MAX_M}; got m={m}")
-    sp = _state_pass(ctx)
+    sp = ctx._pass
     half = n // 2
     supermodular = all(
         classify_second_order(o).is_second_order_supermodular
         for o in inst.oracles)
 
+    codes = np.arange(m ** half)
     ex_x = 0.0
     ex_y = np.zeros(half)             # Y_i for i = n/2+1 .. n
     states = sp.states
-    for base, p_half in sp.layers[half].items():
-        s1 = _arrived(base)
-        first = mask_items(s1)
-        hats = [(0,) * m]
-        for j in mask_items((1 << n) - 1 & ~s1):
-            hats = [_give(hat, ell, j) for ell in range(m) for hat in hats]
+    # agent[t, ell, h]: assignment h gives the t-th lowest second-half
+    # item to agent ell
+    agent = ((codes // m ** np.arange(half)[:, None] % m)[:, None, :]
+             == np.arange(m)[:, None]).astype(np.int64)
+    layer = sp.layers[half]
+    for part in _batches(len(layer.p), max(len(codes), math.factorial(half))):
+        # every half state against every assignment of its second-half
+        # items
+        base, p = layer.states[:, part], layer.p[part]
+        size = len(p)
+        first = _member(_or_rows(base), n)                   # S1, [S, n]
+        rest = np.left_shift(1, np.nonzero(~first)[1]).reshape(size, half)
+        hats = np.einsum("tlh,st->lsh", agent, rest)   # disjoint bits: OR
+        g_base = _row_sums(sp.half_gains[part], first)
+        reduction = g_base[:, None] - _row_sums(
+            _item_gains(ctx, (base[:, :, None] | hats).reshape(m, -1)),
+            first.repeat(len(codes), axis=0)).reshape(size, -1)
+        best = reduction.argmax(axis=1)      # the first maximizer
+        ex_x = _running_sum(ex_x, p * reduction[np.arange(size), best])
 
-        def gain_with(masks, hat):
-            return ctx.gain_set_masks(first, [x | h for x, h in
-                                              zip(masks, hat)])
-
-        g_base = ctx.gain_set_masks(first, base)
-        best = max(hats, key=lambda hat: g_base - gain_with(base, hat))
-        ex_x += p_half * (g_base - gain_with(base, best))
         # Y_i = Gain(S1, A^G_{i-1}) - Gain(S1, A^G_{i-1} + best on the
-        # unarrived items), read at depths n/2 .. n-1 of the chain
-        chain = _forward(inst, {base: p_half}, half)
-        for y, layer in zip(range(half), chain):
-            states += len(layer)
-            for before, p in layer.items():
-                rest = ~_arrived(before)
-                ex_y[y] += p * (ctx.gain_set_masks(first, before)
-                                - gain_with(before, [h & rest for h in best]))
+        # unarrived items), read at depths n/2 .. n-1 of chains started at
+        # the half states, told apart by a tag row holding the index of
+        # their half state
+        best = hats[:, np.arange(size), best]
+        start = _Layer(np.vstack((base, np.arange(size))), p)
+        for y, (before, _) in zip(range(half), _forward(inst, start, half)):
+            states += len(before.p)
+            masks, tag = before.states[:m], before.states[m]
+            hat = masks | best[:, tag] & ~_or_rows(masks)
+            ex_y[y] = _running_sum(ex_y[y], before.p * (
+                _row_sums(_item_gains(ctx, masks), first[tag])
+                - _row_sums(_item_gains(ctx, hat), first[tag])))
 
     a, b = sp.a, sp.b
     rhs = sum(a[j - 1] * j / (n - j) - b[j - 1] for j in range(1, half + 1))
@@ -895,13 +1009,16 @@ class ConjectureReport:
                 "counterexample": self.counterexample}
 
 
-def _copy_sum(inst: Instance, final: Sequence[int], items) -> float:
-    """Sum over ``items`` of the best marginal any agent's final set offers."""
-    total = 0.0
-    for j in items:
-        total += max(o.marginal_gain_mask(msk, j)
-                     for o, msk in zip(inst.oracles, final))
-    return total
+def _best_marginals(inst: Instance, final: np.ndarray, bits) -> np.ndarray:
+    """[S, n]: for each set of agent masks ``final[:, s]`` and each item
+    bit ``bits`` (one row per s, or one row for all), the largest marginal
+    any agent's set offers, the first largest as ``max`` picks it."""
+    final = final[:, :, None]
+    best = marginal_gains(inst.oracles[0], final[0], bits)
+    for o, msk in zip(inst.oracles[1:], final[1:]):
+        g = marginal_gains(o, msk, bits)
+        best = np.where(g > best, g, best)
+    return best
 
 
 def _conjecture_batch(inst: Instance, orders: np.ndarray
@@ -925,12 +1042,8 @@ def _conjecture_batch(inst: Instance, orders: np.ndarray
     move = np.zeros(size)
     for i in range(n):
         move += last[:, i]
-    final = masks[:, n - 1::n, None].repeat(n, axis=2)     # [m, S, n]
-    bits = np.left_shift(1, orders)
-    best = marginal_gains(inst.oracles[0], final[0], bits)
-    for o, msk in zip(inst.oracles[1:], final[1:]):
-        g = marginal_gains(o, msk, bits)
-        best = np.where(g > best, g, best)
+    best = _best_marginals(inst, masks[:, n - 1::n],
+                           np.left_shift(1, orders))
     copy = np.zeros(size)
     for pos in range(n):
         copy += best[:, pos]
@@ -941,28 +1054,39 @@ def _conjecture_chains(inst: Instance) -> tuple[float, float, float, int]:
     """(copy side, move side, crosscheck, states) over all n! orders.
 
     The chain from the empty allocation gives the copy side from its final
-    states and n * E[last marginal] from the states before.  Moving pi_i to
-    the end makes (prefix, last item) a uniform pair, so the move side sums
+    states and n * E[last marginal] from its last step.  Moving pi_i to the
+    end makes (prefix, last item) a uniform pair, so the move side sums
     over items j greedy's expected marginal for j after the others arrive
     in random order: a chain started at depth 1 with j counted as arrived.
+    After the first step of the chain from the empty allocation all n + 1
+    chains are at depth 1, so they run on as one batch, told apart by a
+    tag row holding j's bit (0 for the chain from the empty allocation,
+    whose states come first in every layer).
     """
-    n, empty = inst.n, (0,) * inst.m
-    layers = list(_forward(inst, {empty: 1.0}, 0))
-    states = sum(len(layer) for layer in layers)
-    lhs = last = 0.0
-    for final, p in layers[n].items():
-        lhs += p * _copy_sum(inst, final, range(n))
-    for masks, p in layers[n - 1].items():
-        j = ((1 << n) - 1 & ~_arrived(masks)).bit_length() - 1
-        last += p * greedy_step(inst, masks, j)[1]
-    rhs = 0.0
-    for j in range(n):
-        for layer in _forward(inst, {empty: 1.0}, 1,
-                              lambda masks, j=j: _arrived(masks) | 1 << j):
-            states += len(layer)
-        for masks, p in layer.items():     # the depth-n layer
-            rhs += p * greedy_step(inst, masks, j)[1]
-    return lhs, rhs, n * last, states
+    n, m = inst.n, inst.m
+    bits = np.left_shift(1, np.arange(n))
+    empty = _Layer(np.zeros((m + 1, 1), np.int64), np.ones(1))
+    first, step = next(islice(_forward(inst, empty, 0), 1, None))
+    start = _Layer(np.hstack((first.states,
+                              np.vstack((np.zeros((m, n), np.int64), bits)))),
+                   np.concatenate((first.p, np.ones(n))))
+    states = 1
+    for layer, later in _forward(inst, start, 1, lambda rows: _or_rows(
+            rows[:m]) | rows[m]):
+        states += len(layer.p)
+        step = later or step
+    # the last step has one transition per state, with q = p; those of the
+    # chain from the empty allocation come first, as its states do
+    steps = (layer.states[m][step.inv] == 0).sum()
+    last = _running_sum(0.0, step.q[:steps] * step.marginal[:steps])
+    own = (layer.states[m] == 0).sum()
+    best = _best_marginals(inst, layer.states[:m, :own], bits)
+    lhs = _running_sum(0.0, layer.p[:own] * _row_sums(best, True))
+    tag = layer.states[m, own:]
+    _, moved, _ = greedy_steps(inst, layer.states[:m, own:],
+                               (tag[:, None] & bits).argmax(axis=1))
+    rhs = _running_sum(0.0, layer.p[own:] * moved)
+    return float(lhs), float(rhs), float(n * last), states
 
 
 def conjecture_check(instance: Instance, mode: str = "exact",

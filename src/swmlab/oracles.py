@@ -108,11 +108,11 @@ class ValuationOracle:
 
     def value_masks(self, masks: np.ndarray) -> np.ndarray:
         """Values of an int64 array of sets inside the ground set (not
-        checked), bit-identical to ``value_mask`` on each: a gather from the
-        table when there is one, ``_values`` otherwise."""
+        checked), of any shape, bit-identical to ``value_mask`` on each: a
+        gather from the table when there is one, ``_values`` otherwise."""
         if self._table is not None:
             return self._table[masks]
-        return self._values(masks)
+        return self._values(masks.ravel()).reshape(masks.shape)
 
     def value(self, items: Iterable[int]) -> float:
         return self.value_mask(as_mask(items, self.n))
