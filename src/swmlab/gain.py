@@ -31,11 +31,15 @@ second half's Y chains from batches of the states after n/2 arrivals
 (``CHAIN_BATCH`` bounds a batch's widest layer), and
 ``conjecture_check``'s n move-side chains together with the chain from
 the empty allocation, told apart by a tag row.  No suite enumerates
-orders.  Monte-Carlo mode draws each order from its own
-seeded generator, so its results are reproducible, and runs greedy on
-batches of ``MC_BATCH`` orders at once through ``core.greedy_steps``; it
-sums the per-order values in sample order, so it reports what a
-``trace_one`` loop over the same orders gives, bit for bit.
+orders.
+
+Per-order traces run as batches of orders (``_trace_batch``), one greedy
+step for every order of the batch at once through ``core.greedy_steps``;
+``trace_one`` is one row of such a batch.  Monte-Carlo mode draws each
+order from its own seeded generator, so its results are reproducible,
+traces ``MC_BATCH`` orders at a time and sums the per-order values in
+sample order, so it reports what a ``trace_one`` loop over the same orders
+gives, bit for bit.
 """
 from __future__ import annotations
 
@@ -47,10 +51,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (Allocation, Instance, greedy, greedy_step, greedy_steps,
-                   marginal_gains, optimal, union, welfare)
+from .core import (Allocation, Instance, _overlapping, greedy, greedy_step,
+                   greedy_steps, marginal_gains, optimal, union, welfare)
 from .errors import InvalidQueryError, SizeGuardError
-from .oracles import SAMPLED_MAX_N, classify_second_order, mask_items
+from .oracles import classify_second_order, mask_items
 
 EXACT_TRACE_MAX_N = 8      # cap of every exact expectation (_forward)
 SECOND_HALF_MAX_M = 3      # verify_second_half tries m^(n/2) assignments
@@ -75,6 +79,9 @@ class GainContext:
         else:
             if opt_allocation.assigned_mask != (1 << n) - 1:
                 raise ValueError("reference allocation must assign every item")
+            if _overlapping(opt_allocation.masks):
+                raise ValueError(
+                    "reference allocation must give each item to one agent")
             opt_value = welfare(instance, opt_allocation)
             opt_map = {j: ell for ell, msk in enumerate(opt_allocation.masks)
                        for j in mask_items(msk)}
@@ -113,14 +120,6 @@ class GainContext:
     def m(self) -> int:
         return self.instance.m
 
-    def gain_masks(self, j: int, masks: Sequence[int]) -> float:
-        ell = self.opt_map[j]
-        base = masks[ell] | self._prior[j]
-        return self.instance.oracles[ell].marginal_gain_mask(base, j)
-
-    def gain_set_masks(self, items, masks: Sequence[int]) -> float:
-        return sum(self.gain_masks(j, masks) for j in items)
-
     @cached_property
     def _pass(self) -> "_StatePass":
         """The state pass, run once and shared by every exact suite."""
@@ -133,7 +132,11 @@ def gain(ctx: GainContext, j: int, a: Allocation) -> float:
         raise ValueError("allocation agent count mismatch")
     if j < 0 or j >= ctx.n:
         raise InvalidQueryError(f"item {j} outside ground set of size {ctx.n}")
-    return ctx.gain_masks(j, a.masks)
+    if a.assigned_mask >> ctx.n:
+        raise InvalidQueryError(f"allocation holds items outside the ground "
+                                f"set of size {ctx.n}")
+    masks = np.array(a.masks, dtype=np.int64)[:, None]
+    return float(_item_gains(ctx, masks)[0, j])
 
 
 def gain_set(ctx: GainContext, s, a: Allocation) -> float:
@@ -151,64 +154,22 @@ class TraceOne:
     b: np.ndarray
     gain_before: np.ndarray        # Gain(pi_i, A^{i-1}) per position
     welfare: float
-    gains_initial: np.ndarray      # Gain(j, empty) per item
-    gains_half: Optional[np.ndarray]  # Gain(j, A^G(S1)) per item, n even only
 
 
 def trace_one(ctx: GainContext, order: Sequence[int]) -> TraceOne:
     """Run greedy along one order and split each step's Gain reduction into
-    the part hitting already-arrived items (b) and future items (a).
+    the part hitting already-arrived items (b) and future items (a): one
+    row of ``_trace_batch``.
 
     The arriving item itself counts as arrived, so its own Gain drop lands
-    in b.  Only items whose reference agent is the chosen agent can change,
-    which keeps the update incremental.
+    in b.
     """
-    inst, n = ctx.instance, ctx.n
     order = tuple(int(j) for j in order)
-    if sorted(order) != list(range(n)):
+    if sorted(order) != list(range(ctx.n)):
         raise ValueError("trace_one requires a permutation of the items")
-    masks = [0] * ctx.m
-    gains = [ctx.gain_masks(j, masks) for j in range(n)]
-    gains_initial = np.array(gains)
-    gains_half = None
-    half = n // 2 if n % 2 == 0 else None
-    w = np.zeros(n)
-    av = np.zeros(n)
-    bv = np.zeros(n)
-    gb = np.zeros(n)
-    arrived = 0
-    for pos, j in enumerate(order):
-        best_ell, w[pos] = greedy_step(inst, masks, j)
-        gb[pos] = gains[j]
-        arrived |= 1 << j
-        masks[best_ell] |= 1 << j
-        bi = ai = 0.0
-        for k in ctx._agent_items[best_ell]:
-            new = ctx.gain_masks(k, masks)
-            d = gains[k] - new
-            if d != 0.0:
-                if arrived >> k & 1:
-                    bi += d
-                else:
-                    ai += d
-                gains[k] = new
-        bv[pos] = bi
-        av[pos] = ai
-        if half is not None and pos + 1 == half:
-            gains_half = np.array(gains)
-    return TraceOne(order, w, av, bv, gb, float(w.sum()),
-                    gains_initial, gains_half)
-
-
-def _prefix_masks(m: int, order: Sequence[int], choices: Sequence[int]
-                  ) -> list[tuple[int, ...]]:
-    """Greedy's agent masks after 0, 1, .., len(order) steps of a run."""
-    masks = [0] * m
-    out = [tuple(masks)]
-    for j, ell in zip(order, choices):
-        masks[ell] |= 1 << j
-        out.append(tuple(masks))
-    return out
+    w, av, bv, gb = (x[0] for x in _trace_batch(
+        ctx, np.array([order], dtype=np.int64)))
+    return TraceOne(order, w, av, bv, gb, float(w.sum()))
 
 
 @dataclass
@@ -489,9 +450,6 @@ def _mc_batches(n: int, mode: str, samples: int, seed: int):
         raise ValueError(f"unknown mode {mode!r}; use 'exact' or 'mc'")
     if samples < 1:
         raise ValueError("samples must be positive")
-    if n > SAMPLED_MAX_N:
-        raise SizeGuardError(f"Monte-Carlo mode keeps sets as int64 bitmasks, "
-                             f"so n <= {SAMPLED_MAX_N}; got n={n}")
     return (_mc_batch(seed, lo, min(lo + MC_BATCH, samples), n)
             for lo in range(0, samples, MC_BATCH))
 
@@ -518,8 +476,7 @@ def _split_drops(ctx: GainContext, before: np.ndarray, after: np.ndarray,
     """a and b (the rows of a [2, S] array) and the hit items of a batch of
     greedy steps, from every item's
     Gain ``before`` and ``after`` each step ([S, n]), the chosen agents and
-    the arrived items after it (``now``, [S, n] booleans), as ``trace_one``
-    computes them.  The Gain drop d of every item whose reference agent was
+    the arrived items after it (``now``, [S, n] booleans).  The Gain drop d of every item whose reference agent was
     chosen and whose d != 0 goes into b if the item has arrived and into a
     otherwise, added in ascending item order; the other items add 0.0 in
     their place, which changes no sum, since a sum of nonzero terms that
@@ -531,25 +488,28 @@ def _split_drops(ctx: GainContext, before: np.ndarray, after: np.ndarray,
 
 
 def _trace_batch(ctx: GainContext, orders: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``trace_one``'s w, a and b for each row of ``orders`` (int64
-    [S, n]), as C-contiguous [S, n] arrays, by the same float operations
-    (see ``_split_drops``)."""
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """w, a, b and the arriving item's Gain before each step, per position,
+    of greedy along each row of ``orders`` (int64 [S, n]), as C-contiguous
+    [S, n] arrays.  Each step splits the Gain drops with ``_split_drops``,
+    and an item's tracked Gain changes only where its drop is nonzero."""
     n = ctx.n
     size = len(orders)
+    rows = np.arange(size)
     masks = np.zeros((ctx.m, size), dtype=np.int64)
     gains = _item_gains(ctx, masks)
-    w, av, bv = np.zeros((3, size, n))
+    w, av, bv, gb = np.zeros((4, size, n))
     arrived = np.zeros(size, dtype=np.int64)
     for pos in range(n):
-        chosen, w[:, pos], masks = greedy_steps(ctx.instance, masks,
-                                                orders[:, pos])
-        arrived |= np.left_shift(1, orders[:, pos])
+        items = orders[:, pos]
+        gb[:, pos] = gains[rows, items]
+        chosen, w[:, pos], masks = greedy_steps(ctx.instance, masks, items)
+        arrived |= np.left_shift(1, items)
         new = _item_gains(ctx, masks)
         (av[:, pos], bv[:, pos]), hit = _split_drops(ctx, gains, new, chosen,
                                                      _member(arrived, n))
         gains = np.where(hit, new, gains)
-    return w, av, bv
+    return w, av, bv, gb
 
 
 def expected_trace(ctx: GainContext, mode: str = "exact",
@@ -571,7 +531,7 @@ def expected_trace(ctx: GainContext, mode: str = "exact",
     s, s2 = np.zeros((3, n)), np.zeros((3, n))     # rows w, a, b
     swel = swel2 = 0.0
     for orders in _mc_batches(n, mode, samples, seed):
-        w, av, bv = _trace_batch(ctx, orders)
+        w, av, bv, _ = _trace_batch(ctx, orders)
         v = np.stack((w, av, bv), axis=1)
         wel = w.sum(axis=1)        # as trace_one's float(w.sum()) per row
         s, s2 = _running_sum(s, v), _running_sum(s2, v * v)
@@ -746,7 +706,9 @@ def build_A_prime(ctx: GainContext, order: Sequence[int]
     opt_s2, _, _ = optimal(inst, items=sorted(order[half:three_q]))
     a_prime = union(union(g_full.allocation, g_23.allocation), opt_s2)
     # greedy on S1 alone is the first n/2 steps of the full run
-    g_s1 = _prefix_masks(ctx.m, order[:half], g_full.choices)[-1]
+    g_s1 = [0] * ctx.m
+    for j, ell in zip(order[:half], g_full.choices):
+        g_s1[ell] |= 1 << j
     margin = welfare(inst, a_prime) - welfare(inst, Allocation(g_s1))
     return a_prime, float(margin)
 

@@ -1,11 +1,12 @@
 """Monotone submodular valuation oracles and their structural checks.
 
-Item sets are handled internally as integer bitmasks over the ground set
-``{0, .., n-1}``.  Public entry points accept any iterable of item indices.
-All oracles are immutable after construction and cache their full value
-table for small ground sets, so repeated queries are array lookups.  Each
-family also evaluates an int64 array of bitmasks at once (``_values``),
-which builds that table and serves the sampled check above it.
+Item sets are int64 bitmasks over the ground set ``{0, .., n-1}``, so a
+ground set has at most ``SAMPLED_MAX_N`` (63) items.  Public entry points
+accept any iterable of item indices.  All oracles are immutable after
+construction.  Each family has one evaluator, ``_values``, which reads an
+int64 array of bitmasks at once; it builds the full value table for small
+ground sets, so repeated queries are array lookups, and serves every query
+and the sampled check above them.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from .errors import AxiomViolationError, InvalidQueryError, SizeGuardError
 
 ABS_TOL = 1e-12
 EXHAUSTIVE_MAX_N = 16    # value-table precompute and exhaustive-check cap
-SAMPLED_MAX_N = 63       # spot-check sets are int64 bitmasks
+SAMPLED_MAX_N = 63       # every set is an int64 bitmask
 TABLE_CHUNK = 1 << 12    # sets per vectorised call while building a table
 
 
@@ -67,15 +68,13 @@ def mask_items(mask: int) -> tuple[int, ...]:
 class ValuationOracle:
     """Base class: a monotone, normalized, submodular set function.
 
-    Subclasses implement ``_raw_value(mask)`` for one set, or set
-    ``_table`` to their full value table before calling ``__init__``.
-    They may override ``_values(masks)``, which evaluates an int64 array
-    of sets and by default maps ``_raw_value`` over it, with a vectorised
-    evaluator bit-identical to ``_raw_value`` (each sums its terms in the
-    order ``_raw_value`` does, and an absent term adds 0.0).  Queries go
-    through ``value_mask``, which serves from the table when there is one.
-    The table is built with ``_values`` when the ground set is small
-    enough.
+    Subclasses implement ``_values(masks)``, which evaluates a 1-D int64
+    array of sets, or set ``_table`` to their full value table before
+    calling ``__init__``.  Queries go through ``value_mask``, which serves
+    from the table when there is one and reads ``_values`` on a
+    one-element array otherwise.  The table is built with ``_values`` when
+    the ground set is small enough.  Ground sets above ``SAMPLED_MAX_N``
+    items are refused, since sets are int64 bitmasks.
     """
 
     kind = "abstract"
@@ -84,6 +83,10 @@ class ValuationOracle:
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("ground set must be non-empty")
+        if n > SAMPLED_MAX_N:
+            raise SizeGuardError(
+                f"valuation oracles are limited to n <= {SAMPLED_MAX_N} "
+                f"(int64 bitmasks); got n={n}")
         self.n = n
         self._full = (1 << n) - 1
         if self._table is None and n <= EXHAUSTIVE_MAX_N:
@@ -92,11 +95,8 @@ class ValuationOracle:
                 hi = min(lo + TABLE_CHUNK, 1 << n)
                 self._table[lo:hi] = self._values(np.arange(lo, hi))
 
-    def _raw_value(self, mask: int) -> float:
-        raise NotImplementedError
-
     def _values(self, masks: np.ndarray) -> np.ndarray:
-        return np.array([self._raw_value(int(m)) for m in masks], dtype=float)
+        raise NotImplementedError
 
     def value_mask(self, mask: int) -> float:
         if mask & ~self._full:
@@ -104,7 +104,7 @@ class ValuationOracle:
                 f"query mask {mask:#x} outside ground set of size {self.n}")
         if self._table is not None:
             return float(self._table[mask])
-        return self._raw_value(mask)
+        return float(self._values(np.array([mask], dtype=np.int64))[0])
 
     def value_masks(self, masks: np.ndarray) -> np.ndarray:
         """Values of an int64 array of sets inside the ground set (not
@@ -177,13 +177,6 @@ class CoverageOracle(ValuationOracle):
                 self._holders[e] |= 1 << i
         super().__init__(len(self.item_sets))
 
-    def _raw_value(self, mask: int) -> float:
-        total = 0.0       # a plain loop: sum() compensates from Python 3.12
-        for w, holders in zip(self.universe_weights, self._holders):
-            if mask & holders:
-                total += w
-        return total
-
     def _values(self, masks):
         total = np.zeros(len(masks))
         for w, holders in zip(self.universe_weights, self._holders):
@@ -207,15 +200,6 @@ class BudgetedAdditiveOracle(ValuationOracle):
         if self.budget < 0 or any(w < 0 for w in self.weights):
             raise ValueError("budget and weights must be non-negative")
         super().__init__(len(self.weights))
-
-    def _raw_value(self, mask: int) -> float:
-        total, i = 0.0, 0
-        while mask:
-            if mask & 1:
-                total += self.weights[i]
-            mask >>= 1
-            i += 1
-        return min(self.budget, total)
 
     def _values(self, masks):
         total = np.zeros(len(masks))
@@ -242,17 +226,6 @@ class BMatchingOracle(ValuationOracle):
         if any(w < 0 for w in self.weights):
             raise ValueError("weights must be non-negative")
         super().__init__(len(self.weights))
-
-    def _raw_value(self, mask: int) -> float:
-        ws = []
-        i = 0
-        while mask:
-            if mask & 1:
-                ws.append(self.weights[i])
-            mask >>= 1
-            i += 1
-        ws.sort(reverse=True)
-        return float(sum(ws[:self.capacity]))
 
     def _values(self, masks):
         total = np.zeros(len(masks))
@@ -302,15 +275,6 @@ class CutOracle(ValuationOracle):
             self.edges.append((u, v, w))
         super().__init__(n)
         self._check_monotone()
-
-    def _raw_value(self, mask: int) -> float:
-        total = 0.0
-        for u, v, w in self.edges:
-            inu = u != SINK and bool(mask >> u & 1)
-            inv = v != SINK and bool(mask >> v & 1)
-            if inu != inv:
-                total += w
-        return total
 
     def _values(self, masks):
         inside = {SINK: False}
@@ -585,13 +549,9 @@ def spot_check_axioms(oracle: ValuationOracle, samples: int = 100_000,
     holds the first violating sample (monotonicity before submodularity
     within a sample).
     A clean run means "no violation found", never "passes".  Needs
-    2 <= n <= ``SAMPLED_MAX_N``, since the sets are int64 bitmasks.
+    n >= 2.
     """
     n = oracle.n
-    if n > SAMPLED_MAX_N:
-        raise SizeGuardError(
-            f"sampled axiom check limited to n <= {SAMPLED_MAX_N} "
-            f"(int64 bitmasks); got n={n}")
     rng = np.random.default_rng(seed)
     es = rng.integers(0, n, size=samples)
     fs = (es + rng.integers(1, n, size=samples)) % n

@@ -1,26 +1,31 @@
-"""Reference implementations of the exact engine and the optimum, kept for
-the byte-identity tests.
+"""Scalar reference implementations, kept for the byte-identity tests.
 
-The exact suites here walk greedy states one at a time: a layer is a
-{agent masks: probability} dict, ``_forward`` calls ``move`` once per
+Each oracle family's value of one set (``raw_value``), Gain, the per-order
+trace and the exact suites are computed here one set, one item and one
+greedy state at a time.  The exact suites walk greedy states: a layer is
+a {agent masks: probability} dict, ``_forward`` calls ``move`` once per
 transition (state, arrived item), and every per-step value is a scalar
 oracle query.  The brute-force optimum loops over assignment codes.
-``swmlab.gain`` and ``swmlab.core`` do the same work on arrays and must
-report the same bytes.  Sums run as explicit loops from 0, as the builtin
-``sum`` adds floats up to Python 3.11.
+``swmlab`` does the same work on int64 arrays of sets and must report the
+same bytes.  Sums run as explicit loops from 0, as the builtin ``sum``
+adds floats up to Python 3.11.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
-from swmlab.core import Allocation, greedy_step
+from swmlab.core import Allocation
 from swmlab.errors import SizeGuardError
 from swmlab.gain import (EXACT_TRACE_MAX_N, IDENTITY_TOL, SECOND_HALF_MAX_M,
                          DEFAULT_TOL, ConjectureReport, Eq1Report, GainTrace,
-                         LemmaReport, SecondHalfReport)
-from swmlab.oracles import classify_second_order, mask_items
+                         LemmaReport, SecondHalfReport, TraceOne)
+from swmlab.oracles import (SINK, BMatchingOracle, BudgetedAdditiveOracle,
+                            CoverageOracle, CutOracle, classify_second_order,
+                            mask_items)
 
 
 def _total(values):
@@ -29,6 +34,129 @@ def _total(values):
     for v in values:
         out = out + v
     return out
+
+
+def raw_value(oracle, mask):
+    """The value of the set ``mask`` by a loop over the family's terms, in
+    the order its ``_values`` adds them."""
+    if isinstance(oracle, CoverageOracle):
+        total = 0.0
+        for w, holders in zip(oracle.universe_weights, oracle._holders):
+            if mask & holders:
+                total += w
+        return total
+    if isinstance(oracle, BudgetedAdditiveOracle):
+        total = 0.0
+        for i in mask_items(mask):
+            total += oracle.weights[i]
+        return min(oracle.budget, total)
+    if isinstance(oracle, BMatchingOracle):
+        total = 0.0
+        for w in sorted((oracle.weights[i] for i in mask_items(mask)),
+                        reverse=True)[:oracle.capacity]:
+            total += w
+        return total
+    if isinstance(oracle, CutOracle):
+        total = 0.0
+        for u, v, w in oracle.edges:
+            inu = u != SINK and bool(mask >> u & 1)
+            inv = v != SINK and bool(mask >> v & 1)
+            if inu != inv:
+                total += w
+        return total
+    raise TypeError(f"no scalar evaluator for {oracle!r}")
+
+
+def value(oracle, mask):
+    """``value_mask`` with ``raw_value`` where there is no value table."""
+    if oracle._table is not None:
+        return float(oracle._table[mask])
+    return raw_value(oracle, mask)
+
+
+def marginal_gain(oracle, mask, j):
+    bit = 1 << j
+    if mask & bit:
+        return 0.0
+    return value(oracle, mask | bit) - value(oracle, mask)
+
+
+def greedy_step(inst, masks, j):
+    """``core.greedy_step`` by scalar queries: the first agent with the
+    largest marginal for item j, and that marginal."""
+    best_ell, best_gain = 0, -1.0
+    for ell, oracle in enumerate(inst.oracles):
+        g = marginal_gain(oracle, masks[ell], j)
+        if g > best_gain:
+            best_ell, best_gain = ell, g
+    return best_ell, best_gain
+
+
+def gain_masks(ctx, j, masks):
+    """Gain(j, A) for the agent masks of A, by scalar queries."""
+    ell = ctx.opt_map[j]
+    return marginal_gain(ctx.instance.oracles[ell],
+                         masks[ell] | ctx._prior[j], j)
+
+
+def prefix_masks(m, order, choices):
+    """Greedy's agent masks after 0, 1, .., len(order) steps of a run."""
+    masks = [0] * m
+    out = [tuple(masks)]
+    for j, ell in zip(order, choices):
+        masks[ell] |= 1 << j
+        out.append(tuple(masks))
+    return out
+
+
+@dataclass
+class Trace(TraceOne):
+    """``TraceOne`` plus every item's Gain at the empty allocation and
+    after n/2 arrivals (n even only)."""
+
+    gains_initial: np.ndarray
+    gains_half: Optional[np.ndarray]
+
+
+def trace_one(ctx, order):
+    """Greedy along one order, one step and one scalar Gain at a time.
+
+    Only items whose reference agent is the chosen agent can change, and
+    an item's tracked Gain is updated only when its drop is nonzero.
+    """
+    inst, n = ctx.instance, ctx.n
+    order = tuple(int(j) for j in order)
+    masks = [0] * ctx.m
+    gains = [gain_masks(ctx, j, masks) for j in range(n)]
+    gains_initial = np.array(gains)
+    gains_half = None
+    half = n // 2 if n % 2 == 0 else None
+    w = np.zeros(n)
+    av = np.zeros(n)
+    bv = np.zeros(n)
+    gb = np.zeros(n)
+    arrived = 0
+    for pos, j in enumerate(order):
+        best_ell, w[pos] = greedy_step(inst, masks, j)
+        gb[pos] = gains[j]
+        arrived |= 1 << j
+        masks[best_ell] |= 1 << j
+        bi = ai = 0.0
+        for k in ctx._agent_items[best_ell]:
+            new = gain_masks(ctx, k, masks)
+            d = gains[k] - new
+            if d != 0.0:
+                if arrived >> k & 1:
+                    bi += d
+                else:
+                    ai += d
+                gains[k] = new
+        bv[pos] = bi
+        av[pos] = ai
+        if half is not None and pos + 1 == half:
+            gains_half = np.array(gains)
+    return Trace(order, w, av, bv, gb, float(w.sum()), gains_initial,
+                 gains_half)
 
 
 def optimal(instance, items=None):
@@ -53,7 +181,7 @@ def optimal(instance, items=None):
 
 
 def gain_set(ctx, items, masks):
-    return _total(ctx.gain_masks(j, masks) for j in items)
+    return _total(gain_masks(ctx, j, masks) for j in items)
 
 
 def _arrived(masks):
@@ -104,7 +232,7 @@ def _state_pass(ctx, step=None):
 
     @lru_cache(maxsize=1)
     def expand(masks):
-        return _arrived(masks), [ctx.gain_masks(i, masks) for i in range(n)]
+        return _arrived(masks), [gain_masks(ctx, i, masks) for i in range(n)]
 
     def move(k, masks, j, q):
         arrived, gains = expand(masks)
@@ -113,7 +241,7 @@ def _state_pass(ctx, step=None):
         now = arrived | 1 << j
         bi = ai = 0.0
         for i in ctx._agent_items[ell]:
-            d = gains[i] - ctx.gain_masks(i, new)
+            d = gains[i] - gain_masks(ctx, i, new)
             if d != 0.0:
                 if now >> i & 1:
                     bi += d
@@ -198,13 +326,13 @@ def verify_lemmas(ctx, tol=DEFAULT_TOL, identity_tol=IDENTITY_TOL):
     identities_ok = None
     if n % 2 == 0:
         half = n // 2
-        initial = [ctx.gain_masks(j, (0,) * m) for j in range(n)]
+        initial = [gain_masks(ctx, j, (0,) * m) for j in range(n)]
         lhs1 = lhs2 = 0.0
         for masks, p in layers[half].items():
             first = _arrived(masks)
             drop1 = drop2 = 0.0
             for j in range(n):
-                d = initial[j] - ctx.gain_masks(j, masks)
+                d = initial[j] - gain_masks(ctx, j, masks)
                 if first >> j & 1:
                     drop2 += d
                 else:

@@ -107,7 +107,7 @@ def test_lemma_witnesses_match_reference_and_replay(seed, tol):
     """A tight tolerance forces per-step violations: every transition at
     -10, a share of them at -0.02, rounding-level ones at 0.  The
     witnesses come in the reference's order, and each replays through
-    ``trace_one``."""
+    the reference trace loop."""
     inst = random_instance(5 + seed % 2, 3, seed, families=FAMILIES)
     got = sl.verify_lemmas(sl.GainContext(inst), tol=tol)
     assert_same(got, ref.verify_lemmas(sl.GainContext(inst), tol=tol))
@@ -116,7 +116,7 @@ def test_lemma_witnesses_match_reference_and_replay(seed, tol):
              if v[0] in ("step_lower_bound", "step_reduction")]
     assert steps or tol == 0.0
     for kind, order, i, w, bound in steps:
-        t = sl.trace_one(ctx, order)
+        t = ref.trace_one(ctx, order)
         assert t.w[i] == w
         if kind == "step_lower_bound":
             assert t.gain_before[i] == bound

@@ -1,15 +1,16 @@
 import itertools
 import json
 import math
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import exact_reference as ref
 import swmlab as sl
-from swmlab.errors import SizeGuardError
-from swmlab.gain import (ConjectureReport, GainTrace, MC_BATCH, _mc_order,
-                         _prefix_masks)
+from swmlab.errors import InvalidQueryError, SizeGuardError
+from swmlab.gain import ConjectureReport, GainTrace, MC_BATCH, _mc_order
 from swmlab.instances import random_family_instance, random_instance
 from swmlab.oracles import mask_items
 
@@ -30,9 +31,10 @@ def brute_gain(ctx, j, alloc_masks):
 
 
 def enumerated_trace(ctx):
-    """Raw w, a, b as the average of trace_one over all n! orders, each
-    position summed exactly: the reference for the state pass."""
-    traces = [sl.trace_one(ctx, order)
+    """Raw w, a, b as the average of the reference trace loop over all n!
+    orders, each position summed exactly: the reference for the state
+    pass."""
+    traces = [ref.trace_one(ctx, order)
               for order in itertools.permutations(range(ctx.n))]
     return tuple(np.array([math.fsum(getattr(t, f)[i] for t in traces)
                            / len(traces) for i in range(ctx.n)])
@@ -54,14 +56,14 @@ def order_terms(inst, order):
 
 
 def per_order_trace(ctx, samples, seed):
-    """Monte-Carlo ``expected_trace`` as a loop of ``trace_one`` over the
-    seeded orders, summed order by order: the reference for the batched
+    """Monte-Carlo ``expected_trace`` as a loop of the reference trace over
+    the seeded orders, summed order by order: the reference for the batched
     path."""
     n, opt = ctx.n, ctx.opt_value
     s, s2 = np.zeros((3, n)), np.zeros((3, n))
     swel = swel2 = 0.0
     for k in range(samples):
-        t = sl.trace_one(ctx, _mc_order(seed, k, n))
+        t = ref.trace_one(ctx, _mc_order(seed, k, n))
         v = np.array((t.w, t.a, t.b))
         s += v
         s2 += v * v
@@ -120,11 +122,11 @@ def enumerated_second_half(ctx):
     half = n // 2
     xs, ys = [], [[] for _ in range(half)]
     for order in itertools.permutations(range(n)):
-        prefix = _prefix_masks(m, order, sl.greedy(ctx.instance,
-                                                   order).choices)
+        prefix = ref.prefix_masks(m, order, sl.greedy(ctx.instance,
+                                                      order).choices)
         first, rest = sorted(order[:half]), sorted(order[half:])
         base = prefix[half]
-        g_base = ctx.gain_set_masks(first, base)
+        g_base = ref.gain_set(ctx, first, base)
         best_code, best_red = 0, -1.0
         for code in range(m ** half):
             c = code
@@ -132,8 +134,8 @@ def enumerated_second_half(ctx):
             for j in rest:
                 hat[c % m] |= 1 << j
                 c //= m
-            red = g_base - ctx.gain_set_masks(
-                first, [b | h for b, h in zip(base, hat)])
+            red = g_base - ref.gain_set(
+                ctx, first, [b | h for b, h in zip(base, hat)])
             if red > best_red:
                 best_code, best_red = code, red
         xs.append(best_red)
@@ -148,8 +150,8 @@ def enumerated_second_half(ctx):
             for j in order[i - 1:]:
                 hat[hat_agent[j]] |= 1 << j
             ys[i - half - 1].append(
-                ctx.gain_set_masks(first, before) - ctx.gain_set_masks(
-                    first, [b | h for b, h in zip(before, hat)]))
+                ref.gain_set(ctx, first, before) - ref.gain_set(
+                    ctx, first, [b | h for b, h in zip(before, hat)]))
     return (math.fsum(xs) / len(xs),
             np.array([math.fsum(y) / len(xs) for y in ys]))
 
@@ -185,8 +187,39 @@ class TestGain:
             if masks[0] & masks[1]:
                 continue
             for j in range(4):
-                assert ctx.gain_masks(j, masks) == \
+                assert sl.gain(ctx, j, sl.Allocation(masks)) == \
                     pytest.approx(brute_gain(ctx, j, masks), abs=TOL)
+
+    @pytest.mark.parametrize("kind,n", [(kind, 5) for kind in FAMILIES]
+                             + [("mixed", 5), ("coverage", 18),
+                                ("budgeted_additive", 18)])
+    def test_gain_and_gain_set_match_brute_force(self, kind, n):
+        """At n=18 there is no value table, so Gain reads ``_values``."""
+        ctx = mc_context(family_or_mixed(kind, n, 2, 4))
+        subsets = [s for r in range(6)
+                   for s in itertools.combinations(range(5), r)]
+        for a0 in range(1 << 5):
+            alloc = sl.Allocation((a0, (1 << 5) - 1 & ~a0 & 0b10110))
+            brute = [brute_gain(ctx, j, alloc.masks) for j in range(n)]
+            for j in range(n):
+                assert sl.gain(ctx, j, alloc) == \
+                    pytest.approx(brute[j], abs=TOL)
+                assert sl.gain(ctx, j, alloc) == \
+                    ref.gain_masks(ctx, j, alloc.masks)
+            for s in subsets[::7]:
+                assert sl.gain_set(ctx, s, alloc) == \
+                    pytest.approx(math.fsum(brute[j] for j in s), abs=TOL)
+
+    def test_mask_outside_ground_set_refused(self):
+        ctx = sl.GainContext(random_instance(4, 2, 1))
+        for masks in ((1 << 4, 0), (0b1, 0b10 | 1 << 9), (-1, 0)):
+            alloc = sl.Allocation(masks, multiset=True)
+            with pytest.raises(InvalidQueryError, match="outside"):
+                sl.gain(ctx, 0, alloc)
+            with pytest.raises(InvalidQueryError, match="outside"):
+                sl.gain_set(ctx, (1, 2), alloc)
+        with pytest.raises(InvalidQueryError, match="item 4 outside"):
+            sl.gain(ctx, 4, sl.Allocation.empty(2))
 
     def test_monotone_decreasing_in_allocation(self):
         inst = random_instance(4, 2, 6)
@@ -200,8 +233,8 @@ class TestGain:
                 if not all(s & b == s for s, b in zip(small, big)):
                     continue
                 for j in range(4):
-                    assert ctx.gain_masks(j, small) >= \
-                        ctx.gain_masks(j, big) - TOL
+                    assert sl.gain(ctx, j, sl.Allocation(small)) >= \
+                        sl.gain(ctx, j, sl.Allocation(big)) - TOL
 
     def test_sigma_free_per_agent_identity(self):
         inst = random_instance(4, 2, 9)
@@ -217,6 +250,24 @@ class TestGain:
                     ctx.opt_allocation.masks[ell] | alloc.masks[ell])
                     - oracle.value_mask(alloc.masks[ell]))
                 assert total == pytest.approx(expected, abs=TOL)
+
+
+class TestGainContext:
+    def test_multiset_reference_allocation_refused(self):
+        """A reference allocation that gives an item to two agents would
+        count it twice in the optimum (4.0 here, against a true 3.0)."""
+        inst = sl.Instance((sl.make_additive([1, 2]), sl.make_additive([1, 2])))
+        with pytest.raises(ValueError, match="each item to one agent"):
+            sl.GainContext(inst, opt_allocation=sl.Allocation(
+                (0b11, 0b01), multiset=True))
+        ctx = sl.GainContext(inst, opt_allocation=sl.Allocation((0b11, 0)))
+        assert ctx.opt_value == 3.0
+        assert sl.expected_trace(ctx).ratio == 1.0
+
+    def test_reference_allocation_must_assign_every_item(self):
+        inst = random_instance(3, 2, 0)
+        with pytest.raises(ValueError, match="every item"):
+            sl.GainContext(inst, opt_allocation=sl.Allocation((0b011, 0)))
 
 
 class TestGainSet:
@@ -273,6 +324,35 @@ class TestTraceOne:
                 assert t.b[pos] == pytest.approx(b_i, abs=TOL)
                 assert t.a[pos] == pytest.approx(a_i, abs=TOL)
                 gains = new_gains
+
+    @pytest.mark.parametrize("kind", FAMILIES + ("mixed", "ties",
+                                                 "saturated"))
+    def test_matches_reference_loop_on_every_order(self, kind):
+        """``trace_one``, one row of the batched trace, has the bytes of
+        the scalar reference loop on every order for n <= 6."""
+        for n in range(1, 7):
+            m = 2 + n % 2
+            if kind == "ties":
+                inst = equal_additive(n, m)
+            elif kind == "saturated":
+                inst = saturated_budgets(n, m)
+            else:
+                inst = family_or_mixed(kind, n, m, 30 + n)
+            ctx = sl.GainContext(inst)
+            for order in itertools.permutations(range(n)):
+                got, want = sl.trace_one(ctx, order), ref.trace_one(ctx, order)
+                assert got.order == want.order
+                for f in ("w", "a", "b", "gain_before"):
+                    assert getattr(got, f).tobytes() == \
+                        getattr(want, f).tobytes()
+                assert struct.pack("d", got.welfare) == \
+                    struct.pack("d", want.welfare)
+
+    def test_rejects_non_permutation(self):
+        ctx = sl.GainContext(random_instance(3, 2, 0))
+        for order in ((0, 1), (0, 1, 1), (0, 1, 3)):
+            with pytest.raises(ValueError, match="permutation"):
+                sl.trace_one(ctx, order)
 
     def test_choices_match_greedy_on_every_order(self):
         inst = random_instance(5, 3, 2)    # cut, budgeted additive, coverage
@@ -401,7 +481,7 @@ class TestVerifyLemmas:
         rep = sl.verify_lemmas(ctx)
         first, second = [], []
         for order in itertools.permutations(range(n)):
-            t = sl.trace_one(ctx, order)
+            t = ref.trace_one(ctx, order)
             drop = t.gains_initial - t.gains_half
             first += [drop[j] for j in order[:n // 2]]
             second += [drop[j] for j in order[n // 2:]]
@@ -424,7 +504,7 @@ class TestVerifyLemmas:
         assert len(steps) == 2 * len(pairs)
         for kind, order, i, w, bound in steps:
             assert sorted(order) == list(range(5))
-            t = sl.trace_one(ctx, order)
+            t = ref.trace_one(ctx, order)
             assert t.w[i] == w
             if kind == "step_lower_bound":
                 assert t.gain_before[i] == bound
@@ -469,7 +549,7 @@ class TestBuildAPrime:
         for k, order in enumerate(itertools.permutations(range(8))):
             g_s1 = sl.greedy(inst, order[:4]).allocation
             choices = sl.greedy(inst, order).choices
-            assert _prefix_masks(2, order[:4], choices)[-1] == g_s1.masks
+            assert ref.prefix_masks(2, order[:4], choices)[-1] == g_s1.masks
             if k % 97 == 0:
                 a_prime, margin = sl.build_A_prime(ctx, order)
                 assert margin == \
@@ -731,13 +811,18 @@ class TestBatchedMonteCarlo:
             report_bytes(per_order_conjecture(inst, 3, 1))
 
     def test_more_items_than_int64_bits_refused(self):
-        inst = sl.Instance((sl.make_additive([1.0] * 64),))
-        ctx = sl.GainContext(inst, opt_allocation=sl.Allocation(((1 << 64)
+        """Sets are int64 bitmasks from construction on: no oracle, and so
+        no instance, has more than 63 items, and at 63 both batched paths
+        run."""
+        with pytest.raises(SizeGuardError, match="n <= 63"):
+            sl.make_additive([1.0] * 64)
+        inst = sl.Instance((sl.make_additive([1.0] * 63),))
+        ctx = sl.GainContext(inst, opt_allocation=sl.Allocation(((1 << 63)
                                                                  - 1,)))
-        with pytest.raises(SizeGuardError, match="n <= 63"):
-            sl.expected_trace(ctx, mode="mc", samples=1)
-        with pytest.raises(SizeGuardError, match="n <= 63"):
-            sl.conjecture_check(inst, mode="mc", samples=1)
+        trace = sl.expected_trace(ctx, mode="mc", samples=2)
+        assert trace.raw_w.tolist() == [1.0] * 63
+        rep = sl.conjecture_check(inst, mode="mc", samples=2)
+        assert rep.rhs == rep.crosscheck == 63.0
 
     @pytest.mark.parametrize("n", (1, 5, 8, 9, 16, 17, 40))
     def test_row_sums_equal_per_row_sums(self, n):

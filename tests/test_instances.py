@@ -150,6 +150,21 @@ def test_sampled_check_limited_to_int64_masks(capsys):
     assert "limited to n <= 63" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("agent,message", [
+    ({"kind": "coverage", "universe_weights": [1.0], "item_sets": [[0]] * 64},
+     "limited to n <= 63"),
+    ({"kind": "budgeted_additive", "budget": 1.0, "weights": [1.0] * 64},
+     "limited to n <= 63"),
+    ({"kind": "b_matching", "capacity": 2, "weights": [1.0] * 64},
+     "limited to n <= 63"),
+    ({"kind": "cut", "n": 64, "edges": [[0, -1, 1.0]]}, "exceeds 16"),
+    ({"kind": "table", "n": 64, "table": {"": 0.0}}, "limited to n <= 20"),
+])
+def test_every_family_refuses_64_items(agent, message, capsys):
+    assert _exits_2({"agents": [agent]})
+    assert message in capsys.readouterr().err
+
+
 # Malformed-input fuzzing: field values are drawn from plausible shapes
 # (small numbers, number lists, nested lists) mixed with arbitrary JSON.
 _numbers = st.one_of(st.integers(-2, 5), st.integers(),

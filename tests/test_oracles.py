@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import exact_reference as ref
 import swmlab as sl
 from swmlab.errors import AxiomViolationError, InvalidQueryError, SizeGuardError
 from swmlab.instances import (ORACLE_GENERATORS, random_coverage_oracle,
@@ -201,22 +202,48 @@ class TestConstructors:
         with pytest.raises(AxiomViolationError):
             sl.make_table(2, np.array([0.0, 1.0, 1.0, 3.0]))
 
-    def test_subclass_with_only_raw_value(self):
+    def test_subclass_with_only_values(self):
         class Sqrt(sl.ValuationOracle):
             kind = "sqrt"
 
-            def __init__(self, n):
-                super().__init__(n)
-
-            def _raw_value(self, mask):
-                return float(bin(mask).count("1")) ** 0.5
+            def _values(self, masks):
+                count = np.zeros(len(masks))
+                for i in range(self.n):
+                    count += masks >> i & 1
+                return np.sqrt(count)
 
         o = Sqrt(5)
         assert o.value_mask(0b111) == 3 ** 0.5
         assert sl.check_axioms(o).passed
-        masks = np.arange(1 << 5)
-        assert np.array_equal(o._values(masks),
-                              [o._raw_value(int(m)) for m in masks])
+        big = Sqrt(40)                 # above the table cap: no table
+        assert big._table is None
+        assert big.value_mask((1 << 40) - 1) == 40 ** 0.5
+        assert big.value_masks(np.array([[0, 0b1011]])).tolist() == \
+            [[0.0, 3 ** 0.5]]
+        assert sl.spot_check_axioms(big, samples=500).violation is None
+
+    def test_subclass_without_evaluator_refused(self):
+        class Empty(sl.ValuationOracle):
+            pass
+
+        with pytest.raises(NotImplementedError):
+            Empty(3)                   # building the table needs _values
+        with pytest.raises(NotImplementedError):
+            Empty(20).value_mask(1)
+
+    @pytest.mark.parametrize("make", [
+        lambda n: sl.make_coverage([1.0], [[0]] * n),
+        lambda n: sl.make_budgeted_additive(1.0, [1.0] * n),
+        lambda n: sl.make_additive([1.0] * n),
+        lambda n: sl.make_b_matching(2, [1.0] * n),
+        lambda n: sl.make_cut(n, [(0, -1, 1.0)]),
+        lambda n: sl.make_table(n, {}),
+    ])
+    def test_more_than_63_items_refused(self, make):
+        """Every set is an int64 bitmask, so no family takes 64 items (cut
+        and table oracles stop below that, at their own caps)."""
+        with pytest.raises(SizeGuardError, match="n <= |exceeds"):
+            make(64)
 
 
 def _independent_axiom_check(oracle, tol=TOL):
@@ -371,14 +398,15 @@ def _with_reference(family, n, seed):
     a table's reference is the coverage oracle it was tabulated from."""
     if family == "table":
         cov = random_oracle("coverage", n, seed)
-        return sl.tabulate(cov), cov._raw_value
+        return sl.tabulate(cov), lambda m: ref.raw_value(cov, m)
     o = random_oracle(family, n, seed)
-    return o, o._raw_value
+    return o, lambda m: ref.raw_value(o, m)
 
 
 class TestValuesMatchRawValue:
-    """Each family's vectorised evaluator is bit-identical to
-    ``_raw_value``."""
+    """Each family's evaluator ``_values`` is bit-identical to the scalar
+    reference ``exact_reference.raw_value``, and so is ``value_mask``,
+    which reads it above the table cap."""
 
     @pytest.mark.parametrize("family", sorted(ORACLE_GENERATORS))
     def test_every_set_up_to_n12(self, family):
@@ -391,13 +419,17 @@ class TestValuesMatchRawValue:
 
     @pytest.mark.parametrize("family,n", [
         (family, n) for family in sorted(ORACLE_GENERATORS)
-        for n in (16, 20, 40)
+        for n in (16, 17, 20, 40, 63)
         if n <= 16 or family not in ("cut", "table")])
     def test_random_sets_above_n12(self, family, n):
         o, raw = _with_reference(family, n, n)
         masks = np.random.default_rng(n).integers(0, 1 << n, size=2000)
         expected = np.array([raw(m) for m in masks.tolist()])
         assert np.array_equal(o._values(masks), expected)
+        assert (o._table is None) == (n > 16)
+        # one-set queries, bit for bit (a float's bytes tell -0.0 apart)
+        got = [o.value_mask(m) for m in masks[:200].tolist()]
+        assert np.array(got).tobytes() == expected[:200].tobytes()
 
     def test_coverage_universe_beyond_int64_element_masks(self):
         for n, masks in ((10, np.arange(1 << 10)),
@@ -405,7 +437,8 @@ class TestValuesMatchRawValue:
                              0, 1 << 40, size=2000))):
             o = random_coverage_oracle(n, np.random.default_rng(n), 70)
             assert max(e for s in o.item_sets for e in s) >= 64
-            expected = np.array([o._raw_value(m) for m in masks.tolist()])
+            expected = np.array([ref.raw_value(o, m)
+                                 for m in masks.tolist()])
             assert np.array_equal(o._values(masks), expected)
 
 
