@@ -69,6 +69,8 @@ def cmd_simulate(args) -> int:
         Path(csv_path).write_text(trace.to_csv())
     if trace.states is not None:
         print(f"states = {trace.states}", file=sys.stderr)
+    else:
+        print(f"orders = {trace.samples}", file=sys.stderr)
     print(f"ratio = {trace.ratio!r}", file=sys.stderr)
     print(f"beta = {trace.beta!r}", file=sys.stderr)
     print(f"bound 1/2 + beta/2 = {0.5 + trace.beta / 2!r}", file=sys.stderr)
@@ -175,6 +177,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
+    if args.instance and args.random is not None:
+        raise ValueError("give an instance path or --random COUNT, not both")
     if args.instance:
         instances = [(str(args.instance), load_instance(args.instance))]
     elif args.random is not None:
@@ -202,6 +206,8 @@ def cmd_conjecture(args) -> int:
                "counterexample": counterexample}
     if args.mode == "exact":
         print(f"states = {states}", file=sys.stderr)
+    else:
+        print(f"orders = {args.samples * len(instances)}", file=sys.stderr)
     print(f"min gap = {min_gap!r}", file=sys.stderr)
     if counterexample:
         print(f"counterexample on {counterexample['instance']}",

@@ -35,11 +35,15 @@ orders.
 
 Per-order traces run as batches of orders (``_trace_batch``), one greedy
 step for every order of the batch at once through ``core.greedy_steps``;
-``trace_one`` is one row of such a batch.  Monte-Carlo mode draws each
-order from its own seeded generator, so its results are reproducible,
-traces ``MC_BATCH`` orders at a time and sums the per-order values in
-sample order, so it reports what a ``trace_one`` loop over the same orders
-gives, bit for bit.
+``trace_one`` is one row of such a batch.  Monte-Carlo mode reads its
+orders from the seeded stream of ``orders.orders``: sample k of ``seed``
+is the order that NumPy's generator seeded with
+``SeedSequence(entropy=seed, spawn_key=(k,))`` draws with
+``permutation(n)`` (SeedSequence -> PCG64 -> Fisher-Yates), computed for
+a whole batch at once, so each sample can be replayed on its own and the
+results are reproducible.  It traces ``MC_BATCH`` orders at a time and
+sums the per-order values in sample order, so it reports what a
+``trace_one`` loop over the same orders gives, bit for bit.
 """
 from __future__ import annotations
 
@@ -55,6 +59,7 @@ from .core import (Allocation, Instance, _overlapping, greedy, greedy_step,
                    greedy_steps, marginal_gains, optimal, union, welfare)
 from .errors import InvalidQueryError, SizeGuardError
 from .oracles import classify_second_order, mask_items
+from .orders import orders as seeded_orders
 
 EXACT_TRACE_MAX_N = 8      # cap of every exact expectation (_forward)
 SECOND_HALF_MAX_M = 3      # verify_second_half tries m^(n/2) assignments
@@ -424,33 +429,15 @@ class GainTrace:
         return "\n".join(lines) + "\n"
 
 
-def _mc_rng(seed: int, k: int) -> np.random.Generator:
-    """The generator of the k-th Monte-Carlo order of ``seed``."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed,
-                                                        spawn_key=(k,)))
-
-
-def _mc_order(seed: int, k: int, n: int) -> tuple[int, ...]:
-    return tuple(_mc_rng(seed, k).permutation(n).tolist())
-
-
-def _mc_batch(seed: int, lo: int, hi: int, n: int) -> np.ndarray:
-    """Orders lo .. hi-1 of ``seed`` as the rows of an int64 array."""
-    orders = np.empty((hi - lo, n), dtype=np.int64)
-    for row, k in enumerate(range(lo, hi)):
-        orders[row] = _mc_rng(seed, k).permutation(n)
-    return orders
-
-
 def _mc_batches(n: int, mode: str, samples: int, seed: int):
     """The ``samples`` seeded orders that Monte-Carlo ``mode`` averages,
-    ``_mc_order(seed, k, n)`` for k = 0, 1, .., in batches of ``MC_BATCH``
+    samples k = 0, 1, .. of ``orders.orders``, in batches of ``MC_BATCH``
     rows."""
     if mode not in ("mc", "monte_carlo"):
         raise ValueError(f"unknown mode {mode!r}; use 'exact' or 'mc'")
     if samples < 1:
         raise ValueError("samples must be positive")
-    return (_mc_batch(seed, lo, min(lo + MC_BATCH, samples), n)
+    return (seeded_orders(seed, lo, min(lo + MC_BATCH, samples), n)
             for lo in range(0, samples, MC_BATCH))
 
 
@@ -516,7 +503,14 @@ def expected_trace(ctx: GainContext, mode: str = "exact",
                    samples: int = 10_000, seed: int = 0) -> GainTrace:
     """Expected trace over all n! orders (exact: one forward pass over the
     reachable greedy states) or the average of ``trace_one`` over the
-    seeded orders ``_mc_order(seed, k, n)``, k < ``samples`` (MC).
+    seeded orders k = 0 .. ``samples`` - 1 (MC).
+
+    Sample k of ``seed`` is the order that NumPy's ``permutation(n)``, a
+    Fisher-Yates shuffle of ``arange(n)``, draws from a PCG64 generator
+    seeded by ``SeedSequence(entropy=seed, spawn_key=(k,))``.
+    ``orders.orders(seed, k, k + 1, n)[0]`` replays it, and ``trace_one``
+    on it gives the sample's w, a and b.  ``seed`` must be a non-negative
+    integer.
 
     MC mode traces ``MC_BATCH`` orders at a time with the batched greedy
     step, so its memory does not grow with ``samples``, and sums each
@@ -530,8 +524,8 @@ def expected_trace(ctx: GainContext, mode: str = "exact",
                          sp.w, sp.a, sp.b, states=sp.states)
     s, s2 = np.zeros((3, n)), np.zeros((3, n))     # rows w, a, b
     swel = swel2 = 0.0
-    for orders in _mc_batches(n, mode, samples, seed):
-        w, av, bv, _ = _trace_batch(ctx, orders)
+    for batch in _mc_batches(n, mode, samples, seed):
+        w, av, bv, _ = _trace_batch(ctx, batch)
         v = np.stack((w, av, bv), axis=1)
         wel = w.sum(axis=1)        # as trace_one's float(w.sum()) per row
         s, s2 = _running_sum(s, v), _running_sum(s2, v * v)
@@ -1068,8 +1062,8 @@ def conjecture_check(instance: Instance, mode: str = "exact",
         return ConjectureReport(n, instance.m, lhs, rhs, crosscheck, mode,
                                 counterexample=lhs > rhs + tol, states=states)
     lhs_sum = rhs_sum = last_sum = 0.0
-    for orders in _mc_batches(n, mode, samples, seed):
-        c, mv, last = _conjecture_batch(instance, orders)
+    for batch in _mc_batches(n, mode, samples, seed):
+        c, mv, last = _conjecture_batch(instance, batch)
         lhs_sum = float(_running_sum(lhs_sum, c))
         rhs_sum = float(_running_sum(rhs_sum, mv))
         last_sum = float(_running_sum(last_sum, last))

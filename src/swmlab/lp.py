@@ -135,6 +135,11 @@ def _check_beta(beta) -> Fraction:
     beta = _to_fraction(beta)
     if beta < 0:
         raise ValueError(f"beta must be non-negative, got {beta}")
+    try:
+        float(beta)     # the solvers read the rhs as floats
+    except OverflowError:
+        raise ValueError("beta is too large for a float (above 1.8e308)"
+                         ) from None
     return beta
 
 

@@ -5,7 +5,8 @@ trace and the exact suites are computed here one set, one item and one
 greedy state at a time.  The exact suites walk greedy states: a layer is
 a {agent masks: probability} dict, ``_forward`` calls ``move`` once per
 transition (state, arrived item), and every per-step value is a scalar
-oracle query.  The brute-force optimum loops over assignment codes.
+oracle query.  The brute-force optimum loops over assignment codes.  Each
+Monte-Carlo order comes from its own NumPy generator (``mc_order``).
 ``swmlab`` does the same work on int64 arrays of sets and must report the
 same bytes.  Sums run as explicit loops from 0, as the builtin ``sum``
 adds floats up to Python 3.11.
@@ -157,6 +158,14 @@ def trace_one(ctx, order):
             gains_half = np.array(gains)
     return Trace(order, w, av, bv, gb, float(w.sum()), gains_initial,
                  gains_half)
+
+
+def mc_order(seed, k, n):
+    """The k-th Monte-Carlo order of ``seed``, drawn by its own NumPy
+    generator: the reference that ``swmlab.orders.orders`` is held to."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
+                                                       spawn_key=(k,)))
+    return tuple(rng.permutation(n).tolist())
 
 
 def optimal(instance, items=None):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -12,6 +13,10 @@ from swmlab.instances import random_instance, save_instance
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_instances"
 OR_INDICATOR = str(SAMPLES / "or_indicator.json")
 COVERAGE = str(SAMPLES / "coverage_three_agents.json")
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.fixture
@@ -69,6 +74,28 @@ class TestSimulate:
         main(["conjecture", instance_file, "--mode", "mc", "--samples", "20",
               "--out", str(out)])
         assert "states" not in capsys.readouterr().err
+
+    def test_mc_order_count_on_stderr_report_unchanged(self, tmp_path,
+                                                       capsys):
+        """``orders = N`` goes to stderr; the report and CSV keep the bytes
+        they had before the batched order stream (sha256 pinned)."""
+        out = tmp_path / "r.json"
+        assert main(["simulate", COVERAGE, "--mode", "mc", "--samples",
+                     "3000", "--seed", "123456789012", "--out",
+                     str(out)]) == 0
+        assert "orders = 3000\n" in capsys.readouterr().err
+        results = json.loads(out.read_text())["results"]
+        assert "orders" not in out.read_text()
+        assert _sha256(json.dumps(results, sort_keys=True, indent=2)) == \
+            "0d8c0ac952bdc63efc6bd311709a96a6c71dae46fb4c403951598a0ebeae5182"
+        assert _sha256(out.with_suffix(".csv").read_text()) == \
+            "c9fc3d4fa144ce2512a3212381fd73f129eae2136b96a79af13b71c8652d4f95"
+
+    def test_mc_negative_seed_exits_2(self, instance_file, capsys):
+        assert main(["simulate", instance_file, "--mode", "mc",
+                     "--seed", "-1"]) == 2
+        assert "error: expected non-negative integer" in \
+            capsys.readouterr().err
 
     def test_threads_option_is_gone(self, instance_file):
         with pytest.raises(SystemExit) as exc:
@@ -201,6 +228,14 @@ class TestLp:
                      "--out", str(tmp_path / "lp.json")]) == 1
         assert "LP status: unbounded" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("family", [["beta", "--n", "8"],
+                                        ["beta-lambda", "--n", "16",
+                                         "--lambda", "13/16"]])
+    def test_beta_beyond_float_range_exits_2(self, family, capsys):
+        assert main(["lp", "--family", *family, "--beta", "1e400"]) == 2
+        assert "error: beta is too large for a float" in \
+            capsys.readouterr().err
+
     def test_zero_denominator_beta_exits_2(self, capsys):
         assert main(["lp", "--family", "beta", "--n", "8",
                      "--beta", "1/0"]) == 2
@@ -271,6 +306,30 @@ class TestConjecture:
 
     def test_requires_instance_or_random(self):
         assert main(["conjecture"]) == 2
+
+    def test_instance_and_random_exits_2(self, capsys):
+        assert main(["conjecture", OR_INDICATOR, "--random", "3"]) == 2
+        assert "error: give an instance path or --random COUNT, not both" \
+            in capsys.readouterr().err
+
+    def test_mc_order_count_on_stderr_report_unchanged(self, tmp_path,
+                                                       capsys):
+        out = tmp_path / "c.json"
+        assert main(["conjecture", COVERAGE, "--mode", "mc", "--samples",
+                     "1100", "--seed", "2", "--out", str(out)]) == 0
+        assert "orders = 1100\n" in capsys.readouterr().err
+        results = json.loads(out.read_text())["results"]
+        assert _sha256(json.dumps(results, sort_keys=True, indent=2)) == \
+            "d132b527844e3789a32402a8b1cc18e8d377d44981dbf4f47ffa3d98f6b53c75"
+        assert main(["conjecture", "--random", "3", "--nmax", "4",
+                     "--mode", "mc", "--samples", "50"]) == 0
+        assert "orders = 150\n" in capsys.readouterr().err
+
+    def test_mc_negative_seed_exits_2(self, capsys):
+        assert main(["conjecture", OR_INDICATOR, "--mode", "mc",
+                     "--seed", "-1"]) == 2
+        assert "error: expected non-negative integer" in \
+            capsys.readouterr().err
 
     @pytest.mark.parametrize("count", ["0", "-1"])
     def test_random_below_one_exits_2(self, count, capsys):

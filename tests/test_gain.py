@@ -10,7 +10,7 @@ import pytest
 import exact_reference as ref
 import swmlab as sl
 from swmlab.errors import InvalidQueryError, SizeGuardError
-from swmlab.gain import ConjectureReport, GainTrace, MC_BATCH, _mc_order
+from swmlab.gain import ConjectureReport, GainTrace, MC_BATCH
 from swmlab.instances import random_family_instance, random_instance
 from swmlab.oracles import mask_items
 
@@ -63,7 +63,7 @@ def per_order_trace(ctx, samples, seed):
     s, s2 = np.zeros((3, n)), np.zeros((3, n))
     swel = swel2 = 0.0
     for k in range(samples):
-        t = ref.trace_one(ctx, _mc_order(seed, k, n))
+        t = ref.trace_one(ctx, ref.mc_order(seed, k, n))
         v = np.array((t.w, t.a, t.b))
         s += v
         s2 += v * v
@@ -88,7 +88,7 @@ def per_order_conjecture(inst, samples, seed, tol=IDENTITY_TOL):
     the seeded orders: the reference for the batched path."""
     lhs_sum = rhs_sum = last_sum = 0.0
     for k in range(samples):
-        c, mv, last = order_terms(inst, _mc_order(seed, k, inst.n))
+        c, mv, last = order_terms(inst, ref.mc_order(seed, k, inst.n))
         lhs_sum += c
         rhs_sum += mv
         last_sum += last
@@ -683,7 +683,7 @@ class TestConjecture:
         rep = sl.conjecture_check(inst, mode="mc", samples=40, seed=2)
         lhs = rhs = last = 0.0
         for k in range(40):
-            c, mv, la = order_terms(inst, _mc_order(2, k, 6))
+            c, mv, la = order_terms(inst, ref.mc_order(2, k, 6))
             lhs += c
             rhs += mv
             last += la
