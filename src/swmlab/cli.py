@@ -8,6 +8,7 @@ failure (for ``lp``, an LP that is not optimal), 2 usage or size error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -83,7 +84,7 @@ def cmd_lp(args) -> int:
         raise ValueError("--lambda applies only to family beta-lambda")
     if beta != 0 and args.family == "general":
         raise ValueError("--beta does not apply to family general")
-    closed = None
+    start = time.perf_counter()
     if args.family == "beta":
         model = build_lp_beta(args.n, beta)
     elif args.family == "beta-lambda":
@@ -91,20 +92,25 @@ def cmd_lp(args) -> int:
             raise ValueError("--lambda is required for family beta-lambda")
         lam = _parse_rational(args.lam)
         model = build_lp_beta_lambda(args.n, lam, beta)
-        if float(lam) > LAMBDA_THRESHOLD:
-            closed = closed_form_beta_lambda(args.n, lam, beta)
     else:
         model = build_lp_general(args.n)
-        closed = closed_form_general(args.n) if args.n >= 8 else None
+    print(f"build = {time.perf_counter() - start:.3f} s", file=sys.stderr)
+    closed = None
+    if args.family == "beta-lambda" and float(lam) > LAMBDA_THRESHOLD:
+        closed = closed_form_beta_lambda(args.n, lam, beta)
+    elif args.family == "general" and args.n >= 8:
+        closed = closed_form_general(args.n)
     if args.export_lp:
         Path(args.export_lp).write_text(model.to_text())
+    start = time.perf_counter()
     if args.family == "general":
         solution = solve_general(model)
-        print("solver = exact recursion", file=sys.stderr)
+        solver = "exact recursion"
     else:
         solution = simplex_solve(model)
-        print(f"solver = simplex, {solution.iterations} pivots",
-              file=sys.stderr)
+        solver = f"simplex, {solution.iterations} pivots"
+    print(f"solve = {time.perf_counter() - start:.3f} s", file=sys.stderr)
+    print(f"solver = {solver}", file=sys.stderr)
     results = {"model": {k: (str(v) if isinstance(v, Fraction) else v)
                          for k, v in model.metadata.items()},
                "num_vars": model.num_vars, "num_rows": model.num_rows,
@@ -221,7 +227,12 @@ def cmd_conjecture(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``parse_args`` keeps no
+    state between calls, and building the tree costs about a millisecond
+    per ``main`` call.  It holds no handlers; ``main`` finds
+    ``cmd_<subcommand>`` when it runs."""
     parser = argparse.ArgumentParser(
         prog="swmlab",
         description="Online submodular welfare maximization workbench")
@@ -235,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="JSON report path (default: stdout)")
     p.add_argument("--csv", help="CSV trace path")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("lp", help="build and solve a factor-revealing LP")
     p.add_argument("--family", choices=["beta", "beta-lambda", "general"],
@@ -246,20 +256,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", default="0")
     p.add_argument("--out")
     p.add_argument("--export-lp", help="write the plain-text LP listing here")
-    p.set_defaults(func=cmd_lp)
 
     p = sub.add_parser("classify",
                        help="second-order classification per agent")
     p.add_argument("instance")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("verify", help="run the trace verification suites")
     p.add_argument("instance")
     p.add_argument("--checks", default="lemmas",
                    help="comma-separated: lemmas,eq1,secondhalf")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("conjecture",
                        help="move/copy reordering conjecture scan")
@@ -272,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["exact", "mc"], default="exact")
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_conjecture)
     return parser
 
 
@@ -281,7 +287,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     start = time.monotonic()
     try:
-        code = args.func(args)
+        # looked up at call time, not stored in the parser: the parser is
+        # built once, and a handler wrapped after that must still run
+        code = globals()[f"cmd_{args.subcommand}"](args)
     except (SwmlabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

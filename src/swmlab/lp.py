@@ -2,7 +2,9 @@
 
 All models are of the form: minimize c.x subject to A.x >= b, x >= 0.
 Coefficients are built as exact rationals so the plain-text export can be
-fed to external solvers verbatim.
+fed to external solvers verbatim.  The builders also write A as a float
+matrix, from the same shared coefficients, and that matrix is what both
+solvers read; no solve converts the rational rows element by element.
 
 The general lower-bound program is solved exactly, in rationals, by a
 backward recursion over its position rows (``solve_general``, O(n) steps).
@@ -43,7 +45,9 @@ def _to_fraction(x) -> Fraction:
 
 
 def _float_matrix(rows) -> np.ndarray:
-    """Float copy of a rational matrix; zero coefficients skip the division."""
+    """Float copy of a rational matrix; zero coefficients skip the division.
+    The generic path for a model built without its float matrix, and the
+    reference the builders' matrices are held to."""
     return np.array([[c.numerator / c.denominator if c else 0.0 for c in row]
                      for row in rows])
 
@@ -54,7 +58,13 @@ def _finite_or_none(x: float) -> Optional[float]:
 
 @dataclass
 class LpModel:
-    """Dense LP: minimize objective.x with rows.x >= rhs, x >= 0."""
+    """Dense LP: minimize objective.x with rows.x >= rhs, x >= 0.
+
+    ``rows`` holds the exact rational coefficients; ``matrix`` holds the
+    same coefficients as floats, [num_rows, num_vars], and is what the
+    solvers read.  The builders write it alongside the rows; a model made
+    without one gets it from ``_float_matrix(rows)``.
+    """
 
     objective: list[Fraction]
     rows: list[list[Fraction]]
@@ -63,6 +73,8 @@ class LpModel:
     row_names: list[str]
     metadata: dict = field(default_factory=dict)
     constant: Fraction = Fraction(0)   # added to the objective on report
+    matrix: Optional[np.ndarray] = field(default=None, compare=False,
+                                         repr=False)
 
     def __post_init__(self):
         ncols = len(self.var_names)
@@ -73,6 +85,12 @@ class LpModel:
                 raise ValueError(f"row {name} has wrong width")
         if len(self.rows) != len(self.rhs) or len(self.rows) != len(self.row_names):
             raise ValueError("row, rhs and name counts differ")
+        shape = (len(self.rows), ncols)
+        if self.matrix is None:
+            self.matrix = _float_matrix(self.rows).reshape(shape)
+        elif self.matrix.shape != shape:
+            raise ValueError(f"matrix has shape {self.matrix.shape}, "
+                             f"expected {shape}")
 
     @property
     def num_vars(self) -> int:
@@ -180,7 +198,8 @@ def build_lp_beta_lambda(n: int, lam, beta) -> LpModel:
 def _build_trace_lp(n: int, beta: Fraction, pos_hi: int, sh_lo: int,
                     metadata: dict) -> LpModel:
     """Shared builder: position rows for i <= pos_hi, second-half rows for
-    i > sh_lo.  Every coefficient is made once and shared between rows."""
+    i > sh_lo.  Every coefficient is made once, as a Fraction and as a
+    float, and each row is written into both forms by the same slices."""
     half = n // 2
 
     var_names = ([f"w_{i}" for i in range(1, n + 1)]
@@ -198,46 +217,60 @@ def _build_trace_lp(n: int, beta: Fraction, pos_hi: int, sh_lo: int,
     objective = [one] * n + [zero] * (ncols - n)
 
     rows, rhs, row_names = [], [], []
+    matrix = np.zeros((n + pos_hi + (n - sh_lo) + 1, ncols))
 
     for i in range(1, n + 1):
-        row = [zero] * ncols
+        row, frow = [zero] * ncols, matrix[len(rows)]
         row[w(i)] = one
         row[a(i)] = minus_one
         row[b(i)] = minus_one
+        frow[[w(i), a(i), b(i)]] = (1.0, -1.0, -1.0)
         rows.append(row)
         rhs.append(zero)
         row_names.append(f"step_split_{i}")
 
-    # a_j/(n-j) for j = 1..pos_hi-1
+    # a_j/(n-j) for j = 1..pos_hi-1; each float is one division of exact
+    # integers, so it rounds once, as the Fraction's conversion does
     inv = [Fraction(1, n - j) for j in range(1, pos_hi)]
+    inv_f = 1.0 / (n - np.arange(1, pos_hi))
     for i in range(1, pos_hi + 1):
-        row = [zero] * ncols
+        row, frow = [zero] * ncols, matrix[len(rows)]
         row[w(i)] = one
         row[a(1):a(i)] = inv[:i - 1]
+        frow[w(i)] = 1.0
+        frow[a(1):a(i)] = inv_f[:i - 1]
         rows.append(row)
         rhs.append(Fraction(1, n))
         row_names.append(f"position_{i}")
 
+    js = np.arange(1, half + 1)
     sh_a = [Fraction(-2, n) * Fraction(j, n - j) for j in range(1, half + 1)]
+    sh_a_f = (-2.0 * js) / (n * (n - js))
     sh_b = [Fraction(2, n)] * half
     for i in range(sh_lo + 1, n + 1):
-        row = [zero] * ncols
+        row, frow = [zero] * ncols, matrix[len(rows)]
         row[w(i)] = one
         row[g(i)] = one
         row[a(1):a(half + 1)] = sh_a
         row[b(1):b(half + 1)] = sh_b
+        frow[[w(i), g(i)]] = 1.0
+        frow[a(1):a(half + 1)] = sh_a_f
+        frow[b(1):b(half + 1)] = 2.0 / n
         rows.append(row)
         rhs.append(zero)
         row_names.append(f"second_half_{i}")
 
-    row = [zero] * ncols
+    row, frow = [zero] * ncols, matrix[len(rows)]
     row[b(1):b(half + 1)] = [minus_one] * half
     row[g(half + 1):] = [minus_one] * (n - half)
+    frow[b(1):b(half + 1)] = -1.0
+    frow[g(half + 1):] = -1.0
     rows.append(row)
     rhs.append(-beta)
     row_names.append("slack_budget")
 
-    return LpModel(objective, rows, rhs, var_names, row_names, metadata)
+    return LpModel(objective, rows, rhs, var_names, row_names, metadata,
+                   matrix=matrix)
 
 
 def build_lp_general(n: int) -> LpModel:
@@ -270,19 +303,23 @@ def build_lp_general(n: int) -> LpModel:
 
     # a_j/(n-j) for j = 1..3n/4-1
     inv = [Fraction(1, n - j) for j in range(1, three_q)]
+    inv_f = 1.0 / (n - np.arange(1, three_q))
     rows, rhs, row_names = [], [], []
+    matrix = np.zeros((three_q, ncols))
     for i in range(1, three_q + 1):
-        row = [zero] * ncols
+        row, frow = [zero] * ncols, matrix[i - 1]
         row[a(1):a(i)] = inv[:i - 1]
         row[a(i)] = one
         row[b(i)] = one
+        frow[a(1):a(i)] = inv_f[:i - 1]
+        frow[[a(i), b(i)]] = 1.0
         rows.append(row)
         rhs.append(Fraction(1, n))
         row_names.append(f"position_{i}")
 
     return LpModel(objective, rows, rhs, var_names, row_names,
                    {"family": "general_lb", "n": n},
-                   constant=Fraction(1, 24))
+                   constant=Fraction(1, 24), matrix=matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +397,7 @@ def solve_general(model: LpModel) -> LpSolution:
         r -= ai / step
     exact = a + b
     x = np.array([float(v) for v in exact])
-    residual = (np.array([float(v) for v in model.rhs])
-                - _float_matrix(model.rows) @ x)
+    residual = np.array([float(v) for v in model.rhs]) - model.matrix @ x
     violation = float(np.max(np.maximum(residual, 0.0), initial=0.0))
     switch = next((i for i, v in enumerate(b, 1) if v > 0), None)
     return LpSolution("optimal", float(k[0] / n + model.constant), x,
@@ -436,7 +472,7 @@ def simplex_solve(model: LpModel) -> LpSolution:
     objective.  The reported objective includes the model constant.
     """
     m, nv = model.num_rows, model.num_vars
-    A = _float_matrix(model.rows)
+    A = model.matrix
     bvec = np.array([float(v) for v in model.rhs])
     cvec = np.array([float(v) for v in model.objective])
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,63 @@ def instance_file(tmp_path):
     path = tmp_path / "inst.json"
     save_instance(path, random_instance(4, 2, seed=0))
     return str(path)
+
+
+def _lp_argv(family, n, lam, beta):
+    argv = ["lp", "--family", family, "--n", str(n), "--beta", beta]
+    return argv + ["--lambda", lam] if lam is not None else argv
+
+
+# sha256 of the whole `lp` report for every case of the benchmark's LP
+# sweep and for general n=4096, recorded from the rational-row solvers
+# before the builders wrote the float matrix; the reports keep every byte
+LP_REPORTS = {
+    ("beta", 8, None, "1/100"):
+        "84e9b5a0abc6eb1028dc66ce0d6e32006d4558d7f11c5f645ff39df6e67fb599",
+    ("beta", 32, None, "1/100"):
+        "292404a46896db071360a594b4d14fe3d2c977ee55347791b9df983d2edc9fc1",
+    ("beta", 128, None, "1/100"):
+        "661f9693931fcdc8d6eedfd0f33f8edc75007c38cd2d89b1e15d21dd5b680a10",
+    ("beta-lambda", 16, "13/16", "0"):
+        "813f06fd321332053effcf70cc41311f89227f307d2db1c44e2d2820945687d2",
+    ("beta-lambda", 16, "13/16", "1/100"):
+        "9d7177cfb7ea2b6dfbb543ac365120cb357c9f3b5b3b2cf4e8f67de5a8e365ef",
+    ("beta-lambda", 64, "13/16", "0"):
+        "fd7e9be22c4b7f5742a669d8853f16d6b14fdafe1aedf69657db28a89dce7ee6",
+    ("beta-lambda", 64, "13/16", "1/100"):
+        "502137e2b013f26e939ddcbda18edf436bcc86575fe9c330a8c1a06e1a1a6167",
+    ("beta-lambda", 256, "13/16", "0"):
+        "92f3268a12df8290d5772ff3ea11d259b172c67850705c7dff414bb0ef2acd57",
+    ("beta-lambda", 256, "13/16", "1/100"):
+        "8a938676e7c3bfcbb90ca0f4d90aec8b27832baef0c60a7a542bf489e93fc413",
+    ("general", 8, None, "0"):
+        "eff18857191c7a5af1a170331f9614ea3f75b6870f45ed4f59ec2b61a9be69dd",
+    ("general", 16, None, "0"):
+        "bfaa92305144d061ce9008050ef0c03225c5dd21dc1d186fd98ddad2b6a5d49b",
+    ("general", 32, None, "0"):
+        "f39ea6bd9c181e5a108572dc4cb38829b136a62651a6496aeb03c28010977c78",
+    ("general", 64, None, "0"):
+        "45a77bfb450b984e6d21de8342a694478b225653560f0dac33f0597aef5a846a",
+    ("general", 128, None, "0"):
+        "d5c1258d756e4272f3a07bae0cd3e3dcb3b2838acaa984c7ce115791da1daee7",
+    ("general", 256, None, "0"):
+        "beeeb2cd2b72c581293a1c6ba7ebcf00f6acd271d250e30c6c38977a0b04a76d",
+    ("general", 512, None, "0"):
+        "6b25d18570822275369104f1ad085874792d7628981057da10ecf83876382570",
+    ("general", 1024, None, "0"):
+        "306faae189fd20d80c5a936608cf85fb1a1c22e2cbdb3abc06aa942dcdde0176",
+    ("general", 4096, None, "0"):
+        "f67a7bbeb82ab8e74b4eefab19291ffdd612c29a1002983a6e8e4912804d9d4c",
+}
+# sha256 of the `--export-lp` listing at n=16, recorded alike
+LP_LISTINGS = {
+    ("beta", 16, None, "1/100"):
+        "36afb7772d014078a28c6365d30c6e26c75d3cf52a12ae716c31f53934aa8866",
+    ("beta-lambda", 16, "13/16", "1/100"):
+        "d874bbdf5ad22e7446711b212c2bf6c9133d408702fe9814d091fd033e900722",
+    ("general", 16, None, "0"):
+        "5e4930b189f799e6c404293196f60222326c8ce2f4974e3c9acb80d202348837",
+}
 
 
 class TestSimulate:
@@ -183,6 +241,26 @@ class TestLp:
         assert pivots > 0
         assert f"solver = simplex, {pivots} pivots" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", list(LP_REPORTS), ids=str)
+    def test_report_bytes_pinned(self, tmp_path, capsys, case):
+        """Timings go to stderr for every family; the report bytes stay as
+        they were before any timing was printed."""
+        out = tmp_path / "lp.json"
+        assert main(_lp_argv(*case) + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == LP_REPORTS[case]
+        err = capsys.readouterr().err
+        assert re.search(r"^build = \d+\.\d{3} s$", err, re.M)
+        assert re.search(r"^solve = \d+\.\d{3} s$", err, re.M)
+        assert "build" not in out.read_text()
+
+    @pytest.mark.parametrize("case", list(LP_LISTINGS), ids=str)
+    def test_export_listing_pinned(self, tmp_path, case):
+        listing = tmp_path / "model.lp"
+        assert main(_lp_argv(*case) + ["--out", str(tmp_path / "r.json"),
+                                       "--export-lp", str(listing)]) == 0
+        assert hashlib.sha256(listing.read_bytes()).hexdigest() == \
+            LP_LISTINGS[case]
+
     def test_export_lp_listing(self, tmp_path):
         listing = tmp_path / "model.lp"
         main(["lp", "--family", "beta", "--n", "4",
@@ -319,8 +397,13 @@ class TestConjecture:
                      "1100", "--seed", "2", "--out", str(out)]) == 0
         assert "orders = 1100\n" in capsys.readouterr().err
         results = json.loads(out.read_text())["results"]
+        # the instance field is the path as given; the pinned bytes hold
+        # only its file name, so the pin does not depend on the checkout
+        (entry,) = results["instances"]
+        assert entry["instance"] == COVERAGE
+        entry["instance"] = Path(COVERAGE).name
         assert _sha256(json.dumps(results, sort_keys=True, indent=2)) == \
-            "d132b527844e3789a32402a8b1cc18e8d377d44981dbf4f47ffa3d98f6b53c75"
+            "3e2bd2dcb974b25bd91003904bc64852d6410782815da7f86bf744c09bfd6bb5"
         assert main(["conjecture", "--random", "3", "--nmax", "4",
                      "--mode", "mc", "--samples", "50"]) == 0
         assert "orders = 150\n" in capsys.readouterr().err
@@ -339,6 +422,42 @@ class TestConjecture:
 
 
 class TestParser:
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_handler_replaced_after_build_runs(self, monkeypatch):
+        """The cached parser holds no handler, so a wrapper installed after
+        it was built (as a call tracer does) is the one that runs."""
+        cli.build_parser()
+        seen = []
+        monkeypatch.setattr(cli, "cmd_lp", lambda args: seen.append(args.n)
+                            or 0)
+        assert main(["lp", "--family", "beta", "--n", "8"]) == 0
+        assert seen == [8]
+
+    def test_consecutive_calls_match_fresh_parsers(self, tmp_path):
+        """Calls in a row through the one cached parser, with different
+        subcommands and flags, parse and report as fresh parsers do."""
+        runs = [["lp", "--family", "beta-lambda", "--n", "16",
+                 "--lambda", "13/16", "--beta", "1/100"],
+                ["lp", "--family", "general", "--n", "8"],
+                ["conjecture", "--random", "3", "--nmax", "4", "--seed", "5"],
+                ["conjecture", OR_INDICATOR],
+                ["simulate", OR_INDICATOR, "--mode", "mc", "--samples", "50"],
+                ["simulate", OR_INDICATOR],
+                ["lp", "--family", "beta", "--n", "8"]]
+        for argv in runs:
+            cached = cli.build_parser().parse_args(argv)
+            fresh = cli.build_parser.__wrapped__().parse_args(argv)
+            assert vars(cached) == vars(fresh)
+        for k, argv in enumerate(runs):
+            assert main(argv + ["--out", str(tmp_path / f"a{k}.json")]) == 0
+        for k, argv in enumerate(runs):
+            cli.build_parser.cache_clear()
+            assert main(argv + ["--out", str(tmp_path / f"b{k}.json")]) == 0
+            assert (tmp_path / f"a{k}.json").read_bytes() == \
+                (tmp_path / f"b{k}.json").read_bytes()
+
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit) as err:
             main([])

@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 
 import swmlab as sl
+import swmlab.lp as lp_module
+from swmlab.cli import main as cli_main
 from swmlab.lp import (DEGENERATE_LIMIT, LAMBDA_THRESHOLD, GENERAL_LIMIT,
-                       PIVOT_TOL, LpModel, LpSolution, _check_n, _leaving_row,
+                       PIVOT_TOL, LpModel, LpSolution, _check_n,
+                       _float_matrix, _leaving_row,
                        _to_fraction, build_lp_beta, build_lp_beta_lambda,
                        build_lp_general, closed_form_beta_lambda,
                        closed_form_general, combined_secondorder_bound,
@@ -759,3 +762,81 @@ class TestSolveGeneral:
         model.objective[0] = Fraction(-1)
         with pytest.raises(ValueError, match="non-negative"):
             solve_general(model)
+
+
+# ---------------------------------------------------------------------------
+# The builders' float matrix
+# ---------------------------------------------------------------------------
+
+MATRIX_NS = list(range(4, 129, 4)) + [256, 512, 1024]
+MATRIX_LAMBDAS = (Fraction(1, 2), Fraction(3, 4), Fraction(13, 16),
+                  Fraction(1))
+MATRIX_BETAS = (Fraction(0), Fraction(1, 100))
+
+
+def assert_bit_equal(matrix, ref):
+    assert matrix.dtype == ref.dtype == np.float64
+    assert np.array_equal(matrix, ref)
+    assert np.array_equal(np.signbit(matrix), np.signbit(ref))
+
+
+def family_builders(n):
+    """One builder per (family, lambda), each taking beta."""
+    builders = [lambda beta: build_lp_beta(n, beta)]
+    builders += [lambda beta, lam=lam: build_lp_beta_lambda(n, lam, beta)
+                 for lam in MATRIX_LAMBDAS if (lam * n).denominator == 1]
+    return builders
+
+
+class TestFloatMatrix:
+    @pytest.mark.parametrize("n", MATRIX_NS)
+    def test_builder_matrix_is_the_elementwise_conversion(self, n):
+        """Bit-equal, signed zeros included, to ``_float_matrix`` of the
+        model's own rows.  Beta enters only the rhs, so one conversion per
+        (family, lambda) serves both betas."""
+        for build in family_builders(n):
+            models = [build(beta) for beta in MATRIX_BETAS]
+            ref = _float_matrix(models[0].rows)
+            for model in models:
+                assert_bit_equal(model.matrix, ref)
+        general = build_lp_general(n)
+        assert_bit_equal(general.matrix, _float_matrix(general.rows))
+
+    def test_hand_built_model_gets_the_conversion(self):
+        model = beale_lp()
+        assert_bit_equal(model.matrix, _float_matrix(model.rows))
+        empty = LpModel([Fraction(1)], [], [], ["x"], [])
+        assert empty.matrix.shape == (0, 1)
+
+    def test_wrong_matrix_shape_raises(self):
+        model = build_lp_beta(8, 0)
+        for shape in [(model.num_rows, model.num_vars + 1),
+                      (model.num_rows - 1, model.num_vars),
+                      (model.num_rows * model.num_vars,)]:
+            with pytest.raises(ValueError, match="matrix has shape"):
+                LpModel(model.objective, model.rows, model.rhs,
+                        model.var_names, model.row_names,
+                        matrix=np.zeros(shape))
+
+    def test_solvers_read_the_matrix(self):
+        """min x subject to x >= 1, with the float row saying 2x >= 1."""
+        model = LpModel([Fraction(1)], [[Fraction(1)]], [Fraction(1)],
+                        ["x"], ["c1"], matrix=np.array([[2.0]]))
+        assert simplex_solve(model).objective == pytest.approx(0.5)
+
+    def test_builder_models_skip_the_conversion(self, monkeypatch, tmp_path):
+        def refuse(rows):
+            raise AssertionError("per-element conversion of a built model")
+        monkeypatch.setattr(lp_module, "_float_matrix", refuse)
+        for n in (8, 16, 64):
+            for build in family_builders(n):
+                for beta in MATRIX_BETAS:
+                    assert simplex_solve(build(beta)).status == "optimal"
+            assert solve_general(build_lp_general(n)).status == "optimal"
+        argvs = [["--family", "beta", "--n", "16", "--beta", "1/100"],
+                 ["--family", "beta-lambda", "--n", "16", "--lambda",
+                  "13/16"],
+                 ["--family", "general", "--n", "16"]]
+        for argv in argvs:
+            assert cli_main(["lp", *argv, "--out",
+                             str(tmp_path / "lp.json")]) == 0
