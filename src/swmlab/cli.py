@@ -22,7 +22,7 @@ from .gain import GainContext, conjecture_check, expected_trace, verify_eq1, \
 from .instances import load_instance, random_instance
 from .lp import (LAMBDA_THRESHOLD, build_lp_beta, build_lp_beta_lambda,
                  build_lp_general, closed_form_beta_lambda,
-                 closed_form_general, simplex_solve, solve_general)
+                 closed_form_general, solve)
 from .oracles import classify_second_order
 
 EXIT_OK = 0
@@ -103,14 +103,9 @@ def cmd_lp(args) -> int:
     if args.export_lp:
         Path(args.export_lp).write_text(model.to_text())
     start = time.perf_counter()
-    if args.family == "general":
-        solution = solve_general(model)
-        solver = "exact recursion"
-    else:
-        solution = simplex_solve(model)
-        solver = f"simplex, {solution.iterations} pivots"
+    solution = solve(model)
     print(f"solve = {time.perf_counter() - start:.3f} s", file=sys.stderr)
-    print(f"solver = {solver}", file=sys.stderr)
+    print(f"solver = {solution.solver}", file=sys.stderr)
     results = {"model": {k: (str(v) if isinstance(v, Fraction) else v)
                          for k, v in model.metadata.items()},
                "num_vars": model.num_vars, "num_rows": model.num_rows,

@@ -6,14 +6,22 @@ fed to external solvers verbatim.  The builders also write A as a float
 matrix, from the same shared coefficients, and that matrix is what both
 solvers read; no solve converts the rational rows element by element.
 
-The general lower-bound program is solved exactly, in rationals, by a
-backward recursion over its position rows (``solve_general``, O(n) steps).
-The beta families go to ``simplex_solve``, a dense two-phase primal simplex
-in floats: largest-coefficient pricing that falls back to Bland's
-lowest-index rule on long degenerate runs, a ratio test whose ties go to
-the lowest basis index, and artificial variables only for rows that need
-one, with no stored columns.  The simplex is also the reference that tests
-hold ``solve_general`` to.
+``solve(model)`` picks the solver for the model's family:
+
+- general: ``solve_general``, exact in rationals, by a backward recursion
+  over the position rows (O(n) steps);
+- beta-lambda: ``solve_beta_lambda``, which builds the optimum and a dual
+  from the structure of the solution in O(n) rational steps and returns
+  it only when the pair is a certificate (both feasible, equal
+  objectives); otherwise it declines with a reason and the simplex runs;
+- beta: ``simplex_solve``.
+
+``simplex_solve`` is a dense two-phase primal simplex in floats:
+largest-coefficient pricing that falls back to Bland's lowest-index rule
+on long degenerate runs, a ratio test whose ties go to the lowest basis
+index, and artificial variables only for rows that need one, with no
+stored columns.  It is also the reference that tests hold both exact
+solvers to.
 """
 from __future__ import annotations
 
@@ -125,10 +133,13 @@ class LpSolution:
     objective: float             # includes the model constant
     x: Optional[np.ndarray]
     max_violation: float
-    iterations: int              # simplex pivots; 0 for the exact solver
-    # exact primal values and the optimum's structure, from the exact solver
+    iterations: int              # simplex pivots; 0 for the exact solvers
+    # exact primal values and the optimum's structure, from the exact solvers
     exact: Optional[list[Fraction]] = None
     structure: Optional[dict] = None
+    # how the solution was found, as ``lp`` prints it to stderr; not
+    # serialised, so reports do not depend on it
+    solver: str = "simplex"
 
     def to_dict(self) -> dict:
         """JSON-ready fields; a non-finite objective or violation (an
@@ -402,7 +413,123 @@ def solve_general(model: LpModel) -> LpSolution:
     switch = next((i for i, v in enumerate(b, 1) if v > 0), None)
     return LpSolution("optimal", float(k[0] / n + model.constant), x,
                       violation, 0, exact=exact,
-                      structure={"switch_point": switch})
+                      structure={"switch_point": switch},
+                      solver="exact recursion")
+
+
+# ---------------------------------------------------------------------------
+# Structural solver for the beta-lambda relaxation
+# ---------------------------------------------------------------------------
+
+def _beta_lambda_pair(model: LpModel) -> tuple[list[Fraction],
+                                               list[Fraction], dict]:
+    """The structured primal x and dual y of ``solve_beta_lambda``, exact
+    and in the model's column and row order, and the structure: L and
+    whether the slack budget binds."""
+    meta = model.metadata
+    n, beta = meta["n"], meta["beta"]
+    lam_n, half = int(meta["lambda"] * n), n // 2
+    zero, one = Fraction(0), Fraction(1)
+
+    a = ([Fraction(n - i, (n - 1) * n) for i in range(1, lam_n)]
+         + [zero] * (n - lam_n + 1))
+    tail = Fraction(2, n) * sum(a[j - 1] * Fraction(j, n - j)
+                                for j in range(1, half + 1))
+    binding = beta < (n - lam_n) * tail
+    g = [zero] * (n - half)
+    left = beta
+    for i in range(n, lam_n, -1):
+        g[i - half - 1] = spent = min(tail, left)
+        left -= spent
+    w = (a[:lam_n - 1] + [Fraction(n - lam_n, (n - 1) * n)]
+         + [tail - g[i - half - 1] for i in range(lam_n + 1, n + 1)])
+    x = w + a + [zero] * n + g
+
+    y_sh = one if binding else zero
+    total_sh = (n - lam_n) * y_sh
+    y_ss, y_pos = [zero] * n, [zero] * (lam_n - 1) + [one]
+    above = one          # sum of y_pos_k over k > i
+    for i in range(lam_n - 1, 0, -1):
+        ss = above - Fraction(2 * i, n) * total_sh if i <= half else above
+        y_ss[i - 1] = ss = ss / (n - i)
+        y_pos[i - 1] = 1 - ss
+        above += 1 - ss
+    y = y_ss + y_pos + [y_sh] * (n - lam_n) + [y_sh]
+    return x, y, {"position_rows": lam_n, "budget_binding": binding}
+
+
+def solve_beta_lambda(model: LpModel) -> Union[LpSolution, str]:
+    """Optimum of ``build_lp_beta_lambda``'s program from the structure of
+    its solution, in O(n) rational steps, proved by a dual; or, when the
+    proof fails, the reason, and the caller runs the simplex.
+
+    Let L = lambda n and T = (2/n) sum_{j<=n/2} a_j j/(n-j).  The primal is
+    a_i = (n-i)/((n-1)n) for i < L and 0 from L on, b = 0, w_i = a_i for
+    i < L, w_L = (n-L)/((n-1)n), so position rows 1..L are tight; each tail
+    row i > L gets w_i = T - g_i, with beta spent on g from i = n backwards,
+    at most T per row.  The budget binds when beta < (n-L) T.
+
+    The dual has y_ss_i, y_pos_i, y_sh_i and y_bud on the step-split,
+    position, second-half and budget rows.  It maximises
+    sum_{i<=L} y_pos_i/n - beta y_bud subject to, with Y = sum_i y_sh_i,
+      w_i:  y_ss_i + [i<=L] y_pos_i + [i>L] y_sh_i <= 1
+      a_i:  -y_ss_i + sum_{i<k<=L} y_pos_k/(n-i) - [i<=n/2] 2i Y/(n(n-i)) <= 0
+      b_i:  -y_ss_i + [i<=n/2](2Y/n - y_bud) <= 0
+      g_i:  [i>L] y_sh_i - y_bud <= 0.
+    Complementary slackness fixes y.  When the budget binds, a tail w_i > 0
+    sits above its slack step-split row, so y_ss_i = 0 and w_i's column
+    gives y_sh_i = 1, and g_i's column y_bud >= 1; take y_sh = y_bud = 1.
+    Otherwise the budget row is slack, y_bud = 0, and g's columns force
+    y_sh = 0.  Row L's step split is slack (w_L > 0 = a_L + b_L), so
+    y_pos_L = 1.  For i < L, a_i > 0 and w_i > 0 make both columns tight:
+      y_ss_i = (sum_{k>i} y_pos_k - [i<=n/2] (2i/n) Y) / (n-i),
+      y_pos_i = 1 - y_ss_i,
+    from i = L-1 down to 1; every other y_ss is 0.  Since L >= n/2,
+    2Y/n <= y_bud, and the b columns hold.  What can fail is y >= 0: a
+    long tail under a binding budget drives y_ss_i below 0, and then the
+    structured point is not optimal.
+
+    Nothing above is trusted.  The solution is returned only if x >= 0,
+    y >= 0 and c.x == b.y hold exactly in rationals (the model's own
+    objective and rhs), the primal residual against ``model.matrix`` is at
+    most FEAS_TOL and the dual residual A^T y - c at most PIVOT_TOL, the
+    float trust of the simplex's own optimality test.  By weak duality x
+    is then optimal.  ``structure`` holds L and whether the budget binds.
+    Raises ValueError for a model of another family or shape.
+    """
+    meta = model.metadata
+    if meta.get("family") != "beta_lambda":
+        raise ValueError("solve_beta_lambda needs a build_lp_beta_lambda "
+                         f"model, got family {meta.get('family')!r}")
+    n = meta["n"]
+    if (model.num_rows, model.num_vars) != (2 * n + 1, 3 * n + n // 2):
+        raise ValueError(f"a beta-lambda model at n={n} is "
+                         f"{2 * n + 1} x {3 * n + n // 2}, got "
+                         f"{model.num_rows} x {model.num_vars}")
+    x, y, structure = _beta_lambda_pair(model)
+    if any(v < 0 for v in x):
+        return "negative primal entry"
+    negative = next((r for r, v in enumerate(y) if v < 0), None)
+    if negative is not None:
+        return f"negative dual on {model.row_names[negative]}"
+    primal = sum(c * v for c, v in zip(model.objective, x) if c)
+    dual = sum(b * v for b, v in zip(model.rhs, y) if b)
+    if primal != dual:
+        return f"duality gap {float(primal - dual):.3g}"
+    A = model.matrix
+    xf = np.array([float(v) for v in x])
+    yf = np.array([float(v) for v in y])
+    residual = float(np.max(np.array([float(v) for v in model.rhs]) - A @ xf,
+                            initial=0.0))
+    if residual > FEAS_TOL:
+        return f"primal residual {residual:.3g}"
+    cf = np.array([float(v) for v in model.objective])
+    dual_residual = float(np.max(yf @ A - cf, initial=0.0))
+    if dual_residual > PIVOT_TOL:
+        return f"dual residual {dual_residual:.3g}"
+    return LpSolution("optimal", float(primal + model.constant), xf,
+                      residual, 0, exact=x, structure=structure,
+                      solver="structure")
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +621,8 @@ def simplex_solve(model: LpModel) -> LpSolution:
     tab[-1] = -tab[artificial].sum(axis=0)
     status, it1 = _iterate(tab, basis, ncols, max_iter)
     if status != "optimal" or tab[-1, -1] < -FEAS_TOL:
-        return LpSolution("infeasible", math.nan, None, math.nan, it1)
+        return LpSolution("infeasible", math.nan, None, math.nan, it1,
+                          solver=f"simplex, {it1} pivots")
 
     # drive any leftover artificial out of the basis or drop its row
     keep = []
@@ -517,38 +645,73 @@ def simplex_solve(model: LpModel) -> LpSolution:
     tab[-1] -= tab[-1, basis] @ tab[:-1]
     status, it2 = _iterate(tab, basis, ncols, max_iter)
     if status == "unbounded":
-        return LpSolution("unbounded", -math.inf, None, math.nan, it1 + it2)
+        return LpSolution("unbounded", -math.inf, None, math.nan, it1 + it2,
+                          solver=f"simplex, {it1 + it2} pivots")
 
     x = np.zeros(ncols)
     x[basis] = tab[:-1, -1]
     x = x[:nv]
     violation = float(np.max(np.maximum(bvec - A @ x, 0.0), initial=0.0))
     obj = float(cvec @ x) + float(model.constant)
-    return LpSolution("optimal", obj, x, violation, it1 + it2)
+    return LpSolution("optimal", obj, x, violation, it1 + it2,
+                      solver=f"simplex, {it1 + it2} pivots")
+
+
+def solve(model: LpModel) -> LpSolution:
+    """Solve a built model with its family's solver: ``solve_general`` for
+    general, ``solve_beta_lambda`` for beta-lambda with ``simplex_solve``
+    when the structure declines, and ``simplex_solve`` for beta (and for a
+    model of no family).  ``solver`` names the one that served, and a
+    decline's reason."""
+    family = model.metadata.get("family")
+    if family == "general_lb":
+        return solve_general(model)
+    if family == "beta_lambda":
+        solution = solve_beta_lambda(model)
+        if isinstance(solution, LpSolution):
+            return solution
+        fallback = simplex_solve(model)
+        fallback.solver += f" (structure declined: {solution})"
+        return fallback
+    return simplex_solve(model)
 
 
 # ---------------------------------------------------------------------------
 # Closed forms
 # ---------------------------------------------------------------------------
 
-# below this lambda the tight-solution structure breaks and the closed form
-# stops matching the LP optimum
+# the closed form refuses lambda at or below this; it is not where the
+# closed form starts to equal the LP optimum, which is (3 - sqrt 2)/2 in the
+# limit (see closed_form_beta_lambda)
 LAMBDA_THRESHOLD = 9 - math.sqrt(68)
 
 
 @dataclass(frozen=True)
 class ClosedFormBound:
-    exact: float        # finite-n LP optimum (clamped at 0)
+    exact: float        # finite-n structured objective (clamped at 0)
     asymptotic: float   # n -> infinity lower bound
 
 
 def closed_form_beta_lambda(n: int, lam, beta) -> ClosedFormBound:
-    """Exact optimum of the relaxed LP and its asymptotic limit.
+    """The relaxed LP's objective at its structured feasible point, and the
+    asymptotic limit of that value.
 
     exact = sum_{i<=lam n}(n-i)/((n-1)n) + (1-lam) n (n/2+1)/(2(n-1)n) - beta,
     clamped below at 0; asymptotic = 1/2 - (1-lam)^2/2 + (1-lam)/4 - beta.
-    Refuses lam at or below the structural threshold 9 - sqrt(68), and a
-    negative beta.
+    While beta is below the tail's total gain (n - lam n) T (see
+    ``solve_beta_lambda``), ``exact`` is the objective of the structured
+    feasible point that ``solve_beta_lambda`` builds, so it is an upper
+    bound on the LP optimum, tight only where that structure is certified.
+    There the certificate holds for lam >= (3 - sqrt 2)/2 ~ 0.7929 in the
+    limit: the dual on step-split row n/2 tends to
+    (1 - 4(1-lam)^2)/2 - 2(1-lam), which is negative below it.  Between
+    the threshold and that bound the closed form overstates the LP: by
+    8.2e-4 at n=64, lam = 49/64, and by 1.1e-3 at n=1024, lam = 772/1024
+    (simplex and HiGHS agree).  For a larger beta the point can spend only
+    the tail's total, so the closed form falls below the optimum
+    (0.44375 against 0.4875 at n=16, lam = 13/16, beta = 1/10).
+    Refuses lam at or below the threshold 9 - sqrt(68), and a negative
+    beta.
     """
     _check_n(n)
     lam = _to_fraction(lam)

@@ -8,6 +8,7 @@ import pytest
 
 from swmlab import cli
 from swmlab.cli import main
+import swmlab.lp as lp_module
 from swmlab.lp import LpSolution
 from swmlab.instances import random_instance, save_instance
 
@@ -27,14 +28,35 @@ def instance_file(tmp_path):
     return str(path)
 
 
+def _assert_close(ours, ref, tol):
+    """Same JSON structure and values, floats within ``tol``."""
+    assert type(ours) is type(ref)
+    if isinstance(ours, dict):
+        assert ours.keys() == ref.keys()
+        for key in ours:
+            _assert_close(ours[key], ref[key], tol)
+    elif isinstance(ours, list):
+        assert len(ours) == len(ref)
+        for a, b in zip(ours, ref):
+            _assert_close(a, b, tol)
+    elif isinstance(ours, float):
+        assert abs(ours - ref) <= tol, (ours, ref)
+    else:
+        assert ours == ref
+
+
 def _lp_argv(family, n, lam, beta):
     argv = ["lp", "--family", family, "--n", str(n), "--beta", beta]
     return argv + ["--lambda", lam] if lam is not None else argv
 
 
 # sha256 of the whole `lp` report for every case of the benchmark's LP
-# sweep and for general n=4096, recorded from the rational-row solvers
-# before the builders wrote the float matrix; the reports keep every byte
+# sweep and for general n=4096.  The beta and general reports were recorded
+# from the rational-row solvers before the builders wrote the float matrix
+# and keep every byte; the beta-lambda ones are served by the structural
+# solve, and were recorded once its reports had been shown to differ from
+# the simplex-served ones (LP_SIMPLEX_REPORTS) only in the pivot count, the
+# structure block and float rounding
 LP_REPORTS = {
     ("beta", 8, None, "1/100"):
         "84e9b5a0abc6eb1028dc66ce0d6e32006d4558d7f11c5f645ff39df6e67fb599",
@@ -43,17 +65,17 @@ LP_REPORTS = {
     ("beta", 128, None, "1/100"):
         "661f9693931fcdc8d6eedfd0f33f8edc75007c38cd2d89b1e15d21dd5b680a10",
     ("beta-lambda", 16, "13/16", "0"):
-        "813f06fd321332053effcf70cc41311f89227f307d2db1c44e2d2820945687d2",
+        "c07cf180c9ca5fa0eccecf12832a62c9bd3a7aa9ac279221b767c2166cf8ea0b",
     ("beta-lambda", 16, "13/16", "1/100"):
-        "9d7177cfb7ea2b6dfbb543ac365120cb357c9f3b5b3b2cf4e8f67de5a8e365ef",
+        "29cc1da851d73668f05081bc251d2a1a94500de15e2eb1b8e53e479d5f1561cf",
     ("beta-lambda", 64, "13/16", "0"):
-        "fd7e9be22c4b7f5742a669d8853f16d6b14fdafe1aedf69657db28a89dce7ee6",
+        "dff0daa06ee125d72389156964dfac40413ede627d0f7f1eebe518d129a23f42",
     ("beta-lambda", 64, "13/16", "1/100"):
-        "502137e2b013f26e939ddcbda18edf436bcc86575fe9c330a8c1a06e1a1a6167",
+        "cc9b2dc92522f3b4d54c31c617a97d908a0fb9a275a0ec106baa3a380ac55388",
     ("beta-lambda", 256, "13/16", "0"):
-        "92f3268a12df8290d5772ff3ea11d259b172c67850705c7dff414bb0ef2acd57",
+        "1d6335e538f124240e5e125b4020fd5caf7a43aa85f325ccd006d07787af215c",
     ("beta-lambda", 256, "13/16", "1/100"):
-        "8a938676e7c3bfcbb90ca0f4d90aec8b27832baef0c60a7a542bf489e93fc413",
+        "7c93bbd635640f0eb8561341c921887267d341960b81da7325cabcb981043d43",
     ("general", 8, None, "0"):
         "eff18857191c7a5af1a170331f9614ea3f75b6870f45ed4f59ec2b61a9be69dd",
     ("general", 16, None, "0"):
@@ -72,6 +94,22 @@ LP_REPORTS = {
         "306faae189fd20d80c5a936608cf85fb1a1c22e2cbdb3abc06aa942dcdde0176",
     ("general", 4096, None, "0"):
         "f67a7bbeb82ab8e74b4eefab19291ffdd612c29a1002983a6e8e4912804d9d4c",
+}
+# sha256 of the beta-lambda reports when the simplex serves them, as it did
+# for every beta-lambda report before the structural solve
+LP_SIMPLEX_REPORTS = {
+    ("beta-lambda", 16, "13/16", "0"):
+        "813f06fd321332053effcf70cc41311f89227f307d2db1c44e2d2820945687d2",
+    ("beta-lambda", 16, "13/16", "1/100"):
+        "9d7177cfb7ea2b6dfbb543ac365120cb357c9f3b5b3b2cf4e8f67de5a8e365ef",
+    ("beta-lambda", 64, "13/16", "0"):
+        "fd7e9be22c4b7f5742a669d8853f16d6b14fdafe1aedf69657db28a89dce7ee6",
+    ("beta-lambda", 64, "13/16", "1/100"):
+        "502137e2b013f26e939ddcbda18edf436bcc86575fe9c330a8c1a06e1a1a6167",
+    ("beta-lambda", 256, "13/16", "0"):
+        "92f3268a12df8290d5772ff3ea11d259b172c67850705c7dff414bb0ef2acd57",
+    ("beta-lambda", 256, "13/16", "1/100"):
+        "8a938676e7c3bfcbb90ca0f4d90aec8b27832baef0c60a7a542bf489e93fc413",
 }
 # sha256 of the `--export-lp` listing at n=16, recorded alike
 LP_LISTINGS = {
@@ -231,6 +269,55 @@ class TestLp:
         assert results["solution"]["iterations"] == 0
         assert "solver = exact recursion" in capsys.readouterr().err
 
+    def test_beta_lambda_names_structure(self, tmp_path, capsys):
+        out = tmp_path / "lp.json"
+        assert main(["lp", "--family", "beta-lambda", "--n", "16",
+                     "--lambda", "13/16", "--beta", "1/100",
+                     "--out", str(out)]) == 0
+        results = json.loads(out.read_text())["results"]
+        assert results["structure"] == {"position_rows": 13,
+                                        "budget_binding": True}
+        assert results["solution"]["iterations"] == 0
+        assert "\nsolver = structure\n" in capsys.readouterr().err
+
+    def test_beta_lambda_decline_names_simplex_and_reason(self, tmp_path,
+                                                          capsys):
+        """Below the structure's range the simplex serves, and stderr says
+        why the structure declined; the report has no structure block."""
+        out = tmp_path / "lp.json"
+        assert main(["lp", "--family", "beta-lambda", "--n", "16",
+                     "--lambda", "3/4", "--out", str(out)]) == 0
+        results = json.loads(out.read_text())["results"]
+        assert "structure" not in results
+        pivots = results["solution"]["iterations"]
+        assert pivots > 0
+        assert (f"\nsolver = simplex, {pivots} pivots (structure declined: "
+                "negative dual on step_split_8)\n") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", list(LP_SIMPLEX_REPORTS), ids=str)
+    def test_structure_report_against_simplex_served(self, tmp_path,
+                                                     monkeypatch, case):
+        """With the structure declined, the simplex serves the report it
+        always served (pinned bytes).  The structural report differs from
+        it only in ``iterations`` (0), the added ``structure`` block and
+        floats within 1e-12."""
+        served = tmp_path / "structure.json"
+        assert main(_lp_argv(*case) + ["--out", str(served)]) == 0
+        monkeypatch.setattr(lp_module, "solve_beta_lambda",
+                            lambda model: "declined for the test")
+        fallback = tmp_path / "simplex.json"
+        assert main(_lp_argv(*case) + ["--out", str(fallback)]) == 0
+        assert hashlib.sha256(fallback.read_bytes()).hexdigest() == \
+            LP_SIMPLEX_REPORTS[case]
+        ours = json.loads(served.read_text())
+        ref = json.loads(fallback.read_text())
+        structure = ours["results"].pop("structure")
+        assert structure == {"position_rows": int(case[1]) * 13 // 16,
+                             "budget_binding": True}
+        assert ours["results"]["solution"].pop("iterations") == 0
+        assert ref["results"]["solution"].pop("iterations") > 0
+        _assert_close(ours, ref, 1e-12)
+
     def test_beta_names_simplex_pivots(self, tmp_path, capsys):
         out = tmp_path / "lp.json"
         assert main(["lp", "--family", "beta", "--n", "8",
@@ -283,9 +370,12 @@ class TestLp:
 
     @pytest.fixture
     def not_optimal(self, monkeypatch):
-        """Make every simplex solve come back unbounded."""
+        """Make the structural solve decline and every simplex solve come
+        back unbounded."""
         solution = LpSolution("unbounded", -math.inf, None, math.nan, 3)
-        monkeypatch.setattr(cli, "simplex_solve", lambda model: solution)
+        monkeypatch.setattr(lp_module, "solve_beta_lambda",
+                            lambda model: "declined for the test")
+        monkeypatch.setattr(lp_module, "simplex_solve", lambda model: solution)
 
     def test_not_optimal_report_is_strict_json(self, tmp_path, not_optimal):
         out = tmp_path / "lp.json"

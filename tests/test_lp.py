@@ -10,15 +10,16 @@ import swmlab as sl
 import swmlab.lp as lp_module
 from swmlab.cli import main as cli_main
 from swmlab.lp import (DEGENERATE_LIMIT, LAMBDA_THRESHOLD, GENERAL_LIMIT,
-                       PIVOT_TOL, LpModel, LpSolution, _check_n,
-                       _float_matrix, _leaving_row,
+                       PIVOT_TOL, LpModel, LpSolution, _beta_lambda_pair,
+                       _check_n, _float_matrix, _leaving_row,
                        _to_fraction, build_lp_beta, build_lp_beta_lambda,
                        build_lp_general, closed_form_beta_lambda,
                        closed_form_general, combined_secondorder_bound,
-                       general_cost_to_go, simplex_solve, solve_general,
-                       COMBINED_BETA_STAR)
+                       general_cost_to_go, simplex_solve, solve,
+                       solve_beta_lambda, solve_general, COMBINED_BETA_STAR)
 
 scipy_opt = pytest.importorskip("scipy.optimize")
+scipy_sparse = pytest.importorskip("scipy.sparse")
 
 SOLVE_TOL = 1e-8
 FEAS_TOL = 1e-9
@@ -437,6 +438,46 @@ class TestClosedFormBetaLambda:
         assert cf.exact == pytest.approx(float(total), abs=1e-15)
         assert cf.exact == pytest.approx(0.54375, abs=1e-12)
 
+    @pytest.mark.parametrize("k, gap", [(49, 8.198e-4), (50, 2.320e-4),
+                                        (51, 0.0)])
+    def test_overstates_the_lp_below_three_minus_sqrt2_over_2(self, k, gap):
+        """Pinned finding: above the threshold 9 - sqrt(68) ~ 0.7538 the
+        closed form is still above the LP optimum until lambda reaches
+        (3 - sqrt 2)/2 ~ 0.7929, where the structure certifies.  The
+        simplex and HiGHS agree on the optimum."""
+        lam = Fraction(k, 64)
+        model = build_lp_beta_lambda(64, lam, 0)
+        opt = simplex_solve(model).objective
+        assert abs(opt - scipy_optimum(model)) <= SOLVE_TOL
+        assert closed_form_beta_lambda(64, lam, 0).exact - opt == \
+            pytest.approx(gap, abs=1e-6)
+
+    def test_understates_the_lp_when_beta_exceeds_the_tail_gain(self):
+        """The structured point spends at most (n - lam n) T = 9/160 here;
+        the closed form subtracts all of beta = 1/10."""
+        model = build_lp_beta_lambda(16, Fraction(13, 16), Fraction(1, 10))
+        assert solve(model).objective == pytest.approx(0.4875, abs=1e-15)
+        assert simplex_solve(model).objective == pytest.approx(0.4875,
+                                                               abs=1e-12)
+        assert closed_form_beta_lambda(16, Fraction(13, 16),
+                                       Fraction(1, 10)).exact == \
+            pytest.approx(0.44375, abs=1e-15)
+
+    def test_overstates_the_lp_just_above_the_threshold_at_n1024(self):
+        """lambda = 772/1024 ~ 0.7539, the first above the threshold: the
+        closed form is 1.1e-3 above the HiGHS optimum."""
+        lam = Fraction(772, 1024)
+        model = build_lp_beta_lambda(1024, lam, 0)
+        res = scipy_opt.linprog(
+            np.array([float(v) for v in model.objective]),
+            A_ub=-scipy_sparse.csr_matrix(model.matrix),
+            b_ub=-np.array([float(v) for v in model.rhs]),
+            bounds=(0, None), method="highs")
+        assert res.status == 0, res.message
+        assert res.fun == pytest.approx(0.530414, abs=1e-6)
+        assert closed_form_beta_lambda(1024, lam, 0).exact - res.fun == \
+            pytest.approx(1.0997e-3, abs=1e-6)
+
     def test_asymptotic_at_threshold_lambda(self):
         cf = closed_form_beta_lambda(1000, Fraction(754, 1000), 0)
         assert cf.asymptotic == pytest.approx(0.53124, abs=5e-5)
@@ -762,6 +803,215 @@ class TestSolveGeneral:
         model.objective[0] = Fraction(-1)
         with pytest.raises(ValueError, match="non-negative"):
             solve_general(model)
+
+
+# ---------------------------------------------------------------------------
+# The structural beta-lambda solve
+# ---------------------------------------------------------------------------
+
+STRUCTURE_NS = [8, 16, 32, 64, 128, 256]
+STRUCTURE_LAMBDAS = (Fraction(1, 2), Fraction(5, 8), Fraction(3, 4),
+                     Fraction(13, 16), Fraction(7, 8), Fraction(15, 16),
+                     Fraction(1))
+STRUCTURE_BETAS = (Fraction(0), Fraction(1, 100), Fraction(1, 20),
+                   Fraction(1, 10), Fraction(1))
+# the structured point is optimal for lambda >= (3 - sqrt 2)/2 ~ 0.7929
+# whatever beta, and the certificate must hold there
+CERTIFIED_FROM = Fraction(13, 16)
+
+
+def structure_grid(n):
+    for lam in STRUCTURE_LAMBDAS:
+        if (lam * n).denominator == 1:
+            for beta in STRUCTURE_BETAS:
+                yield lam, beta, build_lp_beta_lambda(n, lam, beta)
+
+
+def sparse_rows(model):
+    return [[(j, c) for j, c in enumerate(row) if c] for row in model.rows]
+
+
+def exact_certificate_holds(model, x, y) -> bool:
+    """Ax >= b, A^T y <= c, x, y >= 0 and c.x = b.y, all in Fractions over
+    the model's rational rows."""
+    rows = sparse_rows(model)
+    if any(v < 0 for v in x) or any(v < 0 for v in y):
+        return False
+    if any(sum(c * x[j] for j, c in row) < rhs
+           for row, rhs in zip(rows, model.rhs)):
+        return False
+    aty = [Fraction(0)] * model.num_vars
+    for row, yr in zip(rows, y):
+        if yr:
+            for j, c in row:
+                aty[j] += c * yr
+    if any(v > c for v, c in zip(aty, model.objective)):
+        return False
+    return sum(c * v for c, v in zip(model.objective, x)) == \
+        sum(b * v for b, v in zip(model.rhs, y))
+
+
+class TestSolveBetaLambda:
+    @pytest.mark.parametrize("n", STRUCTURE_NS)
+    def test_matches_simplex(self, n):
+        """Every structural answer equals the simplex optimum; the grid
+        from lambda = 13/16 up is always certified, and declines happen
+        only below."""
+        for lam, beta, model in structure_grid(n):
+            sol = solve_beta_lambda(model)
+            if isinstance(sol, str):
+                assert lam < CERTIFIED_FROM, (lam, beta, sol)
+                assert sol.startswith("negative dual on step_split_")
+                continue
+            ref = simplex_solve(model)
+            assert abs(sol.objective - ref.objective) <= KERNEL_TOL, \
+                (lam, beta)
+            assert (sol.status, sol.iterations, sol.solver) == \
+                ("optimal", 0, "structure")
+            assert sol.max_violation <= FEAS_TOL
+            assert sol.structure["position_rows"] == lam * n
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    def test_matches_highs(self, n):
+        for lam, beta, model in structure_grid(n):
+            sol = solve_beta_lambda(model)
+            if not isinstance(sol, str):
+                assert abs(sol.objective - scipy_optimum(model)) <= SOLVE_TOL
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    def test_exact_certificate(self, n):
+        certified = 0
+        for lam, beta, model in structure_grid(n):
+            sol = solve_beta_lambda(model)
+            if isinstance(sol, str):
+                continue
+            x, y, structure = _beta_lambda_pair(model)
+            assert sol.exact == x
+            assert sol.structure == structure
+            assert exact_certificate_holds(model, x, y), (lam, beta)
+            assert sol.objective == float(
+                sum(c * v for c, v in zip(model.objective, x)))
+            certified += 1
+        assert certified >= 10
+
+    # (vector, entry, direction) of a 1e-6 change, and the check that
+    # rejects it
+    TAMPERED = [("y", "position_1", 1),       # b.y moves: duality gap
+                ("y", "step_split_1", 1),     # w_1's column: dual residual
+                ("y", "slack_budget", 1),     # b.y moves: duality gap
+                ("x", "w_1", -1),             # c.x moves: duality gap
+                ("x", "a_1", -1),             # position rows: primal residual
+                ("x", "g_16", -1)]            # second_half_16: primal residual
+
+    @pytest.mark.parametrize("vector, name, sign", TAMPERED)
+    def test_tampered_certificate_declines(self, monkeypatch, vector, name,
+                                           sign):
+        model = build_lp_beta_lambda(16, Fraction(13, 16), Fraction(1, 100))
+        x, y, structure = _beta_lambda_pair(model)
+        names = model.row_names if vector == "y" else model.var_names
+        target = y if vector == "y" else x
+        target[names.index(name)] += sign * Fraction(1, 10 ** 6)
+        monkeypatch.setattr(lp_module, "_beta_lambda_pair",
+                            lambda model: (x, y, structure))
+        reason = solve_beta_lambda(model)
+        assert isinstance(reason, str)
+        served = solve(model)
+        assert served.solver == (f"simplex, {served.iterations} pivots "
+                                 f"(structure declined: {reason})")
+        assert served.objective == simplex_solve(model).objective
+
+    def test_untampered_pair_certifies(self, monkeypatch):
+        model = build_lp_beta_lambda(16, Fraction(13, 16), Fraction(1, 100))
+        pair = _beta_lambda_pair(model)
+        monkeypatch.setattr(lp_module, "_beta_lambda_pair",
+                            lambda model: pair)
+        assert solve(model).solver == "structure"
+
+    def test_edited_model_declines(self):
+        """The certificate reads the model's own objective and matrix, so a
+        model that is not the program the structure describes declines."""
+        model = build_lp_beta_lambda(16, Fraction(13, 16), 0)
+        model.objective[0] = Fraction(2)
+        assert solve_beta_lambda(model).startswith("duality gap")
+        model = build_lp_beta_lambda(16, Fraction(13, 16), 0)
+        model.matrix[model.row_names.index("position_5"), 16] = 2.0
+        assert solve_beta_lambda(model).startswith("dual residual")
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    def test_three_quarters_at_zero_beta_declines(self, n):
+        model = build_lp_beta_lambda(n, Fraction(3, 4), 0)
+        reason = solve_beta_lambda(model)
+        assert reason.startswith("negative dual on step_split_")
+        served = solve(model)
+        assert served.solver == (f"simplex, {served.iterations} pivots "
+                                 f"(structure declined: {reason})")
+
+    def test_49_64_declines(self):
+        model = build_lp_beta_lambda(64, Fraction(49, 64), 0)
+        assert solve_beta_lambda(model) == "negative dual on step_split_31"
+        assert solve(model).objective == simplex_solve(model).objective
+
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    def test_certified_from_three_minus_sqrt2_over_2(self, n):
+        """With the budget binding, the structure's dual stays non-negative
+        exactly when lambda >= (3 - sqrt 2)/2 ~ 0.7929 in the limit; at each
+        n the last declining and the first certified lambda n straddle it."""
+        bound = (3 - math.sqrt(2)) / 2
+        first = math.ceil(bound * n)
+        below = build_lp_beta_lambda(n, Fraction(first - 1, n), 0)
+        above = build_lp_beta_lambda(n, Fraction(first, n), 0)
+        assert isinstance(solve_beta_lambda(below), str)
+        assert solve_beta_lambda(above).solver == "structure"
+
+    def test_budget_binding_and_position_rows(self):
+        # (n - L) T = 3 * 3/160 = 9/160 at n=16, lambda 13/16
+        n, lam = 16, Fraction(13, 16)
+        for beta, binding in [(0, True),
+                              (Fraction(9, 160) - Fraction(1, 10 ** 9), True),
+                              (Fraction(9, 160), False), (1, False)]:
+            sol = solve_beta_lambda(build_lp_beta_lambda(n, lam, beta))
+            assert sol.structure == {"position_rows": 13,
+                                     "budget_binding": binding}
+        # lambda = 1: no tail, the budget never binds
+        sol = solve_beta_lambda(build_lp_beta_lambda(n, 1, 0))
+        assert sol.structure == {"position_rows": 16,
+                                 "budget_binding": False}
+
+    def test_never_calls_the_closed_form(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("closed form called")
+        monkeypatch.setattr(lp_module, "closed_form_beta_lambda", refuse)
+        for lam, beta, model in structure_grid(16):
+            solve(model)
+
+    def test_refuses_other_families_and_shapes(self):
+        for model in (build_lp_beta(8, 0), build_lp_general(8)):
+            with pytest.raises(ValueError, match="beta_lambda"):
+                solve_beta_lambda(model)
+        model = build_lp_beta_lambda(8, Fraction(7, 8), 0)
+        model.metadata["n"] = 16
+        with pytest.raises(ValueError, match="at n=16 is 33 x 56"):
+            solve_beta_lambda(model)
+
+
+class TestSolve:
+    def test_dispatch_per_family(self):
+        general = build_lp_general(32)
+        served = solve(general)
+        assert served.solver == "exact recursion"
+        assert served.objective == solve_general(general).objective
+        beta = build_lp_beta(8, Fraction(1, 100))
+        served, ref = solve(beta), simplex_solve(beta)
+        assert served.solver == f"simplex, {ref.iterations} pivots"
+        assert served.objective == ref.objective
+        assert solve(build_lp_beta_lambda(16, Fraction(13, 16), 0)).solver \
+            == "structure"
+        assert solve(beale_lp()).objective == pytest.approx(-1.25)
+
+    def test_solver_is_not_serialised(self):
+        sol = solve(build_lp_beta_lambda(16, Fraction(13, 16), 0))
+        assert "solver" not in sol.to_dict()
+        assert "structure" not in sol.to_dict()
 
 
 # ---------------------------------------------------------------------------
