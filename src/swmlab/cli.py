@@ -181,6 +181,18 @@ def cmd_conjecture(args) -> int:
     if args.instance and args.random is not None:
         raise ValueError("give an instance path or --random COUNT, not both")
     if args.instance:
+        unused = ["nmax", "mmax"]
+        if args.mode == "exact":
+            unused += ["seed", "samples"]
+        given = [f"--{opt}" for opt in unused if getattr(args, opt) is not None]
+        if given:
+            raise ValueError(f"{', '.join(given)} not used with an instance "
+                             f"path in {args.mode} mode")
+    for opt, default in (("nmax", 5), ("mmax", 3), ("seed", 0),
+                         ("samples", 1000)):
+        if getattr(args, opt) is None:
+            setattr(args, opt, default)
+    if args.instance:
         instances = [(str(args.instance), load_instance(args.instance))]
     elif args.random is not None:
         if args.random < 1:
@@ -268,11 +280,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance", nargs="?")
     p.add_argument("--random", type=int,
                    help="scan this many seeded random instances")
-    p.add_argument("--nmax", type=int, default=5)
-    p.add_argument("--mmax", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    # no defaults here: cmd_conjecture refuses the ones a path leaves unused
+    p.add_argument("--nmax", type=int)
+    p.add_argument("--mmax", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--mode", choices=["exact", "mc"], default="exact")
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=int)
     p.add_argument("--out")
     return parser
 

@@ -1,10 +1,12 @@
 """Instances, allocations, the online greedy allocator and brute-force optimum.
 
 Allocations store one bitmask per agent.  Items absent from every mask are
-unallocated.  The greedy allocator accepts general item sequences, possibly
-with repeats, because the simulated-sequence experiments replay items; a
-repeated item contributes per the union semantics (second copy worth zero
-to an agent that already holds it).
+unallocated.  ``greedy`` runs one order, one item at a time, and accepts
+general item sequences, possibly with repeats, because the
+simulated-sequence experiments replay items; a repeated item contributes per
+the union semantics (second copy worth zero to an agent that already holds
+it).  ``greedy_steps``, which every engine in ``gain`` runs, takes one of
+its steps for a whole batch of states.
 """
 from __future__ import annotations
 
@@ -73,9 +75,6 @@ class Allocation:
             out |= m
         return out
 
-    def agent_sets(self) -> list[tuple[int, ...]]:
-        return [mask_items(m) for m in self.masks]
-
     @classmethod
     def empty(cls, m: int) -> "Allocation":
         return cls((0,) * m)
@@ -127,18 +126,6 @@ class GreedyRun:
         return float(sum(self.marginals))
 
 
-def greedy_step(instance: Instance, masks: Sequence[int], j: int
-                ) -> tuple[int, float]:
-    """The agent greedy gives item j on top of the per-agent ``masks``, and
-    its marginal gain: the largest marginal, ties to the lowest agent index."""
-    best_ell, best_gain = 0, -1.0
-    for ell, oracle in enumerate(instance.oracles):
-        g = oracle.marginal_gain_mask(masks[ell], j)
-        if g > best_gain:
-            best_ell, best_gain = ell, g
-    return best_ell, best_gain
-
-
 def marginal_gains(oracle: ValuationOracle, masks: np.ndarray, bits
                    ) -> np.ndarray:
     """``marginal_gain_mask`` over an int64 array of sets: MG of the item
@@ -151,11 +138,11 @@ def marginal_gains(oracle: ValuationOracle, masks: np.ndarray, bits
 
 def greedy_steps(instance: Instance, masks: np.ndarray, items: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``greedy_step`` on a batch: item ``items[s]`` arrives on top of the
+    """``greedy``'s step on a batch: item ``items[s]`` arrives on top of the
     agent masks ``masks[:, s]`` (int64, one row per agent).  Returns the
     chosen agents, their marginals and the new masks.  Agents are scanned
     in ascending order from a best of -1.0 that only a strictly larger
-    marginal replaces, so ties and NaN resolve as in ``greedy_step``.
+    marginal replaces, so ties and NaN resolve as in ``greedy``.
     Rows of ``masks`` after the m agents' rows (tags) are carried over
     unchanged."""
     bits = np.left_shift(1, items)
@@ -172,7 +159,8 @@ def greedy_steps(instance: Instance, masks: np.ndarray, items: np.ndarray
 
 
 def greedy(instance: Instance, order: Sequence[int]) -> GreedyRun:
-    """Process items in order, giving each to its ``greedy_step`` agent."""
+    """Process items in order, giving each to the agent with the largest
+    marginal gain, ties to the lowest agent index."""
     n = instance.n
     order = tuple(int(j) for j in order)
     masks = [0] * instance.m
@@ -180,7 +168,11 @@ def greedy(instance: Instance, order: Sequence[int]) -> GreedyRun:
     for j in order:
         if j < 0 or j >= n:
             raise InvalidQueryError(f"item {j} outside ground set of size {n}")
-        ell, g = greedy_step(instance, masks, j)
+        ell, g = 0, -1.0
+        for k, oracle in enumerate(instance.oracles):
+            gain = oracle.marginal_gain_mask(masks[k], j)
+            if gain > g:
+                ell, g = k, gain
         masks[ell] |= 1 << j
         marginals.append(g)
         choices.append(ell)

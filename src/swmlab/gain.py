@@ -25,9 +25,10 @@ and transitions, one scalar query at a time, gives.
 The chain from the empty allocation (``_state_pass``) runs once per
 ``GainContext`` and serves ``expected_trace`` in exact mode,
 ``verify_lemmas`` (its per-step bounds checked as arrays over each
-layer's transitions), ``verify_eq1`` and ``verify_second_half``.  Chains
-from chosen start states run as batches: the eq1 joint chains and the
-second half's Y chains from batches of the states after n/2 arrivals
+layer's transitions, each witness order read back along the first
+transition into each state), ``verify_eq1`` and ``verify_second_half``.
+Chains from chosen start states run as batches: the eq1 joint chains and
+the second half's Y chains from batches of the states after n/2 arrivals
 (``CHAIN_BATCH`` bounds a batch's widest layer), and
 ``conjecture_check``'s n move-side chains together with the chain from
 the empty allocation, told apart by a tag row.  No suite enumerates
@@ -55,8 +56,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (Allocation, Instance, _overlapping, greedy, greedy_step,
-                   greedy_steps, marginal_gains, optimal, union, welfare)
+from .core import (Allocation, Instance, _overlapping, greedy, greedy_steps,
+                   marginal_gains, optimal, union, welfare)
 from .errors import InvalidQueryError, SizeGuardError
 from .oracles import classify_second_order, mask_items
 from .orders import orders as seeded_orders
@@ -193,7 +194,8 @@ class _Step:
     """The transitions (state, unarrived item j) of one layer, state-major
     with j ascending: source state ``src``, item ``items``, probability
     ``q``, greedy's agent and marginal (None when the chain's ``advance``
-    does not report them), and ``inv``, the next-layer state it leads to."""
+    does not report them), ``inv``, the next-layer state it leads to, and
+    ``keep``, per next-layer state the transition that first leads to it."""
 
     src: np.ndarray
     items: np.ndarray
@@ -201,6 +203,7 @@ class _Step:
     chosen: Optional[np.ndarray]
     marginal: Optional[np.ndarray]
     inv: np.ndarray
+    keep: np.ndarray
 
 
 def _batches(size: int, reach: int):
@@ -277,28 +280,25 @@ def _forward(inst: Instance, layer: _Layer, depth: int, arrived=None,
         inv, keep = _first_occurrence(new)
         layer = _Layer(new[:, keep],
                        np.bincount(inv, weights=q, minlength=len(keep)))
-        yield layer, _Step(src, items, q, chosen, marginal, inv)
+        yield layer, _Step(src, items, q, chosen, marginal, inv, keep)
 
 
 @dataclass
 class _StatePass:
-    """Raw expected trace vectors, the reachable greedy states, every
-    item's Gain at the empty allocation and at each state after n//2
-    arrivals ([S, n]), and, per layer k, the per-step values of its
-    transitions for ``verify_lemmas``: ``steps[k] = (src, items, w, Gain of
-    the arriving item, a + b)``."""
+    """Raw expected trace vectors, the number of reachable greedy states,
+    the layer ``half`` of states after n//2 arrivals, every item's Gain at
+    the empty allocation and at each state of ``half`` ([S, n]), and, per
+    layer k, the values of its transitions that ``verify_lemmas`` reads:
+    ``steps[k] = (src, items, keep, w, Gain of the arriving item, a + b)``."""
 
     w: np.ndarray
     a: np.ndarray
     b: np.ndarray
-    layers: list     # layers[k]: the _Layer of greedy states after k arrivals
+    states: int
+    half: _Layer
     empty_gains: np.ndarray
     half_gains: np.ndarray
     steps: list
-
-    @property
-    def states(self) -> int:
-        return sum(len(layer.p) for layer in self.layers)
 
 
 def _state_pass(ctx: GainContext) -> _StatePass:
@@ -314,10 +314,10 @@ def _state_pass(ctx: GainContext) -> _StatePass:
     inst, n, m = ctx.instance, ctx.n, ctx.m
     chain = _forward(inst, _Layer(np.zeros((m, 1), dtype=np.int64),
                                   np.ones(1)), 0)
-    layers = [next(chain)[0]]
-    gains = empty_gains = half_gains = _item_gains(ctx, layers[0].states)
+    half = next(chain)[0]
+    gains = empty_gains = half_gains = _item_gains(ctx, half.states)
     totals = np.zeros((n, 3))              # rows: positions; columns w, a, b
-    steps = []
+    states, steps = 1, []
     for k, (layer, step) in enumerate(chain):
         new = _item_gains(ctx, layer.states)
         before = gains[step.src]
@@ -326,38 +326,27 @@ def _state_pass(ctx: GainContext) -> _StatePass:
         q, w_step = step.q, step.marginal
         totals[k] = _running_sum(totals[k],
                                  (q * np.vstack((w_step, ab))).T)
-        steps.append((step.src, step.items, w_step,
+        steps.append((step.src, step.items, step.keep, w_step,
                       before[np.arange(len(q)), step.items], ab[0] + ab[1]))
-        layers.append(layer)
+        states += len(layer.p)
         gains = new
         if k + 1 == n // 2:
-            half_gains = new
+            half, half_gains = layer, new
     w, av, bv = totals.T.copy()
-    return _StatePass(w, av, bv, layers, empty_gains, half_gains, steps)
+    return _StatePass(w, av, bv, states, half, empty_gains, half_gains, steps)
 
 
-def _prefix_reaching(inst: Instance, seen: list, masks: tuple[int, ...]
-                     ) -> tuple[int, ...]:
-    """An arrival prefix along which greedy reaches the reachable ``masks``,
-    found by stepping back one layer at a time (``seen[k]``: the set of
-    states after k arrivals)."""
-    prefix = []
-    for depth in range(sum(bin(msk).count("1") for msk in masks), 0, -1):
-        masks, j = _step_back(inst, seen[depth - 1], masks)
-        prefix.append(j)
-    return tuple(reversed(prefix))
-
-
-def _step_back(inst: Instance, seen: set, masks: tuple[int, ...]
-               ) -> tuple[tuple[int, ...], int]:
-    """A state in ``seen`` and an item j whose greedy step leads from that
-    state to ``masks``; one exists whenever ``masks`` is reachable."""
-    for ell, msk in enumerate(masks):
-        for j in mask_items(msk):
-            prev = masks[:ell] + (msk & ~(1 << j),) + masks[ell + 1:]
-            if prev in seen and greedy_step(inst, prev, j)[0] == ell:
-                return prev, j
-    raise ValueError(f"greedy state {masks} is not reachable")
+def _first_paths(steps: list, k: int, targets: np.ndarray) -> np.ndarray:
+    """[len(targets), k]: the items along which the pass first reaches each
+    state ``targets`` (indices into the layer after k arrivals), read by
+    following each state's first transition (``keep``) back."""
+    out = np.empty((len(targets), k), dtype=np.int64)
+    for d in range(k - 1, -1, -1):
+        src, items, keep = steps[d][:3]
+        first = keep[targets]
+        out[:, d] = items[first]
+        targets = src[first]
+    return out
 
 
 @dataclass
@@ -433,7 +422,7 @@ def _mc_batches(n: int, mode: str, samples: int, seed: int):
     """The ``samples`` seeded orders that Monte-Carlo ``mode`` averages,
     samples k = 0, 1, .. of ``orders.orders``, in batches of ``MC_BATCH``
     rows."""
-    if mode not in ("mc", "monte_carlo"):
+    if mode != "mc":
         raise ValueError(f"unknown mode {mode!r}; use 'exact' or 'mc'")
     if samples < 1:
         raise ValueError("samples must be positive")
@@ -555,10 +544,11 @@ class LemmaReport:
 
     Per-step bounds are checked once per greedy transition (state, j), so
     each violated transition is listed once, however many orders take it.
-    A per-step violation is ``(kind, order, i, w, bound)``: ``order`` is a
-    full arrival order whose first i items lead greedy to the state and
-    whose item i (0-based) is j, so ``trace_one(ctx, order)`` replays it:
-    its ``w[i]`` is ``w``, and ``bound`` is its ``gain_before[i]``
+    A per-step violation is ``(kind, order, i, w, bound)``: ``order``
+    starts with the first-occurrence path to the state (its first
+    transition in the pass, followed back), then j at index i (0-based),
+    then the other items ascending, so ``trace_one(ctx, order)`` replays
+    it: its ``w[i]`` is ``w``, and ``bound`` is its ``gain_before[i]``
     (``step_lower_bound``) or ``a[i] + b[i]`` (``step_reduction``).
     ``states`` counts the reachable greedy states; it is not reported.
     """
@@ -609,23 +599,22 @@ def verify_lemmas(ctx: GainContext, tol: float = DEFAULT_TOL,
     left sides are read from the states after n/2 arrivals, whose arrived
     set is the first half and whose complement is the second half.
     """
-    inst, n, m = ctx.instance, ctx.n, ctx.m
+    n, m = ctx.n, ctx.m
     sp = ctx._pass
     violations = []
     step_lb_ok = step_red_ok = True
-    seen = None
-    for k, (src, items, w_step, gain_j, reduction) in enumerate(sp.steps):
+    for k, (src, items, _, w_step, gain_j, reduction) in enumerate(sp.steps):
         low = w_step < gain_j - tol
         red = w_step < reduction - tol
         step_lb_ok = step_lb_ok and not low.any()
         step_red_ok = step_red_ok and not red.any()
-        for t in np.flatnonzero(low | red):
-            if seen is None:
-                seen = [set(zip(*layer.states.tolist()))
-                        for layer in sp.layers]
-            masks = tuple(sp.layers[k].states[:, src[t]].tolist())
-            prefix = _prefix_reaching(inst, seen, masks) + (int(items[t]),)
-            order = prefix + tuple(i for i in range(n) if i not in prefix)
+        hits = np.flatnonzero(low | red)
+        if not hits.size:
+            continue
+        paths = _first_paths(sp.steps, k, src[hits]).tolist()
+        for t, prefix in zip(hits, paths):
+            prefix.append(int(items[t]))
+            order = tuple(prefix + [i for i in range(n) if i not in prefix])
             for kind, hit, bound in (("step_lower_bound", low, gain_j),
                                      ("step_reduction", red, reduction)):
                 if hit[t]:
@@ -653,7 +642,7 @@ def verify_lemmas(ctx: GainContext, tol: float = DEFAULT_TOL,
     identities_ok: Optional[bool] = None
     if n % 2 == 0:
         half = n // 2
-        layer = sp.layers[half]
+        layer = sp.half
         drop = sp.empty_gains - sp.half_gains
         first = _member(_or_rows(layer.states), n)
         lhs1 = float(_running_sum(0.0, layer.p * _row_sums(drop, ~first)))
@@ -785,7 +774,7 @@ def verify_eq1(ctx: GainContext, tol: float = IDENTITY_TOL) -> Eq1Report:
     if n % 4 != 0:
         raise ValueError(f"n must be divisible by 4, got {n}")
     sp = ctx._pass
-    margin, joint_states = _expected_A_prime_margin(ctx, sp.layers[n // 2])
+    margin, joint_states = _expected_A_prime_margin(ctx, sp.half)
     opt = ctx.opt_value
     lhs = margin / opt
     a, b = sp.a / opt, sp.b / opt
@@ -878,7 +867,7 @@ def verify_second_half(ctx: GainContext, tol: float = IDENTITY_TOL
     # item to agent ell
     agent = ((codes // m ** np.arange(half)[:, None] % m)[:, None, :]
              == np.arange(m)[:, None]).astype(np.int64)
-    layer = sp.layers[half]
+    layer = sp.half
     for part in _batches(len(layer.p), max(len(codes), math.factorial(half))):
         # every half state against every assignment of its second-half
         # items

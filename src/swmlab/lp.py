@@ -360,15 +360,21 @@ def _row_candidates(step: int, ca: Fraction, cb: Fraction,
     return cb + nxt, ca + nxt * (1 - Fraction(1, step)), ca * step
 
 
+def _general_recursion(model: LpModel) -> tuple[int, list, list]:
+    """n, k_1..k_{m+1} and each row's first cheapest candidate (0, 1, 2)."""
+    n, cost_a, cost_b = _general_costs(model)
+    k, choices = [Fraction(0)], []
+    for i in range(len(cost_a), 0, -1):
+        c = _row_candidates(n - i, cost_a[i - 1], cost_b[i - 1], k[-1])
+        k.append(min(c))
+        choices.append(c.index(k[-1]))
+    return n, k[::-1], choices[::-1]
+
+
 def general_cost_to_go(model: LpModel) -> list[Fraction]:
     """k_1, ..., k_{m+1} of ``solve_general``, with m = 3n/4 and k_{m+1} = 0:
     rows i..m cost at least k_i r when row i's residual is r >= 0."""
-    n, cost_a, cost_b = _general_costs(model)
-    k = [Fraction(0)]
-    for i in range(len(cost_a), 0, -1):
-        k.append(min(_row_candidates(n - i, cost_a[i - 1], cost_b[i - 1],
-                                     k[-1])))
-    return k[::-1]
+    return _general_recursion(model)[1]
 
 
 def solve_general(model: LpModel) -> LpSolution:
@@ -386,7 +392,8 @@ def solve_general(model: LpModel) -> LpSolution:
         k_i = min(c_b(i) + k_{i+1}, c_a(i) + k_{i+1}(1 - 1/(n-i)),
                   c_a(i)(n-i)),
     and the optimum is k_1/n plus the model constant.  A forward pass from
-    r_1 = 1/n takes the first minimiser at each row and yields exact a, b.
+    r_1 = 1/n takes each row's first minimiser, kept from the backward pass,
+    and yields exact a, b.
 
     The costs come from ``model.objective``; the rows are taken to be the
     position rows of ``build_lp_general``, and the violation is measured
@@ -394,14 +401,11 @@ def solve_general(model: LpModel) -> LpSolution:
     a negative cost.  ``structure`` holds the switch point: the first row
     whose b is positive, or None.
     """
-    n, cost_a, cost_b = _general_costs(model)
-    k = general_cost_to_go(model)
+    n, k, choices = _general_recursion(model)
     a, b = [], []
     r = Fraction(1, n)
-    for i in range(1, len(cost_a) + 1):
+    for i, choice in enumerate(choices, 1):
         step = n - i
-        candidates = _row_candidates(step, cost_a[i - 1], cost_b[i - 1], k[i])
-        choice = candidates.index(min(candidates))
         ai = (Fraction(0), r, step * r)[choice]
         a.append(ai)
         b.append(r if choice == 0 else Fraction(0))

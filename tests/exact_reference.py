@@ -83,8 +83,8 @@ def marginal_gain(oracle, mask, j):
 
 
 def greedy_step(inst, masks, j):
-    """``core.greedy_step`` by scalar queries: the first agent with the
-    largest marginal for item j, and that marginal."""
+    """One step of ``core.greedy`` by scalar queries: the first agent with
+    the largest marginal for item j, and that marginal."""
     best_ell, best_gain = 0, -1.0
     for ell, oracle in enumerate(inst.oracles):
         g = marginal_gain(oracle, masks[ell], j)
@@ -234,8 +234,11 @@ def _forward(inst, layer, depth, arrived=_arrived, move=None):
         yield layer
 
 
-def _state_pass(ctx, step=None):
-    """(w, a, b, layers): the expected raw trace and the greedy layers."""
+def _state_pass(ctx, step=None, parents=None):
+    """(w, a, b, layers): the expected raw trace and the greedy layers.
+    ``parents``, if given, gets each state's first transition (state, j):
+    the first insertion, as states are inserted in first-occurrence
+    order."""
     inst, n, m = ctx.instance, ctx.n, ctx.m
     w, av, bv = [0.0] * n, [0.0] * n, [0.0] * n
 
@@ -261,6 +264,8 @@ def _state_pass(ctx, step=None):
         bv[k] += q * bi
         if step is not None:
             step(k, masks, j, g, gains[j], ai, bi)
+        if parents is not None:
+            parents.setdefault(new, (masks, j))
         return new
 
     layers = list(_forward(inst, {(0,) * m: 1.0}, 0, move=move))
@@ -271,23 +276,6 @@ def _states(layers):
     return sum(len(layer) for layer in layers)
 
 
-def _prefix_reaching(inst, layers, masks):
-    prefix = []
-    for depth in range(len(mask_items(_arrived(masks))), 0, -1):
-        masks, j = _step_back(inst, layers[depth - 1], masks)
-        prefix.append(j)
-    return tuple(reversed(prefix))
-
-
-def _step_back(inst, layer, masks):
-    for ell, msk in enumerate(masks):
-        for j in mask_items(msk):
-            prev = masks[:ell] + (msk & ~(1 << j),) + masks[ell + 1:]
-            if prev in layer and greedy_step(inst, prev, j)[0] == ell:
-                return prev, j
-    raise ValueError(f"greedy state {masks} is not reachable")
-
-
 def expected_trace(ctx):
     n, opt = ctx.n, ctx.opt_value
     w, a, b, layers = _state_pass(ctx)
@@ -296,7 +284,7 @@ def expected_trace(ctx):
 
 
 def verify_lemmas(ctx, tol=DEFAULT_TOL, identity_tol=IDENTITY_TOL):
-    inst, n, m = ctx.instance, ctx.n, ctx.m
+    n, m = ctx.n, ctx.m
     flagged = []
 
     def check(k, masks, j, w_step, gain_j, a_step, b_step):
@@ -306,10 +294,14 @@ def verify_lemmas(ctx, tol=DEFAULT_TOL, identity_tol=IDENTITY_TOL):
             flagged.append(("step_reduction", k, masks, j, w_step,
                             a_step + b_step))
 
-    w, a, b, layers = _state_pass(ctx, check)
+    parents: dict = {}
+    w, a, b, layers = _state_pass(ctx, check, parents)
     violations = []
     for kind, k, masks, j, w_step, bound in flagged:
-        prefix = _prefix_reaching(inst, layers, masks) + (j,)
+        prefix = (j,)
+        for _ in range(k):
+            masks, i = parents[masks]
+            prefix = (i,) + prefix
         rest = tuple(i for i in range(n) if i not in prefix)
         violations.append((kind, prefix + rest, k, float(w_step),
                            float(bound)))

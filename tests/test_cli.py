@@ -504,6 +504,45 @@ class TestConjecture:
         assert "error: expected non-negative integer" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra,named", [
+        (["--nmax", "7", "--mmax", "6"], "--nmax, --mmax"),
+        (["--mmax", "3"], "--mmax"),
+        (["--seed", "0"], "--seed"),
+        (["--samples", "1000"], "--samples"),
+        (["--mode", "mc", "--nmax", "5"], "--nmax"),
+    ])
+    def test_path_refuses_unused_options(self, extra, named, tmp_path,
+                                         capsys):
+        """With an instance path, --nmax and --mmax are never used, and
+        --seed and --samples are not used in exact mode: giving one exits
+        2 and names it, even at its default value."""
+        out = tmp_path / "c.json"
+        assert main(["conjecture", OR_INDICATOR, *extra,
+                     "--out", str(out)]) == 2
+        assert f"error: {named} not used with an instance path" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,digest", [
+        ([OR_INDICATOR],
+         "2ec221c8715335022b9283eedd7d00671e124baa37a8c82c5b65f1f89c64f0be"),
+        (["--random", "3", "--nmax", "4", "--seed", "5"],
+         "71d4819b5fe8312f17f9ea3a80bba682dcb325f2a8acf3f489e56da5320c7f3c"),
+    ])
+    def test_reports_keep_their_bytes(self, argv, digest, tmp_path):
+        """Options not given are recorded at their defaults (nmax 5, mmax
+        3, seed 0), so the reports keep the bytes they had when the
+        parser held those defaults (sha256 pinned, instance paths cut to
+        their file names so the pin does not depend on the checkout)."""
+        out = tmp_path / "c.json"
+        assert main(["conjecture", *argv, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        if report["parameters"]["instance"]:
+            report["parameters"]["instance"] = Path(OR_INDICATOR).name
+        for entry in report["results"]["instances"]:
+            entry["instance"] = Path(entry["instance"]).name
+        assert _sha256(json.dumps(report, sort_keys=True, indent=2)) == digest
+
     @pytest.mark.parametrize("count", ["0", "-1"])
     def test_random_below_one_exits_2(self, count, capsys):
         assert main(["conjecture", "--random", count]) == 2

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import swmlab as sl
-from swmlab.core import greedy_step, greedy_steps
+from exact_reference import greedy_step
+from swmlab.core import greedy_steps
 from swmlab.errors import InvalidQueryError, SizeGuardError
 from swmlab.oracles import ValuationOracle
 from swmlab.instances import random_instance
@@ -114,7 +115,8 @@ class RawTable(ValuationOracle):
 
 
 def scalar_steps(inst, masks, items):
-    """``greedy_step`` column by column, as arrays like ``greedy_steps``."""
+    """The scalar reference ``greedy_step`` column by column, as arrays
+    like ``greedy_steps``."""
     chosen, gains, new = [], [], masks.copy()
     for s, j in enumerate(items.tolist()):
         ell, g = greedy_step(inst, masks[:, s].tolist(), j)
@@ -125,8 +127,8 @@ def scalar_steps(inst, masks, items):
 
 
 class TestGreedySteps:
-    """The batched greedy step against ``greedy_step`` on random batches,
-    masks that already hold the arriving item included."""
+    """The batched greedy step against the scalar reference step on random
+    batches, masks that already hold the arriving item included."""
 
     def check(self, inst, size, seed):
         rng = np.random.default_rng(seed)

@@ -124,6 +124,32 @@ def test_lemma_witnesses_match_reference_and_replay(seed, tol):
             assert t.a[i] + t.b[i] == bound
 
 
+@pytest.mark.parametrize("seed", (8, 9))
+def test_lemma_witnesses_at_the_cap(seed):
+    """n=8, m=3 at tol=-10: every transition of the pass gives one witness
+    of each kind, its order starts with the first-occurrence path to the
+    transition's state, the witnesses equal the reference's, and each
+    replays through the reference trace loop."""
+    inst = random_instance(8, 3, seed, families=FAMILIES)
+    ctx = sl.GainContext(inst)
+    got = sl.verify_lemmas(ctx, tol=-10.0)
+    assert_same(got, ref.verify_lemmas(sl.GainContext(inst), tol=-10.0))
+    steps = [v for v in got.violations
+             if v[0] in ("step_lower_bound", "step_reduction")]
+    transitions = sum(len(step[0]) for step in ctx._pass.steps)
+    assert len(steps) == 2 * transitions
+    assert len({v[1][:v[2] + 1] for v in steps}) == transitions
+    for kind, order, i, w, bound in steps:
+        assert sorted(order) == list(range(8))
+        assert list(order[i + 1:]) == sorted(order[i + 1:])
+        t = ref.trace_one(ctx, order)
+        assert t.w[i] == w
+        if kind == "step_lower_bound":
+            assert t.gain_before[i] == bound
+        else:
+            assert t.a[i] + t.b[i] == bound
+
+
 @pytest.mark.parametrize("n", (2, 4, 6))
 def test_identity_violations_match_reference(n):
     """A negative identity tolerance fails both prefix identities, so the

@@ -411,6 +411,16 @@ class TestExpectedTrace:
         with pytest.raises(SizeGuardError):
             sl.expected_trace(ctx, mode="exact")
 
+    @pytest.mark.parametrize("mode", ("monte_carlo", "MC", "bogus"))
+    def test_unknown_mode_raises(self, mode):
+        """Only 'exact' and 'mc' are modes; 'monte_carlo' is the label an
+        MC report carries, not a mode."""
+        ctx = sl.GainContext(random_instance(4, 2, 0))
+        with pytest.raises(ValueError, match="use 'exact' or 'mc'"):
+            sl.expected_trace(ctx, mode=mode)
+        with pytest.raises(ValueError, match="use 'exact' or 'mc'"):
+            sl.conjecture_check(ctx.instance, mode=mode)
+
     def test_mc_same_seed_bit_reproducible(self):
         inst = random_instance(6, 2, 1)
         ctx = sl.GainContext(inst)

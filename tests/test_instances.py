@@ -120,6 +120,31 @@ def test_table_without_item_keys_defaults_to_one_item():
         instance_from_spec({"agents": [{"kind": "table", "table": {"": 0}}]})
 
 
+@pytest.mark.parametrize("families", [("table",), ("table", "coverage")])
+def test_each_agent_checked_once_on_load(families, monkeypatch):
+    """A table agent's constructor checks its axioms, and the loader does
+    not check it again; every other agent is checked by the loader.  A
+    table built directly still checks."""
+    import swmlab.instances as instances
+    import swmlab.oracles as oracles
+    checked = []
+    real = oracles.check_axioms
+
+    def counting(oracle, *args, **kwargs):
+        checked.append(oracle)
+        return real(oracle, *args, **kwargs)
+
+    monkeypatch.setattr(oracles, "check_axioms", counting)
+    monkeypatch.setattr(instances, "check_axioms", counting)
+    source = sl.random_instance(5, 4, 3, families=families)
+    inst = instance_from_spec(sl.instance_to_spec(source))
+    assert len(checked) == inst.m
+    assert sorted(map(id, checked)) == sorted(map(id, inst.oracles))
+    checked.clear()
+    table = sl.make_table(5, inst.oracles[0]._table)
+    assert checked == [table]
+
+
 @pytest.mark.parametrize("n", [14, 16])
 def test_planted_submodularity_violation_rejected_on_load(n, tmp_path, capsys):
     """v(S) = |S|, plus 0.5 on one three-item set P: still monotone, but
