@@ -52,7 +52,25 @@ def _report(command: str, parameters: dict, results: dict) -> dict:
             "results": results, "version": __version__}
 
 
+def _refuse_unused(args, options, where: str) -> None:
+    """Raise ValueError naming each of ``options`` that was given, since
+    the run would not use it."""
+    given = [f"--{opt}" for opt in options if getattr(args, opt) is not None]
+    if given:
+        raise ValueError(f"{', '.join(given)} not used {where}")
+
+
+def _fill_defaults(args, defaults: dict) -> None:
+    """Set each option that was not given to its default."""
+    for opt, default in defaults.items():
+        if getattr(args, opt) is None:
+            setattr(args, opt, default)
+
+
 def cmd_simulate(args) -> int:
+    if args.mode == "exact":
+        _refuse_unused(args, ["seed", "samples"], "in exact mode")
+    _fill_defaults(args, {"samples": 10_000, "seed": 0})
     instance = load_instance(args.instance)
     ctx = GainContext(instance)
     trace = expected_trace(ctx, mode=args.mode, samples=args.samples,
@@ -184,14 +202,11 @@ def cmd_conjecture(args) -> int:
         unused = ["nmax", "mmax"]
         if args.mode == "exact":
             unused += ["seed", "samples"]
-        given = [f"--{opt}" for opt in unused if getattr(args, opt) is not None]
-        if given:
-            raise ValueError(f"{', '.join(given)} not used with an instance "
-                             f"path in {args.mode} mode")
-    for opt, default in (("nmax", 5), ("mmax", 3), ("seed", 0),
-                         ("samples", 1000)):
-        if getattr(args, opt) is None:
-            setattr(args, opt, default)
+        _refuse_unused(args, unused,
+                       f"with an instance path in {args.mode} mode")
+    elif args.random is not None and args.mode == "exact":
+        _refuse_unused(args, ["samples"], "with --random in exact mode")
+    _fill_defaults(args, {"nmax": 5, "mmax": 3, "seed": 0, "samples": 1000})
     if args.instance:
         instances = [(str(args.instance), load_instance(args.instance))]
     elif args.random is not None:
@@ -249,8 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="expected greedy trace of an instance")
     p.add_argument("instance")
     p.add_argument("--mode", choices=["exact", "mc"], default="exact")
-    p.add_argument("--samples", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
+    # no defaults here: cmd_simulate refuses them in exact mode
+    p.add_argument("--samples", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", help="JSON report path (default: stdout)")
     p.add_argument("--csv", help="CSV trace path")
 

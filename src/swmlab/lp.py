@@ -10,17 +10,17 @@ solvers read; no solve converts the rational rows element by element.
 
 - general: ``solve_general``, exact in rationals, by a backward recursion
   over the position rows (O(n) steps);
-- beta-lambda: ``solve_beta_lambda``, which builds the optimum and a dual
-  from the structure of the solution in O(n) rational steps and returns
-  it only when the pair is a certificate (both feasible, equal
-  objectives); otherwise it declines with a reason and the simplex runs;
-- beta: ``simplex_solve``.
+- beta-lambda: ``solve_beta_lambda``, and beta: ``solve_beta``.  Each
+  builds the optimum and a dual from the structure of the solution in
+  O(n) rational steps and returns it only when the pair is a certificate
+  (``_certify``: both feasible, equal objectives); otherwise it declines
+  with a reason and the simplex runs.
 
 ``simplex_solve`` is a dense two-phase primal simplex in floats:
 largest-coefficient pricing that falls back to Bland's lowest-index rule
 on long degenerate runs, a ratio test whose ties go to the lowest basis
 index, and artificial variables only for rows that need one, with no
-stored columns.  It is also the reference that tests hold both exact
+stored columns.  It is also the reference that tests hold the exact
 solvers to.
 """
 from __future__ import annotations
@@ -493,24 +493,252 @@ def solve_beta_lambda(model: LpModel) -> Union[LpSolution, str]:
     long tail under a binding budget drives y_ss_i below 0, and then the
     structured point is not optimal.
 
-    Nothing above is trusted.  The solution is returned only if x >= 0,
-    y >= 0 and c.x == b.y hold exactly in rationals (the model's own
-    objective and rhs), the primal residual against ``model.matrix`` is at
-    most FEAS_TOL and the dual residual A^T y - c at most PIVOT_TOL, the
-    float trust of the simplex's own optimality test.  By weak duality x
-    is then optimal.  ``structure`` holds L and whether the budget binds.
+    Nothing above is trusted: the pair is returned only if ``_certify``
+    passes it, and then by weak duality x is optimal.  ``structure`` holds
+    L and whether the budget binds.  Raises ValueError for a model of
+    another family or shape.
+    """
+    _check_trace_model(model, "beta_lambda")
+    return _certified_solution(model, *_beta_lambda_pair(model))
+
+
+# ---------------------------------------------------------------------------
+# Structural solver for the full beta program
+# ---------------------------------------------------------------------------
+
+# golden-section search for the dual's maximiser stops once its bracket on
+# s is this narrow; the exact step then moves to the kink nearby
+SEARCH_TOL = 1e-9
+_GOLDEN = (math.sqrt(5) - 1) / 2
+
+
+def _beta_dual_mass(n: int, s: float) -> float:
+    """sum_i y_pos_i of ``solve_beta``'s dual at s, in floats."""
+    L = math.ceil(s)
+    half = n // 2
+    Y = n - s
+    above = 1.0 - (L - s)        # sum of y_pos_k over k > i
+    for i in range(L - 1, 0, -1):
+        if i <= half:
+            u = max((above - 2 * i * Y / n) / (n - i), 0.0)
+        else:
+            u = above / (n - i)
+        above += 1.0 - u
+    return above
+
+
+def _beta_dual_argmax(n: int) -> float:
+    """Float maximiser of ``_beta_dual_mass`` over n/2 < s <= n, by
+    golden-section search (see ``solve_beta`` on concavity)."""
+    lo, hi = n / 2, float(n)
+    a, b = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+    fa, fb = _beta_dual_mass(n, a), _beta_dual_mass(n, b)
+    while hi - lo > SEARCH_TOL:
+        if fa < fb:
+            lo, a, fa = a, b, fb
+            b = lo + _GOLDEN * (hi - lo)
+            fb = _beta_dual_mass(n, b)
+        else:
+            hi, b, fb = b, a, fa
+            a = hi - _GOLDEN * (hi - lo)
+            fa = _beta_dual_mass(n, a)
+    return (lo + hi) / 2
+
+
+def _beta_dual(n: int, L: int, theta: Fraction,
+               clipped: Optional[set] = None) -> tuple[list, Fraction, set]:
+    """Exact u_1..u_{L-1} of ``solve_beta``'s dual at s = L - theta, before
+    clipping, the dual mass sum_i y_pos_i, and the clipped rows.  With
+    ``clipped`` given, those rows are clipped whatever their sign, so every
+    value is affine in theta; otherwise rows i <= n/2 with u_i < 0 are."""
+    half = n // 2
+    Y = n - L + theta
+    decide = clipped is None
+    if decide:
+        clipped = set()
+    above = 1 - theta
+    u = [Fraction(0)] * (L - 1)
+    for i in range(L - 1, 0, -1):
+        ui = above - Fraction(2 * i, n) * Y if i <= half else above
+        u[i - 1] = ui = ui / (n - i)
+        if decide and i <= half and ui < 0:
+            clipped.add(i)
+        above += 1 if i in clipped else 1 - ui
+    return u, above, clipped
+
+
+def _beta_kink(n: int, s: float) -> tuple[int, Fraction, set, Optional[int]]:
+    """The kink of the dual mass next to s: L, theta, the clipped rows, and
+    a row k whose u_k is 0 there (None if there is none; always one when
+    theta > 0)."""
+    L = math.ceil(s)
+    _, _, clipped = _beta_dual(n, L, Fraction(L - s))
+    # with the clipping fixed, u and the mass are affine in theta on [0, 1]
+    u0, mass0, _ = _beta_dual(n, L, Fraction(0), clipped)
+    u1, mass1, _ = _beta_dual(n, L, Fraction(1), clipped)
+    lo, hi, lo_row, hi_row = Fraction(0), Fraction(1), None, None
+    for i in range(1, min(L, n // 2 + 1)):
+        slope = u1[i - 1] - u0[i - 1]
+        if slope == 0:
+            continue
+        root = -u0[i - 1] / slope
+        # the clipping holds while clipped rows keep u <= 0, others u >= 0
+        if (slope > 0) != (i in clipped):
+            if root >= lo:
+                lo, lo_row = root, i
+        elif root <= hi:
+            hi, hi_row = root, i
+    theta, k = (hi, hi_row) if mass1 > mass0 else (lo, lo_row)
+    if theta == 1:               # s = L - 1 is the same dual at theta = 0
+        L, theta = L - 1, Fraction(0)
+    return L, theta, clipped, k
+
+
+def _beta_head(n: int, L: int, clipped: set, k: Optional[int],
+               t: Fraction) -> tuple[list, list, Fraction]:
+    """w_1..w_L, a_1..a_L of ``solve_beta``'s primal with a_k = t, and T."""
+    r = Fraction(1, n)
+    w, a = [], []
+    for i in range(1, L + 1):
+        ai = t if i == k else Fraction(0) if i in clipped else r
+        w.append(r)
+        a.append(ai)
+        if i < n:
+            r -= ai / (n - i)
+    tail = Fraction(2, n) * sum(a[j - 1] * Fraction(j, n - j)
+                                for j in range(1, n // 2 + 1))
+    return w, a, tail
+
+
+def _beta_pair(model: LpModel) -> Union[tuple[list, list, dict], str]:
+    """The structured primal x and dual y of ``solve_beta``, exact and in
+    the model's column and row order, and the structure; or the reason the
+    structure does not apply."""
+    meta = model.metadata
+    n, beta = meta["n"], meta["beta"]
+    half = n // 2
+    L, theta, clipped, k = _beta_kink(n, _beta_dual_argmax(n))
+    if L <= half:
+        return "dual maximum at s = n/2"
+
+    u, _, _ = _beta_dual(n, L, theta, clipped)
+    y_ss = [Fraction(0) if i in clipped else u[i - 1] for i in range(1, L)]
+    y_ss += [Fraction(0)] * (n - L + 1)
+    y_pos = [1 - v for v in y_ss[:L - 1]] + [1 - theta] + \
+        [Fraction(0)] * (n - L)
+    y_sh = [Fraction(0)] * (L - half - 1) + [theta] + \
+        [Fraction(1)] * (n - L)
+    y = y_ss + y_pos + y_sh + [Fraction(1)]
+
+    if k is not None:
+        # u_k = 0 leaves a_k free; it is set so that r_L = T, which row L's
+        # position and second-half rows both need when theta > 0, and
+        # r_L - T is affine in a_k
+        gaps = []
+        for t in (Fraction(0), Fraction(1)):
+            w, a, tail = _beta_head(n, L, clipped, k, t)
+            gaps.append(w[-1] - tail)
+        if gaps[0] == gaps[1]:
+            return f"row {k} does not move position row {L}"
+        t = gaps[0] / (gaps[0] - gaps[1])
+    else:
+        t = Fraction(0)
+    w, a, tail = _beta_head(n, L, clipped, k, t)
+    r = w[-1] - (a[-1] / (n - L) if L < n else 0)
+    g = [Fraction(0)] * (L - half)
+    left = beta
+    for i in range(L + 1, n + 1):
+        spent = min(left, tail - r)
+        left -= spent
+        g.append(spent)
+        w.append(tail - spent)
+        a.append(tail - spent)
+        if i < n:
+            r -= a[-1] / (n - i)
+    if left > 0:
+        return f"budget exceeds the tail's capacity by {float(left):.3g}"
+    x = w + a + [Fraction(0)] * n + g
+    structure = {"L": L, "theta": str(theta),
+                 "clipped_rows": [i for i in range(1, L) if not y_ss[i - 1]]}
+    return x, y, structure
+
+
+def solve_beta(model: LpModel) -> Union[LpSolution, str]:
+    """Optimum of ``build_lp_beta``'s program from the structure of its
+    solution, in O(n) rational steps, proved by a dual; or, when the proof
+    fails, the reason, and the caller runs the simplex.
+
+    The dual (rows as in ``solve_beta_lambda``, with position rows for
+    every i and second-half rows for every i > n/2) is a one-parameter
+    family in s = L - theta, n/2 < s <= n, 0 <= theta < 1.  Tail rows
+    i > L have y_sh_i = 1; row L splits as y_sh_L = theta, y_pos_L =
+    1 - theta; the budget has y_bud = 1, so Y = sum_i y_sh_i = n - s.  From
+    i = L-1 down to 1,
+        u_i = (P_i - [i<=n/2] 2i Y/n) / (n-i),  P_i = sum_{k>i} y_pos_k,
+    clipped at 0 for i <= n/2, and y_ss_i = u_i, y_pos_i = 1 - u_i.  Every
+    w column is then tight, every b column holds since 2Y/n < 1 = y_bud,
+    the a column of a clipped row holds because u_i <= 0 there, and the
+    objective is D(s) = (1/n) sum_i y_pos_i - beta.  D was found concave
+    in s (second differences at most 8e-16 on 401-point grids at n = 32,
+    128 and 512), and a float golden-section search finds its maximiser;
+    nothing relies on it but the search, since the certificate is checked.
+    With the clipping fixed, D is affine in theta, so its maximum is at a
+    kink: s is an integer (theta = 0), or a row k <= n/2 has u_k = 0; both
+    are found exactly (``_beta_kink``).  The maximiser does not depend on
+    beta.
+
+    The primal follows from complementary slackness.  With r_i = 1/n -
+    sum_{j<i} a_j/(n-j) the residual of position row i, and T the second
+    half's gain (2/n) sum_{j<=n/2} a_j j/(n-j): w_i = r_i for i <= L;
+    a_i = r_i on rows i <= L that are not clipped, a_i = 0 on clipped ones;
+    b = 0.  A row k with u_k = 0 at the kink (always one when theta > 0)
+    leaves a_k free, and a_k solves r_L = T, which row L's position and
+    second-half rows both need when theta > 0 (at n=4 the kink s = 3 has
+    such a row too).  Each tail row i > L gets w_i = a_i = T - g_i, with
+    beta spent forwards, g_i = min(left, T - r_i); budget left over after
+    row n declines (beta is above what the tail can absorb, about 1/30).
+
+    Nothing above is trusted: the pair is returned only if ``_certify``
+    passes it, and then by weak duality x is optimal.  ``structure`` holds
+    L, theta (a string) and the clipped rows, those i < L with y_ss_i = 0.
     Raises ValueError for a model of another family or shape.
     """
+    _check_trace_model(model, "beta")
+    pair = _beta_pair(model)
+    if isinstance(pair, str):
+        return pair
+    return _certified_solution(model, *pair)
+
+
+# ---------------------------------------------------------------------------
+# The certificate both structural solvers share
+# ---------------------------------------------------------------------------
+
+def _check_trace_model(model: LpModel, family: str):
+    """Raise ValueError unless ``model`` is a beta or beta-lambda model (as
+    ``family`` says) of its n's shape."""
     meta = model.metadata
-    if meta.get("family") != "beta_lambda":
-        raise ValueError("solve_beta_lambda needs a build_lp_beta_lambda "
-                         f"model, got family {meta.get('family')!r}")
+    if meta.get("family") != family:
+        raise ValueError(f"solve_{family} needs a build_lp_{family} model, "
+                         f"got family {meta.get('family')!r}")
     n = meta["n"]
-    if (model.num_rows, model.num_vars) != (2 * n + 1, 3 * n + n // 2):
-        raise ValueError(f"a beta-lambda model at n={n} is "
-                         f"{2 * n + 1} x {3 * n + n // 2}, got "
+    # the beta program keeps the position rows above lambda n, and the
+    # second-half rows below it, that the relaxation drops
+    num_rows = 2 * n + 1 + (n // 2 if family == "beta" else 0)
+    num_vars = 3 * n + n // 2
+    if (model.num_rows, model.num_vars) != (num_rows, num_vars):
+        raise ValueError(f"a {family.replace('_', '-')} model at n={n} is "
+                         f"{num_rows} x {num_vars}, got "
                          f"{model.num_rows} x {model.num_vars}")
-    x, y, structure = _beta_lambda_pair(model)
+
+
+def _certify(model: LpModel, x: list, y: list) -> Optional[str]:
+    """None when x and y prove each other optimal, else the first failed
+    check.  x >= 0, y >= 0 and c.x == b.y are checked exactly in rationals
+    (the model's own objective and rhs); the primal residual b - Ax
+    against ``model.matrix`` must be at most FEAS_TOL and the dual residual
+    A^T y - c at most PIVOT_TOL, the float trust of the simplex's own
+    optimality test."""
     if any(v < 0 for v in x):
         return "negative primal entry"
     negative = next((r for r, v in enumerate(y) if v < 0), None)
@@ -522,17 +750,31 @@ def solve_beta_lambda(model: LpModel) -> Union[LpSolution, str]:
         return f"duality gap {float(primal - dual):.3g}"
     A = model.matrix
     xf = np.array([float(v) for v in x])
-    yf = np.array([float(v) for v in y])
     residual = float(np.max(np.array([float(v) for v in model.rhs]) - A @ xf,
                             initial=0.0))
     if residual > FEAS_TOL:
         return f"primal residual {residual:.3g}"
+    yf = np.array([float(v) for v in y])
     cf = np.array([float(v) for v in model.objective])
     dual_residual = float(np.max(yf @ A - cf, initial=0.0))
     if dual_residual > PIVOT_TOL:
         return f"dual residual {dual_residual:.3g}"
+    return None
+
+
+def _certified_solution(model: LpModel, x: list, y: list,
+                        structure: dict) -> Union[LpSolution, str]:
+    """The structural solution x, if ``_certify`` passes (x, y); else the
+    reason it does not."""
+    reason = _certify(model, x, y)
+    if reason is not None:
+        return reason
+    xf = np.array([float(v) for v in x])
+    violation = float(np.max(np.array([float(v) for v in model.rhs])
+                             - model.matrix @ xf, initial=0.0))
+    primal = sum(c * v for c, v in zip(model.objective, x) if c)
     return LpSolution("optimal", float(primal + model.constant), xf,
-                      residual, 0, exact=x, structure=structure,
+                      violation, 0, exact=x, structure=structure,
                       solver="structure")
 
 
@@ -663,15 +905,16 @@ def simplex_solve(model: LpModel) -> LpSolution:
 
 def solve(model: LpModel) -> LpSolution:
     """Solve a built model with its family's solver: ``solve_general`` for
-    general, ``solve_beta_lambda`` for beta-lambda with ``simplex_solve``
-    when the structure declines, and ``simplex_solve`` for beta (and for a
-    model of no family).  ``solver`` names the one that served, and a
-    decline's reason."""
+    general, ``solve_beta`` for beta and ``solve_beta_lambda`` for
+    beta-lambda, each with ``simplex_solve`` when the structure declines,
+    and ``simplex_solve`` for a model of no family.  ``solver`` names the
+    one that served, and a decline's reason."""
     family = model.metadata.get("family")
     if family == "general_lb":
         return solve_general(model)
-    if family == "beta_lambda":
-        solution = solve_beta_lambda(model)
+    if family in ("beta", "beta_lambda"):
+        structural = solve_beta if family == "beta" else solve_beta_lambda
+        solution = structural(model)
         if isinstance(solution, LpSolution):
             return solution
         fallback = simplex_solve(model)

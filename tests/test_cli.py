@@ -51,19 +51,19 @@ def _lp_argv(family, n, lam, beta):
 
 
 # sha256 of the whole `lp` report for every case of the benchmark's LP
-# sweep and for general n=4096.  The beta and general reports were recorded
-# from the rational-row solvers before the builders wrote the float matrix
-# and keep every byte; the beta-lambda ones are served by the structural
-# solve, and were recorded once its reports had been shown to differ from
-# the simplex-served ones (LP_SIMPLEX_REPORTS) only in the pivot count, the
-# structure block and float rounding
+# sweep and for general n=4096.  The general reports were recorded from the
+# rational-row solver before the builders wrote the float matrix and keep
+# every byte; the beta and beta-lambda ones are served by the structural
+# solves, and were recorded once their reports had been shown to differ
+# from the simplex-served ones (LP_SIMPLEX_REPORTS) only as
+# test_structure_report_against_simplex_served allows
 LP_REPORTS = {
     ("beta", 8, None, "1/100"):
-        "84e9b5a0abc6eb1028dc66ce0d6e32006d4558d7f11c5f645ff39df6e67fb599",
+        "939a477f7ad22246cdf6fa64cb4c07db180d964397f8aae88bb913f5eef6f266",
     ("beta", 32, None, "1/100"):
-        "292404a46896db071360a594b4d14fe3d2c977ee55347791b9df983d2edc9fc1",
+        "195b027ddfdd469f9da71cc14dc7b3612d36be176839bc498387b2db4529bdf9",
     ("beta", 128, None, "1/100"):
-        "661f9693931fcdc8d6eedfd0f33f8edc75007c38cd2d89b1e15d21dd5b680a10",
+        "0df0024dc9c8a2ee4d7b8a30dcb1f2938499b6c21e9e0f3240891e6d39a56cd0",
     ("beta-lambda", 16, "13/16", "0"):
         "c07cf180c9ca5fa0eccecf12832a62c9bd3a7aa9ac279221b767c2166cf8ea0b",
     ("beta-lambda", 16, "13/16", "1/100"):
@@ -95,9 +95,15 @@ LP_REPORTS = {
     ("general", 4096, None, "0"):
         "f67a7bbeb82ab8e74b4eefab19291ffdd612c29a1002983a6e8e4912804d9d4c",
 }
-# sha256 of the beta-lambda reports when the simplex serves them, as it did
-# for every beta-lambda report before the structural solve
+# sha256 of the beta and beta-lambda reports when the simplex serves them,
+# as it did for every such report before the structural solves
 LP_SIMPLEX_REPORTS = {
+    ("beta", 8, None, "1/100"):
+        "84e9b5a0abc6eb1028dc66ce0d6e32006d4558d7f11c5f645ff39df6e67fb599",
+    ("beta", 32, None, "1/100"):
+        "292404a46896db071360a594b4d14fe3d2c977ee55347791b9df983d2edc9fc1",
+    ("beta", 128, None, "1/100"):
+        "661f9693931fcdc8d6eedfd0f33f8edc75007c38cd2d89b1e15d21dd5b680a10",
     ("beta-lambda", 16, "13/16", "0"):
         "813f06fd321332053effcf70cc41311f89227f307d2db1c44e2d2820945687d2",
     ("beta-lambda", 16, "13/16", "1/100"):
@@ -204,6 +210,47 @@ class TestSimulate:
         assert "elapsed" not in out.read_text()
         assert "time" not in json.loads(out.read_text())["results"]
 
+    @pytest.mark.parametrize("extra,named", [
+        (["--seed", "9"], "--seed"),
+        (["--samples", "10000"], "--samples"),
+        (["--samples", "7", "--seed", "0"], "--seed, --samples"),
+    ])
+    def test_exact_refuses_unused_options(self, extra, named, tmp_path,
+                                          capsys):
+        """The exact engine draws no orders, so --seed and --samples exit 2
+        and are named, even at their default values."""
+        out = tmp_path / "r.json"
+        assert main(["simulate", OR_INDICATOR, *extra, "--out",
+                     str(out)]) == 2
+        assert f"error: {named} not used in exact mode" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,digest,csv_digest", [
+        ([],
+         "09240f57a67e624e65ee479ffcc8808154caf4ddd4eeef7db47ad4803ff6738d",
+         "6578daa768f9d4318530c65ff323a2c4f9ccd606f345a8ac3604d1dff6a3ea22"),
+        (["--mode", "mc"],
+         "83662dbad07e52747087274e47a6069e01037654db19b5db167517e0d140275c",
+         "186012fac43db3a87f420f75cdce34fae4f16510fcf2af82aaea47d6d8b55459"),
+        (["--mode", "mc", "--samples", "500", "--seed", "3"],
+         "4091940cfba9a63ce69491f54c14d2770fb77d84ce3776ee825ec6ef7a1f705d",
+         "6ef4f4f282ca0130f39196bec7d6768e5ec501c0750e0ecadfeb6a9c00c59351"),
+    ])
+    def test_reports_keep_their_bytes(self, argv, digest, csv_digest,
+                                      tmp_path):
+        """Options not given are filled in at their defaults (samples
+        10000, seed 0), so the reports and CSVs keep the bytes they had
+        when the parser held those defaults (sha256 pinned, the instance
+        path cut to its file name)."""
+        out = tmp_path / "r.json"
+        assert main(["simulate", OR_INDICATOR, *argv, "--out",
+                     str(out)]) == 0
+        report = json.loads(out.read_text())
+        report["parameters"]["instance"] = Path(OR_INDICATOR).name
+        assert _sha256(json.dumps(report, sort_keys=True, indent=2)) == digest
+        assert _sha256(out.with_suffix(".csv").read_text()) == csv_digest
+
     def test_exact_size_guard_exits_2(self, tmp_path):
         save_instance(tmp_path / "big.json", random_instance(9, 2, seed=0))
         assert main(["simulate", str(tmp_path / "big.json"),
@@ -300,11 +347,16 @@ class TestLp:
         """With the structure declined, the simplex serves the report it
         always served (pinned bytes).  The structural report differs from
         it only in ``iterations`` (0), the added ``structure`` block and
-        floats within 1e-12."""
+        floats within 1e-12.  For beta, ``x`` may differ too, since the
+        optimum is degenerate (neither the split of the budget over g nor
+        the tail's a is unique); its objective must still agree within
+        1e-12 and its violation be at most 1e-9."""
+        family, n = case[:2]
         served = tmp_path / "structure.json"
         assert main(_lp_argv(*case) + ["--out", str(served)]) == 0
-        monkeypatch.setattr(lp_module, "solve_beta_lambda",
-                            lambda model: "declined for the test")
+        for solver in ("solve_beta", "solve_beta_lambda"):
+            monkeypatch.setattr(lp_module, solver,
+                                lambda model: "declined for the test")
         fallback = tmp_path / "simplex.json"
         assert main(_lp_argv(*case) + ["--out", str(fallback)]) == 0
         assert hashlib.sha256(fallback.read_bytes()).hexdigest() == \
@@ -312,21 +364,43 @@ class TestLp:
         ours = json.loads(served.read_text())
         ref = json.loads(fallback.read_text())
         structure = ours["results"].pop("structure")
-        assert structure == {"position_rows": int(case[1]) * 13 // 16,
-                             "budget_binding": True}
+        if family == "beta":
+            assert structure["L"] > n // 2
+            assert set(structure) == {"L", "theta", "clipped_rows"}
+            x = ours["results"]["solution"].pop("x")
+            assert len(x) == len(ref["results"]["solution"].pop("x"))
+            assert min(x) >= 0
+            assert ours["results"]["solution"]["max_violation"] <= 1e-9
+        else:
+            assert structure == {"position_rows": n * 13 // 16,
+                                 "budget_binding": True}
         assert ours["results"]["solution"].pop("iterations") == 0
         assert ref["results"]["solution"].pop("iterations") > 0
         _assert_close(ours, ref, 1e-12)
 
-    def test_beta_names_simplex_pivots(self, tmp_path, capsys):
+    def test_beta_names_structure(self, tmp_path, capsys):
         out = tmp_path / "lp.json"
         assert main(["lp", "--family", "beta", "--n", "8",
+                     "--out", str(out)]) == 0
+        results = json.loads(out.read_text())["results"]
+        assert results["structure"] == {"L": 6, "theta": "0",
+                                        "clipped_rows": [4]}
+        assert results["solution"]["iterations"] == 0
+        assert "\nsolver = structure\n" in capsys.readouterr().err
+
+    def test_beta_names_simplex_pivots(self, tmp_path, capsys):
+        """Beyond the tail's capacity the simplex serves beta, and stderr
+        says why the structure declined."""
+        out = tmp_path / "lp.json"
+        assert main(["lp", "--family", "beta", "--n", "8", "--beta", "1/10",
                      "--out", str(out)]) == 0
         results = json.loads(out.read_text())["results"]
         assert "structure" not in results
         pivots = results["solution"]["iterations"]
         assert pivots > 0
-        assert f"solver = simplex, {pivots} pivots" in capsys.readouterr().err
+        assert (f"\nsolver = simplex, {pivots} pivots (structure declined: "
+                "budget exceeds the tail's capacity by 0.0702)\n") in \
+            capsys.readouterr().err
 
     @pytest.mark.parametrize("case", list(LP_REPORTS), ids=str)
     def test_report_bytes_pinned(self, tmp_path, capsys, case):
@@ -373,8 +447,9 @@ class TestLp:
         """Make the structural solve decline and every simplex solve come
         back unbounded."""
         solution = LpSolution("unbounded", -math.inf, None, math.nan, 3)
-        monkeypatch.setattr(lp_module, "solve_beta_lambda",
-                            lambda model: "declined for the test")
+        for solver in ("solve_beta", "solve_beta_lambda"):
+            monkeypatch.setattr(lp_module, solver,
+                                lambda model: "declined for the test")
         monkeypatch.setattr(lp_module, "simplex_solve", lambda model: solution)
 
     def test_not_optimal_report_is_strict_json(self, tmp_path, not_optimal):
@@ -522,6 +597,19 @@ class TestConjecture:
         assert f"error: {named} not used with an instance path" in \
             capsys.readouterr().err
         assert not out.exists()
+
+    def test_random_exact_refuses_samples(self, tmp_path, capsys):
+        """An exact scan of random instances draws no orders; --seed still
+        seeds the instances, so only --samples is refused."""
+        out = tmp_path / "c.json"
+        assert main(["conjecture", "--random", "2", "--nmax", "3",
+                     "--samples", "5", "--seed", "1", "--out",
+                     str(out)]) == 2
+        assert "error: --samples not used with --random in exact mode" in \
+            capsys.readouterr().err
+        assert not out.exists()
+        assert main(["conjecture", "--random", "2", "--nmax", "3",
+                     "--seed", "1", "--out", str(out)]) == 0
 
     @pytest.mark.parametrize("argv,digest", [
         ([OR_INDICATOR],

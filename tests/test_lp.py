@@ -11,12 +11,13 @@ import swmlab.lp as lp_module
 from swmlab.cli import main as cli_main
 from swmlab.lp import (DEGENERATE_LIMIT, LAMBDA_THRESHOLD, GENERAL_LIMIT,
                        PIVOT_TOL, LpModel, LpSolution, _beta_lambda_pair,
-                       _check_n, _float_matrix, _leaving_row,
-                       _to_fraction, build_lp_beta, build_lp_beta_lambda,
-                       build_lp_general, closed_form_beta_lambda,
-                       closed_form_general, combined_secondorder_bound,
-                       general_cost_to_go, simplex_solve, solve,
-                       solve_beta_lambda, solve_general, COMBINED_BETA_STAR)
+                       _beta_pair, _certify, _check_n, _float_matrix,
+                       _leaving_row, _to_fraction, build_lp_beta,
+                       build_lp_beta_lambda, build_lp_general,
+                       closed_form_beta_lambda, closed_form_general,
+                       combined_secondorder_bound, general_cost_to_go,
+                       simplex_solve, solve, solve_beta, solve_beta_lambda,
+                       solve_general, COMBINED_BETA_STAR)
 
 scipy_opt = pytest.importorskip("scipy.optimize")
 scipy_sparse = pytest.importorskip("scipy.sparse")
@@ -994,6 +995,163 @@ class TestSolveBetaLambda:
             solve_beta_lambda(model)
 
 
+# ---------------------------------------------------------------------------
+# The structural beta solve
+# ---------------------------------------------------------------------------
+
+BETA_NS = [8, 12, 16, 32, 64, 128]
+BETA_BETAS = (Fraction(0), Fraction(1, 1000), Fraction(1, 100),
+              Fraction(1, 50))
+# above about 1/30 the budget exceeds what the tail can absorb
+DECLINED_BETAS = (Fraction(1, 30), Fraction(1, 20), Fraction(1, 10),
+                  Fraction(1))
+# (n, L, theta, clipped rows) of the optimum, whatever beta
+BETA_STRUCTURES = [(4, 3, "0", [2]), (8, 6, "0", [4]),
+                   (32, 25, "249/337", [15, 16]),
+                   (64, 50, "498/1409", [31, 32]),
+                   (128, 99, "0", [62, 63, 64])]
+# certified optima at beta = 0, past the sizes the simplex reaches quickly
+BETA_ASYMPTOTE = {512: 0.5311905938569751, 1024: 0.5309505873027724}
+
+
+def beta_grid(n, betas=BETA_BETAS):
+    for beta in betas:
+        yield beta, build_lp_beta(n, beta)
+
+
+class TestSolveBeta:
+    @pytest.mark.parametrize("n", BETA_NS)
+    def test_matches_simplex(self, n):
+        for beta, model in beta_grid(n):
+            sol = solve_beta(model)
+            assert not isinstance(sol, str), (beta, sol)
+            ref = simplex_solve(model)
+            assert abs(sol.objective - ref.objective) <= KERNEL_TOL, beta
+            assert (sol.status, sol.iterations, sol.solver) == \
+                ("optimal", 0, "structure")
+            assert sol.max_violation <= FEAS_TOL
+
+    def test_matches_simplex_at_256(self):
+        model = build_lp_beta(256, Fraction(1, 100))
+        sol = solve_beta(model)
+        assert abs(sol.objective - simplex_solve(model).objective) \
+            <= KERNEL_TOL
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    def test_matches_highs(self, n):
+        for beta, model in beta_grid(n):
+            assert abs(solve_beta(model).objective - scipy_optimum(model)) \
+                <= SOLVE_TOL
+
+    @pytest.mark.parametrize("n", [4, 8, 12, 16, 32, 64])
+    def test_exact_certificate(self, n):
+        for beta, model in beta_grid(n):
+            sol = solve_beta(model)
+            x, y, structure = _beta_pair(model)
+            assert sol.exact == x
+            assert sol.structure == structure
+            assert exact_certificate_holds(model, x, y), beta
+            assert sol.objective == float(
+                sum(c * v for c, v in zip(model.objective, x)))
+
+    @pytest.mark.parametrize("n, L, theta, clipped", BETA_STRUCTURES)
+    def test_structure(self, n, L, theta, clipped):
+        """The dual's kink does not move with beta: s = L - theta, an
+        integer or a fraction where the lowest clipped row's u is 0."""
+        for beta, model in beta_grid(n, (Fraction(0), Fraction(1, 50))):
+            assert solve_beta(model).structure == \
+                {"L": L, "theta": theta, "clipped_rows": clipped}
+
+    def test_optimum_is_the_beta_free_optimum_less_beta(self):
+        """y_bud = 1 in every certified dual, so the optimum falls one for
+        one with beta."""
+        free = solve_beta(build_lp_beta(32, 0)).exact
+        for beta, model in beta_grid(32):
+            exact = solve_beta(model).exact
+            assert sum(exact[:32]) == sum(free[:32]) - beta
+
+    @pytest.mark.parametrize("n", sorted(BETA_ASYMPTOTE))
+    def test_asymptote_pins(self, n):
+        """The certified optimum keeps falling past n=256, towards about
+        0.5307 (Richardson on n = 256-4096), below the abstract's 0.5312."""
+        sol = solve_beta(build_lp_beta(n, 0))
+        assert sol.solver == "structure"
+        assert sol.objective == pytest.approx(BETA_ASYMPTOTE[n], abs=1e-12)
+        assert sol.objective < 0.5312
+
+    # (vector, entry, direction) of a 1e-6 change, and the check that
+    # rejects it
+    TAMPERED = [("y", "position_1", 1, "duality gap"),
+                ("y", "step_split_1", 1, "dual residual"),
+                ("y", "second_half_16", 1, "dual residual"),
+                ("y", "slack_budget", 1, "duality gap"),
+                ("x", "w_1", -1, "duality gap"),
+                ("x", "a_1", -1, "primal residual"),
+                ("x", "g_13", -1, "primal residual")]
+
+    @pytest.mark.parametrize("vector, name, sign, check", TAMPERED)
+    def test_tampered_certificate_declines(self, monkeypatch, vector, name,
+                                           sign, check):
+        model = build_lp_beta(16, Fraction(1, 100))
+        x, y, structure = _beta_pair(model)
+        names = model.row_names if vector == "y" else model.var_names
+        target = y if vector == "y" else x
+        target[names.index(name)] += sign * Fraction(1, 10 ** 6)
+        monkeypatch.setattr(lp_module, "_beta_pair",
+                            lambda model: (x, y, structure))
+        reason = solve_beta(model)
+        assert reason.startswith(check)
+        served = solve(model)
+        assert served.solver == (f"simplex, {served.iterations} pivots "
+                                 f"(structure declined: {reason})")
+        assert served.objective == simplex_solve(model).objective
+
+    def test_untampered_pair_certifies(self):
+        model = build_lp_beta(16, Fraction(1, 100))
+        assert _certify(model, *_beta_pair(model)[:2]) is None
+        assert solve(model).solver == "structure"
+
+    def test_edited_model_declines(self):
+        """The certificate reads the model's own objective and matrix."""
+        model = build_lp_beta(16, 0)
+        model.objective[0] = Fraction(2)
+        assert solve_beta(model).startswith("duality gap")
+        model = build_lp_beta(16, 0)
+        model.matrix[model.row_names.index("position_5"), 16] = 2.0
+        assert solve_beta(model).startswith("dual residual")
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    def test_budget_beyond_the_tail_declines(self, n):
+        for beta, model in beta_grid(n, DECLINED_BETAS):
+            reason = solve_beta(model)
+            assert reason.startswith("budget exceeds the tail's capacity"), \
+                beta
+            served = solve(model)
+            assert served.solver == (f"simplex, {served.iterations} pivots "
+                                     f"(structure declined: {reason})")
+            assert served.objective == simplex_solve(model).objective
+
+    def test_n4_certifies_up_to_its_tail_capacity(self):
+        """At n=4 the kink s = 3 is also where row 2 clips, so a_2 is free
+        and is set to make r_3 = T; that tail absorbs beta up to 5/48."""
+        for beta in (Fraction(1, 30), Fraction(1, 10), Fraction(5, 48)):
+            model = build_lp_beta(4, beta)
+            assert solve_beta(model).objective == pytest.approx(
+                Fraction(5, 8) - beta, abs=1e-15)
+        assert solve_beta(build_lp_beta(4, 1)) == \
+            "budget exceeds the tail's capacity by 0.896"
+
+    def test_refuses_other_families_and_shapes(self):
+        for model in (build_lp_beta_lambda(8, Fraction(7, 8), 0),
+                      build_lp_general(8)):
+            with pytest.raises(ValueError, match="needs a build_lp_beta "):
+                solve_beta(model)
+        model = build_lp_beta(8, 0)
+        model.metadata["n"] = 16
+        with pytest.raises(ValueError, match="at n=16 is 41 x 56"):
+            solve_beta(model)
+
+
 class TestSolve:
     def test_dispatch_per_family(self):
         general = build_lp_general(32)
@@ -1001,8 +1159,11 @@ class TestSolve:
         assert served.solver == "exact recursion"
         assert served.objective == solve_general(general).objective
         beta = build_lp_beta(8, Fraction(1, 100))
+        assert solve(beta).solver == "structure"
+        beta = build_lp_beta(8, Fraction(1, 10))
         served, ref = solve(beta), simplex_solve(beta)
-        assert served.solver == f"simplex, {ref.iterations} pivots"
+        assert served.solver.startswith(f"simplex, {ref.iterations} pivots "
+                                        "(structure declined: budget")
         assert served.objective == ref.objective
         assert solve(build_lp_beta_lambda(16, Fraction(13, 16), 0)).solver \
             == "structure"
