@@ -24,6 +24,7 @@ ABS_TOL = 1e-12
 EXHAUSTIVE_MAX_N = 16    # value-table precompute and exhaustive-check cap
 SAMPLED_MAX_N = 63       # every set is an int64 bitmask
 TABLE_CHUNK = 1 << 12    # sets per vectorised call while building a table
+CHECK_CHUNK = 1 << 14    # marginal gains per block of the exhaustive scan
 
 
 def as_mask(items: Iterable[int], n: int) -> int:
@@ -248,9 +249,10 @@ class CutOracle(ValuationOracle):
     """Cut value of S against the rest of the vertex set (items plus a sink).
 
     Edges are (u, v, w) with vertex ``-1`` denoting the sink, which is never
-    part of S.  The constructor verifies monotonicity exhaustively and
-    rejects non-monotone configurations, so every accepted cut oracle meets
-    the standing monotone-submodular assumptions.
+    part of S.  The constructor runs ``check_axioms`` once and rejects
+    non-monotone configurations (and, should rounding break it, any other
+    axiom), so every accepted cut oracle meets the standing
+    monotone-submodular assumptions.
     """
 
     kind = "cut"
@@ -274,7 +276,15 @@ class CutOracle(ValuationOracle):
                 raise ValueError("self-loops are not allowed")
             self.edges.append((u, v, w))
         super().__init__(n)
-        self._check_monotone()
+        report = check_axioms(self)
+        if not report.monotone:
+            a, e = report.witnesses["monotone"]
+            raise AxiomViolationError("cut construction is not monotone",
+                                      witness=(tuple(sorted(a)), e))
+        if not report.passed:
+            raise AxiomViolationError(
+                f"cut violates axioms: {report.failed_axioms()}",
+                witness=report.witnesses)
 
     def _values(self, masks):
         inside = {SINK: False}
@@ -283,13 +293,6 @@ class CutOracle(ValuationOracle):
         for u, v, w in self.edges:
             total += (inside[u] ^ inside[v]) * w
         return total
-
-    def _check_monotone(self):
-        mono, _ = _first_violations(self._table, self.n, ABS_TOL)
-        if mono is not None:
-            a, e = mono
-            raise AxiomViolationError("cut construction is not monotone",
-                                      witness=(mask_items(a), e))
 
     def to_spec(self):
         return {"kind": "cut", "n": self.n,
@@ -321,7 +324,14 @@ class TableOracle(ValuationOracle):
     """Exact lookup oracle from an explicit table of all 2^n subset values.
 
     ``values`` maps subset keys to values, or is an array of the 2^n values
-    indexed by bitmask (copied)."""
+    indexed by bitmask (copied).  A key in the canonical form of
+    ``subset_key`` is read by one lookup; any other spelling is parsed, and
+    a later key overwrites an earlier one for the same set.  With ``check``
+    the axioms are verified: exhaustively up to ``EXHAUSTIVE_MAX_N`` items,
+    and above it normalization exactly and the rest by
+    ``spot_check_axioms``, with ``ABS_TOL`` scaled by the largest absolute
+    value (at least 1) so that float rounding of large values is not read
+    as a violation."""
 
     kind = "table"
 
@@ -338,8 +348,12 @@ class TableOracle(ValuationOracle):
                 raise ValueError("table values must be finite")
         else:
             table = np.full(1 << n, np.nan)
+            canonical = dict(zip(_subset_keys(n), range(1 << n)))
             for key, v in values.items():
-                table[_parse_subset_key(key, n)] = _finite(v, "table value")
+                mask = canonical.get(key)
+                if mask is None:
+                    mask = _parse_subset_key(key, n)
+                table[mask] = _finite(v, "table value")
         missing = np.flatnonzero(np.isnan(table))
         if missing.size:
             raise ValueError(
@@ -347,12 +361,22 @@ class TableOracle(ValuationOracle):
                 f"first: {{{subset_key(mask_items(int(missing[0])))}}}")
         self._table = table
         super().__init__(n)
-        if check and n <= EXHAUSTIVE_MAX_N:
-            report = check_axioms(self)
-            if not report.passed:
-                raise AxiomViolationError(
-                    f"table violates axioms: {report.failed_axioms()}",
-                    witness=report.witnesses)
+        if not check:
+            return
+        if n <= EXHAUSTIVE_MAX_N:
+            witnesses = check_axioms(self).witnesses
+        else:       # normalization exactly, the rest by the sampled scan
+            witnesses = {}
+            if abs(table[0]) > ABS_TOL:
+                witnesses["normalized"] = (float(table[0]),)
+            scale = max(1.0, float(np.abs(table).max()))
+            violation = spot_check_axioms(self, tol=ABS_TOL * scale).violation
+            if violation is not None:
+                witnesses[violation[0]] = violation[1:]
+        if witnesses:
+            raise AxiomViolationError(
+                f"table violates axioms: {list(witnesses)}",
+                witness=witnesses)
 
     def _values(self, masks):
         return self._table[masks]
@@ -473,22 +497,47 @@ def _first_violations(t: np.ndarray, n: int, tol: float):
     ``(mono, sub)``: the first ``(A, e)`` with v(A + e) < v(A) - tol and
     the first ``(A, f, e)`` with MG(A, e) < MG(A + f, e) - tol, each first
     in ascending (A, e, f) order and None when there is no violation.  Sets
-    are bitmasks.  Each pair {e, f} reads only the four views of the table
-    on the 2^(n-2) sets outside it.
+    are bitmasks.
+
+    The scan reads one row per item e: ``t.reshape(-1, 2, 1 << e)`` splits
+    the table into the sets without e (``lo``) and with e (``hi``), so
+    ``hi - lo`` is MG(., e) over the 2^(n-1) sets outside e, with bit e
+    squeezed out.  Rows are stacked for a chunk of items, at most
+    ``CHECK_CHUNK`` values or one row, and each chunk costs one comparison
+    for monotonicity and one per bit position p of a row for local
+    submodularity: in row e, position p stands for item f = p + (p >= e).
+    Hits are located only in a chunk that has some.  A check thus makes
+    about ceil(n / max(1, CHECK_CHUNK / 2^(n-1))) * n comparisons: n while
+    one chunk holds every row (n <= 11), n^2 at n >= 15, where a chunk is
+    one row, as many as a loop over item pairs but on contiguous rows.
     """
-    cube = t.reshape((2,) * n)
     mono, sub = [], []
-    for e in range(n):
-        hits = np.flatnonzero(_face(cube, {e: 1}) < _face(cube, {e: 0}) - tol)
-        if hits.size:
-            mono.append((_spread(int(hits[0]), (e,)), e))
-    for e, f in itertools.combinations(range(n), 2):
-        t_a, t_e, t_f, t_ef = (_face(cube, {e: x, f: y})
-                               for x, y in ((0, 0), (1, 0), (0, 1), (1, 1)))
-        for x, y, t_x, t_y in ((e, f, t_e, t_f), (f, e, t_f, t_e)):
-            hits = np.flatnonzero(t_x - t_a < t_ef - t_y - tol)
-            if hits.size:
-                sub.append((_spread(int(hits[0]), (e, f)), x, y))
+    half = t.size >> 1
+    step = max(1, CHECK_CHUNK // max(half, 1))
+    for first in range(0, n, step):
+        items = range(first, min(first + step, n))
+        lo = np.empty((len(items), half))
+        hi = np.empty_like(lo)
+        for row, e in enumerate(items):
+            split = t.reshape(-1, 2, 1 << e)
+            lo[row].reshape(-1, 1 << e)[...] = split[:, 0]
+            hi[row].reshape(-1, 1 << e)[...] = split[:, 1]
+        bad = hi < lo - tol
+        if bad.any():
+            for row in np.flatnonzero(bad.any(axis=1)):
+                e = items[row]
+                mono.append((_spread(int(bad[row].argmax()), (e,)), e))
+        mg = hi - lo
+        for pos in range(n - 1):
+            pair = mg.reshape(len(items), -1, 2, 1 << pos)
+            bad = pair[:, :, 0] < pair[:, :, 1] - tol
+            if bad.any():
+                bad = bad.reshape(len(items), -1)
+                for row in np.flatnonzero(bad.any(axis=1)):
+                    e = items[row]
+                    f = pos + (pos >= e)
+                    sub.append((_spread(int(bad[row].argmax()), (e, f)),
+                                e, f))
     mono = min(mono, default=None)
     if not sub:
         return mono, None

@@ -120,11 +120,12 @@ def test_table_without_item_keys_defaults_to_one_item():
         instance_from_spec({"agents": [{"kind": "table", "table": {"": 0}}]})
 
 
-@pytest.mark.parametrize("families", [("table",), ("table", "coverage")])
+@pytest.mark.parametrize("families", [("table",), ("table", "coverage"),
+                                      ("cut",), ("cut", "coverage")])
 def test_each_agent_checked_once_on_load(families, monkeypatch):
-    """A table agent's constructor checks its axioms, and the loader does
-    not check it again; every other agent is checked by the loader.  A
-    table built directly still checks."""
+    """A table or cut agent's constructor checks its axioms, and the loader
+    does not check it again; every other agent is checked by the loader.
+    A table built directly still checks."""
     import swmlab.instances as instances
     import swmlab.oracles as oracles
     checked = []
@@ -134,10 +135,10 @@ def test_each_agent_checked_once_on_load(families, monkeypatch):
         checked.append(oracle)
         return real(oracle, *args, **kwargs)
 
+    spec = sl.instance_to_spec(sl.random_instance(5, 4, 3, families=families))
     monkeypatch.setattr(oracles, "check_axioms", counting)
     monkeypatch.setattr(instances, "check_axioms", counting)
-    source = sl.random_instance(5, 4, 3, families=families)
-    inst = instance_from_spec(sl.instance_to_spec(source))
+    inst = instance_from_spec(spec)
     assert len(checked) == inst.m
     assert sorted(map(id, checked)) == sorted(map(id, inst.oracles))
     checked.clear()
