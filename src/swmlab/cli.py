@@ -175,6 +175,9 @@ def cmd_verify(args) -> int:
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}; "
                          f"choose from {sorted(known)}")
+    repeated = {c for c in wanted if wanted.count(c) > 1}
+    if repeated:
+        raise ValueError(f"repeated checks: {sorted(repeated)}")
     results = {}
     all_passed = True
     for check in wanted:

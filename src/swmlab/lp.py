@@ -13,8 +13,8 @@ solvers read; no solve converts the rational rows element by element.
 - beta-lambda: ``solve_beta_lambda``, and beta: ``solve_beta``.  Each
   builds the optimum and a dual from the structure of the solution in
   O(n) rational steps and returns it only when the pair is a certificate
-  (``_certify``: both feasible, equal objectives); otherwise it declines
-  with a reason and the simplex runs.
+  (``_certified_solution``: both feasible, equal objectives); otherwise
+  it declines with a reason and the simplex runs.
 
 ``simplex_solve`` is a dense two-phase primal simplex in floats:
 largest-coefficient pricing that falls back to Bland's lowest-index rule
@@ -410,15 +410,9 @@ def solve_general(model: LpModel) -> LpSolution:
         a.append(ai)
         b.append(r if choice == 0 else Fraction(0))
         r -= ai / step
-    exact = a + b
-    x = np.array([float(v) for v in exact])
-    residual = np.array([float(v) for v in model.rhs]) - model.matrix @ x
-    violation = float(np.max(np.maximum(residual, 0.0), initial=0.0))
     switch = next((i for i, v in enumerate(b, 1) if v > 0), None)
-    return LpSolution("optimal", float(k[0] / n + model.constant), x,
-                      violation, 0, exact=exact,
-                      structure={"switch_point": switch},
-                      solver="exact recursion")
+    return _exact_solution(model, a + b, k[0] / n, {"switch_point": switch},
+                           "exact recursion")
 
 
 # ---------------------------------------------------------------------------
@@ -493,10 +487,10 @@ def solve_beta_lambda(model: LpModel) -> Union[LpSolution, str]:
     long tail under a binding budget drives y_ss_i below 0, and then the
     structured point is not optimal.
 
-    Nothing above is trusted: the pair is returned only if ``_certify``
-    passes it, and then by weak duality x is optimal.  ``structure`` holds
-    L and whether the budget binds.  Raises ValueError for a model of
-    another family or shape.
+    Nothing above is trusted: the pair is returned only if
+    ``_certified_solution`` passes it, and then by weak duality x is
+    optimal.  ``structure`` holds L and whether the budget binds.  Raises
+    ValueError for a model of another family or shape.
     """
     _check_trace_model(model, "beta_lambda")
     return _certified_solution(model, *_beta_lambda_pair(model))
@@ -698,10 +692,11 @@ def solve_beta(model: LpModel) -> Union[LpSolution, str]:
     beta spent forwards, g_i = min(left, T - r_i); budget left over after
     row n declines (beta is above what the tail can absorb, about 1/30).
 
-    Nothing above is trusted: the pair is returned only if ``_certify``
-    passes it, and then by weak duality x is optimal.  ``structure`` holds
-    L, theta (a string) and the clipped rows, those i < L with y_ss_i = 0.
-    Raises ValueError for a model of another family or shape.
+    Nothing above is trusted: the pair is returned only if
+    ``_certified_solution`` passes it, and then by weak duality x is
+    optimal.  ``structure`` holds L, theta (a string) and the clipped rows,
+    those i < L with y_ss_i = 0.  Raises ValueError for a model of another
+    family or shape.
     """
     _check_trace_model(model, "beta")
     pair = _beta_pair(model)
@@ -732,13 +727,27 @@ def _check_trace_model(model: LpModel, family: str):
                          f"{model.num_rows} x {model.num_vars}")
 
 
-def _certify(model: LpModel, x: list, y: list) -> Optional[str]:
-    """None when x and y prove each other optimal, else the first failed
-    check.  x >= 0, y >= 0 and c.x == b.y are checked exactly in rationals
-    (the model's own objective and rhs); the primal residual b - Ax
-    against ``model.matrix`` must be at most FEAS_TOL and the dual residual
-    A^T y - c at most PIVOT_TOL, the float trust of the simplex's own
-    optimality test."""
+def _exact_solution(model: LpModel, x: list, cost: Fraction,
+                    structure: dict, solver: str) -> LpSolution:
+    """The optimal ``LpSolution`` of the exact primal x, whose cost c.x is
+    ``cost``: x in floats, its largest shortfall on the rows of
+    ``model.matrix`` (0.0 when every row holds) and the objective
+    cost + constant."""
+    xf = np.array([float(v) for v in x])
+    violation = float(np.max(np.array([float(v) for v in model.rhs])
+                             - model.matrix @ xf, initial=0.0))
+    return LpSolution("optimal", float(cost + model.constant), xf, violation,
+                      0, exact=x, structure=structure, solver=solver)
+
+
+def _certified_solution(model: LpModel, x: list, y: list,
+                        structure: dict) -> Union[LpSolution, str]:
+    """The structural solution x when x and y prove each other optimal,
+    else the first failed check.  x >= 0, y >= 0 and c.x == b.y are
+    checked exactly in rationals (the model's own objective and rhs); the
+    solution's violation of ``model.matrix`` must be at most FEAS_TOL and
+    the dual residual A^T y - c at most PIVOT_TOL, the float trust of the
+    simplex's own optimality test."""
     if any(v < 0 for v in x):
         return "negative primal entry"
     negative = next((r for r, v in enumerate(y) if v < 0), None)
@@ -748,34 +757,15 @@ def _certify(model: LpModel, x: list, y: list) -> Optional[str]:
     dual = sum(b * v for b, v in zip(model.rhs, y) if b)
     if primal != dual:
         return f"duality gap {float(primal - dual):.3g}"
-    A = model.matrix
-    xf = np.array([float(v) for v in x])
-    residual = float(np.max(np.array([float(v) for v in model.rhs]) - A @ xf,
-                            initial=0.0))
-    if residual > FEAS_TOL:
-        return f"primal residual {residual:.3g}"
+    solution = _exact_solution(model, x, primal, structure, "structure")
+    if solution.max_violation > FEAS_TOL:
+        return f"primal residual {solution.max_violation:.3g}"
     yf = np.array([float(v) for v in y])
     cf = np.array([float(v) for v in model.objective])
-    dual_residual = float(np.max(yf @ A - cf, initial=0.0))
+    dual_residual = float(np.max(yf @ model.matrix - cf, initial=0.0))
     if dual_residual > PIVOT_TOL:
         return f"dual residual {dual_residual:.3g}"
-    return None
-
-
-def _certified_solution(model: LpModel, x: list, y: list,
-                        structure: dict) -> Union[LpSolution, str]:
-    """The structural solution x, if ``_certify`` passes (x, y); else the
-    reason it does not."""
-    reason = _certify(model, x, y)
-    if reason is not None:
-        return reason
-    xf = np.array([float(v) for v in x])
-    violation = float(np.max(np.array([float(v) for v in model.rhs])
-                             - model.matrix @ xf, initial=0.0))
-    primal = sum(c * v for c, v in zip(model.objective, x) if c)
-    return LpSolution("optimal", float(primal + model.constant), xf,
-                      violation, 0, exact=x, structure=structure,
-                      solver="structure")
+    return solution
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ accept any iterable of item indices.  All oracles are immutable after
 construction.  Each family has one evaluator, ``_values``, which reads an
 int64 array of bitmasks at once; it builds the full value table for small
 ground sets, so repeated queries are array lookups, and serves every query
-and the sampled check above them.
+and the sampled check above them.  The exhaustive checks and the
+second-order classifier read that table as one row of marginal gains per
+item (``_first_violations``), the classifier in (f, s, e) order.
 """
 from __future__ import annotations
 
@@ -477,18 +479,6 @@ def _spread(x, items):
     return x
 
 
-def _face(cube: np.ndarray, fixed: dict) -> np.ndarray:
-    """View of the sets that contain item i exactly when ``fixed[i]`` is 1,
-    over a value table reshaped to one axis per item (item i on axis
-    n-1-i).  In C order it lists the sets outside ``fixed`` ascending, so
-    its flat index k stands for the set ``_spread(k, fixed)`` plus the
-    fixed items that are in."""
-    idx = [slice(None)] * cube.ndim
-    for i, bit in fixed.items():
-        idx[cube.ndim - 1 - i] = bit
-    return cube[tuple(idx)]
-
-
 def _first_violations(t: np.ndarray, n: int, tol: float):
     """First violations of monotonicity and local submodularity of the set
     function with value table ``t`` (indexed by bitmask over ``n`` items).
@@ -510,6 +500,7 @@ def _first_violations(t: np.ndarray, n: int, tol: float):
     about ceil(n / max(1, CHECK_CHUNK / 2^(n-1))) * n comparisons: n while
     one chunk holds every row (n <= 11), n^2 at n >= 15, where a chunk is
     one row, as many as a loop over item pairs but on contiguous rows.
+    ``classify_second_order`` differences the same rows twice more.
     """
     mono, sub = [], []
     half = t.size >> 1
@@ -665,26 +656,36 @@ def classify_second_order(oracle: ValuationOracle,
     D(C; f, s, e) = GR(C, {s}, e) - GR(C + f, {s}, e) over items f, s and
     sets C outside {f, s, e}, and in exact arithmetic D is symmetric in
     f, s and e.  So the label only needs the sign of D for each triple of
-    items and each C outside it; ``tol`` is applied to each D.  Each
-    witness is one such (C, C + f, {s}, e).  Refuses ground sets above the
-    exhaustive cap.
+    items f < s < e and each C outside it; ``tol`` is applied to each D.
+    Each witness is the first such (C, C + f, {s}, e) in (f, s, e, C)
+    order.  Refuses ground sets above the exhaustive cap.
+
+    The scan reads the rows of ``_first_violations``, MG(., e) with bit e
+    squeezed out.  Per pair f < s, in (f, s) order, the rows e > s are
+    differenced over bit s into GR(C, {s}, e), then over bit f into D, up
+    to the first pair by which both witnesses are found.
     """
     n = oracle.n
     if n > EXHAUSTIVE_MAX_N:
         raise SizeGuardError(
             f"second-order classification limited to n <= {EXHAUSTIVE_MAX_N} "
             f"(got n={n})")
-    cube = oracle._table.reshape((2,) * n)
+    t = oracle._table
+    mg = np.empty((n, t.size >> 1))
+    for e in range(n):
+        split = t.reshape(-1, 2, 1 << e)
+        np.subtract(split[:, 1], split[:, 0], out=mg[e].reshape(-1, 1 << e))
     wit = [None, None]   # violates GR(A,..) >= GR(B,..), resp. <=
-    for f, s, e in itertools.combinations(range(n), 3):
-        def t(x, y, z):     # v(C + the items among f, s, e that are in)
-            return _face(cube, {f: x, s: y, e: z})
-        d = (((t(0, 0, 1) - t(0, 0, 0)) - (t(0, 1, 1) - t(0, 1, 0)))
-             - ((t(1, 0, 1) - t(1, 0, 0)) - (t(1, 1, 1) - t(1, 1, 0))))
+    for f, s in itertools.combinations(range(n - 1), 2):
+        rows = n - 1 - s
+        gr = mg[s + 1:].reshape(rows, -1, 2, 1 << s)
+        gr = (gr[:, :, 0] - gr[:, :, 1]).reshape(rows, -1, 2, 1 << f)
+        d = (gr[:, :, 0] - gr[:, :, 1]).reshape(rows, -1)
         for k, bad in enumerate((d < -tol, d > tol)):
-            hits = np.flatnonzero(bad)
-            if wit[k] is None and hits.size:
-                a = _spread(int(hits[0]), (f, s, e))
+            if wit[k] is None and bad.any():
+                row = int(bad.any(axis=1).argmax())
+                e = s + 1 + row
+                a = _spread(int(bad[row].argmax()), (f, s, e))
                 wit[k] = (frozenset(mask_items(a)),
                           frozenset(mask_items(a | 1 << f)),
                           frozenset((s,)), e)

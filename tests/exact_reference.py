@@ -93,6 +93,18 @@ def greedy_step(inst, masks, j):
     return best_ell, best_gain
 
 
+def greedy_run(inst, order):
+    """``core.greedy`` by scalar steps: the agent masks, the marginals and
+    the chosen agents of the run."""
+    masks, marginals, choices = [0] * inst.m, [], []
+    for j in order:
+        ell, g = greedy_step(inst, masks, j)
+        masks[ell] |= 1 << j
+        marginals.append(g)
+        choices.append(ell)
+    return tuple(masks), tuple(marginals), tuple(choices)
+
+
 def gain_masks(ctx, j, masks):
     """Gain(j, A) for the agent masks of A, by scalar queries."""
     ell = ctx.opt_map[j]

@@ -490,7 +490,71 @@ class TestLp:
         assert "error: '1/0' has a zero denominator" in capsys.readouterr().err
 
 
+# sha256 of the whole `classify` report, the instance path cut to its file
+# name, recorded from the triple-loop classifier: for the sample instances
+# and for seeded random instances that draw every oracle family
+CLASSIFY_SAMPLES = {
+    "budgeted_allocation.json":
+        "ca7f6cdc199c1c256c3e59bf9ff8d6f8bb7139fecb88cd6e738da48fd5fc355d",
+    "coverage_three_agents.json":
+        "0ba82faa00b35bcaac6872f9691da7b203e3b3017de6159860c8a9045f67cc05",
+    "or_indicator.json":
+        "bce817c2ae300a9dd8e2962a30db5d0dbab00fffed576700a59888688865e2f8",
+}
+CLASSIFY_RANDOM = {   # (n, m, seed)
+    (6, 3, 1):
+        "d0e41e312bb888e5d5a1f95dd8cf93eb0205599494ea40ec198956f32aa1666d",
+    (7, 5, 0):
+        "632c2f6bfbc6bd0a13f8dd4ad1c46330babccfd5ee0c4b5669607b80712494e2",
+    (8, 4, 1):
+        "071287be114520993487f7a78319ce25821b61bec08d0cdba2cea4d3aeaac91d",
+    (9, 3, 0):
+        "4efbb3ee2201e3917d374bcddb4083360d552d3de771275aa138281aca720558",
+    (10, 3, 1):
+        "d528151d145d3508e66a57c197c7f541a832e89ed0c6abda618ef6a53b15898c",
+    (11, 2, 0):
+        "29761b8a5b9e67e6273adb6e616e4000160061338b295f8064605499d43bc055",
+    (12, 3, 4):
+        "14c0bf0a9ab513e759410a3fb7ff48bc579a20b742f1e2df2276409e9b223f87",
+}
+
+
+def _classify_report(path, tmp_path):
+    """The `classify` report of ``path``, with the path cut to its file
+    name, and its sha256."""
+    out = tmp_path / "c.json"
+    assert main(["classify", str(path), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    report["parameters"]["instance"] = Path(path).name
+    return report, _sha256(json.dumps(report, sort_keys=True, indent=2))
+
+
 class TestClassify:
+    @pytest.mark.parametrize("name", sorted(CLASSIFY_SAMPLES))
+    def test_sample_reports_pinned(self, tmp_path, name):
+        _, digest = _classify_report(SAMPLES / name, tmp_path)
+        assert digest == CLASSIFY_SAMPLES[name]
+
+    def test_random_reports_pinned(self, tmp_path):
+        """The pinned random reports hold all four labels and both kinds
+        of witness."""
+        labels, witnesses = set(), set()
+        for (n, m, seed), pinned in CLASSIFY_RANDOM.items():
+            path = tmp_path / f"mixed-{n}.json"
+            save_instance(path, random_instance(
+                n, m, seed, families=("coverage", "budgeted_additive",
+                                      "b_matching", "cut", "table")))
+            report, digest = _classify_report(path, tmp_path)
+            assert digest == pinned, (n, m, seed)
+            for agent in report["results"]["agents"]:
+                cls = agent["classification"]
+                labels.add(cls["label"])
+                witnesses.update(kind for kind in ("witness_supermodular",
+                                                   "witness_submodular")
+                                 if cls[kind] != "None")
+        assert labels == {"modular", "supermodular", "submodular", "none"}
+        assert witnesses == {"witness_supermodular", "witness_submodular"}
+
     def test_coverage_sample(self, tmp_path):
         out = tmp_path / "c.json"
         assert main(["classify", COVERAGE, "--out", str(out)]) == 0
@@ -529,6 +593,16 @@ class TestVerify:
     def test_empty_check_list_exits_2(self, instance_file, capsys):
         assert main(["verify", instance_file, "--checks", ","]) == 2
         assert "error: no checks given" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("checks", ["lemmas,lemmas", "eq1, lemmas,eq1"])
+    def test_repeated_check_exits_2(self, instance_file, tmp_path, capsys,
+                                    checks):
+        out = tmp_path / "v.json"
+        assert main(["verify", instance_file, "--checks", checks,
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error: repeated checks: ['" in err and "PASS" not in err
+        assert not out.exists()
 
 
 class TestConjecture:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import swmlab as sl
-from exact_reference import greedy_step
+from exact_reference import greedy_run, greedy_step
 from swmlab.core import greedy_steps
 from swmlab.errors import InvalidQueryError, SizeGuardError
 from swmlab.oracles import ValuationOracle
@@ -163,6 +163,66 @@ class TestGreedySteps:
             t = rng.choice([np.nan, -3.0, -1.0, 0.0, 0.5, 2.0], size=16)
             oracles.append(RawTable(t))
         self.check(sl.Instance(tuple(oracles)), 2000, 4)
+
+
+class TestGreedyAgainstScalarStep:
+    """``greedy`` replays the scalar reference step on every order,
+    repeated items, ties, NaN and gains below -1 included."""
+
+    def check(self, inst, order):
+        run = sl.greedy(inst, order)
+        masks, marginals, choices = greedy_run(inst, order)
+        assert run.order == tuple(order)
+        assert run.allocation.masks == masks
+        assert run.allocation.multiset == any(
+            a & b for a, b in itertools.combinations(masks, 2))
+        assert run.marginals == marginals and run.choices == choices
+        assert all(type(g) is float for g in run.marginals)
+        assert all(type(ell) is int for ell in run.choices)
+        assert type(run.welfare) is float
+
+    @pytest.mark.parametrize("m", (1, 2, 3, 4))
+    def test_random_orders_with_repeats(self, m):
+        rng = np.random.default_rng(m)
+        for seed in range(4):
+            inst = random_instance(7, m, seed)
+            self.check(inst, rng.permutation(7).tolist())
+            self.check(inst, rng.integers(0, 7, size=12).tolist())
+
+    def test_repeated_item_goes_to_a_second_agent(self):
+        inst = sl.Instance((sl.make_additive([5.0, 1.0]),
+                            sl.make_additive([2.0, 1.0])))
+        run = sl.greedy(inst, (0, 0, 0, 1))
+        assert run.choices == (0, 1, 0, 0)
+        assert run.marginals == (5.0, 2.0, 0.0, 1.0)
+        assert run.allocation.multiset
+        self.check(inst, (0, 0, 0, 1))
+
+    def test_ties(self):
+        o = sl.make_budgeted_additive(2.0, [1.0] * 6)
+        inst = sl.Instance((o, o, o))
+        for order in ((0, 1, 2, 3, 4, 5), (5, 5, 4, 0, 3, 3, 1, 2)):
+            self.check(inst, order)
+        # each tie goes to the lowest agent whose budget is not spent
+        assert sl.greedy(inst, range(6)).choices == (0, 0, 1, 1, 2, 2)
+
+    def test_nan_and_gains_below_minus_one(self):
+        rng = np.random.default_rng(5)
+        seen = set()
+        for _ in range(20):
+            inst = sl.Instance(tuple(
+                RawTable(rng.choice([np.nan, -3.0, -1.0, 0.0, 0.5, 2.0],
+                                    size=16)) for _ in range(3)))
+            order = rng.integers(0, 4, size=8).tolist()
+            self.check(inst, order)
+            seen.update(sl.greedy(inst, order).marginals)
+        assert -1.0 in seen
+
+    def test_without_value_tables(self):
+        inst = random_instance(18, 3, 0, families=("coverage",
+                                                   "budgeted_additive"))
+        assert all(o._table is None for o in inst.oracles)
+        self.check(inst, np.random.default_rng(2).permutation(18).tolist())
 
 
 class TestOptimal:

@@ -11,9 +11,9 @@ import swmlab.lp as lp_module
 from swmlab.cli import main as cli_main
 from swmlab.lp import (DEGENERATE_LIMIT, LAMBDA_THRESHOLD, GENERAL_LIMIT,
                        PIVOT_TOL, LpModel, LpSolution, _beta_lambda_pair,
-                       _beta_pair, _certify, _check_n, _float_matrix,
-                       _leaving_row, _to_fraction, build_lp_beta,
-                       build_lp_beta_lambda, build_lp_general,
+                       _beta_pair, _certified_solution, _check_n,
+                       _float_matrix, _leaving_row, _to_fraction,
+                       build_lp_beta, build_lp_beta_lambda, build_lp_general,
                        closed_form_beta_lambda, closed_form_general,
                        combined_secondorder_bound, general_cost_to_go,
                        simplex_solve, solve, solve_beta, solve_beta_lambda,
@@ -1108,7 +1108,8 @@ class TestSolveBeta:
 
     def test_untampered_pair_certifies(self):
         model = build_lp_beta(16, Fraction(1, 100))
-        assert _certify(model, *_beta_pair(model)[:2]) is None
+        certified = _certified_solution(model, *_beta_pair(model))
+        assert isinstance(certified, LpSolution)
         assert solve(model).solver == "structure"
 
     def test_edited_model_declines(self):

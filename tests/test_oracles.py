@@ -11,9 +11,10 @@ import swmlab as sl
 from swmlab.errors import AxiomViolationError, InvalidQueryError, SizeGuardError
 from swmlab.instances import (ORACLE_GENERATORS, random_coverage_oracle,
                               random_family_instance)
-from swmlab.oracles import (ABS_TOL, TABLE_CHUNK, AxiomReport, TableOracle,
-                            _face, _first_violations, _spread, _subset_keys,
-                            as_mask, mask_items, oracle_from_spec, subset_key)
+from swmlab.oracles import (ABS_TOL, TABLE_CHUNK, AxiomReport,
+                            SecondOrderClass, TableOracle, _first_violations,
+                            _spread, _subset_keys, as_mask, mask_items,
+                            oracle_from_spec, subset_key)
 
 TOL = 1e-12
 
@@ -710,6 +711,18 @@ def _reference_pool(nmax):
     return pool
 
 
+def _face(cube, fixed):
+    """View of the sets that contain item i exactly when ``fixed[i]`` is 1,
+    over a value table reshaped to one axis per item (item i on axis
+    n-1-i).  In C order it lists the sets outside ``fixed`` ascending, so
+    its flat index k stands for the set ``_spread(k, fixed)`` plus the
+    fixed items that are in."""
+    idx = [slice(None)] * cube.ndim
+    for i, bit in fixed.items():
+        idx[cube.ndim - 1 - i] = bit
+    return cube[tuple(idx)]
+
+
 def reference_first_violations(t, n, tol):
     """The pair loop that ``_first_violations`` replaced, kept unchanged:
     each pair {e, f} reads the four ``_face`` views of the table on the
@@ -810,6 +823,99 @@ class TestFirstViolationsAgainstPairLoop:
         finally:
             tracemalloc.stop()
         assert peak < 2 << 20
+
+
+def reference_classify_second_order(oracle, tol):
+    """The triple loop that the stacked-row classifier replaced, kept
+    unchanged: each triple f < s < e reads the eight ``_face`` views of the
+    table on the 2^(n-3) sets outside it."""
+    n = oracle.n
+    cube = oracle._table.reshape((2,) * n)
+    wit = [None, None]
+    for f, s, e in itertools.combinations(range(n), 3):
+        def t(x, y, z):
+            return _face(cube, {f: x, s: y, e: z})
+        d = (((t(0, 0, 1) - t(0, 0, 0)) - (t(0, 1, 1) - t(0, 1, 0)))
+             - ((t(1, 0, 1) - t(1, 0, 0)) - (t(1, 1, 1) - t(1, 1, 0))))
+        for k, bad in enumerate((d < -tol, d > tol)):
+            hits = np.flatnonzero(bad)
+            if wit[k] is None and hits.size:
+                a = _spread(int(hits[0]), (f, s, e))
+                wit[k] = (frozenset(mask_items(a)),
+                          frozenset(mask_items(a | 1 << f)),
+                          frozenset((s,)), e)
+        if None not in wit:
+            break
+    label = {(False, False): "modular", (False, True): "supermodular",
+             (True, False): "submodular", (True, True): "none"}[
+        wit[0] is not None, wit[1] is not None]
+    return SecondOrderClass(label, *wit)
+
+
+class TestClassifyAgainstTripleLoop:
+    """The stacked-row classifier returns the triple loop's label and both
+    witnesses on every table, at every tolerance."""
+
+    TOLS = (0.0, ABS_TOL, -0.5)
+
+    def assert_same(self, t, n, seen):
+        """Compare at every tolerance; record the labels seen."""
+        o = TableOracle(n, t, check=False)
+        for tol in self.TOLS:
+            got = sl.classify_second_order(o, tol)
+            assert got == reference_classify_second_order(o, tol), (n, tol)
+            seen.add(got.label)
+
+    def test_reference_pool(self):
+        seen = set()
+        for o in _reference_pool(6):
+            self.assert_same(o._table, o.n, seen)
+        assert seen == {"modular", "supermodular", "submodular", "none"}
+
+    def test_random_integer_tables(self):
+        rng = np.random.default_rng(20)
+        seen = set()
+        for n in range(1, 11):
+            for _ in range(4):
+                self.assert_same(rng.integers(0, 4, 1 << n).astype(float), n,
+                                 seen)
+        assert {"modular", "none"} <= seen
+
+    @pytest.mark.parametrize("family", sorted(ORACLE_GENERATORS))
+    def test_families_with_one_entry_shifted(self, family):
+        rng = np.random.default_rng(len(family))
+        seen = set()
+        for n in range(3, 13):
+            base = random_oracle(family, n, n)._table
+            for shift in (0.3, -0.3, 1e-9, -1e-9):
+                t = base.copy()
+                t[rng.integers(0, 1 << n)] += shift
+                self.assert_same(t, n, seen)
+        assert len(seen) > 1
+
+    @pytest.mark.parametrize("n", [14, 16])
+    def test_planted_violations(self, n):
+        count = np.array([m.bit_count() for m in range(1 << n)], dtype=float)
+        planted = 0b111 << (n // 2)
+        seen = set()
+        for where, shift in ((0, 0.0), (planted, 0.5), (planted, -1.5),
+                             ((1 << n) - 1, -2.0), (0b1011, 0.25)):
+            t = count.copy()
+            t[where] += shift
+            self.assert_same(t, n, seen)
+        assert {"modular", "submodular", "none"} <= seen
+
+    def test_memory_at_cap(self):
+        """At n=16 the marginal-gain rows (4 MB) and one pair's
+        differences stay under 8 MB beside the 0.5 MB table."""
+        o = random_oracle("coverage", 16, 0)
+        tracemalloc.start()
+        try:
+            assert sl.classify_second_order(o).label == "supermodular"
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
 
 
 class TestAgainstReference:
