@@ -3,7 +3,8 @@
 Subcommands: simulate | lp | classify | verify | conjecture.  Reports are
 JSON with sorted keys, so identical inputs and seeds produce byte-identical
 files; timing goes to stderr only.  Exit codes: 0 success, 1 verification
-failure (for ``lp``, an LP that is not optimal), 2 usage or size error.
+failure (for ``lp``, an LP that is not optimal), 2 usage or size error, or
+an input or output path that cannot be read or written.
 """
 from __future__ import annotations
 
@@ -39,10 +40,19 @@ def _parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
+def _write_file(path, text: str) -> None:
+    """Write ``text`` to ``path``; a path that cannot be written is a usage
+    error (exit 2) that names it, as an unreadable instance is."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise SwmlabError(f"{path}: {exc.strerror}") from exc
+
+
 def _write_report(report: dict, out_path) -> None:
     payload = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if out_path:
-        Path(out_path).write_text(payload)
+        _write_file(out_path, payload)
     else:
         sys.stdout.write(payload)
 
@@ -85,7 +95,7 @@ def cmd_simulate(args) -> int:
     _write_report(report, args.out)
     if args.csv or args.out:
         csv_path = args.csv or str(Path(args.out).with_suffix(".csv"))
-        Path(csv_path).write_text(trace.to_csv())
+        _write_file(csv_path, trace.to_csv())
     if trace.states is not None:
         print(f"states = {trace.states}", file=sys.stderr)
     else:
@@ -119,7 +129,7 @@ def cmd_lp(args) -> int:
     elif args.family == "general" and args.n >= 8:
         closed = closed_form_general(args.n)
     if args.export_lp:
-        Path(args.export_lp).write_text(model.to_text())
+        _write_file(args.export_lp, model.to_text())
     start = time.perf_counter()
     solution = solve(model)
     print(f"solve = {time.perf_counter() - start:.3f} s", file=sys.stderr)

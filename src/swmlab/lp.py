@@ -1,10 +1,12 @@
 """Factor-revealing linear programs and their solvers.
 
 All models are of the form: minimize c.x subject to A.x >= b, x >= 0.
-Coefficients are built as exact rationals so the plain-text export can be
-fed to external solvers verbatim.  The builders also write A as a float
-matrix, from the same shared coefficients, and that matrix is what both
-solvers read; no solve converts the rational rows element by element.
+Coefficients are exact rationals, so the plain-text export can be fed to
+external solvers verbatim, and each is written once: a row of A is a few
+segments of coefficient sequences that many rows share.  The model derives
+A as a float matrix from the segments, converting each shared sequence
+once, and that matrix is what both solvers read; the dense rational rows
+are built only when the listing or a caller reads them.
 
 ``solve(model)`` picks the solver for the model's family:
 
@@ -28,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -52,53 +54,65 @@ def _to_fraction(x) -> Fraction:
     return Fraction(str(x))
 
 
-def _float_matrix(rows) -> np.ndarray:
-    """Float copy of a rational matrix; zero coefficients skip the division.
-    The generic path for a model built without its float matrix, and the
-    reference the builders' matrices are held to."""
-    return np.array([[c.numerator / c.denominator if c else 0.0 for c in row]
-                     for row in rows])
-
-
 def _finite_or_none(x: float) -> Optional[float]:
     return x if math.isfinite(x) else None
 
 
 @dataclass
 class LpModel:
-    """Dense LP: minimize objective.x with rows.x >= rhs, x >= 0.
+    """LP: minimize objective.x with A.x >= rhs, x >= 0.
 
-    ``rows`` holds the exact rational coefficients; ``matrix`` holds the
-    same coefficients as floats, [num_rows, num_vars], and is what the
-    solvers read.  The builders write it alongside the rows; a model made
-    without one gets it from ``_float_matrix(rows)``.
+    Each row of A is a list of segments ``(col, coeffs, k)``, in column
+    order and disjoint: the first k entries of the exact sequence
+    ``coeffs`` sit at columns col .. col+k-1, and every other entry is 0.
+    Rows share their sequences, so each coefficient is made once.
+    ``matrix`` is A in floats, [num_rows, num_vars], derived from the
+    segments with one conversion per shared sequence; it is what the
+    solvers read.  ``rows`` builds the dense rational rows on every read.
     """
 
     objective: list[Fraction]
-    rows: list[list[Fraction]]
+    segments: list[list[tuple[int, Sequence[Rational], int]]]
     rhs: list[Fraction]
     var_names: list[str]
     row_names: list[str]
     metadata: dict = field(default_factory=dict)
     constant: Fraction = Fraction(0)   # added to the objective on report
-    matrix: Optional[np.ndarray] = field(default=None, compare=False,
-                                         repr=False)
+    matrix: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         ncols = len(self.var_names)
         if len(self.objective) != ncols:
             raise ValueError("objective length does not match variable count")
-        for name, row in zip(self.row_names, self.rows):
-            if len(row) != ncols:
-                raise ValueError(f"row {name} has wrong width")
-        if len(self.rows) != len(self.rhs) or len(self.rows) != len(self.row_names):
+        if not len(self.segments) == len(self.rhs) == len(self.row_names):
             raise ValueError("row, rhs and name counts differ")
-        shape = (len(self.rows), ncols)
-        if self.matrix is None:
-            self.matrix = _float_matrix(self.rows).reshape(shape)
-        elif self.matrix.shape != shape:
-            raise ValueError(f"matrix has shape {self.matrix.shape}, "
-                             f"expected {shape}")
+        self.matrix = np.zeros((len(self.segments), ncols))
+        # id(coeffs) -> its floats; self.segments holds every sequence, so
+        # no id passes to another sequence while the cache is in use
+        floats = {}
+        for r, (name, row) in enumerate(zip(self.row_names, self.segments)):
+            end = 0
+            for col, coeffs, k in row:
+                if col < end or not 0 <= k <= len(coeffs) or col + k > ncols:
+                    raise ValueError(f"row {name} has wrong width")
+                if id(coeffs) not in floats:
+                    floats[id(coeffs)] = np.array(
+                        [c.numerator / c.denominator if c else 0.0
+                         for c in coeffs])
+                self.matrix[r, col:col + k] = floats[id(coeffs)][:k]
+                end = col + k
+
+    @property
+    def rows(self) -> list[list[Rational]]:
+        """The dense rational rows, built from the segments; not cached,
+        since no solve reads them and they take O(num_rows num_vars)."""
+        dense = []
+        for row in self.segments:
+            values = [Fraction(0)] * self.num_vars
+            for col, coeffs, k in row:
+                values[col:col + k] = coeffs[:k]
+            dense.append(values)
+        return dense
 
     @property
     def num_vars(self) -> int:
@@ -106,7 +120,7 @@ class LpModel:
 
     @property
     def num_rows(self) -> int:
-        return len(self.rows)
+        return len(self.row_names)
 
     def to_text(self) -> str:
         """One-line-per-constraint listing with exact rational coefficients."""
@@ -209,8 +223,8 @@ def build_lp_beta_lambda(n: int, lam, beta) -> LpModel:
 def _build_trace_lp(n: int, beta: Fraction, pos_hi: int, sh_lo: int,
                     metadata: dict) -> LpModel:
     """Shared builder: position rows for i <= pos_hi, second-half rows for
-    i > sh_lo.  Every coefficient is made once, as a Fraction and as a
-    float, and each row is written into both forms by the same slices."""
+    i > sh_lo.  Every coefficient is made once, and each row is segments of
+    the shared sequences."""
     half = n // 2
 
     var_names = ([f"w_{i}" for i in range(1, n + 1)]
@@ -224,64 +238,36 @@ def _build_trace_lp(n: int, beta: Fraction, pos_hi: int, sh_lo: int,
     def b(i): return 2 * n + i - 1
     def g(i): return 3 * n + (i - half) - 1
 
-    zero, one, minus_one = Fraction(0), Fraction(1), Fraction(-1)
-    objective = [one] * n + [zero] * (ncols - n)
+    zero, ones, minus_ones = Fraction(0), [Fraction(1)], [Fraction(-1)] * half
+    objective = ones * n + [zero] * (ncols - n)
 
     rows, rhs, row_names = [], [], []
-    matrix = np.zeros((n + pos_hi + (n - sh_lo) + 1, ncols))
-
     for i in range(1, n + 1):
-        row, frow = [zero] * ncols, matrix[len(rows)]
-        row[w(i)] = one
-        row[a(i)] = minus_one
-        row[b(i)] = minus_one
-        frow[[w(i), a(i), b(i)]] = (1.0, -1.0, -1.0)
-        rows.append(row)
+        rows.append([(w(i), ones, 1), (a(i), minus_ones, 1),
+                     (b(i), minus_ones, 1)])
         rhs.append(zero)
         row_names.append(f"step_split_{i}")
 
-    # a_j/(n-j) for j = 1..pos_hi-1; each float is one division of exact
-    # integers, so it rounds once, as the Fraction's conversion does
+    # a_j/(n-j) for j = 1..pos_hi-1
     inv = [Fraction(1, n - j) for j in range(1, pos_hi)]
-    inv_f = 1.0 / (n - np.arange(1, pos_hi))
     for i in range(1, pos_hi + 1):
-        row, frow = [zero] * ncols, matrix[len(rows)]
-        row[w(i)] = one
-        row[a(1):a(i)] = inv[:i - 1]
-        frow[w(i)] = 1.0
-        frow[a(1):a(i)] = inv_f[:i - 1]
-        rows.append(row)
+        rows.append([(w(i), ones, 1), (a(1), inv, i - 1)])
         rhs.append(Fraction(1, n))
         row_names.append(f"position_{i}")
 
-    js = np.arange(1, half + 1)
     sh_a = [Fraction(-2, n) * Fraction(j, n - j) for j in range(1, half + 1)]
-    sh_a_f = (-2.0 * js) / (n * (n - js))
     sh_b = [Fraction(2, n)] * half
     for i in range(sh_lo + 1, n + 1):
-        row, frow = [zero] * ncols, matrix[len(rows)]
-        row[w(i)] = one
-        row[g(i)] = one
-        row[a(1):a(half + 1)] = sh_a
-        row[b(1):b(half + 1)] = sh_b
-        frow[[w(i), g(i)]] = 1.0
-        frow[a(1):a(half + 1)] = sh_a_f
-        frow[b(1):b(half + 1)] = 2.0 / n
-        rows.append(row)
+        rows.append([(w(i), ones, 1), (a(1), sh_a, half), (b(1), sh_b, half),
+                     (g(i), ones, 1)])
         rhs.append(zero)
         row_names.append(f"second_half_{i}")
 
-    row, frow = [zero] * ncols, matrix[len(rows)]
-    row[b(1):b(half + 1)] = [minus_one] * half
-    row[g(half + 1):] = [minus_one] * (n - half)
-    frow[b(1):b(half + 1)] = -1.0
-    frow[g(half + 1):] = -1.0
-    rows.append(row)
+    rows.append([(b(1), minus_ones, half), (g(half + 1), minus_ones, half)])
     rhs.append(-beta)
     row_names.append("slack_budget")
 
-    return LpModel(objective, rows, rhs, var_names, row_names, metadata,
-                   matrix=matrix)
+    return LpModel(objective, rows, rhs, var_names, row_names, metadata)
 
 
 def build_lp_general(n: int) -> LpModel:
@@ -302,7 +288,7 @@ def build_lp_general(n: int) -> LpModel:
     def a(i): return i - 1
     def b(i): return three_q + i - 1
 
-    zero, one = Fraction(0), Fraction(1)
+    zero, ones = Fraction(0), [Fraction(1)]
     objective = [zero] * ncols
     quarter = Fraction(n, 4)
     for i in range(1, half + 1):
@@ -314,23 +300,15 @@ def build_lp_general(n: int) -> LpModel:
 
     # a_j/(n-j) for j = 1..3n/4-1
     inv = [Fraction(1, n - j) for j in range(1, three_q)]
-    inv_f = 1.0 / (n - np.arange(1, three_q))
     rows, rhs, row_names = [], [], []
-    matrix = np.zeros((three_q, ncols))
     for i in range(1, three_q + 1):
-        row, frow = [zero] * ncols, matrix[i - 1]
-        row[a(1):a(i)] = inv[:i - 1]
-        row[a(i)] = one
-        row[b(i)] = one
-        frow[a(1):a(i)] = inv_f[:i - 1]
-        frow[[a(i), b(i)]] = 1.0
-        rows.append(row)
+        rows.append([(a(1), inv, i - 1), (a(i), ones, 1), (b(i), ones, 1)])
         rhs.append(Fraction(1, n))
         row_names.append(f"position_{i}")
 
     return LpModel(objective, rows, rhs, var_names, row_names,
                    {"family": "general_lb", "n": n},
-                   constant=Fraction(1, 24), matrix=matrix)
+                   constant=Fraction(1, 24))
 
 
 # ---------------------------------------------------------------------------

@@ -117,7 +117,10 @@ LP_SIMPLEX_REPORTS = {
     ("beta-lambda", 256, "13/16", "1/100"):
         "8a938676e7c3bfcbb90ca0f4d90aec8b27832baef0c60a7a542bf489e93fc413",
 }
-# sha256 of the `--export-lp` listing at n=16, recorded alike
+# sha256 of the `--export-lp` listing, recorded alike: one per family at
+# n=16, and the edges of the trace builder's ranges (at lambda = 1/2 the
+# position and second-half rows meet, lambda = 1 leaves no second-half row,
+# n=4 has a single 1/(n-j) coefficient)
 LP_LISTINGS = {
     ("beta", 16, None, "1/100"):
         "36afb7772d014078a28c6365d30c6e26c75d3cf52a12ae716c31f53934aa8866",
@@ -125,6 +128,20 @@ LP_LISTINGS = {
         "d874bbdf5ad22e7446711b212c2bf6c9133d408702fe9814d091fd033e900722",
     ("general", 16, None, "0"):
         "5e4930b189f799e6c404293196f60222326c8ce2f4974e3c9acb80d202348837",
+    ("beta", 4, None, "0"):
+        "3a14e7dbd2116c55c840bced3b983d997a281670e122303b39fd116defd1b285",
+    ("beta", 64, None, "0"):
+        "4c2dbfcdb030247104550e2318eb450d13f0036c5d5b57bdacd5e5660c7f6fe6",
+    ("beta-lambda", 16, "1/2", "0"):
+        "cd986d856a33d21c51ad64a5357bf61d95f883c6ec543e5ecc66692d1a99b157",
+    ("beta-lambda", 16, "1", "0"):
+        "d3840cf0e2aec9b73aa6a951884f2114f81c8b4569e2899dddd45d61adc71246",
+    ("beta-lambda", 64, "13/16", "0"):
+        "ad0c88ebb1d1e72c0f29e9cf7da96edf514a44768f22fc46da9bed1064e5e40f",
+    ("general", 4, None, "0"):
+        "62a0931d09f68da59ee1a035bc744e263cf3da073ffc781cdaaeefe7216ddbc4",
+    ("general", 64, None, "0"):
+        "7922d57ca4e843cf1aa2d6b0023c6414c5277a7891e7748b813569e58c064fbf",
 }
 
 
@@ -710,6 +727,24 @@ class TestConjecture:
         assert main(["conjecture", "--random", count]) == 2
         assert "error: --random must be at least 1" in \
             capsys.readouterr().err
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("target,reason", [
+        ("missing", "No such file or directory"),
+        ("directory", "Is a directory")])
+    @pytest.mark.parametrize("argv", [
+        ["lp", "--family", "beta", "--n", "8", "--out"],
+        ["simulate", OR_INDICATOR, "--csv"],
+        ["lp", "--family", "beta", "--n", "8", "--export-lp"],
+    ], ids=["out", "csv", "export-lp"])
+    def test_exits_2_naming_the_path(self, argv, target, reason, tmp_path,
+                                     capsys):
+        path = tmp_path / "missing" / "x" if target == "missing" else tmp_path
+        assert main([*argv, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {path}: {reason}" in err.splitlines()
+        assert "Traceback" not in err
 
 
 class TestParser:

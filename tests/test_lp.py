@@ -1,7 +1,11 @@
+import importlib.util
 import json
 import math
+import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,12 +16,14 @@ from swmlab.cli import main as cli_main
 from swmlab.lp import (DEGENERATE_LIMIT, LAMBDA_THRESHOLD, GENERAL_LIMIT,
                        PIVOT_TOL, LpModel, LpSolution, _beta_lambda_pair,
                        _beta_pair, _certified_solution, _check_n,
-                       _float_matrix, _leaving_row, _to_fraction,
+                       _leaving_row, _to_fraction,
                        build_lp_beta, build_lp_beta_lambda, build_lp_general,
                        closed_form_beta_lambda, closed_form_general,
                        combined_secondorder_bound, general_cost_to_go,
                        simplex_solve, solve, solve_beta, solve_beta_lambda,
                        solve_general, COMBINED_BETA_STAR)
+
+BENCH_WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
 scipy_opt = pytest.importorskip("scipy.optimize")
 scipy_sparse = pytest.importorskip("scipy.sparse")
@@ -40,10 +46,25 @@ def scipy_optimum(model: LpModel) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Test-only references: builders that construct every coefficient afresh,
-# and a dense two-phase simplex with Bland's rule, stored artificial columns
-# and a full-tableau update.
+# Test-only references: dense models, builders that construct every
+# coefficient afresh, the element-wise float conversion, and a dense
+# two-phase simplex with Bland's rule, stored artificial columns and a
+# full-tableau update.
 # ---------------------------------------------------------------------------
+
+def dense_model(objective, rows, *args, **kwargs) -> LpModel:
+    """An ``LpModel`` from dense rational rows, each one segment."""
+    return LpModel(objective, [[(0, row, len(row))] for row in rows],
+                   *args, **kwargs)
+
+
+def _float_matrix(rows) -> np.ndarray:
+    """Float copy of a rational matrix, element by element; zero
+    coefficients skip the division.  The reference ``LpModel.matrix`` is
+    held to."""
+    return np.array([[c.numerator / c.denominator if c else 0.0 for c in row]
+                     for row in rows])
+
 
 def reference_trace_lp(n: int, beta: Fraction, pos_hi: int, sh_lo: int,
                        metadata: dict) -> LpModel:
@@ -106,7 +127,7 @@ def reference_trace_lp(n: int, beta: Fraction, pos_hi: int, sh_lo: int,
     rhs.append(-beta)
     row_names.append("slack_budget")
 
-    return LpModel(objective, rows, rhs, var_names, row_names, metadata)
+    return dense_model(objective, rows, rhs, var_names, row_names, metadata)
 
 
 def reference_general_lp(n: int) -> LpModel:
@@ -147,9 +168,9 @@ def reference_general_lp(n: int) -> LpModel:
         rhs.append(Fraction(1, n))
         row_names.append(f"position_{i}")
 
-    return LpModel(objective, rows, rhs, var_names, row_names,
-                   {"family": "general_lb", "n": n},
-                   constant=Fraction(1, 24))
+    return dense_model(objective, rows, rhs, var_names, row_names,
+                       {"family": "general_lb", "n": n},
+                       constant=Fraction(1, 24))
 
 
 def _reference_pivot(tab: np.ndarray, basis: list[int], r: int, c: int):
@@ -369,23 +390,24 @@ class TestBuilders:
 
 class TestSimplex:
     def test_single_variable(self):
-        model = LpModel([Fraction(1)], [[Fraction(1)]], [Fraction(1)],
-                        ["x"], ["c1"])
+        model = dense_model([Fraction(1)], [[Fraction(1)]], [Fraction(1)],
+                            ["x"], ["c1"])
         sol = simplex_solve(model)
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(1.0, abs=SOLVE_TOL)
 
     def test_two_variable_hand_solution(self):
-        model = LpModel([Fraction(1), Fraction(1)],
-                        [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(0)]],
-                        [Fraction(2), Fraction(1, 2)],
-                        ["x", "y"], ["c1", "c2"])
+        model = dense_model([Fraction(1), Fraction(1)],
+                            [[Fraction(1), Fraction(1)],
+                             [Fraction(1), Fraction(0)]],
+                            [Fraction(2), Fraction(1, 2)],
+                            ["x", "y"], ["c1", "c2"])
         sol = simplex_solve(model)
         assert sol.objective == pytest.approx(2.0, abs=SOLVE_TOL)
 
     def test_unbounded(self):
-        model = LpModel([Fraction(-1)], [[Fraction(1)]], [Fraction(1)],
-                        ["x"], ["c1"])
+        model = dense_model([Fraction(-1)], [[Fraction(1)]], [Fraction(1)],
+                            ["x"], ["c1"])
         assert simplex_solve(model).status == "unbounded"
 
     def test_solution_invariants(self):
@@ -598,38 +620,47 @@ class TestCombinedBound:
 # ---------------------------------------------------------------------------
 
 BUILDER_NS = range(4, 65, 4)
+BUILDER_BETAS = (Fraction(0), Fraction(1, 100), Fraction(1, 3))
+BUILDER_LAMBDAS = (Fraction(1, 2), Fraction(3, 4), Fraction(13, 16),
+                   Fraction(7, 8), Fraction(1))
 
 
 def assert_same_model(model, ref):
+    """Same exact data and listing, a matrix bit-equal to the element-wise
+    conversion of the reference's rows, and the same solution."""
     assert model.rows == ref.rows
     assert model.objective == ref.objective
     assert model.rhs == ref.rhs
     assert (model.var_names, model.row_names, model.metadata, model.constant) \
         == (ref.var_names, ref.row_names, ref.metadata, ref.constant)
     assert model.to_text() == ref.to_text()
+    assert_bit_equal(model.matrix, _float_matrix(ref.rows))
+    ours, theirs = solve(model), solve(ref)
+    assert ours.to_dict() == theirs.to_dict()
+    assert (ours.structure, ours.exact) == (theirs.structure, theirs.exact)
 
 
 class TestBuildersMatchReference:
     @pytest.mark.parametrize("n", BUILDER_NS)
     def test_beta(self, n):
-        beta = Fraction(1, 100)
-        ref = reference_trace_lp(n, beta, pos_hi=n, sh_lo=n // 2,
-                                 metadata={"family": "beta", "n": n,
-                                           "beta": beta})
-        assert_same_model(build_lp_beta(n, beta), ref)
+        for beta in BUILDER_BETAS:
+            ref = reference_trace_lp(n, beta, pos_hi=n, sh_lo=n // 2,
+                                     metadata={"family": "beta", "n": n,
+                                               "beta": beta})
+            assert_same_model(build_lp_beta(n, beta), ref)
 
     @pytest.mark.parametrize("n", BUILDER_NS)
     def test_beta_lambda(self, n):
-        for lam in (Fraction(1, 2), Fraction(13, 16), Fraction(1)):
+        for lam in BUILDER_LAMBDAS:
             if (lam * n).denominator != 1:
                 continue
             lam_n = int(lam * n)
-            ref = reference_trace_lp(n, Fraction(0), pos_hi=lam_n,
-                                     sh_lo=lam_n,
-                                     metadata={"family": "beta_lambda",
-                                               "n": n, "lambda": lam,
-                                               "beta": Fraction(0)})
-            assert_same_model(build_lp_beta_lambda(n, lam, 0), ref)
+            for beta in BUILDER_BETAS:
+                ref = reference_trace_lp(n, beta, pos_hi=lam_n, sh_lo=lam_n,
+                                         metadata={"family": "beta_lambda",
+                                                   "n": n, "lambda": lam,
+                                                   "beta": beta})
+                assert_same_model(build_lp_beta_lambda(n, lam, beta), ref)
 
     @pytest.mark.parametrize("n", BUILDER_NS)
     def test_general(self, n):
@@ -662,20 +693,21 @@ def random_lp(seed: int) -> LpModel:
                 np.where(rng.random(size) < p_zero, 0, values)]
 
     rows = [ints(nv, 0.4) for _ in range(m)]
-    return LpModel(ints(nv, 0.3, low=-1), rows, ints(m, 0.4),
-                   [f"x{j}" for j in range(nv)], [f"r{i}" for i in range(m)])
+    return dense_model(ints(nv, 0.3, low=-1), rows, ints(m, 0.4),
+                       [f"x{j}" for j in range(nv)],
+                       [f"r{i}" for i in range(m)])
 
 
 def beale_lp() -> LpModel:
     """Beale's example: largest-coefficient pricing with lowest-index ties
     cycles on it through degenerate pivots.  The optimum is -5/4."""
     f = Fraction
-    return LpModel([f(-3, 4), f(20), f(-1, 2), f(6)],
-                   [[f(-1, 4), f(8), f(1), f(-9)],
-                    [f(-1, 2), f(12), f(1, 2), f(-3)],
-                    [f(0), f(0), f(-1), f(0)]],
-                   [f(0), f(0), f(-1)],
-                   ["x4", "x5", "x6", "x7"], ["r1", "r2", "r3"])
+    return dense_model([f(-3, 4), f(20), f(-1, 2), f(6)],
+                       [[f(-1, 4), f(8), f(1), f(-9)],
+                        [f(-1, 2), f(12), f(1, 2), f(-3)],
+                        [f(0), f(0), f(-1), f(0)]],
+                       [f(0), f(0), f(-1)],
+                       ["x4", "x5", "x6", "x7"], ["r1", "r2", "r3"])
 
 
 class TestSimplexKernel:
@@ -724,10 +756,12 @@ class TestSimplexKernel:
             pytest.approx(-1.25, abs=KERNEL_TOL)
 
     def test_non_finite_fields_serialise_as_null(self):
-        infeasible = LpModel([Fraction(1)], [[Fraction(1)], [Fraction(-1)]],
-                             [Fraction(1), Fraction(0)], ["x"], ["lo", "hi"])
-        unbounded = LpModel([Fraction(-1)], [[Fraction(1)]], [Fraction(1)],
-                            ["x"], ["c1"])
+        infeasible = dense_model([Fraction(1)],
+                                 [[Fraction(1)], [Fraction(-1)]],
+                                 [Fraction(1), Fraction(0)], ["x"],
+                                 ["lo", "hi"])
+        unbounded = dense_model([Fraction(-1)], [[Fraction(1)]],
+                                [Fraction(1)], ["x"], ["c1"])
         for model, status in ((infeasible, "infeasible"),
                               (unbounded, "unbounded")):
             fields = simplex_solve(model).to_dict()
@@ -1220,35 +1254,98 @@ class TestFloatMatrix:
         empty = LpModel([Fraction(1)], [], [], ["x"], [])
         assert empty.matrix.shape == (0, 1)
 
-    def test_wrong_matrix_shape_raises(self):
-        model = build_lp_beta(8, 0)
-        for shape in [(model.num_rows, model.num_vars + 1),
-                      (model.num_rows - 1, model.num_vars),
-                      (model.num_rows * model.num_vars,)]:
-            with pytest.raises(ValueError, match="matrix has shape"):
-                LpModel(model.objective, model.rows, model.rhs,
-                        model.var_names, model.row_names,
-                        matrix=np.zeros(shape))
-
     def test_solvers_read_the_matrix(self):
-        """min x subject to x >= 1, with the float row saying 2x >= 1."""
-        model = LpModel([Fraction(1)], [[Fraction(1)]], [Fraction(1)],
-                        ["x"], ["c1"], matrix=np.array([[2.0]]))
+        """min x subject to x >= 1, with the float row edited to say
+        2x >= 1."""
+        model = dense_model([Fraction(1)], [[Fraction(1)]], [Fraction(1)],
+                            ["x"], ["c1"])
+        model.matrix[0, 0] = 2.0
         assert simplex_solve(model).objective == pytest.approx(0.5)
 
-    def test_builder_models_skip_the_conversion(self, monkeypatch, tmp_path):
-        def refuse(rows):
-            raise AssertionError("per-element conversion of a built model")
-        monkeypatch.setattr(lp_module, "_float_matrix", refuse)
+    def test_no_solve_reads_the_rows(self, monkeypatch, tmp_path):
+        def refuse(model):
+            raise AssertionError("a solve read the dense rational rows")
+        argvs = lp_sweep_argvs(monkeypatch)
+        monkeypatch.setattr(LpModel, "rows", property(refuse))
         for n in (8, 16, 64):
-            for build in family_builders(n):
-                for beta in MATRIX_BETAS:
-                    assert simplex_solve(build(beta)).status == "optimal"
-            assert solve_general(build_lp_general(n)).status == "optimal"
-        argvs = [["--family", "beta", "--n", "16", "--beta", "1/100"],
-                 ["--family", "beta-lambda", "--n", "16", "--lambda",
-                  "13/16"],
-                 ["--family", "general", "--n", "16"]]
+            models = [build(beta) for build in family_builders(n)
+                      for beta in MATRIX_BETAS] + [build_lp_general(n)]
+            for model in models:
+                assert solve(model).status == "optimal"
+                assert simplex_solve(model).status == "optimal"
         for argv in argvs:
-            assert cli_main(["lp", *argv, "--out",
-                             str(tmp_path / "lp.json")]) == 0
+            assert cli_main([*argv, "--out", str(tmp_path / "lp.json")]) == 0
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_lp_general(1024),
+        lambda: build_lp_beta(256, 0),
+        lambda: build_lp_beta_lambda(256, Fraction(13, 16), Fraction(1, 100)),
+    ], ids=["general-1024", "beta-256", "beta-lambda-256"])
+    def test_build_and_solve_peak_stays_near_the_matrix(self, build):
+        """No dense rational copy of A is made: the traced peak of a build
+        and its solve is at most 1.25 times the float matrix."""
+        tracemalloc.start()
+        try:
+            model = build()
+            solve(model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * model.matrix.nbytes, \
+            peak / model.matrix.nbytes
+
+
+def lp_sweep_argvs(monkeypatch) -> list:
+    """The argv of every task of the benchmark's lp-sweep workload, read
+    from its workloads file unchanged."""
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  BENCH_WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    timed, _ = module.build_lp_sweep(0, None)
+    return [task.argv for task in timed]
+
+
+# ---------------------------------------------------------------------------
+# LpModel's checks of its segments
+# ---------------------------------------------------------------------------
+
+ONE_TWO = [Fraction(1), Fraction(2)]
+
+
+def segment_model(row, **kwargs) -> LpModel:
+    """One row ``row`` over three columns, unless ``kwargs`` says other."""
+    fields = {"objective": [Fraction(1)] * 3, "segments": [row],
+              "rhs": [Fraction(0)], "var_names": ["x", "y", "z"],
+              "row_names": ["r1"]}
+    return LpModel(**{**fields, **kwargs})
+
+
+class TestLpModelValidation:
+    def test_adjacent_segments_fill_the_row(self):
+        model = segment_model([(0, ONE_TWO, 2), (2, ONE_TWO, 1)])
+        assert model.rows == [[1, 2, 1]]
+        assert model.matrix.tolist() == [[1.0, 2.0, 1.0]]
+
+    @pytest.mark.parametrize("row", [
+        [(0, ONE_TWO, 2), (1, ONE_TWO, 1)],
+        [(2, ONE_TWO, 1), (0, ONE_TWO, 1)],
+        [(2, ONE_TWO, 2)],
+        [(0, ONE_TWO, 3)],
+    ], ids=["overlapping", "out-of-order", "past-last-column", "k-too-long"])
+    def test_bad_segments_raise(self, row):
+        with pytest.raises(ValueError, match="row r1 has wrong width"):
+            segment_model(row)
+
+    def test_wrong_objective_length_raises(self):
+        with pytest.raises(ValueError, match="objective length"):
+            segment_model([], objective=[Fraction(1)] * 2)
+
+    @pytest.mark.parametrize("field,value", [
+        ("segments", [[], []]), ("rhs", [Fraction(0)] * 2),
+        ("row_names", ["r1", "r2"])])
+    def test_count_mismatch_raises(self, field, value):
+        with pytest.raises(ValueError, match="row, rhs and name counts differ"):
+            segment_model([], **{field: value})
