@@ -4,13 +4,16 @@ Subcommands: simulate | lp | classify | verify | conjecture.  Reports are
 JSON with sorted keys, so identical inputs and seeds produce byte-identical
 files; timing goes to stderr only.  Exit codes: 0 success, 1 verification
 failure (for ``lp``, an LP that is not optimal), 2 usage or size error, or
-an input or output path that cannot be read or written.
+an input or output path that cannot be read or written.  Output paths are
+checked before any work, so a call that fails on one writes nothing.
 """
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -49,6 +52,25 @@ def _write_file(path, text: str) -> None:
         raise SwmlabError(f"{path}: {exc.strerror}") from exc
 
 
+def _check_writable(*paths) -> None:
+    """Raise the error ``_write_file`` would raise for the first of
+    ``paths`` (None for an output not asked for) that cannot be written,
+    so that a call fails before its work and writes nothing."""
+    for path in filter(None, paths):
+        parent = os.path.dirname(path) or "."
+        exists = os.access(path, os.F_OK)
+        if exists and os.path.isdir(path):
+            code = errno.EISDIR
+        elif not exists and not os.path.isdir(parent):
+            code = (errno.ENOTDIR if os.access(parent, os.F_OK)
+                    else errno.ENOENT)
+        elif not os.access(path if exists else parent, os.W_OK):
+            code = errno.EACCES
+        else:
+            continue
+        raise SwmlabError(f"{path}: {os.strerror(code)}")
+
+
 def _write_report(report: dict, out_path) -> None:
     payload = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if out_path:
@@ -81,6 +103,9 @@ def cmd_simulate(args) -> int:
     if args.mode == "exact":
         _refuse_unused(args, ["seed", "samples"], "in exact mode")
     _fill_defaults(args, {"samples": 10_000, "seed": 0})
+    csv_path = args.csv or (args.out
+                            and str(Path(args.out).with_suffix(".csv")))
+    _check_writable(args.out, csv_path)
     instance = load_instance(args.instance)
     ctx = GainContext(instance)
     trace = expected_trace(ctx, mode=args.mode, samples=args.samples,
@@ -93,8 +118,7 @@ def cmd_simulate(args) -> int:
         "seed": args.seed if args.mode != "exact" else None,
     }, results)
     _write_report(report, args.out)
-    if args.csv or args.out:
-        csv_path = args.csv or str(Path(args.out).with_suffix(".csv"))
+    if csv_path:
         _write_file(csv_path, trace.to_csv())
     if trace.states is not None:
         print(f"states = {trace.states}", file=sys.stderr)
@@ -112,6 +136,7 @@ def cmd_lp(args) -> int:
         raise ValueError("--lambda applies only to family beta-lambda")
     if beta != 0 and args.family == "general":
         raise ValueError("--beta does not apply to family general")
+    _check_writable(args.out, args.export_lp)
     start = time.perf_counter()
     if args.family == "beta":
         model = build_lp_beta(args.n, beta)
@@ -161,6 +186,7 @@ def cmd_lp(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    _check_writable(args.out)
     instance = load_instance(args.instance)
     agents = []
     for idx, oracle in enumerate(instance.oracles):
@@ -175,6 +201,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_writable(args.out)
     instance = load_instance(args.instance)
     ctx = GainContext(instance)
     wanted = [c.strip() for c in args.checks.split(",") if c.strip()]
@@ -220,6 +247,7 @@ def cmd_conjecture(args) -> int:
     elif args.random is not None and args.mode == "exact":
         _refuse_unused(args, ["samples"], "with --random in exact mode")
     _fill_defaults(args, {"nmax": 5, "mmax": 3, "seed": 0, "samples": 1000})
+    _check_writable(args.out)
     if args.instance:
         instances = [(str(args.instance), load_instance(args.instance))]
     elif args.random is not None:

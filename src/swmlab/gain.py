@@ -23,10 +23,11 @@ in that same order, so each report has the bytes a loop over the states
 and transitions, one scalar query at a time, gives.
 
 The chain from the empty allocation (``_state_pass``) runs once per
-``GainContext`` and serves ``expected_trace`` in exact mode,
-``verify_lemmas`` (its per-step bounds checked as arrays over each
-layer's transitions, each witness order read back along the first
-transition into each state), ``verify_eq1`` and ``verify_second_half``.
+``GainContext`` and serves ``expected_trace`` (in exact mode, and in
+Monte-Carlo mode up to the cap), ``verify_lemmas`` (its per-step bounds
+checked as arrays over each layer's transitions, each witness order read
+back along the first transition into each state), ``verify_eq1`` and
+``verify_second_half``.
 Chains from chosen start states run as batches: the eq1 joint chains and
 the second half's Y chains from batches of the states after n/2 arrivals
 (``CHAIN_BATCH`` bounds a batch's widest layer), and
@@ -34,17 +35,23 @@ the second half's Y chains from batches of the states after n/2 arrivals
 the empty allocation, told apart by a tag row.  No suite enumerates
 orders.
 
-Per-order traces run as batches of orders (``_trace_batch``), one greedy
-step for every order of the batch at once through ``core.greedy_steps``;
-``trace_one`` is one row of such a batch.  Monte-Carlo mode reads its
-orders from the seeded stream of ``orders.orders``: sample k of ``seed``
-is the order that NumPy's generator seeded with
-``SeedSequence(entropy=seed, spawn_key=(k,))`` draws with
-``permutation(n)`` (SeedSequence -> PCG64 -> Fisher-Yates), computed for
-a whole batch at once, so each sample can be replayed on its own and the
-results are reproducible.  It traces ``MC_BATCH`` orders at a time and
+Monte-Carlo mode reads its orders from the seeded stream of
+``orders.orders``: sample k of ``seed`` is the order that NumPy's
+generator seeded with ``SeedSequence(entropy=seed, spawn_key=(k,))`` draws
+with ``permutation(n)`` (SeedSequence -> PCG64 -> Fisher-Yates), computed
+for a whole batch at once, so each sample can be replayed on its own and
+the results are reproducible.  It takes ``MC_BATCH`` orders at a time and
 sums the per-order values in sample order, so it reports what a
-``trace_one`` loop over the same orders gives, bit for bit.
+``trace_one`` loop over the same orders gives, bit for bit.  Up to
+``EXACT_TRACE_MAX_N`` items every step a sample of ``expected_trace`` can
+take is a transition of the state pass, so a batch walks the pass
+(``_walk_batch``): per position one lookup from (state, item) to the
+transition, whose w, a and b it reads and whose next-layer state it moves
+to.  Above the cap, and for ``trace_one`` (one row of a batch), per-order
+traces run as batches of orders (``_trace_batch``), one greedy step for
+every order of the batch at once through ``core.greedy_steps``.
+``conjecture_check`` runs greedy on the moved orders of each sample at any
+n, since those are not transitions of the pass.
 """
 from __future__ import annotations
 
@@ -52,7 +59,7 @@ import math
 from functools import cached_property
 from itertools import islice
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -283,13 +290,48 @@ def _forward(inst: Instance, layer: _Layer, depth: int, arrived=None,
         yield layer, _Step(src, items, q, chosen, marginal, inv, keep)
 
 
+class _Transitions(NamedTuple):
+    """The transitions (state, unarrived item j) from the states after k
+    arrivals of the state pass, state-major with j ascending, as arrays
+    over the transitions: the source state ``src``, the item ``items``,
+    the marginal w and the Gain reductions a and b (the rows of ``wab``),
+    the arriving item's Gain before the step ``gain_j``, and the
+    next-layer state ``inv``; per next-layer state, the transition ``keep``
+    that first leads to it; and ``index[s, j]``, the number of transition
+    (s, j), or -1 where item j has arrived at state s."""
+
+    src: np.ndarray
+    items: np.ndarray
+    keep: np.ndarray
+    wab: np.ndarray
+    gain_j: np.ndarray
+    inv: np.ndarray
+    index: np.ndarray
+
+    @property
+    def w(self) -> np.ndarray:
+        return self.wab[0]
+
+    @property
+    def a(self) -> np.ndarray:
+        return self.wab[1]
+
+    @property
+    def b(self) -> np.ndarray:
+        return self.wab[2]
+
+    @property
+    def reduction(self) -> np.ndarray:
+        """The total Gain reduction a + b of each transition."""
+        return self.a + self.b
+
+
 @dataclass
 class _StatePass:
     """Raw expected trace vectors, the number of reachable greedy states,
     the layer ``half`` of states after n//2 arrivals, every item's Gain at
-    the empty allocation and at each state of ``half`` ([S, n]), and, per
-    layer k, the values of its transitions that ``verify_lemmas`` reads:
-    ``steps[k] = (src, items, keep, w, Gain of the arriving item, a + b)``."""
+    the empty allocation and at each state of ``half`` ([S, n]), and the
+    transitions of each layer k, ``steps[k]``."""
 
     w: np.ndarray
     a: np.ndarray
@@ -298,7 +340,7 @@ class _StatePass:
     half: _Layer
     empty_gains: np.ndarray
     half_gains: np.ndarray
-    steps: list
+    steps: list[_Transitions]
 
 
 def _state_pass(ctx: GainContext) -> _StatePass:
@@ -323,11 +365,13 @@ def _state_pass(ctx: GainContext) -> _StatePass:
         before = gains[step.src]
         ab, _ = _split_drops(ctx, before, new[step.inv], step.chosen,
                              _member(_or_rows(layer.states), n)[step.inv])
-        q, w_step = step.q, step.marginal
-        totals[k] = _running_sum(totals[k],
-                                 (q * np.vstack((w_step, ab))).T)
-        steps.append((step.src, step.items, step.keep, w_step,
-                      before[np.arange(len(q)), step.items], ab[0] + ab[1]))
+        wab = np.vstack((step.marginal, ab))
+        totals[k] = _running_sum(totals[k], (step.q * wab).T)
+        index = np.full((len(gains), n), -1, dtype=np.int32)
+        index[step.src, step.items] = np.arange(len(step.src))
+        steps.append(_Transitions(step.src, step.items, step.keep, wab,
+                                  gains[step.src, step.items], step.inv,
+                                  index))
         states += len(layer.p)
         gains = new
         if k + 1 == n // 2:
@@ -336,16 +380,16 @@ def _state_pass(ctx: GainContext) -> _StatePass:
     return _StatePass(w, av, bv, states, half, empty_gains, half_gains, steps)
 
 
-def _first_paths(steps: list, k: int, targets: np.ndarray) -> np.ndarray:
+def _first_paths(steps: list[_Transitions], k: int,
+                 targets: np.ndarray) -> np.ndarray:
     """[len(targets), k]: the items along which the pass first reaches each
     state ``targets`` (indices into the layer after k arrivals), read by
     following each state's first transition (``keep``) back."""
     out = np.empty((len(targets), k), dtype=np.int64)
     for d in range(k - 1, -1, -1):
-        src, items, keep = steps[d][:3]
-        first = keep[targets]
-        out[:, d] = items[first]
-        targets = src[first]
+        first = steps[d].keep[targets]
+        out[:, d] = steps[d].items[first]
+        targets = steps[d].src[first]
     return out
 
 
@@ -488,6 +532,39 @@ def _trace_batch(ctx: GainContext, orders: np.ndarray
     return w, av, bv, gb
 
 
+def _walk_batch(sp: _StatePass, orders: np.ndarray) -> np.ndarray:
+    """[S, 3, n]: w, a and b per position of greedy along each row of
+    ``orders`` (int64 [S, n]), read off the state pass.  Each row starts
+    at the empty allocation; per position it looks up the transition from
+    its state by the arriving item, reads the transition's values and
+    moves to its next-layer state.  These are the values of
+    ``_trace_batch``, bit for bit: a transition's marginal is the same
+    elementwise ``greedy_steps`` float, and its a and b come from
+    ``_split_drops`` on the same Gain rows (an order's tracked Gain changes
+    only where the drop is nonzero, so it equals the state's Gain)."""
+    size, n = orders.shape
+    v = np.empty((size, 3, n))
+    state = np.zeros(size, dtype=np.int64)
+    for pos, step in enumerate(sp.steps):
+        t = step.index[state, orders[:, pos]]
+        v[:, :, pos] = step.wab[:, t].T
+        state = step.inv[t]
+    return v
+
+
+def _add_orders(acc: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``acc`` plus the orders of a batch, one at a time in sample order:
+    row 0 adds each order's w, a and b (``v``, [S, 3, n]) and welfare, row
+    1 their squares.  The result is a new [2, 3n + 1] array, so nothing of
+    the batch outlives the call."""
+    size = len(v)
+    terms = np.empty((size, 2, acc.shape[1]))
+    terms[:, 0, :-1] = v.reshape(size, -1)
+    terms[:, 0, -1] = v[:, 0].sum(axis=1)   # as trace_one's float(w.sum())
+    np.square(terms[:, 0], out=terms[:, 1])
+    return _running_sum(acc, terms).copy()
+
+
 def expected_trace(ctx: GainContext, mode: str = "exact",
                    samples: int = 10_000, seed: int = 0) -> GainTrace:
     """Expected trace over all n! orders (exact: one forward pass over the
@@ -501,24 +578,27 @@ def expected_trace(ctx: GainContext, mode: str = "exact",
     on it gives the sample's w, a and b.  ``seed`` must be a non-negative
     integer.
 
-    MC mode traces ``MC_BATCH`` orders at a time with the batched greedy
-    step, so its memory does not grow with ``samples``, and sums each
-    order's vectors and welfare in sample order: its values are the ones a
-    ``trace_one`` loop over the same orders gives, bit for bit.
+    MC mode takes ``MC_BATCH`` orders at a time, so its memory does not
+    grow with ``samples``, and sums each order's vectors and welfare in
+    sample order: its values are the ones a ``trace_one`` loop over the
+    same orders gives, bit for bit.  Up to ``EXACT_TRACE_MAX_N`` items it
+    reads each order's vectors off the state pass (``_walk_batch``), built
+    once per context and shared with exact mode; above the cap it runs
+    greedy along every order of a batch at once (``_trace_batch``).
     """
     n, opt = ctx.n, ctx.opt_value
     if mode == "exact":
         sp = ctx._pass
         return GainTrace(n, opt, mode, sp.w / opt, sp.a / opt, sp.b / opt,
                          sp.w, sp.a, sp.b, states=sp.states)
-    s, s2 = np.zeros((3, n)), np.zeros((3, n))     # rows w, a, b
-    swel = swel2 = 0.0
-    for batch in _mc_batches(n, mode, samples, seed):
-        w, av, bv, _ = _trace_batch(ctx, batch)
-        v = np.stack((w, av, bv), axis=1)
-        wel = w.sum(axis=1)        # as trace_one's float(w.sum()) per row
-        s, s2 = _running_sum(s, v), _running_sum(s2, v * v)
-        swel, swel2 = _running_sum(swel, wel), _running_sum(swel2, wel * wel)
+    acc = np.zeros((2, 3 * n + 1))
+    batches = _mc_batches(n, mode, samples, seed)
+    sp = ctx._pass if n <= EXACT_TRACE_MAX_N else None
+    for batch in batches:
+        acc = _add_orders(acc, _walk_batch(sp, batch) if sp is not None
+                          else np.stack(_trace_batch(ctx, batch)[:3], axis=1))
+    s, s2 = acc[:, :-1].reshape(2, 3, n)
+    swel, swel2 = acc[:, -1]
     raw_w, raw_a, raw_b = s / samples
 
     def se(s, s2):
@@ -603,7 +683,8 @@ def verify_lemmas(ctx: GainContext, tol: float = DEFAULT_TOL,
     sp = ctx._pass
     violations = []
     step_lb_ok = step_red_ok = True
-    for k, (src, items, _, w_step, gain_j, reduction) in enumerate(sp.steps):
+    for k, step in enumerate(sp.steps):
+        w_step, gain_j, reduction = step.w, step.gain_j, step.reduction
         low = w_step < gain_j - tol
         red = w_step < reduction - tol
         step_lb_ok = step_lb_ok and not low.any()
@@ -611,9 +692,9 @@ def verify_lemmas(ctx: GainContext, tol: float = DEFAULT_TOL,
         hits = np.flatnonzero(low | red)
         if not hits.size:
             continue
-        paths = _first_paths(sp.steps, k, src[hits]).tolist()
+        paths = _first_paths(sp.steps, k, step.src[hits]).tolist()
         for t, prefix in zip(hits, paths):
-            prefix.append(int(items[t]))
+            prefix.append(int(step.items[t]))
             order = tuple(prefix + [i for i in range(n) if i not in prefix])
             for kind, hit, bound in (("step_lower_bound", low, gain_j),
                                      ("step_reduction", red, reduction)):

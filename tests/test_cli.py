@@ -732,7 +732,8 @@ class TestConjecture:
 class TestUnwritableOutput:
     @pytest.mark.parametrize("target,reason", [
         ("missing", "No such file or directory"),
-        ("directory", "Is a directory")])
+        ("directory", "Is a directory"),
+        ("under a file", "Not a directory")])
     @pytest.mark.parametrize("argv", [
         ["lp", "--family", "beta", "--n", "8", "--out"],
         ["simulate", OR_INDICATOR, "--csv"],
@@ -740,11 +741,77 @@ class TestUnwritableOutput:
     ], ids=["out", "csv", "export-lp"])
     def test_exits_2_naming_the_path(self, argv, target, reason, tmp_path,
                                      capsys):
-        path = tmp_path / "missing" / "x" if target == "missing" else tmp_path
+        path = {"missing": tmp_path / "missing" / "x", "directory": tmp_path,
+                "under a file": tmp_path / "f" / "x"}[target]
+        (tmp_path / "f").write_text("")
         assert main([*argv, str(path)]) == 2
         err = capsys.readouterr().err
         assert f"error: {path}: {reason}" in err.splitlines()
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("mode", ("exact", "mc"))
+    def test_simulate_unwritable_csv_writes_no_report(self, mode, tmp_path,
+                                                      capsys):
+        out, csv = tmp_path / "r.json", tmp_path / "missing" / "y.csv"
+        assert main(["simulate", OR_INDICATOR, "--mode", mode, "--out",
+                     str(out), "--csv", str(csv)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {csv}: No such file or directory" in err.splitlines()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_simulate_unwritable_derived_csv_writes_no_report(self, tmp_path,
+                                                              capsys):
+        """Without --csv the trace goes next to the report, with suffix
+        .csv; that path is checked before the run too."""
+        out = tmp_path / "r.json"
+        (tmp_path / "r.csv").mkdir()
+        assert main(["simulate", OR_INDICATOR, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {tmp_path / 'r.csv'}: Is a directory" in \
+            err.splitlines()
+        assert not out.exists()
+
+    @pytest.mark.parametrize("option", ("--out", "--export-lp"))
+    def test_lp_unwritable_output_builds_nothing(self, option, tmp_path,
+                                                 monkeypatch, capsys):
+        """An unwritable path fails the call before the model is built or
+        solved, and no other output is written."""
+        built = []
+        monkeypatch.setattr(cli, "build_lp_general",
+                            lambda n: built.append(n))
+        bad = tmp_path / "missing" / "x"
+        other = "--export-lp" if option == "--out" else "--out"
+        assert main(["lp", "--family", "general", "--n", "512", option,
+                     str(bad), other, str(tmp_path / "ok")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {bad}: No such file or directory" in err.splitlines()
+        assert "optimum" not in err and "build =" not in err
+        assert built == []
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", OR_INDICATOR], ["verify", OR_INDICATOR],
+        ["conjecture", OR_INDICATOR]], ids=["classify", "verify",
+                                            "conjecture"])
+    def test_other_commands_check_out_first(self, argv, tmp_path,
+                                            monkeypatch, capsys):
+        monkeypatch.setattr(cli, "load_instance", lambda path: 1 / 0)
+        bad = tmp_path / "missing" / "x.json"
+        assert main([*argv, "--out", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {bad}: No such file or directory" in err.splitlines()
+
+    def test_permission_denied(self, tmp_path, monkeypatch, capsys):
+        """A path whose directory the user may not write to (as any user
+        but root sees a read-only directory)."""
+        monkeypatch.setattr(cli.os, "access",
+                            lambda path, mode: mode != cli.os.W_OK)
+        bad = tmp_path / "x.json"
+        assert main(["lp", "--family", "beta", "--n", "8", "--out",
+                     str(bad)]) == 2
+        assert f"error: {bad}: Permission denied" in \
+            capsys.readouterr().err.splitlines()
+        assert not bad.exists()
 
 
 class TestParser:

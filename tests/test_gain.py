@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import json
 import math
@@ -10,10 +11,13 @@ import pytest
 import exact_reference as ref
 import swmlab as sl
 from swmlab.errors import InvalidQueryError, SizeGuardError
-from swmlab.gain import ConjectureReport, GainTrace, MC_BATCH
+from swmlab.gain import (ConjectureReport, EXACT_TRACE_MAX_N, GainTrace,
+                         MC_BATCH)
 from swmlab.instances import random_family_instance, random_instance
 from swmlab.oracles import mask_items
 
+# the module itself: ``sl.gain`` is the Gain function
+gain_module = importlib.import_module("swmlab.gain")
 TOL = 1e-12
 IDENTITY_TOL = 1e-10
 FAMILIES = ("coverage", "budgeted_additive", "b_matching", "cut", "table")
@@ -777,12 +781,59 @@ class TestBatchedMonteCarlo:
             report_bytes(per_order_trace(ctx, samples, 4))
 
     @pytest.mark.parametrize("make", (equal_additive, saturated_budgets))
-    @pytest.mark.parametrize("n,m", ((4, 2), (7, 3), (9, 4)))
+    @pytest.mark.parametrize("n,m", ((4, 2), (7, 3), (8, 3), (9, 4)))
     def test_trace_ties_match_per_order_loop(self, make, n, m):
         ctx = mc_context(make(n, m))
         got = sl.expected_trace(ctx, mode="mc", samples=MC_BATCH + 1, seed=3)
         assert report_bytes(got) == \
             report_bytes(per_order_trace(ctx, MC_BATCH + 1, 3))
+
+    @pytest.mark.parametrize("kind", FAMILIES + ("mixed",))
+    @pytest.mark.parametrize("n,m", ((1, 2), (3, 3), (5, 2), (6, 3)))
+    def test_walk_matches_batched_greedy_on_every_order(self, kind, n, m):
+        """Read off the state pass, every order's w, a and b have the bits
+        that greedy run along the order gives."""
+        ctx = mc_context(family_or_mixed(kind, n, m, 5 * n + m))
+        orders = np.array(list(itertools.permutations(range(n))))
+        walked = gain_module._walk_batch(ctx._pass, orders)
+        traced = np.stack(gain_module._trace_batch(ctx, orders)[:3], axis=1)
+        assert walked.tobytes() == traced.tobytes()
+
+    @pytest.mark.parametrize("make", (equal_additive, saturated_budgets))
+    def test_walk_matches_batched_greedy_on_ties(self, make):
+        ctx = mc_context(make(6, 3))
+        orders = np.array(list(itertools.permutations(range(6))))
+        walked = gain_module._walk_batch(ctx._pass, orders)
+        traced = np.stack(gain_module._trace_batch(ctx, orders)[:3], axis=1)
+        assert walked.tobytes() == traced.tobytes()
+
+    @pytest.mark.parametrize("n", (2, 5, EXACT_TRACE_MAX_N))
+    def test_greedy_steps_do_not_grow_with_samples(self, n, monkeypatch):
+        """Up to the cap the samples are read off the state pass, so 10
+        samples and 20,000 run the same greedy steps: the pass's."""
+        calls = []
+        steps = gain_module.greedy_steps
+        monkeypatch.setattr(gain_module, "greedy_steps",
+                            lambda *args: calls.append(1) or steps(*args))
+        inst = random_instance(n, 3, n, families=FAMILIES)
+        counts = []
+        for samples in (10, 20_000):
+            calls.clear()
+            sl.expected_trace(mc_context(inst), mode="mc", samples=samples,
+                              seed=1)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] == n
+
+    def test_state_pass_shared_by_mc_and_exact(self, monkeypatch):
+        built = []
+        state_pass = gain_module._state_pass
+        monkeypatch.setattr(gain_module, "_state_pass",
+                            lambda ctx: built.append(1) or state_pass(ctx))
+        ctx = sl.GainContext(random_instance(6, 2, 3, families=FAMILIES))
+        sl.expected_trace(ctx, mode="mc", samples=50, seed=2)
+        assert built == [1]
+        assert sl.expected_trace(ctx, mode="exact").states == ctx._pass.states
+        assert built == [1]
 
     def test_trace_or_indicator_matches_per_order_loop(self, or_indicator):
         ctx = sl.GainContext(or_indicator)
@@ -843,10 +894,14 @@ class TestBatchedMonteCarlo:
         w = rng.random((MC_BATCH, n)) * scale
         rows = [float(np.array(row).sum()) for row in w.tolist()]
         assert w.sum(axis=1).tolist() == rows
+        # as Monte-Carlo mode reads w, out of a [S, 3, n] batch
+        v = np.stack((w, w + 1.0, w + 2.0), axis=1)
+        assert v[:, 0].sum(axis=1).tolist() == rows
 
     def test_memory_bounded_by_batch(self):
         """The traced peak does not grow with the number of samples."""
         ctx = sl.GainContext(random_instance(8, 3, 1, families=FAMILIES))
+        ctx._pass     # built once per context, whatever the sample count
 
         def peak(samples):
             tracemalloc.start()
