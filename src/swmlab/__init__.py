@@ -16,7 +16,8 @@ from .instances import (instance_from_spec, instance_to_spec, load_instance,
 from .lp import (LpModel, LpSolution, build_lp_beta, build_lp_beta_lambda,
                  build_lp_general, closed_form_beta_lambda,
                  closed_form_general, combined_secondorder_bound,
-                 simplex_solve, solve, solve_beta_lambda, solve_general)
+                 simplex_solve, solve, solve_beta, solve_beta_lambda,
+                 solve_general)
 from .oracles import (ValuationOracle, check_axioms, check_R_submodular,
                       classify_second_order, gain_reduction, make_additive,
                       make_b_matching, make_budgeted_additive, make_coverage,

@@ -5,7 +5,8 @@ JSON with sorted keys, so identical inputs and seeds produce byte-identical
 files; timing goes to stderr only.  Exit codes: 0 success, 1 verification
 failure (for ``lp``, an LP that is not optimal), 2 usage or size error, or
 an input or output path that cannot be read or written.  Output paths are
-checked before any work, so a call that fails on one writes nothing.
+checked before any work, so a call that fails on one writes nothing; an
+output path that repeats another path of the same call is refused there.
 """
 from __future__ import annotations
 
@@ -52,11 +53,19 @@ def _write_file(path, text: str) -> None:
         raise SwmlabError(f"{path}: {exc.strerror}") from exc
 
 
-def _check_writable(*paths) -> None:
+def _check_writable(*paths, instance=None) -> None:
     """Raise the error ``_write_file`` would raise for the first of
     ``paths`` (None for an output not asked for) that cannot be written,
-    so that a call fails before its work and writes nothing."""
+    so that a call fails before its work and writes nothing.  A path that
+    names the ``instance`` file or an earlier output is refused too: the
+    call would overwrite it.  Paths are compared as ``os.path.abspath``
+    strings, so two spellings through a link are not caught."""
+    taken = {os.path.abspath(instance): "the instance"} if instance else {}
     for path in filter(None, paths):
+        full = os.path.abspath(path)
+        if full in taken:
+            raise SwmlabError(f"{path}: same path as {taken[full]}")
+        taken[full] = "another output"
         parent = os.path.dirname(path) or "."
         exists = os.access(path, os.F_OK)
         if exists and os.path.isdir(path):
@@ -105,7 +114,7 @@ def cmd_simulate(args) -> int:
     _fill_defaults(args, {"samples": 10_000, "seed": 0})
     csv_path = args.csv or (args.out
                             and str(Path(args.out).with_suffix(".csv")))
-    _check_writable(args.out, csv_path)
+    _check_writable(args.out, csv_path, instance=args.instance)
     instance = load_instance(args.instance)
     ctx = GainContext(instance)
     trace = expected_trace(ctx, mode=args.mode, samples=args.samples,
@@ -186,7 +195,7 @@ def cmd_lp(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    _check_writable(args.out)
+    _check_writable(args.out, instance=args.instance)
     instance = load_instance(args.instance)
     agents = []
     for idx, oracle in enumerate(instance.oracles):
@@ -201,7 +210,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _check_writable(args.out)
+    _check_writable(args.out, instance=args.instance)
     instance = load_instance(args.instance)
     ctx = GainContext(instance)
     wanted = [c.strip() for c in args.checks.split(",") if c.strip()]
@@ -247,7 +256,7 @@ def cmd_conjecture(args) -> int:
     elif args.random is not None and args.mode == "exact":
         _refuse_unused(args, ["samples"], "with --random in exact mode")
     _fill_defaults(args, {"nmax": 5, "mmax": 3, "seed": 0, "samples": 1000})
-    _check_writable(args.out)
+    _check_writable(args.out, instance=args.instance)
     if args.instance:
         instances = [(str(args.instance), load_instance(args.instance))]
     elif args.random is not None:

@@ -6,9 +6,10 @@ The JSON format is:
      "agents": [{"kind": "coverage", ...}, {"kind": "table", ...}]}
 
 with one oracle spec per agent (see the oracle constructors for the
-kind-specific fields).  Loading validates the axioms: exhaustively for
-small ground sets, by randomized spot-check above that.  Table and cut
-agents are checked by their constructors, so the loader skips them.
+kind-specific fields).  ``oracles.oracle_from_spec`` builds each agent and
+passes it through the one axiom gate, ``oracles._check``; the loader adds
+the instance-level checks (version, agent list, declared n and m, one
+shared ground set).
 """
 from __future__ import annotations
 
@@ -20,10 +21,8 @@ import numpy as np
 
 from .core import Instance
 from .errors import InstanceFormatError, SwmlabError
-from .oracles import (EXHAUSTIVE_MAX_N, _integer, check_axioms,
-                      make_b_matching, make_budgeted_additive, make_coverage,
-                      make_cut, make_table, oracle_from_spec,
-                      spot_check_axioms, tabulate)
+from .oracles import (_integer, make_b_matching, make_budgeted_additive,
+                      make_coverage, make_cut, oracle_from_spec, tabulate)
 
 FORMAT_VERSION = 1
 
@@ -75,19 +74,6 @@ def instance_from_spec(spec: dict) -> Instance:
         if oracle.n != n:
             raise InstanceFormatError(
                 f"agent {idx} has ground size {oracle.n}, expected {n}")
-        if oracle.kind in ("table", "cut"):   # their constructors checked
-            continue
-        if n > EXHAUSTIVE_MAX_N:
-            scan = spot_check_axioms(oracle)
-            if not scan.no_violation_found:
-                raise InstanceFormatError(
-                    f"agent {idx} spot-check found violation: {scan.violation}")
-        else:
-            report = check_axioms(oracle)
-            if not report.passed:
-                raise InstanceFormatError(
-                    f"agent {idx} violates {report.failed_axioms()}: "
-                    f"{report.witnesses}")
     return Instance(tuple(oracles), name=spec.get("name"),
                     seed=spec.get("seed"))
 

@@ -251,7 +251,7 @@ class CutOracle(ValuationOracle):
     """Cut value of S against the rest of the vertex set (items plus a sink).
 
     Edges are (u, v, w) with vertex ``-1`` denoting the sink, which is never
-    part of S.  The constructor runs ``check_axioms`` once and rejects
+    part of S.  The constructor runs the axiom gate ``_check`` and rejects
     non-monotone configurations (and, should rounding break it, any other
     axiom), so every accepted cut oracle meets the standing
     monotone-submodular assumptions.
@@ -278,15 +278,7 @@ class CutOracle(ValuationOracle):
                 raise ValueError("self-loops are not allowed")
             self.edges.append((u, v, w))
         super().__init__(n)
-        report = check_axioms(self)
-        if not report.monotone:
-            a, e = report.witnesses["monotone"]
-            raise AxiomViolationError("cut construction is not monotone",
-                                      witness=(tuple(sorted(a)), e))
-        if not report.passed:
-            raise AxiomViolationError(
-                f"cut violates axioms: {report.failed_axioms()}",
-                witness=report.witnesses)
+        _check(self)
 
     def _values(self, masks):
         inside = {SINK: False}
@@ -329,11 +321,7 @@ class TableOracle(ValuationOracle):
     indexed by bitmask (copied).  A key in the canonical form of
     ``subset_key`` is read by one lookup; any other spelling is parsed, and
     a later key overwrites an earlier one for the same set.  With ``check``
-    the axioms are verified: exhaustively up to ``EXHAUSTIVE_MAX_N`` items,
-    and above it normalization exactly and the rest by
-    ``spot_check_axioms``, with ``ABS_TOL`` scaled by the largest absolute
-    value (at least 1) so that float rounding of large values is not read
-    as a violation."""
+    the oracle passes through the axiom gate ``_check``."""
 
     kind = "table"
 
@@ -363,22 +351,8 @@ class TableOracle(ValuationOracle):
                 f"first: {{{subset_key(mask_items(int(missing[0])))}}}")
         self._table = table
         super().__init__(n)
-        if not check:
-            return
-        if n <= EXHAUSTIVE_MAX_N:
-            witnesses = check_axioms(self).witnesses
-        else:       # normalization exactly, the rest by the sampled scan
-            witnesses = {}
-            if abs(table[0]) > ABS_TOL:
-                witnesses["normalized"] = (float(table[0]),)
-            scale = max(1.0, float(np.abs(table).max()))
-            violation = spot_check_axioms(self, tol=ABS_TOL * scale).violation
-            if violation is not None:
-                witnesses[violation[0]] = violation[1:]
-        if witnesses:
-            raise AxiomViolationError(
-                f"table violates axioms: {list(witnesses)}",
-                witness=witnesses)
+        if check:
+            _check(self)
 
     def _values(self, masks):
         return self._table[masks]
@@ -422,26 +396,36 @@ def tabulate(oracle: ValuationOracle) -> TableOracle:
 
 
 def oracle_from_spec(spec: dict) -> ValuationOracle:
-    """Build an oracle from its JSON description (inverse of ``to_spec``)."""
+    """Build an oracle from its JSON description (inverse of ``to_spec``),
+    refusing fields its kind does not read.  Every oracle returned has
+    passed the axiom gate ``_check``, in its constructor or here."""
     kind = spec.get("kind")
+    fields = {"coverage": ("universe_weights", "item_sets"),
+              "budgeted_additive": ("budget", "weights"),
+              "b_matching": ("capacity", "weights"),
+              "cut": ("n", "edges"), "table": ("n", "table")}.get(kind)
+    if fields is None:
+        raise ValueError(f"unknown oracle kind: {kind!r}")
+    unknown = [f for f in spec if f != "kind" and f not in fields]
+    if unknown:
+        raise ValueError(f"unknown fields for kind {kind!r}: {unknown}")
     if kind == "coverage":
-        return make_coverage(spec["universe_weights"], spec["item_sets"])
+        return _check(make_coverage(spec["universe_weights"],
+                                    spec["item_sets"]))
     if kind == "budgeted_additive":
-        return make_budgeted_additive(spec["budget"], spec["weights"])
+        return _check(make_budgeted_additive(spec["budget"], spec["weights"]))
     if kind == "b_matching":
-        return make_b_matching(spec["capacity"], spec["weights"])
+        return _check(make_b_matching(spec["capacity"], spec["weights"]))
     if kind == "cut":
         return make_cut(spec["n"], spec["edges"])
-    if kind == "table":
-        table = spec["table"]
-        if not isinstance(table, dict):
-            raise TypeError("table must map subset keys to values")
-        n = spec.get("n")
-        if n is None:
-            n = 1 + max((int(p) for k in table if k for p in k.split(",")),
-                        default=0)
-        return make_table(n, table)
-    raise ValueError(f"unknown oracle kind: {kind!r}")
+    table = spec["table"]
+    if not isinstance(table, dict):
+        raise TypeError("table must map subset keys to values")
+    n = spec.get("n")
+    if n is None:
+        n = 1 + max((int(p) for k in table if k for p in k.split(",")),
+                    default=0)
+    return make_table(n, table)
 
 
 # ---------------------------------------------------------------------------
@@ -615,6 +599,37 @@ def spot_check_axioms(oracle: ValuationOracle, samples: int = 100_000,
                 samples, seed,
                 ("submodular", aset, frozenset((int(f[k]),)), ek))
     return SpotCheckReport(samples, seed, None)
+
+
+def _check(oracle: ValuationOracle) -> ValuationOracle:
+    """The axiom gate for oracle input: ``oracle`` if it meets the standing
+    assumptions, else ``AxiomViolationError``.  Up to ``EXHAUSTIVE_MAX_N``
+    items it reads ``check_axioms``; above, normalization exactly and the
+    rest by ``spot_check_axioms`` at ``ABS_TOL`` times the largest absolute
+    value (at least 1) of the oracle's value table, if it holds one, so
+    that rounding of large values is not read as a violation.  A
+    non-monotone cut gets its own message and an (A, e) witness, A sorted.
+    """
+    if oracle.n <= EXHAUSTIVE_MAX_N:
+        witnesses = check_axioms(oracle).witnesses
+    else:
+        witnesses = {}
+        if abs(oracle.value_mask(0)) > ABS_TOL:
+            witnesses["normalized"] = (oracle.value_mask(0),)
+        table = oracle._table
+        scale = 1.0 if table is None else max(1.0, float(np.abs(table).max()))
+        violation = spot_check_axioms(oracle, tol=ABS_TOL * scale).violation
+        if violation is not None:
+            witnesses[violation[0]] = violation[1:]
+    if not witnesses:
+        return oracle
+    if oracle.kind == "cut" and "monotone" in witnesses:
+        a, e = witnesses["monotone"]
+        raise AxiomViolationError("cut construction is not monotone",
+                                  witness=(tuple(sorted(a)), e))
+    raise AxiomViolationError(
+        f"{oracle.kind} violates axioms: {list(witnesses)}",
+        witness=witnesses)
 
 
 # ---------------------------------------------------------------------------

@@ -814,6 +814,56 @@ class TestUnwritableOutput:
         assert not bad.exists()
 
 
+class TestCollidingPaths:
+    """An output path that repeats another path of the same call is
+    refused before any work, and nothing is written."""
+
+    def test_simulate_out_with_csv_suffix(self, tmp_path, capsys):
+        """The derived CSV path of ``--out r.csv`` is ``r.csv`` itself."""
+        out = tmp_path / "r.csv"
+        assert main(["simulate", OR_INDICATOR, "--out", str(out)]) == 2
+        assert f"error: {out}: same path as another output" in \
+            capsys.readouterr().err.splitlines()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_simulate_csv_equals_out(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(["simulate", OR_INDICATOR, "--out", str(out),
+                     "--csv", str(tmp_path / "sub" / ".." / "r.json")]) == 2
+        assert "same path as another output" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_lp_export_equals_out(self, tmp_path, monkeypatch, capsys):
+        built = []
+        monkeypatch.setattr(cli, "build_lp_general",
+                            lambda n: built.append(n))
+        out = tmp_path / "x"
+        assert main(["lp", "--family", "general", "--n", "8", "--out",
+                     str(out), "--export-lp", str(out)]) == 2
+        assert f"error: {out}: same path as another output" in \
+            capsys.readouterr().err.splitlines()
+        assert built == []
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [["classify"], ["verify"],
+                                      ["conjecture"], ["simulate"],
+                                      ["simulate", "--csv"]],
+                             ids=["classify", "verify", "conjecture",
+                                  "simulate-out", "simulate-csv"])
+    def test_output_over_the_instance(self, argv, tmp_path, monkeypatch,
+                                      capsys):
+        path = tmp_path / "inst.json"
+        text = Path(OR_INDICATOR).read_text()
+        path.write_text(text)
+        monkeypatch.chdir(tmp_path)
+        option = argv[1] if len(argv) > 1 else "--out"
+        assert main([argv[0], str(path), option, "inst.json"]) == 2
+        assert "error: inst.json: same path as the instance" in \
+            capsys.readouterr().err.splitlines()
+        assert path.read_text() == text
+        assert list(tmp_path.iterdir()) == [path]
+
+
 class TestParser:
     def test_parser_is_built_once(self):
         assert cli.build_parser() is cli.build_parser()

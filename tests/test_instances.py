@@ -3,6 +3,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -10,7 +11,7 @@ import swmlab as sl
 from swmlab.cli import main
 from swmlab.errors import AxiomViolationError, InstanceFormatError, SwmlabError
 from swmlab.instances import instance_from_spec
-from swmlab.oracles import TableOracle, _subset_keys, mask_items
+from swmlab.oracles import ABS_TOL, TableOracle, _subset_keys, mask_items
 
 NAN, INF = math.nan, math.inf
 BUDGETED = {"kind": "budgeted_additive", "budget": 1.0, "weights": [0.5, 0.7]}
@@ -123,10 +124,9 @@ def test_table_without_item_keys_defaults_to_one_item():
 @pytest.mark.parametrize("families", [("table",), ("table", "coverage"),
                                       ("cut",), ("cut", "coverage")])
 def test_each_agent_checked_once_on_load(families, monkeypatch):
-    """A table or cut agent's constructor checks its axioms, and the loader
-    does not check it again; every other agent is checked by the loader.
-    A table built directly still checks."""
-    import swmlab.instances as instances
+    """Every agent passes the axiom gate once: a table or cut agent in its
+    constructor, every other agent in ``oracle_from_spec``.  A table built
+    directly still checks."""
     import swmlab.oracles as oracles
     checked = []
     real = oracles.check_axioms
@@ -137,13 +137,70 @@ def test_each_agent_checked_once_on_load(families, monkeypatch):
 
     spec = sl.instance_to_spec(sl.random_instance(5, 4, 3, families=families))
     monkeypatch.setattr(oracles, "check_axioms", counting)
-    monkeypatch.setattr(instances, "check_axioms", counting)
     inst = instance_from_spec(spec)
     assert len(checked) == inst.m
     assert sorted(map(id, checked)) == sorted(map(id, inst.oracles))
     checked.clear()
     table = sl.make_table(5, inst.oracles[0]._table)
     assert checked == [table]
+
+
+def test_agents_above_cap_spot_checked_once_at_their_tolerance(monkeypatch):
+    """Above the exhaustive cap each agent is spot-checked once: coverage
+    and budgeted agents at the unscaled ABS_TOL, a table at ABS_TOL times
+    its largest absolute value."""
+    import swmlab.oracles as oracles
+    n = 17
+    values = 250.0 * np.array([m.bit_count() for m in range(1 << n)])
+    spec = {"agents": [
+        {"kind": "coverage", "universe_weights": [1.0] * n,
+         "item_sets": [[i] for i in range(n)]},
+        {"kind": "budgeted_additive", "budget": 5.0, "weights": [1.0] * n},
+        {"kind": "table", "n": n,
+         "table": dict(zip(_subset_keys(n), values.tolist()))}]}
+    seen = []
+    real = oracles.spot_check_axioms
+
+    def recording(oracle, *args, **kwargs):
+        seen.append((oracle.kind, kwargs["tol"]))
+        return real(oracle, *args, **kwargs)
+
+    monkeypatch.setattr(oracles, "spot_check_axioms", recording)
+    monkeypatch.setattr(oracles, "check_axioms", lambda *a, **k: 1 / 0)
+    inst = instance_from_spec(spec)
+    assert inst.n == n
+    assert seen == [("coverage", ABS_TOL), ("budgeted_additive", ABS_TOL),
+                    ("table", ABS_TOL * 250.0 * n)]
+
+
+@pytest.mark.parametrize("agent, extra", [
+    ({"kind": "coverage", "universe_weights": [1.0], "item_sets": [[0]]},
+     "n"),
+    (BUDGETED, "n"),
+    ({"kind": "b_matching", "capacity": 1, "weights": [0.5, 0.7]}, "n"),
+    ({"kind": "cut", "n": 1, "edges": [[0, -1, 1.0]]}, "weights"),
+    ({"kind": "table", "table": {"": 0, "0": 1, "1": 1, "0,1": 1}}, "N"),
+], ids=["coverage", "budgeted_additive", "b_matching", "cut", "table"])
+def test_unknown_agent_field_rejected(agent, extra, capsys):
+    """Each kind refuses a field it does not read, so a misspelt size
+    (``N``) or one its kind takes from other fields (``n``) cannot be
+    silently ignored."""
+    spec = {"agents": [dict(agent, **{extra: 1})]}
+    message = f"agent 0: unknown fields for kind {agent['kind']!r}: " \
+              f"[{extra!r}]"
+    with pytest.raises(InstanceFormatError) as err:
+        instance_from_spec(spec)
+    assert str(err.value) == message
+    assert _exits_2(spec)
+    assert f"error: {message}" in capsys.readouterr().err.splitlines()
+
+
+@pytest.mark.parametrize("family", ["coverage", "budgeted_additive",
+                                    "b_matching", "cut", "table"])
+def test_saved_specs_still_load(family):
+    inst = sl.random_family_instance(family, 4, 2, 5)
+    back = instance_from_spec(sl.instance_to_spec(inst))
+    assert sl.instance_to_spec(back) == sl.instance_to_spec(inst)
 
 
 @pytest.mark.parametrize("n", [14, 16])

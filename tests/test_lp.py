@@ -1349,3 +1349,10 @@ class TestLpModelValidation:
     def test_count_mismatch_raises(self, field, value):
         with pytest.raises(ValueError, match="row, rhs and name counts differ"):
             segment_model([], **{field: value})
+
+
+def test_structural_solvers_exported_from_package():
+    from swmlab import solve_beta, solve_beta_lambda, solve_general
+    assert (solve_beta, solve_beta_lambda, solve_general) == (
+        lp_module.solve_beta, lp_module.solve_beta_lambda,
+        lp_module.solve_general)

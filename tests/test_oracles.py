@@ -1,4 +1,5 @@
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
@@ -8,13 +9,14 @@ from hypothesis import strategies as st
 
 import exact_reference as ref
 import swmlab as sl
+from swmlab.cli import main
 from swmlab.errors import AxiomViolationError, InvalidQueryError, SizeGuardError
 from swmlab.instances import (ORACLE_GENERATORS, random_coverage_oracle,
                               random_family_instance)
 from swmlab.oracles import (ABS_TOL, TABLE_CHUNK, AxiomReport,
-                            SecondOrderClass, TableOracle, _first_violations,
-                            _spread, _subset_keys, as_mask, mask_items,
-                            oracle_from_spec, subset_key)
+                            CoverageOracle, SecondOrderClass, TableOracle,
+                            _first_violations, _spread, _subset_keys, as_mask,
+                            mask_items, oracle_from_spec, subset_key)
 
 TOL = 1e-12
 
@@ -252,6 +254,31 @@ class TestConstructors:
         assert t._table is not o._table
         back = oracle_from_spec(t.to_spec())
         assert np.array_equal(back._table, o._table)
+
+    def test_coverage_from_spec_passes_the_gate(self, monkeypatch,
+                                                tmp_path, capsys):
+        """A coverage oracle whose evaluator is broken (+0.5 on the full
+        set of three items: still monotone, not submodular) is refused by
+        ``oracle_from_spec``; ``make_coverage`` does not check."""
+        real = CoverageOracle._values
+        monkeypatch.setattr(CoverageOracle, "_values",
+                            lambda self, masks: real(self, masks)
+                            + 0.5 * (masks == 0b111))
+        spec = {"kind": "coverage", "universe_weights": [1.0, 1.0, 1.0],
+                "item_sets": [[0], [1], [2]]}
+        with pytest.raises(AxiomViolationError,
+                           match=r"^coverage violates axioms: "
+                                 r"\['submodular'\]$") as err:
+            oracle_from_spec(spec)
+        assert list(err.value.witness) == ["submodular"]
+        unchecked = sl.make_coverage(spec["universe_weights"],
+                                     spec["item_sets"])
+        assert unchecked.value_mask(0b111) == 3.5
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps({"agents": [spec]}))
+        assert main(["classify", str(path)]) == 2
+        assert "error: coverage violates axioms: ['submodular']" in \
+            capsys.readouterr().err.splitlines()
 
     def test_table_from_array(self):
         arr = np.array([0.0, 1.0, 1.0, 1.5])
