@@ -16,7 +16,10 @@ are built only when the listing or a caller reads them.
   builds the optimum and a dual from the structure of the solution in
   O(n) rational steps and returns it only when the pair is a certificate
   (``_certified_solution``: both feasible, equal objectives); otherwise
-  it declines with a reason and the simplex runs.
+  it declines with a reason and the simplex runs.  One dual recursion,
+  ``_beta_dual``, serves both certificates and, in floats, the search
+  for the beta dual's maximiser; one primal recursion, ``_beta_head``,
+  serves both primals.
 
 ``simplex_solve`` is a dense two-phase primal simplex in floats:
 largest-coefficient pricing that falls back to Bland's lowest-index rule
@@ -407,29 +410,21 @@ def _beta_lambda_pair(model: LpModel) -> tuple[list[Fraction],
     lam_n, half = int(meta["lambda"] * n), n // 2
     zero, one = Fraction(0), Fraction(1)
 
-    a = ([Fraction(n - i, (n - 1) * n) for i in range(1, lam_n)]
-         + [zero] * (n - lam_n + 1))
-    tail = Fraction(2, n) * sum(a[j - 1] * Fraction(j, n - j)
-                                for j in range(1, half + 1))
+    w, a, tail = _beta_head(n, lam_n, set(), lam_n, zero)
     binding = beta < (n - lam_n) * tail
     g = [zero] * (n - half)
     left = beta
     for i in range(n, lam_n, -1):
         g[i - half - 1] = spent = min(tail, left)
         left -= spent
-    w = (a[:lam_n - 1] + [Fraction(n - lam_n, (n - 1) * n)]
-         + [tail - g[i - half - 1] for i in range(lam_n + 1, n + 1)])
+    w += [tail - g[i - half - 1] for i in range(lam_n + 1, n + 1)]
+    a += [zero] * (n - lam_n)
     x = w + a + [zero] * n + g
 
     y_sh = one if binding else zero
-    total_sh = (n - lam_n) * y_sh
-    y_ss, y_pos = [zero] * n, [zero] * (lam_n - 1) + [one]
-    above = one          # sum of y_pos_k over k > i
-    for i in range(lam_n - 1, 0, -1):
-        ss = above - Fraction(2 * i, n) * total_sh if i <= half else above
-        y_ss[i - 1] = ss = ss / (n - i)
-        y_pos[i - 1] = 1 - ss
-        above += 1 - ss
+    u, _, _ = _beta_dual(n, lam_n, zero, (n - lam_n) * y_sh, set())
+    y_ss = u + [zero] * (n - lam_n + 1)
+    y_pos = [1 - v for v in u] + [one]
     y = y_ss + y_pos + [y_sh] * (n - lam_n) + [y_sh]
     return x, y, {"position_rows": lam_n, "budget_binding": binding}
 
@@ -439,11 +434,12 @@ def solve_beta_lambda(model: LpModel) -> Union[LpSolution, str]:
     its solution, in O(n) rational steps, proved by a dual; or, when the
     proof fails, the reason, and the caller runs the simplex.
 
-    Let L = lambda n and T = (2/n) sum_{j<=n/2} a_j j/(n-j).  The primal is
-    a_i = (n-i)/((n-1)n) for i < L and 0 from L on, b = 0, w_i = a_i for
-    i < L, w_L = (n-L)/((n-1)n), so position rows 1..L are tight; each tail
-    row i > L gets w_i = T - g_i, with beta spent on g from i = n backwards,
-    at most T per row.  The budget binds when beta < (n-L) T.
+    Let L = lambda n and T = (2/n) sum_{j<=n/2} a_j j/(n-j).  The primal
+    (``_beta_head`` with a_L = 0) is a_i = (n-i)/((n-1)n) for i < L and 0
+    from L on, b = 0, w_i = a_i for i < L, w_L = (n-L)/((n-1)n), so position
+    rows 1..L are tight; each tail row i > L gets w_i = T - g_i, with beta
+    spent on g from i = n backwards, at most T per row.  The budget binds
+    when beta < (n-L) T.
 
     The dual has y_ss_i, y_pos_i, y_sh_i and y_bud on the step-split,
     position, second-half and budget rows.  It maximises
@@ -457,10 +453,10 @@ def solve_beta_lambda(model: LpModel) -> Union[LpSolution, str]:
     gives y_sh_i = 1, and g_i's column y_bud >= 1; take y_sh = y_bud = 1.
     Otherwise the budget row is slack, y_bud = 0, and g's columns force
     y_sh = 0.  Row L's step split is slack (w_L > 0 = a_L + b_L), so
-    y_pos_L = 1.  For i < L, a_i > 0 and w_i > 0 make both columns tight:
-      y_ss_i = (sum_{k>i} y_pos_k - [i<=n/2] (2i/n) Y) / (n-i),
-      y_pos_i = 1 - y_ss_i,
-    from i = L-1 down to 1; every other y_ss is 0.  Since L >= n/2,
+    y_pos_L = 1.  For i < L, a_i > 0 and w_i > 0 make both columns tight,
+    y_ss_i = u_i and y_pos_i = 1 - u_i, which is ``solve_beta``'s dual
+    recursion at theta = 0 with no row clipped (``_beta_dual``); every
+    other y_ss is 0.  Since L >= n/2,
     2Y/n <= y_bud, and the b columns hold.  What can fail is y >= 0: a
     long tail under a binding budget drives y_ss_i below 0, and then the
     structured point is not optimal.
@@ -484,54 +480,45 @@ SEARCH_TOL = 1e-9
 _GOLDEN = (math.sqrt(5) - 1) / 2
 
 
-def _beta_dual_mass(n: int, s: float) -> float:
-    """sum_i y_pos_i of ``solve_beta``'s dual at s, in floats."""
-    L = math.ceil(s)
-    half = n // 2
-    Y = n - s
-    above = 1.0 - (L - s)        # sum of y_pos_k over k > i
-    for i in range(L - 1, 0, -1):
-        if i <= half:
-            u = max((above - 2 * i * Y / n) / (n - i), 0.0)
-        else:
-            u = above / (n - i)
-        above += 1.0 - u
-    return above
-
-
 def _beta_dual_argmax(n: int) -> float:
-    """Float maximiser of ``_beta_dual_mass`` over n/2 < s <= n, by
-    golden-section search (see ``solve_beta`` on concavity)."""
+    """Float maximiser of the dual mass of ``_beta_dual`` over
+    n/2 < s <= n, by golden-section search (see ``solve_beta`` on
+    concavity)."""
+    def mass(s):
+        L = math.ceil(s)
+        return _beta_dual(n, L, L - s, n - s)[1]
+
     lo, hi = n / 2, float(n)
     a, b = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
-    fa, fb = _beta_dual_mass(n, a), _beta_dual_mass(n, b)
+    fa, fb = mass(a), mass(b)
     while hi - lo > SEARCH_TOL:
         if fa < fb:
             lo, a, fa = a, b, fb
             b = lo + _GOLDEN * (hi - lo)
-            fb = _beta_dual_mass(n, b)
+            fb = mass(b)
         else:
             hi, b, fb = b, a, fa
             a = hi - _GOLDEN * (hi - lo)
-            fa = _beta_dual_mass(n, a)
+            fa = mass(a)
     return (lo + hi) / 2
 
 
-def _beta_dual(n: int, L: int, theta: Fraction,
-               clipped: Optional[set] = None) -> tuple[list, Fraction, set]:
-    """Exact u_1..u_{L-1} of ``solve_beta``'s dual at s = L - theta, before
-    clipping, the dual mass sum_i y_pos_i, and the clipped rows.  With
-    ``clipped`` given, those rows are clipped whatever their sign, so every
-    value is affine in theta; otherwise rows i <= n/2 with u_i < 0 are."""
+def _beta_dual(n: int, L: int, theta, Y, clipped: Optional[set] = None
+               ) -> tuple[list, Union[Fraction, float], set]:
+    """u_1..u_{L-1} of ``solve_beta``'s dual at s = L - theta, whose
+    second-half duals sum to Y, before clipping, the dual mass sum_i y_pos_i,
+    and the clipped rows: exact on Fractions, the searched function on
+    floats.  With ``clipped`` given, those rows are clipped whatever their
+    sign, so every value is affine in theta and Y; otherwise rows i <= n/2
+    with u_i < 0 are."""
     half = n // 2
-    Y = n - L + theta
     decide = clipped is None
     if decide:
         clipped = set()
     above = 1 - theta
-    u = [Fraction(0)] * (L - 1)
+    u = [0] * (L - 1)
     for i in range(L - 1, 0, -1):
-        ui = above - Fraction(2 * i, n) * Y if i <= half else above
+        ui = above - 2 * i * Y / n if i <= half else above
         u[i - 1] = ui = ui / (n - i)
         if decide and i <= half and ui < 0:
             clipped.add(i)
@@ -544,10 +531,12 @@ def _beta_kink(n: int, s: float) -> tuple[int, Fraction, set, Optional[int]]:
     a row k whose u_k is 0 there (None if there is none; always one when
     theta > 0)."""
     L = math.ceil(s)
-    _, _, clipped = _beta_dual(n, L, Fraction(L - s))
+    theta = Fraction(L - s)
+    _, _, clipped = _beta_dual(n, L, theta, n - L + theta)
     # with the clipping fixed, u and the mass are affine in theta on [0, 1]
-    u0, mass0, _ = _beta_dual(n, L, Fraction(0), clipped)
-    u1, mass1, _ = _beta_dual(n, L, Fraction(1), clipped)
+    u0, mass0, _ = _beta_dual(n, L, Fraction(0), Fraction(n - L), clipped)
+    u1, mass1, _ = _beta_dual(n, L, Fraction(1), Fraction(n - L + 1),
+                              clipped)
     lo, hi, lo_row, hi_row = Fraction(0), Fraction(1), None, None
     for i in range(1, min(L, n // 2 + 1)):
         slope = u1[i - 1] - u0[i - 1]
@@ -568,7 +557,8 @@ def _beta_kink(n: int, s: float) -> tuple[int, Fraction, set, Optional[int]]:
 
 def _beta_head(n: int, L: int, clipped: set, k: Optional[int],
                t: Fraction) -> tuple[list, list, Fraction]:
-    """w_1..w_L, a_1..a_L of ``solve_beta``'s primal with a_k = t, and T."""
+    """w_1..w_L, a_1..a_L of ``solve_beta``'s primal head with a_k = t and
+    a_i = 0 on clipped rows, and T (L >= n/2)."""
     r = Fraction(1, n)
     w, a = [], []
     for i in range(1, L + 1):
@@ -593,7 +583,7 @@ def _beta_pair(model: LpModel) -> Union[tuple[list, list, dict], str]:
     if L <= half:
         return "dual maximum at s = n/2"
 
-    u, _, _ = _beta_dual(n, L, theta, clipped)
+    u, _, _ = _beta_dual(n, L, theta, n - L + theta, clipped)
     y_ss = [Fraction(0) if i in clipped else u[i - 1] for i in range(1, L)]
     y_ss += [Fraction(0)] * (n - L + 1)
     y_pos = [1 - v for v in y_ss[:L - 1]] + [1 - theta] + \

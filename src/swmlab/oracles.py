@@ -306,12 +306,16 @@ def _subset_keys(n: int) -> list[str]:
     return keys
 
 
-def _parse_subset_key(key, n) -> int:
-    if isinstance(key, str):
-        items = [int(p) for p in key.split(",") if p != ""]
-    else:
-        items = list(key)
-    return as_mask(items, n)
+def _subset_key_items(key) -> list[int]:
+    """The items of a subset key, a comma-separated string or a collection
+    of item indices, not checked against a ground set; ValueError if the
+    key is neither."""
+    try:
+        if isinstance(key, str):
+            return [int(p) for p in key.split(",") if p != ""]
+        return [int(i) for i in key]
+    except (TypeError, ValueError):
+        raise ValueError(f"cannot read subset key {key!r}") from None
 
 
 class TableOracle(ValuationOracle):
@@ -342,7 +346,7 @@ class TableOracle(ValuationOracle):
             for key, v in values.items():
                 mask = canonical.get(key)
                 if mask is None:
-                    mask = _parse_subset_key(key, n)
+                    mask = as_mask(_subset_key_items(key), n)
                 table[mask] = _finite(v, "table value")
         missing = np.flatnonzero(np.isnan(table))
         if missing.size:
@@ -423,7 +427,7 @@ def oracle_from_spec(spec: dict) -> ValuationOracle:
         raise TypeError("table must map subset keys to values")
     n = spec.get("n")
     if n is None:
-        n = 1 + max((int(p) for k in table if k for p in k.split(",")),
+        n = 1 + max((i for k in table for i in _subset_key_items(k)),
                     default=0)
     return make_table(n, table)
 
@@ -442,11 +446,6 @@ class AxiomReport:
     @property
     def passed(self) -> bool:
         return self.normalized and self.monotone and self.submodular
-
-    def failed_axioms(self) -> list[str]:
-        return [name for name, ok in
-                [("normalized", self.normalized), ("monotone", self.monotone),
-                 ("submodular", self.submodular)] if not ok]
 
     def to_dict(self):
         return {"normalized": self.normalized, "monotone": self.monotone,

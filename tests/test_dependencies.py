@@ -1,0 +1,38 @@
+"""The package depends on numpy alone: every import in ``src/swmlab`` is
+relative, from the standard library, or numpy.  scipy serves the tests
+only, and sympy nothing."""
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "swmlab"
+ALLOWED = set(sys.stdlib_module_names) | {"numpy"}
+
+
+def imported_roots(path: Path) -> list[str]:
+    """The top-level module of every absolute import in ``path``."""
+    roots = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            roots += [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.append(node.module.split(".")[0])
+    return roots
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_imports_only_stdlib_numpy_and_the_package(path):
+    outside = [root for root in imported_roots(path) if root not in ALLOWED]
+    assert outside == [], f"{path.name} imports {outside}"
+
+
+def test_the_check_sees_a_third_party_import(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text("import numpy as np\nfrom . import core\n"
+                      "from scipy.optimize import linprog\n"
+                      "def f():\n    import sympy\n")
+    assert [r for r in imported_roots(module) if r not in ALLOWED] == \
+        ["scipy", "sympy"]

@@ -116,6 +116,34 @@ def test_table_ground_size_inferred_from_keys(table, n):
     assert inst.n == n
 
 
+def test_table_tuple_keys_load_with_n_inferred():
+    """Keys that ``make_table`` accepts infer n as JSON string keys do."""
+    table = {(): 0.0, (0,): 1.0, (1,): 1.0, (0, 1): 1.5}
+    inst = instance_from_spec({"agents": [{"kind": "table", "table": table}]})
+    assert inst.n == 2
+    assert inst.oracles[0]._table.tolist() == [0.0, 1.0, 1.0, 1.5]
+    strings = {"": 0.0, "0": 1.0, "1": 1.0, "0,1": 1.5}
+    same = instance_from_spec({"agents": [{"kind": "table",
+                                           "table": strings}]})
+    assert same.oracles[0]._table.tolist() == [0.0, 1.0, 1.0, 1.5]
+
+
+@pytest.mark.parametrize("key", [1, None, 2.5])
+def test_table_unreadable_key_is_format_error(key):
+    spec = {"agents": [{"kind": "table", "table": {"": 0.0, key: 1.0}}]}
+    with pytest.raises(InstanceFormatError,
+                       match=f"agent 0: cannot read subset key {key!r}"):
+        instance_from_spec(spec)
+
+
+def test_table_unreadable_string_key_exits_2():
+    spec = {"agents": [{"kind": "table", "table": {"": 0.0, "0,x": 1.0}}]}
+    with pytest.raises(InstanceFormatError,
+                       match="agent 0: cannot read subset key '0,x'"):
+        instance_from_spec(spec)
+    assert _exits_2(spec)
+
+
 def test_table_without_item_keys_defaults_to_one_item():
     with pytest.raises(InstanceFormatError, match="missing 1 subsets"):
         instance_from_spec({"agents": [{"kind": "table", "table": {"": 0}}]})

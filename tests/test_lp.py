@@ -1211,6 +1211,124 @@ class TestSolve:
 
 
 # ---------------------------------------------------------------------------
+# The beta dual family: the search and both pairs read one recursion
+# ---------------------------------------------------------------------------
+
+def reference_beta_dual_mass(n: int, s: float) -> float:
+    """sum_i y_pos_i of ``solve_beta``'s dual at s, in floats, as a loop of
+    its own: the function the search maximised before it read
+    ``_beta_dual``."""
+    L = math.ceil(s)
+    half = n // 2
+    Y = n - s
+    above = 1.0 - (L - s)        # sum of y_pos_k over k > i
+    for i in range(L - 1, 0, -1):
+        if i <= half:
+            u = max((above - 2 * i * Y / n) / (n - i), 0.0)
+        else:
+            u = above / (n - i)
+        above += 1.0 - u
+    return above
+
+
+def reference_beta_dual_argmax(n: int) -> float:
+    """The golden-section search of ``_beta_dual_argmax`` on
+    ``reference_beta_dual_mass``."""
+    golden, mass = lp_module._GOLDEN, reference_beta_dual_mass
+    lo, hi = n / 2, float(n)
+    a, b = hi - golden * (hi - lo), lo + golden * (hi - lo)
+    fa, fb = mass(n, a), mass(n, b)
+    while hi - lo > lp_module.SEARCH_TOL:
+        if fa < fb:
+            lo, a, fa = a, b, fb
+            b = lo + golden * (hi - lo)
+            fb = mass(n, b)
+        else:
+            hi, b, fb = b, a, fa
+            a = hi - golden * (hi - lo)
+            fa = mass(n, a)
+    return (lo + hi) / 2
+
+
+def reference_beta_lambda_pair(model: LpModel):
+    """``_beta_lambda_pair`` with its primal head in closed form and its
+    dual recursion written out, as it was before both read the beta
+    family's shared recursions."""
+    meta = model.metadata
+    n, beta = meta["n"], meta["beta"]
+    lam_n, half = int(meta["lambda"] * n), n // 2
+    zero, one = Fraction(0), Fraction(1)
+
+    a = ([Fraction(n - i, (n - 1) * n) for i in range(1, lam_n)]
+         + [zero] * (n - lam_n + 1))
+    tail = Fraction(2, n) * sum(a[j - 1] * Fraction(j, n - j)
+                                for j in range(1, half + 1))
+    binding = beta < (n - lam_n) * tail
+    g = [zero] * (n - half)
+    left = beta
+    for i in range(n, lam_n, -1):
+        g[i - half - 1] = spent = min(tail, left)
+        left -= spent
+    w = (a[:lam_n - 1] + [Fraction(n - lam_n, (n - 1) * n)]
+         + [tail - g[i - half - 1] for i in range(lam_n + 1, n + 1)])
+    x = w + a + [zero] * n + g
+
+    y_sh = one if binding else zero
+    total_sh = (n - lam_n) * y_sh
+    y_ss, y_pos = [zero] * n, [zero] * (lam_n - 1) + [one]
+    above = one          # sum of y_pos_k over k > i
+    for i in range(lam_n - 1, 0, -1):
+        ss = above - Fraction(2 * i, n) * total_sh if i <= half else above
+        y_ss[i - 1] = ss = ss / (n - i)
+        y_pos[i - 1] = 1 - ss
+        above += 1 - ss
+    y = y_ss + y_pos + [y_sh] * (n - lam_n) + [y_sh]
+    return x, y, {"position_rows": lam_n, "budget_binding": binding}
+
+
+def program_beta_dual_mass(n: int, s: float) -> float:
+    """The search's function: the float dual mass of ``_beta_dual``."""
+    L = math.ceil(s)
+    return lp_module._beta_dual(n, L, L - s, n - s)[1]
+
+
+DUAL_NS = [4, 8, 12, 16, 32, 128, 1024]
+PAIR_NS = [4, 8, 12, 16, 32, 64, 128, 256, 1024]
+PAIR_LAMBDAS = (Fraction(1, 2), Fraction(3, 4), Fraction(13, 16),
+                Fraction(7, 8), Fraction(1))
+PAIR_BETAS = (Fraction(0), Fraction(1, 100), Fraction(1, 10), Fraction(3))
+
+
+class TestBetaDualFamily:
+    @pytest.mark.parametrize("n", DUAL_NS)
+    def test_float_mass_is_the_reference_loop(self, n):
+        """Bit-equal on a grid of s in (n/2, n], integers (theta = 0) and
+        s = n included."""
+        grid = [n / 2 + (n / 2) * k / 200 for k in range(1, 201)]
+        grid += [float(s) for s in range(n // 2 + 1, n + 1)]
+        assert grid[199] == n
+        assert [program_beta_dual_mass(n, s) for s in grid] == \
+            [reference_beta_dual_mass(n, s) for s in grid]
+
+    @pytest.mark.parametrize("n", DUAL_NS)
+    def test_search_argmax_is_the_reference_search(self, n):
+        assert lp_module._beta_dual_argmax(n) == reference_beta_dual_argmax(n)
+
+    @pytest.mark.parametrize("n", PAIR_NS)
+    def test_beta_lambda_pair_is_the_reference_construction(self, n):
+        pairs = 0
+        for lam in PAIR_LAMBDAS:
+            if (lam * n).denominator != 1:
+                continue
+            for beta in PAIR_BETAS:
+                model = build_lp_beta_lambda(n, lam, beta)
+                assert _beta_lambda_pair(model) == \
+                    reference_beta_lambda_pair(model), (lam, beta)
+                pairs += 1
+        assert pairs >= 12
+
+
+# ---------------------------------------------------------------------------
 # The builders' float matrix
 # ---------------------------------------------------------------------------
 
