@@ -40,16 +40,17 @@ Monte-Carlo mode reads its orders from the seeded stream of
 generator seeded with ``SeedSequence(entropy=seed, spawn_key=(k,))`` draws
 with ``permutation(n)`` (SeedSequence -> PCG64 -> Fisher-Yates), computed
 for a whole batch at once, so each sample can be replayed on its own and
-the results are reproducible.  It takes ``MC_BATCH`` orders at a time and
+the results are reproducible.  It takes a batch of orders at a time and
 sums the per-order values in sample order, so it reports what a
 ``trace_one`` loop over the same orders gives, bit for bit.  Up to
 ``EXACT_TRACE_MAX_N`` items every step a sample of ``expected_trace`` can
-take is a transition of the state pass, so a batch walks the pass
-(``_walk_batch``): per position one lookup from (state, item) to the
-transition, whose w, a and b it reads and whose next-layer state it moves
-to.  Above the cap, and for ``trace_one`` (one row of a batch), per-order
-traces run as batches of orders (``_trace_batch``), one greedy step for
-every order of the batch at once through ``core.greedy_steps``.
+take is a transition of the state pass, so a batch of ``WALK_BATCH``
+orders walks the pass (``_walk_batch``): per position one lookup from
+(state, item) to the transition, whose w, a and b it reads and whose
+next-layer state it moves to.  Above the cap, and for ``trace_one`` (one
+row of a batch), per-order traces run as batches of ``MC_BATCH`` orders
+(``_trace_batch``), one greedy step for every order of the batch at once
+through ``core.greedy_steps``.
 ``conjecture_check`` runs greedy on the moved orders of each sample at any
 n, since those are not transitions of the pass.
 """
@@ -71,7 +72,10 @@ from .orders import orders as seeded_orders
 
 EXACT_TRACE_MAX_N = 8      # cap of every exact expectation (_forward)
 SECOND_HALF_MAX_M = 3      # verify_second_half tries m^(n/2) assignments
-MC_BATCH = 1024            # orders per Monte-Carlo batch; bounds its memory
+MC_BATCH = 1024            # orders per batch of greedy runs (_trace_batch,
+                           # conjecture_check); bounds their memory
+WALK_BATCH = 2048          # orders per batch of state-pass walks; bounds the
+                           # memory of Monte-Carlo expected_trace up to the cap
 CHAIN_BATCH = 4096         # widest layer of one batch of chains from chosen
                            # start states (eq1, second half); bounds memory
 DEFAULT_TOL = 1e-12
@@ -462,16 +466,16 @@ class GainTrace:
         return "\n".join(lines) + "\n"
 
 
-def _mc_batches(n: int, mode: str, samples: int, seed: int):
+def _mc_batches(n: int, mode: str, samples: int, seed: int, batch: int):
     """The ``samples`` seeded orders that Monte-Carlo ``mode`` averages,
-    samples k = 0, 1, .. of ``orders.orders``, in batches of ``MC_BATCH``
+    samples k = 0, 1, .. of ``orders.orders``, in batches of ``batch``
     rows."""
     if mode != "mc":
         raise ValueError(f"unknown mode {mode!r}; use 'exact' or 'mc'")
     if samples < 1:
         raise ValueError("samples must be positive")
-    return (seeded_orders(seed, lo, min(lo + MC_BATCH, samples), n)
-            for lo in range(0, samples, MC_BATCH))
+    return (seeded_orders(seed, lo, min(lo + batch, samples), n)
+            for lo in range(0, samples, batch))
 
 
 def _running_sum(total, rows):
@@ -546,23 +550,26 @@ def _walk_batch(sp: _StatePass, orders: np.ndarray) -> np.ndarray:
     v = np.empty((size, 3, n))
     state = np.zeros(size, dtype=np.int64)
     for pos, step in enumerate(sp.steps):
-        t = step.index[state, orders[:, pos]]
-        v[:, :, pos] = step.wab[:, t].T
-        state = step.inv[t]
+        # ``take`` on flat indices gathers faster than fancy indexing
+        t = step.index.take(state * n + orders[:, pos])
+        v[:, :, pos] = step.wab.take(t, axis=1).T
+        state = step.inv.take(t)
     return v
 
 
 def _add_orders(acc: np.ndarray, v: np.ndarray) -> np.ndarray:
     """``acc`` plus the orders of a batch, one at a time in sample order:
     row 0 adds each order's w, a and b (``v``, [S, 3, n]) and welfare, row
-    1 their squares.  The result is a new [2, 3n + 1] array, so nothing of
-    the batch outlives the call."""
+    1 their squares.  ``acc`` goes into the first order's terms (x + y is
+    y + x, bit for bit) and the terms are summed in place.  The result is
+    a new [2, 3n + 1] array, so nothing of the batch outlives the call."""
     size = len(v)
     terms = np.empty((size, 2, acc.shape[1]))
     terms[:, 0, :-1] = v.reshape(size, -1)
     terms[:, 0, -1] = v[:, 0].sum(axis=1)   # as trace_one's float(w.sum())
     np.square(terms[:, 0], out=terms[:, 1])
-    return _running_sum(acc, terms).copy()
+    terms[0] += acc
+    return terms.cumsum(axis=0, out=terms)[-1].copy()
 
 
 def expected_trace(ctx: GainContext, mode: str = "exact",
@@ -578,13 +585,14 @@ def expected_trace(ctx: GainContext, mode: str = "exact",
     on it gives the sample's w, a and b.  ``seed`` must be a non-negative
     integer.
 
-    MC mode takes ``MC_BATCH`` orders at a time, so its memory does not
+    MC mode takes a batch of orders at a time, so its memory does not
     grow with ``samples``, and sums each order's vectors and welfare in
     sample order: its values are the ones a ``trace_one`` loop over the
     same orders gives, bit for bit.  Up to ``EXACT_TRACE_MAX_N`` items it
-    reads each order's vectors off the state pass (``_walk_batch``), built
-    once per context and shared with exact mode; above the cap it runs
-    greedy along every order of a batch at once (``_trace_batch``).
+    reads the vectors of ``WALK_BATCH`` orders at a time off the state
+    pass (``_walk_batch``), built once per context and shared with exact
+    mode; above the cap it runs greedy along every order of a batch of
+    ``MC_BATCH`` at once (``_trace_batch``).
     """
     n, opt = ctx.n, ctx.opt_value
     if mode == "exact":
@@ -592,10 +600,12 @@ def expected_trace(ctx: GainContext, mode: str = "exact",
         return GainTrace(n, opt, mode, sp.w / opt, sp.a / opt, sp.b / opt,
                          sp.w, sp.a, sp.b, states=sp.states)
     acc = np.zeros((2, 3 * n + 1))
-    batches = _mc_batches(n, mode, samples, seed)
-    sp = ctx._pass if n <= EXACT_TRACE_MAX_N else None
+    walk = n <= EXACT_TRACE_MAX_N
+    batches = _mc_batches(n, mode, samples, seed,
+                          WALK_BATCH if walk else MC_BATCH)
+    sp = ctx._pass if walk else None
     for batch in batches:
-        acc = _add_orders(acc, _walk_batch(sp, batch) if sp is not None
+        acc = _add_orders(acc, _walk_batch(sp, batch) if walk
                           else np.stack(_trace_batch(ctx, batch)[:3], axis=1))
     s, s2 = acc[:, :-1].reshape(2, 3, n)
     swel, swel2 = acc[:, -1]
@@ -1132,7 +1142,7 @@ def conjecture_check(instance: Instance, mode: str = "exact",
         return ConjectureReport(n, instance.m, lhs, rhs, crosscheck, mode,
                                 counterexample=lhs > rhs + tol, states=states)
     lhs_sum = rhs_sum = last_sum = 0.0
-    for batch in _mc_batches(n, mode, samples, seed):
+    for batch in _mc_batches(n, mode, samples, seed, MC_BATCH):
         c, mv, last = _conjecture_batch(instance, batch)
         lhs_sum = float(_running_sum(lhs_sum, c))
         rhs_sum = float(_running_sum(rhs_sum, mv))

@@ -8,17 +8,21 @@ unsigned integer array arithmetic, in three steps:
 - SeedSequence: the seed's 32-bit little-endian words, zero-padded to the
   pool size 4, are hashed into a 4-word pool, then the spawn key's words
   are mixed into every pool word.  The hash constants do not depend on the
-  data, so the seed's part is computed once and only the spawn words run
-  over a vector of k.  ``generate_state(4, uint64)`` then gives PCG64's
-  seed and increment.
+  data, so the seed's part is computed once per seed (and cached) and only
+  the spawn words run over a vector of k.  ``generate_state(4, uint64)``
+  then gives PCG64's seed and increment.
 - PCG64 (128-bit LCG, XSL-RR output): a 128-bit state is a pair of uint64
   arrays (high, low).  ``next_uint32`` returns the low half of a 64-bit
   output and buffers the high half for the next call, so each output gives
-  two 32-bit draws, low half first.  All rows step together, and each row
-  reads its own draws in order as far as its shuffle needs them.
+  two 32-bit draws, low half first.
 - ``permutation``: Fisher-Yates on ``arange(n)`` for i = n-1 .. 1, swapping
   position i with ``random_interval(i)``, a draw masked to the smallest
-  all-ones mask >= i and rejected while it exceeds i.
+  all-ones mask >= i and rejected while it exceeds i.  The draws are
+  walked once, in rounds: every row still shuffling steps its generator
+  as often as the furthest of them needs if no draw is rejected, then
+  reads those draws one at a time, each row filling its own position.
+  Rows that are done leave after the round, and the generators narrow to
+  the rest before the next one, so only rows still shuffling draw.
 
 The stream is defined by this code: tests hold it to NumPy's generator
 and to pinned orders, so a NumPy release that changed its generator would
@@ -27,6 +31,7 @@ show up as a failing reference test, not as different reports.
 from __future__ import annotations
 
 import operator
+from functools import lru_cache
 
 import numpy as np
 
@@ -50,16 +55,18 @@ def _words(x: int) -> list[int]:
     return out
 
 
-def _hashmixer(const: int, mult: int):
+class _HashMix:
     """SeedSequence's hashmix of uint32 arrays, with its running hash
     constant: ``const`` to start, multiplied by ``mult`` at every call."""
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal const
-        value = value ^ _U32(const)
-        const = const * mult & _M32
-        value = value * _U32(const)
+
+    def __init__(self, const: int, mult: int):
+        self.const, self.mult = const, mult
+
+    def __call__(self, value: np.ndarray) -> np.ndarray:
+        value = value ^ _U32(self.const)
+        self.const = self.const * self.mult & _M32
+        value = value * _U32(self.const)
         return value ^ (value >> _U32(16))
-    return hashmix
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -67,39 +74,58 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return r ^ (r >> _U32(16))
 
 
-def _pool(seed: int, spawn: np.ndarray) -> list:
-    """SeedSequence's entropy pool (uint32 arrays [K]) for ``seed`` and one
-    spawn key per column of ``spawn`` (uint32 [words, K])."""
+def _mix_in(pool: list, words, hashmix: _HashMix) -> None:
+    """Mix each of ``words`` into every pool word, in order."""
+    for word in words:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+
+
+@lru_cache(maxsize=16)
+def _seed_pool(seed: int) -> tuple[tuple, int]:
+    """The part of ``_pool`` that depends on the seed alone: the pool
+    (uint32 arrays [1]) after the seed's words, and the hash constant the
+    spawn words start from."""
     entropy = _words(seed)
     entropy += [0] * (_POOL - len(entropy))
-    entropy = list(np.array(entropy, dtype=_U32)[:, None]) + list(spawn)
-    hashmix = _hashmixer(_INIT_A, _MULT_A)
-    pool = [hashmix(w) for w in entropy[:_POOL]]
+    words = list(np.array(entropy, dtype=_U32)[:, None])
+    hashmix = _HashMix(_INIT_A, _MULT_A)
+    pool = [hashmix(w) for w in words[:_POOL]]
     for src in range(_POOL):
         for dst in range(_POOL):
             if src != dst:
                 pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = _mix(pool[dst], hashmix(word))
+    _mix_in(pool, words[_POOL:], hashmix)
+    for word in pool:               # every call with this seed shares them
+        word.flags.writeable = False
+    return tuple(pool), hashmix.const
+
+
+def _pool(seed: int, spawn: np.ndarray) -> list:
+    """SeedSequence's entropy pool (uint32 arrays [K]) for ``seed`` and one
+    spawn key per column of ``spawn`` (uint32 [words, K])."""
+    pool, const = _seed_pool(seed)
+    pool = list(pool)
+    _mix_in(pool, spawn, _HashMix(const, _MULT_A))
     return pool
 
 
 def _state_words(pool: list) -> list:
     """``generate_state(4, uint64)``: four uint64 arrays, each from two
     uint32 words of the cycled pool, low word first."""
-    hashmix = _hashmixer(_INIT_B, _MULT_B)
+    hashmix = _HashMix(_INIT_B, _MULT_B)
     words = [hashmix(pool[i % _POOL]).astype(_U64) for i in range(2 * _POOL)]
     return [lo | (hi << _U64(32)) for lo, hi in zip(words[::2], words[1::2])]
 
 
 def _mul_hi(a: np.ndarray, b: np.uint64) -> np.ndarray:
-    """The high 64 bits of the 128-bit products a * b (uint64)."""
+    """The high 64 bits of the 128-bit products a * b (uint64), from the
+    32-bit halves; neither partial sum u nor v can overflow."""
     a0, a1 = a & _LOW32, a >> _U64(32)
     b0, b1 = b & _LOW32, b >> _U64(32)
-    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
-    mid = (p00 >> _U64(32)) + (p01 & _LOW32) + (p10 & _LOW32)
-    return a1 * b1 + (p01 >> _U64(32)) + (p10 >> _U64(32)) + (mid >> _U64(32))
+    u = a1 * b0 + (a0 * b0 >> _U64(32))
+    v = (u & _LOW32) + a0 * b1
+    return a1 * b1 + (u >> _U64(32)) + (v >> _U64(32))
 
 
 def _step(hi, lo, inc_hi, inc_lo):
@@ -131,42 +157,51 @@ class _Pcg64:
         self.hi, self.lo = _step(hi, lo, self.inc_hi, self.inc_lo)
 
     def draws(self, steps: int) -> np.ndarray:
-        """The next ``2 * steps`` 32-bit draws of every generator (int64
-        [rows, 2 * steps]): ``next_uint32`` returns the low half of a
-        64-bit output and then, from its buffer, the high half."""
-        out = np.empty((len(self.lo), steps, 2), dtype=_U64)
+        """The next ``2 * steps`` 32-bit draws of every generator, one row
+        per draw (int64 [2 * steps, rows]): ``next_uint32`` returns the low
+        half of a 64-bit output and then, from its buffer, the high half."""
+        out = np.empty((steps, 2, len(self.lo)), dtype=_U64)
         for s in range(steps):
             self.hi, self.lo = _step(self.hi, self.lo, self.inc_hi,
                                      self.inc_lo)
             x = _xsl_rr(self.hi, self.lo)
-            out[:, s, 0], out[:, s, 1] = x & _LOW32, x >> _U64(32)
-        return out.reshape(len(self.lo), 2 * steps).view(np.int64)
+            np.bitwise_and(x, _LOW32, out=out[s, 0])
+            np.right_shift(x, _U64(32), out=out[s, 1])
+        return out.reshape(2 * steps, len(self.lo)).view(np.int64)
+
+    def narrow(self, keep: np.ndarray) -> None:
+        """Keep only the generators ``keep`` (indices, in order)."""
+        self.hi, self.lo = self.hi[keep], self.lo[keep]
+        self.inc_hi, self.inc_lo = self.inc_hi[keep], self.inc_lo[keep]
 
 
 def _permutations(gen: _Pcg64, n: int) -> np.ndarray:
-    """``Generator.permutation(n)`` of each generator, one row each.  Every
-    generator advances in step with the others; the draws a row does not
-    use are never read."""
+    """``Generator.permutation(n)`` of each generator, one row each.  A row
+    fills position i = n-1 .. 1: it reads its next draw, accepts it if the
+    masked value is at most i and then swaps the two positions.  Each
+    round draws as many values as the furthest live row needs if none is
+    rejected, and every live row reads them in turn; a row that reaches
+    i = 0 stays there, swapping its position 0 with itself.  After the
+    round the generator narrows to the rows still shuffling, so a finished
+    row is never stepped again."""
     size = len(gen.lo)
     out = np.tile(np.arange(n, dtype=np.int64), (size, 1))
-    rows = np.arange(size)
-    chunk = n // 2 + 1              # steps enough for n - 1 accepted draws
-    draws = gen.draws(chunk)
-    used = np.zeros(size, dtype=np.intp)
-    for i in range(n - 1, 0, -1):
-        mask = (1 << i.bit_length()) - 1
-        pick = np.empty(size, dtype=np.int64)
-        todo = rows
-        while len(todo):
-            at = used[todo]
-            if at.max() >= draws.shape[1]:
-                draws = np.concatenate((draws, gen.draws(chunk)), axis=1)
-            value = draws[todo, at] & mask
-            used[todo] = at + 1
-            ok = value <= i
-            pick[todo[ok]] = value[ok]
-            todo = todo[~ok]
-        out[rows, i], out[rows, pick] = out[rows, pick], out[rows, i]
+    flat = out.reshape(-1)
+    masks = np.array([(1 << i.bit_length()) - 1 for i in range(n)])
+    start = np.arange(size if n > 1 else 0) * n  # flat index of position 0
+    pos = np.full(len(start), n - 1)             # the position to fill
+    while len(start):
+        for draw in gen.draws(int(pos.max()) // 2 + 1):
+            value = draw & masks[pos]
+            ok = value <= pos
+            at = start + pos
+            to = np.where(ok, start + value, at)    # a rejected draw swaps
+            flat[at], flat[to] = flat[to], flat[at]  # at with itself
+            pos -= ok
+            np.maximum(pos, 0, out=pos)
+        live = np.flatnonzero(pos)
+        start, pos = start[live], pos[live]
+        gen.narrow(live)
     return out
 
 

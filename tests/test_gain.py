@@ -12,7 +12,7 @@ import exact_reference as ref
 import swmlab as sl
 from swmlab.errors import InvalidQueryError, SizeGuardError
 from swmlab.gain import (ConjectureReport, EXACT_TRACE_MAX_N, GainTrace,
-                         MC_BATCH)
+                         MC_BATCH, WALK_BATCH)
 from swmlab.instances import random_family_instance, random_instance
 from swmlab.oracles import mask_items
 
@@ -105,6 +105,16 @@ def per_order_conjecture(inst, samples, seed, tol=IDENTITY_TOL):
 
 def report_bytes(report):
     return json.dumps(report.to_dict(), sort_keys=True)
+
+
+def traced_peak(call):
+    """The ``tracemalloc`` peak, in bytes, of ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def enumerated_conjecture(inst):
@@ -914,3 +924,57 @@ class TestBatchedMonteCarlo:
         small, large = peak(2_000), peak(20_000)
         # one 20,000-order array of w alone would add 1.28 MB
         assert large - small < 256 * 1024, (small, large)
+
+    def test_walk_memory_bounded_by_walk_batch(self):
+        """Up to the cap a batch holds ``WALK_BATCH`` orders: ten full
+        batches peak where one does."""
+        ctx = sl.GainContext(random_instance(8, 3, 1, families=FAMILIES))
+        ctx._pass
+        small, large = (traced_peak(lambda: sl.expected_trace(
+            ctx, mode="mc", samples=k * WALK_BATCH, seed=0)) for k in (1, 10))
+        assert large - small < 256 * 1024, (small, large)
+
+    def test_conjecture_memory_bounded_by_batch(self):
+        inst = random_instance(8, 3, 1, families=FAMILIES)
+        small, large = (traced_peak(lambda: sl.conjecture_check(
+            inst, mode="mc", samples=k * MC_BATCH, seed=0)) for k in (2, 20))
+        assert large - small < 256 * 1024, (small, large)
+
+    @pytest.mark.parametrize("suite,n", [("trace", 3), ("trace", 8),
+                                         ("trace", 10), ("conjecture", 6)])
+    def test_batch_size_never_changes_report(self, suite, n, monkeypatch):
+        """The walk (trace, n <= 8) and the batched greedy runs (trace at
+        n = 10, conjecture) report the same bytes whatever the batch size,
+        a partial last batch included."""
+        inst = random_instance(n, 3, 30 + n, families=FAMILIES)
+        ctx = mc_context(inst)
+        reports = set()
+        for size in (1, 7, 2048):
+            monkeypatch.setattr(gain_module, "MC_BATCH", size)
+            monkeypatch.setattr(gain_module, "WALK_BATCH", size)
+            if suite == "trace":
+                rep = sl.expected_trace(ctx, mode="mc", samples=60, seed=n)
+            else:
+                rep = sl.conjecture_check(inst, mode="mc", samples=60, seed=n)
+            reports.add(report_bytes(rep))
+        assert len(reports) == 1
+
+    @pytest.mark.parametrize("n", (1, 5, 8, 13))
+    def test_add_orders_equals_concatenated_cumsum(self, n):
+        """Adding ``acc`` into the first order's terms and summing in place
+        gives the bits of a cumulative sum that starts from ``acc``."""
+        rng = np.random.default_rng(n)
+        size, width = WALK_BATCH, 3 * n + 1
+        v = (rng.standard_normal((size, 3, n))
+             * 10.0 ** rng.integers(-9, 9, (size, 3, n)))
+        acc = (rng.standard_normal((2, width))
+               * 10.0 ** rng.integers(-9, 9, (2, width)))
+        before = acc.copy()
+        terms = np.empty((size, 2, width))
+        terms[:, 0, :-1] = v.reshape(size, -1)
+        terms[:, 0, -1] = v[:, 0].sum(axis=1)
+        np.square(terms[:, 0], out=terms[:, 1])
+        want = np.concatenate((acc[None], terms)).cumsum(axis=0)[-1]
+        got = gain_module._add_orders(acc, v)
+        assert got.tobytes() == want.tobytes()
+        assert acc.tobytes() == before.tobytes()

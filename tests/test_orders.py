@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import exact_reference as ref
+from swmlab import orders as orders_module
 from swmlab.gain import MC_BATCH, _mc_batches
 from swmlab.orders import orders
 
@@ -33,9 +34,28 @@ def test_batch_edges(lo, hi):
                                   reference(3, lo, hi, 6))
 
 
+@pytest.mark.parametrize("n", (9, 17, 33, 63))
+def test_wide_batches(n, monkeypatch):
+    """At these sizes many positions i have a mask above i, so rows reject
+    often: the draws run out more than once, and each round steps only
+    the rows still shuffling."""
+    rounds = []
+    draws = orders_module._Pcg64.draws
+
+    def counted(gen, steps):
+        rounds.append(len(gen.lo))
+        return draws(gen, steps)
+
+    monkeypatch.setattr(orders_module._Pcg64, "draws", counted)
+    np.testing.assert_array_equal(orders(5, 0, 3000, n),
+                                  reference(5, 0, 3000, n))
+    assert len(rounds) >= 3 and rounds[0] == 3000
+    assert all(a > b for a, b in zip(rounds, rounds[1:])), rounds
+
+
 def test_mc_batches_are_the_stream_in_sample_order():
     samples = 2 * MC_BATCH + 3
-    batches = list(_mc_batches(5, "mc", samples, 11))
+    batches = list(_mc_batches(5, "mc", samples, 11, MC_BATCH))
     assert [len(b) for b in batches] == [MC_BATCH, MC_BATCH, 3]
     np.testing.assert_array_equal(np.concatenate(batches),
                                   reference(11, 0, samples, 5))
