@@ -367,6 +367,9 @@ def main(argv=None) -> int:
     except (SwmlabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:   # a model too large to allocate
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_USAGE
     print(f"elapsed: {time.monotonic() - start:.3f}s", file=sys.stderr)
     return code
 

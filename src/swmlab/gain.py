@@ -52,7 +52,8 @@ row of a batch), per-order traces run as batches of ``MC_BATCH`` orders
 (``_trace_batch``), one greedy step for every order of the batch at once
 through ``core.greedy_steps``.
 ``conjecture_check`` runs greedy on the moved orders of each sample at any
-n, since those are not transitions of the pass.
+n: it takes an ``Instance`` and builds no ``GainContext``, so there is
+no pass to walk (each moved order is a permutation and could walk one).
 """
 from __future__ import annotations
 

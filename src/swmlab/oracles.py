@@ -8,7 +8,8 @@ int64 array of bitmasks at once; it builds the full value table for small
 ground sets, so repeated queries are array lookups, and serves every query
 and the sampled check above them.  The exhaustive checks and the
 second-order classifier read that table as one row of marginal gains per
-item (``_first_violations``), the classifier in (f, s, e) order.
+item, built by ``_gain_rows``; every check tests monotonicity as
+MG(A, e) < -tol.
 """
 from __future__ import annotations
 
@@ -124,7 +125,7 @@ class ValuationOracle:
         if e < 0 or e >= self.n:
             raise InvalidQueryError(f"item {e} outside ground set of size {self.n}")
         bit = 1 << e
-        if mask & bit:
+        if mask & bit and not mask & ~self._full:   # else value_mask raises
             return 0.0
         return self.value_mask(mask | bit) - self.value_mask(mask)
 
@@ -462,20 +463,28 @@ def _spread(x, items):
     return x
 
 
+def _gain_rows(t: np.ndarray, items) -> np.ndarray:
+    """Rows of marginal gains of the set function with value table ``t``:
+    row r is MG(., e), e = items[r], over the sets without e, ascending,
+    with bit e squeezed out.  It is ``hi - lo`` of ``t.reshape(-1, 2,
+    1 << e)``, the sets with e less those without, as every check reads."""
+    rows = np.empty((len(items), t.size >> 1))
+    for row, e in zip(rows, items):
+        split = t.reshape(-1, 2, 1 << e)
+        np.subtract(split[:, 1], split[:, 0], out=row.reshape(-1, 1 << e))
+    return rows
+
+
 def _first_violations(t: np.ndarray, n: int, tol: float):
     """First violations of monotonicity and local submodularity of the set
     function with value table ``t`` (indexed by bitmask over ``n`` items).
 
     A runs over all sets, and e, f over distinct items outside A.  Returns
-    ``(mono, sub)``: the first ``(A, e)`` with v(A + e) < v(A) - tol and
-    the first ``(A, f, e)`` with MG(A, e) < MG(A + f, e) - tol, each first
-    in ascending (A, e, f) order and None when there is no violation.  Sets
-    are bitmasks.
+    ``(mono, sub)``: the first ``(A, e)`` with MG(A, e) < -tol and the
+    first ``(A, f, e)`` with MG(A, e) < MG(A + f, e) - tol, in ascending
+    (A, e, f) order, sets as bitmasks; None when there is no violation.
 
-    The scan reads one row per item e: ``t.reshape(-1, 2, 1 << e)`` splits
-    the table into the sets without e (``lo``) and with e (``hi``), so
-    ``hi - lo`` is MG(., e) over the 2^(n-1) sets outside e, with bit e
-    squeezed out.  Rows are stacked for a chunk of items, at most
+    The scan reads the rows of ``_gain_rows`` for a chunk of items, at most
     ``CHECK_CHUNK`` values or one row, and each chunk costs one comparison
     for monotonicity and one per bit position p of a row for local
     submodularity: in row e, position p stands for item f = p + (p >= e).
@@ -483,25 +492,16 @@ def _first_violations(t: np.ndarray, n: int, tol: float):
     about ceil(n / max(1, CHECK_CHUNK / 2^(n-1))) * n comparisons: n while
     one chunk holds every row (n <= 11), n^2 at n >= 15, where a chunk is
     one row, as many as a loop over item pairs but on contiguous rows.
-    ``classify_second_order`` differences the same rows twice more.
     """
     mono, sub = [], []
-    half = t.size >> 1
-    step = max(1, CHECK_CHUNK // max(half, 1))
+    step = max(1, CHECK_CHUNK // max(t.size >> 1, 1))
     for first in range(0, n, step):
         items = range(first, min(first + step, n))
-        lo = np.empty((len(items), half))
-        hi = np.empty_like(lo)
-        for row, e in enumerate(items):
-            split = t.reshape(-1, 2, 1 << e)
-            lo[row].reshape(-1, 1 << e)[...] = split[:, 0]
-            hi[row].reshape(-1, 1 << e)[...] = split[:, 1]
-        bad = hi < lo - tol
-        if bad.any():
-            for row in np.flatnonzero(bad.any(axis=1)):
-                e = items[row]
-                mono.append((_spread(int(bad[row].argmax()), (e,)), e))
-        mg = hi - lo
+        mg = _gain_rows(t, items)
+        bad = mg < -tol
+        for row in np.flatnonzero(bad.any(axis=1)):
+            e = items[row]
+            mono.append((_spread(int(bad[row].argmax()), (e,)), e))
         for pos in range(n - 1):
             pair = mg.reshape(len(items), -1, 2, 1 << pos)
             bad = pair[:, :, 0] < pair[:, :, 1] - tol
@@ -519,25 +519,29 @@ def _first_violations(t: np.ndarray, n: int, tol: float):
     return mono, (a, f, e)
 
 
+def _normalization(oracle: ValuationOracle, tol: float) -> dict:
+    """The witness of |v(empty set)| > tol, empty if there is none."""
+    v0 = oracle.value_mask(0)
+    return {} if abs(v0) <= tol else {"normalized": (v0,)}
+
+
 def check_axioms(oracle: ValuationOracle, tol: float = ABS_TOL) -> AxiomReport:
     """Exhaustively verify normalization, monotonicity and submodularity.
 
-    Reads the oracle's value table, so every set and every pair of items
-    outside it is checked.  Witnesses record the first violation per axiom
-    in ascending (A, e, f) order: ``(A, e)`` for monotonicity and
-    ``(A, {f}, e)`` with a negative gain reduction for submodularity.
-    Refuses ground sets above the exhaustive cap ``EXHAUSTIVE_MAX_N``;
-    ``spot_check_axioms`` samples those.
+    Reads the oracle's value table through ``_first_violations``, so every
+    set and every pair of items outside it is checked, monotonicity as
+    MG(A, e) < -tol like ``spot_check_axioms``.  Witnesses record the
+    first violation per axiom in ascending (A, e, f) order: ``(A, e)`` for
+    monotonicity and ``(A, {f}, e)`` with a negative gain reduction for
+    submodularity.  Refuses ground sets above the exhaustive cap
+    ``EXHAUSTIVE_MAX_N``; ``spot_check_axioms`` samples those.
     """
     n = oracle.n
     if n > EXHAUSTIVE_MAX_N:
         raise SizeGuardError(
             f"exhaustive axiom check limited to n <= {EXHAUSTIVE_MAX_N} "
             f"(got n={n}); use spot_check_axioms for a randomized scan")
-    witnesses: dict = {}
-    normalized = abs(oracle.value_mask(0)) <= tol
-    if not normalized:
-        witnesses["normalized"] = (oracle.value_mask(0),)
+    witnesses = _normalization(oracle, tol)
     mono, sub = _first_violations(oracle._table, n, tol)
     if mono is not None:
         a, e = mono
@@ -546,7 +550,8 @@ def check_axioms(oracle: ValuationOracle, tol: float = ABS_TOL) -> AxiomReport:
         a, f, e = sub
         witnesses["submodular"] = (frozenset(mask_items(a)),
                                    frozenset((f,)), e)
-    return AxiomReport(normalized, mono is None, sub is None, witnesses)
+    return AxiomReport("normalized" not in witnesses, mono is None,
+                       sub is None, witnesses)
 
 
 @dataclass
@@ -612,9 +617,7 @@ def _check(oracle: ValuationOracle) -> ValuationOracle:
     if oracle.n <= EXHAUSTIVE_MAX_N:
         witnesses = check_axioms(oracle).witnesses
     else:
-        witnesses = {}
-        if abs(oracle.value_mask(0)) > ABS_TOL:
-            witnesses["normalized"] = (oracle.value_mask(0),)
+        witnesses = _normalization(oracle, ABS_TOL)
         table = oracle._table
         scale = 1.0 if table is None else max(1.0, float(np.abs(table).max()))
         violation = spot_check_axioms(oracle, tol=ABS_TOL * scale).violation
@@ -674,21 +677,18 @@ def classify_second_order(oracle: ValuationOracle,
     Each witness is the first such (C, C + f, {s}, e) in (f, s, e, C)
     order.  Refuses ground sets above the exhaustive cap.
 
-    The scan reads the rows of ``_first_violations``, MG(., e) with bit e
-    squeezed out.  Per pair f < s, in (f, s) order, the rows e > s are
-    differenced over bit s into GR(C, {s}, e), then over bit f into D, up
-    to the first pair by which both witnesses are found.
+    The scan reads the rows of ``_gain_rows``, MG(., e) with bit e
+    squeezed out, as ``_first_violations`` does.  Per pair f < s, in
+    (f, s) order, the rows e > s are differenced over bit s into
+    GR(C, {s}, e), then over bit f into D, up to the first pair by which
+    both witnesses are found.
     """
     n = oracle.n
     if n > EXHAUSTIVE_MAX_N:
         raise SizeGuardError(
             f"second-order classification limited to n <= {EXHAUSTIVE_MAX_N} "
             f"(got n={n})")
-    t = oracle._table
-    mg = np.empty((n, t.size >> 1))
-    for e in range(n):
-        split = t.reshape(-1, 2, 1 << e)
-        np.subtract(split[:, 1], split[:, 0], out=mg[e].reshape(-1, 1 << e))
+    mg = _gain_rows(oracle._table, range(n))
     wit = [None, None]   # violates GR(A,..) >= GR(B,..), resp. <=
     for f, s in itertools.combinations(range(n - 1), 2):
         rows = n - 1 - s

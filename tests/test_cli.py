@@ -314,6 +314,17 @@ class TestLp:
         assert main(["lp", "--family", "general", "--n", "8", "--beta", "0",
                      "--out", str(tmp_path / "lp.json")]) == 0
 
+    @pytest.mark.parametrize("message, printed", [
+        ("Unable to allocate 576. GiB", "Unable to allocate 576. GiB"),
+        ("", "out of memory")])
+    def test_model_too_large_to_allocate_exits_2(self, monkeypatch, capsys,
+                                                 message, printed):
+        def too_large(n):
+            raise MemoryError(message)
+        monkeypatch.setattr(cli, "build_lp_general", too_large)
+        assert main(["lp", "--family", "general", "--n", "262144"]) == 2
+        assert capsys.readouterr().err == f"error: {printed}\n"
+
     def test_general_family_reports_gap(self, tmp_path):
         out = tmp_path / "lp.json"
         assert main(["lp", "--family", "general", "--n", "8",

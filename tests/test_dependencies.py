@@ -1,6 +1,7 @@
 """The package depends on numpy alone: every import in ``src/swmlab`` is
 relative, from the standard library, or numpy.  scipy serves the tests
-only, and sympy nothing."""
+only, and sympy nothing.  Oracle internals stay in ``oracles.py``: no
+other module reads an attribute named ``_table`` or ``_values``."""
 import ast
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "swmlab"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy"}
+ORACLE_INTERNALS = {"_table", "_values"}
 
 
 def imported_roots(path: Path) -> list[str]:
@@ -36,3 +38,26 @@ def test_the_check_sees_a_third_party_import(tmp_path):
                       "def f():\n    import sympy\n")
     assert [r for r in imported_roots(module) if r not in ALLOWED] == \
         ["scipy", "sympy"]
+
+
+def internal_reads(path: Path) -> list[str]:
+    """The name of every access in ``path`` to an attribute named in
+    ``ORACLE_INTERNALS``, sorted."""
+    tree = ast.parse(path.read_text(), str(path))
+    return sorted(node.attr for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and node.attr in ORACLE_INTERNALS)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "oracles.py"),
+    ids=lambda p: p.name)
+def test_oracle_internals_are_read_only_in_oracles(path):
+    assert internal_reads(path) == [], f"{path.name} reads oracle internals"
+
+
+def test_the_check_sees_an_internal_read(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text("def f(o):\n    t = o._table\n"
+                      "    return o._values(t), o.value_masks(t), _table\n")
+    assert internal_reads(module) == ["_table", "_values"]

@@ -10,13 +10,15 @@ from hypothesis import strategies as st
 import exact_reference as ref
 import swmlab as sl
 from swmlab.cli import main
+from swmlab.core import marginal_gains
 from swmlab.errors import AxiomViolationError, InvalidQueryError, SizeGuardError
 from swmlab.instances import (ORACLE_GENERATORS, random_coverage_oracle,
                               random_family_instance)
 from swmlab.oracles import (ABS_TOL, TABLE_CHUNK, AxiomReport,
                             CoverageOracle, SecondOrderClass, TableOracle,
-                            _first_violations, _spread, _subset_keys, as_mask,
-                            mask_items, oracle_from_spec, subset_key)
+                            _first_violations, _gain_rows, _spread,
+                            _subset_keys, as_mask, mask_items,
+                            oracle_from_spec, subset_key)
 
 TOL = 1e-12
 
@@ -67,6 +69,15 @@ class TestMarginalGain:
     def test_element_already_present(self):
         o = random_oracle("coverage", 4, 3)
         assert sl.marginal_gain(o, {1, 2}, 1) == 0.0
+
+    @pytest.mark.parametrize("mask", [-1, (1 << 40) | 1, 0b1001])
+    def test_mask_outside_ground_set_holding_e(self, mask):
+        o = sl.make_additive([1, 2, 3])
+        with pytest.raises(InvalidQueryError) as want:
+            o.value_mask(mask)
+        with pytest.raises(InvalidQueryError) as got:
+            o.marginal_gain_mask(mask, 0)
+        assert str(got.value) == str(want.value)
 
 
 class TestGainReduction:
@@ -383,6 +394,23 @@ class TestCheckAxioms:
         a, s, e = rep.witnesses["submodular"]
         assert sl.gain_reduction(o, a, s, e) < -TOL
 
+    def test_monotone_boundary_agrees_with_spot_check(self):
+        """MG({0}, 1) = -1.0000889e-12 lies just below -tol, while
+        v({0, 1}) < v({0}) - tol does not hold in floats: both checks read
+        the first form and report the same witness."""
+        low = {"": 0.0, "0": 2.661302722922926, "1": 1.0,
+               "0,1": 2.661302722921926}
+        vals = dict(low)
+        vals.update((f"{k},2" if k else "2", v + 1.0) for k, v in low.items())
+        o = TableOracle(3, vals, check=False)
+        assert o.marginal_gain_mask(1, 1) < -TOL
+        assert not o.value_mask(3) < o.value_mask(1) - TOL
+        rep = sl.check_axioms(o)
+        assert not rep.monotone
+        assert rep.witnesses["monotone"] == (frozenset({0}), 1)
+        scan = sl.spot_check_axioms(o, samples=2000, seed=0)
+        assert scan.violation == ("monotone", frozenset({0}), 1)
+
     def test_refuses_large_ground_set(self):
         o = sl.make_additive([1.0] * 17)
         with pytest.raises(SizeGuardError):
@@ -627,7 +655,7 @@ def _reference_check_axioms(oracle, tol=TOL):
             bit = 1 << e
             if m & bit:
                 continue
-            if oracle.value_mask(m | bit) < vm - tol:
+            if oracle.value_mask(m | bit) - vm < -tol:
                 monotone = False
                 witnesses["monotone"] = (frozenset(mask_items(m)), e)
                 break
@@ -751,13 +779,15 @@ def _face(cube, fixed):
 
 
 def reference_first_violations(t, n, tol):
-    """The pair loop that ``_first_violations`` replaced, kept unchanged:
-    each pair {e, f} reads the four ``_face`` views of the table on the
-    2^(n-2) sets outside it."""
+    """The pair loop that ``_first_violations`` replaced: each pair {e, f}
+    reads the four ``_face`` views of the table on the 2^(n-2) sets
+    outside it.  Monotonicity is MG(A, e) < -tol, the rule of every axiom
+    check."""
     cube = t.reshape((2,) * n)
     mono, sub = [], []
     for e in range(n):
-        hits = np.flatnonzero(_face(cube, {e: 1}) < _face(cube, {e: 0}) - tol)
+        hits = np.flatnonzero(_face(cube, {e: 1}) - _face(cube, {e: 0})
+                              < -tol)
         if hits.size:
             mono.append((_spread(int(hits[0]), (e,)), e))
     for e, f in itertools.combinations(range(n), 2):
@@ -772,6 +802,19 @@ def reference_first_violations(t, n, tol):
         return mono, None
     a, e, f = min(sub)
     return mono, (a, f, e)
+
+
+class TestGainRows:
+    @pytest.mark.parametrize("family", sorted(ORACLE_GENERATORS))
+    @pytest.mark.parametrize("n", [1, 2, 5, 9, 12])
+    def test_rows_are_marginal_gains_bytes(self, family, n):
+        """Every row is the subtraction ``core.marginal_gains`` makes."""
+        o = random_oracle(family, n, 7)
+        rows = _gain_rows(o._table, range(n))
+        outside = np.arange(1 << (n - 1))
+        for e in range(n):
+            want = marginal_gains(o, _spread(outside, (e,)), 1 << e)
+            assert rows[e].tobytes() == want.tobytes(), e
 
 
 class TestFirstViolationsAgainstPairLoop:
