@@ -214,29 +214,25 @@ def cmd_verify(args) -> int:
     instance = load_instance(args.instance)
     ctx = GainContext(instance)
     wanted = [c.strip() for c in args.checks.split(",") if c.strip()]
-    known = {"lemmas", "eq1", "secondhalf"}
-    unknown = set(wanted) - known
+    suites = {"lemmas": verify_lemmas, "eq1": verify_eq1,
+              "secondhalf": verify_second_half}
+    unknown = set(wanted) - set(suites)
     if not wanted:
-        raise ValueError(f"no checks given; choose from {sorted(known)}")
+        raise ValueError(f"no checks given; choose from {sorted(suites)}")
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}; "
-                         f"choose from {sorted(known)}")
+                         f"choose from {sorted(suites)}")
     repeated = {c for c in wanted if wanted.count(c) > 1}
     if repeated:
         raise ValueError(f"repeated checks: {sorted(repeated)}")
-    results = {}
-    all_passed = True
-    for check in wanted:
-        if check == "lemmas":
-            rep = verify_lemmas(ctx)
-        elif check == "eq1":
-            rep = verify_eq1(ctx)
-        else:
-            rep = verify_second_half(ctx)
-        results[check] = rep.to_dict()
-        all_passed = all_passed and rep.passed
+    # every suite runs before any line is printed, so a call that fails on
+    # a later suite reports only its error
+    reports = {check: suites[check](ctx) for check in wanted}
+    for check, rep in reports.items():
         print(f"{check}: {'PASS' if rep.passed else 'FAIL'}", file=sys.stderr)
         print(f"{check}: states = {rep.states}", file=sys.stderr)
+    all_passed = all(rep.passed for rep in reports.values())
+    results = {check: rep.to_dict() for check, rep in reports.items()}
     report = _report("verify", {"instance": str(args.instance),
                                 "checks": wanted},
                      {"checks": results, "passed": all_passed})

@@ -12,15 +12,17 @@ states, all run by one layer loop (``_forward``) under one cap,
 ``EXACT_TRACE_MAX_N``: greedy's agent masks after k arrivals fix the arrived
 set, every item's Gain and the a/b split of the next step, so each state is
 expanded once however many orders reach it.  A layer is an int64 array of
-state rows ``[r, S]`` (the m agent masks, then any tag rows a chain
-carries) with a probability vector ``[S]``, in first-occurrence order.  One
-step lists the transitions (state, unarrived item j) state-major with j
-ascending, runs ``core.greedy_steps`` once on all of them, and merges equal
-new states, compared row by row whatever the row width, in order of first
-occurrence, adding their probabilities with ``np.bincount`` in transition
-order.  Every expectation then adds its terms with ordered cumulative sums
-in that same order, so each report has the bytes a loop over the states
-and transitions, one scalar query at a time, gives.
+state rows ``[r, S]`` (greedy's m agent masks, then any rows a chain
+carries: further arrived sets, or tags held above bit n, so a state's
+arrived items are the union of its rows below bit n) with a probability
+vector ``[S]``, in first-occurrence order.  One step lists the transitions
+(state, unarrived item j) state-major with j ascending, runs
+``core.greedy_steps`` once on all of them, and merges equal new states,
+compared row by row whatever the row width, in order of first occurrence,
+adding their probabilities with ``np.bincount`` in transition order.
+Every expectation then adds its terms with ordered cumulative sums in that
+same order, so each report has the bytes a loop over the states and
+transitions, one scalar query at a time, gives.
 
 The chain from the empty allocation (``_state_pass``) runs once per
 ``GainContext`` and serves ``expected_trace`` (in exact mode, and in
@@ -65,14 +67,14 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import (Allocation, Instance, _overlapping, greedy, greedy_steps,
-                   marginal_gains, optimal, union, welfare)
+from .core import (OPTIMAL_MAX_ASSIGNMENTS, Allocation, Instance,
+                   _overlapping, greedy, greedy_steps, marginal_gains,
+                   optimal, union, welfare)
 from .errors import InvalidQueryError, SizeGuardError
 from .oracles import classify_second_order, mask_items
 from .orders import orders as seeded_orders
 
 EXACT_TRACE_MAX_N = 8      # cap of every exact expectation (_forward)
-SECOND_HALF_MAX_M = 3      # verify_second_half tries m^(n/2) assignments
 MC_BATCH = 1024            # orders per batch of greedy runs (_trace_batch,
                            # conjecture_check); bounds their memory
 WALK_BATCH = 2048          # orders per batch of state-pass walks; bounds the
@@ -194,8 +196,9 @@ def trace_one(ctx: GainContext, order: Sequence[int]) -> TraceOne:
 class _Layer:
     """Chain states after k arrivals, in first-occurrence order: int64
     rows ``states[r, S]``, whose first m rows are greedy's agent masks and
-    any further rows tags that the chain carries, and their probabilities
-    ``p[S]``."""
+    any further rows either further arrived sets or tags held above bit n,
+    so the union of the rows below bit n is the arrived set, and their
+    probabilities ``p[S]``."""
 
     states: np.ndarray
     p: np.ndarray
@@ -263,18 +266,19 @@ def _first_occurrence(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return inv, first.nonzero()[0]
 
 
-def _forward(inst: Instance, layer: _Layer, depth: int, arrived=None,
-             advance=None):
+def _forward(inst: Instance, layer: _Layer, depth: int, advance=None):
     """Yield ``(layer, None)`` at ``depth``, then ``(layer, step)`` after
-    each further arrival, down to depth n.  From a state of probability p
-    at depth k each item j not in ``arrived(states)`` (default: the union
-    of the agent masks) arrives next with probability q = p/(n-k).  One
-    ``advance(k, states, items) -> (chosen, marginal, new states)`` call
-    (default: ``greedy_steps``, which carries tag rows) takes every
+    each further arrival, down to depth n.  A state's arrived items are
+    the union of all its rows below bit n (the rows after greedy's agent
+    masks are further arrived sets, or tags held above bit n).  From a
+    state of probability p at depth k each item j not arrived arrives next
+    with probability q = p/(n-k).  One ``advance(k, states, items) ->
+    (chosen, marginal, new states)`` call (default: ``greedy_steps``,
+    which carries the rows after the m agents' rows) takes every
     transition of the layer; equal new states merge in first-occurrence
     order, their q added in transition order.  Every exact expectation
     runs here, under the one cap."""
-    n, m = inst.n, inst.m
+    n = inst.n
     if n > EXACT_TRACE_MAX_N:
         raise SizeGuardError(f"exact expectations are capped at "
                              f"n={EXACT_TRACE_MAX_N}; got n={n}")
@@ -282,8 +286,7 @@ def _forward(inst: Instance, layer: _Layer, depth: int, arrived=None,
     yield layer, None
     for k in range(depth, n):
         rows = layer.states
-        done = _or_rows(rows[:m]) if arrived is None else arrived(rows)
-        src, items = np.nonzero((done[:, None] & bits) == 0)
+        src, items = np.nonzero((_or_rows(rows)[:, None] & bits) == 0)
         q = (layer.p / (n - k))[src]
         if advance is None:
             chosen, marginal, new = greedy_steps(inst, rows[:, src], items)
@@ -367,9 +370,8 @@ def _state_pass(ctx: GainContext) -> _StatePass:
     states, steps = 1, []
     for k, (layer, step) in enumerate(chain):
         new = _item_gains(ctx, layer.states)
-        before = gains[step.src]
-        ab, _ = _split_drops(ctx, before, new[step.inv], step.chosen,
-                             _member(_or_rows(layer.states), n)[step.inv])
+        ab = _split_drops(ctx, gains[step.src], new[step.inv], step.chosen,
+                          _member(_or_rows(layer.states), n)[step.inv])
         wab = np.vstack((step.marginal, ab))
         totals[k] = _running_sum(totals[k], (step.q * wab).T)
         index = np.full((len(gains), n), -1, dtype=np.int32)
@@ -497,11 +499,11 @@ def _item_gains(ctx: GainContext, masks: np.ndarray) -> np.ndarray:
 
 
 def _split_drops(ctx: GainContext, before: np.ndarray, after: np.ndarray,
-                 chosen: np.ndarray, now: np.ndarray):
-    """a and b (the rows of a [2, S] array) and the hit items of a batch of
-    greedy steps, from every item's
-    Gain ``before`` and ``after`` each step ([S, n]), the chosen agents and
-    the arrived items after it (``now``, [S, n] booleans).  The Gain drop d of every item whose reference agent was
+                 chosen: np.ndarray, now: np.ndarray) -> np.ndarray:
+    """a and b (the rows of a [2, S] array) of a batch of greedy steps,
+    from every item's Gain ``before`` and ``after`` each step ([S, n]), the
+    chosen agents and the arrived items after it (``now``, [S, n]
+    booleans).  The Gain drop d of every item whose reference agent was
     chosen and whose d != 0 goes into b if the item has arrived and into a
     otherwise, added in ascending item order; the other items add 0.0 in
     their place, which changes no sum, since a sum of nonzero terms that
@@ -509,31 +511,28 @@ def _split_drops(ctx: GainContext, before: np.ndarray, after: np.ndarray,
     d = before - after
     hit = (chosen[:, None] == ctx._ref) & (d != 0.0)
     terms = np.where(hit & (now == _A_B), d, 0.0)       # [2, S, n]
-    return terms.cumsum(axis=2, out=terms)[:, :, -1], hit
+    return terms.cumsum(axis=2, out=terms)[:, :, -1]
 
 
 def _trace_batch(ctx: GainContext, orders: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """w, a, b and the arriving item's Gain before each step, per position,
     of greedy along each row of ``orders`` (int64 [S, n]), as C-contiguous
-    [S, n] arrays.  Each step splits the Gain drops with ``_split_drops``,
-    and an item's tracked Gain changes only where its drop is nonzero."""
-    n = ctx.n
-    size = len(orders)
+    [S, n] arrays.  Each step reads every item's Gain at the new masks and
+    splits the drops with ``_split_drops``, as the state pass does."""
+    size, n = orders.shape
     rows = np.arange(size)
     masks = np.zeros((ctx.m, size), dtype=np.int64)
     gains = _item_gains(ctx, masks)
     w, av, bv, gb = np.zeros((4, size, n))
-    arrived = np.zeros(size, dtype=np.int64)
     for pos in range(n):
         items = orders[:, pos]
         gb[:, pos] = gains[rows, items]
         chosen, w[:, pos], masks = greedy_steps(ctx.instance, masks, items)
-        arrived |= np.left_shift(1, items)
         new = _item_gains(ctx, masks)
-        (av[:, pos], bv[:, pos]), hit = _split_drops(ctx, gains, new, chosen,
-                                                     _member(arrived, n))
-        gains = np.where(hit, new, gains)
+        av[:, pos], bv[:, pos] = _split_drops(ctx, gains, new, chosen,
+                                              _member(_or_rows(masks), n))
+        gains = new
     return w, av, bv, gb
 
 
@@ -545,8 +544,7 @@ def _walk_batch(sp: _StatePass, orders: np.ndarray) -> np.ndarray:
     moves to its next-layer state.  These are the values of
     ``_trace_batch``, bit for bit: a transition's marginal is the same
     elementwise ``greedy_steps`` float, and its a and b come from
-    ``_split_drops`` on the same Gain rows (an order's tracked Gain changes
-    only where the drop is nonzero, so it equals the state's Gain)."""
+    ``_split_drops`` on the same Gain rows."""
     size, n = orders.shape
     v = np.empty((size, 3, n))
     state = np.zeros(size, dtype=np.int64)
@@ -818,11 +816,12 @@ def _expected_A_prime_margin(ctx: GainContext, half: _Layer
     greedy's allocation of S1, and runs to depth n; the chains run in
     batches of consecutive start states (``_batches``).  The joint state
     is the row of full-greedy masks, masks of greedy on (S2, S3) alone and
-    S2, the items that arrive between depths n/2 and 3n/4.  Greedy never
-    moves an item, so the joint state fixes its half state (the full masks
-    on the items greedy on (S2, S3) has not seen), chains never meet, and
-    a batch's layer is its chains' layers one after another.  The optimum
-    on S2 is computed once per subset, over its items in sorted order.
+    S2, the items that arrive between depths n/2 and 3n/4; each row is
+    within the arrived set.  Greedy never moves an item, so the joint
+    state fixes its half state (the full masks on the items greedy on (S2,
+    S3) has not seen), chains never meet, and a batch's layer is its
+    chains' layers one after another.  The optimum on S2 is computed once
+    per subset, over its items in sorted order.
     """
     inst, n, m = ctx.instance, ctx.n, ctx.m
     three_q = 3 * n // 4
@@ -942,9 +941,9 @@ def verify_second_half(ctx: GainContext, tol: float = IDENTITY_TOL
     inst, n, m = ctx.instance, ctx.n, ctx.m
     if n % 2 != 0:
         raise ValueError(f"n must be even, got {n}")
-    if m > SECOND_HALF_MAX_M:
-        raise SizeGuardError(f"verify_second_half is capped at "
-                             f"m={SECOND_HALF_MAX_M}; got m={m}")
+    if m ** n > OPTIMAL_MAX_ASSIGNMENTS:   # optimal's bound: m^(n/2) <= 3162
+        raise SizeGuardError(f"verify_second_half needs m^n <= "
+                             f"{OPTIMAL_MAX_ASSIGNMENTS}; got {m}^{n}")
     sp = ctx._pass
     half = n // 2
     supermodular = all(
@@ -978,12 +977,12 @@ def verify_second_half(ctx: GainContext, tol: float = IDENTITY_TOL
         # Y_i = Gain(S1, A^G_{i-1}) - Gain(S1, A^G_{i-1} + best on the
         # unarrived items), read at depths n/2 .. n-1 of chains started at
         # the half states, told apart by a tag row holding the index of
-        # their half state
+        # their half state above bit n
         best = hats[:, np.arange(size), best]
-        start = _Layer(np.vstack((base, np.arange(size))), p)
+        start = _Layer(np.vstack((base, np.arange(size) << n)), p)
         for y, (before, _) in zip(range(half), _forward(inst, start, half)):
             states += len(before.p)
-            masks, tag = before.states[:m], before.states[m]
+            masks, tag = before.states[:m], before.states[m] >> n
             hat = masks | best[:, tag] & ~_or_rows(masks)
             ex_y[y] = _running_sum(ex_y[y], before.p * (
                 _row_sums(_item_gains(ctx, masks), first[tag])
@@ -1046,16 +1045,15 @@ class ConjectureReport:
                 "counterexample": self.counterexample}
 
 
-def _best_marginals(inst: Instance, final: np.ndarray, bits) -> np.ndarray:
-    """[S, n]: for each set of agent masks ``final[:, s]`` and each item
-    bit ``bits`` (one row per s, or one row for all), the largest marginal
-    any agent's set offers, the first largest as ``max`` picks it."""
-    final = final[:, :, None]
-    best = marginal_gains(inst.oracles[0], final[0], bits)
-    for o, msk in zip(inst.oracles[1:], final[1:]):
-        g = marginal_gains(o, msk, bits)
-        best = np.where(g > best, g, best)
-    return best
+def _copy_sums(inst: Instance, final: np.ndarray, items: np.ndarray
+               ) -> np.ndarray:
+    """Per set of greedy's final agent masks ``final[:, s]``, the sum, in
+    the order of ``items[s]`` (int64 [S, n]), of greedy's marginal for
+    each item arriving again on top of it: the best marginal any agent's
+    final set offers, under greedy's tie rule."""
+    size, n = items.shape
+    _, best, _ = greedy_steps(inst, final.repeat(n, axis=1), items.ravel())
+    return _row_sums(best.reshape(size, n), True)
 
 
 def _conjecture_batch(inst: Instance, orders: np.ndarray
@@ -1065,9 +1063,9 @@ def _conjecture_batch(inst: Instance, orders: np.ndarray
     Greedy runs once on all n moved orders of every row, (row, i) being
     the row with its item at position i moved to the end; moving the last
     item is the row itself.  The move-sum adds the moved runs' last
-    marginals in ascending i.  The copy-sum adds, in arrival order, the
-    best marginal any agent's final set offers (the first largest, as
-    ``max`` picks it).
+    marginals in ascending i.  The copy-sum adds, in arrival order,
+    greedy's marginal for each item arriving again at the row's final
+    masks (``_copy_sums``).
     """
     size, n = orders.shape
     idx = [[*range(i), *range(i + 1, n), i] for i in range(n)]
@@ -1076,15 +1074,8 @@ def _conjecture_batch(inst: Instance, orders: np.ndarray
     for pos in range(n):
         _, last, masks = greedy_steps(inst, masks, moved[:, pos])
     last = last.reshape(size, n)
-    move = np.zeros(size)
-    for i in range(n):
-        move += last[:, i]
-    best = _best_marginals(inst, masks[:, n - 1::n],
-                           np.left_shift(1, orders))
-    copy = np.zeros(size)
-    for pos in range(n):
-        copy += best[:, pos]
-    return copy, move, last[:, n - 1]
+    return (_copy_sums(inst, masks[:, n - 1::n], orders),
+            _row_sums(last, True), last[:, n - 1])
 
 
 def _conjecture_chains(inst: Instance) -> tuple[float, float, float, int]:
@@ -1098,7 +1089,9 @@ def _conjecture_chains(inst: Instance) -> tuple[float, float, float, int]:
     After the first step of the chain from the empty allocation all n + 1
     chains are at depth 1, so they run on as one batch, told apart by a
     tag row holding j's bit (0 for the chain from the empty allocation,
-    whose states come first in every layer).
+    whose states come first in every layer), an arrived set.  Each copy
+    side term is greedy's marginal for an item arriving again
+    (``_copy_sums``).
     """
     n, m = inst.n, inst.m
     bits = np.left_shift(1, np.arange(n))
@@ -1108,8 +1101,7 @@ def _conjecture_chains(inst: Instance) -> tuple[float, float, float, int]:
                               np.vstack((np.zeros((m, n), np.int64), bits)))),
                    np.concatenate((first.p, np.ones(n))))
     states = 1
-    for layer, later in _forward(inst, start, 1, lambda rows: _or_rows(
-            rows[:m]) | rows[m]):
+    for layer, later in _forward(inst, start, 1):
         states += len(layer.p)
         step = later or step
     # the last step has one transition per state, with q = p; those of the
@@ -1117,8 +1109,8 @@ def _conjecture_chains(inst: Instance) -> tuple[float, float, float, int]:
     steps = (layer.states[m][step.inv] == 0).sum()
     last = _running_sum(0.0, step.q[:steps] * step.marginal[:steps])
     own = (layer.states[m] == 0).sum()
-    best = _best_marginals(inst, layer.states[:m, :own], bits)
-    lhs = _running_sum(0.0, layer.p[:own] * _row_sums(best, True))
+    lhs = _running_sum(0.0, layer.p[:own] * _copy_sums(
+        inst, layer.states[:m, :own], np.tile(np.arange(n), (own, 1))))
     tag = layer.states[m, own:]
     _, moved, _ = greedy_steps(inst, layer.states[:m, own:],
                                (tag[:, None] & bits).argmax(axis=1))

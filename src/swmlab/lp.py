@@ -31,6 +31,7 @@ solvers to.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -189,6 +190,20 @@ def _check_beta(beta) -> Fraction:
     return beta
 
 
+def _check_lambda(lam, n: int) -> tuple[Fraction, int]:
+    """lambda as a Fraction and lambda*n, after checking 1/2 <= lambda <= 1
+    and that lambda*n is an integer."""
+    lam = _to_fraction(lam)
+    if lam < Fraction(1, 2):
+        raise ValueError(f"lambda must be at least 1/2, got {lam}")
+    if lam > 1:
+        raise ValueError(f"lambda must be at most 1, got {lam}")
+    lam_n = lam * n
+    if lam_n.denominator != 1:
+        raise ValueError(f"lambda*n must be an integer, got {lam}*{n} = {lam_n}")
+    return lam, int(lam_n)
+
+
 def build_lp_beta(n: int, beta) -> LpModel:
     """The full trace-constraint LP with slack variables for the second half.
 
@@ -209,16 +224,9 @@ def build_lp_beta_lambda(n: int, lam, beta) -> LpModel:
     """Relaxation keeping constraint (2) only for i <= lam*n and (3) only
     for i > lam*n; its optimum is at most the full model's."""
     _check_n(n)
-    lam = _to_fraction(lam)
     beta = _check_beta(beta)
-    if lam < Fraction(1, 2):
-        raise ValueError(f"lambda must be at least 1/2, got {lam}")
-    if lam > 1:
-        raise ValueError(f"lambda must be at most 1, got {lam}")
-    lam_n = lam * n
-    if lam_n.denominator != 1:
-        raise ValueError(f"lambda*n must be an integer, got {lam}*{n} = {lam_n}")
-    return _build_trace_lp(n, beta, pos_hi=int(lam_n), sh_lo=int(lam_n),
+    lam, lam_n = _check_lambda(lam, n)
+    return _build_trace_lp(n, beta, pos_hi=lam_n, sh_lo=lam_n,
                            metadata={"family": "beta_lambda", "n": n,
                                      "lambda": lam, "beta": beta})
 
@@ -866,7 +874,8 @@ def solve(model: LpModel) -> LpSolution:
     general, ``solve_beta`` for beta and ``solve_beta_lambda`` for
     beta-lambda, each with ``simplex_solve`` when the structure declines,
     and ``simplex_solve`` for a model of no family.  ``solver`` names the
-    one that served, and a decline's reason."""
+    one that served, and a decline's reason.  A decline is also written to
+    stderr, with the model's size, before the dense simplex starts."""
     family = model.metadata.get("family")
     if family == "general_lb":
         return solve_general(model)
@@ -875,6 +884,8 @@ def solve(model: LpModel) -> LpSolution:
         solution = structural(model)
         if isinstance(solution, LpSolution):
             return solution
+        print(f"structure declined: {solution}; dense simplex on "
+              f"{model.num_rows} x {model.num_vars}", file=sys.stderr)
         fallback = simplex_solve(model)
         fallback.solver += f" (structure declined: {solution})"
         return fallback
@@ -915,8 +926,8 @@ def closed_form_beta_lambda(n: int, lam, beta) -> ClosedFormBound:
     (simplex and HiGHS agree).  For a larger beta the point can spend only
     the tail's total, so the closed form falls below the optimum
     (0.44375 against 0.4875 at n=16, lam = 13/16, beta = 1/10).
-    Refuses lam at or below the threshold 9 - sqrt(68), and a negative
-    beta.
+    Refuses lam at or below the threshold 9 - sqrt(68) or above 1, and a
+    negative beta.
     """
     _check_n(n)
     lam = _to_fraction(lam)
@@ -925,10 +936,7 @@ def closed_form_beta_lambda(n: int, lam, beta) -> ClosedFormBound:
         raise ValueError(
             f"lambda = {lam} is not above the threshold 9 - sqrt(68) "
             f"~ {LAMBDA_THRESHOLD:.6f}; the closed form does not apply")
-    lam_n = lam * n
-    if lam_n.denominator != 1:
-        raise ValueError(f"lambda*n must be an integer, got {lam}*{n} = {lam_n}")
-    lam_n = int(lam_n)
+    lam, lam_n = _check_lambda(lam, n)
     exact = (sum(Fraction(n - i, (n - 1) * n) for i in range(1, lam_n + 1))
              + (1 - lam) * n * Fraction(n // 2 + 1, 2 * (n - 1) * n) - beta)
     exact = max(exact, Fraction(0))

@@ -21,9 +21,9 @@ import numpy as np
 
 from swmlab.core import Allocation
 from swmlab.errors import SizeGuardError
-from swmlab.gain import (EXACT_TRACE_MAX_N, IDENTITY_TOL, SECOND_HALF_MAX_M,
-                         DEFAULT_TOL, ConjectureReport, Eq1Report, GainTrace,
-                         LemmaReport, SecondHalfReport, TraceOne)
+from swmlab.gain import (EXACT_TRACE_MAX_N, IDENTITY_TOL, DEFAULT_TOL,
+                         ConjectureReport, Eq1Report, GainTrace, LemmaReport,
+                         SecondHalfReport, TraceOne)
 from swmlab.oracles import (SINK, BMatchingOracle, BudgetedAdditiveOracle,
                             CoverageOracle, CutOracle, classify_second_order,
                             mask_items)
@@ -414,9 +414,6 @@ def verify_second_half(ctx, tol=IDENTITY_TOL):
     inst, n, m = ctx.instance, ctx.n, ctx.m
     if n % 2 != 0:
         raise ValueError(f"n must be even, got {n}")
-    if m > SECOND_HALF_MAX_M:
-        raise SizeGuardError(f"verify_second_half is capped at "
-                             f"m={SECOND_HALF_MAX_M}; got m={m}")
     w, a, b, layers = _state_pass(ctx)
     half = n // 2
     supermodular = all(

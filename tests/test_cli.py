@@ -10,7 +10,8 @@ from swmlab import cli
 from swmlab.cli import main
 import swmlab.lp as lp_module
 from swmlab.lp import LpSolution
-from swmlab.instances import random_instance, save_instance
+from swmlab.gain import GainContext, verify_second_half
+from swmlab.instances import load_instance, random_instance, save_instance
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_instances"
 OR_INDICATOR = str(SAMPLES / "or_indicator.json")
@@ -430,6 +431,17 @@ class TestLp:
                 "budget exceeds the tail's capacity by 0.0702)\n") in \
             capsys.readouterr().err
 
+    def test_decline_announced_before_the_simplex(self, tmp_path, capsys):
+        """A declined structure says why, and the model's size, on stderr
+        before the dense simplex runs."""
+        assert main(["lp", "--family", "beta", "--n", "8", "--beta", "1/2",
+                     "--out", str(tmp_path / "lp.json")]) == 0
+        err = capsys.readouterr().err
+        line = ("structure declined: budget exceeds the tail's capacity by "
+                "0.47; dense simplex on 21 x 28\n")
+        assert line in err
+        assert err.index(line) < err.index("solve = ")
+
     @pytest.mark.parametrize("case", list(LP_REPORTS), ids=str)
     def test_report_bytes_pinned(self, tmp_path, capsys, case):
         """Timings go to stderr for every family; the report bytes stay as
@@ -614,6 +626,33 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.count("states") == 1 and "secondhalf: states = " in err
         assert "states" not in out.read_text()
+
+    def test_secondhalf_above_three_agents(self, tmp_path):
+        """m=4 runs: the report's second half is the library's."""
+        path = tmp_path / "i.json"
+        save_instance(path, random_instance(4, 4, seed=2))
+        out = tmp_path / "v.json"
+        assert main(["verify", str(path), "--checks", "secondhalf",
+                     "--out", str(out)]) == 0
+        want = verify_second_half(GainContext(load_instance(path)))
+        assert json.loads(out.read_text())["results"]["checks"][
+            "secondhalf"] == json.loads(json.dumps(want.to_dict()))
+
+    @pytest.mark.parametrize("n,checks", [(6, "lemmas,eq1"),
+                                          (5, "lemmas,secondhalf")])
+    def test_later_suite_refusing_prints_no_verdict(self, tmp_path, capsys,
+                                                    n, checks):
+        """A suite that refuses n fails the call before any verdict line
+        of an earlier suite is printed, and nothing is written."""
+        path = tmp_path / "i.json"
+        save_instance(path, random_instance(n, 2, seed=0))
+        out = tmp_path / "v.json"
+        assert main(["verify", str(path), "--checks", checks,
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error: n must be" in err
+        assert "PASS" not in err and "FAIL" not in err and "states" not in err
+        assert not out.exists()
 
     def test_unknown_check_exits_2(self, instance_file):
         assert main(["verify", instance_file, "--checks", "bogus"]) == 2

@@ -42,12 +42,12 @@ def saturated_budgets(n, m):
 def check_every_suite(inst):
     """Each exact suite on a fresh context (the reference has no shared
     state pass), and every suite again on one shared context."""
-    n, m = inst.n, inst.m
+    n = inst.n
     suites = [(sl.expected_trace, ref.expected_trace),
               (sl.verify_lemmas, ref.verify_lemmas)]
     if n % 4 == 0:
         suites.append((sl.verify_eq1, ref.verify_eq1))
-    if n % 2 == 0 and m <= gain.SECOND_HALF_MAX_M:
+    if n % 2 == 0:
         suites.append((sl.verify_second_half, ref.verify_second_half))
     shared = sl.GainContext(inst)
     for fast, slow in suites:

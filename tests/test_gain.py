@@ -362,6 +362,22 @@ class TestTraceOne:
                 assert struct.pack("d", got.welfare) == \
                     struct.pack("d", want.welfare)
 
+    def test_gain_before_is_the_state_pass_gain_at_signed_zeros(self):
+        """Two agents whose table holds -0.0: Gain drops of zero flip the
+        sign of a zero Gain, and ``gain_before`` still has the bytes of
+        the state pass's ``gain_j`` along every order, as the lemma
+        witnesses' replay needs."""
+        table = np.array([0.0, -0.0, 1.0, 1.0, -0.0, -0.0, 1.0, 1.0])
+        ctx = sl.GainContext(sl.Instance((sl.make_table(3, table),) * 2))
+        steps = ctx._pass.steps
+        for order in itertools.permutations(range(3)):
+            got = sl.trace_one(ctx, order).gain_before
+            state = 0
+            for pos, step in enumerate(steps):
+                t = step.index[state, order[pos]]
+                assert got[pos].tobytes() == step.gain_j[t].tobytes()
+                state = step.inv[t]
+
     def test_rejects_non_permutation(self):
         ctx = sl.GainContext(random_instance(3, 2, 0))
         for order in ((0, 1), (0, 1, 1), (0, 1, 3)):
@@ -641,12 +657,23 @@ class TestVerifySecondHalf:
         assert rep.reduction_ok   # holds regardless of second-order class
 
     def test_size_guards(self):
-        with pytest.raises(SizeGuardError):
-            inst = random_instance(4, 4, 0)
-            sl.verify_second_half(sl.GainContext(inst))
         o = sl.make_additive([1.0] * 10)
         with pytest.raises(SizeGuardError):
             sl.verify_second_half(sl.GainContext(sl.Instance((o, o, o))))
+
+    def test_given_reference_kept_within_the_optimum_bound(self):
+        """A given reference allocation skips ``optimal``, whose bound
+        m^n <= 10^7 keeps the m^(n/2) assignments per half state small;
+        the second half refuses what ``optimal`` would refuse."""
+        o = sl.make_additive([1.0] * 8)
+        inst = sl.Instance((o,) * 8)
+        ctx = sl.GainContext(inst, opt_allocation=sl.Allocation(
+            (0xFF,) + (0,) * 7))
+        with pytest.raises(SizeGuardError, match=r"m\^n <= 10000000; "
+                           r"got 8\^8"):
+            sl.verify_second_half(ctx)
+        with pytest.raises(SizeGuardError):
+            sl.optimal(inst)
 
     @pytest.mark.parametrize(
         "kind,n,m,seed",
@@ -654,7 +681,10 @@ class TestVerifySecondHalf:
          for n in (2, 4, 6) for m in (1, 2, 3)]
         # a tie between best assignments: ordering the second-half items
         # by arrival moved E[Y] here by 6.6e-3
-        + [("mixed", 6, 2, 1)])
+        + [("mixed", 6, 2, 1)]
+        # more than three agents
+        + [(kind, n, m, n + m) for kind in ("coverage", "mixed")
+           for n, m in ((4, 4), (4, 5), (6, 4))])
     def test_matches_enumerated_orders(self, kind, n, m, seed):
         ctx = sl.GainContext(family_or_mixed(kind, n, m, seed))
         rep = sl.verify_second_half(ctx)

@@ -518,6 +518,18 @@ class TestClosedFormBetaLambda:
         with pytest.raises(ValueError):
             closed_form_beta_lambda(8, Fraction(3, 4), 0)
 
+    @pytest.mark.parametrize("n,lam,message", [
+        (16, 2, r"lambda must be at most 1, got 2"),
+        (16, Fraction(17, 16), r"lambda must be at most 1, got 17/16"),
+        (8, Fraction(99, 100),
+         r"lambda\*n must be an integer, got 99/100\*8 = 198/25")])
+    def test_lambda_rule_shared_with_the_builder(self, n, lam, message):
+        """Above 1 the closed form read 0.0 / -0.25 (lambda = 2) and
+        0.477 / 0.482 (17/16) at n=16, which the builder refuses."""
+        for check in (closed_form_beta_lambda, build_lp_beta_lambda):
+            with pytest.raises(ValueError, match=message):
+                check(n, lam, 0)
+
     def test_clamped_at_zero_for_large_beta(self):
         cf = closed_form_beta_lambda(8, Fraction(7, 8), 1)
         assert cf.exact == 0.0
