@@ -81,7 +81,10 @@ def _check_writable(*paths, instance=None) -> None:
 
 
 def _write_report(report: dict, out_path) -> None:
-    payload = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """Write ``report`` as JSON; a NaN or infinity in it, which JSON cannot
+    hold, is a ValueError (exit 2) raised before anything is written."""
+    payload = json.dumps(report, sort_keys=True, indent=2,
+                         allow_nan=False) + "\n"
     if out_path:
         _write_file(out_path, payload)
     else:

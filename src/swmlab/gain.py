@@ -71,7 +71,7 @@ from .core import (OPTIMAL_MAX_ASSIGNMENTS, Allocation, Instance,
                    _overlapping, greedy, greedy_steps, marginal_gains,
                    optimal, union, welfare)
 from .errors import InvalidQueryError, SizeGuardError
-from .oracles import classify_second_order, mask_items
+from .oracles import ABS_TOL, classify_second_order, mask_items
 from .orders import orders as seeded_orders
 
 EXACT_TRACE_MAX_N = 8      # cap of every exact expectation (_forward)
@@ -81,13 +81,15 @@ WALK_BATCH = 2048          # orders per batch of state-pass walks; bounds the
                            # memory of Monte-Carlo expected_trace up to the cap
 CHAIN_BATCH = 4096         # widest layer of one batch of chains from chosen
                            # start states (eq1, second half); bounds memory
-DEFAULT_TOL = 1e-12
 IDENTITY_TOL = 1e-10
 _A_B = np.array([False, True])[:, None, None]   # a: future items, b: arrived
 
 
 class GainContext:
-    """Instance plus the reference allocation and sigma that define Gain."""
+    """Instance plus the reference allocation and sigma that define Gain.
+
+    Every trace and check divides by the reference optimum, so one that is
+    not finite and positive is refused."""
 
     def __init__(self, instance: Instance,
                  opt_allocation: Optional[Allocation] = None,
@@ -105,8 +107,11 @@ class GainContext:
             opt_value = welfare(instance, opt_allocation)
             opt_map = {j: ell for ell, msk in enumerate(opt_allocation.masks)
                        for j in mask_items(msk)}
-        self.opt_allocation = opt_allocation
         self.opt_value = float(opt_value)
+        if not (math.isfinite(self.opt_value) and self.opt_value > 0):
+            raise ValueError("reference optimum must be finite and positive, "
+                             f"got {self.opt_value!r}")
+        self.opt_allocation = opt_allocation
         self.opt_map = opt_map
         if sigma is None:
             sigma = tuple(range(n))
@@ -675,7 +680,7 @@ class LemmaReport:
                             for k, v in self.details.items()}}
 
 
-def verify_lemmas(ctx: GainContext, tol: float = DEFAULT_TOL,
+def verify_lemmas(ctx: GainContext, tol: float = ABS_TOL,
                   identity_tol: float = IDENTITY_TOL) -> LemmaReport:
     """Check the per-order and expectation bounds over all n! orders.
 
@@ -687,15 +692,19 @@ def verify_lemmas(ctx: GainContext, tol: float = DEFAULT_TOL,
     even n the two half-prefix identities are checked as equalities; their
     left sides are read from the states after n/2 arrivals, whose arrived
     set is the first half and whose complement is the second half.
+    The expectation bounds compare normalized values at ``tol``, the
+    per-step bounds raw values at ``tol * max(1, opt)``.
     """
     n, m = ctx.n, ctx.m
     sp = ctx._pass
+    opt = ctx.opt_value
+    step_tol = tol * max(1.0, opt)
     violations = []
     step_lb_ok = step_red_ok = True
     for k, step in enumerate(sp.steps):
         w_step, gain_j, reduction = step.w, step.gain_j, step.reduction
-        low = w_step < gain_j - tol
-        red = w_step < reduction - tol
+        low = w_step < gain_j - step_tol
+        red = w_step < reduction - step_tol
         step_lb_ok = step_lb_ok and not low.any()
         step_red_ok = step_red_ok and not red.any()
         hits = np.flatnonzero(low | red)
@@ -710,7 +719,6 @@ def verify_lemmas(ctx: GainContext, tol: float = DEFAULT_TOL,
                 if hit[t]:
                     violations.append((kind, order, k, float(w_step[t]),
                                        float(bound[t])))
-    opt = ctx.opt_value
     w, a, b = sp.w / opt, sp.a / opt, sp.b / opt
     ratio = float(w.sum())
     beta = float(b.sum())

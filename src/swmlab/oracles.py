@@ -9,7 +9,9 @@ ground sets, so repeated queries are array lookups, and serves every query
 and the sampled check above them.  The exhaustive checks and the
 second-order classifier read that table as one row of marginal gains per
 item, built by ``_gain_rows``; every check tests monotonicity as
-MG(A, e) < -tol.
+MG(A, e) < -tol.  A check not given ``tol`` takes ``_default_tol``, which
+scales ``ABS_TOL`` with the oracle's largest value, so its verdict does not
+depend on the unit of value; an explicit ``tol`` is absolute.
 """
 from __future__ import annotations
 
@@ -519,13 +521,25 @@ def _first_violations(t: np.ndarray, n: int, tol: float):
     return mono, (a, f, e)
 
 
+def _default_tol(oracle: ValuationOracle) -> float:
+    """The tolerance of a check not given one, ABS_TOL * max(1, |v(N)|):
+    v(N), the value of the whole ground set, is the largest value a
+    monotone oracle takes, so float rounding of its values is not read as
+    a violation, whatever their unit.  A v(N) that is not finite is
+    refused."""
+    top = _finite(oracle.value_mask(oracle._full),
+                  f"{oracle.kind} value of the ground set")
+    return ABS_TOL * max(1.0, abs(top))
+
+
 def _normalization(oracle: ValuationOracle, tol: float) -> dict:
     """The witness of |v(empty set)| > tol, empty if there is none."""
     v0 = oracle.value_mask(0)
     return {} if abs(v0) <= tol else {"normalized": (v0,)}
 
 
-def check_axioms(oracle: ValuationOracle, tol: float = ABS_TOL) -> AxiomReport:
+def check_axioms(oracle: ValuationOracle,
+                 tol: Optional[float] = None) -> AxiomReport:
     """Exhaustively verify normalization, monotonicity and submodularity.
 
     Reads the oracle's value table through ``_first_violations``, so every
@@ -534,13 +548,15 @@ def check_axioms(oracle: ValuationOracle, tol: float = ABS_TOL) -> AxiomReport:
     first violation per axiom in ascending (A, e, f) order: ``(A, e)`` for
     monotonicity and ``(A, {f}, e)`` with a negative gain reduction for
     submodularity.  Refuses ground sets above the exhaustive cap
-    ``EXHAUSTIVE_MAX_N``; ``spot_check_axioms`` samples those.
+    ``EXHAUSTIVE_MAX_N``; ``spot_check_axioms`` samples those.  ``tol``
+    defaults to ``_default_tol``, ABS_TOL * max(1, |v(N)|).
     """
     n = oracle.n
     if n > EXHAUSTIVE_MAX_N:
         raise SizeGuardError(
             f"exhaustive axiom check limited to n <= {EXHAUSTIVE_MAX_N} "
             f"(got n={n}); use spot_check_axioms for a randomized scan")
+    tol = _default_tol(oracle) if tol is None else tol
     witnesses = _normalization(oracle, tol)
     mono, sub = _first_violations(oracle._table, n, tol)
     if mono is not None:
@@ -566,7 +582,8 @@ class SpotCheckReport:
 
 
 def spot_check_axioms(oracle: ValuationOracle, samples: int = 100_000,
-                      seed: int = 0, tol: float = ABS_TOL) -> SpotCheckReport:
+                      seed: int = 0,
+                      tol: Optional[float] = None) -> SpotCheckReport:
     """Randomized scan for ground sets above the exhaustive cap.
 
     Draws ``samples`` triples (A, f, e), e != f both outside A, in one
@@ -575,11 +592,13 @@ def spot_check_axioms(oracle: ValuationOracle, samples: int = 100_000,
     vectorised evaluation of the four terms per slice of ``TABLE_CHUNK``
     samples, stopping at the first slice with a violation.  The report
     holds the first violating sample (monotonicity before submodularity
-    within a sample).
+    within a sample).  ``tol`` defaults to ``_default_tol``, as in
+    ``check_axioms``.
     A clean run means "no violation found", never "passes".  Needs
     n >= 2.
     """
     n = oracle.n
+    tol = _default_tol(oracle) if tol is None else tol
     rng = np.random.default_rng(seed)
     es = rng.integers(0, n, size=samples)
     fs = (es + rng.integers(1, n, size=samples)) % n
@@ -608,19 +627,17 @@ def spot_check_axioms(oracle: ValuationOracle, samples: int = 100_000,
 def _check(oracle: ValuationOracle) -> ValuationOracle:
     """The axiom gate for oracle input: ``oracle`` if it meets the standing
     assumptions, else ``AxiomViolationError``.  Up to ``EXHAUSTIVE_MAX_N``
-    items it reads ``check_axioms``; above, normalization exactly and the
-    rest by ``spot_check_axioms`` at ``ABS_TOL`` times the largest absolute
-    value (at least 1) of the oracle's value table, if it holds one, so
-    that rounding of large values is not read as a violation.  A
-    non-monotone cut gets its own message and an (A, e) witness, A sorted.
+    items it reads ``check_axioms``; above, normalization and the rest by
+    ``spot_check_axioms``.  Both branches compare at ``_default_tol``, so
+    an oracle whose v(N) is not finite is refused.  A non-monotone cut
+    gets its own message and an (A, e) witness, A sorted.
     """
     if oracle.n <= EXHAUSTIVE_MAX_N:
         witnesses = check_axioms(oracle).witnesses
     else:
-        witnesses = _normalization(oracle, ABS_TOL)
-        table = oracle._table
-        scale = 1.0 if table is None else max(1.0, float(np.abs(table).max()))
-        violation = spot_check_axioms(oracle, tol=ABS_TOL * scale).violation
+        tol = _default_tol(oracle)
+        witnesses = _normalization(oracle, tol)
+        violation = spot_check_axioms(oracle, tol=tol).violation
         if violation is not None:
             witnesses[violation[0]] = violation[1:]
     if not witnesses:
@@ -663,7 +680,7 @@ class SecondOrderClass:
 
 
 def classify_second_order(oracle: ValuationOracle,
-                          tol: float = ABS_TOL) -> SecondOrderClass:
+                          tol: Optional[float] = None) -> SecondOrderClass:
     """Classify second-order behavior from the signs of third differences.
 
     The definition compares GR(A, S, e) against GR(B, S, e) for A subset of
@@ -673,7 +690,8 @@ def classify_second_order(oracle: ValuationOracle,
     D(C; f, s, e) = GR(C, {s}, e) - GR(C + f, {s}, e) over items f, s and
     sets C outside {f, s, e}, and in exact arithmetic D is symmetric in
     f, s and e.  So the label only needs the sign of D for each triple of
-    items f < s < e and each C outside it; ``tol`` is applied to each D.
+    items f < s < e and each C outside it; ``tol`` is applied to each D,
+    and defaults to ``_default_tol``, ABS_TOL * max(1, |v(N)|).
     Each witness is the first such (C, C + f, {s}, e) in (f, s, e, C)
     order.  Refuses ground sets above the exhaustive cap.
 
@@ -688,6 +706,7 @@ def classify_second_order(oracle: ValuationOracle,
         raise SizeGuardError(
             f"second-order classification limited to n <= {EXHAUSTIVE_MAX_N} "
             f"(got n={n})")
+    tol = _default_tol(oracle) if tol is None else tol
     mg = _gain_rows(oracle._table, range(n))
     wit = [None, None]   # violates GR(A,..) >= GR(B,..), resp. <=
     for f, s in itertools.combinations(range(n - 1), 2):
@@ -730,16 +749,20 @@ class RSubmodularReport:
 
 
 def check_R_submodular(oracle: ValuationOracle, s: Iterable[int],
-                       z: Iterable[int], tol: float = ABS_TOL) -> RSubmodularReport:
+                       z: Iterable[int],
+                       tol: Optional[float] = None) -> RSubmodularReport:
     """Verify submodularity of the gain-reduction-potential function R.
 
     R(A) = (v(S+Z) - v(Z)) - (v(S+Z+A) - v(Z+A)) on subsets A of the ground
     set outside S and Z.  For second-order supermodular oracles R must be
     submodular; this checks it exhaustively, on R's table over those sets.
+    ``tol`` defaults to ``_default_tol``, ABS_TOL * max(1, |v(N)|), since
+    R takes values in [0, v(N)] on a monotone submodular oracle.
     """
     n = oracle.n
     if n > EXHAUSTIVE_MAX_N:
         raise SizeGuardError(f"check limited to n <= {EXHAUSTIVE_MAX_N}")
+    tol = _default_tol(oracle) if tol is None else tol
     smask = as_mask(s, n)
     zmask = as_mask(z, n)
     if smask & zmask:

@@ -21,12 +21,12 @@ import numpy as np
 
 from swmlab.core import Allocation
 from swmlab.errors import SizeGuardError
-from swmlab.gain import (EXACT_TRACE_MAX_N, IDENTITY_TOL, DEFAULT_TOL,
-                         ConjectureReport, Eq1Report, GainTrace, LemmaReport,
-                         SecondHalfReport, TraceOne)
-from swmlab.oracles import (SINK, BMatchingOracle, BudgetedAdditiveOracle,
-                            CoverageOracle, CutOracle, classify_second_order,
-                            mask_items)
+from swmlab.gain import (EXACT_TRACE_MAX_N, IDENTITY_TOL, ConjectureReport,
+                         Eq1Report, GainTrace, LemmaReport, SecondHalfReport,
+                         TraceOne)
+from swmlab.oracles import (ABS_TOL, SINK, BMatchingOracle,
+                            BudgetedAdditiveOracle, CoverageOracle, CutOracle,
+                            classify_second_order, mask_items)
 
 
 def _total(values):
@@ -295,14 +295,15 @@ def expected_trace(ctx):
                      states=_states(layers))
 
 
-def verify_lemmas(ctx, tol=DEFAULT_TOL, identity_tol=IDENTITY_TOL):
+def verify_lemmas(ctx, tol=ABS_TOL, identity_tol=IDENTITY_TOL):
     n, m = ctx.n, ctx.m
+    step_tol = tol * max(1.0, ctx.opt_value)
     flagged = []
 
     def check(k, masks, j, w_step, gain_j, a_step, b_step):
-        if w_step < gain_j - tol:
+        if w_step < gain_j - step_tol:
             flagged.append(("step_lower_bound", k, masks, j, w_step, gain_j))
-        if w_step < a_step + b_step - tol:
+        if w_step < a_step + b_step - step_tol:
             flagged.append(("step_reduction", k, masks, j, w_step,
                             a_step + b_step))
 

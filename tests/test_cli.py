@@ -4,6 +4,7 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from swmlab import cli
@@ -11,7 +12,8 @@ from swmlab.cli import main
 import swmlab.lp as lp_module
 from swmlab.lp import LpSolution
 from swmlab.gain import GainContext, verify_second_half
-from swmlab.instances import load_instance, random_instance, save_instance
+from swmlab.instances import (load_instance, random_coverage_oracle,
+                              random_instance, save_instance)
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_instances"
 OR_INDICATOR = str(SAMPLES / "or_indicator.json")
@@ -671,6 +673,24 @@ class TestVerify:
         assert "error: repeated checks: ['" in err and "PASS" not in err
         assert not out.exists()
 
+    def test_secondhalf_reads_the_class_whatever_the_unit(self, tmp_path):
+        """Coverage weights times 1000 at one decimal still classify as
+        second-order supermodular, so the recursion and slack checks run."""
+        agents = []
+        for seed in (2, 3):
+            spec = random_coverage_oracle(
+                8, np.random.default_rng(seed)).to_spec()
+            spec["universe_weights"] = [round(w * 1000, 1)
+                                        for w in spec["universe_weights"]]
+            agents.append(spec)
+        path = tmp_path / "i.json"
+        path.write_text(json.dumps({"agents": agents}))
+        out = tmp_path / "v.json"
+        assert main(["verify", str(path), "--checks", "secondhalf",
+                     "--out", str(out)]) == 0
+        half = json.loads(out.read_text())["results"]["checks"]["secondhalf"]
+        assert half["second_order_supermodular"] is True
+
 
 class TestConjecture:
     def test_single_instance(self, tmp_path):
@@ -912,6 +932,69 @@ class TestCollidingPaths:
             capsys.readouterr().err.splitlines()
         assert path.read_text() == text
         assert list(tmp_path.iterdir()) == [path]
+
+
+# the optimum is 0: every agent values every set at 0
+ZERO_OPTIMUM = {"agents": [
+    {"kind": "coverage", "universe_weights": [0.0, 0.0],
+     "item_sets": [[0], [1]]},
+    {"kind": "budgeted_additive", "budget": 0.0, "weights": [1.0, 2.0]}]}
+# the optimum, 2 * 1.7e308, overflows
+INFINITE_OPTIMUM = {"agents": [
+    {"kind": "budgeted_additive", "budget": 1.7e308,
+     "weights": [1e308, 1e308]}] * 2}
+# exact sums are finite, but Monte-Carlo sums of squares overflow
+OVERFLOWING_SUMS = {"agents": [
+    {"kind": "budgeted_additive", "budget": 1.7e308,
+     "weights": [1e308, 1e308, 1.0]}]}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered",
+                            "ignore:invalid value encountered")
+class TestNonFiniteResults:
+    """A call whose report would hold a NaN or an infinity exits 2 with
+    one error line and writes nothing."""
+
+    def _run(self, spec, argv, tmp_path):
+        path = tmp_path / "i.json"
+        path.write_text(json.dumps(spec))
+        code = main([argv[0], str(path), *argv[1:],
+                     "--out", str(tmp_path / "r.json")])
+        return code, list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("spec, argv, opt", [
+        (ZERO_OPTIMUM, ["simulate"], "0.0"),
+        (ZERO_OPTIMUM, ["simulate", "--mode", "mc", "--samples", "5"], "0.0"),
+        (ZERO_OPTIMUM, ["verify", "--checks", "lemmas,secondhalf"], "0.0"),
+        (INFINITE_OPTIMUM, ["simulate"], "inf")],
+        ids=["simulate", "simulate-mc", "verify", "simulate-inf"])
+    def test_optimum_not_finite_and_positive_exits_2(self, spec, argv, opt,
+                                                     tmp_path, capsys):
+        assert self._run(spec, argv, tmp_path) == (2, True)
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("error:")] == [
+            f"error: reference optimum must be finite and positive, got {opt}"]
+
+    @pytest.mark.parametrize("spec, argv", [
+        (ZERO_OPTIMUM, ["conjecture"]), (ZERO_OPTIMUM, ["classify"]),
+        (OVERFLOWING_SUMS, ["simulate"])],
+        ids=["conjecture", "classify", "simulate-exact"])
+    def test_finite_reports_still_written(self, spec, argv, tmp_path):
+        """No context, or exact sums that stay finite."""
+        code, clean = self._run(spec, argv, tmp_path)
+        assert code == 0 and not clean
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--mode", "mc", "--samples", "5"],
+        ["conjecture", "--mode", "mc", "--samples", "3"]],
+        ids=["simulate", "conjecture"])
+    def test_overflowing_sums_exit_2(self, argv, tmp_path, capsys):
+        assert self._run(OVERFLOWING_SUMS, argv, tmp_path) == (2, True)
+        err = capsys.readouterr().err.splitlines()
+        errors = [line for line in err if line.startswith("error:")]
+        assert len(errors) == 1
+        assert errors[0].startswith(
+            "error: Out of range float values are not JSON compliant")
 
 
 class TestParser:

@@ -3,7 +3,8 @@ relative, from the standard library, or numpy.  scipy serves the tests
 only, and sympy nothing.  Oracle internals stay in ``oracles.py``: no
 other module reads an attribute named ``_table`` or ``_values``.  Every
 choice among agents goes through ``core.greedy_steps``: outside
-``core.py``, only ``gain._item_gains`` uses ``marginal_gains``."""
+``core.py``, only ``gain._item_gains`` uses ``marginal_gains``.  Every
+name a module imports is used there (``__init__.py`` re-exports)."""
 import ast
 import sys
 from pathlib import Path
@@ -108,3 +109,36 @@ def test_the_check_sees_another_marginal_gains_user(tmp_path):
                       "best = max(marginal_gains(o, 0, 1) for o in ())\n")
     assert marginal_gains_users(module) == \
         ["<module>", "_item_gains", "inner", "pick"]
+
+
+def unused_imports(path: Path) -> list[str]:
+    """The names that imports in ``path`` bind, ``from __future__`` aside,
+    and that no name in it reads, sorted."""
+    tree = ast.parse(path.read_text(), str(path))
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {alias.asname or alias.name.split(".")[0]
+                      for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {alias.asname or alias.name for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - read)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
+    ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    assert unused_imports(path) == [], f"{path.name} imports unused names"
+
+
+def test_the_check_sees_an_unused_import(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text("from __future__ import annotations\n"
+                      "import os.path\nimport numpy as np\n"
+                      "from dataclasses import dataclass, field\n"
+                      "from .core import greedy as run, optimal\n"
+                      "@dataclass\nclass A:\n    x: np.ndarray\n"
+                      "def f():\n    return run\n")
+    assert unused_imports(module) == ["field", "optimal", "os"]

@@ -283,6 +283,16 @@ class TestGainContext:
         with pytest.raises(ValueError, match="every item"):
             sl.GainContext(inst, opt_allocation=sl.Allocation((0b011, 0)))
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("budget, weights, opt", [
+        (0.0, [0.0, 0.0], "0.0"), (1.7e308, [1e308, 1e308], "inf")])
+    def test_optimum_must_be_finite_and_positive(self, budget, weights, opt):
+        """Every trace divides by the optimum."""
+        o = sl.make_budgeted_additive(budget, weights)
+        with pytest.raises(ValueError, match="^reference optimum must be "
+                           f"finite and positive, got {opt}$"):
+            sl.GainContext(sl.Instance((o, o)))
+
 
 class TestGainSet:
     def test_empty_set(self, or_indicator):
@@ -550,6 +560,29 @@ class TestVerifyLemmas:
                 assert t.gain_before[i] == bound
             else:
                 assert t.a[i] + t.b[i] == bound
+
+
+    def test_per_step_bounds_do_not_depend_on_the_unit(self):
+        """Every weight times 10^6 + 0.1: marginals and Gains differ by
+        float rounding far above ABS_TOL, but within ABS_TOL times the
+        optimum, so the report reads as at unit scale."""
+        inst = random_instance(8, 3, 0, families=FAMILIES[:3])
+        f = 10 ** 6 + 0.1
+        scaled = []
+        for o in inst.oracles:
+            if o.kind == "coverage":
+                scaled.append(sl.make_coverage(
+                    [w * f for w in o.universe_weights], o.item_sets))
+            elif o.kind == "budgeted_additive":
+                scaled.append(sl.make_budgeted_additive(
+                    o.budget * f, [w * f for w in o.weights]))
+            else:
+                scaled.append(sl.make_b_matching(
+                    o.capacity, [w * f for w in o.weights]))
+        rep = sl.verify_lemmas(sl.GainContext(sl.Instance(tuple(scaled))))
+        assert rep.passed, rep.violations[:3]
+        assert rep.ratio == pytest.approx(
+            sl.verify_lemmas(sl.GainContext(inst)).ratio, abs=1e-9)
 
 
 class TestBuildAPrime:

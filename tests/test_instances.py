@@ -174,9 +174,9 @@ def test_each_agent_checked_once_on_load(families, monkeypatch):
 
 
 def test_agents_above_cap_spot_checked_once_at_their_tolerance(monkeypatch):
-    """Above the exhaustive cap each agent is spot-checked once: coverage
-    and budgeted agents at the unscaled ABS_TOL, a table at ABS_TOL times
-    its largest absolute value."""
+    """Above the exhaustive cap each agent is spot-checked once, at the
+    one rule ABS_TOL * max(1, |v(N)|): v(N) is 17 for the coverage agent,
+    the budget 5 for the budgeted agent and 250 * 17 for the table."""
     import swmlab.oracles as oracles
     n = 17
     values = 250.0 * np.array([m.bit_count() for m in range(1 << n)])
@@ -197,8 +197,46 @@ def test_agents_above_cap_spot_checked_once_at_their_tolerance(monkeypatch):
     monkeypatch.setattr(oracles, "check_axioms", lambda *a, **k: 1 / 0)
     inst = instance_from_spec(spec)
     assert inst.n == n
-    assert seen == [("coverage", ABS_TOL), ("budgeted_additive", ABS_TOL),
+    assert seen == [("coverage", ABS_TOL * n),
+                    ("budgeted_additive", ABS_TOL * 5.0),
                     ("table", ABS_TOL * 250.0 * n)]
+
+
+def _decimal_agent(kind, n, seed):
+    """A coverage or budgeted agent whose weights have two decimals and
+    lie in [0, 1000]."""
+    rng = np.random.default_rng(seed)
+    if kind == "coverage":
+        weights = np.round(rng.uniform(0, 1000, n + 2), 2).tolist()
+        sets = [np.flatnonzero(rng.random(n + 2) < 0.5).tolist()
+                for _ in range(n)]
+        return {"kind": kind, "universe_weights": weights, "item_sets": sets}
+    weights = np.round(rng.uniform(0, 1000, n), 2).tolist()
+    return {"kind": kind, "budget": round(0.6 * sum(weights), 2),
+            "weights": weights}
+
+
+@pytest.mark.parametrize("n", [12, 16])
+@pytest.mark.parametrize("kind", ["coverage", "budgeted_additive"])
+def test_decimal_weights_load(kind, n):
+    """The values carry float rounding above ABS_TOL, which the gate's
+    tolerance, scaled with v(N), absorbs."""
+    inst = instance_from_spec({"agents": [_decimal_agent(kind, n, 1)]})
+    assert inst.n == n
+    assert not sl.check_axioms(inst.oracles[0], tol=ABS_TOL).submodular
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_ground_set_value_beyond_float_range_rejected(capsys):
+    spec = {"agents": [{"kind": "coverage", "universe_weights": [1e308, 1e308],
+                        "item_sets": [[0, 1], [1]]}, BUDGETED]}
+    message = "agent 0: coverage value of the ground set must be finite, " \
+              "got inf"
+    with pytest.raises(InstanceFormatError) as err:
+        instance_from_spec(spec)
+    assert str(err.value) == message
+    assert _exits_2(spec)
+    assert f"error: {message}" in capsys.readouterr().err.splitlines()
 
 
 @pytest.mark.parametrize("agent, extra", [
