@@ -20,6 +20,8 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .errors import SwmlabError
 from .gain import GainContext, conjecture_check, expected_trace, verify_eq1, \
@@ -228,18 +230,19 @@ def cmd_verify(args) -> int:
     repeated = {c for c in wanted if wanted.count(c) > 1}
     if repeated:
         raise ValueError(f"repeated checks: {sorted(repeated)}")
-    # every suite runs before any line is printed, so a call that fails on
-    # a later suite reports only its error
+    # every suite runs, and the report is written, before any line is
+    # printed, so a call that fails on a later suite or at the write
+    # reports only its error
     reports = {check: suites[check](ctx) for check in wanted}
-    for check, rep in reports.items():
-        print(f"{check}: {'PASS' if rep.passed else 'FAIL'}", file=sys.stderr)
-        print(f"{check}: states = {rep.states}", file=sys.stderr)
     all_passed = all(rep.passed for rep in reports.values())
     results = {check: rep.to_dict() for check, rep in reports.items()}
     report = _report("verify", {"instance": str(args.instance),
                                 "checks": wanted},
                      {"checks": results, "passed": all_passed})
     _write_report(report, args.out)
+    for check, rep in reports.items():
+        print(f"{check}: {'PASS' if rep.passed else 'FAIL'}", file=sys.stderr)
+        print(f"{check}: states = {rep.states}", file=sys.stderr)
     return EXIT_OK if all_passed else EXIT_VERIFY_FAILED
 
 
@@ -281,6 +284,12 @@ def cmd_conjecture(args) -> int:
                            if entry["counterexample"]), None)
     results = {"instances": reports, "min_gap": min_gap,
                "counterexample": counterexample}
+    report = _report("conjecture", {
+        "instance": str(args.instance) if args.instance else None,
+        "random": args.random, "nmax": args.nmax, "mmax": args.mmax,
+        "seed": args.seed, "mode": args.mode,
+    }, results)
+    _write_report(report, args.out)
     if args.mode == "exact":
         print(f"states = {states}", file=sys.stderr)
     else:
@@ -289,12 +298,6 @@ def cmd_conjecture(args) -> int:
     if counterexample:
         print(f"counterexample on {counterexample['instance']}",
               file=sys.stderr)
-    report = _report("conjecture", {
-        "instance": str(args.instance) if args.instance else None,
-        "random": args.random, "nmax": args.nmax, "mmax": args.mmax,
-        "seed": args.seed, "mode": args.mode,
-    }, results)
-    _write_report(report, args.out)
     return EXIT_OK
 
 
@@ -361,8 +364,11 @@ def main(argv=None) -> int:
     start = time.monotonic()
     try:
         # looked up at call time, not stored in the parser: the parser is
-        # built once, and a handler wrapped after that must still run
-        code = globals()[f"cmd_{args.subcommand}"](args)
+        # built once, and a handler wrapped after that must still run.
+        # An overflow becomes inf or nan, which a budget clips or the
+        # checks and the report writer refuse; NumPy need not warn of it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = globals()[f"cmd_{args.subcommand}"](args)
     except (SwmlabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

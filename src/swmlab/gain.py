@@ -209,21 +209,37 @@ class _Layer:
     p: np.ndarray
 
 
-@dataclass
-class _Step:
+class _Step(NamedTuple):
     """The transitions (state, unarrived item j) of one layer, state-major
     with j ascending: source state ``src``, item ``items``, probability
     ``q``, greedy's agent and marginal (None when the chain's ``advance``
     does not report them), ``inv``, the next-layer state it leads to, and
-    ``keep``, per next-layer state the transition that first leads to it."""
+    ``keep``, per next-layer state the transition that first leads to it.
+    The state pass stores each layer's step without q, agent and marginal
+    but with the marginal w and the Gain reductions a and b (the rows of
+    ``wab``), the arriving item's Gain before the step ``gain_j``, and
+    ``index[s, j]``, the number of transition (s, j), or -1 where item j
+    has arrived at state s."""
 
     src: np.ndarray
     items: np.ndarray
-    q: np.ndarray
+    q: Optional[np.ndarray]
     chosen: Optional[np.ndarray]
     marginal: Optional[np.ndarray]
     inv: np.ndarray
     keep: np.ndarray
+    wab: Optional[np.ndarray] = None
+    gain_j: Optional[np.ndarray] = None
+    index: Optional[np.ndarray] = None
+
+    @property
+    def w(self) -> np.ndarray:
+        return self.wab[0]
+
+    @property
+    def reduction(self) -> np.ndarray:
+        """The total Gain reduction a + b of each transition."""
+        return self.wab[1] + self.wab[2]
 
 
 def _batches(size: int, reach: int):
@@ -303,42 +319,6 @@ def _forward(inst: Instance, layer: _Layer, depth: int, advance=None):
         yield layer, _Step(src, items, q, chosen, marginal, inv, keep)
 
 
-class _Transitions(NamedTuple):
-    """The transitions (state, unarrived item j) from the states after k
-    arrivals of the state pass, state-major with j ascending, as arrays
-    over the transitions: the source state ``src``, the item ``items``,
-    the marginal w and the Gain reductions a and b (the rows of ``wab``),
-    the arriving item's Gain before the step ``gain_j``, and the
-    next-layer state ``inv``; per next-layer state, the transition ``keep``
-    that first leads to it; and ``index[s, j]``, the number of transition
-    (s, j), or -1 where item j has arrived at state s."""
-
-    src: np.ndarray
-    items: np.ndarray
-    keep: np.ndarray
-    wab: np.ndarray
-    gain_j: np.ndarray
-    inv: np.ndarray
-    index: np.ndarray
-
-    @property
-    def w(self) -> np.ndarray:
-        return self.wab[0]
-
-    @property
-    def a(self) -> np.ndarray:
-        return self.wab[1]
-
-    @property
-    def b(self) -> np.ndarray:
-        return self.wab[2]
-
-    @property
-    def reduction(self) -> np.ndarray:
-        """The total Gain reduction a + b of each transition."""
-        return self.a + self.b
-
-
 @dataclass
 class _StatePass:
     """Raw expected trace vectors, the number of reachable greedy states,
@@ -353,7 +333,7 @@ class _StatePass:
     half: _Layer
     empty_gains: np.ndarray
     half_gains: np.ndarray
-    steps: list[_Transitions]
+    steps: list[_Step]
 
 
 def _state_pass(ctx: GainContext) -> _StatePass:
@@ -381,9 +361,9 @@ def _state_pass(ctx: GainContext) -> _StatePass:
         totals[k] = _running_sum(totals[k], (step.q * wab).T)
         index = np.full((len(gains), n), -1, dtype=np.int32)
         index[step.src, step.items] = np.arange(len(step.src))
-        steps.append(_Transitions(step.src, step.items, step.keep, wab,
-                                  gains[step.src, step.items], step.inv,
-                                  index))
+        steps.append(step._replace(q=None, chosen=None, marginal=None,
+                                   wab=wab, gain_j=gains[step.src, step.items],
+                                   index=index))
         states += len(layer.p)
         gains = new
         if k + 1 == n // 2:
@@ -392,7 +372,7 @@ def _state_pass(ctx: GainContext) -> _StatePass:
     return _StatePass(w, av, bv, states, half, empty_gains, half_gains, steps)
 
 
-def _first_paths(steps: list[_Transitions], k: int,
+def _first_paths(steps: list[_Step], k: int,
                  targets: np.ndarray) -> np.ndarray:
     """[len(targets), k]: the items along which the pass first reaches each
     state ``targets`` (indices into the layer after k arrivals), read by

@@ -8,18 +8,18 @@ A as a float matrix from the segments, converting each shared sequence
 once, and that matrix is what both solvers read; the dense rational rows
 are built only when the listing or a caller reads them.
 
-``solve(model)`` picks the solver for the model's family:
+``solve(model)`` picks the solver for the model's family, and the simplex
+runs when that solver declines with a reason:
 
 - general: ``solve_general``, exact in rationals, by a backward recursion
   over the position rows (O(n) steps);
 - beta-lambda: ``solve_beta_lambda``, and beta: ``solve_beta``.  Each
   builds the optimum and a dual from the structure of the solution in
   O(n) rational steps and returns it only when the pair is a certificate
-  (``_certified_solution``: both feasible, equal objectives); otherwise
-  it declines with a reason and the simplex runs.  One dual recursion,
-  ``_beta_dual``, serves both certificates and, in floats, the search
-  for the beta dual's maximiser; one primal recursion, ``_beta_head``,
-  serves both primals.
+  (``_certified_solution``: both feasible, equal objectives).  One dual
+  recursion, ``_beta_dual``, serves both certificates and, in floats, the
+  search for the beta dual's maximiser; one primal recursion,
+  ``_beta_head``, serves both primals.
 
 ``simplex_solve`` is a dense two-phase primal simplex in floats:
 largest-coefficient pricing that falls back to Bland's lowest-index rule
@@ -289,6 +289,13 @@ def build_lp_general(n: int) -> LpModel:
     subject to a_i + b_i >= 1/n - sum_{j<i} a_j/(n-j) for i = 1..3n/4.
     The additive constant 1/24 is carried in ``constant`` and included in
     reported objective values.  ``solve_general`` solves it exactly.
+
+    Term by term, the objective (constant included) is
+        sum_{i<=n/2}(a_i + b_i) + 5/6 sum_{n/2<i<=3n/4}(a_i + b_i) + R/6,
+    where R is eq1's right-hand side, as ``verify_eq1`` checks it:
+        R = 1/4 + sum_{i<=n/2}((i - n/4)/(n-i) a_i - b_i)
+                + sum_{n/2<i<=3n/4} (n/4)/(n-i) a_i,
+    so the constant 1/24 is (1/6)(1/4).
     """
     _check_n(n)
     half, three_q = n // 2, 3 * n // 4
@@ -326,35 +333,18 @@ def build_lp_general(n: int) -> LpModel:
 # Exact solver for the general program
 # ---------------------------------------------------------------------------
 
-def _general_costs(model: LpModel) -> tuple[int, list[Fraction],
-                                              list[Fraction]]:
-    """n and the a and b costs of a general-family model, checked."""
-    if model.metadata.get("family") != "general_lb":
-        raise ValueError("solve_general needs a build_lp_general model, got "
-                         f"family {model.metadata.get('family')!r}")
-    n = model.metadata["n"]
-    rows = 3 * n // 4
-    if model.num_vars != 2 * rows:
-        raise ValueError(f"a general model at n={n} has {2 * rows} "
-                         f"variables, got {model.num_vars}")
+def _general_recursion(model: LpModel) -> tuple[int, list, list]:
+    """n, k_1..k_{m+1} and each row's first cheapest candidate (0, 1, 2):
+    the cost of rows i..m per unit of row i's residual r for a_i = 0, r
+    and (n-i) r."""
+    n = _check_model(model, "general")
     if any(c < 0 for c in model.objective):
         raise ValueError("solve_general needs non-negative costs")
-    return n, model.objective[:rows], model.objective[rows:]
-
-
-def _row_candidates(step: int, ca: Fraction, cb: Fraction,
-                    nxt: Fraction) -> tuple[Fraction, Fraction, Fraction]:
-    """Cost of rows i..m per unit of row i's residual r, for a_i = 0, r and
-    step r, where step = n - i and nxt = k_{i+1}."""
-    return cb + nxt, ca + nxt * (1 - Fraction(1, step)), ca * step
-
-
-def _general_recursion(model: LpModel) -> tuple[int, list, list]:
-    """n, k_1..k_{m+1} and each row's first cheapest candidate (0, 1, 2)."""
-    n, cost_a, cost_b = _general_costs(model)
+    rows, cost = 3 * n // 4, model.objective
     k, choices = [Fraction(0)], []
-    for i in range(len(cost_a), 0, -1):
-        c = _row_candidates(n - i, cost_a[i - 1], cost_b[i - 1], k[-1])
+    for i in range(rows, 0, -1):
+        ca, cb, step = cost[i - 1], cost[rows + i - 1], n - i
+        c = (cb + k[-1], ca + k[-1] * (1 - Fraction(1, step)), ca * step)
         k.append(min(c))
         choices.append(c.index(k[-1]))
     return n, k[::-1], choices[::-1]
@@ -366,8 +356,10 @@ def general_cost_to_go(model: LpModel) -> list[Fraction]:
     return _general_recursion(model)[1]
 
 
-def solve_general(model: LpModel) -> LpSolution:
-    """Exact optimum of ``build_lp_general``'s program, in O(n) rational steps.
+def solve_general(model: LpModel) -> Union[LpSolution, str]:
+    """Exact optimum of ``build_lp_general``'s program, in O(n) rational
+    steps; or, when a check below fails, the reason, and the caller runs
+    the simplex.
 
     Let r_i = 1/n - sum_{j<i} a_j/(n-j) be the residual of position row i.
     Row i reads a_i + b_i >= r_i, and r_{i+1} = r_i - a_i/(n-i).  With every
@@ -384,15 +376,21 @@ def solve_general(model: LpModel) -> LpSolution:
     r_1 = 1/n takes each row's first minimiser, kept from the backward pass,
     and yields exact a, b.
 
-    The costs come from ``model.objective``; the rows are taken to be the
-    position rows of ``build_lp_general``, and the violation is measured
-    against the model's own rows.  Raises ValueError for another family or
-    a negative cost.  ``structure`` holds the switch point: the first row
-    whose b is positive, or None.
+    The costs come from ``model.objective``; the rows are taken to be
+    ``build_lp_general``'s.  The solve declines unless every rhs is 1/n
+    and the point violates no row of the model by more than FEAS_TOL, but
+    it proves no optimality: after a row is loosened the point may stay
+    feasible though a cheaper one exists, which only a dual would show.
+    Raises ValueError for another family or shape, or a negative cost.
+    ``structure`` holds the switch point: the first row whose b is
+    positive, or None.
     """
     n, k, choices = _general_recursion(model)
-    a, b = [], []
     r = Fraction(1, n)
+    off = [name for name, rhs in zip(model.row_names, model.rhs) if rhs != r]
+    if off:
+        return f"rhs of {off[0]} is not 1/{n}"
+    a, b = [], []
     for i, choice in enumerate(choices, 1):
         step = n - i
         ai = (Fraction(0), r, step * r)[choice]
@@ -474,7 +472,7 @@ def solve_beta_lambda(model: LpModel) -> Union[LpSolution, str]:
     optimal.  ``structure`` holds L and whether the budget binds.  Raises
     ValueError for a model of another family or shape.
     """
-    _check_trace_model(model, "beta_lambda")
+    _check_model(model, "beta_lambda")
     return _certified_solution(model, *_beta_lambda_pair(model))
 
 
@@ -674,7 +672,7 @@ def solve_beta(model: LpModel) -> Union[LpSolution, str]:
     those i < L with y_ss_i = 0.  Raises ValueError for a model of another
     family or shape.
     """
-    _check_trace_model(model, "beta")
+    _check_model(model, "beta")
     pair = _beta_pair(model)
     if isinstance(pair, str):
         return pair
@@ -685,33 +683,39 @@ def solve_beta(model: LpModel) -> Union[LpSolution, str]:
 # The certificate both structural solvers share
 # ---------------------------------------------------------------------------
 
-def _check_trace_model(model: LpModel, family: str):
-    """Raise ValueError unless ``model`` is a beta or beta-lambda model (as
-    ``family`` says) of its n's shape."""
+def _check_model(model: LpModel, family: str) -> int:
+    """n of ``model``; raises ValueError unless it is a ``family`` model
+    (general, beta or beta_lambda) of its builder's shape at that n."""
     meta = model.metadata
-    if meta.get("family") != family:
+    if meta.get("family") != ("general_lb" if family == "general"
+                              else family):
         raise ValueError(f"solve_{family} needs a build_lp_{family} model, "
                          f"got family {meta.get('family')!r}")
     n = meta["n"]
     # the beta program keeps the position rows above lambda n, and the
     # second-half rows below it, that the relaxation drops
-    num_rows = 2 * n + 1 + (n // 2 if family == "beta" else 0)
-    num_vars = 3 * n + n // 2
+    num_rows, num_vars = {"general": (3 * n // 4, 3 * n // 2),
+                          "beta": (2 * n + 1 + n // 2, 3 * n + n // 2),
+                          "beta_lambda": (2 * n + 1, 3 * n + n // 2)}[family]
     if (model.num_rows, model.num_vars) != (num_rows, num_vars):
         raise ValueError(f"a {family.replace('_', '-')} model at n={n} is "
                          f"{num_rows} x {num_vars}, got "
                          f"{model.num_rows} x {model.num_vars}")
+    return n
 
 
 def _exact_solution(model: LpModel, x: list, cost: Fraction,
-                    structure: dict, solver: str) -> LpSolution:
+                    structure: dict, solver: str) -> Union[LpSolution, str]:
     """The optimal ``LpSolution`` of the exact primal x, whose cost c.x is
     ``cost``: x in floats, its largest shortfall on the rows of
     ``model.matrix`` (0.0 when every row holds) and the objective
-    cost + constant."""
+    cost + constant; or, when the shortfall is above FEAS_TOL, the primal
+    residual as the reason to decline."""
     xf = np.array([float(v) for v in x])
     violation = float(np.max(np.array([float(v) for v in model.rhs])
                              - model.matrix @ xf, initial=0.0))
+    if violation > FEAS_TOL:
+        return f"primal residual {violation:.3g}"
     return LpSolution("optimal", float(cost + model.constant), xf, violation,
                       0, exact=x, structure=structure, solver=solver)
 
@@ -734,8 +738,8 @@ def _certified_solution(model: LpModel, x: list, y: list,
     if primal != dual:
         return f"duality gap {float(primal - dual):.3g}"
     solution = _exact_solution(model, x, primal, structure, "structure")
-    if solution.max_violation > FEAS_TOL:
-        return f"primal residual {solution.max_violation:.3g}"
+    if isinstance(solution, str):
+        return solution
     yf = np.array([float(v) for v in y])
     cf = np.array([float(v) for v in model.objective])
     dual_residual = float(np.max(yf @ model.matrix - cf, initial=0.0))
@@ -872,24 +876,24 @@ def simplex_solve(model: LpModel) -> LpSolution:
 def solve(model: LpModel) -> LpSolution:
     """Solve a built model with its family's solver: ``solve_general`` for
     general, ``solve_beta`` for beta and ``solve_beta_lambda`` for
-    beta-lambda, each with ``simplex_solve`` when the structure declines,
-    and ``simplex_solve`` for a model of no family.  ``solver`` names the
-    one that served, and a decline's reason.  A decline is also written to
+    beta-lambda, each with ``simplex_solve`` when it declines, and
+    ``simplex_solve`` for a model of no family.  ``solver`` names the one
+    that served, and a decline's reason.  A decline is also written to
     stderr, with the model's size, before the dense simplex starts."""
     family = model.metadata.get("family")
-    if family == "general_lb":
-        return solve_general(model)
-    if family in ("beta", "beta_lambda"):
-        structural = solve_beta if family == "beta" else solve_beta_lambda
-        solution = structural(model)
-        if isinstance(solution, LpSolution):
-            return solution
-        print(f"structure declined: {solution}; dense simplex on "
-              f"{model.num_rows} x {model.num_vars}", file=sys.stderr)
-        fallback = simplex_solve(model)
-        fallback.solver += f" (structure declined: {solution})"
-        return fallback
-    return simplex_solve(model)
+    # built per call, so that a solver rebound on the module serves
+    structural = {"general_lb": solve_general, "beta": solve_beta,
+                  "beta_lambda": solve_beta_lambda}.get(family)
+    if structural is None:
+        return simplex_solve(model)
+    solution = structural(model)
+    if isinstance(solution, LpSolution):
+        return solution
+    print(f"structure declined: {solution}; dense simplex on "
+          f"{model.num_rows} x {model.num_vars}", file=sys.stderr)
+    fallback = simplex_solve(model)
+    fallback.solver += f" (structure declined: {solution})"
+    return fallback
 
 
 # ---------------------------------------------------------------------------

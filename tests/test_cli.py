@@ -1,7 +1,9 @@
+import errno
 import hashlib
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -656,6 +658,18 @@ class TestVerify:
         assert "PASS" not in err and "FAIL" not in err and "states" not in err
         assert not out.exists()
 
+    def test_unwritable_report_prints_no_verdict(self, tmp_path, capsys,
+                                                 monkeypatch, instance_file):
+        """A report that fails at the write (here a full disk) leaves only
+        the error line, as a refusing suite does."""
+        def full(self, text):
+            raise OSError(errno.ENOSPC, "No space left on device")
+        monkeypatch.setattr(Path, "write_text", full)
+        out = tmp_path / "v.json"
+        assert main(["verify", instance_file, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {out}: No space left on device\n"
+
     def test_unknown_check_exits_2(self, instance_file):
         assert main(["verify", instance_file, "--checks", "bogus"]) == 2
 
@@ -949,8 +963,6 @@ OVERFLOWING_SUMS = {"agents": [
      "weights": [1e308, 1e308, 1.0]}]}
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered",
-                            "ignore:invalid value encountered")
 class TestNonFiniteResults:
     """A call whose report would hold a NaN or an infinity exits 2 with
     one error line and writes nothing."""
@@ -989,12 +1001,25 @@ class TestNonFiniteResults:
         ["conjecture", "--mode", "mc", "--samples", "3"]],
         ids=["simulate", "conjecture"])
     def test_overflowing_sums_exit_2(self, argv, tmp_path, capsys):
+        """The error is the only line: no summary precedes it."""
         assert self._run(OVERFLOWING_SUMS, argv, tmp_path) == (2, True)
         err = capsys.readouterr().err.splitlines()
-        errors = [line for line in err if line.startswith("error:")]
-        assert len(errors) == 1
-        assert errors[0].startswith(
+        assert len(err) == 1
+        assert err[0].startswith(
             "error: Out of range float values are not JSON compliant")
+
+    @pytest.mark.parametrize("argv, code", [
+        (["simulate"], 0),
+        (["simulate", "--mode", "mc", "--samples", "5"], 2),
+        (["conjecture", "--mode", "mc", "--samples", "3"], 2),
+        (["classify"], 0)],
+        ids=["simulate", "simulate-mc", "conjecture-mc", "classify"])
+    def test_numpy_warns_of_no_overflow(self, argv, code, tmp_path, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert self._run(OVERFLOWING_SUMS, argv, tmp_path)[0] == code
+        assert not [w for w in caught if w.category is RuntimeWarning]
+        assert "RuntimeWarning" not in capsys.readouterr().err
 
 
 class TestParser:

@@ -4,6 +4,7 @@ import math
 import sys
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +16,8 @@ import swmlab.lp as lp_module
 from swmlab.cli import main as cli_main
 from swmlab.lp import (DEGENERATE_LIMIT, LAMBDA_THRESHOLD, GENERAL_LIMIT,
                        PIVOT_TOL, LpModel, LpSolution, _beta_lambda_pair,
-                       _beta_pair, _certified_solution, _check_n,
+                       _beta_pair, _certified_solution, _check_model,
+                       _check_n,
                        _leaving_row, _to_fraction,
                        build_lp_beta, build_lp_beta_lambda, build_lp_general,
                        closed_form_beta_lambda, closed_form_general,
@@ -376,6 +378,23 @@ class TestBuilders:
         assert model.num_vars == 6
         assert model.constant == Fraction(1, 24)
 
+    @pytest.mark.parametrize("n", [8, 16, 64, 256])
+    def test_general_objective_is_the_eq1_decomposition(self, n):
+        """sum_{i<=n/2}(a_i + b_i) + 5/6 sum_{n/2<i<=3n/4}(a_i + b_i) + R/6,
+        with R = 1/4 + sum_{i<=n/2}((i - n/4)/(n-i) a_i - b_i)
+        + sum_{n/2<i<=3n/4} (n/4)/(n-i) a_i, eq1's right-hand side."""
+        half, quarter = n // 2, Fraction(n, 4)
+        positions = range(1, 3 * n // 4 + 1)
+        weight = [Fraction(1) if i <= half else Fraction(5, 6)
+                  for i in positions]
+        r_a = [(i - quarter if i <= half else quarter) / (n - i)
+               for i in positions]
+        r_b = [Fraction(-1) if i <= half else Fraction(0) for i in positions]
+        model = build_lp_general(n)
+        assert model.objective == [w + r / 6 for w, r in zip(weight, r_a)] \
+            + [w + r / 6 for w, r in zip(weight, r_b)]
+        assert model.constant == Fraction(1, 4) / 6
+
     def test_general_zero_point_infeasible(self):
         model = build_lp_general(8)
         # first row reads a_1 + b_1 >= 1/n
@@ -676,7 +695,18 @@ class TestBuildersMatchReference:
 
     @pytest.mark.parametrize("n", BUILDER_NS)
     def test_general(self, n):
-        assert_same_model(build_lp_general(n), reference_general_lp(n))
+        ref = reference_general_lp(n)
+        assert_same_model(build_lp_general(n), ref)
+        assert solve(ref).solver == "exact recursion"
+
+    @pytest.mark.parametrize("n", BUILDER_NS)
+    def test_check_model_agrees_with_every_builder(self, n):
+        models = [("general", build_lp_general(n)),
+                  ("beta", build_lp_beta(n, 0))]
+        models += [("beta_lambda", build_lp_beta_lambda(n, lam, 0))
+                   for lam in BUILDER_LAMBDAS if (lam * n).denominator == 1]
+        for family, model in models:
+            assert _check_model(model, family) == n
 
     def test_negative_beta_rejected(self):
         calls = (lambda: build_lp_beta(8, -1),
@@ -787,6 +817,16 @@ class TestSimplexKernel:
 # The exact recursion for the general program
 # ---------------------------------------------------------------------------
 
+def general_8_with_row_4(coeffs):
+    """``build_lp_general(8)`` with row 4's coefficients on a_1..a_3,
+    1/(8-j) as built, set to ``coeffs``; ``replace`` builds the matrix
+    again."""
+    model = build_lp_general(8)
+    rows = model.segments
+    return replace(model, segments=rows[:3] + [[(0, coeffs, 3)] + rows[3][1:]]
+                   + rows[4:])
+
+
 GENERAL_NS = [8, 16, 32, 64, 128, 256]
 # the first row whose b is positive at the optimum
 SWITCH_POINTS = {8: 6, 16: 12, 32: 23, 64: 45, 128: 90, 256: 180}
@@ -850,6 +890,48 @@ class TestSolveGeneral:
         model.objective[0] = Fraction(-1)
         with pytest.raises(ValueError, match="non-negative"):
             solve_general(model)
+
+    def test_refuses_an_added_row(self):
+        model = build_lp_general(8)
+        model = replace(model, segments=model.segments + [[(0, [1], 1)]],
+                        rhs=model.rhs + [Fraction(1)],
+                        row_names=model.row_names + ["extra"])
+        with pytest.raises(ValueError, match="a general model at n=8 is "
+                           "6 x 12, got 7 x 12"):
+            solve_general(model)
+
+    @pytest.mark.parametrize("value, optimum", [
+        (Fraction(1, 2), 0.747024), (Fraction(0), 0.468006)])
+    def test_edited_rhs_declines_to_the_simplex(self, value, optimum):
+        """Row 3's rhs is no longer 1/n; at 0 the exact point's violation
+        would be rounding (1.4e-17), so no residual could see it."""
+        model = build_lp_general(8)
+        model = replace(model, rhs=model.rhs[:2] + [value] + model.rhs[3:])
+        reason = solve_general(model)
+        assert reason == "rhs of position_3 is not 1/8"
+        served = solve(model)
+        assert served.solver == (f"simplex, {served.iterations} pivots "
+                                 f"(structure declined: {reason})")
+        assert served.objective == pytest.approx(optimum, abs=1e-6)
+
+    def test_tightened_row_declines_to_the_simplex(self):
+        """Row 4's a_j coefficients 1/(8-j) become 1/16: the exact point
+        falls short of the row, and the simplex's optimum is higher."""
+        model = general_8_with_row_4([Fraction(1, 16)] * 3)
+        reason = solve_general(model)
+        assert reason == "primal residual 0.0335"
+        assert solve(model).objective == pytest.approx(0.544550, abs=1e-6)
+
+    @pytest.mark.xfail(strict=True, reason="a loosened row keeps the exact "
+                       "point feasible; only a dual certificate (ROADMAP "
+                       "item 1b) can decline it")
+    def test_loosened_row_declines(self):
+        """Row 4's a_j coefficients doubled: the point stays feasible at
+        0.520833, but the simplex finds 0.482887."""
+        model = general_8_with_row_4([Fraction(2, 8 - j) for j in (1, 2, 3)])
+        assert simplex_solve(model).objective == pytest.approx(0.482887,
+                                                              abs=1e-6)
+        assert isinstance(solve_general(model), str)
 
 
 # ---------------------------------------------------------------------------
