@@ -3,10 +3,11 @@
 All models are of the form: minimize c.x subject to A.x >= b, x >= 0.
 Coefficients are exact rationals, so the plain-text export can be fed to
 external solvers verbatim, and each is written once: a row of A is a few
-segments of coefficient sequences that many rows share.  The model derives
-A as a float matrix from the segments, converting each shared sequence
-once, and that matrix is what both solvers read; the dense rational rows
-are built only when the listing or a caller reads them.
+segments of coefficient sequences that many rows share.  The exact solvers
+read A only through the segments, by exact row and column products in
+O(n) integer steps; the float matrix is built from the segments only when
+the simplex asks for it, and the dense rational rows only when the listing
+or a caller reads them.
 
 ``solve(model)`` picks the solver for the model's family, and the simplex
 runs when that solver declines with a reason:
@@ -16,10 +17,10 @@ runs when that solver declines with a reason:
 - beta-lambda: ``solve_beta_lambda``, and beta: ``solve_beta``.  Each
   builds the optimum and a dual from the structure of the solution in
   O(n) rational steps and returns it only when the pair is a certificate
-  (``_certified_solution``: both feasible, equal objectives).  One dual
-  recursion, ``_beta_dual``, serves both certificates and, in floats, the
-  search for the beta dual's maximiser; one primal recursion,
-  ``_beta_head``, serves both primals.
+  (``_certified_solution``: both feasible, equal objectives, all checked
+  exactly).  One dual recursion, ``_beta_dual``, serves both certificates
+  and, in floats, the search for the beta dual's maximiser; one primal
+  recursion, ``_beta_head``, serves both primals.
 
 ``simplex_solve`` is a dense two-phase primal simplex in floats:
 largest-coefficient pricing that falls back to Bland's lowest-index rule
@@ -30,6 +31,7 @@ solvers to.
 """
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -38,6 +40,9 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+# the simplex's float tolerances: an entry above PIVOT_TOL can pivot and a
+# reduced cost below -PIVOT_TOL improves; phase 1 ends feasible within
+# FEAS_TOL.  No exact solver reads either.
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-9
 # after this many consecutive degenerate pivots the entering column is the
@@ -70,9 +75,10 @@ class LpModel:
     order and disjoint: the first k entries of the exact sequence
     ``coeffs`` sit at columns col .. col+k-1, and every other entry is 0.
     Rows share their sequences, so each coefficient is made once.
-    ``matrix`` is A in floats, [num_rows, num_vars], derived from the
-    segments with one conversion per shared sequence; it is what the
-    solvers read.  ``rows`` builds the dense rational rows on every read.
+    ``matrix`` is A in floats, [num_rows, num_vars], built from the
+    segments with one conversion per shared sequence on its first read and
+    kept; only the simplex reads it.  ``rows`` builds the dense rational
+    rows on every read.
     """
 
     objective: list[Fraction]
@@ -82,7 +88,6 @@ class LpModel:
     row_names: list[str]
     metadata: dict = field(default_factory=dict)
     constant: Fraction = Fraction(0)   # added to the objective on report
-    matrix: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         ncols = len(self.var_names)
@@ -90,21 +95,29 @@ class LpModel:
             raise ValueError("objective length does not match variable count")
         if not len(self.segments) == len(self.rhs) == len(self.row_names):
             raise ValueError("row, rhs and name counts differ")
-        self.matrix = np.zeros((len(self.segments), ncols))
-        # id(coeffs) -> its floats; self.segments holds every sequence, so
-        # no id passes to another sequence while the cache is in use
-        floats = {}
-        for r, (name, row) in enumerate(zip(self.row_names, self.segments)):
+        for name, row in zip(self.row_names, self.segments):
             end = 0
             for col, coeffs, k in row:
                 if col < end or not 0 <= k <= len(coeffs) or col + k > ncols:
                     raise ValueError(f"row {name} has wrong width")
+                end = col + k
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """A in floats, built on the first read and kept, so an edit to it
+        reaches the simplex."""
+        matrix = np.zeros((self.num_rows, self.num_vars))
+        # id(coeffs) -> its floats; self.segments holds every sequence, so
+        # no id passes to another sequence while the cache is in use
+        floats = {}
+        for r, row in enumerate(self.segments):
+            for col, coeffs, k in row:
                 if id(coeffs) not in floats:
                     floats[id(coeffs)] = np.array(
                         [c.numerator / c.denominator if c else 0.0
                          for c in coeffs])
-                self.matrix[r, col:col + k] = floats[id(coeffs)][:k]
-                end = col + k
+                matrix[r, col:col + k] = floats[id(coeffs)][:k]
+        return matrix
 
     @property
     def rows(self) -> list[list[Rational]]:
@@ -183,7 +196,7 @@ def _check_beta(beta) -> Fraction:
     if beta < 0:
         raise ValueError(f"beta must be non-negative, got {beta}")
     try:
-        float(beta)     # the solvers read the rhs as floats
+        float(beta)     # the simplex reads the rhs as floats
     except OverflowError:
         raise ValueError("beta is too large for a float (above 1.8e308)"
                          ) from None
@@ -378,8 +391,8 @@ def solve_general(model: LpModel) -> Union[LpSolution, str]:
 
     The costs come from ``model.objective``; the rows are taken to be
     ``build_lp_general``'s.  The solve declines unless every rhs is 1/n
-    and the point violates no row of the model by more than FEAS_TOL, but
-    it proves no optimality: after a row is loosened the point may stay
+    and the point violates no row of the model, checked exactly, but it
+    proves no optimality: after a row is loosened the point may stay
     feasible though a cheaper one exists, which only a dual would show.
     Raises ValueError for another family or shape, or a negative cost.
     ``structure`` holds the switch point: the first row whose b is
@@ -704,30 +717,111 @@ def _check_model(model: LpModel, family: str) -> int:
     return n
 
 
+def _scaled(values) -> tuple[list[int], int]:
+    """The rationals ``values`` as integers over one scale, the lcm of
+    their denominators, and that scale."""
+    scale = math.lcm(*[v.denominator for v in values])
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+def _scaled_sequences(model: LpModel) -> tuple[dict, int]:
+    """Each shared sequence of the model's segments, by id and up to the
+    longest k a row reads of it, as integers over one scale, and that
+    scale: the lcm of every denominator read."""
+    longest, sequences = {}, {}
+    for row in model.segments:
+        for _, coeffs, k in row:
+            if k > longest.get(id(coeffs), 0):
+                longest[id(coeffs)] = k
+                sequences[id(coeffs)] = coeffs
+    scaled = {key: _scaled(sequences[key][:k])
+              for key, k in longest.items()}
+    scale = math.lcm(*[s for _, s in scaled.values()])
+    return {key: [v * (scale // s) for v in ints]
+            for key, (ints, s) in scaled.items()}, scale
+
+
+def _row_shortfall(model: LpModel, x: list) -> Fraction:
+    """max(0, max_i (b_i - (A x)_i)), exact, in O(segments + columns)
+    integer steps: each (shared sequence, start column) pair is
+    prefix-summed once, up to the longest k a row reads there, and a
+    length-1 segment is read directly."""
+    coeffs, scale = _scaled_sequences(model)
+    xs, x_scale = _scaled(x)
+    total = scale * x_scale        # total (A x)_i is an integer
+    prefix = {}
+    worst = Fraction(0)
+    for row, b in zip(model.segments, model.rhs):
+        ax = 0
+        for col, seq, k in row:
+            if k == 1:
+                ax += coeffs[id(seq)][0] * xs[col]
+            elif k:
+                sums = prefix.setdefault((id(seq), col), [0])
+                if len(sums) <= k:
+                    c, acc = coeffs[id(seq)], sums[-1]
+                    for t in range(len(sums) - 1, k):
+                        acc += c[t] * xs[col + t]
+                        sums.append(acc)
+                ax += sums[k]
+        if ax * b.denominator < b.numerator * total:
+            worst = max(worst, b - Fraction(ax, total))
+    return worst
+
+
+def _column_excess(model: LpModel, y: list) -> Fraction:
+    """max(0, max_j ((y A)_j - c_j)), exact, in O(segments + columns)
+    integer steps: per (shared sequence, start column) pair, y is summed
+    over the rows that read it by k, then suffix-summed, so that column
+    col+t gets coeffs[t] times the y of the rows reading past t; a
+    length-1 segment is read directly."""
+    coeffs, scale = _scaled_sequences(model)
+    ys, y_scale = _scaled(y)
+    total = scale * y_scale        # total (y A)_j is an integer
+    ya = [0] * model.num_vars
+    by_k = {}
+    for row, v in zip(model.segments, ys):
+        if not v:
+            continue
+        for col, seq, k in row:
+            if k == 1:
+                ya[col] += coeffs[id(seq)][0] * v
+            elif k:
+                sums = by_k.setdefault((id(seq), col), {})
+                sums[k] = sums.get(k, 0) + v
+    for (key, col), sums in by_k.items():
+        c, above = coeffs[key], 0
+        for t in range(max(sums) - 1, -1, -1):
+            above += sums.get(t + 1, 0)
+            ya[col + t] += c[t] * above
+    worst = Fraction(0)
+    for v, c in zip(ya, model.objective):
+        if v * c.denominator > c.numerator * total:
+            worst = max(worst, Fraction(v, total) - c)
+    return worst
+
+
 def _exact_solution(model: LpModel, x: list, cost: Fraction,
                     structure: dict, solver: str) -> Union[LpSolution, str]:
     """The optimal ``LpSolution`` of the exact primal x, whose cost c.x is
-    ``cost``: x in floats, its largest shortfall on the rows of
-    ``model.matrix`` (0.0 when every row holds) and the objective
-    cost + constant; or, when the shortfall is above FEAS_TOL, the primal
-    residual as the reason to decline."""
-    xf = np.array([float(v) for v in x])
-    violation = float(np.max(np.array([float(v) for v in model.rhs])
-                             - model.matrix @ xf, initial=0.0))
-    if violation > FEAS_TOL:
-        return f"primal residual {violation:.3g}"
-    return LpSolution("optimal", float(cost + model.constant), xf, violation,
-                      0, exact=x, structure=structure, solver=solver)
+    ``cost``: x in floats, ``max_violation`` 0.0 and the objective
+    cost + constant; or, when x falls short of a row of the model by any
+    amount (``_row_shortfall``), the primal residual as the reason to
+    decline."""
+    shortfall = _row_shortfall(model, x)
+    if shortfall:
+        return f"primal residual {float(shortfall):.3g}"
+    return LpSolution("optimal", float(cost + model.constant),
+                      np.array([float(v) for v in x]), 0.0, 0, exact=x,
+                      structure=structure, solver=solver)
 
 
 def _certified_solution(model: LpModel, x: list, y: list,
                         structure: dict) -> Union[LpSolution, str]:
     """The structural solution x when x and y prove each other optimal,
-    else the first failed check.  x >= 0, y >= 0 and c.x == b.y are
-    checked exactly in rationals (the model's own objective and rhs); the
-    solution's violation of ``model.matrix`` must be at most FEAS_TOL and
-    the dual residual A^T y - c at most PIVOT_TOL, the float trust of the
-    simplex's own optimality test."""
+    else the first failed check.  Every check is exact, on the model's own
+    objective, rhs and segments: x >= 0, y >= 0, c.x == b.y, A x >= b
+    (``_row_shortfall``) and y A <= c (``_column_excess``)."""
     if any(v < 0 for v in x):
         return "negative primal entry"
     negative = next((r for r, v in enumerate(y) if v < 0), None)
@@ -740,11 +834,9 @@ def _certified_solution(model: LpModel, x: list, y: list,
     solution = _exact_solution(model, x, primal, structure, "structure")
     if isinstance(solution, str):
         return solution
-    yf = np.array([float(v) for v in y])
-    cf = np.array([float(v) for v in model.objective])
-    dual_residual = float(np.max(yf @ model.matrix - cf, initial=0.0))
-    if dual_residual > PIVOT_TOL:
-        return f"dual residual {dual_residual:.3g}"
+    excess = _column_excess(model, y)
+    if excess:
+        return f"dual residual {float(excess):.3g}"
     return solution
 
 

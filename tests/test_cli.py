@@ -61,44 +61,48 @@ def _lp_argv(family, n, lam, beta):
 # every byte; the beta and beta-lambda ones are served by the structural
 # solves, and were recorded once their reports had been shown to differ
 # from the simplex-served ones (LP_SIMPLEX_REPORTS) only as
-# test_structure_report_against_simplex_served allows
+# test_structure_report_against_simplex_served allows.  All were recorded
+# again once the certificate checked its products exactly from the
+# segments (TestExactProducts in test_lp.py): each report kept every byte
+# but ``max_violation``, float rounding between 4.3e-19 and 1.4e-17
+# before, now 0.0
 LP_REPORTS = {
     ("beta", 8, None, "1/100"):
-        "939a477f7ad22246cdf6fa64cb4c07db180d964397f8aae88bb913f5eef6f266",
+        "813f132fcf4f185d47f98c93e4d942e413d4f247eeb18e322e917a84f4eefbf7",
     ("beta", 32, None, "1/100"):
-        "195b027ddfdd469f9da71cc14dc7b3612d36be176839bc498387b2db4529bdf9",
+        "76f556003b0ce97603cb1b690f97a671d561866aa5a9df1be87510fa9a9f3522",
     ("beta", 128, None, "1/100"):
-        "0df0024dc9c8a2ee4d7b8a30dcb1f2938499b6c21e9e0f3240891e6d39a56cd0",
+        "fd2dc0b692ae60dd5e071dfae693c41020bfff89201938f79786d2a4246f5fc2",
     ("beta-lambda", 16, "13/16", "0"):
-        "c07cf180c9ca5fa0eccecf12832a62c9bd3a7aa9ac279221b767c2166cf8ea0b",
+        "dc6945a057553c57b295463e61f5812bc0b4d182d38344939039acbc1ee5bd46",
     ("beta-lambda", 16, "13/16", "1/100"):
-        "29cc1da851d73668f05081bc251d2a1a94500de15e2eb1b8e53e479d5f1561cf",
+        "03ee155feea5441a87da9c5ee22365a6cd026b71475685840a0134423938b416",
     ("beta-lambda", 64, "13/16", "0"):
-        "dff0daa06ee125d72389156964dfac40413ede627d0f7f1eebe518d129a23f42",
+        "f0852c9bc1bd9921d449db1a099355aba2c00fdfc5a87b595698bbc7e919b684",
     ("beta-lambda", 64, "13/16", "1/100"):
-        "cc9b2dc92522f3b4d54c31c617a97d908a0fb9a275a0ec106baa3a380ac55388",
+        "c0c39b5c540689e5cc6cfd917c47bec9713cb167975c6119780bd1eed491b62f",
     ("beta-lambda", 256, "13/16", "0"):
-        "1d6335e538f124240e5e125b4020fd5caf7a43aa85f325ccd006d07787af215c",
+        "fdf8d260aaf2aaa7dddffee45f89b3d69c97355e03133a0215b1f9d5d1441371",
     ("beta-lambda", 256, "13/16", "1/100"):
-        "7c93bbd635640f0eb8561341c921887267d341960b81da7325cabcb981043d43",
+        "1a3981445cac63268e3a42fe3c474c0d37c0f9f88b4e12d6d4332842d4aaedb0",
     ("general", 8, None, "0"):
-        "eff18857191c7a5af1a170331f9614ea3f75b6870f45ed4f59ec2b61a9be69dd",
+        "194bd42727e43c61b82fcd572ef67fd6d6b5c7f5633a78b072727bba4065b3b2",
     ("general", 16, None, "0"):
-        "bfaa92305144d061ce9008050ef0c03225c5dd21dc1d186fd98ddad2b6a5d49b",
+        "04bdd3594818edf64f3aeb0f905893e2e6e866af8b786270e71241f4de06e204",
     ("general", 32, None, "0"):
-        "f39ea6bd9c181e5a108572dc4cb38829b136a62651a6496aeb03c28010977c78",
+        "5681edfb4637b6879bcbc19b13ff4cb48a7f91f95bf93a73795d5e1d6812ccc3",
     ("general", 64, None, "0"):
-        "45a77bfb450b984e6d21de8342a694478b225653560f0dac33f0597aef5a846a",
+        "9cb41823e2bcfb83c34621f32d4d0d7d6c37220d1105c691908c4a70becfee75",
     ("general", 128, None, "0"):
-        "d5c1258d756e4272f3a07bae0cd3e3dcb3b2838acaa984c7ce115791da1daee7",
+        "932913b6f6b64bc6f11d54c60c615308cb590706d836027070cfbf17afeab554",
     ("general", 256, None, "0"):
-        "beeeb2cd2b72c581293a1c6ba7ebcf00f6acd271d250e30c6c38977a0b04a76d",
+        "bb2c70edb0007bbec0a0f7c02733a45f85fa4f1d76c4460f30d5cd40b4260cdf",
     ("general", 512, None, "0"):
-        "6b25d18570822275369104f1ad085874792d7628981057da10ecf83876382570",
+        "c3ddcf8576fd6b704a55b884d8394e6652a1a3b682317408e813c092211ecd0c",
     ("general", 1024, None, "0"):
-        "306faae189fd20d80c5a936608cf85fb1a1c22e2cbdb3abc06aa942dcdde0176",
+        "522adac11aa4b45ef26050e68db2ad7ff6a20de84f2b416342efa1e91dd8d99a",
     ("general", 4096, None, "0"):
-        "f67a7bbeb82ab8e74b4eefab19291ffdd612c29a1002983a6e8e4912804d9d4c",
+        "897cc93285bea5912b0a02ea3e4e991e14fb72435481316cefd54203f967fd11",
 }
 # sha256 of the beta and beta-lambda reports when the simplex serves them,
 # as it did for every such report before the structural solves

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import math
+import random
 import sys
 import tracemalloc
 from collections import Counter
@@ -12,13 +13,14 @@ import numpy as np
 import pytest
 
 import swmlab as sl
+import swmlab.cli as cli_module
 import swmlab.lp as lp_module
 from swmlab.cli import main as cli_main
 from swmlab.lp import (DEGENERATE_LIMIT, LAMBDA_THRESHOLD, GENERAL_LIMIT,
                        PIVOT_TOL, LpModel, LpSolution, _beta_lambda_pair,
                        _beta_pair, _certified_solution, _check_model,
-                       _check_n,
-                       _leaving_row, _to_fraction,
+                       _check_n, _column_excess,
+                       _leaving_row, _row_shortfall, _to_fraction,
                        build_lp_beta, build_lp_beta_lambda, build_lp_general,
                        closed_form_beta_lambda, closed_form_general,
                        combined_secondorder_bound, general_cost_to_go,
@@ -839,7 +841,7 @@ class TestSolveGeneral:
         exact, simplex = solve_general(model), simplex_solve(model)
         assert exact.status == "optimal"
         assert abs(exact.objective - simplex.objective) <= EXACT_TOL
-        assert exact.max_violation <= FEAS_TOL
+        assert exact.max_violation == 0.0
 
     @pytest.mark.parametrize("n", [8, 16, 32, 64])
     def test_matches_scipy(self, n):
@@ -980,6 +982,32 @@ def exact_certificate_holds(model, x, y) -> bool:
         sum(b * v for b, v in zip(model.rhs, y))
 
 
+def edit_a1_in_position_5(model):
+    """Row position_5 of an n=16 model reads a_1 (column 16) as 2 instead
+    of 1/15, through an edited copy of its shared sequence."""
+    row = model.segments[model.row_names.index("position_5")]
+    col, coeffs, k = row[1]
+    assert col == 16 and coeffs[0] == Fraction(1, 15)
+    row[1] = (col, [Fraction(2)] + list(coeffs[1:]), k)
+
+
+# (vector, entry, check) of a 1/10^6 cut from one entry of an n=16 pair
+# at beta 0: a_1 leaves the later position rows short, and the last
+# second-half dual leaves the a columns above their costs
+TAMPERED_AFTER_EDIT = [("x", "a_1", "primal residual"),
+                       ("y", "second_half_16", "dual residual")]
+
+
+def tampered_pair(model, pair, vector, name, sign=-1):
+    """``pair`` with entry ``name`` of x or y moved by 1/10^6, down unless
+    ``sign`` is 1."""
+    x, y, structure = pair
+    names = model.row_names if vector == "y" else model.var_names
+    target = y if vector == "y" else x
+    target[names.index(name)] += sign * Fraction(1, 10 ** 6)
+    return x, y, structure
+
+
 class TestSolveBetaLambda:
     @pytest.mark.parametrize("n", STRUCTURE_NS)
     def test_matches_simplex(self, n):
@@ -997,7 +1025,7 @@ class TestSolveBetaLambda:
                 (lam, beta)
             assert (sol.status, sol.iterations, sol.solver) == \
                 ("optimal", 0, "structure")
-            assert sol.max_violation <= FEAS_TOL
+            assert sol.max_violation == 0.0
             assert sol.structure["position_rows"] == lam * n
 
     @pytest.mark.parametrize("n", [8, 16, 32, 64])
@@ -1036,10 +1064,8 @@ class TestSolveBetaLambda:
     def test_tampered_certificate_declines(self, monkeypatch, vector, name,
                                            sign):
         model = build_lp_beta_lambda(16, Fraction(13, 16), Fraction(1, 100))
-        x, y, structure = _beta_lambda_pair(model)
-        names = model.row_names if vector == "y" else model.var_names
-        target = y if vector == "y" else x
-        target[names.index(name)] += sign * Fraction(1, 10 ** 6)
+        x, y, structure = tampered_pair(model, _beta_lambda_pair(model),
+                                        vector, name, sign)
         monkeypatch.setattr(lp_module, "_beta_lambda_pair",
                             lambda model: (x, y, structure))
         reason = solve_beta_lambda(model)
@@ -1056,15 +1082,34 @@ class TestSolveBetaLambda:
                             lambda model: pair)
         assert solve(model).solver == "structure"
 
-    def test_edited_model_declines(self):
-        """The certificate reads the model's own objective and matrix, so a
-        model that is not the program the structure describes declines."""
+    def test_edited_model_declines(self, monkeypatch):
+        """The certificate reads the model's own objective and segments, so
+        a model that is not the program the structure describes declines,
+        and so does a pair with one entry moved by 1/10^6."""
         model = build_lp_beta_lambda(16, Fraction(13, 16), 0)
         model.objective[0] = Fraction(2)
         assert solve_beta_lambda(model).startswith("duality gap")
         model = build_lp_beta_lambda(16, Fraction(13, 16), 0)
-        model.matrix[model.row_names.index("position_5"), 16] = 2.0
+        edit_a1_in_position_5(model)
         assert solve_beta_lambda(model).startswith("dual residual")
+        model = build_lp_beta_lambda(16, Fraction(13, 16), 0)
+        for vector, name, check in TAMPERED_AFTER_EDIT:
+            x, y, structure = tampered_pair(model, _beta_lambda_pair(model),
+                                            vector, name)
+            monkeypatch.setattr(lp_module, "_beta_lambda_pair",
+                                lambda model: (x, y, structure))
+            assert solve_beta_lambda(model).startswith(check), name
+
+    def test_tamper_below_float_tolerance_declines(self, monkeypatch):
+        """a_1 lowered by 1/10^6 at n=1024 falls short of every later
+        position row by 1/(10^6 1023) ~ 9.8e-10, below the 1e-9 a float
+        check would forgive; the exact check declines it."""
+        model = build_lp_beta_lambda(1024, Fraction(13, 16), 0)
+        x, y, structure = tampered_pair(model, _beta_lambda_pair(model), "x",
+                                        "a_1")
+        monkeypatch.setattr(lp_module, "_beta_lambda_pair",
+                            lambda model: (x, y, structure))
+        assert solve_beta_lambda(model) == "primal residual 9.78e-10"
 
     @pytest.mark.parametrize("n", [8, 16, 32, 64])
     def test_three_quarters_at_zero_beta_declines(self, n):
@@ -1139,7 +1184,8 @@ BETA_STRUCTURES = [(4, 3, "0", [2]), (8, 6, "0", [4]),
                    (64, 50, "498/1409", [31, 32]),
                    (128, 99, "0", [62, 63, 64])]
 # certified optima at beta = 0, past the sizes the simplex reaches quickly
-BETA_ASYMPTOTE = {512: 0.5311905938569751, 1024: 0.5309505873027724}
+BETA_ASYMPTOTE = {512: 0.5311905938569751, 1024: 0.5309505873027724,
+                  2048: 0.5308307923246142}
 
 
 def beta_grid(n, betas=BETA_BETAS):
@@ -1157,7 +1203,7 @@ class TestSolveBeta:
             assert abs(sol.objective - ref.objective) <= KERNEL_TOL, beta
             assert (sol.status, sol.iterations, sol.solver) == \
                 ("optimal", 0, "structure")
-            assert sol.max_violation <= FEAS_TOL
+            assert sol.max_violation == 0.0
 
     def test_matches_simplex_at_256(self):
         model = build_lp_beta(256, Fraction(1, 100))
@@ -1221,10 +1267,8 @@ class TestSolveBeta:
     def test_tampered_certificate_declines(self, monkeypatch, vector, name,
                                            sign, check):
         model = build_lp_beta(16, Fraction(1, 100))
-        x, y, structure = _beta_pair(model)
-        names = model.row_names if vector == "y" else model.var_names
-        target = y if vector == "y" else x
-        target[names.index(name)] += sign * Fraction(1, 10 ** 6)
+        x, y, structure = tampered_pair(model, _beta_pair(model), vector,
+                                        name, sign)
         monkeypatch.setattr(lp_module, "_beta_pair",
                             lambda model: (x, y, structure))
         reason = solve_beta(model)
@@ -1240,14 +1284,22 @@ class TestSolveBeta:
         assert isinstance(certified, LpSolution)
         assert solve(model).solver == "structure"
 
-    def test_edited_model_declines(self):
-        """The certificate reads the model's own objective and matrix."""
+    def test_edited_model_declines(self, monkeypatch):
+        """The certificate reads the model's own objective and segments,
+        and declines a pair with one entry moved by 1/10^6."""
         model = build_lp_beta(16, 0)
         model.objective[0] = Fraction(2)
         assert solve_beta(model).startswith("duality gap")
         model = build_lp_beta(16, 0)
-        model.matrix[model.row_names.index("position_5"), 16] = 2.0
+        edit_a1_in_position_5(model)
         assert solve_beta(model).startswith("dual residual")
+        model = build_lp_beta(16, 0)
+        for vector, name, check in TAMPERED_AFTER_EDIT:
+            x, y, structure = tampered_pair(model, _beta_pair(model), vector,
+                                            name)
+            monkeypatch.setattr(lp_module, "_beta_pair",
+                                lambda model: (x, y, structure))
+            assert solve_beta(model).startswith(check), name
 
     @pytest.mark.parametrize("n", [8, 16, 32, 64])
     def test_budget_beyond_the_tail_declines(self, n):
@@ -1474,6 +1526,25 @@ class TestFloatMatrix:
         model.matrix[0, 0] = 2.0
         assert simplex_solve(model).objective == pytest.approx(0.5)
 
+    def test_no_exact_solve_builds_the_matrix(self, monkeypatch, tmp_path):
+        """Every lp-sweep task served by the structure or the recursion
+        leaves its model without a float matrix."""
+        served = []
+
+        def recording(model):
+            solution = solve(model)
+            served.append((model, solution.solver))
+            return solution
+        argvs = lp_sweep_argvs(monkeypatch)
+        monkeypatch.setattr(cli_module, "solve", recording)
+        for argv in argvs:
+            assert cli_main([*argv, "--out", str(tmp_path / "lp.json")]) == 0
+        exact = [model for model, solver in served
+                 if solver in ("structure", "exact recursion")]
+        assert len(served) == len(argvs) and exact
+        for model in exact:
+            assert "matrix" not in vars(model), model.metadata
+
     def test_no_solve_reads_the_rows(self, monkeypatch, tmp_path):
         def refuse(model):
             raise AssertionError("a solve read the dense rational rows")
@@ -1493,9 +1564,10 @@ class TestFloatMatrix:
         lambda: build_lp_beta(256, 0),
         lambda: build_lp_beta_lambda(256, Fraction(13, 16), Fraction(1, 100)),
     ], ids=["general-1024", "beta-256", "beta-lambda-256"])
-    def test_build_and_solve_peak_stays_near_the_matrix(self, build):
-        """No dense rational copy of A is made: the traced peak of a build
-        and its solve is at most 1.25 times the float matrix."""
+    def test_build_and_solve_peak_stays_below_the_matrix(self, build):
+        """No dense copy of A is made, rational or float: the traced peak
+        of a build and its solve is at most 0.3 times the bytes of the
+        float matrix, which is never built."""
         tracemalloc.start()
         try:
             model = build()
@@ -1503,8 +1575,26 @@ class TestFloatMatrix:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * model.matrix.nbytes, \
-            peak / model.matrix.nbytes
+        assert "matrix" not in vars(model)
+        dense = model.num_rows * model.num_vars * 8
+        assert peak <= 0.3 * dense, peak / dense
+
+    def test_beta_4096_certifies_without_the_matrix(self, tmp_path, capsys):
+        """The float matrix at n=4096 would be 10,241 x 14,336, 1.2 GB; the
+        certified solve's traced peak stays below 96 MB."""
+        out = tmp_path / "lp.json"
+        tracemalloc.start()
+        try:
+            assert cli_main(["lp", "--family", "beta", "--n", "4096",
+                             "--beta", "0", "--out", str(out)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert "\nsolver = structure\n" in capsys.readouterr().err
+        solution = json.loads(out.read_text())["results"]["solution"]
+        assert (solution["objective"], solution["max_violation"]) == \
+            (0.5307709287946348, 0.0)
+        assert peak < 96 * 2 ** 20, peak / 2 ** 20
 
 
 def lp_sweep_argvs(monkeypatch) -> list:
@@ -1518,6 +1608,101 @@ def lp_sweep_argvs(monkeypatch) -> list:
     spec.loader.exec_module(module)
     timed, _ = module.build_lp_sweep(0, None)
     return [task.argv for task in timed]
+
+
+# ---------------------------------------------------------------------------
+# The certificate's exact products against the dense rational rows
+# ---------------------------------------------------------------------------
+
+def dense_shortfall(rows, model, x) -> Fraction:
+    """max(0, max_i (b_i - (A x)_i)) over ``sparse_rows(model)``."""
+    return max([Fraction(0)]
+               + [b - sum((c * x[j] for j, c in row), Fraction(0))
+                  for row, b in zip(rows, model.rhs)])
+
+
+def dense_excess(rows, model, y) -> Fraction:
+    """max(0, max_j ((y A)_j - c_j)) over ``sparse_rows(model)``."""
+    ya = [Fraction(0)] * model.num_vars
+    for row, v in zip(rows, y):
+        for j, c in row:
+            ya[j] += c * v
+    return max([Fraction(0)] + [v - c for v, c in zip(ya, model.objective)])
+
+
+def random_rationals(rng, size) -> list:
+    """Rationals in [-40, 40], about a third of them 0."""
+    return [Fraction(0) if rng.random() < 0.3
+            else Fraction(rng.randint(-40, 40), rng.randint(1, 50))
+            for _ in range(size)]
+
+
+def operator_models(n):
+    """Every family at n on the builder grid, with the structural pair of
+    each (None where beta's structure does not apply; general has only
+    its exact point, and no dual)."""
+    for beta in BUILDER_BETAS:
+        model = build_lp_beta(n, beta)
+        pair = _beta_pair(model)
+        yield model, None if isinstance(pair, str) else pair
+        for lam in BUILDER_LAMBDAS:
+            if (lam * n).denominator == 1:
+                model = build_lp_beta_lambda(n, lam, beta)
+                yield model, _beta_lambda_pair(model)
+    model = build_lp_general(n)
+    yield model, (solve_general(model).exact, None, None)
+
+
+class TestExactProducts:
+    @pytest.mark.parametrize("n", BUILDER_NS)
+    def test_families_match_the_dense_rows(self, n):
+        """Exactly equal, on the structural pairs, certified or not, and on
+        random x and y with zeros and negatives."""
+        rng = random.Random(n)
+        certified = 0
+        for model, pair in operator_models(n):
+            rows = sparse_rows(model)
+            xs = [random_rationals(rng, model.num_vars) for _ in range(2)]
+            ys = [random_rationals(rng, model.num_rows) for _ in range(2)]
+            if pair is not None:
+                x, y, _ = pair
+                xs.append(x)
+                if y is not None:
+                    ys.append(y)
+                    if exact_certificate_holds(model, x, y):
+                        assert _row_shortfall(model, x) == 0
+                        assert _column_excess(model, y) == 0
+                        certified += 1
+            for x in xs:
+                assert _row_shortfall(model, x) == \
+                    dense_shortfall(rows, model, x), model.metadata
+            for y in ys:
+                assert _column_excess(model, y) == \
+                    dense_excess(rows, model, y), model.metadata
+        assert certified >= 2
+
+    def test_hand_built_models_match_the_dense_rows(self):
+        """k = 0 segments, rows with no segment, integer coefficients, a
+        sequence read at two columns to two lengths, and models with no
+        rows."""
+        f, seq = Fraction, [Fraction(1, 3), Fraction(-2, 5), 7]
+        model = LpModel([f(1), f(-1, 2), f(0), f(2)],
+                        [[(0, seq, 0), (0, seq, 2), (3, [f(5)], 1)],
+                         [],
+                         [(1, seq, 3)],
+                         [(0, [f(1)], 0), (2, seq, 1)]],
+                        [f(1, 7), f(-1), f(0), f(1, 2)],
+                        ["x1", "x2", "x3", "x4"], ["r1", "r2", "r3", "r4"])
+        rows = sparse_rows(model)
+        rng = random.Random(0)
+        for _ in range(20):
+            x = random_rationals(rng, 4)
+            y = random_rationals(rng, 4)
+            assert _row_shortfall(model, x) == dense_shortfall(rows, model, x)
+            assert _column_excess(model, y) == dense_excess(rows, model, y)
+        empty = LpModel([f(1), f(-3, 4)], [], [], ["x", "y"], [])
+        assert _row_shortfall(empty, [f(1), f(0)]) == 0
+        assert _column_excess(empty, []) == f(3, 4)
 
 
 # ---------------------------------------------------------------------------
