@@ -19,7 +19,7 @@ from .errors import InvalidQueryError, SizeGuardError
 from .oracles import ValuationOracle, as_mask, mask_items
 
 OPTIMAL_MAX_ASSIGNMENTS = 10 ** 7
-OPTIMAL_CHUNK = 1 << 16    # assignments ``optimal`` evaluates at once
+OPTIMAL_CHUNK = 1 << 16    # assignments ``_best_assignments`` scores at once
 
 
 @dataclass(frozen=True)
@@ -181,17 +181,56 @@ def greedy(instance: Instance, order: Sequence[int]) -> GreedyRun:
                      tuple(marginals), tuple(choices))
 
 
+def _welfares(instance: Instance, masks: np.ndarray) -> np.ndarray:
+    """V of every allocation in an int64 array of agent masks ``masks[m,
+    ...]``: the agents' values added in agent order from 0.0."""
+    v = np.zeros(masks.shape[1:])
+    for o, msk in zip(instance.oracles, masks):
+        v = v + o.value_masks(msk)
+    return v
+
+
+def _best_assignments(m: int, bits: np.ndarray, score
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """The best assignment to m agents of each row's items, given as their
+    bits ``bits[U, k]`` (int64): its agent masks ``[m, U]`` and its score
+    ``[U]``.  ``score`` maps agent masks ``[m, U, H]`` to scores ``[U, H]``.
+
+    Assignment h gives column t's item to agent (h // m^t) % m, so the
+    first column's agent varies fastest.  The m^k assignments are scored
+    ``OPTIMAL_CHUNK`` at a time; a chunk's first maximizer is its
+    ``np.argmax``, and a later chunk replaces a row's best only when
+    strictly larger, so every row keeps its first maximizer."""
+    rows, k = bits.shape
+    total = m ** k
+    best = np.zeros((m, rows), dtype=np.int64)
+    best_score = np.zeros(rows)
+    for lo in range(0, total, OPTIMAL_CHUNK):
+        codes = np.arange(lo, min(lo + OPTIMAL_CHUNK, total))
+        cols = np.arange(len(codes))
+        masks = np.zeros((m, rows, len(codes)), dtype=np.int64)
+        c = codes
+        for t in range(k):
+            masks[c % m, :, cols] |= bits[:, t]
+            c = c // m
+        v = score(masks)
+        top = v.argmax(axis=1)
+        top_v = v[np.arange(rows), top]
+        better = top_v > best_score if lo else np.ones(rows, dtype=bool)
+        best[:, better] = masks[:, better, top[better]]
+        best_score[better] = top_v[better]
+    return best, best_score
+
+
 def optimal(instance: Instance, items: Optional[Iterable[int]] = None
             ) -> tuple[Allocation, float, dict[int, int]]:
     """Brute-force welfare maximizer over full assignments of ``items``
     (default: all items).
 
-    Enumerates agent choices in lexicographic order with the first listed
-    item as the least significant digit and returns the first maximizer, so
-    opt_map is canonical.  Assignments are evaluated ``OPTIMAL_CHUNK`` at a
-    time: each one's welfare adds its agents' values in agent order, the
-    first maximizer of a chunk is its ``np.argmax``, and a later chunk
-    replaces the best so far only when strictly larger.
+    Returns the first maximizer of ``_best_assignments`` over ``items`` in
+    the order given, so the first listed item's agent varies fastest and
+    opt_map is canonical.  Each assignment's welfare adds its agents'
+    values in agent order.
     """
     n, m = instance.n, instance.m
     if items is None:
@@ -208,23 +247,11 @@ def optimal(instance: Instance, items: Optional[Iterable[int]] = None
         raise SizeGuardError(
             f"optimal enumerates m^k assignments; {m}^{k} = {total} exceeds "
             f"{OPTIMAL_MAX_ASSIGNMENTS}")
-    best_masks: Optional[list[int]] = None
-    best_value = -1.0
-    for lo in range(0, total, OPTIMAL_CHUNK):
-        codes = np.arange(lo, min(lo + OPTIMAL_CHUNK, total))
-        cols = np.arange(len(codes))
-        masks = np.zeros((m, len(codes)), dtype=np.int64)
-        c = codes
-        for j in items:
-            masks[c % m, cols] |= 1 << j
-            c = c // m
-        v = np.zeros(len(codes))
-        for o, msk in zip(instance.oracles, masks):
-            v = v + o.value_masks(msk)
-        top = int(np.argmax(v))
-        if v[top] > best_value:
-            best_value, best_masks = float(v[top]), masks[:, top].tolist()
+    bits = np.left_shift(1, np.array(items, dtype=np.int64))[None]
+    masks, value = _best_assignments(
+        m, bits, lambda h: _welfares(instance, h))
+    best_masks = masks[:, 0].tolist()
     alloc = Allocation(tuple(best_masks))
     opt_map = {j: ell for ell, msk in enumerate(best_masks)
                for j in mask_items(msk)}
-    return alloc, float(best_value), opt_map
+    return alloc, float(value[0]), opt_map

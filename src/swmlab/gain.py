@@ -68,8 +68,8 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .core import (OPTIMAL_MAX_ASSIGNMENTS, Allocation, Instance,
-                   _overlapping, greedy, greedy_steps, marginal_gains,
-                   optimal, union, welfare)
+                   _best_assignments, _overlapping, _welfares, greedy,
+                   greedy_steps, marginal_gains, optimal, union, welfare)
 from .errors import InvalidQueryError, SizeGuardError
 from .oracles import ABS_TOL, classify_second_order, mask_items
 from .orders import orders as seeded_orders
@@ -808,8 +808,9 @@ def _expected_A_prime_margin(ctx: GainContext, half: _Layer
     within the arrived set.  Greedy never moves an item, so the joint
     state fixes its half state (the full masks on the items greedy on (S2,
     S3) has not seen), chains never meet, and a batch's layer is its
-    chains' layers one after another.  The optimum on S2 is computed once
-    per subset, over its items in sorted order.
+    chains' layers one after another.  The optimum on S2 comes from one
+    ``_best_assignments`` search per batch over its distinct S2 sets, each
+    over its items in ascending order, as ``optimal`` lists them.
     """
     inst, n, m = ctx.instance, ctx.n, ctx.m
     three_q = 3 * n // 4
@@ -821,7 +822,6 @@ def _expected_A_prime_margin(ctx: GainContext, half: _Layer
             new[2 * m] |= np.left_shift(1, items)
         return None, None, new
 
-    opt_s2: dict = {}
     margin, states = 0.0, 0
     for part in _batches(len(half.p), math.factorial(n - n // 2)):
         p = half.p[part]
@@ -832,13 +832,12 @@ def _expected_A_prime_margin(ctx: GainContext, half: _Layer
         full, g23, s2 = (layer.states[:m], layer.states[m:2 * m],
                          layer.states[-1])
         s1 = ~_or_rows(g23)              # at depth n every item has arrived
-        for x in set(s2.tolist()) - opt_s2.keys():
-            opt_s2[x] = optimal(inst, items=mask_items(x))[0].masks
-        h = np.array([opt_s2[x] for x in s2.tolist()], dtype=np.int64).T
-        a_prime = g_s1 = np.zeros(len(layer.p))
-        for o, f, g, hk in zip(inst.oracles, full, g23, h):
-            a_prime = a_prime + o.value_masks(f | g | hk)
-            g_s1 = g_s1 + o.value_masks(f & s1)
+        sets, inverse = np.unique(s2, return_inverse=True)
+        bits = np.left_shift(1, np.nonzero(_member(sets, n))[1])
+        opt_s2, _ = _best_assignments(m, bits.reshape(len(sets), n // 4),
+                                      lambda h: _welfares(inst, h))
+        a_prime = _welfares(inst, full | g23 | opt_s2[:, inverse])
+        g_s1 = _welfares(inst, full & s1)
         margin = _running_sum(margin, layer.p * (a_prime - g_s1))
     return margin, states
 
@@ -914,8 +913,9 @@ def verify_second_half(ctx: GainContext, tol: float = IDENTITY_TOL
     Greedy's allocation of the first half S1 is a state at depth n/2 of the
     state pass.  The best assignment of the second-half items, the one
     that most reduces Gain(S1) given that allocation, is a function of the
-    state alone: the first maximizer over all m^(n/2) assignments, listed
-    with the lowest item's agent varying fastest.  Its reduction is X.  Its
+    state alone: ``core._best_assignments``' first maximizer over all
+    m^(n/2) assignments, the lowest item's agent varying fastest, searched
+    for a batch of half states at once.  Its reduction is X.  Its
     restriction to the items arriving at positions i..n defines Y_i, which
     depends on the half state and greedy's state after i-1 arrivals, so
     E[Y_i] comes from a forward chain started at each half state.  Both
@@ -938,35 +938,32 @@ def verify_second_half(ctx: GainContext, tol: float = IDENTITY_TOL
         classify_second_order(o).is_second_order_supermodular
         for o in inst.oracles)
 
-    codes = np.arange(m ** half)
     ex_x = 0.0
     ex_y = np.zeros(half)             # Y_i for i = n/2+1 .. n
     states = sp.states
-    # agent[t, ell, h]: assignment h gives the t-th lowest second-half
-    # item to agent ell
-    agent = ((codes // m ** np.arange(half)[:, None] % m)[:, None, :]
-             == np.arange(m)[:, None]).astype(np.int64)
     layer = sp.half
-    for part in _batches(len(layer.p), max(len(codes), math.factorial(half))):
-        # every half state against every assignment of its second-half
-        # items
+    for part in _batches(len(layer.p), max(m ** half, math.factorial(half))):
         base, p = layer.states[:, part], layer.p[part]
         size = len(p)
         first = _member(_or_rows(base), n)                   # S1, [S, n]
         rest = np.left_shift(1, np.nonzero(~first)[1]).reshape(size, half)
-        hats = np.einsum("tlh,st->lsh", agent, rest)   # disjoint bits: OR
         g_base = _row_sums(sp.half_gains[part], first)
-        reduction = g_base[:, None] - _row_sums(
-            _item_gains(ctx, (base[:, :, None] | hats).reshape(m, -1)),
-            first.repeat(len(codes), axis=0)).reshape(size, -1)
-        best = reduction.argmax(axis=1)      # the first maximizer
-        ex_x = _running_sum(ex_x, p * reduction[np.arange(size), best])
+
+        def reduction(hats):
+            """Gain(S1) reduction of assignments ``hats[m, S, H]`` of the
+            second-half items on top of the half states."""
+            after = (base[:, :, None] | hats).reshape(m, -1)
+            return g_base[:, None] - _row_sums(
+                _item_gains(ctx, after),
+                first.repeat(hats.shape[2], axis=0)).reshape(size, -1)
+
+        best, x = _best_assignments(m, rest, reduction)
+        ex_x = _running_sum(ex_x, p * x)
 
         # Y_i = Gain(S1, A^G_{i-1}) - Gain(S1, A^G_{i-1} + best on the
         # unarrived items), read at depths n/2 .. n-1 of chains started at
         # the half states, told apart by a tag row holding the index of
         # their half state above bit n
-        best = hats[:, np.arange(size), best]
         start = _Layer(np.vstack((base, np.arange(size) << n)), p)
         for y, (before, _) in zip(range(half), _forward(inst, start, half)):
             states += len(before.p)

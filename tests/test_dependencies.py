@@ -4,7 +4,11 @@ only, and sympy nothing.  Oracle internals stay in ``oracles.py``: no
 other module reads an attribute named ``_table`` or ``_values``.  Every
 choice among agents goes through ``core.greedy_steps``: outside
 ``core.py``, only ``gain._item_gains`` uses ``marginal_gains``.  Every
-name a module imports is used there (``__init__.py`` re-exports)."""
+choice of an assignment goes through ``core._best_assignments``: outside
+``core.py``, only ``GainContext.__init__`` and ``build_A_prime`` call
+``optimal``, and only ``_expected_A_prime_margin`` and
+``verify_second_half`` call the search.  Every name a module imports is
+used there (``__init__.py`` re-exports)."""
 import ast
 import sys
 from pathlib import Path
@@ -15,6 +19,10 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "swmlab"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy"}
 ORACLE_INTERNALS = {"_table", "_values"}
 MARGINAL_GAINS_USERS = {"gain.py": ["_item_gains"]}   # and all of core.py
+ASSIGNMENT_CALLERS = {                                 # and all of core.py
+    "optimal": {"gain.py": ["GainContext.__init__", "build_A_prime"]},
+    "_best_assignments": {"gain.py": ["_expected_A_prime_margin",
+                                      "verify_second_half"]}}
 
 
 def imported_roots(path: Path) -> list[str]:
@@ -67,24 +75,45 @@ def test_the_check_sees_an_internal_read(tmp_path):
     assert internal_reads(module) == ["_table", "_values"]
 
 
-def marginal_gains_users(path: Path) -> list[str]:
-    """The innermost enclosing function ("<module>" outside any) of every
-    use in ``path`` of a name or attribute ``marginal_gains``, sorted."""
-    users = []
+def named(node, name: str) -> bool:
+    """``node`` is the name ``name`` or an attribute ``.name``."""
+    return (isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name)
 
-    def visit(node, owner):
+
+def owners(path: Path, hit) -> list[str]:
+    """The innermost enclosing function ("<module>" outside any, "Class."
+    before a method's name) of every node in ``path`` that ``hit``
+    accepts, sorted."""
+    found = []
+
+    def visit(node, owner, cls):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
+            if isinstance(child, ast.ClassDef):
+                visit(child, owner, child.name + ".")
                 continue
-            if (isinstance(child, ast.Name) and child.id == "marginal_gains"
-                    or isinstance(child, ast.Attribute)
-                    and child.attr == "marginal_gains"):
-                users.append(owner)
-            visit(child, owner)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, cls + child.name, "")
+                continue
+            if hit(child):
+                found.append(owner)
+            visit(child, owner, cls)
 
-    visit(ast.parse(path.read_text(), str(path)), "<module>")
-    return sorted(users)
+    visit(ast.parse(path.read_text(), str(path)), "<module>", "")
+    return sorted(found)
+
+
+def marginal_gains_users(path: Path) -> list[str]:
+    """The owner of every use in ``path`` of a name or attribute
+    ``marginal_gains``."""
+    return owners(path, lambda node: named(node, "marginal_gains"))
+
+
+def callers(path: Path, name: str) -> list[str]:
+    """The owner of every call in ``path`` to a name or attribute
+    ``name``."""
+    return owners(path, lambda node: isinstance(node, ast.Call)
+                  and named(node.func, name))
 
 
 @pytest.mark.parametrize(
@@ -109,6 +138,33 @@ def test_the_check_sees_another_marginal_gains_user(tmp_path):
                       "best = max(marginal_gains(o, 0, 1) for o in ())\n")
     assert marginal_gains_users(module) == \
         ["<module>", "_item_gains", "inner", "pick"]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "core.py"),
+    ids=lambda p: p.name)
+def test_assignment_choice_only_in_core(path):
+    for name, allowed in ASSIGNMENT_CALLERS.items():
+        stray = [u for u in callers(path, name)
+                 if u not in allowed.get(path.name, [])]
+        assert stray == [], f"{path.name} calls {name} in {stray}"
+
+
+def test_the_check_sees_another_assignment_search(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text("from .core import _best_assignments, optimal\n"
+                      "class GainContext:\n"
+                      "    def __init__(self, inst):\n"
+                      "        self.opt = optimal(inst)\n"
+                      "def build_A_prime(inst):\n"
+                      "    optimal = core.optimal(inst)\n"
+                      "    return optimal\n"
+                      "def verify_eq1(inst):\n"
+                      "    return _best_assignments(2, bits, score)\n"
+                      "best = optimal(inst)\n")
+    assert callers(module, "optimal") == \
+        ["<module>", "GainContext.__init__", "build_A_prime"]
+    assert callers(module, "_best_assignments") == ["verify_eq1"]
 
 
 def unused_imports(path: Path) -> list[str]:

@@ -39,6 +39,11 @@ def saturated_budgets(n, m):
                              for _ in range(m)))
 
 
+def mixed(n, m):
+    """A random instance mixing every oracle family."""
+    return random_instance(n, m, n * m, families=FAMILIES)
+
+
 def check_every_suite(inst):
     """Each exact suite on a fresh context (the reference has no shared
     state pass), and every suite again on one shared context."""
@@ -232,6 +237,44 @@ class TestOptimal:
             for items in (None, [3, 0], []):
                 assert core.optimal(inst, items=items) == \
                     ref.optimal(inst, items=items)
+
+    @pytest.mark.parametrize("m", (2, 3, 4))
+    @pytest.mark.parametrize("make", (equal_additive, saturated_budgets,
+                                      mixed))
+    def test_chunk_boundaries_in_the_suites(self, monkeypatch, make, m):
+        """eq1's S2 optima and the second half's best assignments come from
+        the optimum's chunked search: at any chunk size the suites give
+        the reference's bytes and state counts."""
+        cases = [(sl.verify_eq1, ref.verify_eq1, n) for n in (4, 8)] + \
+            [(sl.verify_second_half, ref.verify_second_half, n)
+             for n in (4, 6)]
+        for fast, slow, n in cases:
+            inst = make(n, m)
+            want = slow(sl.GainContext(inst))
+            for chunk in (1, 2, 7):
+                monkeypatch.setattr(core, "OPTIMAL_CHUNK", chunk)
+                assert_same(fast(sl.GainContext(inst)), want)
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("chunk", (2, 1 << 16))
+    @pytest.mark.parametrize("n,m", ((4, 2), (4, 4), (8, 3), (8, 4)))
+    @pytest.mark.parametrize("make", (equal_additive, saturated_budgets,
+                                      mixed))
+    def test_batched_search_matches_optimal(self, monkeypatch, make, n, m,
+                                            chunk):
+        """One search over every S2 set of size n/4, as eq1 runs it,
+        returns per set the masks and value of ``optimal`` on its items in
+        ascending order."""
+        monkeypatch.setattr(core, "OPTIMAL_CHUNK", chunk)
+        inst = make(n, m)
+        sets = list(itertools.combinations(range(n), n // 4))
+        masks, values = core._best_assignments(
+            m, np.left_shift(1, np.array(sets, dtype=np.int64)),
+            lambda h: core._welfares(inst, h))
+        for row, items in enumerate(sets):
+            alloc, value, _ = core.optimal(inst, items=items)
+            assert tuple(masks[:, row].tolist()) == alloc.masks
+            assert values[row] == value
 
     def test_every_subset_of_items(self):
         inst = random_instance(5, 3, 9, families=FAMILIES)

@@ -829,6 +829,12 @@ def general_8_with_row_4(coeffs):
                    + rows[4:])
 
 
+def cost_to_go_dual(model):
+    """y_i = k_i - k_{i+1} from ``general_cost_to_go``'s k_1, ..., k_{m+1}."""
+    k = general_cost_to_go(model)
+    return [k[i] - k[i + 1] for i in range(len(k) - 1)]
+
+
 GENERAL_NS = [8, 16, 32, 64, 128, 256]
 # the first row whose b is positive at the optimum
 SWITCH_POINTS = {8: 6, 16: 12, 32: 23, 64: 45, 128: 90, 256: 180}
@@ -934,6 +940,28 @@ class TestSolveGeneral:
         assert simplex_solve(model).objective == pytest.approx(0.482887,
                                                               abs=1e-6)
         assert isinstance(solve_general(model), str)
+
+    @pytest.mark.parametrize("n", GENERAL_NS)
+    def test_cost_to_go_differences_are_a_dual_certificate(self, n):
+        """The differences of the cost-to-go are a dual point that meets
+        the exact point's cost and no column cost exceeds: a certificate
+        of its optimality (ROADMAP item 1b), which ``solve_general`` does
+        not check yet."""
+        model = build_lp_general(n)
+        y, x = cost_to_go_dual(model), solve_general(model).exact
+        assert all(v >= 0 for v in y)
+        assert sum(b * v for b, v in zip(model.rhs, y)) == \
+            sum(c * v for c, v in zip(model.objective, x))
+        assert lp_module._column_excess(model, y) == 0
+
+    def test_cost_to_go_dual_sees_the_loosened_row(self):
+        """Row 4's a_j coefficients doubled: the exact point stays
+        feasible, but the cost-to-go dual exceeds a column cost, so the
+        dual check would decline what ``test_loosened_row_declines``
+        expects declined."""
+        model = general_8_with_row_4([Fraction(2, 8 - j) for j in (1, 2, 3)])
+        assert lp_module._column_excess(model, cost_to_go_dual(model)) == \
+            Fraction(17, 120)
 
 
 # ---------------------------------------------------------------------------
