@@ -741,12 +741,13 @@ def _scaled_sequences(model: LpModel) -> tuple[dict, int]:
             for key, (ints, s) in scaled.items()}, scale
 
 
-def _row_shortfall(model: LpModel, x: list) -> Fraction:
+def _row_shortfall(model: LpModel, x: list, sequences=None) -> Fraction:
     """max(0, max_i (b_i - (A x)_i)), exact, in O(segments + columns)
     integer steps: each (shared sequence, start column) pair is
     prefix-summed once, up to the longest k a row reads there, and a
-    length-1 segment is read directly."""
-    coeffs, scale = _scaled_sequences(model)
+    length-1 segment is read directly.  ``sequences`` is the model's
+    ``_scaled_sequences``, computed here when not given."""
+    coeffs, scale = sequences or _scaled_sequences(model)
     xs, x_scale = _scaled(x)
     total = scale * x_scale        # total (A x)_i is an integer
     prefix = {}
@@ -769,13 +770,14 @@ def _row_shortfall(model: LpModel, x: list) -> Fraction:
     return worst
 
 
-def _column_excess(model: LpModel, y: list) -> Fraction:
+def _column_excess(model: LpModel, y: list, sequences=None) -> Fraction:
     """max(0, max_j ((y A)_j - c_j)), exact, in O(segments + columns)
     integer steps: per (shared sequence, start column) pair, y is summed
     over the rows that read it by k, then suffix-summed, so that column
     col+t gets coeffs[t] times the y of the rows reading past t; a
-    length-1 segment is read directly."""
-    coeffs, scale = _scaled_sequences(model)
+    length-1 segment is read directly.  ``sequences`` is as in
+    ``_row_shortfall``."""
+    coeffs, scale = sequences or _scaled_sequences(model)
     ys, y_scale = _scaled(y)
     total = scale * y_scale        # total (y A)_j is an integer
     ya = [0] * model.num_vars
@@ -802,13 +804,14 @@ def _column_excess(model: LpModel, y: list) -> Fraction:
 
 
 def _exact_solution(model: LpModel, x: list, cost: Fraction,
-                    structure: dict, solver: str) -> Union[LpSolution, str]:
+                    structure: dict, solver: str,
+                    sequences=None) -> Union[LpSolution, str]:
     """The optimal ``LpSolution`` of the exact primal x, whose cost c.x is
     ``cost``: x in floats, ``max_violation`` 0.0 and the objective
     cost + constant; or, when x falls short of a row of the model by any
-    amount (``_row_shortfall``), the primal residual as the reason to
-    decline."""
-    shortfall = _row_shortfall(model, x)
+    amount (``_row_shortfall``, given ``sequences``), the primal residual
+    as the reason to decline."""
+    shortfall = _row_shortfall(model, x, sequences)
     if shortfall:
         return f"primal residual {float(shortfall):.3g}"
     return LpSolution("optimal", float(cost + model.constant),
@@ -821,7 +824,8 @@ def _certified_solution(model: LpModel, x: list, y: list,
     """The structural solution x when x and y prove each other optimal,
     else the first failed check.  Every check is exact, on the model's own
     objective, rhs and segments: x >= 0, y >= 0, c.x == b.y, A x >= b
-    (``_row_shortfall``) and y A <= c (``_column_excess``)."""
+    (``_row_shortfall``) and y A <= c (``_column_excess``), which share
+    one ``_scaled_sequences`` of the model."""
     if any(v < 0 for v in x):
         return "negative primal entry"
     negative = next((r for r, v in enumerate(y) if v < 0), None)
@@ -831,10 +835,12 @@ def _certified_solution(model: LpModel, x: list, y: list,
     dual = sum(b * v for b, v in zip(model.rhs, y) if b)
     if primal != dual:
         return f"duality gap {float(primal - dual):.3g}"
-    solution = _exact_solution(model, x, primal, structure, "structure")
+    sequences = _scaled_sequences(model)
+    solution = _exact_solution(model, x, primal, structure, "structure",
+                               sequences)
     if isinstance(solution, str):
         return solution
-    excess = _column_excess(model, y)
+    excess = _column_excess(model, y, sequences)
     if excess:
         return f"dual residual {float(excess):.3g}"
     return solution

@@ -1026,6 +1026,44 @@ class TestNonFiniteResults:
         assert "RuntimeWarning" not in capsys.readouterr().err
 
 
+class TestNonRealNumbers:
+    """A JSON boolean or numeric string where a number belongs exits 2 with
+    one error line and writes no report: ``float`` would read it as 1.0,
+    0.0 or the string's value."""
+
+    AGENTS = {
+        "budget": lambda x: {"kind": "budgeted_additive", "budget": x,
+                             "weights": [0.5, 1]},
+        "weight": lambda x: {"kind": "budgeted_additive", "budget": 2,
+                             "weights": [x, 1]},
+        "universe weight": lambda x: {"kind": "coverage",
+                                      "universe_weights": [1, x],
+                                      "item_sets": [[0], [1]]},
+        "edge weight": lambda x: {"kind": "cut", "n": 2,
+                                  "edges": [[0, -1, 1], [1, -1, x]]},
+        "table value": lambda x: {"kind": "table", "n": 1,
+                                  "table": {"": 0, "0": x}}}
+
+    @pytest.mark.parametrize("bad", [True, False, "2", "0.5"])
+    @pytest.mark.parametrize("field", sorted(AGENTS))
+    def test_exits_2_with_one_error_line(self, field, bad, tmp_path,
+                                         capsys):
+        path = tmp_path / "i.json"
+        path.write_text(json.dumps({"agents": [self.AGENTS[field](bad)]}))
+        assert main(["classify", str(path),
+                     "--out", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: agent 0: {field} must be a real number, got {bad!r}"]
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("field", sorted(AGENTS))
+    def test_numbers_still_load(self, field, tmp_path):
+        path = tmp_path / "i.json"
+        path.write_text(json.dumps({"agents": [self.AGENTS[field](1)]}))
+        assert main(["classify", str(path),
+                     "--out", str(tmp_path / "r.json")]) == 0
+
+
 class TestParser:
     def test_parser_is_built_once(self):
         assert cli.build_parser() is cli.build_parser()

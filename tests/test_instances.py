@@ -1,6 +1,7 @@
 import json
 import math
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +62,18 @@ def test_oracle_constructors_reject_nan():
         sl.make_cut(1, [(0, -1, NAN)])
     with pytest.raises(ValueError):
         sl.make_table(1, {"": 0.0, "0": NAN})
+
+
+def test_oracle_constructors_take_real_numbers_only():
+    """NumPy and ``Fraction`` reals are read as floats; bools, NumPy bools
+    and numeric strings are refused."""
+    o = sl.make_budgeted_additive(np.float64(2.5),
+                                  [np.int64(1), Fraction(1, 2), 1.25])
+    assert o.to_spec() == {"kind": "budgeted_additive", "budget": 2.5,
+                           "weights": [1.0, 0.5, 1.25]}
+    for bad in (True, np.bool_(False), "0.5", None):
+        with pytest.raises(ValueError, match="must be a real number"):
+            sl.make_budgeted_additive(2, [bad, 1])
 
 
 @pytest.mark.parametrize("capacity", [1.7, 2.0, "2", True])

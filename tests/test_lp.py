@@ -1732,6 +1732,20 @@ class TestExactProducts:
         assert _row_shortfall(empty, [f(1), f(0)]) == 0
         assert _column_excess(empty, []) == f(3, 4)
 
+    @pytest.mark.parametrize("solver, model", [
+        (solve_beta, build_lp_beta(16, Fraction(1, 100))),
+        (solve_beta_lambda, build_lp_beta_lambda(16, Fraction(13, 16), 0))],
+        ids=["beta", "beta-lambda"])
+    def test_one_scaling_per_certificate(self, monkeypatch, solver, model):
+        """Both exact checks of a certified pair read one
+        ``_scaled_sequences`` of the model."""
+        calls = []
+        scaled = lp_module._scaled_sequences
+        monkeypatch.setattr(lp_module, "_scaled_sequences",
+                            lambda m: calls.append(m) or scaled(m))
+        assert solver(model).status == "optimal"
+        assert calls == [model]
+
 
 # ---------------------------------------------------------------------------
 # LpModel's checks of its segments

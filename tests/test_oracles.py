@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 
 import exact_reference as ref
 import swmlab as sl
+from swmlab import oracles
 from swmlab.cli import main
 from swmlab.core import marginal_gains
 from swmlab.errors import AxiomViolationError, InvalidQueryError, SizeGuardError
 from swmlab.instances import (ORACLE_GENERATORS, random_coverage_oracle,
                               random_family_instance)
-from swmlab.oracles import (ABS_TOL, TABLE_CHUNK, AxiomReport,
+from swmlab.oracles import (ABS_TOL, CHECK_CHUNK, TABLE_CHUNK, AxiomReport,
                             CoverageOracle, SecondOrderClass, TableOracle,
                             _first_violations, _gain_rows, _spread,
                             _subset_keys, as_mask, mask_items,
@@ -240,6 +241,16 @@ class TestConstructors:
                      {(): 0, (0,): 1, (1,): 1, (1, 0): 1.5}):
             o = sl.make_table(2, vals)
             assert np.array_equal(o._table, canonical._table), vals
+
+    def test_later_key_for_the_same_set_wins(self):
+        """Two spellings of {0, 1}: the later one's value is kept,
+        whichever spelling is canonical."""
+        base = {"": 0, "0": 1, "1": 1}
+        for pair, want in (({"0,1": 1, "1,0": 2}, 2.0),
+                           ({"1,0": 2, "0,1": 1}, 1.0),
+                           ({"0,1": 1.5, "1,0": 1.25, "1,,0": 2}, 2.0)):
+            o = sl.make_table(2, {**base, **pair})
+            assert o.value_mask(0b11) == want, pair
 
     def test_subset_keys_are_canonical(self):
         keys = _subset_keys(10)
@@ -879,6 +890,74 @@ class TestFirstViolationsAgainstPairLoop:
             self.assert_same(t, n, seen)
         assert {(True, False), (False, False)} <= seen
 
+    @staticmethod
+    def geometric_table(n):
+        """v(S) = 1 - 2^-|S|: strictly submodular, with gains 2^-(k+1) and
+        second differences 2^-(k+2) at |S| = k, all exact in floats."""
+        count = np.array([m.bit_count() for m in range(1 << n)])
+        return 1 - np.ldexp(1.0, -count)
+
+    @pytest.mark.parametrize("n", range(11, 17))
+    def test_planted_at_every_position(self, n, monkeypatch):
+        """For each bit position p of a row, one violation pair that is
+        the first violation: at the first set of row p (v({p, p+1}) raised
+        by 3/8, so MG({p+1}, p) > MG({}, p)) and at the last set of row 0
+        (v(A) raised by 3/4 of the smallest second difference left intact,
+        A = N - {0, p+1}).  Blocks of one row (``CHECK_CHUNK`` 1 and 64)
+        put both at the edges of a block; the default packs up to 16 rows.
+        Every block size returns the pair loop's answer."""
+        base = self.geometric_table(n)
+        full = (1 << n) - 1
+        planted = []
+        for p in range(n - 1):
+            first = base.copy()
+            first[3 << p] += 0.375
+            a = full & ~(1 | 2 << p)
+            last = base.copy()
+            last[a] += 0.75 * 2.0 ** (2 - n)
+            planted += [(first, (0, p + 1, p)), (last, (a, p + 1, 0))]
+        cases = [(t, sub, tol) for t, sub in planted
+                 for tol in (0.0, ABS_TOL)]
+        cases.append((planted[0][0], None, -0.5))
+        for t, sub, tol in cases:
+            want = reference_first_violations(t, n, tol)
+            if sub is not None:
+                assert want[1] == sub
+            for chunk in (1, 64, CHECK_CHUNK):
+                monkeypatch.setattr(oracles, "CHECK_CHUNK", chunk)
+                assert _first_violations(t, n, tol) == want, (n, chunk, tol)
+
+    @pytest.mark.parametrize("chunk", [1, 64, CHECK_CHUNK])
+    def test_random_tables_above_ten_items(self, chunk, monkeypatch):
+        monkeypatch.setattr(oracles, "CHECK_CHUNK", chunk)
+        rng = np.random.default_rng(23)
+        for n in range(11, 17):
+            t = rng.integers(0, 4, 1 << n).astype(float)
+            self.assert_same(t, n)
+
+    def test_R_against_the_reference_above_ten_items(self, monkeypatch):
+        """Domains of 11 and 12 items: R of a coverage oracle is
+        submodular; a budget breaks it, and so does a value raised on a
+        set that holds Z but not S, deep inside the domain or next to its
+        last set."""
+        coverage = random_oracle("coverage", 13, 4)
+        cases = [(coverage, 1, 2), (coverage, 1 << 12, 0),
+                 (random_oracle("budgeted_additive", 13, 3), 1, 2)]
+        for where in (0b0011011011010, 0b0111111111110):
+            raised = coverage._table.copy()
+            raised[where] += 0.5
+            cases.append((TableOracle(13, raised, check=False), 1 << 12, 2))
+        verdicts = set()
+        for o, smask, zmask in cases:
+            want = _reference_R_witness(o, smask, zmask)
+            for chunk in (1, CHECK_CHUNK):
+                monkeypatch.setattr(oracles, "CHECK_CHUNK", chunk)
+                rep = sl.check_R_submodular(o, mask_items(smask),
+                                            mask_items(zmask))
+                assert (rep.passed, rep.witness) == (want is None, want)
+            verdicts.add(want is None)
+        assert verdicts == {True, False}
+
     def test_domains_of_zero_and_one_items(self):
         for t in (np.array([0.0]), np.array([2.0])):
             self.assert_same(t, 0)
@@ -892,16 +971,18 @@ class TestFirstViolationsAgainstPairLoop:
                 is None
 
     def test_memory_at_cap(self):
-        """At n=16 the scan's temporaries stay near 1 MB beside the
-        0.5 MB table."""
+        """At n=16 the scan's temporaries, with the masks of every bit
+        position built cold, stay within 1.5 MB beside the 0.5 MB table:
+        a stack of all 16 gain rows alone would take 4 MB."""
         o = random_oracle("coverage", 16, 0)
+        oracles._bit_clear_masks.clear()
         tracemalloc.start()
         try:
             assert sl.check_axioms(o).passed
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 << 20
+        assert peak <= 3 << 19
 
 
 def reference_classify_second_order(oracle, tol):
