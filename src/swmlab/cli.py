@@ -167,8 +167,6 @@ def cmd_lp(args) -> int:
         closed = closed_form_beta_lambda(args.n, lam, beta)
     elif args.family == "general" and args.n >= 8:
         closed = closed_form_general(args.n)
-    if args.export_lp:
-        _write_file(args.export_lp, model.to_text())
     start = time.perf_counter()
     solution = solve(model)
     print(f"solve = {time.perf_counter() - start:.3f} s", file=sys.stderr)
@@ -196,6 +194,8 @@ def cmd_lp(args) -> int:
     report = _report("lp", {"family": args.family, "n": args.n,
                             "lambda": args.lam, "beta": args.beta}, results)
     _write_report(report, args.out)
+    if args.export_lp:
+        _write_file(args.export_lp, model.to_text())
     return EXIT_OK if optimal else EXIT_VERIFY_FAILED
 
 

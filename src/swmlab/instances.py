@@ -8,8 +8,8 @@ The JSON format is:
 with one oracle spec per agent (see the oracle constructors for the
 kind-specific fields).  ``oracles.oracle_from_spec`` builds each agent and
 passes it through the one axiom gate, ``oracles._check``; the loader adds
-the instance-level checks (version, agent list, declared n and m, one
-shared ground set).
+the instance-level checks (version, name and seed, agent list, declared n
+and m, one shared ground set).
 """
 from __future__ import annotations
 
@@ -41,8 +41,18 @@ def instance_from_spec(spec: dict) -> Instance:
     if not isinstance(spec, dict):
         raise InstanceFormatError("instance file must contain a JSON object")
     version = spec.get("version", FORMAT_VERSION)
-    if version != FORMAT_VERSION:
+    # only the integer 1: True and 1.0 compare equal to it
+    if type(version) is not int or version != FORMAT_VERSION:
         raise InstanceFormatError(f"unsupported format version {version!r}")
+    name, seed = spec.get("name"), spec.get("seed")
+    if name is not None and not isinstance(name, str):
+        raise InstanceFormatError(f"field 'name' must be a string, "
+                                  f"got {name!r}")
+    if seed is not None:
+        try:
+            _integer(seed, "field 'seed'")
+        except ValueError as exc:
+            raise InstanceFormatError(str(exc)) from exc
     agents = spec.get("agents")
     if not isinstance(agents, list) or not agents:
         raise InstanceFormatError("field 'agents' must be a non-empty list")
@@ -74,8 +84,7 @@ def instance_from_spec(spec: dict) -> Instance:
         if oracle.n != n:
             raise InstanceFormatError(
                 f"agent {idx} has ground size {oracle.n}, expected {n}")
-    return Instance(tuple(oracles), name=spec.get("name"),
-                    seed=spec.get("seed"))
+    return Instance(tuple(oracles), name=name, seed=seed)
 
 
 def load_instance(path) -> Instance:

@@ -5,9 +5,9 @@ Coefficients are exact rationals, so the plain-text export can be fed to
 external solvers verbatim, and each is written once: a row of A is a few
 segments of coefficient sequences that many rows share.  The exact solvers
 read A only through the segments, by exact row and column products in
-O(n) integer steps; the float matrix is built from the segments only when
-the simplex asks for it, and the dense rational rows only when the listing
-or a caller reads them.
+O(n) integer steps, and so does the listing; the simplex converts them to
+floats for its own solve, and the dense rational rows are built only when
+a caller reads them.
 
 ``solve(model)`` picks the solver for the model's family, and the simplex
 runs when that solver declines with a reason:
@@ -31,7 +31,6 @@ solvers to.
 """
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -74,11 +73,9 @@ class LpModel:
     Each row of A is a list of segments ``(col, coeffs, k)``, in column
     order and disjoint: the first k entries of the exact sequence
     ``coeffs`` sit at columns col .. col+k-1, and every other entry is 0.
-    Rows share their sequences, so each coefficient is made once.
-    ``matrix`` is A in floats, [num_rows, num_vars], built from the
-    segments with one conversion per shared sequence on its first read and
-    kept; only the simplex reads it.  ``rows`` builds the dense rational
-    rows on every read.
+    Rows share their sequences, so each coefficient is made once.  The
+    segments are the only stored form of A; ``rows`` builds the dense
+    rational rows on every read.
     """
 
     objective: list[Fraction]
@@ -102,23 +99,6 @@ class LpModel:
                     raise ValueError(f"row {name} has wrong width")
                 end = col + k
 
-    @functools.cached_property
-    def matrix(self) -> np.ndarray:
-        """A in floats, built on the first read and kept, so an edit to it
-        reaches the simplex."""
-        matrix = np.zeros((self.num_rows, self.num_vars))
-        # id(coeffs) -> its floats; self.segments holds every sequence, so
-        # no id passes to another sequence while the cache is in use
-        floats = {}
-        for r, row in enumerate(self.segments):
-            for col, coeffs, k in row:
-                if id(coeffs) not in floats:
-                    floats[id(coeffs)] = np.array(
-                        [c.numerator / c.denominator if c else 0.0
-                         for c in coeffs])
-                matrix[r, col:col + k] = floats[id(coeffs)][:k]
-        return matrix
-
     @property
     def rows(self) -> list[list[Rational]]:
         """The dense rational rows, built from the segments; not cached,
@@ -140,22 +120,36 @@ class LpModel:
         return len(self.row_names)
 
     def to_text(self) -> str:
-        """One-line-per-constraint listing with exact rational coefficients."""
+        """One-line-per-constraint listing with exact rationals, read from
+        the segments; each shared sequence is written out once."""
+        objective = [(0, self.objective, self.num_vars)]
+        written = _shared_sequences([objective, *self.segments], lambda seq: [
+            f"{'+' if c > 0 else '-'} {abs(c)}" if c else "" for c in seq])
 
-        def terms(coeffs):
-            parts = []
-            for c, name in zip(coeffs, self.var_names):
-                if c != 0:
-                    parts.append(f"{'+' if c > 0 else '-'} {abs(c)} {name}")
+        def terms(row):
+            parts = [f"{term} {name}" for col, coeffs, k in row for term, name
+                     in zip(written[id(coeffs)], self.var_names[col:col + k])
+                     if term]
             return " ".join(parts) if parts else "0"
 
-        lines = [f"minimize: {terms(self.objective)}"]
+        lines = [f"minimize: {terms(objective)}"]
         if self.constant:
             lines[0] += f" + {self.constant}"
-        for name, row, b in zip(self.row_names, self.rows, self.rhs):
+        for name, row, b in zip(self.row_names, self.segments, self.rhs):
             lines.append(f"{name}: {terms(row)} >= {b}")
         lines.append("bounds: " + ", ".join(f"{v} >= 0" for v in self.var_names))
         return "\n".join(lines) + "\n"
+
+
+def _shared_sequences(segments, convert) -> dict:
+    """id -> ``convert`` of each sequence the rows ``segments`` read, once,
+    up to the longest k a row reads; ``segments`` keeps every id in use."""
+    longest = {}
+    for row in segments:
+        for _, coeffs, k in row:
+            if id(coeffs) not in longest or k > longest[id(coeffs)][1]:
+                longest[id(coeffs)] = coeffs, k
+    return {key: convert(coeffs[:k]) for key, (coeffs, k) in longest.items()}
 
 
 @dataclass
@@ -389,12 +383,12 @@ def solve_general(model: LpModel) -> Union[LpSolution, str]:
     r_1 = 1/n takes each row's first minimiser, kept from the backward pass,
     and yields exact a, b.
 
-    The costs come from ``model.objective``; the rows are taken to be
-    ``build_lp_general``'s.  The solve declines unless every rhs is 1/n
-    and the point violates no row of the model, checked exactly, but it
-    proves no optimality: after a row is loosened the point may stay
-    feasible though a cheaper one exists, which only a dual would show.
-    Raises ValueError for another family or shape, or a negative cost.
+    The costs come from ``model.objective``.  The solve declines unless
+    every rhs is 1/n, the point violates no row of the model, and every
+    row is ``build_lp_general``'s (``_general_row_off``), all checked
+    exactly; the argument above then proves the point optimal, with no
+    dual checked.  Raises ValueError for another family or shape, or a
+    negative cost.
     ``structure`` holds the switch point: the first row whose b is
     positive, or None.
     """
@@ -411,8 +405,50 @@ def solve_general(model: LpModel) -> Union[LpSolution, str]:
         b.append(r if choice == 0 else Fraction(0))
         r -= ai / step
     switch = next((i for i, v in enumerate(b, 1) if v > 0), None)
-    return _exact_solution(model, a + b, k[0] / n, {"switch_point": switch},
-                           "exact recursion")
+    solution = _exact_solution(model, a + b, k[0] / n,
+                               {"switch_point": switch}, "exact recursion")
+    if isinstance(solution, LpSolution):
+        off = _general_row_off(model, n)
+        if off is not None:
+            return f"row {off} is not build_lp_general({n})'s"
+    return solution
+
+
+def _general_row_off(model: LpModel, n: int) -> Optional[str]:
+    """The name of the first row of ``model`` that is not
+    ``build_lp_general(n)``'s, or None.  Row i reads 1/(n-1-j) at the
+    columns j < i-1, 1 at a_i and b_i (columns i-1 and 3n/4+i-1) and 0
+    elsewhere, however its segments cut it.  Each (sequence, start column)
+    pair is checked against the 1/(n-1-j) run once, up to the longest run
+    a row reads of it, on integer numerators and denominators."""
+    m = 3 * n // 4
+    matched = {}         # (id(coeffs), col) -> entries that match the run
+    for i, (name, row) in enumerate(zip(model.row_names, model.segments), 1):
+        run = ones = 0
+        for col, coeffs, k in row:
+            head = i - 1 - col                    # entries inside the run
+            if head > 0:
+                head = min(head, k)
+                key = id(coeffs), col
+                t = matched.get(key, 0)
+                while t < head and coeffs[t].numerator == 1 and \
+                        coeffs[t].denominator == n - 1 - col - t:
+                    t += 1
+                if t < head:
+                    return name
+                matched[key] = t
+                run += head
+            else:
+                head = 0
+            for t in range(head, k):    # 1 at a_i and b_i, 0 elsewhere
+                c = coeffs[t]
+                if c.denominator != 1 or \
+                        c.numerator != (col + t in (i - 1, m + i - 1)):
+                    return name
+                ones += c.numerator
+        if run != i - 1 or ones != 2:
+            return name
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -728,14 +764,7 @@ def _scaled_sequences(model: LpModel) -> tuple[dict, int]:
     """Each shared sequence of the model's segments, by id and up to the
     longest k a row reads of it, as integers over one scale, and that
     scale: the lcm of every denominator read."""
-    longest, sequences = {}, {}
-    for row in model.segments:
-        for _, coeffs, k in row:
-            if k > longest.get(id(coeffs), 0):
-                longest[id(coeffs)] = k
-                sequences[id(coeffs)] = coeffs
-    scaled = {key: _scaled(sequences[key][:k])
-              for key, k in longest.items()}
+    scaled = _shared_sequences(model.segments, _scaled)
     scale = math.lcm(*[s for _, s in scaled.values()])
     return {key: [v * (scale // s) for v in ints]
             for key, (ints, s) in scaled.items()}, scale
@@ -902,6 +931,17 @@ def _iterate(tab: np.ndarray, basis: np.ndarray, ncols: int,
             raise RuntimeError("simplex iteration limit exceeded")
 
 
+def _float_matrix(model: LpModel) -> np.ndarray:
+    """A in floats, one conversion per shared sequence; 0 becomes +0.0."""
+    floats = _shared_sequences(model.segments, lambda seq: np.array(
+        [c.numerator / c.denominator if c else 0.0 for c in seq]))
+    matrix = np.zeros((model.num_rows, model.num_vars))
+    for r, row in enumerate(model.segments):
+        for col, coeffs, k in row:
+            matrix[r, col:col + k] = floats[id(coeffs)][:k]
+    return matrix
+
+
 def simplex_solve(model: LpModel) -> LpSolution:
     """Two-phase dense primal simplex.
 
@@ -913,7 +953,7 @@ def simplex_solve(model: LpModel) -> LpSolution:
     objective.  The reported objective includes the model constant.
     """
     m, nv = model.num_rows, model.num_vars
-    A = model.matrix
+    A = _float_matrix(model)
     bvec = np.array([float(v) for v in model.rhs])
     cvec = np.array([float(v) for v in model.objective])
 

@@ -129,7 +129,8 @@ LP_SIMPLEX_REPORTS = {
 # sha256 of the `--export-lp` listing, recorded alike: one per family at
 # n=16, and the edges of the trace builder's ranges (at lambda = 1/2 the
 # position and second-half rows meet, lambda = 1 leaves no second-half row,
-# n=4 has a single 1/(n-j) coefficient)
+# n=4 has a single 1/(n-j) coefficient), and beta at n=256, where the
+# listing reads long runs of every shared sequence
 LP_LISTINGS = {
     ("beta", 16, None, "1/100"):
         "36afb7772d014078a28c6365d30c6e26c75d3cf52a12ae716c31f53934aa8866",
@@ -151,6 +152,8 @@ LP_LISTINGS = {
         "62a0931d09f68da59ee1a035bc744e263cf3da073ffc781cdaaeefe7216ddbc4",
     ("general", 64, None, "0"):
         "7922d57ca4e843cf1aa2d6b0023c6414c5277a7891e7748b813569e58c064fbf",
+    ("beta", 256, None, "0"):
+        "2454e8d3fea1d957ea057bba58e4c515af0c3a330fbf5afa952ca64417922973",
 }
 
 
@@ -469,6 +472,19 @@ class TestLp:
                                        "--export-lp", str(listing)]) == 0
         assert hashlib.sha256(listing.read_bytes()).hexdigest() == \
             LP_LISTINGS[case]
+
+    def test_failed_solve_writes_no_listing(self, tmp_path, monkeypatch,
+                                            capsys):
+        """The listing is written after the solve, next to the report, so
+        a solve that raises leaves neither behind."""
+        def fail(model):
+            raise MemoryError("dense simplex")
+        monkeypatch.setattr(cli, "solve", fail)
+        listing, out = tmp_path / "model.lp", tmp_path / "r.json"
+        assert main(["lp", "--family", "beta", "--n", "8", "--out", str(out),
+                     "--export-lp", str(listing)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not listing.exists() and not out.exists()
 
     def test_export_lp_listing(self, tmp_path):
         listing = tmp_path / "model.lp"

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -112,6 +113,34 @@ def test_non_integer_instance_counts_rejected(field, value):
     with pytest.raises(InstanceFormatError, match="must be an integer"):
         instance_from_spec(spec)
     assert _exits_2(spec)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("version", True, "unsupported format version True"),
+    ("version", 1.0, "unsupported format version 1.0"),
+    ("version", "1", "unsupported format version '1'"),
+    ("version", 2, "unsupported format version 2"),
+    ("name", 7, "field 'name' must be a string, got 7"),
+    ("name", ["a"], "field 'name' must be a string, got ['a']"),
+    ("seed", "x", "field 'seed' must be an integer, got 'x'"),
+    ("seed", 1.5, "field 'seed' must be an integer, got 1.5"),
+    ("seed", True, "field 'seed' must be an integer, got True")])
+def test_malformed_header_fields_rejected(field, value, message):
+    """Only the integer 1 is version 1; a name is a string and a seed an
+    integer, and either may be null."""
+    spec = {"agents": [BUDGETED], field: value}
+    with pytest.raises(InstanceFormatError, match=re.escape(message)):
+        instance_from_spec(spec)
+    assert _exits_2(spec)
+
+
+def test_null_name_and_seed_accepted():
+    instance = instance_from_spec({"version": 1, "name": None, "seed": None,
+                                   "agents": [BUDGETED]})
+    assert (instance.name, instance.seed) == (None, None)
+    instance = instance_from_spec({"name": "x", "seed": -3,
+                                   "agents": [BUDGETED]})
+    assert (instance.name, instance.seed) == ("x", -3)
 
 
 def test_table_must_be_an_object():
@@ -348,7 +377,8 @@ _agent = st.one_of(_json, st.fixed_dictionaries(
                                   "table")}))
 _spec = st.one_of(_json, st.fixed_dictionaries(
     {"agents": st.lists(_agent, max_size=3)},
-    optional={"version": _json, "n": _json, "m": _json}))
+    optional={"version": _json, "n": _json, "m": _json, "name": _json,
+              "seed": _json}))
 
 
 @settings(max_examples=300, deadline=None,

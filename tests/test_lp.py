@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import math
@@ -19,7 +20,7 @@ from swmlab.cli import main as cli_main
 from swmlab.lp import (DEGENERATE_LIMIT, LAMBDA_THRESHOLD, GENERAL_LIMIT,
                        PIVOT_TOL, LpModel, LpSolution, _beta_lambda_pair,
                        _beta_pair, _certified_solution, _check_model,
-                       _check_n, _column_excess,
+                       _check_n, _column_excess, _float_matrix,
                        _leaving_row, _row_shortfall, _to_fraction,
                        build_lp_beta, build_lp_beta_lambda, build_lp_general,
                        closed_form_beta_lambda, closed_form_general,
@@ -40,7 +41,7 @@ EXACT_TOL = 1e-12    # solve_general against a float solver
 
 def scipy_optimum(model: LpModel) -> float:
     """Independent solve: scipy handles minimize c.x, A_ub x <= b_ub."""
-    a_ub = -np.array([[float(c) for c in row] for row in model.rows])
+    a_ub = -_float_matrix(model)
     b_ub = -np.array([float(v) for v in model.rhs])
     c = np.array([float(v) for v in model.objective])
     res = scipy_opt.linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=(0, None),
@@ -62,9 +63,9 @@ def dense_model(objective, rows, *args, **kwargs) -> LpModel:
                    *args, **kwargs)
 
 
-def _float_matrix(rows) -> np.ndarray:
+def elementwise_floats(rows) -> np.ndarray:
     """Float copy of a rational matrix, element by element; zero
-    coefficients skip the division.  The reference ``LpModel.matrix`` is
+    coefficients skip the division.  The reference ``lp._float_matrix`` is
     held to."""
     return np.array([[c.numerator / c.denominator if c else 0.0 for c in row]
                      for row in rows])
@@ -514,7 +515,7 @@ class TestClosedFormBetaLambda:
         model = build_lp_beta_lambda(1024, lam, 0)
         res = scipy_opt.linprog(
             np.array([float(v) for v in model.objective]),
-            A_ub=-scipy_sparse.csr_matrix(model.matrix),
+            A_ub=-scipy_sparse.csr_matrix(_float_matrix(model)),
             b_ub=-np.array([float(v) for v in model.rhs]),
             bounds=(0, None), method="highs")
         assert res.status == 0, res.message
@@ -667,7 +668,7 @@ def assert_same_model(model, ref):
     assert (model.var_names, model.row_names, model.metadata, model.constant) \
         == (ref.var_names, ref.row_names, ref.metadata, ref.constant)
     assert model.to_text() == ref.to_text()
-    assert_bit_equal(model.matrix, _float_matrix(ref.rows))
+    assert_bit_equal(_float_matrix(model), elementwise_floats(ref.rows))
     ours, theirs = solve(model), solve(ref)
     assert ours.to_dict() == theirs.to_dict()
     assert (ours.structure, ours.exact) == (theirs.structure, theirs.exact)
@@ -821,8 +822,7 @@ class TestSimplexKernel:
 
 def general_8_with_row_4(coeffs):
     """``build_lp_general(8)`` with row 4's coefficients on a_1..a_3,
-    1/(8-j) as built, set to ``coeffs``; ``replace`` builds the matrix
-    again."""
+    1/(8-j) as built, set to ``coeffs``."""
     model = build_lp_general(8)
     rows = model.segments
     return replace(model, segments=rows[:3] + [[(0, coeffs, 3)] + rows[3][1:]]
@@ -930,16 +930,60 @@ class TestSolveGeneral:
         assert reason == "primal residual 0.0335"
         assert solve(model).objective == pytest.approx(0.544550, abs=1e-6)
 
-    @pytest.mark.xfail(strict=True, reason="a loosened row keeps the exact "
-                       "point feasible; only a dual certificate (ROADMAP "
-                       "item 1b) can decline it")
     def test_loosened_row_declines(self):
         """Row 4's a_j coefficients doubled: the point stays feasible at
-        0.520833, but the simplex finds 0.482887."""
+        0.520833, but the simplex finds 0.482887.  The row check sees it."""
         model = general_8_with_row_4([Fraction(2, 8 - j) for j in (1, 2, 3)])
         assert simplex_solve(model).objective == pytest.approx(0.482887,
                                                               abs=1e-6)
-        assert isinstance(solve_general(model), str)
+        reason = solve_general(model)
+        assert reason == "row position_4 is not build_lp_general(8)'s"
+        served = solve(model)
+        assert served.solver.endswith(f"(structure declined: {reason})")
+        assert served.objective == pytest.approx(0.482887, abs=1e-6)
+
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_any_changed_entry_declines(self, n):
+        """Every entry of every row, set to another value, makes the solve
+        decline, by the residual or the row check; the same rows cut into
+        other segments, one per entry or one dense row each, still solve
+        exactly."""
+        model = build_lp_general(n)
+        rows = model.rows
+        dense = replace(model, segments=[[(0, row, len(row))]
+                                         for row in rows])
+        single = replace(model, segments=[[(j, [c], 1) for j, c in
+                                           enumerate(row)] for row in rows])
+        for same in (dense, single):
+            assert solve_general(same).exact == solve_general(model).exact
+        for r, row in enumerate(rows):
+            for j, c in enumerate(row):
+                for value in {c + 1, c / 2, -c, Fraction(0)} - {c}:
+                    edited = row[:j] + [value] + row[j + 1:]
+                    changed = replace(dense, segments=dense.segments[:r]
+                                      + [[(0, edited, len(row))]]
+                                      + dense.segments[r + 1:])
+                    assert isinstance(solve_general(changed), str), (r, j)
+
+    def test_row_check_reads_the_entries_not_the_cut(self):
+        """Integer and Fraction coefficients, a zero-length segment and an
+        explicit zero still read as the built row; a row that drops its
+        b_i entry, or reads 2 at a_i, does not, though the exact point
+        stays feasible."""
+        model = build_lp_general(8)
+        rows = model.segments
+        # row 3 reads 1/7, 1/6 at a_1, a_2 and 1 at a_3 (column 2) and b_3
+        # (column 8)
+        inv, one = rows[-1][0][1], [1]
+        same = [(0, inv, 1), (1, inv[1:], 1), (2, [1, 0], 2), (5, one, 0),
+                (8, one, 1)]
+        assert solve_general(replace(model, segments=rows[:2] + [same]
+                                     + rows[3:])).status == "optimal"
+        for row in ([(0, inv, 2), (2, one, 1)],
+                    [(0, inv, 2), (2, [2], 1), (8, one, 1)]):
+            assert solve_general(replace(model, segments=rows[:2] + [row]
+                                         + rows[3:])) == \
+                "row position_3 is not build_lp_general(8)'s"
 
     @pytest.mark.parametrize("n", GENERAL_NS)
     def test_cost_to_go_differences_are_a_dual_certificate(self, n):
@@ -956,9 +1000,8 @@ class TestSolveGeneral:
 
     def test_cost_to_go_dual_sees_the_loosened_row(self):
         """Row 4's a_j coefficients doubled: the exact point stays
-        feasible, but the cost-to-go dual exceeds a column cost, so the
-        dual check would decline what ``test_loosened_row_declines``
-        expects declined."""
+        feasible, but the cost-to-go dual exceeds a column cost, so a dual
+        check would decline it too, as the row check does."""
         model = general_8_with_row_4([Fraction(2, 8 - j) for j in (1, 2, 3)])
         assert lp_module._column_excess(model, cost_to_go_dual(model)) == \
             Fraction(17, 120)
@@ -1529,49 +1572,69 @@ def family_builders(n):
 class TestFloatMatrix:
     @pytest.mark.parametrize("n", MATRIX_NS)
     def test_builder_matrix_is_the_elementwise_conversion(self, n):
-        """Bit-equal, signed zeros included, to ``_float_matrix`` of the
-        model's own rows.  Beta enters only the rhs, so one conversion per
+        """Bit-equal, signed zeros included, to ``elementwise_floats`` of
+        the model's own rows.  Beta enters only the rhs, so one conversion per
         (family, lambda) serves both betas."""
         for build in family_builders(n):
             models = [build(beta) for beta in MATRIX_BETAS]
-            ref = _float_matrix(models[0].rows)
+            ref = elementwise_floats(models[0].rows)
             for model in models:
-                assert_bit_equal(model.matrix, ref)
+                assert_bit_equal(_float_matrix(model), ref)
         general = build_lp_general(n)
-        assert_bit_equal(general.matrix, _float_matrix(general.rows))
+        assert_bit_equal(_float_matrix(general),
+                         elementwise_floats(general.rows))
 
     def test_hand_built_model_gets_the_conversion(self):
         model = beale_lp()
-        assert_bit_equal(model.matrix, _float_matrix(model.rows))
+        assert_bit_equal(_float_matrix(model), elementwise_floats(model.rows))
         empty = LpModel([Fraction(1)], [], [], ["x"], [])
-        assert empty.matrix.shape == (0, 1)
+        assert _float_matrix(empty).shape == (0, 1)
 
-    def test_solvers_read_the_matrix(self):
-        """min x subject to x >= 1, with the float row edited to say
-        2x >= 1."""
+    def test_segment_edit_reaches_the_simplex(self):
+        """min x subject to x >= 1, solved, then with its segment edited to
+        say 2x >= 1."""
         model = dense_model([Fraction(1)], [[Fraction(1)]], [Fraction(1)],
                             ["x"], ["c1"])
-        model.matrix[0, 0] = 2.0
+        assert simplex_solve(model).objective == pytest.approx(1.0)
+        model.segments[0] = [(0, [Fraction(2)], 1)]
         assert simplex_solve(model).objective == pytest.approx(0.5)
 
+    def test_model_stores_only_its_fields(self):
+        """Listing and solving a model, by its family's solver and by the
+        simplex, leave nothing on it but its dataclass fields: the
+        segments are the only stored form of A."""
+        fields = {f.name for f in dataclasses.fields(LpModel)}
+        models = [build_lp_general(16), build_lp_beta(16, Fraction(1, 100)),
+                  build_lp_beta_lambda(16, Fraction(13, 16), 0), beale_lp()]
+        for model in models:
+            model.to_text()
+            solve(model)
+            simplex_solve(model)
+            assert set(vars(model)) == fields, model.metadata
+
     def test_no_exact_solve_builds_the_matrix(self, monkeypatch, tmp_path):
-        """Every lp-sweep task served by the structure or the recursion
-        leaves its model without a float matrix."""
-        served = []
+        """No lp-sweep task served by the structure or the recursion
+        converts its model to floats."""
+        served, converted = [], []
 
         def recording(model):
+            before = len(converted)
             solution = solve(model)
-            served.append((model, solution.solver))
+            served.append((solution.solver, len(converted) - before))
             return solution
+
+        def counting(model):
+            converted.append(model)
+            return _float_matrix(model)
         argvs = lp_sweep_argvs(monkeypatch)
         monkeypatch.setattr(cli_module, "solve", recording)
+        monkeypatch.setattr(lp_module, "_float_matrix", counting)
         for argv in argvs:
             assert cli_main([*argv, "--out", str(tmp_path / "lp.json")]) == 0
-        exact = [model for model, solver in served
+        assert len(served) == len(argvs)
+        exact = [calls for solver, calls in served
                  if solver in ("structure", "exact recursion")]
-        assert len(served) == len(argvs) and exact
-        for model in exact:
-            assert "matrix" not in vars(model), model.metadata
+        assert exact and not any(exact)
 
     def test_no_solve_reads_the_rows(self, monkeypatch, tmp_path):
         def refuse(model):
@@ -1603,7 +1666,6 @@ class TestFloatMatrix:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert "matrix" not in vars(model)
         dense = model.num_rows * model.num_vars * 8
         assert peak <= 0.3 * dense, peak / dense
 
@@ -1766,7 +1828,7 @@ class TestLpModelValidation:
     def test_adjacent_segments_fill_the_row(self):
         model = segment_model([(0, ONE_TWO, 2), (2, ONE_TWO, 1)])
         assert model.rows == [[1, 2, 1]]
-        assert model.matrix.tolist() == [[1.0, 2.0, 1.0]]
+        assert _float_matrix(model).tolist() == [[1.0, 2.0, 1.0]]
 
     @pytest.mark.parametrize("row", [
         [(0, ONE_TWO, 2), (1, ONE_TWO, 1)],
