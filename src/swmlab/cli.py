@@ -46,11 +46,16 @@ def _parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
-def _write_file(path, text: str) -> None:
-    """Write ``text`` to ``path``; a path that cannot be written is a usage
-    error (exit 2) that names it, as an unreadable instance is."""
+def _write_file(path, text) -> None:
+    """Write ``text`` to ``path``: a string, or an iterable of strings
+    written as they come; a path that cannot be written is a usage error
+    (exit 2) that names it, as an unreadable instance is."""
     try:
-        Path(path).write_text(text)
+        if isinstance(text, str):
+            Path(path).write_text(text)
+        else:
+            with open(path, "w") as out:
+                out.writelines(text)
     except OSError as exc:
         raise SwmlabError(f"{path}: {exc.strerror}") from exc
 
@@ -195,7 +200,7 @@ def cmd_lp(args) -> int:
                             "lambda": args.lam, "beta": args.beta}, results)
     _write_report(report, args.out)
     if args.export_lp:
-        _write_file(args.export_lp, model.to_text())
+        _write_file(args.export_lp, model._listing())
     return EXIT_OK if optimal else EXIT_VERIFY_FAILED
 
 

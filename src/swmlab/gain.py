@@ -919,9 +919,11 @@ def verify_second_half(ctx: GainContext, tol: float = IDENTITY_TOL
     restriction to the items arriving at positions i..n defines Y_i, which
     depends on the half state and greedy's state after i-1 arrivals, so
     E[Y_i] comes from a forward chain started at each half state.  Both
-    run on batches of consecutive half states (``_batches``), each batch's
-    chains as one tagged chain, and add their terms in the order of the
-    half states, then of the chain states.  Checks:
+    run on batches of consecutive half states (``_batches``), each sized
+    for its own reach (m^(n/2) assignments for the search, (n/2)! chain
+    states per start), each batch's chains as one tagged chain, and add
+    their terms in the order of the half states, then of the chain
+    states.  Checks:
     E[X] >= sum_{j<=n/2}(a_j j/(n-j) - b_j) for any oracles; the Y
     recursion and the slack/b inequality additionally, when every agent's
     oracle is second-order supermodular.
@@ -942,12 +944,13 @@ def verify_second_half(ctx: GainContext, tol: float = IDENTITY_TOL
     ex_y = np.zeros(half)             # Y_i for i = n/2+1 .. n
     states = sp.states
     layer = sp.half
-    for part in _batches(len(layer.p), max(m ** half, math.factorial(half))):
-        base, p = layer.states[:, part], layer.p[part]
-        size = len(p)
-        first = _member(_or_rows(base), n)                   # S1, [S, n]
-        rest = np.left_shift(1, np.nonzero(~first)[1]).reshape(size, half)
-        g_base = _row_sums(sp.half_gains[part], first)
+    size = len(layer.p)
+    first = _member(_or_rows(layer.states), n)              # S1, [S, n]
+    best = np.empty((m, size), dtype=np.int64)
+    for part in _batches(size, m ** half):
+        base, first_part = layer.states[:, part], first[part]
+        rest = np.left_shift(1, np.nonzero(~first_part)[1]).reshape(-1, half)
+        g_base = _row_sums(sp.half_gains[part], first_part)
 
         def reduction(hats):
             """Gain(S1) reduction of assignments ``hats[m, S, H]`` of the
@@ -955,16 +958,20 @@ def verify_second_half(ctx: GainContext, tol: float = IDENTITY_TOL
             after = (base[:, :, None] | hats).reshape(m, -1)
             return g_base[:, None] - _row_sums(
                 _item_gains(ctx, after),
-                first.repeat(hats.shape[2], axis=0)).reshape(size, -1)
+                first_part.repeat(hats.shape[2], axis=0)
+            ).reshape(len(g_base), -1)
 
-        best, x = _best_assignments(m, rest, reduction)
-        ex_x = _running_sum(ex_x, p * x)
+        best[:, part], x = _best_assignments(m, rest, reduction)
+        ex_x = _running_sum(ex_x, layer.p[part] * x)
 
-        # Y_i = Gain(S1, A^G_{i-1}) - Gain(S1, A^G_{i-1} + best on the
-        # unarrived items), read at depths n/2 .. n-1 of chains started at
-        # the half states, told apart by a tag row holding the index of
-        # their half state above bit n
-        start = _Layer(np.vstack((base, np.arange(size) << n)), p)
+    # Y_i = Gain(S1, A^G_{i-1}) - Gain(S1, A^G_{i-1} + best on the
+    # unarrived items), read at depths n/2 .. n-1 of chains started at the
+    # half states, told apart by a tag row holding the index of their half
+    # state above bit n
+    tags = np.arange(size) << n
+    for part in _batches(size, math.factorial(half)):
+        start = _Layer(np.vstack((layer.states[:, part], tags[part])),
+                       layer.p[part])
         for y, (before, _) in zip(range(half), _forward(inst, start, half)):
             states += len(before.p)
             masks, tag = before.states[:m], before.states[m] >> n

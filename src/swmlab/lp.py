@@ -31,6 +31,7 @@ solvers to.
 """
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -120,8 +121,12 @@ class LpModel:
         return len(self.row_names)
 
     def to_text(self) -> str:
-        """One-line-per-constraint listing with exact rationals, read from
-        the segments; each shared sequence is written out once."""
+        """One-line-per-constraint listing with exact rationals."""
+        return "".join(self._listing())
+
+    def _listing(self):
+        """The lines of ``to_text``, each with its newline, made one at a
+        time from the segments; each shared sequence is written out once."""
         objective = [(0, self.objective, self.num_vars)]
         written = _shared_sequences([objective, *self.segments], lambda seq: [
             f"{'+' if c > 0 else '-'} {abs(c)}" if c else "" for c in seq])
@@ -132,13 +137,12 @@ class LpModel:
                      if term]
             return " ".join(parts) if parts else "0"
 
-        lines = [f"minimize: {terms(objective)}"]
-        if self.constant:
-            lines[0] += f" + {self.constant}"
+        constant = f" + {self.constant}" if self.constant else ""
+        yield f"minimize: {terms(objective)}{constant}\n"
         for name, row, b in zip(self.row_names, self.segments, self.rhs):
-            lines.append(f"{name}: {terms(row)} >= {b}")
-        lines.append("bounds: " + ", ".join(f"{v} >= 0" for v in self.var_names))
-        return "\n".join(lines) + "\n"
+            yield f"{name}: {terms(row)} >= {b}\n"
+        bounds = ", ".join(f"{v} >= 0" for v in self.var_names)
+        yield f"bounds: {bounds}\n"
 
 
 def _shared_sequences(segments, convert) -> dict:
@@ -529,33 +533,30 @@ def solve_beta_lambda(model: LpModel) -> Union[LpSolution, str]:
 # Structural solver for the full beta program
 # ---------------------------------------------------------------------------
 
-# golden-section search for the dual's maximiser stops once its bracket on
-# s is this narrow; the exact step then moves to the kink nearby
-SEARCH_TOL = 1e-9
-_GOLDEN = (math.sqrt(5) - 1) / 2
-
-
 def _beta_dual_argmax(n: int) -> float:
-    """Float maximiser of the dual mass of ``_beta_dual`` over
-    n/2 < s <= n, by golden-section search (see ``solve_beta`` on
-    concavity)."""
-    def mass(s):
-        L = math.ceil(s)
-        return _beta_dual(n, L, L - s, n - s)[1]
+    """A point s, n/2 < s <= n, on the piece of the float dual mass of
+    ``_beta_dual`` where it is largest, for ``_beta_kink``: the best
+    integer L, by bisection on the sign of mass(L+1) - mass(L) (the mass
+    is concave, see ``solve_beta``), or L - 1/2 or L + 1/2 when the mass
+    rises off L on the affine piece on that side, with L's clipping."""
+    @functools.cache
+    def at(L):
+        return _beta_dual(n, L, 0.0, n - L)
 
-    lo, hi = n / 2, float(n)
-    a, b = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
-    fa, fb = mass(a), mass(b)
-    while hi - lo > SEARCH_TOL:
-        if fa < fb:
-            lo, a, fa = a, b, fb
-            b = lo + _GOLDEN * (hi - lo)
-            fb = mass(b)
+    L, hi = n // 2 + 1, n
+    while L < hi:
+        mid = (L + hi) // 2
+        if at(mid + 1)[1] > at(mid)[1]:
+            L = mid + 1
         else:
-            hi, b, fb = b, a, fa
-            a = hi - _GOLDEN * (hi - lo)
-            fa = mass(a)
-    return (lo + hi) / 2
+            hi = mid
+    _, mass, clipped = at(L)
+    if _beta_dual(n, L, 1.0, n - L + 1.0, clipped)[1] > mass:
+        return L - 0.5
+    if L < n and _beta_dual(n, L + 1, 0.0, n - L - 1.0, clipped)[1] > \
+            _beta_dual(n, L + 1, 1.0, n - L, clipped)[1]:
+        return L + 0.5
+    return float(L)
 
 
 def _beta_dual(n: int, L: int, theta, Y, clipped: Optional[set] = None
@@ -697,11 +698,12 @@ def solve_beta(model: LpModel) -> Union[LpSolution, str]:
     the a column of a clipped row holds because u_i <= 0 there, and the
     objective is D(s) = (1/n) sum_i y_pos_i - beta.  D was found concave
     in s (second differences at most 8e-16 on 401-point grids at n = 32,
-    128 and 512), and a float golden-section search finds its maximiser;
-    nothing relies on it but the search, since the certificate is checked.
-    With the clipping fixed, D is affine in theta, so its maximum is at a
-    kink: s is an integer (theta = 0), or a row k <= n/2 has u_k = 0; both
-    are found exactly (``_beta_kink``).  The maximiser does not depend on
+    128 and 512, and <= 0 at the integers, which tests hold).  With the
+    clipping fixed, D is affine in theta, so its maximum is at a kink: s
+    is an integer (theta = 0), or a row k <= n/2 has u_k = 0.  A float
+    bisection picks the best integer L and the rising piece next to it
+    (``_beta_dual_argmax``), ``_beta_kink`` finds the kink exactly, and a
+    wrong pick fails the certificate.  The maximiser does not depend on
     beta.
 
     The primal follows from complementary slackness.  With r_i = 1/n -

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -485,6 +486,44 @@ class TestLp:
                      "--export-lp", str(listing)]) == 2
         assert "error:" in capsys.readouterr().err
         assert not listing.exists() and not out.exists()
+
+    def test_listing_is_written_as_it_is_made(self, tmp_path, monkeypatch):
+        """``--export-lp`` writes the listing line by line: at beta n=256,
+        from the report's write to the end of the call (the model built and
+        solved), the traced peak grows by less than the listing's size."""
+        write_report, held = cli._write_report, []
+
+        def write_then_mark(*args):
+            write_report(*args)
+            tracemalloc.reset_peak()
+            held.append(tracemalloc.get_traced_memory()[0])
+
+        monkeypatch.setattr(cli, "_write_report", write_then_mark)
+        listing = tmp_path / "model.lp"
+        tracemalloc.start()
+        try:
+            assert main(["lp", "--family", "beta", "--n", "256",
+                         "--out", str(tmp_path / "r.json"),
+                         "--export-lp", str(listing)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - held[0] < listing.stat().st_size
+
+    def test_listing_write_error_exits_2(self, tmp_path, monkeypatch,
+                                         capsys):
+        """A listing that fails part-way (here a full disk) is a usage
+        error that names the path, as a report that fails is."""
+        def full(self):
+            yield "minimize: 0\n"
+            raise OSError(errno.ENOSPC, "No space left on device")
+        monkeypatch.setattr(lp_module.LpModel, "_listing", full)
+        listing = tmp_path / "model.lp"
+        assert main(["lp", "--family", "beta", "--n", "8",
+                     "--out", str(tmp_path / "r.json"),
+                     "--export-lp", str(listing)]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == \
+            f"error: {listing}: No space left on device"
 
     def test_export_lp_listing(self, tmp_path):
         listing = tmp_path / "model.lp"
@@ -1078,6 +1117,71 @@ class TestNonRealNumbers:
         path.write_text(json.dumps({"agents": [self.AGENTS[field](1)]}))
         assert main(["classify", str(path),
                      "--out", str(tmp_path / "r.json")]) == 0
+
+
+def _budgeted(weights, budget=2):
+    return {"kind": "budgeted_additive", "budget": budget, "weights": weights}
+
+
+class TestMalformedInput:
+    """Each input that a loader or oracle check refuses exits 2 with one
+    error line and writes no report: (instance file contents, argv after
+    the path, error line after ``error: ``)."""
+
+    CASES = {
+        "declared n": ({"n": 3, "agents": [_budgeted([1, 1])]}, [],
+                       "declared n=3 but agent 0 has ground size 2"),
+        "declared m": ({"m": 2, "agents": [_budgeted([1, 1])]}, [],
+                       "declared m=2 but 1 agents listed"),
+        "ground size": ({"agents": [_budgeted([1, 1]),
+                                    _budgeted([1, 1, 1])]}, [],
+                        "agent 1 has ground size 3, expected 2"),
+        "invalid json": ('{"agents": [', [],
+                         "i.json: invalid JSON at line 1: Expecting value"),
+        "empty ground set": ({"agents": [_budgeted([])]}, [],
+                             "agent 0: ground set must be non-empty"),
+        "universe weight": (
+            {"agents": [{"kind": "coverage", "universe_weights": [1, -1],
+                         "item_sets": [[0], [1]]}]}, [],
+            "agent 0: universe weights must be non-negative"),
+        "budget": ({"agents": [_budgeted([1, 1], budget=-1)]}, [],
+                   "agent 0: budget and weights must be non-negative"),
+        "weight": ({"agents": [_budgeted([-1, 1])]}, [],
+                   "agent 0: budget and weights must be non-negative"),
+        "capacity": (
+            {"agents": [{"kind": "b_matching", "capacity": 0,
+                         "weights": [1, 1]}]}, [],
+            "agent 0: capacity must be a positive integer, got 0"),
+        "b-matching weight": (
+            {"agents": [{"kind": "b_matching", "capacity": 1,
+                         "weights": [1, -1]}]}, [],
+            "agent 0: weights must be non-negative"),
+        "edge weight": (
+            {"agents": [{"kind": "cut", "n": 2, "edges": [[0, -1, -1]]}]},
+            [], "agent 0: edge weights must be non-negative"),
+        "vertex": ({"agents": [{"kind": "cut", "n": 2,
+                                "edges": [[0, 2, 1]]}]}, [],
+                   "agent 0: vertex 2 outside items/sink for n=2"),
+        "self-loop": ({"agents": [{"kind": "cut", "n": 2,
+                                   "edges": [[1, 1, 1]]}]}, [],
+                      "agent 0: self-loops are not allowed"),
+        "no samples": ({"agents": [_budgeted([1, 1]), _budgeted([1, 2])]},
+                       ["--mode", "mc", "--samples", "0"],
+                       "samples must be positive"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exits_2_with_one_error_line(self, case, tmp_path, monkeypatch,
+                                         capsys):
+        contents, options, error = self.CASES[case]
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "i.json"
+        path.write_text(contents if isinstance(contents, str)
+                        else json.dumps(contents))
+        command = "simulate" if options else "classify"
+        assert main([command, "i.json", *options, "--out", "r.json"]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestParser:

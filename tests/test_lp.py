@@ -1349,6 +1349,18 @@ class TestSolveBeta:
                                  f"(structure declined: {reason})")
         assert served.objective == simplex_solve(model).objective
 
+    def test_negative_primal_entry_declines(self, monkeypatch):
+        """b_1, 0 in the pair, lowered by 1/10^6: x >= 0 is checked first."""
+        model = build_lp_beta(16, Fraction(1, 100))
+        x, y, structure = tampered_pair(model, _beta_pair(model), "x", "b_1")
+        monkeypatch.setattr(lp_module, "_beta_pair",
+                            lambda model: (x, y, structure))
+        assert solve_beta(model) == "negative primal entry"
+        served = solve(model)
+        assert served.solver == (f"simplex, {served.iterations} pivots "
+                                 "(structure declined: negative primal "
+                                 "entry)")
+
     def test_untampered_pair_certifies(self):
         model = build_lp_beta(16, Fraction(1, 100))
         certified = _certified_solution(model, *_beta_pair(model))
@@ -1448,14 +1460,20 @@ def reference_beta_dual_mass(n: int, s: float) -> float:
     return above
 
 
+# the golden-section search that ``_beta_dual_argmax`` ran before it
+# bisected on the integers: it stops once its bracket on s is this narrow
+SEARCH_TOL = 1e-9
+GOLDEN = (math.sqrt(5) - 1) / 2
+
+
 def reference_beta_dual_argmax(n: int) -> float:
-    """The golden-section search of ``_beta_dual_argmax`` on
-    ``reference_beta_dual_mass``."""
-    golden, mass = lp_module._GOLDEN, reference_beta_dual_mass
+    """The golden-section search that ``_beta_dual_argmax`` ran before, on
+    ``reference_beta_dual_mass``: a float maximiser within SEARCH_TOL."""
+    golden, mass = GOLDEN, reference_beta_dual_mass
     lo, hi = n / 2, float(n)
     a, b = hi - golden * (hi - lo), lo + golden * (hi - lo)
     fa, fb = mass(n, a), mass(n, b)
-    while hi - lo > lp_module.SEARCH_TOL:
+    while hi - lo > SEARCH_TOL:
         if fa < fb:
             lo, a, fa = a, b, fb
             b = lo + golden * (hi - lo)
@@ -1510,6 +1528,7 @@ def program_beta_dual_mass(n: int, s: float) -> float:
 
 
 DUAL_NS = [4, 8, 12, 16, 32, 128, 1024]
+KINK_NS = sorted({*DUAL_NS, *range(4, 257, 4), 512, 1024, 2048, 4096})
 PAIR_NS = [4, 8, 12, 16, 32, 64, 128, 256, 1024]
 PAIR_LAMBDAS = (Fraction(1, 2), Fraction(3, 4), Fraction(13, 16),
                 Fraction(7, 8), Fraction(1))
@@ -1527,9 +1546,38 @@ class TestBetaDualFamily:
         assert [program_beta_dual_mass(n, s) for s in grid] == \
             [reference_beta_dual_mass(n, s) for s in grid]
 
-    @pytest.mark.parametrize("n", DUAL_NS)
+    @pytest.mark.parametrize("n", KINK_NS)
     def test_search_argmax_is_the_reference_search(self, n):
-        assert lp_module._beta_dual_argmax(n) == reference_beta_dual_argmax(n)
+        """The bisection's point and the golden-section search's maximiser
+        lead ``_beta_kink`` to the same kink (the clipped sets may differ
+        at row k, whose u_k is 0 there)."""
+        L, theta, _, k = lp_module._beta_kink(
+            n, lp_module._beta_dual_argmax(n))
+        ref_L, ref_theta, _, ref_k = lp_module._beta_kink(
+            n, reference_beta_dual_argmax(n))
+        assert (L, theta, k) == (ref_L, ref_theta, ref_k)
+
+    @pytest.mark.parametrize("n", DUAL_NS)
+    def test_integer_mass_is_concave(self, n):
+        """The bisection's premise: over integer L in (n/2, n] the float
+        mass has second differences <= 0 and its forward differences
+        change sign at most once."""
+        mass = [lp_module._beta_dual(n, L, 0.0, n - L)[1]
+                for L in range(n // 2 + 1, n + 1)]
+        steps = [b - a for a, b in zip(mass, mass[1:])]
+        assert all(b - a <= 0.0 for a, b in zip(steps, steps[1:]))
+        signs = [d > 0 for d in steps]
+        assert signs == sorted(signs, reverse=True)
+
+    def test_search_reads_few_duals(self, monkeypatch):
+        """At most 2 ceil(log2(n/2)) evaluations for the bisection and 3
+        for the side of L: no tolerance sets the count."""
+        n, calls = 1024, []
+        dual = lp_module._beta_dual
+        monkeypatch.setattr(lp_module, "_beta_dual",
+                            lambda *args: calls.append(args) or dual(*args))
+        lp_module._beta_dual_argmax(n)
+        assert len(calls) <= 2 * math.ceil(math.log2(n / 2)) + 3
 
     @pytest.mark.parametrize("n", PAIR_NS)
     def test_beta_lambda_pair_is_the_reference_construction(self, n):
