@@ -10,17 +10,18 @@ floats for its own solve, and the dense rational rows are built only when
 a caller reads them.
 
 ``solve(model)`` picks the solver for the model's family, and the simplex
-runs when that solver declines with a reason:
+runs when that solver declines with a reason.  Each family's solver builds
+the optimum and a dual from the structure of the solution in O(n)
+rational steps and returns it only when the pair is a certificate
+(``_certified_solution``: both feasible, equal objectives, all checked
+exactly on the model's own costs, rhs and rows):
 
-- general: ``solve_general``, exact in rationals, by a backward recursion
-  over the position rows (O(n) steps);
-- beta-lambda: ``solve_beta_lambda``, and beta: ``solve_beta``.  Each
-  builds the optimum and a dual from the structure of the solution in
-  O(n) rational steps and returns it only when the pair is a certificate
-  (``_certified_solution``: both feasible, equal objectives, all checked
-  exactly).  One dual recursion, ``_beta_dual``, serves both certificates
-  and, in floats, the search for the beta dual's maximiser; one primal
-  recursion, ``_beta_head``, serves both primals.
+- general: ``solve_general``, by a backward recursion over the position
+  rows, whose cost-to-go gives the dual;
+- beta-lambda: ``solve_beta_lambda``, and beta: ``solve_beta``.  One dual
+  recursion, ``_beta_dual``, serves both certificates and, in floats, the
+  search for the beta dual's maximiser; one primal recursion,
+  ``_beta_head``, serves both primals.
 
 ``simplex_solve`` is a dense two-phase primal simplex in floats:
 largest-coefficient pricing that falls back to Bland's lowest-index rule
@@ -32,6 +33,7 @@ solvers to.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -355,22 +357,17 @@ def _general_recursion(model: LpModel) -> tuple[int, list, list]:
     k, choices = [Fraction(0)], []
     for i in range(rows, 0, -1):
         ca, cb, step = cost[i - 1], cost[rows + i - 1], n - i
-        c = (cb + k[-1], ca + k[-1] * (1 - Fraction(1, step)), ca * step)
-        k.append(min(c))
-        choices.append(c.index(k[-1]))
+        c = (cb + k[-1], ca + k[-1] * Fraction(step - 1, step), ca * step)
+        choice = min(range(3), key=c.__getitem__)
+        k.append(c[choice])
+        choices.append(choice)
     return n, k[::-1], choices[::-1]
 
 
-def general_cost_to_go(model: LpModel) -> list[Fraction]:
-    """k_1, ..., k_{m+1} of ``solve_general``, with m = 3n/4 and k_{m+1} = 0:
-    rows i..m cost at least k_i r when row i's residual is r >= 0."""
-    return _general_recursion(model)[1]
-
-
 def solve_general(model: LpModel) -> Union[LpSolution, str]:
-    """Exact optimum of ``build_lp_general``'s program, in O(n) rational
-    steps; or, when a check below fails, the reason, and the caller runs
-    the simplex.
+    """Optimum of ``build_lp_general``'s program from a backward recursion
+    over its position rows, in O(n) rational steps, proved by a dual; or,
+    when the proof fails, the reason, and the caller runs the simplex.
 
     Let r_i = 1/n - sum_{j<i} a_j/(n-j) be the residual of position row i.
     Row i reads a_i + b_i >= r_i, and r_{i+1} = r_i - a_i/(n-i).  With every
@@ -387,72 +384,41 @@ def solve_general(model: LpModel) -> Union[LpSolution, str]:
     r_1 = 1/n takes each row's first minimiser, kept from the backward pass,
     and yields exact a, b.
 
-    The costs come from ``model.objective``.  The solve declines unless
-    every rhs is 1/n, the point violates no row of the model, and every
-    row is ``build_lp_general``'s (``_general_row_off``), all checked
-    exactly; the argument above then proves the point optimal, with no
-    dual checked.  Raises ValueError for another family or shape, or a
-    negative cost.
-    ``structure`` holds the switch point: the first row whose b is
-    positive, or None.
+    The dual on row i is y_i = Y_i - Y_{i+1}, with Y_i = min(k_1..k_i) the
+    running minimum and Y_{m+1} = 0, so y >= 0, sum_{j>i} y_j = Y_{i+1} and
+    b.y = Y_1/n = k_1/n.  Column b_i reads y_i <= c_b(i), and column a_i
+    reads Y_i - Y_{i+1}(1 - 1/(n-i)) <= c_a(i).  Where Y_{i+1} = k_{i+1},
+    both follow from Y_i <= k_i and the first two candidates of k_i; where
+    Y_{i+1} = Y_i, y_i = 0 and the a column reads Y_i/(n-i) <= k_i/(n-i)
+    <= c_a(i), the third.  The plain differences k_i - k_{i+1} are the same
+    dual where k does not increase, as for the builder's costs, but turn
+    negative where k rises.
+
+    Nothing above is trusted: the pair is returned only if
+    ``_certified_solution`` passes it on the model's own costs, rhs and
+    rows, so a model with other rows is solved when the pair still proves
+    it.  ``structure`` holds the switch point: the first row whose b is
+    positive, or None.  Raises ValueError for another family or shape, or
+    a negative cost.
     """
     n, k, choices = _general_recursion(model)
-    r = Fraction(1, n)
-    off = [name for name, rhs in zip(model.row_names, model.rhs) if rhs != r]
-    if off:
-        return f"rhs of {off[0]} is not 1/{n}"
+    zero, r = Fraction(0), Fraction(1, n)
     a, b = [], []
     for i, choice in enumerate(choices, 1):
         step = n - i
-        ai = (Fraction(0), r, step * r)[choice]
-        a.append(ai)
-        b.append(r if choice == 0 else Fraction(0))
-        r -= ai / step
+        if choice == 0:             # b_i = r, and r carries over
+            a.append(zero)
+            b.append(r)
+            continue
+        a.append(r if choice == 1 else step * r)
+        b.append(zero)
+        # r - a_i/(n-i): r (n-i-1)/(n-i), or 0
+        r = Fraction(r.numerator * (step - 1), r.denominator * step) \
+            if choice == 1 else zero
     switch = next((i for i, v in enumerate(b, 1) if v > 0), None)
-    solution = _exact_solution(model, a + b, k[0] / n,
-                               {"switch_point": switch}, "exact recursion")
-    if isinstance(solution, LpSolution):
-        off = _general_row_off(model, n)
-        if off is not None:
-            return f"row {off} is not build_lp_general({n})'s"
-    return solution
-
-
-def _general_row_off(model: LpModel, n: int) -> Optional[str]:
-    """The name of the first row of ``model`` that is not
-    ``build_lp_general(n)``'s, or None.  Row i reads 1/(n-1-j) at the
-    columns j < i-1, 1 at a_i and b_i (columns i-1 and 3n/4+i-1) and 0
-    elsewhere, however its segments cut it.  Each (sequence, start column)
-    pair is checked against the 1/(n-1-j) run once, up to the longest run
-    a row reads of it, on integer numerators and denominators."""
-    m = 3 * n // 4
-    matched = {}         # (id(coeffs), col) -> entries that match the run
-    for i, (name, row) in enumerate(zip(model.row_names, model.segments), 1):
-        run = ones = 0
-        for col, coeffs, k in row:
-            head = i - 1 - col                    # entries inside the run
-            if head > 0:
-                head = min(head, k)
-                key = id(coeffs), col
-                t = matched.get(key, 0)
-                while t < head and coeffs[t].numerator == 1 and \
-                        coeffs[t].denominator == n - 1 - col - t:
-                    t += 1
-                if t < head:
-                    return name
-                matched[key] = t
-                run += head
-            else:
-                head = 0
-            for t in range(head, k):    # 1 at a_i and b_i, 0 elsewhere
-                c = coeffs[t]
-                if c.denominator != 1 or \
-                        c.numerator != (col + t in (i - 1, m + i - 1)):
-                    return name
-                ones += c.numerator
-        if run != i - 1 or ones != 2:
-            return name
-    return None
+    floor = [*itertools.accumulate(k[:-1], min), Fraction(0)]
+    y = [hi - lo for hi, lo in zip(floor, floor[1:])]
+    return _certified_solution(model, a + b, y, {"switch_point": switch})
 
 
 # ---------------------------------------------------------------------------
@@ -731,7 +697,7 @@ def solve_beta(model: LpModel) -> Union[LpSolution, str]:
 
 
 # ---------------------------------------------------------------------------
-# The certificate both structural solvers share
+# The certificate every structural solver shares
 # ---------------------------------------------------------------------------
 
 def _check_model(model: LpModel, family: str) -> int:
@@ -772,13 +738,13 @@ def _scaled_sequences(model: LpModel) -> tuple[dict, int]:
             for key, (ints, s) in scaled.items()}, scale
 
 
-def _row_shortfall(model: LpModel, x: list, sequences=None) -> Fraction:
+def _row_shortfall(model: LpModel, x: list) -> Fraction:
     """max(0, max_i (b_i - (A x)_i)), exact, in O(segments + columns)
     integer steps: each (shared sequence, start column) pair is
     prefix-summed once, up to the longest k a row reads there, and a
-    length-1 segment is read directly.  ``sequences`` is the model's
-    ``_scaled_sequences``, computed here when not given."""
-    coeffs, scale = sequences or _scaled_sequences(model)
+    length-1 segment is read directly, on the model's
+    ``_scaled_sequences``."""
+    coeffs, scale = _scaled_sequences(model)
     xs, x_scale = _scaled(x)
     total = scale * x_scale        # total (A x)_i is an integer
     prefix = {}
@@ -801,53 +767,48 @@ def _row_shortfall(model: LpModel, x: list, sequences=None) -> Fraction:
     return worst
 
 
-def _column_excess(model: LpModel, y: list, sequences=None) -> Fraction:
+def _column_excess(model: LpModel, y: list) -> Fraction:
     """max(0, max_j ((y A)_j - c_j)), exact, in O(segments + columns)
     integer steps: per (shared sequence, start column) pair, y is summed
     over the rows that read it by k, then suffix-summed, so that column
     col+t gets coeffs[t] times the y of the rows reading past t; a
-    length-1 segment is read directly.  ``sequences`` is as in
-    ``_row_shortfall``."""
-    coeffs, scale = sequences or _scaled_sequences(model)
+    length-1 segment is read directly.  y is read as integers over one
+    scale, and column j's sum as num_j / den_j over it, with den_j the lcm
+    of the denominators it has read: each product is one of y's long
+    integers times a coefficient's short ones, where one scale for the
+    coefficients too would multiply two long ones."""
     ys, y_scale = _scaled(y)
-    total = scale * y_scale        # total (y A)_j is an integer
-    ya = [0] * model.num_vars
+    num, den = [0] * model.num_vars, [1] * model.num_vars
+
+    def add(j, c, v):            # column j's sum += c v
+        q, d = c.denominator, den[j]
+        if q == d:
+            num[j] += c.numerator * v
+        else:
+            m = math.lcm(q, d)
+            num[j] = num[j] * (m // d) + c.numerator * (m // q) * v
+            den[j] = m
+
     by_k = {}
     for row, v in zip(model.segments, ys):
         if not v:
             continue
         for col, seq, k in row:
             if k == 1:
-                ya[col] += coeffs[id(seq)][0] * v
+                add(col, seq[0], v)
             elif k:
-                sums = by_k.setdefault((id(seq), col), {})
+                sums = by_k.setdefault((id(seq), col), (seq, {}))[1]
                 sums[k] = sums.get(k, 0) + v
-    for (key, col), sums in by_k.items():
-        c, above = coeffs[key], 0
+    for (_, col), (seq, sums) in by_k.items():
+        above = 0
         for t in range(max(sums) - 1, -1, -1):
             above += sums.get(t + 1, 0)
-            ya[col + t] += c[t] * above
+            add(col + t, seq[t], above)
     worst = Fraction(0)
-    for v, c in zip(ya, model.objective):
-        if v * c.denominator > c.numerator * total:
-            worst = max(worst, Fraction(v, total) - c)
+    for v, d, c in zip(num, den, model.objective):
+        if v * c.denominator > c.numerator * d * y_scale:
+            worst = max(worst, Fraction(v, d * y_scale) - c)
     return worst
-
-
-def _exact_solution(model: LpModel, x: list, cost: Fraction,
-                    structure: dict, solver: str,
-                    sequences=None) -> Union[LpSolution, str]:
-    """The optimal ``LpSolution`` of the exact primal x, whose cost c.x is
-    ``cost``: x in floats, ``max_violation`` 0.0 and the objective
-    cost + constant; or, when x falls short of a row of the model by any
-    amount (``_row_shortfall``, given ``sequences``), the primal residual
-    as the reason to decline."""
-    shortfall = _row_shortfall(model, x, sequences)
-    if shortfall:
-        return f"primal residual {float(shortfall):.3g}"
-    return LpSolution("optimal", float(cost + model.constant),
-                      np.array([float(v) for v in x]), 0.0, 0, exact=x,
-                      structure=structure, solver=solver)
 
 
 def _certified_solution(model: LpModel, x: list, y: list,
@@ -855,26 +816,33 @@ def _certified_solution(model: LpModel, x: list, y: list,
     """The structural solution x when x and y prove each other optimal,
     else the first failed check.  Every check is exact, on the model's own
     objective, rhs and segments: x >= 0, y >= 0, c.x == b.y, A x >= b
-    (``_row_shortfall``) and y A <= c (``_column_excess``), which share
-    one ``_scaled_sequences`` of the model."""
-    if any(v < 0 for v in x):
+    (``_row_shortfall``) and y A <= c (``_column_excess``).  Signs, c.x
+    and b.y are read on integers over one scale per vector
+    (``_scaled``)."""
+    xs, x_scale = _scaled(x)
+    if any(v < 0 for v in xs):
         return "negative primal entry"
-    negative = next((r for r, v in enumerate(y) if v < 0), None)
+    ys, y_scale = _scaled(y)
+    negative = next((r for r, v in enumerate(ys) if v < 0), None)
     if negative is not None:
         return f"negative dual on {model.row_names[negative]}"
-    primal = sum(c * v for c, v in zip(model.objective, x) if c)
-    dual = sum(b * v for b, v in zip(model.rhs, y) if b)
+    cs, c_scale = _scaled(model.objective)
+    bs, b_scale = _scaled(model.rhs)
+    primal = Fraction(sum(c * v for c, v in zip(cs, xs) if c),
+                      c_scale * x_scale)
+    dual = Fraction(sum(b * v for b, v in zip(bs, ys) if b),
+                    b_scale * y_scale)
     if primal != dual:
         return f"duality gap {float(primal - dual):.3g}"
-    sequences = _scaled_sequences(model)
-    solution = _exact_solution(model, x, primal, structure, "structure",
-                               sequences)
-    if isinstance(solution, str):
-        return solution
-    excess = _column_excess(model, y, sequences)
+    shortfall = _row_shortfall(model, x)
+    if shortfall:
+        return f"primal residual {float(shortfall):.3g}"
+    excess = _column_excess(model, y)
     if excess:
         return f"dual residual {float(excess):.3g}"
-    return solution
+    return LpSolution("optimal", float(primal + model.constant),
+                      np.array([float(v) for v in x]), 0.0, 0, exact=x,
+                      structure=structure, solver="structure")
 
 
 # ---------------------------------------------------------------------------

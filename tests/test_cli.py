@@ -355,7 +355,7 @@ class TestLp:
         results = json.loads(outs[0].read_text())["results"]
         assert results["structure"] == {"switch_point": 23}
         assert results["solution"]["iterations"] == 0
-        assert "solver = exact recursion" in capsys.readouterr().err
+        assert "solver = structure" in capsys.readouterr().err
 
     def test_beta_lambda_names_structure(self, tmp_path, capsys):
         out = tmp_path / "lp.json"

@@ -8,9 +8,13 @@ choice of an assignment goes through ``core._best_assignments``: outside
 ``core.py``, only ``GainContext.__init__`` and ``build_A_prime`` call
 ``optimal``, and only ``_expected_A_prime_margin`` and
 ``verify_second_half`` call the search.  Every name a module imports is
-used there (``__init__.py`` re-exports)."""
+used there (``__init__.py`` re-exports).  Every module-level function
+serves a command or the public API: other code in the package reads it,
+``__init__.py`` exports it, or it is the ``cmd_<name>`` of a subcommand
+that ``build_parser`` adds (``main`` looks handlers up in ``globals()``)."""
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -198,3 +202,61 @@ def test_the_check_sees_an_unused_import(tmp_path):
                       "@dataclass\nclass A:\n    x: np.ndarray\n"
                       "def f():\n    return run\n")
     assert unused_imports(module) == ["field", "optimal", "os"]
+
+
+def unserved_functions(package: Path) -> list[str]:
+    """``module.function`` for every module-level function in ``package``
+    that no code there outside its own body reads by name or attribute,
+    that ``__init__.py`` does not export, and that is not the
+    ``cmd_<name>`` of a subcommand ``build_parser`` adds, sorted."""
+    trees = {path.stem: ast.parse(path.read_text(), str(path))
+             for path in sorted(package.glob("*.py"))}
+
+    def reads(tree) -> Counter:
+        return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                       for node in ast.walk(tree)
+                       if isinstance(node, ast.Name)
+                       and isinstance(node.ctx, ast.Load)
+                       or isinstance(node, ast.Attribute))
+
+    exported = {alias.asname or alias.name
+                for node in ast.walk(trees["__init__"])
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    commands = {f"cmd_{call.args[0].value}"
+                for tree in trees.values() for node in tree.body
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "build_parser"
+                for call in ast.walk(node) if isinstance(call, ast.Call)
+                and named(call.func, "add_parser") and call.args
+                and isinstance(call.args[0], ast.Constant)}
+    total = sum((reads(tree) for tree in trees.values()), Counter())
+    return sorted(f"{module}.{node.name}"
+                  for module, tree in trees.items() for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and total[node.name] == reads(node)[node.name]
+                  and node.name not in exported | commands)
+
+
+def test_every_function_serves_a_command_or_the_api():
+    assert unserved_functions(SRC) == []
+
+
+def test_the_check_sees_an_unserved_function(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .cli import public\n")
+    (tmp_path / "cli.py").write_text(
+        "def public():\n    return _helper()\n"
+        "def _helper():\n    return 1\n"
+        "def _recursive(n):\n    return _recursive(n - 1)\n"
+        "def _shadowed():\n    _shadowed = 1\n    return 2\n"
+        "def _by_attribute():\n    return 3\n"
+        "def _in_a_table():\n    return 4\n"
+        "TABLE = {'a': _in_a_table}\n"
+        "class A:\n    def method(self):\n        return cli._by_attribute\n"
+        "def cmd_run(args):\n    return 0\n"
+        "def cmd_gone(args):\n    return 0\n"
+        "def build_parser():\n    sub.add_parser('run')\n"
+        "def main(args):\n"
+        "    return globals()[f'cmd_{args.subcommand}'](build_parser())\n"
+        "if __name__ == '__main__':\n    main(None)\n")
+    assert unserved_functions(tmp_path) == \
+        ["cli._recursive", "cli._shadowed", "cli.cmd_gone"]

@@ -24,9 +24,9 @@ from swmlab.lp import (DEGENERATE_LIMIT, LAMBDA_THRESHOLD, GENERAL_LIMIT,
                        _leaving_row, _row_shortfall, _to_fraction,
                        build_lp_beta, build_lp_beta_lambda, build_lp_general,
                        closed_form_beta_lambda, closed_form_general,
-                       combined_secondorder_bound, general_cost_to_go,
-                       simplex_solve, solve, solve_beta, solve_beta_lambda,
-                       solve_general, COMBINED_BETA_STAR)
+                       combined_secondorder_bound, simplex_solve, solve,
+                       solve_beta, solve_beta_lambda, solve_general,
+                       COMBINED_BETA_STAR)
 
 BENCH_WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
@@ -700,7 +700,7 @@ class TestBuildersMatchReference:
     def test_general(self, n):
         ref = reference_general_lp(n)
         assert_same_model(build_lp_general(n), ref)
-        assert solve(ref).solver == "exact recursion"
+        assert solve(ref).solver == "structure"
 
     @pytest.mark.parametrize("n", BUILDER_NS)
     def test_check_model_agrees_with_every_builder(self, n):
@@ -817,7 +817,7 @@ class TestSimplexKernel:
 
 
 # ---------------------------------------------------------------------------
-# The exact recursion for the general program
+# The structural solve of the general program
 # ---------------------------------------------------------------------------
 
 def general_8_with_row_4(coeffs):
@@ -829,10 +829,35 @@ def general_8_with_row_4(coeffs):
                    + rows[4:])
 
 
+def cost_to_go(model):
+    """k_1, ..., k_{m+1} of ``solve_general``'s backward recursion."""
+    return lp_module._general_recursion(model)[1]
+
+
 def cost_to_go_dual(model):
-    """y_i = k_i - k_{i+1} from ``general_cost_to_go``'s k_1, ..., k_{m+1}."""
-    k = general_cost_to_go(model)
-    return [k[i] - k[i + 1] for i in range(len(k) - 1)]
+    """y_i = Y_i - Y_{i+1}, with Y_i = min(k_1..k_i) the running minimum of
+    the cost-to-go and Y_{m+1} = 0: the dual ``solve_general`` certifies
+    with, written out afresh."""
+    k = cost_to_go(model)
+    floor = [min(k[:i + 1]) for i in range(len(k) - 1)] + [Fraction(0)]
+    return [floor[i] - floor[i + 1] for i in range(len(k) - 1)]
+
+
+def general_with_costs(n, costs):
+    """``build_lp_general(n)`` with its objective set to ``costs``."""
+    return replace(build_lp_general(n), objective=list(costs))
+
+
+def random_costs(rng, n):
+    """Non-negative rationals for the 3n/2 columns, about a fifth 0."""
+    return [Fraction(0) if rng.random() < 0.2
+            else Fraction(rng.randint(0, 30), rng.randint(1, 12))
+            for _ in range(3 * n // 2)]
+
+
+# a cost vector at n=4 whose cost-to-go k = (3/10, 3/2, 1, 0) rises from
+# row 1 to row 2: a_1 costs 1/10, every other column 1
+RISING_COSTS = [Fraction(1, 10)] + [Fraction(1)] * 5
 
 
 GENERAL_NS = [8, 16, 32, 64, 128, 256]
@@ -864,7 +889,7 @@ class TestSolveGeneral:
             assert sum(c * v for c, v in zip(row, sol.exact) if c) >= rhs
         value = sum(c * v for c, v in zip(model.objective, sol.exact)) \
             + model.constant
-        assert value == general_cost_to_go(model)[0] / n + Fraction(1, 24)
+        assert value == cost_to_go(model)[0] / n + Fraction(1, 24)
         assert sol.objective == float(value)
 
     def test_switch_points(self):
@@ -911,12 +936,16 @@ class TestSolveGeneral:
     @pytest.mark.parametrize("value, optimum", [
         (Fraction(1, 2), 0.747024), (Fraction(0), 0.468006)])
     def test_edited_rhs_declines_to_the_simplex(self, value, optimum):
-        """Row 3's rhs is no longer 1/n; at 0 the exact point's violation
-        would be rounding (1.4e-17), so no residual could see it."""
+        """Row 3's rhs is no longer 1/n: the dual's objective b.y moves by
+        (value - 1/8) y_3, with y_3 = 71/120, and the exact point's cost
+        does not, so c.x - b.y reads -0.222 at 1/2 and 0.074 at 0."""
         model = build_lp_general(8)
         model = replace(model, rhs=model.rhs[:2] + [value] + model.rhs[3:])
         reason = solve_general(model)
-        assert reason == "rhs of position_3 is not 1/8"
+        y_3 = cost_to_go_dual(model)[2]
+        assert y_3 == Fraction(71, 120)
+        assert reason == \
+            f"duality gap {float((Fraction(1, 8) - value) * y_3):.3g}"
         served = solve(model)
         assert served.solver == (f"simplex, {served.iterations} pivots "
                                  f"(structure declined: {reason})")
@@ -932,20 +961,22 @@ class TestSolveGeneral:
 
     def test_loosened_row_declines(self):
         """Row 4's a_j coefficients doubled: the point stays feasible at
-        0.520833, but the simplex finds 0.482887.  The row check sees it."""
+        0.520833, but the simplex finds 0.482887.  The dual's column check
+        sees it: a_1..a_3 read more than their costs, by up to 17/120."""
         model = general_8_with_row_4([Fraction(2, 8 - j) for j in (1, 2, 3)])
         assert simplex_solve(model).objective == pytest.approx(0.482887,
                                                               abs=1e-6)
         reason = solve_general(model)
-        assert reason == "row position_4 is not build_lp_general(8)'s"
+        assert reason == "dual residual 0.142"
         served = solve(model)
         assert served.solver.endswith(f"(structure declined: {reason})")
         assert served.objective == pytest.approx(0.482887, abs=1e-6)
 
     @pytest.mark.parametrize("n", [4, 8, 16])
-    def test_any_changed_entry_declines(self, n):
+    def test_any_changed_entry_declines_or_is_certified(self, n):
         """Every entry of every row, set to another value, makes the solve
-        decline, by the residual or the row check; the same rows cut into
+        decline, or the pair still proves the edited model optimal, and
+        then the served optimum is the simplex's; the same rows cut into
         other segments, one per entry or one dense row each, still solve
         exactly."""
         model = build_lp_general(n)
@@ -956,6 +987,7 @@ class TestSolveGeneral:
                                            enumerate(row)] for row in rows])
         for same in (dense, single):
             assert solve_general(same).exact == solve_general(model).exact
+        declined = 0
         for r, row in enumerate(rows):
             for j, c in enumerate(row):
                 for value in {c + 1, c / 2, -c, Fraction(0)} - {c}:
@@ -963,13 +995,21 @@ class TestSolveGeneral:
                     changed = replace(dense, segments=dense.segments[:r]
                                       + [[(0, edited, len(row))]]
                                       + dense.segments[r + 1:])
-                    assert isinstance(solve_general(changed), str), (r, j)
+                    solution = solve_general(changed)
+                    if isinstance(solution, str):
+                        declined += 1
+                        continue
+                    assert solution.solver == "structure"
+                    assert abs(solution.objective - simplex_solve(
+                        changed).objective) <= EXACT_TOL, (r, j, value)
+        assert declined
 
-    def test_row_check_reads_the_entries_not_the_cut(self):
+    def test_certificate_reads_the_entries_not_the_cut(self):
         """Integer and Fraction coefficients, a zero-length segment and an
-        explicit zero still read as the built row; a row that drops its
-        b_i entry, or reads 2 at a_i, does not, though the exact point
-        stays feasible."""
+        explicit zero still read as the built row.  A row that drops its
+        b_i entry is still proved optimal, at the simplex's optimum; one
+        that reads 2 at a_i is not, since the dual then reads more than
+        a_3's cost."""
         model = build_lp_general(8)
         rows = model.segments
         # row 3 reads 1/7, 1/6 at a_1, a_2 and 1 at a_3 (column 2) and b_3
@@ -979,20 +1019,62 @@ class TestSolveGeneral:
                 (8, one, 1)]
         assert solve_general(replace(model, segments=rows[:2] + [same]
                                      + rows[3:])).status == "optimal"
-        for row in ([(0, inv, 2), (2, one, 1)],
-                    [(0, inv, 2), (2, [2], 1), (8, one, 1)]):
-            assert solve_general(replace(model, segments=rows[:2] + [row]
-                                         + rows[3:])) == \
-                "row position_3 is not build_lp_general(8)'s"
+        no_b = replace(model, segments=rows[:2] + [[(0, inv, 2), (2, one, 1)]]
+                       + rows[3:])
+        served = solve_general(no_b)
+        assert served.solver == "structure"
+        assert abs(served.objective - simplex_solve(no_b).objective) \
+            <= EXACT_TOL
+        two = replace(model, segments=rows[:2]
+                      + [[(0, inv, 2), (2, [2], 1), (8, one, 1)]] + rows[3:])
+        assert solve_general(two) == "dual residual 0.592"
+
+    @pytest.mark.parametrize("n", range(4, 33, 4))
+    def test_random_costs_are_certified(self, n):
+        """On seeded random non-negative costs the recursion's point and
+        the running-minimum dual prove each other optimal, and the optimum
+        is the simplex's.  The plain differences k_i - k_{i+1} would have
+        a negative entry on some of them."""
+        rng = random.Random(n)
+        rising = 0
+        for _ in range(50):
+            model = general_with_costs(n, random_costs(rng, n))
+            solution = solve_general(model)
+            assert solution.solver == "structure"
+            assert abs(solution.objective - simplex_solve(model).objective) \
+                <= EXACT_TOL
+            k = cost_to_go(model)
+            rising += any(hi < lo for hi, lo in zip(k, k[1:]))
+        assert rising
+
+    def test_rising_cost_to_go_is_certified(self):
+        """Where k rises, the running minimum is the dual and the plain
+        differences are not: y_1 = k_1 - k_2 = -6/5 < 0."""
+        model = general_with_costs(4, RISING_COSTS)
+        k = cost_to_go(model)
+        assert k == [Fraction(3, 10), Fraction(3, 2), Fraction(1), 0]
+        assert k[0] - k[1] == Fraction(-6, 5)
+        assert cost_to_go_dual(model) == [0, 0, Fraction(3, 10)]
+        solution = solve_general(model)
+        assert solution.solver == "structure"
+        assert solution.objective == float(Fraction(3, 40) + Fraction(1, 24))
+        assert abs(solution.objective - simplex_solve(model).objective) \
+            <= EXACT_TOL
+
+    def test_n1024_is_certified(self):
+        assert solve(build_lp_general(1024)).solver == "structure"
 
     @pytest.mark.parametrize("n", GENERAL_NS)
     def test_cost_to_go_differences_are_a_dual_certificate(self, n):
-        """The differences of the cost-to-go are a dual point that meets
-        the exact point's cost and no column cost exceeds: a certificate
-        of its optimality (ROADMAP item 1b), which ``solve_general`` does
-        not check yet."""
+        """For the builder's costs k does not increase, so the running
+        minimum is k itself and the dual is the plain differences of the
+        cost-to-go: a dual point that meets the exact point's cost and no
+        column cost exceeds."""
         model = build_lp_general(n)
+        k = cost_to_go(model)
+        assert all(hi >= lo for hi, lo in zip(k, k[1:]))
         y, x = cost_to_go_dual(model), solve_general(model).exact
+        assert y == [hi - lo for hi, lo in zip(k, k[1:])]
         assert all(v >= 0 for v in y)
         assert sum(b * v for b, v in zip(model.rhs, y)) == \
             sum(c * v for c, v in zip(model.objective, x))
@@ -1000,8 +1082,8 @@ class TestSolveGeneral:
 
     def test_cost_to_go_dual_sees_the_loosened_row(self):
         """Row 4's a_j coefficients doubled: the exact point stays
-        feasible, but the cost-to-go dual exceeds a column cost, so a dual
-        check would decline it too, as the row check does."""
+        feasible, but the cost-to-go dual exceeds a column cost, which is
+        the reason ``test_loosened_row_declines`` pins."""
         model = general_8_with_row_4([Fraction(2, 8 - j) for j in (1, 2, 3)])
         assert lp_module._column_excess(model, cost_to_go_dual(model)) == \
             Fraction(17, 120)
@@ -1420,7 +1502,7 @@ class TestSolve:
     def test_dispatch_per_family(self):
         general = build_lp_general(32)
         served = solve(general)
-        assert served.solver == "exact recursion"
+        assert served.solver == "structure"
         assert served.objective == solve_general(general).objective
         beta = build_lp_beta(8, Fraction(1, 100))
         assert solve(beta).solver == "structure"
@@ -1661,8 +1743,8 @@ class TestFloatMatrix:
             assert set(vars(model)) == fields, model.metadata
 
     def test_no_exact_solve_builds_the_matrix(self, monkeypatch, tmp_path):
-        """No lp-sweep task served by the structure or the recursion
-        converts its model to floats."""
+        """No lp-sweep task served by the structure converts its model to
+        floats."""
         served, converted = [], []
 
         def recording(model):
@@ -1680,8 +1762,7 @@ class TestFloatMatrix:
         for argv in argvs:
             assert cli_main([*argv, "--out", str(tmp_path / "lp.json")]) == 0
         assert len(served) == len(argvs)
-        exact = [calls for solver, calls in served
-                 if solver in ("structure", "exact recursion")]
+        exact = [calls for solver, calls in served if solver == "structure"]
         assert exact and not any(exact)
 
     def test_no_solve_reads_the_rows(self, monkeypatch, tmp_path):
@@ -1777,8 +1858,7 @@ def random_rationals(rng, size) -> list:
 
 def operator_models(n):
     """Every family at n on the builder grid, with the structural pair of
-    each (None where beta's structure does not apply; general has only
-    its exact point, and no dual)."""
+    each (None where beta's structure does not apply)."""
     for beta in BUILDER_BETAS:
         model = build_lp_beta(n, beta)
         pair = _beta_pair(model)
@@ -1788,7 +1868,7 @@ def operator_models(n):
                 model = build_lp_beta_lambda(n, lam, beta)
                 yield model, _beta_lambda_pair(model)
     model = build_lp_general(n)
-    yield model, (solve_general(model).exact, None, None)
+    yield model, (solve_general(model).exact, cost_to_go_dual(model), None)
 
 
 class TestExactProducts:
@@ -1844,11 +1924,13 @@ class TestExactProducts:
 
     @pytest.mark.parametrize("solver, model", [
         (solve_beta, build_lp_beta(16, Fraction(1, 100))),
-        (solve_beta_lambda, build_lp_beta_lambda(16, Fraction(13, 16), 0))],
-        ids=["beta", "beta-lambda"])
+        (solve_beta_lambda, build_lp_beta_lambda(16, Fraction(13, 16), 0)),
+        (solve_general, build_lp_general(16))],
+        ids=["beta", "beta-lambda", "general"])
     def test_one_scaling_per_certificate(self, monkeypatch, solver, model):
-        """Both exact checks of a certified pair read one
-        ``_scaled_sequences`` of the model."""
+        """A certified pair scales the model's sequences once: the row
+        check reads ``_scaled_sequences``, and the column check keeps each
+        column's own denominators instead."""
         calls = []
         scaled = lp_module._scaled_sequences
         monkeypatch.setattr(lp_module, "_scaled_sequences",
