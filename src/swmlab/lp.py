@@ -19,9 +19,10 @@ exactly on the model's own costs, rhs and rows):
 - general: ``solve_general``, by a backward recursion over the position
   rows, whose cost-to-go gives the dual;
 - beta-lambda: ``solve_beta_lambda``, and beta: ``solve_beta``.  One dual
-  recursion, ``_beta_dual``, serves both certificates and, in floats, the
-  search for the beta dual's maximiser; one primal recursion,
-  ``_beta_head``, serves both primals.
+  recursion, ``_beta_dual``, serves both certificates under one clipping
+  rule (a row i <= n/2 whose u_i < 0 gets step-split dual 0 and a_i = 0)
+  and, in floats, the search for the beta dual's maximiser; one primal
+  recursion, ``_beta_head``, serves both primals.
 
 ``simplex_solve`` is a dense two-phase primal simplex in floats:
 largest-coefficient pricing that falls back to Bland's lowest-index rule
@@ -429,14 +430,21 @@ def _beta_lambda_pair(model: LpModel) -> tuple[list[Fraction],
                                                list[Fraction], dict]:
     """The structured primal x and dual y of ``solve_beta_lambda``, exact
     and in the model's column and row order, and the structure: L and
-    whether the slack budget binds."""
+    whether the slack budget binds.  The clipped rows are ``_beta_dual``'s
+    decision at theta = 0 and the pair's Y."""
     meta = model.metadata
     n, beta = meta["n"], meta["beta"]
     lam_n, half = int(meta["lambda"] * n), n // 2
     zero, one = Fraction(0), Fraction(1)
 
-    w, a, tail = _beta_head(n, lam_n, set(), lam_n, zero)
+    # the budget binds unless beta covers the clipped tail's capacity; then
+    # its row is slack, y_sh = y_bud = 0, so Y = 0 and no row is clipped
+    u, _, clipped = _beta_dual(n, lam_n, zero, Fraction(n - lam_n))
+    w, a, tail = _beta_head(n, lam_n, clipped, lam_n, zero)
     binding = beta < (n - lam_n) * tail
+    if not binding:
+        u, _, clipped = _beta_dual(n, lam_n, zero, zero)
+        w, a, tail = _beta_head(n, lam_n, clipped, lam_n, zero)
     g = [zero] * (n - half)
     left = beta
     for i in range(n, lam_n, -1):
@@ -447,9 +455,9 @@ def _beta_lambda_pair(model: LpModel) -> tuple[list[Fraction],
     x = w + a + [zero] * n + g
 
     y_sh = one if binding else zero
-    u, _, _ = _beta_dual(n, lam_n, zero, (n - lam_n) * y_sh, set())
-    y_ss = u + [zero] * (n - lam_n + 1)
-    y_pos = [1 - v for v in u] + [one]
+    y_ss = [zero if i in clipped else u[i - 1] for i in range(1, lam_n)]
+    y_pos = [1 - v for v in y_ss] + [one]
+    y_ss += [zero] * (n - lam_n + 1)
     y = y_ss + y_pos + [y_sh] * (n - lam_n) + [y_sh]
     return x, y, {"position_rows": lam_n, "budget_binding": binding}
 
@@ -459,32 +467,34 @@ def solve_beta_lambda(model: LpModel) -> Union[LpSolution, str]:
     its solution, in O(n) rational steps, proved by a dual; or, when the
     proof fails, the reason, and the caller runs the simplex.
 
-    Let L = lambda n and T = (2/n) sum_{j<=n/2} a_j j/(n-j).  The primal
-    (``_beta_head`` with a_L = 0) is a_i = (n-i)/((n-1)n) for i < L and 0
-    from L on, b = 0, w_i = a_i for i < L, w_L = (n-L)/((n-1)n), so position
-    rows 1..L are tight; each tail row i > L gets w_i = T - g_i, with beta
-    spent on g from i = n backwards, at most T per row.  The budget binds
-    when beta < (n-L) T.
-
     The dual has y_ss_i, y_pos_i, y_sh_i and y_bud on the step-split,
     position, second-half and budget rows.  It maximises
     sum_{i<=L} y_pos_i/n - beta y_bud subject to, with Y = sum_i y_sh_i,
       w_i:  y_ss_i + [i<=L] y_pos_i + [i>L] y_sh_i <= 1
       a_i:  -y_ss_i + sum_{i<k<=L} y_pos_k/(n-i) - [i<=n/2] 2i Y/(n(n-i)) <= 0
       b_i:  -y_ss_i + [i<=n/2](2Y/n - y_bud) <= 0
-      g_i:  [i>L] y_sh_i - y_bud <= 0.
-    Complementary slackness fixes y.  When the budget binds, a tail w_i > 0
-    sits above its slack step-split row, so y_ss_i = 0 and w_i's column
-    gives y_sh_i = 1, and g_i's column y_bud >= 1; take y_sh = y_bud = 1.
-    Otherwise the budget row is slack, y_bud = 0, and g's columns force
-    y_sh = 0.  Row L's step split is slack (w_L > 0 = a_L + b_L), so
-    y_pos_L = 1.  For i < L, a_i > 0 and w_i > 0 make both columns tight,
-    y_ss_i = u_i and y_pos_i = 1 - u_i, which is ``solve_beta``'s dual
-    recursion at theta = 0 with no row clipped (``_beta_dual``); every
-    other y_ss is 0.  Since L >= n/2,
-    2Y/n <= y_bud, and the b columns hold.  What can fail is y >= 0: a
-    long tail under a binding budget drives y_ss_i below 0, and then the
-    structured point is not optimal.
+      g_i:  [i>L] y_sh_i - y_bud <= 0,
+    with L = lambda n.  It is ``solve_beta``'s dual at s = L (theta = 0),
+    with no second-half row at or below L, and the pair follows
+    ``solve_beta``'s argument with its clipping rule.  When the budget
+    binds, every tail row i > L has y_sh_i = 1 and y_bud = 1, so Y = n - L;
+    ``_beta_dual`` gives u_i, clips the rows i <= n/2 with u_i < 0, and
+    sets y_ss_i = u_i, y_pos_i = 1 - u_i on the others, y_ss_i = 0,
+    y_pos_i = 1 on clipped ones, and y_pos_L = 1.  The primal head
+    (``_beta_head`` with a_L = 0) has w_i = r_i on rows i <= L, a_i = r_i
+    on those below L that are not clipped, a_i = 0 on clipped ones, b = 0,
+    so position rows 1..L are tight; with T the second half's gain
+    (2/n) sum_{j<=n/2} a_j j/(n-j), each tail row gets w_i = T - g_i, beta
+    spent on g from i = n backwards, at most T per row.  The budget binds
+    when beta < (n-L) T.  Otherwise its row is slack: y_bud = 0, g's
+    columns force y_sh = 0, Y = 0, no u_i is negative and nothing is
+    clipped, and the pair is rebuilt on that dual.
+
+    Where clipping lowers T, a beta between the clipped and the unclipped
+    tail's capacity fits neither pair: the budget binds on the unclipped
+    head, but its dual has y_bud = 0, and the pair declines with a duality
+    gap, (n-L) T - beta for the unclipped T (on the test grid, lambda <=
+    5/8 with beta at 1/20 or 1/10).
 
     Nothing above is trusted: the pair is returned only if
     ``_certified_solution`` passes it, and then by weak duality x is
@@ -738,14 +748,14 @@ def _scaled_sequences(model: LpModel) -> tuple[dict, int]:
             for key, (ints, s) in scaled.items()}, scale
 
 
-def _row_shortfall(model: LpModel, x: list) -> Fraction:
-    """max(0, max_i (b_i - (A x)_i)), exact, in O(segments + columns)
-    integer steps: each (shared sequence, start column) pair is
-    prefix-summed once, up to the longest k a row reads there, and a
-    length-1 segment is read directly, on the model's
+def _row_shortfall(model: LpModel, xs: list[int], x_scale: int
+                   ) -> Fraction:
+    """max(0, max_i (b_i - (A x)_i)) for x = xs / x_scale (``_scaled``),
+    exact, in O(segments + columns) integer steps: each (shared sequence,
+    start column) pair is prefix-summed once, up to the longest k a row
+    reads there, and a length-1 segment is read directly, on the model's
     ``_scaled_sequences``."""
     coeffs, scale = _scaled_sequences(model)
-    xs, x_scale = _scaled(x)
     total = scale * x_scale        # total (A x)_i is an integer
     prefix = {}
     worst = Fraction(0)
@@ -767,17 +777,17 @@ def _row_shortfall(model: LpModel, x: list) -> Fraction:
     return worst
 
 
-def _column_excess(model: LpModel, y: list) -> Fraction:
-    """max(0, max_j ((y A)_j - c_j)), exact, in O(segments + columns)
-    integer steps: per (shared sequence, start column) pair, y is summed
-    over the rows that read it by k, then suffix-summed, so that column
-    col+t gets coeffs[t] times the y of the rows reading past t; a
-    length-1 segment is read directly.  y is read as integers over one
-    scale, and column j's sum as num_j / den_j over it, with den_j the lcm
-    of the denominators it has read: each product is one of y's long
-    integers times a coefficient's short ones, where one scale for the
-    coefficients too would multiply two long ones."""
-    ys, y_scale = _scaled(y)
+def _column_excess(model: LpModel, ys: list[int], y_scale: int
+                   ) -> Fraction:
+    """max(0, max_j ((y A)_j - c_j)) for y = ys / y_scale (``_scaled``),
+    exact, in O(segments + columns) integer steps: per (shared sequence,
+    start column) pair, y is summed over the rows that read it by k, then
+    suffix-summed, so that column col+t gets coeffs[t] times the y of the
+    rows reading past t; a length-1 segment is read directly.  Column j's
+    sum is num_j / den_j over y's scale, with den_j the lcm of the
+    denominators it has read: each product is one of y's long integers
+    times a coefficient's short ones, where one scale for the coefficients
+    too would multiply two long ones."""
     num, den = [0] * model.num_vars, [1] * model.num_vars
 
     def add(j, c, v):            # column j's sum += c v
@@ -816,9 +826,9 @@ def _certified_solution(model: LpModel, x: list, y: list,
     """The structural solution x when x and y prove each other optimal,
     else the first failed check.  Every check is exact, on the model's own
     objective, rhs and segments: x >= 0, y >= 0, c.x == b.y, A x >= b
-    (``_row_shortfall``) and y A <= c (``_column_excess``).  Signs, c.x
-    and b.y are read on integers over one scale per vector
-    (``_scaled``)."""
+    (``_row_shortfall``) and y A <= c (``_column_excess``).  Each vector
+    is made integers over one scale once (``_scaled``), and every check
+    reads those."""
     xs, x_scale = _scaled(x)
     if any(v < 0 for v in xs):
         return "negative primal entry"
@@ -834,10 +844,10 @@ def _certified_solution(model: LpModel, x: list, y: list,
                     b_scale * y_scale)
     if primal != dual:
         return f"duality gap {float(primal - dual):.3g}"
-    shortfall = _row_shortfall(model, x)
+    shortfall = _row_shortfall(model, xs, x_scale)
     if shortfall:
         return f"primal residual {float(shortfall):.3g}"
-    excess = _column_excess(model, y)
+    excess = _column_excess(model, ys, y_scale)
     if excess:
         return f"dual residual {float(excess):.3g}"
     return LpSolution("optimal", float(primal + model.constant),
@@ -1026,18 +1036,19 @@ def closed_form_beta_lambda(n: int, lam, beta) -> ClosedFormBound:
 
     exact = sum_{i<=lam n}(n-i)/((n-1)n) + (1-lam) n (n/2+1)/(2(n-1)n) - beta,
     clamped below at 0; asymptotic = 1/2 - (1-lam)^2/2 + (1-lam)/4 - beta.
-    While beta is below the tail's total gain (n - lam n) T (see
-    ``solve_beta_lambda``), ``exact`` is the objective of the structured
-    feasible point that ``solve_beta_lambda`` builds, so it is an upper
-    bound on the LP optimum, tight only where that structure is certified.
-    There the certificate holds for lam >= (3 - sqrt 2)/2 ~ 0.7929 in the
-    limit: the dual on step-split row n/2 tends to
-    (1 - 4(1-lam)^2)/2 - 2(1-lam), which is negative below it.  Between
-    the threshold and that bound the closed form overstates the LP: by
-    8.2e-4 at n=64, lam = 49/64, and by 1.1e-3 at n=1024, lam = 772/1024
-    (simplex and HiGHS agree).  For a larger beta the point can spend only
-    the tail's total, so the closed form falls below the optimum
-    (0.44375 against 0.4875 at n=16, lam = 13/16, beta = 1/10).
+    ``exact`` is the objective of the *unclipped* structured point, the
+    primal of ``solve_beta_lambda`` with no row clipped (a_i = (n-i)/((n-1)n)
+    for i < lam n).  While beta is below that point's tail total
+    (n - lam n) T, the point is feasible, so ``exact`` is an upper bound on
+    the LP optimum.  It is the optimum where the binding dual clips no
+    row: from lam = (3 - sqrt 2)/2 ~ 0.7929 in the limit, since u on
+    step-split row n/2 tends to (1 - 4(1-lam)^2)/2 - 2(1-lam), negative
+    below it (at n=1024, from lam n = 812 on).  Below, the certified
+    optimum clips rows and lies under the closed form: by 8.2e-4 at n=64,
+    lam = 49/64, and by 1.1e-3 at n=1024, lam = 772/1024 (HiGHS agrees).
+    For a larger beta the point can spend only the tail's total, so the
+    closed form falls below the optimum (0.44375 against 0.4875 at n=16,
+    lam = 13/16, beta = 1/10).
     Refuses lam at or below the threshold 9 - sqrt(68) or above 1, and a
     negative beta.
     """

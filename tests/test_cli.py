@@ -370,17 +370,32 @@ class TestLp:
 
     def test_beta_lambda_decline_names_simplex_and_reason(self, tmp_path,
                                                           capsys):
-        """Below the structure's range the simplex serves, and stderr says
-        why the structure declined; the report has no structure block."""
+        """Where beta lies between the clipped and the unclipped tail's
+        capacity the simplex serves, and stderr says why the structure
+        declined; the report has no structure block."""
         out = tmp_path / "lp.json"
         assert main(["lp", "--family", "beta-lambda", "--n", "16",
-                     "--lambda", "3/4", "--out", str(out)]) == 0
+                     "--lambda", "1/2", "--beta", "1/20",
+                     "--out", str(out)]) == 0
         results = json.loads(out.read_text())["results"]
         assert "structure" not in results
         pivots = results["solution"]["iterations"]
         assert pivots > 0
         assert (f"\nsolver = simplex, {pivots} pivots (structure declined: "
-                "negative dual on step_split_8)\n") in capsys.readouterr().err
+                "duality gap 0.0667)\n") in capsys.readouterr().err
+
+    def test_beta_lambda_with_clipped_rows_names_structure(self, tmp_path,
+                                                           capsys):
+        """lambda = 3/4 at beta = 0 clips step-split row 8, and the
+        structure serves it."""
+        out = tmp_path / "lp.json"
+        assert main(["lp", "--family", "beta-lambda", "--n", "16",
+                     "--lambda", "3/4", "--out", str(out)]) == 0
+        results = json.loads(out.read_text())["results"]
+        assert results["structure"] == {"position_rows": 12,
+                                        "budget_binding": True}
+        assert results["solution"]["iterations"] == 0
+        assert "\nsolver = structure\n" in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", list(LP_SIMPLEX_REPORTS), ids=str)
     def test_structure_report_against_simplex_served(self, tmp_path,

@@ -39,9 +39,28 @@ KERNEL_TOL = 1e-9    # simplex_solve against reference_simplex
 EXACT_TOL = 1e-12    # solve_general against a float solver
 
 
+def sparse_float_matrix(model: LpModel):
+    """A as a scipy CSR matrix built from the segments: the nonzero float
+    entries of ``lp._float_matrix``, with no dense matrix on the way."""
+    floats = lp_module._shared_sequences(model.segments, lambda seq: np.array(
+        [c.numerator / c.denominator if c else 0.0 for c in seq]))
+    rows, cols, vals = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0)]
+    for r, row in enumerate(model.segments):
+        for col, coeffs, k in row:
+            rows.append(np.full(k, r))
+            cols.append(np.arange(col, col + k))
+            vals.append(floats[id(coeffs)][:k])
+    matrix = scipy_sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(model.num_rows, model.num_vars))
+    matrix.eliminate_zeros()
+    return matrix
+
+
 def scipy_optimum(model: LpModel) -> float:
-    """Independent solve: scipy handles minimize c.x, A_ub x <= b_ub."""
-    a_ub = -_float_matrix(model)
+    """Independent solve: scipy's HiGHS handles minimize c.x,
+    A_ub x <= b_ub, with A_ub read sparse from the segments."""
+    a_ub = -sparse_float_matrix(model)
     b_ub = -np.array([float(v) for v in model.rhs])
     c = np.array([float(v) for v in model.objective])
     res = scipy_opt.linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=(0, None),
@@ -510,18 +529,30 @@ class TestClosedFormBetaLambda:
 
     def test_overstates_the_lp_just_above_the_threshold_at_n1024(self):
         """lambda = 772/1024 ~ 0.7539, the first above the threshold: the
-        closed form is 1.1e-3 above the HiGHS optimum."""
+        closed form is 1.1e-3 above the certified optimum, which HiGHS
+        confirms."""
         lam = Fraction(772, 1024)
         model = build_lp_beta_lambda(1024, lam, 0)
-        res = scipy_opt.linprog(
-            np.array([float(v) for v in model.objective]),
-            A_ub=-scipy_sparse.csr_matrix(_float_matrix(model)),
-            b_ub=-np.array([float(v) for v in model.rhs]),
-            bounds=(0, None), method="highs")
-        assert res.status == 0, res.message
-        assert res.fun == pytest.approx(0.530414, abs=1e-6)
-        assert closed_form_beta_lambda(1024, lam, 0).exact - res.fun == \
-            pytest.approx(1.0997e-3, abs=1e-6)
+        sol = solve(model)
+        assert sol.solver == "structure"
+        assert abs(sol.objective - scipy_optimum(model)) <= SOLVE_TOL
+        assert closed_form_beta_lambda(1024, lam, 0).exact - sol.objective \
+            == pytest.approx(1.0997e-3, abs=1e-6)
+
+    def test_overstates_the_lp_until_the_pair_stops_clipping_at_n1024(self):
+        """Sampled from the certified optima at n=1024, beta = 0: from the
+        first lambda n above the threshold (772) to 811 the closed form is
+        above the LP; from 812 on, where the pair clips no row, it is the
+        LP optimum."""
+        def overstatement(lam_n):
+            lam = Fraction(lam_n, 1024)
+            sol = solve_beta_lambda(build_lp_beta_lambda(1024, lam, 0))
+            return closed_form_beta_lambda(1024, lam, 0).exact - sol.objective
+
+        for lam_n in [*range(772, 811, 6), 811]:
+            assert overstatement(lam_n) > 0, lam_n
+        for lam_n in [*range(812, 1024, 24), 1024]:
+            assert overstatement(lam_n) <= 1e-12, lam_n
 
     def test_asymptotic_at_threshold_lambda(self):
         cf = closed_form_beta_lambda(1000, Fraction(754, 1000), 0)
@@ -1078,14 +1109,14 @@ class TestSolveGeneral:
         assert all(v >= 0 for v in y)
         assert sum(b * v for b, v in zip(model.rhs, y)) == \
             sum(c * v for c, v in zip(model.objective, x))
-        assert lp_module._column_excess(model, y) == 0
+        assert on_scaled(_column_excess, model, y) == 0
 
     def test_cost_to_go_dual_sees_the_loosened_row(self):
         """Row 4's a_j coefficients doubled: the exact point stays
         feasible, but the cost-to-go dual exceeds a column cost, which is
         the reason ``test_loosened_row_declines`` pins."""
         model = general_8_with_row_4([Fraction(2, 8 - j) for j in (1, 2, 3)])
-        assert lp_module._column_excess(model, cost_to_go_dual(model)) == \
+        assert on_scaled(_column_excess, model, cost_to_go_dual(model)) == \
             Fraction(17, 120)
 
 
@@ -1099,9 +1130,11 @@ STRUCTURE_LAMBDAS = (Fraction(1, 2), Fraction(5, 8), Fraction(3, 4),
                      Fraction(1))
 STRUCTURE_BETAS = (Fraction(0), Fraction(1, 100), Fraction(1, 20),
                    Fraction(1, 10), Fraction(1))
-# the structured point is optimal for lambda >= (3 - sqrt 2)/2 ~ 0.7929
-# whatever beta, and the certificate must hold there
-CERTIFIED_FROM = Fraction(13, 16)
+# the pair clips rows as ``solve_beta``'s does, and the certificate holds
+# on the grid except where beta lies between the clipped and the unclipped
+# tail's capacity: lambda at most 5/8, beta at 1/20 or 1/10
+DECLINES_UP_TO = Fraction(5, 8)
+DECLINING_BETAS = (Fraction(1, 20), Fraction(1, 10))
 
 
 def structure_grid(n):
@@ -1164,14 +1197,15 @@ def tampered_pair(model, pair, vector, name, sign=-1):
 class TestSolveBetaLambda:
     @pytest.mark.parametrize("n", STRUCTURE_NS)
     def test_matches_simplex(self, n):
-        """Every structural answer equals the simplex optimum; the grid
-        from lambda = 13/16 up is always certified, and declines happen
-        only below."""
+        """Every structural answer equals the simplex optimum; declines
+        happen only at lambda <= 5/8 with beta at 1/20 or 1/10, where the
+        budget binds on the unclipped tail but not on the clipped one."""
         for lam, beta, model in structure_grid(n):
             sol = solve_beta_lambda(model)
             if isinstance(sol, str):
-                assert lam < CERTIFIED_FROM, (lam, beta, sol)
-                assert sol.startswith("negative dual on step_split_")
+                assert lam <= DECLINES_UP_TO and beta in DECLINING_BETAS, \
+                    (lam, beta, sol)
+                assert sol.startswith("duality gap ")
                 continue
             ref = simplex_solve(model)
             assert abs(sol.objective - ref.objective) <= KERNEL_TOL, \
@@ -1181,12 +1215,23 @@ class TestSolveBetaLambda:
             assert sol.max_violation == 0.0
             assert sol.structure["position_rows"] == lam * n
 
+    def test_grid_is_mostly_certified(self):
+        """At least 180 of the 200 grid cases are certified: 180 with the
+        clipping, 137 when the pair clipped no row."""
+        cases = [solve_beta_lambda(model) for n in STRUCTURE_NS
+                 for _, _, model in structure_grid(n)]
+        assert len(cases) == 200
+        assert sum(not isinstance(sol, str) for sol in cases) >= 180
+
     @pytest.mark.parametrize("n", [8, 16, 32, 64])
     def test_matches_highs(self, n):
+        certified = 0
         for lam, beta, model in structure_grid(n):
             sol = solve_beta_lambda(model)
             if not isinstance(sol, str):
                 assert abs(sol.objective - scipy_optimum(model)) <= SOLVE_TOL
+                certified += 1
+        assert certified >= 20
 
     @pytest.mark.parametrize("n", [8, 16, 32, 64])
     def test_exact_certificate(self, n):
@@ -1266,29 +1311,58 @@ class TestSolveBetaLambda:
 
     @pytest.mark.parametrize("n", [8, 16, 32, 64])
     def test_three_quarters_at_zero_beta_declines(self, n):
+        """Declined with a negative step-split dual while the pair clipped
+        no row; with the clipping the structure serves it, and the optimum
+        is the simplex's."""
         model = build_lp_beta_lambda(n, Fraction(3, 4), 0)
-        reason = solve_beta_lambda(model)
-        assert reason.startswith("negative dual on step_split_")
         served = solve(model)
-        assert served.solver == (f"simplex, {served.iterations} pivots "
-                                 f"(structure declined: {reason})")
+        assert served.solver == "structure"
+        assert served.structure == {"position_rows": 3 * n // 4,
+                                    "budget_binding": True}
+        assert abs(served.objective - simplex_solve(model).objective) <= \
+            KERNEL_TOL
 
     def test_49_64_declines(self):
+        """Declined on step_split_31 while the pair clipped no row; now
+        rows 31 and 32 are clipped and the pair is certified."""
         model = build_lp_beta_lambda(64, Fraction(49, 64), 0)
-        assert solve_beta_lambda(model) == "negative dual on step_split_31"
-        assert solve(model).objective == simplex_solve(model).objective
+        assert lp_module._beta_dual(64, 49, Fraction(0), Fraction(15))[2] \
+            == {31, 32}
+        sol = solve_beta_lambda(model)
+        assert sol.solver == "structure"
+        assert abs(sol.objective - simplex_solve(model).objective) <= \
+            KERNEL_TOL
 
     @pytest.mark.parametrize("n", [64, 256, 1024])
     def test_certified_from_three_minus_sqrt2_over_2(self, n):
-        """With the budget binding, the structure's dual stays non-negative
-        exactly when lambda >= (3 - sqrt 2)/2 ~ 0.7929 in the limit; at each
-        n the last declining and the first certified lambda n straddle it."""
+        """With the budget binding, the pair clips no row exactly when
+        lambda >= (3 - sqrt 2)/2 ~ 0.7929 in the limit: at each n, the last
+        lambda n that clips and the first that does not straddle it, and
+        both are certified."""
         bound = (3 - math.sqrt(2)) / 2
         first = math.ceil(bound * n)
-        below = build_lp_beta_lambda(n, Fraction(first - 1, n), 0)
-        above = build_lp_beta_lambda(n, Fraction(first, n), 0)
-        assert isinstance(solve_beta_lambda(below), str)
-        assert solve_beta_lambda(above).solver == "structure"
+        for L, clips in ((first - 1, True), (first, False)):
+            _, _, clipped = lp_module._beta_dual(n, L, Fraction(0),
+                                                 Fraction(n - L))
+            assert bool(clipped) == clips, L
+            sol = solve_beta_lambda(build_lp_beta_lambda(n, Fraction(L, n),
+                                                         0))
+            assert sol.solver == "structure"
+            assert sol.structure == {"position_rows": L,
+                                     "budget_binding": True}
+
+    def test_n1024_pins(self):
+        """lambda = 3/4, beta = 1/100 (sparse HiGHS read
+        0.5201960050848041), and the relaxation's best lambda n at beta = 0
+        in the window 790..798: 794, below the full beta program's
+        0.5309505873027724 at this n."""
+        model = build_lp_beta_lambda(1024, Fraction(3, 4), Fraction(1, 100))
+        assert solve_beta_lambda(model).objective == 0.5201960050847987
+        optima = {L: solve_beta_lambda(build_lp_beta_lambda(
+            1024, Fraction(L, 1024), 0)).objective for L in range(790, 799)}
+        best = max(optima, key=optima.get)
+        assert (best, optima[best]) == (794, 0.5309503287715979)
+        assert optima[best] < BETA_ASYMPTOTE[1024]
 
     def test_budget_binding_and_position_rows(self):
         # (n - L) T = 3 * 3/160 = 9/160 at n=16, lambda 13/16
@@ -1663,16 +1737,40 @@ class TestBetaDualFamily:
 
     @pytest.mark.parametrize("n", PAIR_NS)
     def test_beta_lambda_pair_is_the_reference_construction(self, n):
-        pairs = 0
+        """Where ``_beta_dual(n, L, 0, n - L)`` clips no row the pair is
+        the reference construction.  Where it clips and the budget binds,
+        below L a_i = 0 exactly on the clipped rows, y_ss_i = 0 on them and
+        u_i on the others (u_i may be 0 too: u_4 at n=16, L = 8), and the
+        pair is certified.  Where beta covers the clipped tail, the pair is
+        the unclipped one: the reference's when beta covers that tail too,
+        and otherwise it declines with a duality gap."""
+        pairs = clipping = 0
         for lam in PAIR_LAMBDAS:
             if (lam * n).denominator != 1:
                 continue
+            L = int(lam * n)
+            u, _, clipped = lp_module._beta_dual(n, L, Fraction(0),
+                                                 Fraction(n - L))
             for beta in PAIR_BETAS:
                 model = build_lp_beta_lambda(n, lam, beta)
-                assert _beta_lambda_pair(model) == \
-                    reference_beta_lambda_pair(model), (lam, beta)
+                x, y, structure = pair = _beta_lambda_pair(model)
+                ref = reference_beta_lambda_pair(model)
                 pairs += 1
+                if structure["budget_binding"] and clipped:
+                    assert {i for i in range(1, L) if x[n + i - 1] == 0} \
+                        == clipped, (lam, beta)
+                    assert y[:L - 1] == [0 if i in clipped else u[i - 1]
+                                         for i in range(1, L)], (lam, beta)
+                    assert isinstance(_certified_solution(model, *pair),
+                                      LpSolution), (lam, beta)
+                    clipping += 1
+                elif clipped and ref[2]["budget_binding"]:
+                    assert _certified_solution(model, *pair).startswith(
+                        "duality gap"), (lam, beta)
+                else:
+                    assert pair == ref, (lam, beta)
         assert pairs >= 12
+        assert clipping >= (2 if n >= 8 else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -1833,6 +1931,12 @@ def lp_sweep_argvs(monkeypatch) -> list:
 # The certificate's exact products against the dense rational rows
 # ---------------------------------------------------------------------------
 
+def on_scaled(check, model, values) -> Fraction:
+    """``check`` (``_row_shortfall`` or ``_column_excess``) on ``values``
+    made integers over one scale, as ``_certified_solution`` passes them."""
+    return check(model, *lp_module._scaled(values))
+
+
 def dense_shortfall(rows, model, x) -> Fraction:
     """max(0, max_i (b_i - (A x)_i)) over ``sparse_rows(model)``."""
     return max([Fraction(0)]
@@ -1888,14 +1992,14 @@ class TestExactProducts:
                 if y is not None:
                     ys.append(y)
                     if exact_certificate_holds(model, x, y):
-                        assert _row_shortfall(model, x) == 0
-                        assert _column_excess(model, y) == 0
+                        assert on_scaled(_row_shortfall, model, x) == 0
+                        assert on_scaled(_column_excess, model, y) == 0
                         certified += 1
             for x in xs:
-                assert _row_shortfall(model, x) == \
+                assert on_scaled(_row_shortfall, model, x) == \
                     dense_shortfall(rows, model, x), model.metadata
             for y in ys:
-                assert _column_excess(model, y) == \
+                assert on_scaled(_column_excess, model, y) == \
                     dense_excess(rows, model, y), model.metadata
         assert certified >= 2
 
@@ -1916,11 +2020,13 @@ class TestExactProducts:
         for _ in range(20):
             x = random_rationals(rng, 4)
             y = random_rationals(rng, 4)
-            assert _row_shortfall(model, x) == dense_shortfall(rows, model, x)
-            assert _column_excess(model, y) == dense_excess(rows, model, y)
+            assert on_scaled(_row_shortfall, model, x) == \
+                dense_shortfall(rows, model, x)
+            assert on_scaled(_column_excess, model, y) == \
+                dense_excess(rows, model, y)
         empty = LpModel([f(1), f(-3, 4)], [], [], ["x", "y"], [])
-        assert _row_shortfall(empty, [f(1), f(0)]) == 0
-        assert _column_excess(empty, []) == f(3, 4)
+        assert on_scaled(_row_shortfall, empty, [f(1), f(0)]) == 0
+        assert on_scaled(_column_excess, empty, []) == f(3, 4)
 
     @pytest.mark.parametrize("solver, model", [
         (solve_beta, build_lp_beta(16, Fraction(1, 100))),
@@ -1930,13 +2036,24 @@ class TestExactProducts:
     def test_one_scaling_per_certificate(self, monkeypatch, solver, model):
         """A certified pair scales the model's sequences once: the row
         check reads ``_scaled_sequences``, and the column check keeps each
-        column's own denominators instead."""
-        calls = []
-        scaled = lp_module._scaled_sequences
+        column's own denominators instead.  x and y are each made integers
+        once (``_scaled``), and every check reads those."""
+        calls, scaled_calls, pairs = [], [], []
+        sequences = lp_module._scaled_sequences
         monkeypatch.setattr(lp_module, "_scaled_sequences",
-                            lambda m: calls.append(m) or scaled(m))
+                            lambda m: calls.append(m) or sequences(m))
+        scaled = lp_module._scaled
+        monkeypatch.setattr(lp_module, "_scaled",
+                            lambda v: scaled_calls.append(v) or scaled(v))
+        certify = lp_module._certified_solution
+        monkeypatch.setattr(lp_module, "_certified_solution",
+                            lambda m, x, y, structure: pairs.append((x, y))
+                            or certify(m, x, y, structure))
         assert solver(model).status == "optimal"
         assert calls == [model]
+        [(x, y)] = pairs
+        assert sum(v is x for v in scaled_calls) == 1
+        assert sum(v is y for v in scaled_calls) == 1
 
 
 # ---------------------------------------------------------------------------
