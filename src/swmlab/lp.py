@@ -11,18 +11,21 @@ a caller reads them.
 
 ``solve(model)`` picks the solver for the model's family, and the simplex
 runs when that solver declines with a reason.  Each family's solver builds
-the optimum and a dual from the structure of the solution in O(n)
-rational steps and returns it only when the pair is a certificate
+the optimum and a dual from the structure of the solution in O(n) exact
+steps and returns it only when the pair is a certificate
 (``_certified_solution``: both feasible, equal objectives, all checked
-exactly on the model's own costs, rhs and rows):
+exactly on the model's own costs, rhs and rows, on integers over one
+scale per vector):
 
 - general: ``solve_general``, by a backward recursion over the position
-  rows, whose cost-to-go gives the dual;
+  rows, whose cost-to-go gives the dual, all on Python integers: it
+  reads each cost once as its numerator and denominator, and Fractions
+  are made only for the exact primal of a certified pair;
 - beta-lambda: ``solve_beta_lambda``, and beta: ``solve_beta``.  One dual
   recursion, ``_beta_dual``, serves both certificates under one clipping
   rule (a row i <= n/2 whose u_i < 0 gets step-split dual 0 and a_i = 0)
   and, in floats, the search for the beta dual's maximiser; one primal
-  recursion, ``_beta_head``, serves both primals.
+  recursion, ``_beta_head``, serves both primals; both run on Fractions.
 
 ``simplex_solve`` is a dense two-phase primal simplex in floats:
 largest-coefficient pricing that falls back to Bland's lowest-index rule
@@ -315,28 +318,24 @@ def build_lp_general(n: int) -> LpModel:
     half, three_q = n // 2, 3 * n // 4
     var_names = ([f"a_{i}" for i in range(1, three_q + 1)]
                  + [f"b_{i}" for i in range(1, three_q + 1)])
-    ncols = len(var_names)
 
     def a(i): return i - 1
     def b(i): return three_q + i - 1
 
-    zero, ones = Fraction(0), [Fraction(1)]
-    objective = [zero] * ncols
-    quarter = Fraction(n, 4)
-    for i in range(1, half + 1):
-        objective[a(i)] = 1 + Fraction(i - quarter, 6 * (n - i))
-        objective[b(i)] = Fraction(5, 6)
-    for i in range(half + 1, three_q + 1):
-        objective[a(i)] = Fraction(5, 6) + Fraction(quarter, 6 * (n - i))
-        objective[b(i)] = Fraction(5, 6)
+    # c_a(i) = 1 + (i - n/4)/(6(n-i)) up to n/2 and 5/6 + (n/4)/(6(n-i))
+    # above, each one Fraction over 24(n-i); c_b(i) = 5/6
+    objective = ([Fraction(24 * (n - i) + 4 * i - n, 24 * (n - i))
+                  for i in range(1, half + 1)]
+                 + [Fraction(20 * (n - i) + n, 24 * (n - i))
+                    for i in range(half + 1, three_q + 1)]
+                 + [Fraction(5, 6)] * three_q)
 
     # a_j/(n-j) for j = 1..3n/4-1
-    inv = [Fraction(1, n - j) for j in range(1, three_q)]
-    rows, rhs, row_names = [], [], []
-    for i in range(1, three_q + 1):
-        rows.append([(a(1), inv, i - 1), (a(i), ones, 1), (b(i), ones, 1)])
-        rhs.append(Fraction(1, n))
-        row_names.append(f"position_{i}")
+    inv, ones = [Fraction(1, n - j) for j in range(1, three_q)], [Fraction(1)]
+    rows = [[(a(1), inv, i - 1), (a(i), ones, 1), (b(i), ones, 1)]
+            for i in range(1, three_q + 1)]
+    rhs = [Fraction(1, n)] * three_q
+    row_names = [f"position_{i}" for i in range(1, three_q + 1)]
 
     return LpModel(objective, rows, rhs, var_names, row_names,
                    {"family": "general_lb", "n": n},
@@ -350,25 +349,38 @@ def build_lp_general(n: int) -> LpModel:
 def _general_recursion(model: LpModel) -> tuple[int, list, list]:
     """n, k_1..k_{m+1} and each row's first cheapest candidate (0, 1, 2):
     the cost of rows i..m per unit of row i's residual r for a_i = 0, r
-    and (n-i) r."""
+    and (n-i) r.  Each k_i is a pair (numerator, denominator) of Python
+    integers in lowest terms, and the candidates are compared by cross-
+    multiplication, ties to the first."""
     n = _check_model(model, "general")
-    if any(c < 0 for c in model.objective):
+    rows = 3 * n // 4
+    cost = [(c.numerator, c.denominator) for c in model.objective]
+    if any(num < 0 for num, _ in cost):
         raise ValueError("solve_general needs non-negative costs")
-    rows, cost = 3 * n // 4, model.objective
-    k, choices = [Fraction(0)], []
+    kn, kd = 0, 1
+    k, choices = [(kn, kd)], []
     for i in range(rows, 0, -1):
-        ca, cb, step = cost[i - 1], cost[rows + i - 1], n - i
-        c = (cb + k[-1], ca + k[-1] * Fraction(step - 1, step), ca * step)
-        choice = min(range(3), key=c.__getitem__)
-        k.append(c[choice])
+        (an, ad), (bn, bd), step = cost[i - 1], cost[rows + i - 1], n - i
+        # c_b + k, then c_a + k (step-1)/step, then c_a step
+        num, den, choice = bn * kd + kn * bd, bd * kd, 0
+        n1, d1 = an * kd * step + kn * (step - 1) * ad, ad * kd * step
+        if n1 * den < num * d1:
+            num, den, choice = n1, d1, 1
+        n2 = an * step
+        if n2 * den < num * ad:
+            num, den, choice = n2, ad, 2
+        g = math.gcd(num, den)
+        kn, kd = num // g, den // g
+        k.append((kn, kd))
         choices.append(choice)
     return n, k[::-1], choices[::-1]
 
 
 def solve_general(model: LpModel) -> Union[LpSolution, str]:
     """Optimum of ``build_lp_general``'s program from a backward recursion
-    over its position rows, in O(n) rational steps, proved by a dual; or,
-    when the proof fails, the reason, and the caller runs the simplex.
+    over its position rows, in O(n) steps on Python integers, proved by a
+    dual; or, when the proof fails, the reason, and the caller runs the
+    simplex.
 
     Let r_i = 1/n - sum_{j<i} a_j/(n-j) be the residual of position row i.
     Row i reads a_i + b_i >= r_i, and r_{i+1} = r_i - a_i/(n-i).  With every
@@ -395,6 +407,14 @@ def solve_general(model: LpModel) -> Union[LpSolution, str]:
     dual where k does not increase, as for the builder's costs, but turn
     negative where k rises.
 
+    No Fraction is made per row.  The recursion keeps each k_i as an
+    integer pair in lowest terms (``_general_recursion``); the forward
+    pass keeps r in lowest terms and writes a and b as integers over the
+    lcm of the denominators r takes, exact for any non-negative costs; Y
+    and y are integers over the lcm of k's denominators.  The certificate
+    reads those integers, and the Fractions of the reported exact primal
+    are made only once it passes.
+
     Nothing above is trusted: the pair is returned only if
     ``_certified_solution`` passes it on the model's own costs, rhs and
     rows, so a model with other rows is solved when the pair still proves
@@ -403,23 +423,37 @@ def solve_general(model: LpModel) -> Union[LpSolution, str]:
     a negative cost.
     """
     n, k, choices = _general_recursion(model)
-    zero, r = Fraction(0), Fraction(1, n)
-    a, b = [], []
+    # each entry of a and b is 0, r or (n-i) r, with r = rn/rd in lowest
+    # terms; x's scale is the lcm of the denominators r takes
+    rn, rd = 1, n
+    a, b, dens = [], [], {n}
     for i, choice in enumerate(choices, 1):
         step = n - i
         if choice == 0:             # b_i = r, and r carries over
-            a.append(zero)
-            b.append(r)
-            continue
-        a.append(r if choice == 1 else step * r)
-        b.append(zero)
-        # r - a_i/(n-i): r (n-i-1)/(n-i), or 0
-        r = Fraction(r.numerator * (step - 1), r.denominator * step) \
-            if choice == 1 else zero
-    switch = next((i for i, v in enumerate(b, 1) if v > 0), None)
-    floor = [*itertools.accumulate(k[:-1], min), Fraction(0)]
-    y = [hi - lo for hi, lo in zip(floor, floor[1:])]
-    return _certified_solution(model, a + b, y, {"switch_point": switch})
+            a.append((0, 1))
+            b.append((rn, rd))
+        elif choice == 1:           # a_i = r, and r (n-i-1)/(n-i) carries
+            a.append((rn, rd))
+            b.append((0, 1))
+            rn, rd = rn * (step - 1), rd * step
+            g = math.gcd(rn, rd)
+            rn, rd = rn // g, rd // g
+            dens.add(rd)
+        else:                       # a_i = (n-i) r, and nothing carries
+            a.append((step * rn, rd))
+            b.append((0, 1))
+            rn, rd = 0, 1
+    x_scale = math.lcm(*dens)
+    xs = [num * (x_scale // den) for num, den in a + b]
+    switch = next((i for i, (num, _) in enumerate(b, 1) if num > 0), None)
+    # Y_i = min(k_1..k_i) and y_i = Y_i - Y_{i+1}, over the lcm of k's
+    # denominators
+    y_scale = math.lcm(*{den for _, den in k})
+    floor = itertools.accumulate(
+        (num * (y_scale // den) for num, den in k[:-1]), min)
+    ys = [hi - lo for hi, lo in itertools.pairwise([*floor, 0])]
+    return _certified_solution(model, (xs, x_scale), (ys, y_scale),
+                               {"switch_point": switch})
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +536,8 @@ def solve_beta_lambda(model: LpModel) -> Union[LpSolution, str]:
     ValueError for a model of another family or shape.
     """
     _check_model(model, "beta_lambda")
-    return _certified_solution(model, *_beta_lambda_pair(model))
+    x, y, structure = _beta_lambda_pair(model)
+    return _certified_solution(model, _scaled(x), _scaled(y), structure)
 
 
 # ---------------------------------------------------------------------------
@@ -703,7 +738,8 @@ def solve_beta(model: LpModel) -> Union[LpSolution, str]:
     pair = _beta_pair(model)
     if isinstance(pair, str):
         return pair
-    return _certified_solution(model, *pair)
+    x, y, structure = pair
+    return _certified_solution(model, _scaled(x), _scaled(y), structure)
 
 
 # ---------------------------------------------------------------------------
@@ -734,7 +770,7 @@ def _check_model(model: LpModel, family: str) -> int:
 def _scaled(values) -> tuple[list[int], int]:
     """The rationals ``values`` as integers over one scale, the lcm of
     their denominators, and that scale."""
-    scale = math.lcm(*[v.denominator for v in values])
+    scale = math.lcm(*{v.denominator for v in values})
     return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
@@ -743,7 +779,7 @@ def _scaled_sequences(model: LpModel) -> tuple[dict, int]:
     longest k a row reads of it, as integers over one scale, and that
     scale: the lcm of every denominator read."""
     scaled = _shared_sequences(model.segments, _scaled)
-    scale = math.lcm(*[s for _, s in scaled.values()])
+    scale = math.lcm(*{s for _, s in scaled.values()})
     return {key: [v * (scale // s) for v in ints]
             for key, (ints, s) in scaled.items()}, scale
 
@@ -821,18 +857,19 @@ def _column_excess(model: LpModel, ys: list[int], y_scale: int
     return worst
 
 
-def _certified_solution(model: LpModel, x: list, y: list,
-                        structure: dict) -> Union[LpSolution, str]:
+def _certified_solution(model: LpModel, x: tuple[list[int], int],
+                        y: tuple[list[int], int], structure: dict
+                        ) -> Union[LpSolution, str]:
     """The structural solution x when x and y prove each other optimal,
-    else the first failed check.  Every check is exact, on the model's own
-    objective, rhs and segments: x >= 0, y >= 0, c.x == b.y, A x >= b
-    (``_row_shortfall``) and y A <= c (``_column_excess``).  Each vector
-    is made integers over one scale once (``_scaled``), and every check
-    reads those."""
-    xs, x_scale = _scaled(x)
+    else the first failed check.  x and y come as integers over one scale
+    each, the form ``_scaled`` returns, and every check reads those.  Each
+    check is exact, on the model's own objective, rhs and segments: x >= 0,
+    y >= 0, c.x == b.y, A x >= b (``_row_shortfall``) and y A <= c
+    (``_column_excess``).  x's Fractions and floats are made only for a
+    pair that passes."""
+    (xs, x_scale), (ys, y_scale) = x, y
     if any(v < 0 for v in xs):
         return "negative primal entry"
-    ys, y_scale = _scaled(y)
     negative = next((r for r, v in enumerate(ys) if v < 0), None)
     if negative is not None:
         return f"negative dual on {model.row_names[negative]}"
@@ -850,8 +887,12 @@ def _certified_solution(model: LpModel, x: list, y: list,
     excess = _column_excess(model, ys, y_scale)
     if excess:
         return f"dual residual {float(excess):.3g}"
+    zero = Fraction(0)
+    # int / int is correctly rounded, as float() of the Fraction is
     return LpSolution("optimal", float(primal + model.constant),
-                      np.array([float(v) for v in x]), 0.0, 0, exact=x,
+                      np.array([v / x_scale for v in xs]), 0.0, 0,
+                      exact=[Fraction(v, x_scale) if v else zero
+                             for v in xs],
                       structure=structure, solver="structure")
 
 
@@ -1060,7 +1101,8 @@ def closed_form_beta_lambda(n: int, lam, beta) -> ClosedFormBound:
             f"lambda = {lam} is not above the threshold 9 - sqrt(68) "
             f"~ {LAMBDA_THRESHOLD:.6f}; the closed form does not apply")
     lam, lam_n = _check_lambda(lam, n)
-    exact = (sum(Fraction(n - i, (n - 1) * n) for i in range(1, lam_n + 1))
+    # sum_{i<=L}(n-i)/((n-1)n) = L(2n - L - 1)/(2(n-1)n), L = lam n
+    exact = (Fraction(lam_n * (2 * n - lam_n - 1), 2 * (n - 1) * n)
              + (1 - lam) * n * Fraction(n // 2 + 1, 2 * (n - 1) * n) - beta)
     exact = max(exact, Fraction(0))
     one_minus = 1 - lam

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib.util
+import itertools
 import json
 import math
 import random
@@ -9,6 +10,7 @@ from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from typing import Union
 
 import numpy as np
 import pytest
@@ -502,6 +504,32 @@ class TestClosedFormBetaLambda:
         assert cf.exact == pytest.approx(float(total), abs=1e-15)
         assert cf.exact == pytest.approx(0.54375, abs=1e-12)
 
+    def test_exact_is_the_sum_it_replaces(self, monkeypatch):
+        """The position rows' sum, sum_{i<=lam n}(n-i)/((n-1)n), is taken in
+        closed form; ``exact`` before its conversion to float is the
+        Fraction the term-by-term sum gives, on the lambda grid at n = 8..1024
+        and beta = 0 and 1/100."""
+        converted = []
+        monkeypatch.setattr(lp_module, "float", lambda v: converted.append(v)
+                            or float(v), raising=False)
+        checked = 0
+        for n in range(8, 1025, 4):
+            for lam in lambda_grid(n):
+                lam_n = int(lam * n)
+                head = sum(Fraction(n - i, (n - 1) * n)
+                           for i in range(1, lam_n + 1))
+                for beta in (Fraction(0), Fraction(1, 100)):
+                    converted.clear()
+                    bound = closed_form_beta_lambda(n, lam, beta)
+                    *_, exact, asymptotic = converted
+                    assert (float(exact), float(asymptotic)) == \
+                        (bound.exact, bound.asymptotic)
+                    assert exact == max(head + (1 - lam) * n * Fraction(
+                        n // 2 + 1, 2 * (n - 1) * n) - beta, 0), (n, lam)
+                    checked += 1
+        assert checked == 2 * (len(range(16, 1025, 16))
+                               + len(range(8, 1025, 8)))
+
     @pytest.mark.parametrize("k, gap", [(49, 8.198e-4), (50, 2.320e-4),
                                         (51, 0.0)])
     def test_overstates_the_lp_below_three_minus_sqrt2_over_2(self, k, gap):
@@ -861,8 +889,51 @@ def general_8_with_row_4(coeffs):
 
 
 def cost_to_go(model):
-    """k_1, ..., k_{m+1} of ``solve_general``'s backward recursion."""
-    return lp_module._general_recursion(model)[1]
+    """k_1, ..., k_{m+1} of ``solve_general``'s backward recursion, whose
+    integer pairs (numerator, denominator) are made Fractions."""
+    return [Fraction(num, den)
+            for num, den in lp_module._general_recursion(model)[1]]
+
+
+def reference_general_recursion(model):
+    """n, k_1..k_{m+1} and each row's first cheapest candidate, by the
+    recursion in Fractions that ``lp._general_recursion`` runs on integers:
+    k_i = min(c_b(i) + k_{i+1}, c_a(i) + k_{i+1}(1 - 1/(n-i)),
+    c_a(i)(n-i))."""
+    n = _check_model(model, "general")
+    if any(c < 0 for c in model.objective):
+        raise ValueError("solve_general needs non-negative costs")
+    rows, cost = 3 * n // 4, model.objective
+    k, choices = [Fraction(0)], []
+    for i in range(rows, 0, -1):
+        ca, cb, step = cost[i - 1], cost[rows + i - 1], n - i
+        c = (cb + k[-1], ca + k[-1] * Fraction(step - 1, step), ca * step)
+        choice = min(range(3), key=c.__getitem__)
+        k.append(c[choice])
+        choices.append(choice)
+    return n, k[::-1], choices[::-1]
+
+
+def reference_general_pair(model):
+    """x, y and the structure of ``solve_general``, in Fractions: the
+    forward pass from r_1 = 1/n over the reference recursion's choices, and
+    y_i = Y_i - Y_{i+1} from the running minimum Y of its cost-to-go."""
+    n, k, choices = reference_general_recursion(model)
+    zero, r = Fraction(0), Fraction(1, n)
+    a, b = [], []
+    for i, choice in enumerate(choices, 1):
+        step = n - i
+        if choice == 0:
+            a.append(zero)
+            b.append(r)
+            continue
+        a.append(r if choice == 1 else step * r)
+        b.append(zero)
+        r = r * Fraction(step - 1, step) if choice == 1 else zero
+    switch = next((i for i, v in enumerate(b, 1) if v > 0), None)
+    floor = [*itertools.accumulate(k[:-1], min), Fraction(0)]
+    y = [hi - lo for hi, lo in zip(floor, floor[1:])]
+    return a + b, y, {"switch_point": switch}
 
 
 def cost_to_go_dual(model):
@@ -1118,6 +1189,163 @@ class TestSolveGeneral:
         model = general_8_with_row_4([Fraction(2, 8 - j) for j in (1, 2, 3)])
         assert on_scaled(_column_excess, model, cost_to_go_dual(model)) == \
             Fraction(17, 120)
+
+
+def tied_costs(rng, n):
+    """Non-negative costs built from the last row up so that on each row
+    two or three of the recursion's candidates c_b + k, c_a + k (s-1)/s and
+    c_a s (s = n - i, k = k_{i+1}) are equal, and the sets of candidates
+    that attain each row's minimum, last row first.  c_b + k and c_a s
+    cannot tie at the minimum without the middle candidate: that needs
+    c_a < k/s, and then c_b < 0."""
+    rows = 3 * n // 4
+    ca, cb, ties = [None] * rows, [None] * rows, []
+    k = Fraction(0)
+    for i in range(rows, 0, -1):
+        s, spare = n - i, Fraction(rng.randint(0, 6), rng.randint(1, 4))
+        pattern = rng.choice(("01", "12", "012"))
+        if pattern == "01":       # c_b + k = c_a + k (s-1)/s = spare + k
+            a, b = k / s + spare, spare
+        elif pattern == "12":     # c_a + k (s-1)/s = c_a s = k
+            a, b = k / s, spare
+        else:                     # all three k
+            a, b = k / s, Fraction(0)
+        ca[i - 1], cb[i - 1] = a, b
+        c = (b + k, a + k * Fraction(s - 1, s), a * s)
+        k = min(c)
+        ties.append({j for j in range(3) if c[j] == k})
+    return ca + cb, ties
+
+
+@pytest.fixture
+def certified_pairs(monkeypatch):
+    """Every (x, y, structure) that ``lp._certified_solution`` receives."""
+    pairs = []
+    certify_pair = lp_module._certified_solution
+    monkeypatch.setattr(lp_module, "_certified_solution",
+                        lambda model, x, y, structure:
+                        pairs.append((x, y, structure))
+                        or certify_pair(model, x, y, structure))
+    return pairs
+
+
+def assert_general_is_the_reference(model, pairs) -> Union[LpSolution, str]:
+    """``solve_general`` on ``model`` against the Fraction reference: the
+    same k (in lowest terms), choices, x, y and structure, and the same
+    served solution, or the same reason to decline; ``pairs`` is the
+    ``certified_pairs`` fixture."""
+    _, k, choices = lp_module._general_recursion(model)
+    _, ref_k, ref_choices = reference_general_recursion(model)
+    assert k == [(v.numerator, v.denominator) for v in ref_k]
+    assert choices == ref_choices
+    x, y, structure = reference_general_pair(model)
+    pairs.clear()
+    ours = solve_general(model)
+    [((xs, x_scale), (ys, y_scale), our_structure)] = pairs
+    assert [Fraction(v, x_scale) for v in xs] == x
+    assert [Fraction(v, y_scale) for v in ys] == y
+    assert our_structure == structure
+    ref = certify(model, x, y, structure)
+    if isinstance(ref, str):
+        assert ours == ref
+    else:
+        assert ours.exact == ref.exact == x
+        assert (ours.objective, ours.structure, ours.solver) == \
+            (ref.objective, ref.structure, ref.solver)
+        assert_bit_equal(ours.x, np.array([float(v) for v in x]))
+    return ours
+
+
+class TestGeneralAgainstTheFractionReference:
+    """``solve_general`` runs its recursion, forward pass and dual on
+    Python integers; the Fraction recursion it replaced is the reference
+    it is held to exactly."""
+
+    @pytest.mark.parametrize("n", range(4, 65, 4))
+    def test_random_costs(self, n, certified_pairs):
+        rng = random.Random(1000 + n)
+        for _ in range(200):
+            model = general_with_costs(n, random_costs(rng, n))
+            assert_general_is_the_reference(model, certified_pairs)
+
+    @pytest.mark.parametrize("n", [4, 8, 16, 32, 64])
+    def test_tied_candidates_go_to_the_first(self, n, certified_pairs):
+        rng = random.Random(n)
+        seen = set()
+        for _ in range(40):
+            costs, ties = tied_costs(rng, n)
+            model = general_with_costs(n, costs)
+            assert_general_is_the_reference(model, certified_pairs)
+            _, _, choices = lp_module._general_recursion(model)
+            assert choices == [min(t) for t in ties[::-1]]
+            seen.update(frozenset(t) for t in ties)
+        assert seen == {frozenset({0, 1}), frozenset({1, 2}),
+                        frozenset({0, 1, 2})}
+
+    def test_rising_zero_and_builder_costs(self, certified_pairs):
+        rising = assert_general_is_the_reference(
+            general_with_costs(4, RISING_COSTS), certified_pairs)
+        assert rising.solver == "structure"
+        for n in (4, 8, 64):
+            zero = assert_general_is_the_reference(
+                general_with_costs(n, [Fraction(0)] * (3 * n // 2)),
+                certified_pairs)
+            assert (zero.objective, zero.structure) == (1 / 24,
+                                                        {"switch_point": 1})
+        for n in list(range(4, 257, 4)) + [512, 1024]:
+            built = assert_general_is_the_reference(build_lp_general(n),
+                                                    certified_pairs)
+            assert built.solver == "structure"
+
+    def test_declines(self, certified_pairs):
+        """The edited rhs, the tightened and the loosened row decline with
+        the reference's reasons, and so does every edited entry at n=8
+        that declines."""
+        model = build_lp_general(8)
+        edited = [replace(model, rhs=model.rhs[:2] + [v] + model.rhs[3:])
+                  for v in (Fraction(1, 2), Fraction(0))]
+        edited += [general_8_with_row_4([Fraction(1, 16)] * 3),
+                   general_8_with_row_4([Fraction(2, 8 - j)
+                                         for j in (1, 2, 3)])]
+        reasons = [assert_general_is_the_reference(m, certified_pairs)
+                   for m in edited]
+        assert reasons == ["duality gap -0.222", "duality gap 0.074",
+                           "primal residual 0.0335", "dual residual 0.142"]
+        declined = 0
+        for r, row in enumerate(model.rows):
+            for j, c in enumerate(row):
+                for value in {c + 1, c / 2, Fraction(0)} - {c}:
+                    segments = [*model.segments]
+                    segments[r] = [(0, row[:j] + [value] + row[j + 1:],
+                                    len(row))]
+                    declined += isinstance(assert_general_is_the_reference(
+                        replace(model, segments=segments), certified_pairs),
+                        str)
+        assert declined
+
+    def test_no_fraction_per_row(self, monkeypatch):
+        """Building ``build_lp_general(1024)`` makes one Fraction per
+        coefficient it stores, and solving it at most one per entry it
+        returns and a few for the certificate's sums: the recursion, the
+        forward pass and the dual make none."""
+        made = []
+        new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            made.append(cls)
+            return new(cls, *args, **kwargs)
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        model = build_lp_general(1024)
+        built = len(made)
+        solution = solve_general(model)
+        solved = len(made) - built
+        monkeypatch.undo()
+        stored = {id(v) for v in [*model.objective, *model.rhs,
+                                  model.constant]}
+        stored |= {id(c) for row in model.segments for _, seq, k in row
+                   for c in seq[:k]}
+        assert built <= len(stored), (built, len(stored))
+        assert solved <= len(solution.exact) + 16, solved
 
 
 # ---------------------------------------------------------------------------
@@ -1519,7 +1747,7 @@ class TestSolveBeta:
 
     def test_untampered_pair_certifies(self):
         model = build_lp_beta(16, Fraction(1, 100))
-        certified = _certified_solution(model, *_beta_pair(model))
+        certified = certify(model, *_beta_pair(model))
         assert isinstance(certified, LpSolution)
         assert solve(model).solver == "structure"
 
@@ -1761,11 +1989,11 @@ class TestBetaDualFamily:
                         == clipped, (lam, beta)
                     assert y[:L - 1] == [0 if i in clipped else u[i - 1]
                                          for i in range(1, L)], (lam, beta)
-                    assert isinstance(_certified_solution(model, *pair),
+                    assert isinstance(certify(model, *pair),
                                       LpSolution), (lam, beta)
                     clipping += 1
                 elif clipped and ref[2]["budget_binding"]:
-                    assert _certified_solution(model, *pair).startswith(
+                    assert certify(model, *pair).startswith(
                         "duality gap"), (lam, beta)
                 else:
                     assert pair == ref, (lam, beta)
@@ -1931,6 +2159,13 @@ def lp_sweep_argvs(monkeypatch) -> list:
 # The certificate's exact products against the dense rational rows
 # ---------------------------------------------------------------------------
 
+def certify(model, x, y, structure):
+    """``_certified_solution`` on the Fraction vectors x and y, each made
+    integers over one scale as the structural solvers pass them."""
+    return _certified_solution(model, lp_module._scaled(x),
+                               lp_module._scaled(y), structure)
+
+
 def on_scaled(check, model, values) -> Fraction:
     """``check`` (``_row_shortfall`` or ``_column_excess``) on ``values``
     made integers over one scale, as ``_certified_solution`` passes them."""
@@ -2036,15 +2271,17 @@ class TestExactProducts:
     def test_one_scaling_per_certificate(self, monkeypatch, solver, model):
         """A certified pair scales the model's sequences once: the row
         check reads ``_scaled_sequences``, and the column check keeps each
-        column's own denominators instead.  x and y are each made integers
-        once (``_scaled``), and every check reads those."""
+        column's own denominators instead.  The certificate takes x and y
+        as integers over one scale each, and every check reads those: the
+        beta solvers make their Fraction vectors so once each (``_scaled``),
+        and the general solve makes them on integers, with no scaling."""
         calls, scaled_calls, pairs = [], [], []
         sequences = lp_module._scaled_sequences
         monkeypatch.setattr(lp_module, "_scaled_sequences",
                             lambda m: calls.append(m) or sequences(m))
         scaled = lp_module._scaled
-        monkeypatch.setattr(lp_module, "_scaled",
-                            lambda v: scaled_calls.append(v) or scaled(v))
+        monkeypatch.setattr(lp_module, "_scaled", lambda v: scaled_calls.append(
+            (v, scaled(v))) or scaled_calls[-1][1])
         certify = lp_module._certified_solution
         monkeypatch.setattr(lp_module, "_certified_solution",
                             lambda m, x, y, structure: pairs.append((x, y))
@@ -2052,8 +2289,13 @@ class TestExactProducts:
         assert solver(model).status == "optimal"
         assert calls == [model]
         [(x, y)] = pairs
-        assert sum(v is x for v in scaled_calls) == 1
-        assert sum(v is y for v in scaled_calls) == 1
+        for ints, scale in (x, y):
+            assert all(type(v) is int for v in [*ints, scale])
+        made = 0 if solver is solve_general else 1
+        assert sum(out is x for _, out in scaled_calls) == made
+        assert sum(out is y for _, out in scaled_calls) == made
+        for vector in (model.objective, model.rhs):
+            assert sum(v is vector for v, _ in scaled_calls) == 1
 
 
 # ---------------------------------------------------------------------------
