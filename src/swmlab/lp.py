@@ -19,13 +19,17 @@ scale per vector):
 
 - general: ``solve_general``, by a backward recursion over the position
   rows, whose cost-to-go gives the dual, all on Python integers: it
-  reads each cost once as its numerator and denominator, and Fractions
-  are made only for the exact primal of a certified pair;
+  reads each cost once as its numerator and denominator;
 - beta-lambda: ``solve_beta_lambda``, and beta: ``solve_beta``.  One dual
   recursion, ``_beta_dual``, serves both certificates under one clipping
   rule (a row i <= n/2 whose u_i < 0 gets step-split dual 0 and a_i = 0)
-  and, in floats, the search for the beta dual's maximiser; one primal
-  recursion, ``_beta_head``, serves both primals; both run on Fractions.
+  and the search for the beta dual's maximiser; one primal recursion,
+  ``_beta_head``, serves both primals; both run on integer pairs
+  (numerator, denominator) in lowest terms.
+
+No structural solve makes a Fraction per row: x and y reach the
+certificate as integers over one scale each, and the Fractions of a
+solution's ``exact`` are made from them on its first read.
 
 ``simplex_solve`` is a dense two-phase primal simplex in floats:
 largest-coefficient pricing that falls back to Bland's lowest-index rule
@@ -169,12 +173,25 @@ class LpSolution:
     x: Optional[np.ndarray]
     max_violation: float
     iterations: int              # simplex pivots; 0 for the exact solvers
-    # exact primal values and the optimum's structure, from the exact solvers
-    exact: Optional[list[Fraction]] = None
+    # the optimum's structure, from the exact solvers
     structure: Optional[dict] = None
     # how the solution was found, as ``lp`` prints it to stderr; not
     # serialised, so reports do not depend on it
     solver: str = "simplex"
+    # the exact primal as integers over one scale, from the exact solvers;
+    # ``exact`` reads it
+    _exact_ints: Optional[tuple[list[int], int]] = field(default=None,
+                                                         repr=False)
+
+    @functools.cached_property
+    def exact(self) -> Optional[list[Fraction]]:
+        """The exact primal values, from the exact solvers, else None;
+        made on the first read (zero entries share one Fraction)."""
+        if self._exact_ints is None:
+            return None
+        ints, scale = self._exact_ints
+        zero = Fraction(0)
+        return [Fraction(v, scale) if v else zero for v in ints]
 
     def to_dict(self) -> dict:
         """JSON-ready fields; a non-finite objective or violation (an
@@ -278,12 +295,14 @@ def _build_trace_lp(n: int, beta: Fraction, pos_hi: int, sh_lo: int,
 
     # a_j/(n-j) for j = 1..pos_hi-1
     inv = [Fraction(1, n - j) for j in range(1, pos_hi)]
+    one_over_n = Fraction(1, n)
     for i in range(1, pos_hi + 1):
         rows.append([(w(i), ones, 1), (a(1), inv, i - 1)])
-        rhs.append(Fraction(1, n))
+        rhs.append(one_over_n)
         row_names.append(f"position_{i}")
 
-    sh_a = [Fraction(-2, n) * Fraction(j, n - j) for j in range(1, half + 1)]
+    # -(2/n) j/(n-j), each one Fraction
+    sh_a = [Fraction(-2 * j, n * (n - j)) for j in range(1, half + 1)]
     sh_b = [Fraction(2, n)] * half
     for i in range(sh_lo + 1, n + 1):
         rows.append([(w(i), ones, 1), (a(1), sh_a, half), (b(1), sh_b, half),
@@ -340,6 +359,28 @@ def build_lp_general(n: int) -> LpModel:
     return LpModel(objective, rows, rhs, var_names, row_names,
                    {"family": "general_lb", "n": n},
                    constant=Fraction(1, 24))
+
+
+# ---------------------------------------------------------------------------
+# Exact rationals as integer pairs (numerator, denominator)
+# ---------------------------------------------------------------------------
+
+def _lowest(num: int, den: int) -> tuple[int, int]:
+    """num/den (den != 0) as an integer pair in lowest terms, den > 0."""
+    g = math.gcd(num, den)
+    if den < 0:
+        g = -g
+    return num // g, den // g
+
+
+def _minus(p: tuple[int, int], q: tuple[int, int]) -> tuple[int, int]:
+    """p - q of two integer pairs, in lowest terms."""
+    return _lowest(p[0] * q[1] - q[0] * p[1], p[1] * q[1])
+
+
+def _less(p: tuple[int, int], q: tuple[int, int]) -> bool:
+    """p < q for integer pairs with positive denominators."""
+    return p[0] * q[1] < q[0] * p[1]
 
 
 # ---------------------------------------------------------------------------
@@ -410,10 +451,10 @@ def solve_general(model: LpModel) -> Union[LpSolution, str]:
     No Fraction is made per row.  The recursion keeps each k_i as an
     integer pair in lowest terms (``_general_recursion``); the forward
     pass keeps r in lowest terms and writes a and b as integers over the
-    lcm of the denominators r takes, exact for any non-negative costs; Y
-    and y are integers over the lcm of k's denominators.  The certificate
-    reads those integers, and the Fractions of the reported exact primal
-    are made only once it passes.
+    lcm of their denominators, exact for any non-negative costs; Y and y
+    are integers over the lcm of k's denominators.  The certificate reads
+    those integers, and the Fractions of the reported exact primal are
+    made only when a caller reads them.
 
     Nothing above is trusted: the pair is returned only if
     ``_certified_solution`` passes it on the model's own costs, rhs and
@@ -423,36 +464,30 @@ def solve_general(model: LpModel) -> Union[LpSolution, str]:
     a negative cost.
     """
     n, k, choices = _general_recursion(model)
-    # each entry of a and b is 0, r or (n-i) r, with r = rn/rd in lowest
-    # terms; x's scale is the lcm of the denominators r takes
-    rn, rd = 1, n
-    a, b, dens = [], [], {n}
+    # each entry of a and b is 0, r or (n-i) r, with r an integer pair in
+    # lowest terms; x's scale is the lcm of their denominators
+    r, zero = (1, n), (0, 1)
+    a, b = [], []
     for i, choice in enumerate(choices, 1):
         step = n - i
         if choice == 0:             # b_i = r, and r carries over
-            a.append((0, 1))
-            b.append((rn, rd))
+            a.append(zero)
+            b.append(r)
         elif choice == 1:           # a_i = r, and r (n-i-1)/(n-i) carries
-            a.append((rn, rd))
-            b.append((0, 1))
-            rn, rd = rn * (step - 1), rd * step
-            g = math.gcd(rn, rd)
-            rn, rd = rn // g, rd // g
-            dens.add(rd)
+            a.append(r)
+            b.append(zero)
+            r = _lowest(r[0] * (step - 1), r[1] * step)
         else:                       # a_i = (n-i) r, and nothing carries
-            a.append((step * rn, rd))
-            b.append((0, 1))
-            rn, rd = 0, 1
-    x_scale = math.lcm(*dens)
-    xs = [num * (x_scale // den) for num, den in a + b]
+            a.append((step * r[0], r[1]))
+            b.append(zero)
+            r = zero
     switch = next((i for i, (num, _) in enumerate(b, 1) if num > 0), None)
     # Y_i = min(k_1..k_i) and y_i = Y_i - Y_{i+1}, over the lcm of k's
     # denominators
-    y_scale = math.lcm(*{den for _, den in k})
-    floor = itertools.accumulate(
-        (num * (y_scale // den) for num, den in k[:-1]), min)
+    ks, y_scale = _scaled_pairs(k)
+    floor = itertools.accumulate(ks[:-1], min)
     ys = [hi - lo for hi, lo in itertools.pairwise([*floor, 0])]
-    return _certified_solution(model, (xs, x_scale), (ys, y_scale),
+    return _certified_solution(model, _scaled_pairs(a + b), (ys, y_scale),
                                {"switch_point": switch})
 
 
@@ -460,46 +495,48 @@ def solve_general(model: LpModel) -> Union[LpSolution, str]:
 # Structural solver for the beta-lambda relaxation
 # ---------------------------------------------------------------------------
 
-def _beta_lambda_pair(model: LpModel) -> tuple[list[Fraction],
-                                               list[Fraction], dict]:
-    """The structured primal x and dual y of ``solve_beta_lambda``, exact
-    and in the model's column and row order, and the structure: L and
-    whether the slack budget binds.  The clipped rows are ``_beta_dual``'s
-    decision at theta = 0 and the pair's Y."""
+def _beta_lambda_pair(model: LpModel) -> tuple[tuple[list[int], int],
+                                               tuple[list[int], int], dict]:
+    """The structured primal x and dual y of ``solve_beta_lambda``, exact,
+    in the model's column and row order and each as integers over one
+    scale (``_scaled_pairs``), and the structure: L and whether the slack
+    budget binds.  The clipped rows are ``_beta_dual``'s decision at
+    theta = 0 and the pair's Y."""
     meta = model.metadata
-    n, beta = meta["n"], meta["beta"]
-    lam_n, half = int(meta["lambda"] * n), n // 2
-    zero, one = Fraction(0), Fraction(1)
+    n, beta, lam = meta["n"], meta["beta"], meta["lambda"]
+    lam_n, half = lam.numerator * n // lam.denominator, n // 2
+    zero, one = (0, 1), (1, 1)
 
     # the budget binds unless beta covers the clipped tail's capacity; then
     # its row is slack, y_sh = y_bud = 0, so Y = 0 and no row is clipped
-    u, _, clipped = _beta_dual(n, lam_n, zero, Fraction(n - lam_n))
+    left = beta.numerator, beta.denominator
+    u, _, clipped = _beta_dual(n, lam_n, zero, (n - lam_n, 1))
     w, a, tail = _beta_head(n, lam_n, clipped, lam_n, zero)
-    binding = beta < (n - lam_n) * tail
+    binding = _less(left, ((n - lam_n) * tail[0], tail[1]))
     if not binding:
         u, _, clipped = _beta_dual(n, lam_n, zero, zero)
         w, a, tail = _beta_head(n, lam_n, clipped, lam_n, zero)
     g = [zero] * (n - half)
-    left = beta
     for i in range(n, lam_n, -1):
-        g[i - half - 1] = spent = min(tail, left)
-        left -= spent
-    w += [tail - g[i - half - 1] for i in range(lam_n + 1, n + 1)]
+        g[i - half - 1] = spent = left if _less(left, tail) else tail
+        left = _minus(left, spent)
+    w += [_minus(tail, g[i - half - 1]) for i in range(lam_n + 1, n + 1)]
     a += [zero] * (n - lam_n)
     x = w + a + [zero] * n + g
 
     y_sh = one if binding else zero
     y_ss = [zero if i in clipped else u[i - 1] for i in range(1, lam_n)]
-    y_pos = [1 - v for v in y_ss] + [one]
+    y_pos = [(den - num, den) for num, den in y_ss] + [one]
     y_ss += [zero] * (n - lam_n + 1)
     y = y_ss + y_pos + [y_sh] * (n - lam_n) + [y_sh]
-    return x, y, {"position_rows": lam_n, "budget_binding": binding}
+    return (_scaled_pairs(x), _scaled_pairs(y),
+            {"position_rows": lam_n, "budget_binding": binding})
 
 
 def solve_beta_lambda(model: LpModel) -> Union[LpSolution, str]:
     """Optimum of ``build_lp_beta_lambda``'s program from the structure of
-    its solution, in O(n) rational steps, proved by a dual; or, when the
-    proof fails, the reason, and the caller runs the simplex.
+    its solution, in O(n) steps on Python integers, proved by a dual; or,
+    when the proof fails, the reason, and the caller runs the simplex.
 
     The dual has y_ss_i, y_pos_i, y_sh_i and y_bud on the step-split,
     position, second-half and budget rows.  It maximises
@@ -530,14 +567,17 @@ def solve_beta_lambda(model: LpModel) -> Union[LpSolution, str]:
     gap, (n-L) T - beta for the unclipped T (on the test grid, lambda <=
     5/8 with beta at 1/20 or 1/10).
 
+    No Fraction is made per row: u, the mass, r and T are integer pairs in
+    lowest terms, and x and y are made integers over one scale each for
+    the certificate.
+
     Nothing above is trusted: the pair is returned only if
     ``_certified_solution`` passes it, and then by weak duality x is
     optimal.  ``structure`` holds L and whether the budget binds.  Raises
     ValueError for a model of another family or shape.
     """
     _check_model(model, "beta_lambda")
-    x, y, structure = _beta_lambda_pair(model)
-    return _certified_solution(model, _scaled(x), _scaled(y), structure)
+    return _certified_solution(model, *_beta_lambda_pair(model))
 
 
 # ---------------------------------------------------------------------------
@@ -545,104 +585,128 @@ def solve_beta_lambda(model: LpModel) -> Union[LpSolution, str]:
 # ---------------------------------------------------------------------------
 
 def _beta_dual_argmax(n: int) -> float:
-    """A point s, n/2 < s <= n, on the piece of the float dual mass of
+    """A point s, n/2 < s <= n, on the piece of the dual mass of
     ``_beta_dual`` where it is largest, for ``_beta_kink``: the best
     integer L, by bisection on the sign of mass(L+1) - mass(L) (the mass
     is concave, see ``solve_beta``), or L - 1/2 or L + 1/2 when the mass
-    rises off L on the affine piece on that side, with L's clipping."""
+    rises off L on the affine piece on that side, with L's clipping.
+    Every mass is exact, and masses are compared by cross-multiplication."""
     @functools.cache
     def at(L):
-        return _beta_dual(n, L, 0.0, n - L)
+        return _beta_dual(n, L, (0, 1), (n - L, 1))
 
     L, hi = n // 2 + 1, n
     while L < hi:
         mid = (L + hi) // 2
-        if at(mid + 1)[1] > at(mid)[1]:
+        if _less(at(mid)[1], at(mid + 1)[1]):
             L = mid + 1
         else:
             hi = mid
     _, mass, clipped = at(L)
-    if _beta_dual(n, L, 1.0, n - L + 1.0, clipped)[1] > mass:
+    if _less(mass, _beta_dual(n, L, (1, 1), (n - L + 1, 1), clipped)[1]):
         return L - 0.5
-    if L < n and _beta_dual(n, L + 1, 0.0, n - L - 1.0, clipped)[1] > \
-            _beta_dual(n, L + 1, 1.0, n - L, clipped)[1]:
+    if L < n and _less(_beta_dual(n, L + 1, (1, 1), (n - L, 1), clipped)[1],
+                       _beta_dual(n, L + 1, (0, 1), (n - L - 1, 1),
+                                  clipped)[1]):
         return L + 0.5
     return float(L)
 
 
-def _beta_dual(n: int, L: int, theta, Y, clipped: Optional[set] = None
-               ) -> tuple[list, Union[Fraction, float], set]:
+def _beta_dual(n: int, L: int, theta: tuple[int, int], Y: tuple[int, int],
+               clipped: Optional[set] = None
+               ) -> tuple[list[tuple[int, int]], tuple[int, int], set]:
     """u_1..u_{L-1} of ``solve_beta``'s dual at s = L - theta, whose
     second-half duals sum to Y, before clipping, the dual mass sum_i y_pos_i,
-    and the clipped rows: exact on Fractions, the searched function on
-    floats.  With ``clipped`` given, those rows are clipped whatever their
-    sign, so every value is affine in theta and Y; otherwise rows i <= n/2
-    with u_i < 0 are."""
+    and the clipped rows.  theta, Y, each u_i and the mass are integer
+    pairs (numerator, denominator) in lowest terms.  With ``clipped`` given,
+    those rows are clipped whatever their sign, so every value is affine in
+    theta and Y; otherwise rows i <= n/2 with u_i < 0 are."""
     half = n // 2
     decide = clipped is None
     if decide:
         clipped = set()
-    above = 1 - theta
-    u = [0] * (L - 1)
+    (tn, td), (yn, yd) = theta, Y
+    an, ad = td - tn, td            # the mass above row i, from 1 - theta
+    u = [None] * (L - 1)
     for i in range(L - 1, 0, -1):
-        ui = above - 2 * i * Y / n if i <= half else above
-        u[i - 1] = ui = ui / (n - i)
-        if decide and i <= half and ui < 0:
+        # u_i = (above - [i<=n/2] 2 i Y/n) / (n-i)
+        if i <= half:
+            num, den = an * yd * n - 2 * i * yn * ad, ad * yd * n * (n - i)
+        else:
+            num, den = an, ad * (n - i)
+        g = math.gcd(num, den)
+        u[i - 1] = num, den = num // g, den // g
+        if decide and i <= half and num < 0:
             clipped.add(i)
-        above += 1 if i in clipped else 1 - ui
-    return u, above, clipped
+        if i in clipped:            # above += 1
+            an += ad
+        else:                       # above += 1 - u_i
+            an, ad = _lowest(an * den + (den - num) * ad, ad * den)
+    return u, (an, ad), clipped
 
 
-def _beta_kink(n: int, s: float) -> tuple[int, Fraction, set, Optional[int]]:
-    """The kink of the dual mass next to s: L, theta, the clipped rows, and
-    a row k whose u_k is 0 there (None if there is none; always one when
-    theta > 0)."""
+def _beta_kink(n: int, s: float) -> tuple[int, tuple[int, int], set,
+                                          Optional[int]]:
+    """The kink of the dual mass next to s: L, theta (an integer pair in
+    lowest terms), the clipped rows, and a row k whose u_k is 0 there (None
+    if there is none; always one when theta > 0)."""
     L = math.ceil(s)
-    theta = Fraction(L - s)
-    _, _, clipped = _beta_dual(n, L, theta, n - L + theta)
+    tn, td = (L - s).as_integer_ratio()
+    _, _, clipped = _beta_dual(n, L, (tn, td), ((n - L) * td + tn, td))
     # with the clipping fixed, u and the mass are affine in theta on [0, 1]
-    u0, mass0, _ = _beta_dual(n, L, Fraction(0), Fraction(n - L), clipped)
-    u1, mass1, _ = _beta_dual(n, L, Fraction(1), Fraction(n - L + 1),
-                              clipped)
-    lo, hi, lo_row, hi_row = Fraction(0), Fraction(1), None, None
+    u0, mass0, _ = _beta_dual(n, L, (0, 1), (n - L, 1), clipped)
+    u1, mass1, _ = _beta_dual(n, L, (1, 1), (n - L + 1, 1), clipped)
+    lo, hi, lo_row, hi_row = (0, 1), (1, 1), None, None
     for i in range(1, min(L, n // 2 + 1)):
-        slope = u1[i - 1] - u0[i - 1]
+        (p, q), (r, t) = u0[i - 1], u1[i - 1]
+        slope = r * q - p * t       # (u1_i - u0_i) q t
         if slope == 0:
             continue
-        root = -u0[i - 1] / slope
+        # u_i = u0_i + theta (u1_i - u0_i) is 0 at theta = -p t / slope
+        root = (-p * t, slope) if slope > 0 else (p * t, -slope)
         # the clipping holds while clipped rows keep u <= 0, others u >= 0
         if (slope > 0) != (i in clipped):
-            if root >= lo:
+            if not _less(root, lo):
                 lo, lo_row = root, i
-        elif root <= hi:
+        elif not _less(hi, root):
             hi, hi_row = root, i
-    theta, k = (hi, hi_row) if mass1 > mass0 else (lo, lo_row)
-    if theta == 1:               # s = L - 1 is the same dual at theta = 0
-        L, theta = L - 1, Fraction(0)
+    theta, k = (hi, hi_row) if _less(mass0, mass1) else (lo, lo_row)
+    theta = _lowest(*theta)
+    if theta == (1, 1):         # s = L - 1 is the same dual at theta = 0
+        L, theta = L - 1, (0, 1)
     return L, theta, clipped, k
 
 
 def _beta_head(n: int, L: int, clipped: set, k: Optional[int],
-               t: Fraction) -> tuple[list, list, Fraction]:
+               t: tuple[int, int]
+               ) -> tuple[list[tuple[int, int]], list[tuple[int, int]],
+                          tuple[int, int]]:
     """w_1..w_L, a_1..a_L of ``solve_beta``'s primal head with a_k = t and
-    a_i = 0 on clipped rows, and T (L >= n/2)."""
-    r = Fraction(1, n)
+    a_i = 0 on clipped rows, and T (L >= n/2), all integer pairs in lowest
+    terms."""
+    r, zero = (1, n), (0, 1)
     w, a = [], []
     for i in range(1, L + 1):
-        ai = t if i == k else Fraction(0) if i in clipped else r
+        ai = t if i == k else zero if i in clipped else r
         w.append(r)
         a.append(ai)
-        if i < n:
-            r -= ai / (n - i)
-    tail = Fraction(2, n) * sum(a[j - 1] * Fraction(j, n - j)
-                                for j in range(1, n // 2 + 1))
-    return w, a, tail
+        if i < n and ai[0]:         # r -= a_i/(n-i)
+            r = _minus(r, (ai[0], ai[1] * (n - i)))
+    tn, td = 0, 1                   # sum_{j<=n/2} a_j j/(n-j)
+    for j, (num, den) in enumerate(a[:n // 2], 1):
+        if num:
+            tn, td = _lowest(tn * den * (n - j) + num * j * td,
+                             td * den * (n - j))
+    return w, a, _lowest(2 * tn, n * td)
 
 
-def _beta_pair(model: LpModel) -> Union[tuple[list, list, dict], str]:
-    """The structured primal x and dual y of ``solve_beta``, exact and in
-    the model's column and row order, and the structure; or the reason the
-    structure does not apply."""
+def _beta_pair(model: LpModel) -> Union[tuple[tuple[list[int], int],
+                                              tuple[list[int], int], dict],
+                                        str]:
+    """The structured primal x and dual y of ``solve_beta``, exact, in the
+    model's column and row order and each as integers over one scale
+    (``_scaled_pairs``), and the structure; or the reason the structure
+    does not apply."""
     meta = model.metadata
     n, beta = meta["n"], meta["beta"]
     half = n // 2
@@ -650,52 +714,56 @@ def _beta_pair(model: LpModel) -> Union[tuple[list, list, dict], str]:
     if L <= half:
         return "dual maximum at s = n/2"
 
-    u, _, _ = _beta_dual(n, L, theta, n - L + theta, clipped)
-    y_ss = [Fraction(0) if i in clipped else u[i - 1] for i in range(1, L)]
-    y_ss += [Fraction(0)] * (n - L + 1)
-    y_pos = [1 - v for v in y_ss[:L - 1]] + [1 - theta] + \
-        [Fraction(0)] * (n - L)
-    y_sh = [Fraction(0)] * (L - half - 1) + [theta] + \
-        [Fraction(1)] * (n - L)
-    y = y_ss + y_pos + y_sh + [Fraction(1)]
+    zero, one = (0, 1), (1, 1)
+    tn, td = theta
+    u, _, _ = _beta_dual(n, L, theta, ((n - L) * td + tn, td), clipped)
+    y_ss = [zero if i in clipped else u[i - 1] for i in range(1, L)]
+    y_pos = [(den - num, den) for num, den in y_ss] + [(td - tn, td)] + \
+        [zero] * (n - L)
+    y_ss += [zero] * (n - L + 1)
+    y_sh = [zero] * (L - half - 1) + [theta] + [one] * (n - L)
+    y = y_ss + y_pos + y_sh + [one]
 
     if k is not None:
         # u_k = 0 leaves a_k free; it is set so that r_L = T, which row L's
         # position and second-half rows both need when theta > 0, and
-        # r_L - T is affine in a_k
+        # r_L - T is affine in a_k, p/q at a_k = 0 and p1/q1 at a_k = 1
         gaps = []
-        for t in (Fraction(0), Fraction(1)):
-            w, a, tail = _beta_head(n, L, clipped, k, t)
-            gaps.append(w[-1] - tail)
-        if gaps[0] == gaps[1]:
+        for t in (zero, one):
+            w, _, tail = _beta_head(n, L, clipped, k, t)
+            gaps.append(_minus(w[-1], tail))
+        (p, q), (p1, q1) = gaps
+        if p * q1 == p1 * q:
             return f"row {k} does not move position row {L}"
-        t = gaps[0] / (gaps[0] - gaps[1])
+        t = _lowest(p * q1, p * q1 - p1 * q)
     else:
-        t = Fraction(0)
+        t = zero
     w, a, tail = _beta_head(n, L, clipped, k, t)
-    r = w[-1] - (a[-1] / (n - L) if L < n else 0)
-    g = [Fraction(0)] * (L - half)
-    left = beta
+    r = _minus(w[-1], (a[-1][0], a[-1][1] * (n - L))) if L < n else w[-1]
+    g = [zero] * (L - half)
+    left = beta.numerator, beta.denominator
     for i in range(L + 1, n + 1):
-        spent = min(left, tail - r)
-        left -= spent
+        cap = _minus(tail, r)
+        spent = cap if _less(cap, left) else left
+        left = _minus(left, spent)
         g.append(spent)
-        w.append(tail - spent)
-        a.append(tail - spent)
+        w.append(_minus(tail, spent))
+        a.append(w[-1])
         if i < n:
-            r -= a[-1] / (n - i)
-    if left > 0:
-        return f"budget exceeds the tail's capacity by {float(left):.3g}"
-    x = w + a + [Fraction(0)] * n + g
-    structure = {"L": L, "theta": str(theta),
-                 "clipped_rows": [i for i in range(1, L) if not y_ss[i - 1]]}
-    return x, y, structure
+            r = _minus(r, (w[-1][0], w[-1][1] * (n - i)))
+    if left[0] > 0:
+        return f"budget exceeds the tail's capacity by {left[0] / left[1]:.3g}"
+    x = w + a + [zero] * n + g
+    structure = {"L": L, "theta": f"{tn}/{td}" if td > 1 else str(tn),
+                 "clipped_rows": [i for i in range(1, L)
+                                  if not y_ss[i - 1][0]]}
+    return _scaled_pairs(x), _scaled_pairs(y), structure
 
 
 def solve_beta(model: LpModel) -> Union[LpSolution, str]:
     """Optimum of ``build_lp_beta``'s program from the structure of its
-    solution, in O(n) rational steps, proved by a dual; or, when the proof
-    fails, the reason, and the caller runs the simplex.
+    solution, in O(n) steps on Python integers, proved by a dual; or, when
+    the proof fails, the reason, and the caller runs the simplex.
 
     The dual (rows as in ``solve_beta_lambda``, with position rows for
     every i and second-half rows for every i > n/2) is a one-parameter
@@ -711,11 +779,11 @@ def solve_beta(model: LpModel) -> Union[LpSolution, str]:
     in s (second differences at most 8e-16 on 401-point grids at n = 32,
     128 and 512, and <= 0 at the integers, which tests hold).  With the
     clipping fixed, D is affine in theta, so its maximum is at a kink: s
-    is an integer (theta = 0), or a row k <= n/2 has u_k = 0.  A float
-    bisection picks the best integer L and the rising piece next to it
-    (``_beta_dual_argmax``), ``_beta_kink`` finds the kink exactly, and a
-    wrong pick fails the certificate.  The maximiser does not depend on
-    beta.
+    is an integer (theta = 0), or a row k <= n/2 has u_k = 0.  A
+    bisection on exact masses picks the best integer L and the rising
+    piece next to it (``_beta_dual_argmax``), ``_beta_kink`` finds the kink
+    exactly, and a wrong pick fails the certificate.  The maximiser does
+    not depend on beta.
 
     The primal follows from complementary slackness.  With r_i = 1/n -
     sum_{j<i} a_j/(n-j) the residual of position row i, and T the second
@@ -728,6 +796,11 @@ def solve_beta(model: LpModel) -> Union[LpSolution, str]:
     beta spent forwards, g_i = min(left, T - r_i); budget left over after
     row n declines (beta is above what the tail can absorb, about 1/30).
 
+    No Fraction is made per row: the search, the kink, u, the mass, r and
+    T all run on integer pairs in lowest terms, the kink's roots are found
+    by cross-multiplication, and x and y are made integers over one scale
+    each for the certificate.
+
     Nothing above is trusted: the pair is returned only if
     ``_certified_solution`` passes it, and then by weak duality x is
     optimal.  ``structure`` holds L, theta (a string) and the clipped rows,
@@ -738,8 +811,7 @@ def solve_beta(model: LpModel) -> Union[LpSolution, str]:
     pair = _beta_pair(model)
     if isinstance(pair, str):
         return pair
-    x, y, structure = pair
-    return _certified_solution(model, _scaled(x), _scaled(y), structure)
+    return _certified_solution(model, *pair)
 
 
 # ---------------------------------------------------------------------------
@@ -769,9 +841,19 @@ def _check_model(model: LpModel, family: str) -> int:
 
 def _scaled(values) -> tuple[list[int], int]:
     """The rationals ``values`` as integers over one scale, the lcm of
-    their denominators, and that scale."""
-    scale = math.lcm(*{v.denominator for v in values})
-    return [v.numerator * (scale // v.denominator) for v in values], scale
+    their denominators, and that scale (``_scaled_pairs``)."""
+    return _scaled_pairs([(v.numerator, v.denominator) for v in values])
+
+
+def _scaled_pairs(pairs) -> tuple[list[int], int]:
+    """The integer pairs (numerator, denominator) ``pairs`` as integers
+    over one scale, the lcm of their denominators, and that scale; the
+    scale is divided by each distinct denominator once."""
+    factor = dict.fromkeys(den for _, den in pairs)
+    scale = math.lcm(*factor)
+    for den in factor:
+        factor[den] = scale // den
+    return [num * factor[den] for num, den in pairs], scale
 
 
 def _scaled_sequences(model: LpModel) -> tuple[dict, int]:
@@ -865,8 +947,8 @@ def _certified_solution(model: LpModel, x: tuple[list[int], int],
     each, the form ``_scaled`` returns, and every check reads those.  Each
     check is exact, on the model's own objective, rhs and segments: x >= 0,
     y >= 0, c.x == b.y, A x >= b (``_row_shortfall``) and y A <= c
-    (``_column_excess``).  x's Fractions and floats are made only for a
-    pair that passes."""
+    (``_column_excess``).  x's floats are made only for a pair that passes,
+    and its Fractions only when the solution's ``exact`` is read."""
     (xs, x_scale), (ys, y_scale) = x, y
     if any(v < 0 for v in xs):
         return "negative primal entry"
@@ -887,13 +969,11 @@ def _certified_solution(model: LpModel, x: tuple[list[int], int],
     excess = _column_excess(model, ys, y_scale)
     if excess:
         return f"dual residual {float(excess):.3g}"
-    zero = Fraction(0)
     # int / int is correctly rounded, as float() of the Fraction is
     return LpSolution("optimal", float(primal + model.constant),
                       np.array([v / x_scale for v in xs]), 0.0, 0,
-                      exact=[Fraction(v, x_scale) if v else zero
-                             for v in xs],
-                      structure=structure, solver="structure")
+                      structure=structure, solver="structure",
+                      _exact_ints=(xs, x_scale))
 
 
 # ---------------------------------------------------------------------------

@@ -57,11 +57,13 @@ def _lp_argv(family, n, lam, beta):
 
 
 # sha256 of the whole `lp` report for every case of the benchmark's LP
-# sweep and for general n=4096.  The general reports were recorded from the
-# rational-row solver before the builders wrote the float matrix and keep
-# every byte; the beta and beta-lambda ones are served by the structural
-# solves, and were recorded once their reports had been shown to differ
-# from the simplex-served ones (LP_SIMPLEX_REPORTS) only as
+# sweep, for general n=4096, and for beta and beta-lambda at n=1024 (those
+# two recorded from the Fraction recursions that preceded the integer
+# ones).  The general reports were recorded from the rational-row solver
+# before the builders wrote the float matrix and keep every byte; the beta
+# and beta-lambda ones are served by the structural solves, and were
+# recorded once their reports had been shown to differ from the
+# simplex-served ones (LP_SIMPLEX_REPORTS) only as
 # test_structure_report_against_simplex_served allows.  All were recorded
 # again once the certificate checked its products exactly from the
 # segments (TestExactProducts in test_lp.py): each report kept every byte
@@ -74,6 +76,8 @@ LP_REPORTS = {
         "76f556003b0ce97603cb1b690f97a671d561866aa5a9df1be87510fa9a9f3522",
     ("beta", 128, None, "1/100"):
         "fd2dc0b692ae60dd5e071dfae693c41020bfff89201938f79786d2a4246f5fc2",
+    ("beta", 1024, None, "0"):
+        "e94898e215c363ba0fc825891681806ecfb1ec70d01a62c0cf9c4b4f59f8d014",
     ("beta-lambda", 16, "13/16", "0"):
         "dc6945a057553c57b295463e61f5812bc0b4d182d38344939039acbc1ee5bd46",
     ("beta-lambda", 16, "13/16", "1/100"):
@@ -86,6 +90,8 @@ LP_REPORTS = {
         "fdf8d260aaf2aaa7dddffee45f89b3d69c97355e03133a0215b1f9d5d1441371",
     ("beta-lambda", 256, "13/16", "1/100"):
         "1a3981445cac63268e3a42fe3c474c0d37c0f9f88b4e12d6d4332842d4aaedb0",
+    ("beta-lambda", 1024, "13/16", "1/100"):
+        "5f74e04df0fdc2f1c70fcec45c4095a35774ce017e095ef94a547cb24d2e213a",
     ("general", 8, None, "0"):
         "194bd42727e43c61b82fcd572ef67fd6d6b5c7f5633a78b072727bba4065b3b2",
     ("general", 16, None, "0"):

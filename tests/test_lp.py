@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import importlib.util
 import itertools
 import json
@@ -1413,13 +1414,26 @@ TAMPERED_AFTER_EDIT = [("x", "a_1", "primal residual"),
 
 
 def tampered_pair(model, pair, vector, name, sign=-1):
-    """``pair`` with entry ``name`` of x or y moved by 1/10^6, down unless
-    ``sign`` is 1."""
+    """``pair``, with x and y as integers over one scale each, with entry
+    ``name`` of x or y moved by 1/10^6, down unless ``sign`` is 1: the
+    moved vector is put over the lcm of its scale and 10^6."""
     x, y, structure = pair
     names = model.row_names if vector == "y" else model.var_names
-    target = y if vector == "y" else x
-    target[names.index(name)] += sign * Fraction(1, 10 ** 6)
-    return x, y, structure
+    ints, scale = y if vector == "y" else x
+    moved_scale = math.lcm(scale, 10 ** 6)
+    moved = [v * (moved_scale // scale) for v in ints]
+    moved[names.index(name)] += sign * (moved_scale // 10 ** 6)
+    if vector == "y":
+        return x, (moved, moved_scale), structure
+    return (moved, moved_scale), y, structure
+
+
+def fraction_pair(pair):
+    """A structural pair with x and y as integers over one scale each, as
+    (x, y, structure) with x and y Fractions."""
+    (xs, x_scale), (ys, y_scale), structure = pair
+    return ([Fraction(v, x_scale) for v in xs],
+            [Fraction(v, y_scale) for v in ys], structure)
 
 
 class TestSolveBetaLambda:
@@ -1468,7 +1482,7 @@ class TestSolveBetaLambda:
             sol = solve_beta_lambda(model)
             if isinstance(sol, str):
                 continue
-            x, y, structure = _beta_lambda_pair(model)
+            x, y, structure = fraction_pair(_beta_lambda_pair(model))
             assert sol.exact == x
             assert sol.structure == structure
             assert exact_certificate_holds(model, x, y), (lam, beta)
@@ -1554,8 +1568,7 @@ class TestSolveBetaLambda:
         """Declined on step_split_31 while the pair clipped no row; now
         rows 31 and 32 are clipped and the pair is certified."""
         model = build_lp_beta_lambda(64, Fraction(49, 64), 0)
-        assert lp_module._beta_dual(64, 49, Fraction(0), Fraction(15))[2] \
-            == {31, 32}
+        assert lp_module._beta_dual(64, 49, (0, 1), (15, 1))[2] == {31, 32}
         sol = solve_beta_lambda(model)
         assert sol.solver == "structure"
         assert abs(sol.objective - simplex_solve(model).objective) <= \
@@ -1570,8 +1583,7 @@ class TestSolveBetaLambda:
         bound = (3 - math.sqrt(2)) / 2
         first = math.ceil(bound * n)
         for L, clips in ((first - 1, True), (first, False)):
-            _, _, clipped = lp_module._beta_dual(n, L, Fraction(0),
-                                                 Fraction(n - L))
+            _, _, clipped = lp_module._beta_dual(n, L, (0, 1), (n - L, 1))
             assert bool(clipped) == clips, L
             sol = solve_beta_lambda(build_lp_beta_lambda(n, Fraction(L, n),
                                                          0))
@@ -1676,7 +1688,7 @@ class TestSolveBeta:
     def test_exact_certificate(self, n):
         for beta, model in beta_grid(n):
             sol = solve_beta(model)
-            x, y, structure = _beta_pair(model)
+            x, y, structure = fraction_pair(_beta_pair(model))
             assert sol.exact == x
             assert sol.structure == structure
             assert exact_certificate_holds(model, x, y), beta
@@ -1747,7 +1759,7 @@ class TestSolveBeta:
 
     def test_untampered_pair_certifies(self):
         model = build_lp_beta(16, Fraction(1, 100))
-        certified = certify(model, *_beta_pair(model))
+        certified = _certified_solution(model, *_beta_pair(model))
         assert isinstance(certified, LpSolution)
         assert solve(model).solver == "structure"
 
@@ -1827,20 +1839,21 @@ class TestSolve:
 # The beta dual family: the search and both pairs read one recursion
 # ---------------------------------------------------------------------------
 
-def reference_beta_dual_mass(n: int, s: float) -> float:
-    """sum_i y_pos_i of ``solve_beta``'s dual at s, in floats, as a loop of
-    its own: the function the search maximised before it read
-    ``_beta_dual``."""
+def reference_beta_dual_mass(n: int, s) -> Union[float, Fraction]:
+    """sum_i y_pos_i of ``solve_beta``'s dual at s, as a loop of its own,
+    in the arithmetic of s: on a float s, the function the search
+    maximised before it read ``_beta_dual``; on a Fraction s, the exact
+    mass."""
     L = math.ceil(s)
     half = n // 2
     Y = n - s
-    above = 1.0 - (L - s)        # sum of y_pos_k over k > i
+    above = 1 - (L - s)          # sum of y_pos_k over k > i
     for i in range(L - 1, 0, -1):
         if i <= half:
-            u = max((above - 2 * i * Y / n) / (n - i), 0.0)
+            u = max((above - 2 * i * Y / n) / (n - i), 0)
         else:
             u = above / (n - i)
-        above += 1.0 - u
+        above += 1 - u
     return above
 
 
@@ -1869,10 +1882,181 @@ def reference_beta_dual_argmax(n: int) -> float:
     return (lo + hi) / 2
 
 
+# The beta family's recursions as they ran on Fractions, and the search as
+# it ran on floats, before all of them ran on integer pairs in ``lp``: the
+# references ``TestBetaAgainstTheFractionReference`` holds them to
+
+def reference_beta_dual(n: int, L: int, theta, Y, clipped=None):
+    """u_1..u_{L-1} of ``solve_beta``'s dual at s = L - theta, whose
+    second-half duals sum to Y, before clipping, the dual mass and the
+    clipped rows: exact on Fractions, the searched function on floats.
+    With ``clipped`` given, those rows are clipped whatever their sign;
+    otherwise rows i <= n/2 with u_i < 0 are."""
+    half = n // 2
+    decide = clipped is None
+    if decide:
+        clipped = set()
+    above = 1 - theta
+    u = [0] * (L - 1)
+    for i in range(L - 1, 0, -1):
+        ui = above - 2 * i * Y / n if i <= half else above
+        u[i - 1] = ui = ui / (n - i)
+        if decide and i <= half and ui < 0:
+            clipped.add(i)
+        above += 1 if i in clipped else 1 - ui
+    return u, above, clipped
+
+
+def float_beta_dual_argmax(n: int) -> float:
+    """The bisection of ``_beta_dual_argmax`` on the float masses of
+    ``reference_beta_dual``, with L's clipping decided in floats."""
+    @functools.cache
+    def at(L):
+        return reference_beta_dual(n, L, 0.0, n - L)
+
+    L, hi = n // 2 + 1, n
+    while L < hi:
+        mid = (L + hi) // 2
+        if at(mid + 1)[1] > at(mid)[1]:
+            L = mid + 1
+        else:
+            hi = mid
+    _, mass, clipped = at(L)
+    if reference_beta_dual(n, L, 1.0, n - L + 1.0, clipped)[1] > mass:
+        return L - 0.5
+    if L < n and reference_beta_dual(n, L + 1, 0.0, n - L - 1.0,
+                                     clipped)[1] > \
+            reference_beta_dual(n, L + 1, 1.0, n - L, clipped)[1]:
+        return L + 0.5
+    return float(L)
+
+
+def reference_beta_kink(n: int, s: float):
+    """The kink of the dual mass next to s, on Fractions: L, theta, the
+    clipped rows, and a row k whose u_k is 0 there, or None."""
+    L = math.ceil(s)
+    theta = Fraction(L - s)
+    _, _, clipped = reference_beta_dual(n, L, theta, n - L + theta)
+    u0, mass0, _ = reference_beta_dual(n, L, Fraction(0), Fraction(n - L),
+                                       clipped)
+    u1, mass1, _ = reference_beta_dual(n, L, Fraction(1),
+                                       Fraction(n - L + 1), clipped)
+    lo, hi, lo_row, hi_row = Fraction(0), Fraction(1), None, None
+    for i in range(1, min(L, n // 2 + 1)):
+        slope = u1[i - 1] - u0[i - 1]
+        if slope == 0:
+            continue
+        root = -u0[i - 1] / slope
+        if (slope > 0) != (i in clipped):
+            if root >= lo:
+                lo, lo_row = root, i
+        elif root <= hi:
+            hi, hi_row = root, i
+    theta, k = (hi, hi_row) if mass1 > mass0 else (lo, lo_row)
+    if theta == 1:
+        L, theta = L - 1, Fraction(0)
+    return L, theta, clipped, k
+
+
+def reference_beta_head(n: int, L: int, clipped: set, k, t: Fraction):
+    """w_1..w_L, a_1..a_L of ``solve_beta``'s primal head with a_k = t and
+    a_i = 0 on clipped rows, and T, on Fractions."""
+    r = Fraction(1, n)
+    w, a = [], []
+    for i in range(1, L + 1):
+        ai = t if i == k else Fraction(0) if i in clipped else r
+        w.append(r)
+        a.append(ai)
+        if i < n:
+            r -= ai / (n - i)
+    tail = Fraction(2, n) * sum(a[j - 1] * Fraction(j, n - j)
+                                for j in range(1, n // 2 + 1))
+    return w, a, tail
+
+
+def reference_beta_pair(model: LpModel):
+    """x, y and the structure of ``solve_beta`` on Fractions, from the
+    float search, or the reason the structure does not apply."""
+    meta = model.metadata
+    n, beta = meta["n"], meta["beta"]
+    half = n // 2
+    L, theta, clipped, k = reference_beta_kink(n, float_beta_dual_argmax(n))
+    if L <= half:
+        return "dual maximum at s = n/2"
+
+    u, _, _ = reference_beta_dual(n, L, theta, n - L + theta, clipped)
+    y_ss = [Fraction(0) if i in clipped else u[i - 1] for i in range(1, L)]
+    y_ss += [Fraction(0)] * (n - L + 1)
+    y_pos = [1 - v for v in y_ss[:L - 1]] + [1 - theta] + \
+        [Fraction(0)] * (n - L)
+    y_sh = [Fraction(0)] * (L - half - 1) + [theta] + \
+        [Fraction(1)] * (n - L)
+    y = y_ss + y_pos + y_sh + [Fraction(1)]
+
+    if k is not None:
+        gaps = []
+        for t in (Fraction(0), Fraction(1)):
+            w, a, tail = reference_beta_head(n, L, clipped, k, t)
+            gaps.append(w[-1] - tail)
+        if gaps[0] == gaps[1]:
+            return f"row {k} does not move position row {L}"
+        t = gaps[0] / (gaps[0] - gaps[1])
+    else:
+        t = Fraction(0)
+    w, a, tail = reference_beta_head(n, L, clipped, k, t)
+    r = w[-1] - (a[-1] / (n - L) if L < n else 0)
+    g = [Fraction(0)] * (L - half)
+    left = beta
+    for i in range(L + 1, n + 1):
+        spent = min(left, tail - r)
+        left -= spent
+        g.append(spent)
+        w.append(tail - spent)
+        a.append(tail - spent)
+        if i < n:
+            r -= a[-1] / (n - i)
+    if left > 0:
+        return f"budget exceeds the tail's capacity by {float(left):.3g}"
+    x = w + a + [Fraction(0)] * n + g
+    structure = {"L": L, "theta": str(theta),
+                 "clipped_rows": [i for i in range(1, L) if not y_ss[i - 1]]}
+    return x, y, structure
+
+
 def reference_beta_lambda_pair(model: LpModel):
-    """``_beta_lambda_pair`` with its primal head in closed form and its
-    dual recursion written out, as it was before both read the beta
-    family's shared recursions."""
+    """x, y and the structure of ``solve_beta_lambda`` on Fractions."""
+    meta = model.metadata
+    n, beta = meta["n"], meta["beta"]
+    lam_n, half = int(meta["lambda"] * n), n // 2
+    zero, one = Fraction(0), Fraction(1)
+
+    u, _, clipped = reference_beta_dual(n, lam_n, zero, Fraction(n - lam_n))
+    w, a, tail = reference_beta_head(n, lam_n, clipped, lam_n, zero)
+    binding = beta < (n - lam_n) * tail
+    if not binding:
+        u, _, clipped = reference_beta_dual(n, lam_n, zero, zero)
+        w, a, tail = reference_beta_head(n, lam_n, clipped, lam_n, zero)
+    g = [zero] * (n - half)
+    left = beta
+    for i in range(n, lam_n, -1):
+        g[i - half - 1] = spent = min(tail, left)
+        left -= spent
+    w += [tail - g[i - half - 1] for i in range(lam_n + 1, n + 1)]
+    a += [zero] * (n - lam_n)
+    x = w + a + [zero] * n + g
+
+    y_sh = one if binding else zero
+    y_ss = [zero if i in clipped else u[i - 1] for i in range(1, lam_n)]
+    y_pos = [1 - v for v in y_ss] + [one]
+    y_ss += [zero] * (n - lam_n + 1)
+    y = y_ss + y_pos + [y_sh] * (n - lam_n) + [y_sh]
+    return x, y, {"position_rows": lam_n, "budget_binding": binding}
+
+
+def closed_form_beta_lambda_pair(model: LpModel):
+    """``_beta_lambda_pair`` with no row clipped, its primal head in closed
+    form and its dual recursion written out, as it was before both read
+    the beta family's shared recursions."""
     meta = model.metadata
     n, beta = meta["n"], meta["beta"]
     lam_n, half = int(meta["lambda"] * n), n // 2
@@ -1905,10 +2089,16 @@ def reference_beta_lambda_pair(model: LpModel):
     return x, y, {"position_rows": lam_n, "budget_binding": binding}
 
 
-def program_beta_dual_mass(n: int, s: float) -> float:
-    """The search's function: the float dual mass of ``_beta_dual``."""
+def pair_of(v) -> tuple[int, int]:
+    """A Fraction or int as its integer pair in lowest terms."""
+    return v.numerator, v.denominator
+
+
+def program_beta_dual_mass(n: int, s: Fraction) -> Fraction:
+    """The search's function: the exact dual mass of ``_beta_dual`` at s."""
     L = math.ceil(s)
-    return lp_module._beta_dual(n, L, L - s, n - s)[1]
+    return Fraction(*lp_module._beta_dual(n, L, pair_of(L - s),
+                                          pair_of(n - s))[1])
 
 
 DUAL_NS = [4, 8, 12, 16, 32, 128, 1024]
@@ -1922,10 +2112,11 @@ PAIR_BETAS = (Fraction(0), Fraction(1, 100), Fraction(1, 10), Fraction(3))
 class TestBetaDualFamily:
     @pytest.mark.parametrize("n", DUAL_NS)
     def test_float_mass_is_the_reference_loop(self, n):
-        """Bit-equal on a grid of s in (n/2, n], integers (theta = 0) and
-        s = n included."""
-        grid = [n / 2 + (n / 2) * k / 200 for k in range(1, 201)]
-        grid += [float(s) for s in range(n // 2 + 1, n + 1)]
+        """The mass the search reads, exact since it left floats, is the
+        reference loop's run on Fractions, on a grid of s in (n/2, n],
+        integers (theta = 0) and s = n included."""
+        grid = [Fraction(n, 2) + Fraction(n * k, 400) for k in range(1, 201)]
+        grid += [Fraction(s) for s in range(n // 2 + 1, n + 1)]
         assert grid[199] == n
         assert [program_beta_dual_mass(n, s) for s in grid] == \
             [reference_beta_dual_mass(n, s) for s in grid]
@@ -1941,27 +2132,36 @@ class TestBetaDualFamily:
             n, reference_beta_dual_argmax(n))
         assert (L, theta, k) == (ref_L, ref_theta, ref_k)
 
+    @pytest.mark.parametrize("n", KINK_NS)
+    def test_exact_search_is_the_float_search(self, n):
+        """Comparing exact masses picks the point the float bisection
+        picked, at every n the kink is checked at."""
+        assert lp_module._beta_dual_argmax(n) == float_beta_dual_argmax(n)
+
     @pytest.mark.parametrize("n", DUAL_NS)
     def test_integer_mass_is_concave(self, n):
-        """The bisection's premise: over integer L in (n/2, n] the float
+        """The bisection's premise: over integer L in (n/2, n] the exact
         mass has second differences <= 0 and its forward differences
         change sign at most once."""
-        mass = [lp_module._beta_dual(n, L, 0.0, n - L)[1]
+        mass = [Fraction(*lp_module._beta_dual(n, L, (0, 1), (n - L, 1))[1])
                 for L in range(n // 2 + 1, n + 1)]
         steps = [b - a for a, b in zip(mass, mass[1:])]
-        assert all(b - a <= 0.0 for a, b in zip(steps, steps[1:]))
+        assert all(b - a <= 0 for a, b in zip(steps, steps[1:]))
         signs = [d > 0 for d in steps]
         assert signs == sorted(signs, reverse=True)
 
     def test_search_reads_few_duals(self, monkeypatch):
         """At most 2 ceil(log2(n/2)) evaluations for the bisection and 3
-        for the side of L: no tolerance sets the count."""
+        for the side of L: no tolerance sets the count.  Every one is the
+        exact recursion, on integer pairs theta and Y."""
         n, calls = 1024, []
         dual = lp_module._beta_dual
         monkeypatch.setattr(lp_module, "_beta_dual",
                             lambda *args: calls.append(args) or dual(*args))
         lp_module._beta_dual_argmax(n)
         assert len(calls) <= 2 * math.ceil(math.log2(n / 2)) + 3
+        for _, _, theta, Y, *_ in calls:
+            assert all(type(v) is int for v in (*theta, *Y)), (theta, Y)
 
     @pytest.mark.parametrize("n", PAIR_NS)
     def test_beta_lambda_pair_is_the_reference_construction(self, n):
@@ -1977,12 +2177,13 @@ class TestBetaDualFamily:
             if (lam * n).denominator != 1:
                 continue
             L = int(lam * n)
-            u, _, clipped = lp_module._beta_dual(n, L, Fraction(0),
-                                                 Fraction(n - L))
+            u, _, clipped = lp_module._beta_dual(n, L, (0, 1), (n - L, 1))
+            u = [Fraction(*v) for v in u]
             for beta in PAIR_BETAS:
                 model = build_lp_beta_lambda(n, lam, beta)
-                x, y, structure = pair = _beta_lambda_pair(model)
-                ref = reference_beta_lambda_pair(model)
+                x, y, structure = pair = fraction_pair(
+                    _beta_lambda_pair(model))
+                ref = closed_form_beta_lambda_pair(model)
                 pairs += 1
                 if structure["budget_binding"] and clipped:
                     assert {i for i in range(1, L) if x[n + i - 1] == 0} \
@@ -1999,6 +2200,164 @@ class TestBetaDualFamily:
                     assert pair == ref, (lam, beta)
         assert pairs >= 12
         assert clipping >= (2 if n >= 8 else 0)
+
+
+def assert_dual_is_the_reference(n, L, theta, Y, clipped=None):
+    """``_beta_dual`` on integer pairs against ``reference_beta_dual`` on
+    the Fractions theta and Y: the same u and mass, in lowest terms, and
+    the same clipped rows.  Returns ours."""
+    theta, Y = Fraction(theta), Fraction(Y)
+    ours = lp_module._beta_dual(n, L, pair_of(theta), pair_of(Y),
+                                None if clipped is None else set(clipped))
+    u, mass, ref_clipped = reference_beta_dual(
+        n, L, theta, Y, None if clipped is None else set(clipped))
+    assert ours == ([pair_of(v) for v in u], pair_of(mass), ref_clipped)
+    return ours
+
+
+def assert_head_is_the_reference(n, L, clipped, k, t):
+    """``_beta_head`` on integer pairs against ``reference_beta_head`` at
+    the Fraction t: the same w, a and T, in lowest terms."""
+    w, a, tail = reference_beta_head(n, L, clipped, k, t)
+    assert lp_module._beta_head(n, L, clipped, k, pair_of(t)) == \
+        ([pair_of(v) for v in w], [pair_of(v) for v in a], pair_of(tail))
+
+
+def assert_served_as_the_reference(model, solver, ref, pairs):
+    """``solver`` on ``model`` against the reference pair ``ref`` (x, y
+    and the structure in Fractions, or the reason to decline): the same
+    pair, and the served solution ``certify`` makes of the reference's,
+    with the same exact primal and bit-equal float x, or the same reason
+    to decline.  ``pairs`` is the ``certified_pairs`` fixture."""
+    pairs.clear()
+    ours = solver(model)
+    if isinstance(ref, str):
+        assert ours == ref and not pairs
+        return ours
+    [pair] = pairs
+    assert fraction_pair(pair) == ref
+    x, y, structure = ref
+    expected = certify(model, x, y, structure)
+    if isinstance(expected, str):
+        assert ours == expected
+    else:
+        assert ours.exact == expected.exact == x
+        assert (ours.objective, ours.structure, ours.solver) == \
+            (expected.objective, expected.structure, expected.solver)
+        assert_bit_equal(ours.x, np.array([float(v) for v in x]))
+    return ours
+
+
+def assert_beta_is_the_reference(model, pairs):
+    """``solve_beta`` against the Fraction references: the search's point,
+    the kink (L, theta, clipped rows, k), the dual and the head there, and
+    the served solution or the reason to decline."""
+    n = model.metadata["n"]
+    s = lp_module._beta_dual_argmax(n)
+    assert s == float_beta_dual_argmax(n)
+    L, theta, clipped, k = lp_module._beta_kink(n, s)
+    ref_L, ref_theta, ref_clipped, ref_k = reference_beta_kink(n, s)
+    assert (L, theta, clipped, k) == \
+        (ref_L, pair_of(ref_theta), ref_clipped, ref_k)
+    assert_dual_is_the_reference(n, L, ref_theta, n - L + ref_theta,
+                                 clipped)
+    for t in (Fraction(0), Fraction(1)):
+        assert_head_is_the_reference(n, L, clipped, k, t)
+    return assert_served_as_the_reference(model, solve_beta,
+                                          reference_beta_pair(model), pairs)
+
+
+def assert_beta_lambda_is_the_reference(model, pairs):
+    """``solve_beta_lambda`` against the Fraction references: the dual and
+    the head with the budget binding and slack, and the served solution
+    or the reason to decline."""
+    n, lam = model.metadata["n"], model.metadata["lambda"]
+    L = int(lam * n)
+    for Y in (n - L, 0):
+        _, _, clipped = assert_dual_is_the_reference(n, L, 0, Y)
+        assert_head_is_the_reference(n, L, clipped, L, Fraction(0))
+    return assert_served_as_the_reference(
+        model, solve_beta_lambda, reference_beta_lambda_pair(model), pairs)
+
+
+class TestBetaAgainstTheFractionReference:
+    """``solve_beta`` and ``solve_beta_lambda`` run their search, kink,
+    dual and primal recursions on integer pairs; the Fraction recursions
+    and the float search they replaced are the references they are held to
+    exactly."""
+
+    @pytest.mark.parametrize("n", STRUCTURE_NS)
+    def test_beta_lambda_grid(self, n, certified_pairs):
+        reasons = [assert_beta_lambda_is_the_reference(model,
+                                                       certified_pairs)
+                   for _, _, model in structure_grid(n)]
+        assert any(isinstance(r, LpSolution) for r in reasons)
+
+    def test_beta_lambda_where_clipping_stops_at_n1024(self, certified_pairs):
+        """lambda n = 772..811 at beta 0: the pair clips rows below 812
+        (``test_certified_from_three_minus_sqrt2_over_2``)."""
+        for L in range(772, 812):
+            assert_beta_lambda_is_the_reference(
+                build_lp_beta_lambda(1024, Fraction(L, 1024), 0),
+                certified_pairs)
+
+    @pytest.mark.parametrize("n", range(4, 257, 4))
+    def test_beta(self, n, certified_pairs):
+        """Every n the builder takes (multiples of 4) from 4 to 256, at
+        betas that certify and betas beyond the tail's capacity, which
+        decline."""
+        served = [assert_beta_is_the_reference(build_lp_beta(n, beta),
+                                               certified_pairs)
+                  for beta in (Fraction(0), Fraction(1, 100), Fraction(1, 10))]
+        assert isinstance(served[0], LpSolution)
+
+    def test_declines(self, certified_pairs):
+        """A model edited away from the program the structure describes
+        declines with the reference's reason, in both families."""
+        reasons = []
+        for build, check in ((lambda: build_lp_beta(16, 0),
+                              assert_beta_is_the_reference),
+                             (lambda: build_lp_beta_lambda(
+                                 16, Fraction(13, 16), 0),
+                              assert_beta_lambda_is_the_reference)):
+            model = build()
+            model.objective[0] = Fraction(2)
+            reasons.append(check(model, certified_pairs))
+            model = build()
+            edit_a1_in_position_5(model)
+            reasons.append(check(model, certified_pairs))
+        assert [r.split()[:2] for r in reasons] == \
+            [["duality", "gap"], ["dual", "residual"]] * 2
+
+    @pytest.mark.parametrize("solver, build", [
+        (solve_beta, lambda: build_lp_beta(1024, 0)),
+        (solve_beta_lambda, lambda: build_lp_beta_lambda(
+            1024, Fraction(13, 16), Fraction(1, 100)))],
+        ids=["beta", "beta-lambda"])
+    def test_no_fraction_per_row(self, monkeypatch, solver, build):
+        """Solving at n=1024 makes a few Fractions, for the kink's theta and
+        the certificate's sums, and none per row; the first read of
+        ``exact`` makes one per nonzero entry and one shared zero, and a
+        second read makes none."""
+        model = build()
+        made = []
+        new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            made.append(cls)
+            return new(cls, *args, **kwargs)
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        solution = solver(model)
+        solved = len(made)
+        exact = solution.exact
+        read = len(made) - solved
+        assert solution.exact is exact
+        reread = len(made) - solved - read
+        monkeypatch.undo()
+        assert solution.solver == "structure"
+        assert solved <= 16, solved
+        assert read == sum(1 for v in exact if v) + 1
+        assert reread == 0
 
 
 # ---------------------------------------------------------------------------
@@ -2201,11 +2560,11 @@ def operator_models(n):
     for beta in BUILDER_BETAS:
         model = build_lp_beta(n, beta)
         pair = _beta_pair(model)
-        yield model, None if isinstance(pair, str) else pair
+        yield model, None if isinstance(pair, str) else fraction_pair(pair)
         for lam in BUILDER_LAMBDAS:
             if (lam * n).denominator == 1:
                 model = build_lp_beta_lambda(n, lam, beta)
-                yield model, _beta_lambda_pair(model)
+                yield model, fraction_pair(_beta_lambda_pair(model))
     model = build_lp_general(n)
     yield model, (solve_general(model).exact, cost_to_go_dual(model), None)
 
@@ -2272,9 +2631,9 @@ class TestExactProducts:
         """A certified pair scales the model's sequences once: the row
         check reads ``_scaled_sequences``, and the column check keeps each
         column's own denominators instead.  The certificate takes x and y
-        as integers over one scale each, and every check reads those: the
-        beta solvers make their Fraction vectors so once each (``_scaled``),
-        and the general solve makes them on integers, with no scaling."""
+        as integers over one scale each, and every check reads those: every
+        solver makes them from integer pairs, so none scales a Fraction
+        vector (``_scaled``) for x or y."""
         calls, scaled_calls, pairs = [], [], []
         sequences = lp_module._scaled_sequences
         monkeypatch.setattr(lp_module, "_scaled_sequences",
@@ -2291,9 +2650,7 @@ class TestExactProducts:
         [(x, y)] = pairs
         for ints, scale in (x, y):
             assert all(type(v) is int for v in [*ints, scale])
-        made = 0 if solver is solve_general else 1
-        assert sum(out is x for _, out in scaled_calls) == made
-        assert sum(out is y for _, out in scaled_calls) == made
+        assert not any(out is x or out is y for _, out in scaled_calls)
         for vector in (model.objective, model.rhs):
             assert sum(v is vector for v, _ in scaled_calls) == 1
 
